@@ -111,16 +111,7 @@ def _cmd_scan(args) -> int:
     from .scanner import scan
 
     program = _load_program(args.program)
-    hits = [
-        {
-            "kind": h.kind.value,
-            "op_index": h.op_index,
-            "store_index": h.store_index,
-            "gap": h.gap,
-        }
-        for h in scan(program)
-    ]
-    _emit(hits)
+    _emit([h.to_json() for h in scan(program)])
     return 0
 
 
@@ -229,13 +220,23 @@ def _cmd_report(args) -> int:
 # Argument wiring
 
 
+_STRESSOR_CHOICES = ("listing2", "twofish", "none", "shift_loop", "twofish_avx")
+
+
+def positive_int(text: str) -> int:
+    """Argument type for count flags: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_probe_flags(sub) -> None:
     sub.add_argument("--profile", required=True, help="bundled name or JSON path")
     sub.add_argument("--pstate", default=None, help="hex ratio, e.g. 0x1b")
-    sub.add_argument("--tries", type=int, default=10_000)
+    sub.add_argument("--tries", type=positive_int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--stressor", default="listing2",
-                     choices=["listing2", "twofish", "none", "shift_loop", "twofish_avx"])
+    sub.add_argument("--stressor", default="listing2", choices=_STRESSOR_CHOICES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,12 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--profile", required=True)
     ca.add_argument("--victim", required=True, choices=["poc", "hmac32", "hmac1k"])
     ca.add_argument("--core", type=int, required=True)
-    ca.add_argument("--stressor", default="listing2",
-                    choices=["listing2", "twofish", "none", "shift_loop", "twofish_avx"])
+    ca.add_argument("--stressor", default="listing2", choices=_STRESSOR_CHOICES)
     ca.add_argument("--seed", type=int, default=0)
-    ca.add_argument("--runs", type=int, default=5)
-    ca.add_argument("--tries", type=int, default=10_000)
-    ca.add_argument("--jobs", type=int, default=1)
+    ca.add_argument("--runs", type=positive_int, default=5)
+    ca.add_argument("--tries", type=positive_int, default=10_000)
+    ca.add_argument("--jobs", type=positive_int, default=1)
     ca.add_argument("--pstate", default=None)
     ca.add_argument("--csv", default=None, help="also write a one-row summary table")
     ca.set_defaults(run=_cmd_campaign)

@@ -14,6 +14,7 @@ to retire and may replace the stored value; everything else is exact.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -267,11 +268,6 @@ def _check_jumps(program: MiniProgram) -> None:
                 )
 
 
-def program_from_file(path) -> MiniProgram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read(), source_name=str(path))
-
-
 # Alternate lookup keys accepted anywhere a program name is taken.
 PROGRAM_ALIASES = {
     "listing1_xor": "vp1_xor_kernel",
@@ -287,7 +283,9 @@ def bundled_program_names() -> list[str]:
     return sorted(p.name[:-2] for p in pkg.iterdir() if p.name.endswith(".s"))
 
 
+@functools.cache
 def bundled_program(name: str) -> MiniProgram:
+    """Parse a bundled program once; later calls return the same object."""
     stem = PROGRAM_ALIASES.get(name, name)
     res = resources.files("voltlab").joinpath(f"data/programs/{stem}.s")
     if not res.is_file():

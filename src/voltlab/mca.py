@@ -44,6 +44,11 @@ class SurfacedFault(Enum):
     GENERAL_PROTECTION = "general_protection"
 
 
+def draw_surfaced_fault(rng: np.random.Generator) -> SurfacedFault:
+    """Which exception a surfaced decode fault raises; mostly invalid opcode."""
+    return SurfacedFault.INVALID_OPCODE if rng.uniform() < 0.7 else SurfacedFault.GENERAL_PROTECTION
+
+
 @dataclass(frozen=True)
 class MceRecord:
     timestamp: int  # slice index within the run
@@ -205,4 +210,4 @@ class MachineCheck:
             return None
         if rng.uniform() >= self.surface_probability:
             return None
-        return SurfacedFault.INVALID_OPCODE if rng.uniform() < 0.7 else SurfacedFault.GENERAL_PROTECTION
+        return draw_surfaced_fault(rng)

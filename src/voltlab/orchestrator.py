@@ -13,15 +13,11 @@ regardless of trial parallelism.
 
 from __future__ import annotations
 
-import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvalidCore, InvariantError, NoWindowFound
-from .isa import MiniProgram, bundled_program, parse_program
+from .isa import bundled_program, parse_program
 from .msr import (
     IA32_MISC_ENABLE,
     IA32_THERM_INTERRUPT,
@@ -53,7 +49,10 @@ from .victims import (
     CampaignResult,
     RunStatus,
     _any_of,
+    _campaign_runs,
     _geometry,
+    _resolve_program,
+    _tries_before_crash,
     payload_name,
     run_hmac_victim,
     run_poc_enclave,
@@ -226,7 +225,6 @@ def _pinned_state(
         stressor_fault_multiplier=spec.fault_multiplier,
         stressor_temp_boost_c=spec.temp_boost_c,
         seed=seed,
-        interference_disabled=True,
     )
     # Thermal equilibrium before anything runs; one long relaxation step.
     state.core_temp_c = core_temp_targets(state).astype(float)
@@ -392,11 +390,7 @@ def phase2_probe_cores(
     carrying the partial per-core stats if a probe kills the platform.
     """
     profile = state.profile
-    program = (
-        victim_program
-        if isinstance(victim_program, MiniProgram)
-        else bundled_program(victim_program)
-    )
+    program = _resolve_program(victim_program)
     geom = _geometry(program, None, None, None, 100_000)
     events = len(geom.store_slices)
     if events == 0:
@@ -427,12 +421,7 @@ def phase2_probe_cores(
         g = mean_crash_probability(profile, core, env.pstate, env.nominal_voltage_mv(), temp)
         c_try = _any_of(g, geom.slices_per_iteration)
 
-        crash_try = int(gen.geometric(c_try)) if c_try > 0.0 else None
-        completed = (
-            tries_per_core
-            if crash_try is None or crash_try > tries_per_core
-            else crash_try - 1
-        )
+        completed = _tries_before_crash(gen, c_try, tries_per_core)
         faults = int(gen.binomial(completed, q_try)) if q_try > 0.0 else 0
         byte_hist = [0] * 16
         mult_hist: dict[int, int] = {}
@@ -508,20 +497,7 @@ def phase3_attack(
                 successes, completed = abort.partial
                 return successes, completed, True
 
-        if jobs > 1 and runs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(one, range(runs)))
-        else:
-            outcomes = [one(r) for r in range(runs)]
-        per_run = []
-        for r, (successes, completed, crashed) in enumerate(outcomes):
-            per_run.append((successes, completed))
-            if crashed:
-                partial = CampaignResult.from_runs(target_core, "poc", per_run, crashes=1)
-                raise AbortedByCrash(
-                    f"platform crashed during run {r} of {runs}", partial=partial
-                )
-        return CampaignResult.from_runs(target_core, "poc", per_run)
+        return _campaign_runs(one, runs, jobs, target_core, "poc")
 
     payload = payload_name(victim)
     return run_hmac_victim(

@@ -79,10 +79,6 @@ def manifestation(depth_fraction: float) -> float:
     return depth_fraction / RAMP_SATURATION_DEPTH
 
 
-def manifestation_array(depth_fraction: np.ndarray) -> np.ndarray:
-    return np.clip(depth_fraction / RAMP_SATURATION_DEPTH, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class PStatePoint:
     ratio: int
@@ -206,8 +202,11 @@ class ProcessorProfile:
 
     def _validate(self):
         n = self.physical_cores
-        if n < 1 or self.threads_per_core < 1:
-            raise InvariantError(f"{self._origin}: core topology must be positive")
+        if n < 2 or self.threads_per_core < 2:
+            # One whole core for the attacker, the stressor on the victim's partner.
+            raise InvariantError(
+                f"{self._origin}: the attack partition needs 2+ cores of 2+ threads"
+            )
         if self.noise_mv < 0 or self.corrected_band_mv < 0:
             raise InvariantError(f"{self._origin}: noise and band widths are nonnegative")
         if self.byte_affinity.shape != (n, 16):
@@ -324,9 +323,7 @@ class PlatformState:
     stressor_name: str = "none"
     stressor_fault_multiplier: float = 1.0
     stressor_temp_boost_c: float = 0.0
-    interference_disabled: bool = False
     seed: int = 0
-    slice_time_s: float = 1e-6
     temp_tau_s: float = 2.0
 
     def __post_init__(self):
@@ -373,12 +370,6 @@ class PlatformState:
     def nominal_voltage_mv(self) -> float:
         point = self.profile.pstate_point(self.pstate)
         return point.base_voltage_mv + self.core_offset_mv()
-
-    def victim_temp_c(self) -> float:
-        core = self.victim_physical
-        if core is None:
-            return float(self.core_temp_c.mean())
-        return float(self.core_temp_c[core])
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +437,18 @@ def event_fault_probability(
     width = point.exploit_window_mv
     if width <= 0.0 or v_eff_mv > top or v_eff_mv <= top - width:
         return 0.0
+    p = _scenario_ceiling(profile, point, core, scenario, stressor_multiplier)
+    p *= manifestation((top - v_eff_mv) / width)
+    return min(p, 1.0)
+
+
+def _scenario_ceiling(profile, point, core, scenario, stressor_multiplier) -> float:
+    """Per-event fault probability at full manifestation, before the clamp."""
     entry = profile.calibration_entry(scenario)
     p = entry.p_event_max[core] * stressor_multiplier
     if entry.pstate_gated:
         p *= point.exploit_factor
-    p *= manifestation((top - v_eff_mv) / width)
-    return min(p, 1.0)
+    return p
 
 
 def _integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
@@ -500,10 +497,7 @@ def mean_event_fault_probability(
     top = effective_window_top_mv(profile, core, pstate, temp_c)
     width = point.exploit_window_mv
     breaks = [top, top - width]
-    entry = profile.calibration_entry(scenario)
-    ceiling = entry.p_event_max[core] * stressor_multiplier
-    if entry.pstate_gated:
-        ceiling *= point.exploit_factor
+    ceiling = _scenario_ceiling(profile, point, core, scenario, stressor_multiplier)
     if width > 0.0:
         breaks.append(top - width * RAMP_SATURATION_DEPTH)
         if ceiling > 1.0:  # the clamp introduces its own corner
@@ -609,6 +603,11 @@ def crash_kind_weights(ratio: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def draw_crash_kind(ratio: int, rng: np.random.Generator) -> CrashKind:
+    """Which way the platform dies at this ratio: one weighted draw."""
+    return CrashKind(int(rng.choice(3, p=crash_kind_weights(ratio))))
+
+
 def crash_probability_per_slice(
     profile: ProcessorProfile, ratio: int, depth_below_window_mv: float
 ) -> float:
@@ -649,8 +648,7 @@ def sample_crash(
     p = crash_probability_per_slice(profile, point.ratio, depth)
     if rng.uniform() >= p:
         return None
-    kind = rng.choice(3, p=crash_kind_weights(point.ratio))
-    return (CrashKind.KERNEL_EXCEPTION, CrashKind.FREEZE, CrashKind.HARD_CRASH)[int(kind)]
+    return draw_crash_kind(point.ratio, rng)
 
 
 # ---------------------------------------------------------------------------

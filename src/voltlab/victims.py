@@ -34,13 +34,13 @@ from .errors import (
     UnknownStressor,
 )
 from .isa import MiniProgram, bundled_program, interpret
-from .mca import MachineCheck, SurfacedFault
+from .mca import MachineCheck, SurfacedFault, draw_surfaced_fault
 from .processor import (
     BitFlipPattern,
     CrashKind,
     PlatformState,
     ProcessorProfile,
-    crash_kind_weights,
+    draw_crash_kind,
     draw_flip_pattern,
     effective_window_top_mv,
     mean_crash_probability,
@@ -233,6 +233,14 @@ def _truncated_geometric(u: float, p: float, n: int) -> int:
     return min(j, n - 1)
 
 
+def _tries_before_crash(rng: np.random.Generator, c_try: float, tries: int) -> int:
+    """Tries completed before the crash: one geometric draw of the 1-based
+    crash try, or none when the per-try crash chance is zero."""
+    if c_try <= 0.0:
+        return tries
+    return min(int(rng.geometric(c_try)) - 1, tries)
+
+
 def _run_with_flips(program, memory, xmm, scalar, max_slices, geometry, flips):
     """Re-execute, XORing the given masks into eligible store executions.
 
@@ -360,16 +368,10 @@ def run_test_loop(
         it, _, _, what = min(candidates)
 
         if what == "crash":
-            kind = int(rng.choice(3, p=crash_kind_weights(profile.pstate_point(env.pstate).ratio)))
-            kinds = (CrashKind.KERNEL_EXCEPTION, CrashKind.FREEZE, CrashKind.HARD_CRASH)
-            return RunOutcome.crashed(kinds[kind], it)
+            kind = draw_crash_kind(profile.pstate_point(env.pstate).ratio, rng)
+            return RunOutcome.crashed(kind, it)
         if what == "exception":
-            which = (
-                SurfacedFault.INVALID_OPCODE
-                if rng.uniform() < 0.7
-                else SurfacedFault.GENERAL_PROTECTION
-            )
-            return RunOutcome.excepted(which, it)
+            return RunOutcome.excepted(draw_surfaced_fault(rng), it)
 
         # Fault wins: pick which eligible store faulted first, then give
         # each later store in the same iteration its independent chance.
@@ -486,9 +488,7 @@ def run_poc_enclave(
     c_try = _any_of(g, exposure_slices)
 
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
-    crash_try = int(rng.geometric(c_try)) if c_try > 0.0 else None  # 1-based
-
-    completed = tries if crash_try is None or crash_try > tries else crash_try - 1
+    completed = _tries_before_crash(rng, c_try, tries)
     oracle = _DiversionOracle(program, geom, POC_MEMORY, POC_SCALARS)
     successes = 0
     # Word index 0: the guarded store is the only word that matters here.
@@ -498,7 +498,7 @@ def run_poc_enclave(
             successes += 1
     if completed < tries:
         raise AbortedByCrash(
-            f"platform crashed on try {crash_try} of {tries}",
+            f"platform crashed on try {completed + 1} of {tries}",
             partial=(successes, completed),
         )
     return successes
@@ -608,8 +608,7 @@ def _hmac_single_run(
     """
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
-    crash_try = int(rng.geometric(c_try)) if c_try > 0.0 else None
-    completed = tries if crash_try is None or crash_try > tries else crash_try - 1
+    completed = _tries_before_crash(rng, c_try, tries)
 
     successes = 0
     for i in range(completed):
@@ -670,6 +669,13 @@ def run_hmac_victim(
         gen = rngmod.stream(seed, "hmac", payload, core, run_index)
         return _hmac_single_run(ctx, profile, core, p_event, c_try, tries, gen)
 
+    return _campaign_runs(one, runs, jobs, core, scenario)
+
+
+def _campaign_runs(one, runs: int, jobs: int, core: int, scenario: str) -> CampaignResult:
+    """Run `one(run_index) -> (successes, tries_completed, crashed)` for
+    every run, then aggregate.  The first crashed run raises AbortedByCrash
+    carrying the runs up to and including it."""
     if jobs > 1 and runs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(one, range(runs)))

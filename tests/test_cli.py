@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line surface, via main(argv)."""
 
 import json
+from importlib import resources
 
 import pytest
 
 import voltlab.cli as cli
-from voltlab.errors import AbortedByCrash
+from voltlab.errors import AbortedByCrash, InvariantError
+from voltlab.processor import load_profile
 from voltlab.victims import CampaignResult
 
 
@@ -215,3 +217,44 @@ def test_campaign_abort_reports_partial(capsys, monkeypatch):
     blob = json.loads(out)
     assert blob["aborted"] == "platform died"
     assert blob["partial"]["crashes"] == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--runs", "0"), ("--runs", "-1"), ("--tries", "-5"), ("--tries", "0"), ("--jobs", "0")],
+)
+def test_count_flags_must_be_positive(capsys, flag, value):
+    argv = [*CAMPAIGN_FLAGS, flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
+def _one_core_profile(raw):
+    raw["physical_cores"] = 1
+    raw["byte_affinity"] = raw["byte_affinity"][:1]
+    raw["multiplicity"] = raw["multiplicity"][:1]
+    for entry in raw["pstates"].values():
+        entry["fault_voltage_v"] = entry["fault_voltage_v"][:1]
+    for entry in raw["calibration"].values():
+        entry["p_event_max"] = entry["p_event_max"][:1]
+
+
+def _no_smt_profile(raw):
+    raw["threads_per_core"] = 1
+
+
+@pytest.mark.parametrize("edit", [_one_core_profile, _no_smt_profile])
+def test_profile_without_room_for_the_partition_is_refused(capsys, tmp_path, edit):
+    text = resources.files("voltlab").joinpath("data/profiles/i7-7700k.json").read_text()
+    raw = json.loads(text)
+    edit(raw)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(InvariantError):
+        load_profile(str(path))
+    rc, out, err = run_cli(capsys, "probe", "--profile", str(path), "--tries", "10")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ") and "attack partition" in err

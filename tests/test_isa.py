@@ -17,6 +17,7 @@ from voltlab.isa import (
     interpret,
     parse_program,
 )
+from voltlab.scanner import scan
 
 ONES64 = (1 << 64) - 1
 ONES128 = (1 << 128) - 1
@@ -96,6 +97,15 @@ def test_program_aliases_resolve():
         a = bundled_program(alias)
         b = bundled_program(stem)
         assert [i.text for i in a.instructions] == [i.text for i in b.instructions]
+
+
+def test_bundled_program_is_parsed_once():
+    prog = bundled_program("vp1_xor_kernel")
+    first = interpret(prog)
+    assert bundled_program("vp1_xor_kernel") is prog
+    assert [h.kind.value for h in scan(prog)] == ["VP1"]
+    again = interpret(bundled_program("vp1_xor_kernel"))
+    assert again.memory == first.memory and again.slices == first.slices
 
 
 def test_unknown_bundled_program():
