@@ -11,9 +11,20 @@ makes them susceptible in the first place.
 Faults are expressed as XOR masks over the 128-bit store payload, keyed by
 (block index, event index).  Fault-free output is bit-identical to the
 standard algorithm; `hashlib` is used as the oracle in tests, never here.
+
+Two implementations share that fault surface.  The scalar `compress` and
+`HmacContext.mac_with_faults` are the reference: `sha256`, the context
+set-up and the published vectors go through them.  Campaigns hand a whole
+run's fault sets to `HmacContext.macs_with_faults`, which recomputes every
+distinct faulted MAC at once, each fault set one lane of numpy `uint32`
+arrays (FIPS 180-4 arithmetic, wrapping mod 2**32).  Both paths share the
+fault normalisation, range checks and memo, and tests hold the lanes equal
+to the scalar path.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import InvariantError
 
@@ -129,13 +140,92 @@ def sha256(message: bytes, faults: dict[tuple[int, int], int] | None = None) -> 
     return _digest_bytes(state)
 
 
+_K_LANES = np.array(_K, dtype=np.uint32)
+
+
+def _rotr(x: np.ndarray, n: int) -> np.ndarray:
+    return (x >> n) | (x << (32 - n))
+
+
+def _expand_lanes(words: list[np.ndarray]) -> list[np.ndarray]:
+    """Schedule words W0..W63 from W0..W15, each a uint32 lane array."""
+    w = list(words)
+    for i in range(16, 64):
+        x, y = w[i - 15], w[i - 2]
+        s0 = _rotr(x, 7) ^ _rotr(x, 18) ^ (x >> 3)
+        s1 = _rotr(y, 17) ^ _rotr(y, 19) ^ (y >> 10)
+        w.append(w[i - 16] + s0 + w[i - 7] + s1)
+    return w
+
+
+def _compress_lanes(state: list[np.ndarray], w, faults: dict | None) -> list[np.ndarray]:
+    """`compress` over n lanes at once.
+
+    `state` is eight uint32 arrays of n lanes.  `w` is the expanded
+    schedule: 64 arrays of n lanes, or of one word shared by every lane.
+    `faults` maps an event to (lane indices, four uint32 arrays of XOR
+    words, low word first).  As in `compress`, schedule masks land after
+    expansion and state masks after the feed-forward.
+    """
+    n = len(state[0])
+    faults = faults or {}
+    w = list(w)
+    for event, (lanes, words) in faults.items():
+        if event < SCHEDULE_EVENTS:
+            for j in range(4):
+                i = 16 + 4 * event + j
+                w[i] = np.broadcast_to(w[i], n).copy()
+                w[i][lanes] ^= words[j]
+    a, b, c, d, e, f, g, h = state
+    for i in range(64):
+        s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
+        ch = g ^ (e & (f ^ g))
+        t1 = h + s1 + ch + (w[i] + _K_LANES[i])
+        s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
+        maj = (a & b) | (c & (a | b))
+        h, g, f, e, d, c, b, a = g, f, e, d + t1, c, b, a, t1 + s0 + maj
+    out = [s + v for s, v in zip(state, (a, b, c, d, e, f, g, h))]
+    for event in (SCHEDULE_EVENTS, SCHEDULE_EVENTS + 1):
+        if event in faults:
+            lanes, words = faults[event]
+            for j in range(4):
+                out[4 * (event - SCHEDULE_EVENTS) + j][lanes] ^= words[j]
+    return out
+
+
+def _words(data: bytes) -> np.ndarray:
+    """Big-endian 32-bit words of `data` as native uint32."""
+    return np.frombuffer(data, dtype=">u4").astype(np.uint32)
+
+
+def _lane_faults(keys: list[tuple]) -> dict[int, dict[int, tuple]]:
+    """block -> event -> (lane indices, XOR words) for `_compress_lanes`,
+    where lane i carries the fault key keys[i]."""
+    by_store: dict[tuple[int, int], tuple[list, list]] = {}
+    for lane, key in enumerate(keys):
+        for store, mask in key:
+            lanes, masks = by_store.setdefault(store, ([], []))
+            lanes.append(lane)
+            masks.append(mask)
+    out: dict[int, dict[int, tuple]] = {}
+    for (blk, event), (lanes, masks) in by_store.items():
+        words = np.array(
+            [[(m >> shift) & MASK32 for m in masks] for shift in (0, 32, 64, 96)],
+            dtype=np.uint32,
+        )
+        out.setdefault(blk, {})[event] = (np.array(lanes, dtype=np.intp), words)
+    return out
+
+
 class HmacContext:
     """HMAC-SHA256 of one fixed (key, message), faultable per store event.
 
     Built once per campaign target; `mac_with_faults` recomputes only from
     the earliest corrupted block, reusing per-block chaining checkpoints,
-    and memoizes digests by the canonical fault tuple.  Event numbering is
-    global: blocks 0..n-1 are the inner hash, n and n+1 the outer.
+    and memoizes digests by the canonical fault tuple.  `macs_with_faults`
+    does the same for many fault sets at once as numpy lanes, through the
+    same memo.  Event numbering is global: blocks 0..n-1 are the inner
+    hash, n and n+1 the outer.
     """
 
     def __init__(self, key: bytes, message: bytes):
@@ -177,21 +267,27 @@ class HmacContext:
         state = compress(state, self._outer_tail_block(inner_digest), faults1)
         return _digest_bytes(state)
 
-    def mac_with_faults(self, faults: dict[tuple[int, int], int]) -> bytes:
-        """MAC with XOR masks applied at (global block, event) stores."""
-        faults = {k: m & MASK128 for k, m in faults.items() if m & MASK128}
-        if not faults:
-            return self.clean_mac
-        cache_key = tuple(sorted(faults.items()))
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
-        by_block: dict[int, dict[int, int]] = {}
-        for (blk, event), mask in faults.items():
+    def _fault_key(self, faults: dict[tuple[int, int], int]) -> tuple:
+        """Canonical memo key of a fault set: masks cut to 128 bits, zero
+        masks dropped, sorted by (block, event).  Empty means fault-free."""
+        key = tuple(sorted((store, m & MASK128) for store, m in faults.items() if m & MASK128))
+        for (blk, event), _ in key:
             if not 0 <= blk < self.total_blocks:
                 raise InvariantError(f"block {blk} out of range")
             if not 0 <= event < EVENTS_PER_BLOCK:
                 raise InvariantError(f"event {event} out of range")
+        return key
+
+    def mac_with_faults(self, faults: dict[tuple[int, int], int]) -> bytes:
+        """MAC with XOR masks applied at (global block, event) stores."""
+        cache_key = self._fault_key(faults)
+        if not cache_key:
+            return self.clean_mac
+        hit = self._cache.get(cache_key)
+        if hit is not None:
+            return hit
+        by_block: dict[int, dict[int, int]] = {}
+        for (blk, event), mask in cache_key:
             by_block.setdefault(blk, {})[event] = mask
         inner_faulted = [b for b in by_block if b < self.n_inner]
         if inner_faulted:
@@ -209,6 +305,57 @@ class HmacContext:
         )
         self._cache[cache_key] = mac
         return mac
+
+    def macs_with_faults(self, fault_sets: list[dict[tuple[int, int], int]]) -> list[bytes]:
+        """`mac_with_faults` of every fault set, in order.
+
+        The distinct sets not yet memoised are recomputed together, one
+        numpy lane each, and memoised like scalar results.
+        """
+        keys = [self._fault_key(faults) for faults in fault_sets]
+        misses = list(dict.fromkeys(k for k in keys if k and k not in self._cache))
+        if misses:
+            self._cache.update(self._lane_macs(misses))
+        return [self._cache[k] if k else self.clean_mac for k in keys]
+
+    def _lane_macs(self, keys: list[tuple]) -> dict[tuple, bytes]:
+        """MAC per canonical fault key, all keys as lanes of one pass.
+
+        Lanes are ordered by their earliest faulted inner block, so the
+        lanes live at block b are a prefix; each joins from its own
+        checkpoint.  Lanes that fault only the outer hash start at
+        `n_inner` with the clean inner digest.
+        """
+        n_inner = self.n_inner
+        keys = sorted(keys, key=lambda k: k[0][0][0])
+        starts = np.minimum([k[0][0][0] for k in keys], n_inner)
+        faults = _lane_faults(keys)
+        fixed = b"".join(self.inner_blocks) + self.outer_first_block
+        schedules = np.array(
+            _expand_lanes(list(_words(fixed).reshape(-1, 16).T)),
+            dtype=np.uint32,
+        )
+        entry = np.vstack([np.array(self.checkpoints, dtype=np.uint32), _words(self.clean_inner)])
+        state = entry[starts].T.copy()
+        for blk in range(int(starts[0]), n_inner):
+            live = int(np.searchsorted(starts, blk, side="right"))
+            state[:, :live] = _compress_lanes(
+                list(state[:, :live]), schedules[:, blk : blk + 1], faults.get(blk)
+            )
+        n = len(keys)
+        outer = _compress_lanes(
+            [np.full(n, word, dtype=np.uint32) for word in _H0],
+            schedules[:, n_inner : n_inner + 1],
+            faults.get(n_inner),
+        )
+        pad = _words(self._outer_tail_block(bytes(DIGEST_BYTES)))
+        tail = list(state) + [np.full(n, word, dtype=np.uint32) for word in pad[8:]]
+        outer = _compress_lanes(outer, _expand_lanes(tail), faults.get(n_inner + 1))
+        digests = np.array(outer, dtype=">u4").T.tobytes()
+        return {
+            key: digests[i * DIGEST_BYTES : (i + 1) * DIGEST_BYTES]
+            for i, key in enumerate(keys)
+        }
 
     def locate_event(self, global_event: int) -> tuple[int, int]:
         """Global store-event index -> (block, event-in-block)."""

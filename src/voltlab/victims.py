@@ -604,13 +604,17 @@ def _hmac_single_run(
     the faulted events are drawn without replacement and each gets a flip
     pattern from the core's tables.  Success means the recomputed MAC no
     longer validates.  Draw order: the per-try binomial block, the crash
-    geometric, then detail draws in try order.
+    geometric, then detail draws in try order.  Every draw comes first;
+    the faulted MACs are then recomputed together as numpy lanes
+    (`HmacContext.macs_with_faults`, held equal to the scalar reference
+    `mac_with_faults` by tests).  No MAC feeds back into a draw, so this
+    leaves the seeded stream as it is.
     """
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
     completed = _tries_before_crash(rng, c_try, tries)
 
-    successes = 0
+    fault_sets = []
     for i in range(completed):
         k = int(ks[i])
         if k == 0:
@@ -621,9 +625,8 @@ def _hmac_single_run(
             block, event = ctx.locate_event(g)
             pattern = draw_flip_pattern(profile, core, event, rng)
             faults[(block, event)] = pattern.mask
-        mac = ctx.mac_with_faults(faults)
-        if mac != ctx.clean_mac:
-            successes += 1
+        fault_sets.append(faults)
+    successes = sum(mac != ctx.clean_mac for mac in ctx.macs_with_faults(fault_sets))
     return successes, completed, completed < tries
 
 

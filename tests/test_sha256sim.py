@@ -4,11 +4,14 @@ import hashlib
 import hmac as hmac_oracle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError
 from voltlab.sha256sim import (
     EVENTS_PER_BLOCK,
+    MASK128,
     HmacContext,
     block_count,
     compress,
@@ -170,3 +173,81 @@ def test_fault_validation():
         compress((0,) * 8, b"\x00" * 64, {-1: 1})
     with pytest.raises(InvariantError):
         compress((0,) * 8, b"\x00" * 63)
+
+
+# Key and message lengths for the lane tests: a key longer than a block is
+# hashed first, and the message lengths sit on the padding edges.
+KEY_LENGTHS = (0, 20, 64, 131)
+MESSAGE_LENGTHS = (0, 55, 56, 64, 119, 1024)
+
+
+def _context(key_len: int, msg_len: int) -> HmacContext:
+    return HmacContext(
+        bytes((3 * i + 1) & 0xFF for i in range(key_len)),
+        bytes((7 * i + 13) & 0xFF for i in range(msg_len)),
+    )
+
+
+def _scalar_macs(ctx: HmacContext, fault_sets) -> list[bytes]:
+    reference = HmacContext(ctx.key, ctx.message)
+    return [reference.mac_with_faults(f) for f in fault_sets]
+
+
+@st.composite
+def _lane_case(draw):
+    ctx = _context(draw(st.sampled_from(KEY_LENGTHS)), draw(st.sampled_from(MESSAGE_LENGTHS)))
+    stores = st.tuples(
+        st.integers(0, ctx.total_blocks - 1), st.integers(0, EVENTS_PER_BLOCK - 1)
+    )
+    masks = st.one_of(
+        st.just(0),
+        st.integers(0, 127).map(lambda bit: 1 << bit),
+        st.integers(1, MASK128),
+        st.integers(MASK128 + 1, 1 << 140),  # cut to 128 bits
+    )
+    sets = draw(st.lists(st.dictionaries(stores, masks, max_size=6), max_size=8))
+    repeats = draw(st.lists(st.sampled_from(sets), max_size=3)) if sets else []
+    return ctx, sets + [dict(f) for f in repeats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lane_case())
+def test_lane_macs_equal_scalar_macs(case):
+    ctx, fault_sets = case
+    assert ctx.macs_with_faults(fault_sets) == _scalar_macs(ctx, fault_sets)
+
+
+@pytest.mark.parametrize("key_len", KEY_LENGTHS)
+@pytest.mark.parametrize("msg_len", MESSAGE_LENGTHS)
+def test_lane_macs_with_every_store_faulted(key_len, msg_len):
+    ctx = _context(key_len, msg_len)
+    gen = vrng.stream(44, "every-store", key_len, msg_len)
+    every = {
+        (blk, event): int(gen.integers(1, 1 << 63)) << int(gen.integers(0, 65))
+        for blk in range(ctx.total_blocks)
+        for event in range(EVENTS_PER_BLOCK)
+    }
+    outer_only = {(ctx.n_inner, 12): 1 << 5, (ctx.n_inner + 1, 0): 1 << 100}
+    fault_sets = [{}, {(0, 0): 0}, every, dict(every), outer_only, {(0, 13): 1}]
+    got = ctx.macs_with_faults(fault_sets)
+    assert got == _scalar_macs(ctx, fault_sets)
+    assert got[0] == got[1] == ctx.clean_mac
+    assert len(set(got[2:])) == 3
+
+
+def test_lane_fault_validation():
+    ctx = HmacContext(b"a", b"b")
+    for bad in ({(ctx.total_blocks, 0): 1}, {(-1, 0): 1}, {(0, EVENTS_PER_BLOCK): 1}):
+        with pytest.raises(InvariantError):
+            ctx.macs_with_faults([{(0, 1): 1}, bad])
+        with pytest.raises(InvariantError):
+            ctx.mac_with_faults(bad)
+
+
+def test_lane_and_scalar_paths_share_the_memo():
+    ctx = HmacContext(b"c" * 32, b"d" * 32)
+    lane_first, scalar_first = {(1, 4): 1 << 9}, {(3, 12): 1 << 70}
+    (from_lanes,) = ctx.macs_with_faults([lane_first])
+    assert ctx.mac_with_faults(dict(lane_first)) is from_lanes
+    from_scalar = ctx.mac_with_faults(scalar_first)
+    assert ctx.macs_with_faults([dict(scalar_first)])[0] is from_scalar
