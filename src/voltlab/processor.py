@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from importlib import resources
@@ -70,6 +71,12 @@ def _quantize_mv(volts: float) -> float:
     return round(volts * 1e6) / 1000.0
 
 
+def _profile_mv(volts) -> float:
+    """A profile voltage in mV; a non-finite one is left for `_validate` to refuse."""
+    uv = volts * 1e6
+    return _quantize_mv(volts) if math.isfinite(uv) else uv / 1000.0
+
+
 def manifestation(depth_fraction: float) -> float:
     """Piecewise-linear ramp over normalized window depth, clamped to [0, 1]."""
     if depth_fraction <= 0.0:
@@ -112,7 +119,7 @@ class BitFlipPattern:
     def __post_init__(self):
         if not self.flipped_bits:
             raise InvariantError("a flip pattern needs at least one bit")
-        if any(not 0 <= b < 128 for b in self.flipped_bits):
+        if min(self.flipped_bits) < 0 or max(self.flipped_bits) > 127:
             raise InvariantError("flip bit positions live in 0..127")
 
     @property
@@ -173,13 +180,11 @@ class ProcessorProfile:
                 norm = normalize_pstate(key)
                 self.pstates[norm] = PStatePoint(
                     ratio=int(norm, 16),
-                    base_voltage_mv=_quantize_mv(entry["base_voltage_v"]),
+                    base_voltage_mv=_profile_mv(entry["base_voltage_v"]),
                     reference_temp_c=float(entry["reference_temp_c"]),
                     exploit_window_mv=float(entry["exploit_window_mv"]),
                     exploit_factor=float(entry["exploit_factor"]),
-                    fault_voltage_mv=tuple(
-                        _quantize_mv(v) for v in entry["fault_voltage_v"]
-                    ),
+                    fault_voltage_mv=tuple(_profile_mv(v) for v in entry["fault_voltage_v"]),
                 )
             self.byte_affinity = np.asarray(raw["byte_affinity"], dtype=float)
             self.multiplicity = np.asarray(raw["multiplicity"], dtype=float)
@@ -195,13 +200,33 @@ class ProcessorProfile:
         # Per-core bit weights: byte affinity spread uniformly over each
         # byte's 8 bits, normalized for sampling without replacement.
         rows = []
-        for core in range(self.physical_cores):
-            per_bit = np.repeat(self.byte_affinity[core], 8) / 8.0
-            rows.append(per_bit / per_bit.sum())
+        with np.errstate(all="ignore"):  # a row that does not survive this is refused below
+            for core in range(self.physical_cores):
+                per_bit = np.repeat(self.byte_affinity[core], 8) / 8.0
+                rows.append(per_bit / per_bit.sum())
         self._bit_weights = np.asarray(rows)
+        if not np.allclose(self._bit_weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
+            raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
+        # Per core, what `draw_flip_pattern` reads: (multiplicity CDF, bit
+        # CDF, count of bits with positive weight).
+        self._flip_tables = [
+            (_cdf(mult), _cdf(bits), int(np.count_nonzero(bits)))
+            for mult, bits in zip(self.multiplicity, self._bit_weights)
+        ]
 
     def _validate(self):
         n = self.physical_cores
+        numbers = [self.ambient_temp_c, self.noise_mv, self.temp_coeff_mv_per_c]
+        numbers += [self.corrected_band_mv, self.corrected_log_rate, self.decode_error_rate]
+        numbers += [self.crash.rate_per_slice, self.crash.depth_slope_per_mv]
+        for point in self.pstates.values():
+            numbers += [point.base_voltage_mv, point.reference_temp_c, point.exploit_window_mv]
+            numbers += [point.exploit_factor, *point.fault_voltage_mv]
+        for entry in self.calibration.values():
+            numbers += entry.p_event_max
+        for values in (numbers, self.byte_affinity, self.multiplicity):
+            if not np.isfinite(values).all():
+                raise InvariantError(f"{self._origin}: profile numbers must be finite")
         if n < 2 or self.threads_per_core < 2:
             # One whole core for the attacker, the stressor on the victim's partner.
             raise InvariantError(
@@ -215,7 +240,7 @@ class ProcessorProfile:
             raise SchemaError(f"{self._origin}: multiplicity must be {n}x3")
         if (self.byte_affinity < 0).any():
             raise InvariantError(f"{self._origin}: affinity weights are nonnegative")
-        if (self.byte_affinity.sum(axis=1) <= 0).any():
+        if (self.byte_affinity.max(axis=1) <= 0).any():
             raise InvariantError(f"{self._origin}: every core needs a positive affinity weight")
         if (self.multiplicity < 0).any():
             raise InvariantError(f"{self._origin}: multiplicity entries are nonnegative")
@@ -540,24 +565,75 @@ def mean_crash_probability(
 
 # ---------------------------------------------------------------------------
 # Stochastic draws
+#
+# Every weighted draw here consumes the generator exactly as
+# `Generator.choice(..., p=...)` does, without calling it: `choice` redoes its
+# argument checks and CDF on every call, and these tables never change.  A
+# draw with replacement is one uniform bisected into the CDF that `choice`
+# builds (`_cdf`); a flip pattern replays `choice(..., replace=False)` round
+# by round.  `tests/helpers.py` keeps the `choice` calls as the oracle.
+
+
+def _cdf(weights) -> list[float]:
+    """The CDF `Generator.choice` builds from `weights`, as a list for `bisect`."""
+    c = np.cumsum(weights)
+    c /= c[-1]
+    return c.tolist()
+
+
+def _draw_index(cdf: list[float], rng: np.random.Generator) -> int:
+    """One weighted index: `rng.choice(len(cdf), p=...)`, from the same uniform."""
+    return bisect_right(cdf, rng.random())
+
+
+def _later_rounds(
+    weights: np.ndarray, found: list[int], k: int, rng: np.random.Generator
+) -> list[int]:
+    """`choice(..., replace=False)`'s rounds after the first drew duplicates.
+
+    Each round draws one uniform per missing index, zeroes the weights of
+    the indices found so far, rebuilds the CDF, and keeps the first
+    occurrence of each new index in draw order.
+    """
+    p = weights.copy()
+    while len(found) < k:
+        x = rng.random(k - len(found))
+        p[found] = 0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(x, side="right")
+        _, first = np.unique(new, return_index=True)
+        first.sort()
+        found += new[first].tolist()
+    return found
 
 
 def draw_flip_pattern(
     profile: ProcessorProfile, core: int, word_index: int, rng: np.random.Generator
 ) -> BitFlipPattern:
-    """Sample a flip pattern from the core's multiplicity and affinity tables."""
-    core = profile.check_core(core)
-    bucket = int(rng.choice(3, p=profile.multiplicity[core]))
+    """Sample a flip pattern from the core's multiplicity and affinity tables.
+
+    Generator consumption, in order: one uniform for the multiplicity
+    bucket; one `binomial(4, 0.2)` when the bucket is 2 (three or more
+    bits); `k` uniforms for the bits; and, only if those hit a bit twice,
+    one further round of uniforms per missing bit until `k` are distinct.
+    This is pinned to `choice(3, p=...)` followed by
+    `choice(128, size=k, replace=False, p=...)`, and the oracle test in
+    `tests/test_processor.py` holds the two equal, generator state included.
+    """
+    mult_cdf, bit_cdf, support = profile._flip_tables[profile.check_core(core)]
+    bucket = _draw_index(mult_cdf, rng)
     if bucket == 0:
         k = 1
     elif bucket == 1:
         k = 2
     else:
         k = 3 + int(rng.binomial(4, 0.2))
-    weights = profile.bit_weights(core)
-    k = min(k, int(np.count_nonzero(weights)))
-    bits = rng.choice(128, size=k, replace=False, p=weights)
-    return BitFlipPattern(word_index, frozenset(int(b) for b in bits))
+    k = min(k, support)
+    bits = [bisect_right(bit_cdf, u) for u in rng.random(k).tolist()]
+    if len(set(bits)) < k:
+        bits = _later_rounds(profile.bit_weights(core), list(dict.fromkeys(bits)), k, rng)
+    return BitFlipPattern(word_index, frozenset(bits))
 
 
 def sample_fault(
@@ -605,7 +681,7 @@ def crash_kind_weights(ratio: int) -> np.ndarray:
 
 def draw_crash_kind(ratio: int, rng: np.random.Generator) -> CrashKind:
     """Which way the platform dies at this ratio: one weighted draw."""
-    return CrashKind(int(rng.choice(3, p=crash_kind_weights(ratio))))
+    return CrashKind(_draw_index(_cdf(crash_kind_weights(ratio)), rng))
 
 
 def crash_probability_per_slice(

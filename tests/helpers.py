@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from voltlab.processor import BitFlipPattern
+
 VREGS = [f"%xmm{i}" for i in range(16)]
 
 
@@ -36,3 +38,24 @@ def random_program_text(gen: np.random.Generator, max_len: int = 50) -> str:
                 ["sfence", "push %r10", "pop %r11", "push %rax"][int(gen.integers(0, 4))]
             )
     return "\n".join(lines) + "\n"
+
+
+def reference_flip_pattern(profile, core, word_index, rng):
+    """The `Generator.choice` sampler that `processor.draw_flip_pattern` replays.
+
+    `draw_flip_pattern` must return the same pattern and leave `rng` in the
+    same state; a numpy release that changes how `choice` consumes the
+    generator shows up as a mismatch here.
+    """
+    core = profile.check_core(core)
+    bucket = int(rng.choice(3, p=profile.multiplicity[core]))
+    if bucket == 0:
+        k = 1
+    elif bucket == 1:
+        k = 2
+    else:
+        k = 3 + int(rng.binomial(4, 0.2))
+    weights = profile.bit_weights(core)
+    k = min(k, int(np.count_nonzero(weights)))
+    bits = rng.choice(128, size=k, replace=False, p=weights)
+    return BitFlipPattern(word_index, frozenset(int(b) for b in bits))

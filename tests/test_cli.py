@@ -258,3 +258,36 @@ def test_profile_without_room_for_the_partition_is_refused(capsys, tmp_path, edi
     assert rc == 2
     assert out == ""
     assert err.startswith("voltlab: ") and "attack partition" in err
+
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("byte_affinity", 1, 0),
+        ("multiplicity", 1, 0),
+        ("noise_mv",),
+        ("crash", "rate_per_slice"),
+        ("pstates", "0x1b", "fault_voltage_v", 1),
+    ],
+    ids=lambda path: "/".join(map(str, path)),
+)
+def test_profile_with_non_finite_numbers_is_refused(capsys, tmp_path, path, value):
+    text = resources.files("voltlab").joinpath("data/profiles/i7-7700k.json").read_text()
+    raw = json.loads(text)
+    *parents, last = path
+    target = raw
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(InvariantError, match="finite"):
+        load_profile(str(edited))
+    rc, out, err = run_cli(
+        capsys, "campaign", "--profile", str(edited), "--victim", "poc", "--core", "1", "--tries", "10"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ") and "finite" in err

@@ -1,10 +1,15 @@
 """Voltage geometry, fault sampling, crash process, temperature model."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_flip_pattern
+from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState
 from voltlab.processor import (
@@ -21,6 +26,7 @@ from voltlab.processor import (
     classify_voltage,
     crash_kind_weights,
     crash_probability_per_slice,
+    draw_crash_kind,
     draw_flip_pattern,
     effective_window_top_mv,
     event_fault_probability,
@@ -115,6 +121,16 @@ def test_affinity_needs_positive_weight():
     raw = _raw_profile()
     raw["byte_affinity"][2] = [0.0] * 16
     with pytest.raises(InvariantError):
+        ProcessorProfile(raw)
+
+
+@pytest.mark.parametrize("weight", [5e-324, 1e308])
+def test_affinity_must_survive_the_spread_over_bits(weight):
+    # Both rows pass the sign and sum checks, but spreading them over 128
+    # bits gives zero weights (underflow) or an infinite sum (overflow).
+    raw = _raw_profile()
+    raw["byte_affinity"][1] = [weight] * 16
+    with pytest.raises(InvariantError, match="per bit"):
         ProcessorProfile(raw)
 
 
@@ -390,6 +406,80 @@ def test_multiplicity_distribution(coffee):
     assert sum(m >= 3 for m in many) / 2000 > 0.98
     assert sum(m == 1 for m in rare) / 2000 > 0.99
     assert max(many) <= 7
+
+
+# -- flip draws against the `Generator.choice` oracle ------------------------
+
+
+def _replay_matches_choice(profile, core, seed, draws):
+    """Draw `draws` patterns both ways from one seed; return the retry count."""
+    ours, theirs = vrng.stream(seed, "flips"), vrng.stream(seed, "flips")
+    with mock.patch.object(
+        processor, "_later_rounds", wraps=processor._later_rounds
+    ) as retries:
+        for _ in range(draws):
+            assert draw_flip_pattern(profile, core, 3, ours) == reference_flip_pattern(
+                profile, core, 3, theirs
+            )
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    return retries.call_count
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_flip_draws_replay_choice_on_bundled_profiles(name):
+    profile = load_profile(name)
+    retries = sum(
+        _replay_matches_choice(profile, core, seed, 300)
+        for core in range(profile.physical_cores)
+        for seed in range(50)
+    )
+    assert retries > 0
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _flip_tables(draw):
+    """(affinity row, multiplicity row, forces a retry) for one core."""
+    shape = draw(st.sampled_from(["general", "sparse", "dominant"]))
+    if shape == "general":
+        affinity = draw(st.lists(_WEIGHT, min_size=16, max_size=16).filter(any))
+    else:
+        # One or two bytes carry (almost) all the weight, so a 3+ bit
+        # pattern lands on the same bits twice and `choice` draws again.
+        # A sparse row still spreads over 8 bits, more than the 7 a
+        # pattern can take, so no loadable profile clamps `k`.
+        heavy = draw(st.lists(st.integers(0, 15), min_size=1, max_size=2, unique=True))
+        light = 0.0 if shape == "sparse" else draw(st.floats(1e-6, 1e-2))
+        affinity = [1000.0 if b in heavy else light for b in range(16)]
+    mult = draw(st.lists(_WEIGHT, min_size=3, max_size=3).filter(any))
+    forces_retry = shape != "general"
+    if forces_retry:
+        mult[2] = sum(mult) + 1.0  # at least half the patterns take 3+ bits
+    total = sum(mult)
+    return affinity, [m / total for m in mult], forces_retry
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flip_tables(), st.integers(0, 2**32 - 1))
+def test_flip_draws_replay_choice_on_random_tables(tables, seed):
+    affinity, mult, forces_retry = tables
+    raw = _raw_profile()
+    raw["byte_affinity"][1] = affinity
+    raw["multiplicity"][1] = mult
+    retries = _replay_matches_choice(ProcessorProfile(raw), 1, seed, 300)
+    if forces_retry:
+        assert retries > 0
+
+
+@pytest.mark.parametrize("ratio", [8, 16, 27, 32, 36, 42])
+def test_crash_kind_draw_replays_choice(ratio):
+    ours, theirs = vrng.stream(16, "kind"), vrng.stream(16, "kind")
+    for _ in range(500):
+        expected = CrashKind(int(theirs.choice(3, p=crash_kind_weights(ratio))))
+        assert draw_crash_kind(ratio, ours) == expected
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
 
 # -- crash process ---------------------------------------------------------------
