@@ -37,10 +37,9 @@ from .processor import (
     ProcessorProfile,
     core_temp_targets,
     load_profile,
-    mean_event_fault_probability,
+    region_boundaries_mv,
     normalize_pstate,
     draw_flip_pattern,
-    mean_crash_probability,
 )
 from .scanner import estimate_window, scan
 from .victims import (
@@ -53,6 +52,7 @@ from .victims import (
     _geometry,
     _resolve_program,
     _tries_before_crash,
+    loop_rates,
     payload_name,
     run_hmac_victim,
     run_poc_enclave,
@@ -74,6 +74,9 @@ __all__ = [
 
 OFFSET_FLOOR_MV = -1024
 STEP_MV = 5
+# How far above an edge a noise band must stay for phase 1 to jump past
+# its level: far above float rounding at millivolt scale, far below a step.
+_EDGE_MARGIN_MV = 1e-3
 GUARD_SLICES = 10
 
 # Switching work with no vector stores: nothing to mismatch, so a level
@@ -288,6 +291,20 @@ def setup_system(
 # Phase 1: find the exploitable window
 
 
+def _landing_offset(start_mv: int, edge_mv: float, base_mv: float, noise_mv: float) -> int:
+    """The highest grid level at or below `start_mv` whose noise band may
+    reach below `edge_mv`.
+
+    Every level above it has its whole band at least `_EDGE_MARGIN_MV`
+    above the edge, so every midpoint the marginals sample lies at or above
+    the edge, where neither the fault nor the crash chance is positive.
+    """
+    reach = edge_mv + noise_mv - base_mv + _EDGE_MARGIN_MV  # live offsets are below this
+    if start_mv < reach:
+        return start_mv
+    return start_mv - STEP_MV * (int((start_mv - reach) // STEP_MV) + 1)
+
+
 def phase1_find_window(
     profile_clone: ProcessorProfile | str,
     victim_program="vp1_xor_kernel",
@@ -308,6 +325,14 @@ def phase1_find_window(
     Crashing costs a simulated reboot and a retry from the last safe
     level; a level that keeps crashing before any fault was seen means
     there is no usable window above the instability boundary.
+
+    The loop runs only at levels where it can draw.  A level whose fault
+    and crash chances are both zero is exactly one where `run_test_loop`
+    would return Match without touching its stream, so it is stepped over.
+    Each stage first jumps to the highest level whose noise band reaches
+    below its edge (the window top in stage one, the instability boundary
+    in stage two); the jump is conservative, so it can only land on or
+    above the first level that can draw, and the walk goes on from there.
     """
     if isinstance(profile_clone, str):
         profile_clone = load_profile(profile_clone)
@@ -318,19 +343,31 @@ def phase1_find_window(
     if start_offset_mv % STEP_MV:
         raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
+    # Resolved before any level, so a bad victim raises even if every
+    # level is then stepped over.
+    victim = _resolve_program(victim_program)
+    victim_events = len(_geometry(victim, None, None, None, 100_000).store_slices)
+    stability_events = len(_geometry(_STABILITY_PROGRAM, None, None, None, 100_000).store_slices)
 
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
     crashes = 0
 
     for core in range(profile.physical_cores):
+        # The pinned core's temperature does not depend on the offset.
+        temp = float(_pinned_state(profile, pstate, core, "none", seed).core_temp_c[core])
+        _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
+
         # Stage 1: walk down until the comparison loop reports corruption.
-        offset = start_offset_mv
+        offset = _landing_offset(start_offset_mv, top, base, profile.noise_mv)
         retries = 0
         while offset >= OFFSET_FLOOR_MV:
+            if loop_rates(profile, core, pstate, base + offset, temp, victim_events).quiet:
+                offset -= STEP_MV
+                continue
             env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_test_loop(victim_program, env, iters_per_level, gen)
+            out = run_test_loop(victim, env, iters_per_level, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break
@@ -346,8 +383,12 @@ def phase1_find_window(
 
         # Stage 2: keep descending with scalar-only work until it crashes.
         offset = int(window_top_mv[core] - base) - STEP_MV
+        offset = _landing_offset(offset, floor, base, profile.noise_mv)
         found = None
         while offset >= OFFSET_FLOOR_MV:
+            if loop_rates(profile, core, pstate, base + offset, temp, stability_events).quiet:
+                offset -= STEP_MV
+                continue
             env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
             out = run_test_loop(_STABILITY_PROGRAM, env, stability_iters, gen)
@@ -408,21 +449,14 @@ def phase2_probe_cores(
         )
         gen = rngmod.stream(state.seed, "phase2", plan.pstate, core)
         temp = float(env.core_temp_c[core])
-        p_event = mean_event_fault_probability(
-            profile,
-            core,
-            env.pstate,
-            "probe",
-            env.stressor_fault_multiplier,
-            env.nominal_voltage_mv(),
-            temp,
+        rates = loop_rates(
+            profile, core, env.pstate, env.nominal_voltage_mv(), temp, events,
+            "probe", env.stressor_fault_multiplier,
         )
-        q_try = _any_of(p_event, events)
-        g = mean_crash_probability(profile, core, env.pstate, env.nominal_voltage_mv(), temp)
-        c_try = _any_of(g, geom.slices_per_iteration)
+        c_try = _any_of(rates.g_slice, geom.slices_per_iteration)
 
         completed = _tries_before_crash(gen, c_try, tries_per_core)
-        faults = int(gen.binomial(completed, q_try)) if q_try > 0.0 else 0
+        faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
         byte_hist = [0] * 16
         mult_hist: dict[int, int] = {}
         for _ in range(faults):

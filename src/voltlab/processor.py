@@ -77,6 +77,13 @@ def _profile_mv(volts) -> float:
     return _quantize_mv(volts) if math.isfinite(uv) else uv / 1000.0
 
 
+def _whole(origin: str, field: str, value) -> int:
+    """An integer profile field; a non-finite or fractional number is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvariantError(f"{origin}: {field} must be a whole number, not {value}")
+    return int(value)
+
+
 def manifestation(depth_fraction: float) -> float:
     """Piecewise-linear ramp over normalized window depth, clamped to [0, 1]."""
     if depth_fraction <= 0.0:
@@ -158,9 +165,9 @@ class ProcessorProfile:
                     f"{origin}: schema_version {raw['schema_version']} unsupported"
                 )
             self.name: str = raw["model_name"]
-            self.physical_cores: int = int(raw["physical_cores"])
-            self.threads_per_core: int = int(raw["threads_per_core"])
-            self.base_clock_mhz: int = int(raw["base_clock_mhz"])
+            self.physical_cores = _whole(origin, "physical_cores", raw["physical_cores"])
+            self.threads_per_core = _whole(origin, "threads_per_core", raw["threads_per_core"])
+            self.base_clock_mhz = _whole(origin, "base_clock_mhz", raw["base_clock_mhz"])
             self.ambient_temp_c: float = float(raw["ambient_temp_c"])
             self.noise_mv: float = float(raw["noise_mv"])
             self.temp_coeff_mv_per_c: float = float(raw["temp_coeff_mv_per_c"])
@@ -173,7 +180,7 @@ class ProcessorProfile:
             self.crash = CrashParams(
                 float(crash["rate_per_slice"]),
                 float(crash["depth_slope_per_mv"]),
-                int(crash["reboot_slices"]),
+                _whole(origin, "crash.reboot_slices", crash["reboot_slices"]),
             )
             self.pstates: dict[str, PStatePoint] = {}
             for key, entry in raw["pstates"].items():

@@ -22,6 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +52,12 @@ from .sha256sim import EVENTS_PER_BLOCK, HmacContext
 
 __all__ = [
     "CampaignResult",
+    "LoopRates",
     "RunOutcome",
     "RunStatus",
     "STRESSORS",
     "StressorSpec",
+    "loop_rates",
     "memory_diff",
     "run_hmac_victim",
     "run_poc_enclave",
@@ -163,14 +166,15 @@ def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
     differing 128-bit word (word index = byte offset // 16)."""
     if len(before) != len(after):
         raise InvariantError("memories must be the same size to diff")
+    size = len(before) // 16 * 16
+    old = np.frombuffer(before, dtype=np.uint8, count=size).reshape(-1, 16)
+    new = np.frombuffer(after, dtype=np.uint8, count=size).reshape(-1, 16)
     out = []
-    for word in range(len(before) // 16):
+    for word in np.flatnonzero((old != new).any(axis=1)).tolist():
         a = int.from_bytes(before[16 * word : 16 * word + 16], "little")
         b = int.from_bytes(after[16 * word : 16 * word + 16], "little")
         delta = a ^ b
-        if delta:
-            bits = frozenset(i for i in range(128) if delta >> i & 1)
-            out.append(BitFlipPattern(word, bits))
+        out.append(BitFlipPattern(word, frozenset(i for i in range(128) if delta >> i & 1)))
     return tuple(out)
 
 
@@ -275,6 +279,53 @@ def _run_with_flips(program, memory, xmm, scalar, max_slices, geometry, flips):
 # The probing test loop
 
 
+class LoopRates(NamedTuple):
+    """Noise-averaged chances at one test-loop level."""
+
+    p_event: float  # one eligible store faults
+    q_iter: float  # at least one of an iteration's eligible stores faults
+    g_slice: float  # the platform crashes, per slice
+    e_slice: float  # a decode error surfaces in the victim, per slice
+
+    @property
+    def quiet(self) -> bool:
+        """Nothing can happen: `run_test_loop` returns Match without a draw."""
+        return self.q_iter <= 0.0 and self.g_slice <= 0.0 and self.e_slice <= 0.0
+
+
+def loop_rates(
+    profile: ProcessorProfile,
+    core: int,
+    pstate: str,
+    v_nom: float,
+    temp: float,
+    events: int,
+    scenario: str = "probe",
+    stressor_multiplier: float = 1.0,
+    machine_check: MachineCheck | None = None,
+) -> LoopRates:
+    """The rates of a loop with `events` eligible stores per iteration, at
+    nominal voltage `v_nom` and core temperature `temp`."""
+    p_event = 0.0
+    if events:
+        p_event = mean_event_fault_probability(
+            profile, core, pstate, scenario, stressor_multiplier, v_nom, temp
+        )
+    g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
+    e_slice = 0.0
+    if machine_check is not None and machine_check.surface_probability > 0.0:
+        # Decode errors fire anywhere below the window top; the surfaced
+        # fraction of them trips the victim program.
+        n = profile.noise_mv
+        top = effective_window_top_mv(profile, core, pstate, temp)
+        if n > 0.0:
+            below = min(max((top - v_nom + n) / (2.0 * n), 0.0), 1.0)
+        else:
+            below = 1.0 if v_nom <= top else 0.0
+        e_slice = machine_check.decode_rate * machine_check.surface_probability * below
+    return LoopRates(p_event, _any_of(p_event, events), g_slice, e_slice)
+
+
 def run_test_loop(
     program,
     env: PlatformState,
@@ -314,29 +365,13 @@ def run_test_loop(
     spi = geom.slices_per_iteration
     events = len(geom.store_slices)
     temp = float(env.core_temp_c[core])
-    v_nom = env.nominal_voltage_mv()
-
-    p_event = 0.0
-    if events:
-        p_event = mean_event_fault_probability(
-            profile, core, env.pstate, scenario, env.stressor_fault_multiplier, v_nom, temp
-        )
-    q_iter = _any_of(p_event, events)
-    g_slice = mean_crash_probability(profile, core, env.pstate, v_nom, temp)
-    e_slice = 0.0
-    if machine_check is not None and machine_check.surface_probability > 0.0:
-        # Decode errors fire anywhere below the window top; the surfaced
-        # fraction of them trips the victim program.
-        n = profile.noise_mv
-        top = effective_window_top_mv(profile, core, env.pstate, temp)
-        if n > 0.0:
-            below = min(max((top - v_nom + n) / (2.0 * n), 0.0), 1.0)
-        else:
-            below = 1.0 if v_nom <= top else 0.0
-        e_slice = machine_check.decode_rate * machine_check.surface_probability * below
-
-    if q_iter <= 0.0 and g_slice <= 0.0 and e_slice <= 0.0:
+    rates = loop_rates(
+        profile, core, env.pstate, env.nominal_voltage_mv(), temp, events,
+        scenario, env.stressor_fault_multiplier, machine_check,
+    )
+    if rates.quiet:
         return RunOutcome.match(max_iters)
+    p_event, q_iter, g_slice, e_slice = rates
 
     crash_slice = int(rng.geometric(g_slice)) - 1 if g_slice > 0.0 else None
     exc_slice = int(rng.geometric(e_slice)) - 1 if e_slice > 0.0 else None

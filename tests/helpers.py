@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from voltlab.processor import BitFlipPattern
+from voltlab import rng as rngmod
+from voltlab.errors import InvariantError, NoWindowFound
+from voltlab.orchestrator import (
+    OFFSET_FLOOR_MV,
+    STEP_MV,
+    VoltagePlan,
+    _STABILITY_PROGRAM,
+    _pinned_state,
+)
+from voltlab.processor import BitFlipPattern, normalize_pstate
+from voltlab.victims import RunStatus, run_test_loop
 
 VREGS = [f"%xmm{i}" for i in range(16)]
 
@@ -59,3 +69,93 @@ def reference_flip_pattern(profile, core, word_index, rng):
     k = min(k, int(np.count_nonzero(weights)))
     bits = rng.choice(128, size=k, replace=False, p=weights)
     return BitFlipPattern(word_index, frozenset(int(b) for b in bits))
+
+
+def reference_memory_diff(before, after):
+    """`victims.memory_diff` as a loop over every 128-bit word."""
+    if len(before) != len(after):
+        raise InvariantError("memories must be the same size to diff")
+    out = []
+    for word in range(len(before) // 16):
+        a = int.from_bytes(before[16 * word : 16 * word + 16], "little")
+        b = int.from_bytes(after[16 * word : 16 * word + 16], "little")
+        delta = a ^ b
+        if delta:
+            bits = frozenset(i for i in range(128) if delta >> i & 1)
+            out.append(BitFlipPattern(word, bits))
+    return tuple(out)
+
+
+def reference_phase1(
+    profile,
+    victim_program="vp1_xor_kernel",
+    pstate=None,
+    start_offset_mv=0,
+    *,
+    seed=0,
+    iters_per_level=20_000,
+    stability_iters=100,
+    crash_retries=3,
+):
+    """`orchestrator.phase1_find_window` as a walk that runs every level.
+
+    The production search steps over the levels where the loop cannot
+    draw; this one runs `run_test_loop` at each of them, so the two must
+    return the same plan or raise the same error.
+    """
+    if pstate is None:
+        pstate = profile.default_attack_pstate
+    pstate = normalize_pstate(pstate)
+    if start_offset_mv % STEP_MV:
+        raise InvariantError("the search grid moves in 5 mV steps")
+    base = profile.pstate_point(pstate).base_voltage_mv
+
+    window_top_mv = [None] * profile.physical_cores
+    chosen_offset = [0] * profile.physical_cores
+    crashes = 0
+
+    for core in range(profile.physical_cores):
+        offset = start_offset_mv
+        retries = 0
+        while offset >= OFFSET_FLOOR_MV:
+            env = _pinned_state(profile, pstate, core, "none", seed, offset)
+            gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
+            out = run_test_loop(victim_program, env, iters_per_level, gen)
+            if out.status is RunStatus.MISMATCH:
+                window_top_mv[core] = base + offset
+                break
+            if out.status is RunStatus.CRASH:
+                crashes += 1
+                retries += 1
+                if retries >= crash_retries:
+                    break
+                continue
+            offset -= STEP_MV
+        if window_top_mv[core] is None:
+            continue
+
+        offset = int(window_top_mv[core] - base) - STEP_MV
+        found = None
+        while offset >= OFFSET_FLOOR_MV:
+            env = _pinned_state(profile, pstate, core, "none", seed, offset)
+            gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
+            out = run_test_loop(_STABILITY_PROGRAM, env, stability_iters, gen)
+            if out.status is RunStatus.CRASH:
+                crashes += 1
+                found = offset + STEP_MV
+                break
+            offset -= STEP_MV
+        chosen_offset[core] = found if found is not None else OFFSET_FLOOR_MV
+
+    missing = [c for c, w in enumerate(window_top_mv) if w is None]
+    if missing:
+        raise NoWindowFound(
+            f"no fault window above instability for cores {missing} "
+            f"at pstate {pstate} (searched down to {OFFSET_FLOOR_MV} mV)"
+        )
+    return VoltagePlan(
+        pstate=pstate,
+        window_top_v=tuple(mv / 1000.0 for mv in window_top_mv),
+        chosen_offset_mv=tuple(chosen_offset),
+        crashes_during_search=crashes,
+    )

@@ -261,6 +261,36 @@ def test_profile_without_room_for_the_partition_is_refused(capsys, tmp_path, edi
 
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("physical_cores",),
+        ("threads_per_core",),
+        ("base_clock_mhz",),
+        ("crash", "reboot_slices"),
+    ],
+    ids=lambda path: "/".join(map(str, path)),
+)
+def test_profile_with_a_non_whole_count_is_refused(capsys, tmp_path, path, value):
+    text = resources.files("voltlab").joinpath("data/profiles/i7-7700k.json").read_text()
+    raw = json.loads(text)
+    *parents, last = path
+    target = raw
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw), encoding="utf-8")
+    field = ".".join(path)
+    with pytest.raises(InvariantError, match=f"{field} must be a whole number"):
+        load_profile(str(edited))
+    rc, out, err = run_cli(capsys, "probe", "--profile", str(edited), "--tries", "10")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ") and f"{field} must be a whole number" in err
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 @pytest.mark.parametrize(
     "path",

@@ -1,11 +1,20 @@
 """Three-phase workflow: setup plans, window search, probing, campaigns."""
 
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
 
-from voltlab.errors import AbortedByCrash, InvalidCore, InvariantError, NoWindowFound
+import voltlab.orchestrator as orchestrator
+from voltlab.errors import (
+    AbortedByCrash,
+    InterpreterError,
+    InvalidCore,
+    InvariantError,
+    NoWindowFound,
+    ParseError,
+)
 from voltlab.orchestrator import (
     FaultStats,
     ProbeReport,
@@ -17,22 +26,48 @@ from voltlab.orchestrator import (
     run_campaign,
     setup_system,
 )
-from voltlab.processor import ProcessorProfile, core_temp_targets, load_profile
+from voltlab.processor import (
+    ProcessorProfile,
+    bundled_profile_names,
+    core_temp_targets,
+    load_profile,
+)
+
+from helpers import reference_phase1
 
 KABY = load_profile("i7-7700k")
 COFFEE = load_profile("i7-8700k")
 
 
-def _width_zero_profile() -> ProcessorProfile:
+def _kaby_raw() -> dict:
     text = (
         resources.files("voltlab")
         .joinpath("data/profiles/i7-7700k.json")
         .read_text(encoding="utf-8")
     )
-    raw = json.loads(text)
+    return json.loads(text)
+
+
+def _width_zero_profile() -> ProcessorProfile:
+    raw = _kaby_raw()
     for entry in raw["pstates"].values():
         entry["exploit_window_mv"] = 0.0
     return ProcessorProfile(raw, origin="width-zero")
+
+
+def _kaby_with(origin: str, **fields) -> ProcessorProfile:
+    raw = _kaby_raw()
+    raw.update(fields)
+    return ProcessorProfile(raw, origin=origin)
+
+
+def _quiet_profile() -> ProcessorProfile:
+    """No level of any pstate can fault or crash."""
+    raw = _kaby_raw()
+    for entry in raw["pstates"].values():
+        entry["exploit_window_mv"] = 0.0
+    raw["crash"]["rate_per_slice"] = 0.0
+    return ProcessorProfile(raw, origin="quiet")
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +180,69 @@ def test_phase1_rejects_off_grid_start():
 def test_phase1_reports_no_window_when_there_is_none():
     with pytest.raises(NoWindowFound):
         phase1_find_window(_width_zero_profile(), pstate="0x1b", seed=3)
+
+
+def _plan_or_error(search, profile, **kwargs):
+    try:
+        return search(profile, **kwargs)
+    except NoWindowFound as exc:
+        return f"NoWindowFound: {exc}"
+
+
+def _assert_same_as_every_level_walk(profile, seeds, **kwargs):
+    for pstate in profile.pstates:
+        for seed in seeds:
+            got = _plan_or_error(phase1_find_window, profile, pstate=pstate, seed=seed, **kwargs)
+            want = _plan_or_error(reference_phase1, profile, pstate=pstate, seed=seed, **kwargs)
+            assert got == want, (profile.name, pstate, seed, kwargs)
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_phase1_equals_the_every_level_walk_on_bundled_profiles(name):
+    _assert_same_as_every_level_walk(load_profile(name), seeds=(0, 7, 13))
+
+
+@pytest.mark.parametrize(
+    "profile, kwargs",
+    [
+        (KABY, {"start_offset_mv": 50}),
+        (KABY, {"start_offset_mv": -200}),
+        (_kaby_with("noiseless", noise_mv=0.0), {}),
+        # The victim core runs at ambient, 60-78 C above each pstate's
+        # reference: its window top sits 12-16 mV above the profile's.
+        (_kaby_with("hot", ambient_temp_c=110.0), {}),
+        (_width_zero_profile(), {}),
+    ],
+    ids=["start+50", "start-200", "noiseless", "hot", "width-zero"],
+)
+def test_phase1_equals_the_every_level_walk_off_the_bundled_cells(profile, kwargs):
+    _assert_same_as_every_level_walk(profile, seeds=(3,), **kwargs)
+
+
+def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch):
+    quiet = Counter()
+    loop_rates = orchestrator.loop_rates
+
+    def counting(profile, core, pstate, v_nom, temp, events, *rest):
+        rates = loop_rates(profile, core, pstate, v_nom, temp, events, *rest)
+        stage = 1 if events else 2  # the stage-2 scratch loop stores nothing
+        quiet[pstate, core, stage] += rates.quiet
+        return rates
+
+    monkeypatch.setattr(orchestrator, "loop_rates", counting)
+    for pstate in KABY.pstates:
+        phase1_find_window(KABY, pstate=pstate, start_offset_mv=100, seed=3)
+    assert quiet and max(quiet.values()) <= 1, quiet
+
+
+@pytest.mark.parametrize("profile", [KABY, _quiet_profile()], ids=["i7-7700k", "quiet"])
+@pytest.mark.parametrize(
+    "program, error",
+    [("no_such_program", ParseError), ("shift_stressor", InterpreterError)],
+)
+def test_phase1_rejects_a_bad_victim_before_the_first_level(profile, program, error):
+    with pytest.raises(error):
+        phase1_find_window(profile, victim_program=program, start_offset_mv=500)
 
 
 def test_voltage_plan_validation():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltlab import rng as vrng
 from voltlab.errors import (
@@ -37,6 +39,8 @@ from voltlab.victims import (
     run_test_loop,
     stressor_profile,
 )
+
+from helpers import reference_memory_diff
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +125,27 @@ def test_memory_diff():
     with pytest.raises(InvariantError):
         memory_diff(b"\x00" * 16, b"\x00" * 32)
 
+
+
+@st.composite
+def _memory_pairs(draw):
+    """A memory of 16-4096 bytes and a copy with 0-5 words corrupted."""
+    before = draw(st.binary(min_size=16, max_size=4096))
+    after = bytearray(before)
+    for _ in range(draw(st.integers(0, 5))):
+        at = draw(st.integers(0, len(after) - 1))
+        after[at] ^= draw(st.integers(1, 255))
+    return before, bytes(after)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_memory_pairs(), st.integers(1, 64))
+def test_memory_diff_matches_the_word_loop(pair, extra):
+    before, after = pair
+    assert memory_diff(before, after) == reference_memory_diff(before, after)
+    assert memory_diff(bytearray(before), after) == memory_diff(before, after)
+    with pytest.raises(InvariantError):
+        memory_diff(before, after + bytes(extra))
 
 # ---------------------------------------------------------------------------
 # Test loop
