@@ -6,8 +6,9 @@ the phase 1+2 search, `campaign` the full three-phase workflow, and
 `report` renders probe data as CSV tables.
 
 All output is deterministic for a given seed and flag set: JSON is dumped
-with sorted keys, CSV cells come from integers or pre-rounded floats, and
-campaign results do not depend on `--jobs`.
+with sorted keys, and CSV cells come from integers or pre-rounded floats.
+Campaign runs execute serially; `campaign --jobs N` is still accepted for
+old command lines and ignored.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .msr import (
 )
 from .orchestrator import phase1_find_window, phase2_probe_cores, run_campaign, setup_system
 from .processor import load_profile, normalize_pstate
+from .scanner import hits_to_json, scan
 
 _DOMAINS = {d.name.lower(): d for d in VoltageDomain}
 _OPS = {"read": MailboxOp.READ_VOLTAGE, "write": MailboxOp.WRITE_VOLTAGE}
@@ -108,10 +110,7 @@ def _load_program(spec: str):
 
 
 def _cmd_scan(args) -> int:
-    from .scanner import scan
-
-    program = _load_program(args.program)
-    _emit([h.to_json() for h in scan(program)])
+    print(hits_to_json(scan(_load_program(args.program))))
     return 0
 
 
@@ -146,7 +145,6 @@ def _cmd_campaign(args) -> int:
         runs=args.runs,
         tries_per_run=args.tries,
         pstate=args.pstate,
-        jobs=args.jobs,
     )
     _emit({"context": ctx, "result": result.to_json()})
     if args.csv:
@@ -276,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--seed", type=int, default=0)
     ca.add_argument("--runs", type=positive_int, default=5)
     ca.add_argument("--tries", type=positive_int, default=10_000)
-    ca.add_argument("--jobs", type=positive_int, default=1)
+    ca.add_argument(
+        "--jobs", type=positive_int, default=1,
+        help="accepted and ignored: campaign runs execute serially",
+    )
     ca.add_argument("--pstate", default=None)
     ca.add_argument("--csv", default=None, help="also write a one-row summary table")
     ca.set_defaults(run=_cmd_campaign)

@@ -8,7 +8,8 @@ victim workload, undervolting only around the victim's fault-prone window.
 
 Everything here is deterministic given a seed: each (phase, pstate, core,
 level) gets its own keyed RNG substream, so campaigns reproduce exactly
-regardless of trial parallelism.
+whatever order their runs execute in.  Runs execute serially, in index
+order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rng as rngmod
-from .errors import AbortedByCrash, InvalidCore, InvariantError, NoWindowFound
+from .errors import AbortedByCrash, InvariantError, NoWindowFound
 from .isa import bundled_program, parse_program
 from .msr import (
     IA32_MISC_ENABLE,
@@ -43,6 +44,7 @@ from .processor import (
 )
 from .scanner import estimate_window, scan
 from .victims import (
+    GUARD_SLICES,
     POC_MEMORY,
     POC_SCALARS,
     CampaignResult,
@@ -77,7 +79,12 @@ STEP_MV = 5
 # How far above an edge a noise band must stay for phase 1 to jump past
 # its level: far above float rounding at millivolt scale, far below a step.
 _EDGE_MARGIN_MV = 1e-3
-GUARD_SLICES = 10
+# Phase-1 loop lengths: comparison-loop iterations per stage-one level,
+# scratch-loop iterations per stage-two level, and how many crashes at
+# one stage-one level mean there is no window above instability.
+ITERS_PER_LEVEL = 20_000
+STABILITY_ITERS = 100
+CRASH_RETRIES = 3
 
 # Switching work with no vector stores: nothing to mismatch, so a level
 # survives it only if the platform itself does.  Phase 1 uses it to find
@@ -190,15 +197,6 @@ class SystemConfig:
 # System setup
 
 
-def _check_core(profile: ProcessorProfile, core: int) -> int:
-    if not 0 <= int(core) < profile.physical_cores:
-        raise InvalidCore(
-            f"core {core} does not exist on {profile.name} "
-            f"({profile.physical_cores} physical cores)"
-        )
-    return int(core)
-
-
 def _pinned_state(
     profile: ProcessorProfile,
     pstate: str,
@@ -206,13 +204,12 @@ def _pinned_state(
     stressor_name: str,
     seed: int,
     offset_mv: int = 0,
-    attack_core: int | None = None,
 ) -> PlatformState:
-    """PlatformState with the victim pinned and temperatures settled."""
+    """PlatformState with the victim pinned, the attacker on the first
+    other physical core, and temperatures settled."""
     spec = stressor_profile(stressor_name)
     phys = profile.physical_cores
-    if attack_core is None:
-        attack_core = next(c for c in range(phys) if c != target_core)
+    attack_core = next(c for c in range(phys) if c != target_core)
     roles = [ROLE_IDLE] * profile.logical_cores()
     roles[attack_core] = ROLE_ATTACKER
     roles[attack_core + phys] = ROLE_ATTACKER
@@ -254,14 +251,13 @@ def setup_system(
     if isinstance(profile, str):
         profile = load_profile(profile)
     pstate = normalize_pstate(pstate)
-    target_core = _check_core(profile, target_core)
+    target_core = profile.check_core(target_core)
     point = profile.pstate_point(pstate)
 
-    phys = profile.physical_cores
-    attack_core = next(c for c in range(phys) if c != target_core)
-    state = _pinned_state(profile, pstate, target_core, stressor, seed, 0, attack_core)
-
-    attack_group = (attack_core, attack_core + phys)
+    state = _pinned_state(profile, pstate, target_core, stressor, seed)
+    attack_group = tuple(
+        l for l, role in enumerate(state.assignment) if role == ROLE_ATTACKER
+    )
     victim_group = tuple(
         l for l in range(profile.logical_cores()) if l not in attack_group
     )
@@ -312,9 +308,6 @@ def phase1_find_window(
     start_offset_mv: int = 0,
     *,
     seed: int = 0,
-    iters_per_level: int = 20_000,
-    stability_iters: int = 100,
-    crash_retries: int = 3,
 ) -> VoltagePlan:
     """Descend in 5 mV steps on an expendable machine until faults appear.
 
@@ -367,14 +360,14 @@ def phase1_find_window(
                 continue
             env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_test_loop(victim, env, iters_per_level, gen)
+            out = run_test_loop(victim, env, ITERS_PER_LEVEL, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break
             if out.status is RunStatus.CRASH:
                 crashes += 1
                 retries += 1
-                if retries >= crash_retries:
+                if retries >= CRASH_RETRIES:
                     break  # repeatedly dies fault-free: no window here
                 continue  # reboot landed us back at the last safe level
             offset -= STEP_MV
@@ -391,7 +384,7 @@ def phase1_find_window(
                 continue
             env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
-            out = run_test_loop(_STABILITY_PROGRAM, env, stability_iters, gen)
+            out = run_test_loop(_STABILITY_PROGRAM, env, STABILITY_ITERS, gen)
             if out.status is RunStatus.CRASH:
                 crashes += 1
                 found = offset + STEP_MV
@@ -420,10 +413,10 @@ def phase1_find_window(
 def phase2_probe_cores(
     state: PlatformState,
     plan: VoltagePlan,
-    victim_program="vp1_xor_kernel",
     tries_per_core: int = 10_000,
 ) -> ProbeReport:
-    """Pin the victim to each core at its planned offset; tally faults.
+    """Pin the `vp1_xor_kernel` victim to each core at its planned offset;
+    tally faults.
 
     Per core: the per-try fault chance comes from the noise-averaged event
     marginal, the number of faulty tries from one binomial, and each fault
@@ -431,11 +424,8 @@ def phase2_probe_cores(
     carrying the partial per-core stats if a probe kills the platform.
     """
     profile = state.profile
-    program = _resolve_program(victim_program)
-    geom = _geometry(program, None, None, None, 100_000)
+    geom = _geometry(bundled_program("vp1_xor_kernel"), None, None, None, 100_000)
     events = len(geom.store_slices)
-    if events == 0:
-        raise InvariantError(f"{program.source_name}: probe program never stores")
 
     stats: list[FaultStats] = []
     for core in range(profile.physical_cores):
@@ -451,7 +441,7 @@ def phase2_probe_cores(
         temp = float(env.core_temp_c[core])
         rates = loop_rates(
             profile, core, env.pstate, env.nominal_voltage_mv(), temp, events,
-            "probe", env.stressor_fault_multiplier,
+            env.stressor_fault_multiplier,
         )
         c_try = _any_of(rates.g_slice, geom.slices_per_iteration)
 
@@ -492,19 +482,16 @@ def phase3_attack(
     stressor: str,
     runs: int = 5,
     tries_per_run: int = 10_000,
-    *,
-    jobs: int = 1,
-    guard_slices: int = GUARD_SLICES,
 ) -> CampaignResult:
     """Run the campaign at the planned offset for the chosen core.
 
     The undervolt is applied only around the victim's fault-prone window,
-    `guard_slices` before and after, so the crash exposure per try is the
+    `GUARD_SLICES` before and after, so the crash exposure per try is the
     window duration plus twice the guard.  Results aggregate across runs
     with independent keyed RNG streams; order of execution cannot matter.
     """
     profile = state.profile
-    target_core = _check_core(profile, target_core)
+    target_core = profile.check_core(target_core)
     offset = plan.offset_for(target_core)
     env = _pinned_state(
         profile, plan.pstate, target_core, stressor, state.seed, offset
@@ -518,7 +505,7 @@ def phase3_attack(
         est = estimate_window(
             program, hits[0], 1, memory=POC_MEMORY, scalar=POC_SCALARS
         )
-        exposure = est.duration_slices + 2 * guard_slices
+        exposure = est.duration_slices + 2 * GUARD_SLICES
 
         def one(run_index: int) -> tuple[int, int, bool]:
             gen = rngmod.stream(state.seed, "phase3", "poc", target_core, run_index)
@@ -531,19 +518,10 @@ def phase3_attack(
                 successes, completed = abort.partial
                 return successes, completed, True
 
-        return _campaign_runs(one, runs, jobs, target_core, "poc")
+        return _campaign_runs(one, runs, target_core, "poc")
 
     payload = payload_name(victim)
-    return run_hmac_victim(
-        env,
-        target_core,
-        payload,
-        tries_per_run,
-        runs=runs,
-        jobs=jobs,
-        seed=state.seed,
-        guard_slices=guard_slices,
-    )
+    return run_hmac_victim(env, target_core, payload, tries_per_run, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +537,6 @@ def run_campaign(
     runs: int = 5,
     tries_per_run: int = 10_000,
     pstate=None,
-    jobs: int = 1,
 ) -> tuple[CampaignResult, dict]:
     """setup_system + phase1 + phase3, returning the result and a context
     dict (profile, pstate, plan, offsets) that reports are built from."""
@@ -572,9 +549,7 @@ def run_campaign(
         profile, pstate, target_core, stressor, seed=seed
     )
     plan = phase1_find_window(profile, "vp1_xor_kernel", pstate, seed=seed)
-    result = phase3_attack(
-        state, plan, victim, target_core, stressor, runs, tries_per_run, jobs=jobs
-    )
+    result = phase3_attack(state, plan, victim, target_core, stressor, runs, tries_per_run)
     offset = plan.offset_for(target_core)
     base = profile.pstate_point(pstate).base_voltage_mv
     context = {

@@ -19,7 +19,6 @@ each runner.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -64,6 +63,10 @@ __all__ = [
     "run_test_loop",
     "stressor_profile",
 ]
+
+# Slices the undervolt stays applied before and after a victim's
+# fault-prone window; campaigns pay crash exposure for both margins.
+GUARD_SLICES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +303,16 @@ def loop_rates(
     v_nom: float,
     temp: float,
     events: int,
-    scenario: str = "probe",
     stressor_multiplier: float = 1.0,
     machine_check: MachineCheck | None = None,
 ) -> LoopRates:
     """The rates of a loop with `events` eligible stores per iteration, at
-    nominal voltage `v_nom` and core temperature `temp`."""
+    nominal voltage `v_nom` and core temperature `temp`, under the probe
+    scenario's calibration."""
     p_event = 0.0
     if events:
         p_event = mean_event_fault_probability(
-            profile, core, pstate, scenario, stressor_multiplier, v_nom, temp
+            profile, core, pstate, "probe", stressor_multiplier, v_nom, temp
         )
     g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
     e_slice = 0.0
@@ -330,17 +333,12 @@ def run_test_loop(
     program,
     env: PlatformState,
     max_iters: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
-    memory=None,
-    xmm=None,
-    scalar=None,
-    scenario: str = "probe",
-    core: int | None = None,
     machine_check: MachineCheck | None = None,
-    max_slices: int = 100_000,
 ) -> RunOutcome:
-    """Reference once at nominal voltage, then iterate under `env`.
+    """Reference once at nominal voltage, then iterate under `env` on the
+    victim's physical core (core 0 when no victim is pinned).
 
     Returns on the first iteration whose output differs from the reference
     (Mismatch with the bit-level diff), on a platform crash, or on a
@@ -353,21 +351,17 @@ def run_test_loop(
     times use the noise-averaged marginals, which is distribution-exact.
     """
     program = _resolve_program(program)
-    if rng is None:
-        rng = rngmod.stream(env.seed, "test-loop", env.pstate)
     profile = env.profile
+    core = env.victim_physical
     if core is None:
-        core = env.victim_physical
-        if core is None:
-            core = 0
-    core = profile.check_core(core)
-    geom = _geometry(program, memory, xmm, scalar, max_slices)
+        core = 0
+    geom = _geometry(program, None, None, None, 100_000)
     spi = geom.slices_per_iteration
     events = len(geom.store_slices)
     temp = float(env.core_temp_c[core])
     rates = loop_rates(
         profile, core, env.pstate, env.nominal_voltage_mv(), temp, events,
-        scenario, env.stressor_fault_multiplier, machine_check,
+        env.stressor_fault_multiplier, machine_check,
     )
     if rates.quiet:
         return RunOutcome.match(max_iters)
@@ -421,7 +415,7 @@ def run_test_loop(
             # indexes computed from memory.
             pattern = draw_flip_pattern(profile, core, ordinal, rng)
             flips[ordinal] = pattern.mask
-        faulted, _ = _run_with_flips(program, memory, xmm, scalar, max_slices, geom, flips)
+        faulted, _ = _run_with_flips(program, None, None, None, 100_000, geom, flips)
         diff = memory_diff(geom.reference.memory, faulted.memory)
         if diff:
             return RunOutcome.mismatch(diff, it + 1)
@@ -479,12 +473,12 @@ def run_poc_enclave(
     env: PlatformState,
     target_core: int,
     tries: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
-    program="poc_and_branch",
     exposure_slices: int | None = None,
 ) -> int:
-    """Run the guarded-branch victim `tries` times; count diversions.
+    """Run the guarded-branch victim (`poc_and_branch`) `tries` times;
+    count diversions.
 
     A try succeeds when a flip lands in the checked store and the follow-up
     comparison takes the recovery path.  Each distinct flip mask is proved
@@ -501,11 +495,9 @@ def run_poc_enclave(
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
-    program = _resolve_program(program)
+    program = bundled_program("poc_and_branch")
     core = _pin_check(env, target_core)
     profile = env.profile
-    if rng is None:
-        rng = rngmod.stream(env.seed, "poc", core)
     geom = _geometry(program, POC_MEMORY, None, POC_SCALARS, 100_000)
     if len(geom.store_slices) != 1:
         raise InvariantError(
@@ -672,24 +664,19 @@ def run_hmac_victim(
     tries: int,
     *,
     runs: int = 5,
-    jobs: int = 1,
-    seed: int | None = None,
-    guard_slices: int = 10,
 ) -> CampaignResult:
     """Mean successes per 10k tries and sigma across `runs` runs.
 
-    Each run owns an independent RNG substream keyed by its index, so the
-    aggregate is identical however runs are scheduled across threads.
+    Each run owns an independent RNG substream keyed by `env.seed` and its
+    index, so the aggregate does not depend on the order runs execute in.
     Raises AbortedByCrash carrying the partial CampaignResult if any run
-    crashes; runs after the first crashed one are discarded, because the
+    crashes; runs after the first crashed one are not started, because the
     simulated machine is gone.
     """
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
     core = _pin_check(env, target_core)
     profile = env.profile
-    if seed is None:
-        seed = env.seed
     ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
 
     temp = float(env.core_temp_c[core])
@@ -700,28 +687,24 @@ def run_hmac_victim(
     g = mean_crash_probability(profile, core, env.pstate, v_nom, temp)
     # One slice per compression store, plus the undervolt guard margin on
     # both sides of the fault-prone window.
-    slices_per_try = ctx.total_events + 2 * guard_slices
+    slices_per_try = ctx.total_events + 2 * GUARD_SLICES
     c_try = _any_of(g, slices_per_try)
 
     def one(run_index: int):
-        gen = rngmod.stream(seed, "hmac", payload, core, run_index)
+        gen = rngmod.stream(env.seed, "hmac", payload, core, run_index)
         return _hmac_single_run(ctx, profile, core, p_event, c_try, tries, gen)
 
-    return _campaign_runs(one, runs, jobs, core, scenario)
+    return _campaign_runs(one, runs, core, scenario)
 
 
-def _campaign_runs(one, runs: int, jobs: int, core: int, scenario: str) -> CampaignResult:
+def _campaign_runs(one, runs: int, core: int, scenario: str) -> CampaignResult:
     """Run `one(run_index) -> (successes, tries_completed, crashed)` for
-    every run, then aggregate.  The first crashed run raises AbortedByCrash
-    carrying the runs up to and including it."""
-    if jobs > 1 and runs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, range(runs)))
-    else:
-        outcomes = [one(r) for r in range(runs)]
-
+    each run in index order, then aggregate.  The first crashed run raises
+    AbortedByCrash carrying the runs up to and including it; no later run
+    starts."""
     per_run = []
-    for r, (successes, completed, crashed) in enumerate(outcomes):
+    for r in range(runs):
+        successes, completed, crashed = one(r)
         per_run.append((successes, completed))
         if crashed:
             partial = CampaignResult.from_runs(core, scenario, per_run, crashes=1)

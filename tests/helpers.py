@@ -1,7 +1,11 @@
 """Shared test utilities."""
 
+import random
+
 import numpy as np
 
+import voltlab.orchestrator as orchestrator
+import voltlab.victims as victims
 from voltlab import rng as rngmod
 from voltlab.errors import InvariantError, NoWindowFound
 from voltlab.orchestrator import (
@@ -159,3 +163,27 @@ def reference_phase1(
         chosen_offset_mv=tuple(chosen_offset),
         crashes_during_search=crashes,
     )
+
+
+def run_campaigns_out_of_order(monkeypatch, seed=0):
+    """Make every campaign evaluate its runs out of index order.
+
+    `victims._campaign_runs` is patched at each name that binds it.  The
+    wrapper calls `one(r)` for every run in reversed order, then again in
+    a seeded shuffle, checks that both passes agree, and hands the cached
+    outcomes to the real fan-out in index order.  A campaign whose result
+    then differs from a plain call depends on the order its runs execute
+    in, for instance through state shared between runs.
+    """
+    real = victims._campaign_runs
+
+    def out_of_order(one, runs, core, scenario):
+        indexes = list(range(runs))[::-1]
+        first = {r: one(r) for r in indexes}
+        random.Random(seed).shuffle(indexes)
+        second = {r: one(r) for r in indexes}
+        assert first == second, "a run's outcome depends on which runs came before it"
+        return real(first.__getitem__, runs, core, scenario)
+
+    for module in (victims, orchestrator):
+        monkeypatch.setattr(module, "_campaign_runs", out_of_order)

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line surface, via main(argv)."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -172,6 +174,21 @@ def test_campaign_output_does_not_depend_on_jobs(capsys):
     _, serial, _ = run_cli(capsys, *CAMPAIGN_FLAGS, "--jobs", "1")
     _, threaded, _ = run_cli(capsys, *CAMPAIGN_FLAGS, "--jobs", "4")
     assert serial == threaded
+
+
+def test_campaign_starts_no_threads():
+    # A fresh interpreter, so nothing pytest or another test imported or
+    # started can hide a thread pool the campaign brings in.
+    script = "\n".join([
+        "import sys, threading",
+        "import voltlab.cli",
+        f"assert voltlab.cli.main({CAMPAIGN_FLAGS!r}) == 0",
+        "assert 'concurrent.futures' not in sys.modules",
+        "assert threading.active_count() == 1, threading.enumerate()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["tries"] == 800
 
 
 def test_campaign_json_contents(capsys):

@@ -1,5 +1,7 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from voltlab.errors import (
     UnknownStressor,
 )
 from voltlab.mca import MachineCheck, SurfacedFault
+from voltlab.orchestrator import setup_system
 from voltlab.processor import (
     ROLE_IDLE,
     ROLE_STRESSOR,
@@ -40,7 +43,7 @@ from voltlab.victims import (
     stressor_profile,
 )
 
-from helpers import reference_memory_diff
+from helpers import reference_memory_diff, run_campaigns_out_of_order
 
 
 @pytest.fixture(scope="module")
@@ -296,12 +299,29 @@ def test_hmac_zero_offset(kaby):
     assert result.successes == 0
 
 
-def test_hmac_deterministic_and_parallel_equal(kaby):
-    env = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    serial = run_hmac_victim(env, 1, "hmac32", 400, runs=4, jobs=1)
-    threaded = run_hmac_victim(env, 1, "hmac32", 400, runs=4, jobs=4)
-    again = run_hmac_victim(env, 1, "hmac32", 400, runs=4, jobs=2)
-    assert serial == threaded == again
+def _hmac_outcome(call):
+    try:
+        return call()
+    except AbortedByCrash as abort:
+        return abort.partial
+
+
+def test_hmac_does_not_depend_on_run_order(kaby, monkeypatch):
+    # The -252 mV cell of tests/golden/crash_aborts.json dies partway
+    # through a run, so its partial result must not move either.
+    warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
+    state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
+    edge = dataclasses.replace(state, offset_mv={0: -252})
+    calls = [
+        lambda: run_hmac_victim(warm, 1, "hmac32", 400, runs=4),
+        lambda: run_hmac_victim(warm, 1, "hmac1k", 100, runs=3),
+        lambda: run_hmac_victim(edge, 1, "hmac32", 200, runs=3),
+    ]
+    serial = [_hmac_outcome(call) for call in calls]
+    assert serial[2].crashes == 1
+    assert serial == [_hmac_outcome(call) for call in calls]
+    run_campaigns_out_of_order(monkeypatch, seed=3)
+    assert [_hmac_outcome(call) for call in calls] == serial
 
 
 def test_hmac_crash_aborts_with_partial_result(kaby):
