@@ -40,7 +40,8 @@ from .processor import (
     load_profile,
     region_boundaries_mv,
     normalize_pstate,
-    draw_flip_pattern,
+    draw_flip_masks,
+    draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
 from .scanner import estimate_window, scan
 from .victims import (
@@ -420,8 +421,11 @@ def phase2_probe_cores(
 
     Per core: the per-try fault chance comes from the noise-averaged event
     marginal, the number of faulty tries from one binomial, and each fault
-    gets a flip pattern from the core's tables.  Raises AbortedByCrash
-    carrying the partial per-core stats if a probe kills the platform.
+    gets a flip pattern from the core's tables.  Draw order per core: the
+    crash geometric, the binomial, then the faults' flip patterns from one
+    `draw_flip_masks` call, which consumes the core's stream exactly as one
+    `draw_flip_pattern` per fault would.  Raises AbortedByCrash carrying
+    the partial per-core stats if a probe kills the platform.
     """
     profile = state.profile
     geom = _geometry(bundled_program("vp1_xor_kernel"), None, None, None, 100_000)
@@ -449,11 +453,12 @@ def phase2_probe_cores(
         faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
         byte_hist = [0] * 16
         mult_hist: dict[int, int] = {}
-        for _ in range(faults):
-            pattern = draw_flip_pattern(profile, core, 0, gen)
-            for b in pattern.byte_positions:
-                byte_hist[b] += 1
-            mult_hist[pattern.multiplicity] = mult_hist.get(pattern.multiplicity, 0) + 1
+        for mask in draw_flip_masks(profile, core, faults, gen):
+            for b in range(16):
+                if mask >> (8 * b) & 0xFF:
+                    byte_hist[b] += 1
+            bits = mask.bit_count()
+            mult_hist[bits] = mult_hist.get(bits, 0) + 1
         stats.append(
             FaultStats(core, completed, faults, tuple(byte_hist), mult_hist)
         )

@@ -214,10 +214,10 @@ class ProcessorProfile:
         self._bit_weights = np.asarray(rows)
         if not np.allclose(self._bit_weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
             raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
-        # Per core, what `draw_flip_pattern` reads: (multiplicity CDF, bit
-        # CDF, count of bits with positive weight).
+        # Per core, what `_walk` reads: (multiplicity CDF, bit CDF, count of
+        # bits with positive weight, bit weights).
         self._flip_tables = [
-            (_cdf(mult), _cdf(bits), int(np.count_nonzero(bits)))
+            (_cdf(mult), _cdf(bits), int(np.count_nonzero(bits)), bits)
             for mult, bits in zip(self.multiplicity, self._bit_weights)
         ]
 
@@ -579,6 +579,32 @@ def mean_crash_probability(
 # draw with replacement is one uniform bisected into the CDF that `choice`
 # builds (`_cdf`); a flip pattern replays `choice(..., replace=False)` round
 # by round.  `tests/helpers.py` keeps the `choice` calls as the oracle.
+#
+# Flip patterns are drawn in blocks (`draw_flip_masks`), and the block is
+# exact, not a new stream, for three reasons.  On a Philox generator,
+# `random(m)` consumes exactly what `m` scalar `random()` calls do, and the
+# bucket, the bits and the later rounds of `choice` each take such
+# uniforms.  `binomial(4, 0.2)` takes numpy's inversion branch (n*p <= 30),
+# which reads one uniform per attempt; `_walk` replays it with the same
+# float operations.  And a block never draws past what the sequential calls
+# consume: it draws only the lower bound still owed (2 per pattern not yet
+# started, plus what the pattern in hand still needs), so the generator
+# ends where `n` scalar draws leave it.
+
+# numpy's `random_binomial_inversion` constants for binomial(4, 0.2).
+_BINOM_N, _BINOM_P = 4, 0.2
+_BINOM_Q = 1.0 - _BINOM_P
+_BINOM_QN = math.exp(_BINOM_N * math.log(_BINOM_Q))
+_BINOM_BOUND = int(
+    min(_BINOM_N, _BINOM_N * _BINOM_P + 10.0 * math.sqrt(_BINOM_N * _BINOM_P * _BINOM_Q + 1))
+)
+
+# Uniforms per block draw: bounds the buffer a long run of patterns holds.
+_BLOCK = 256
+
+# The one-bit masks, shared: most patterns are one bit, and a long block of
+# masks then holds references instead of a fresh int per pattern.
+_BIT = tuple(1 << b for b in range(128))
 
 
 def _cdf(weights) -> list[float]:
@@ -593,26 +619,129 @@ def _draw_index(cdf: list[float], rng: np.random.Generator) -> int:
     return bisect_right(cdf, rng.random())
 
 
+class _Short(Exception):
+    """The uniforms ran out mid-pattern; the pattern needs `need` more at least."""
+
+    def __init__(self, need: int):
+        self.need = need
+
+
+def _binomial(u: list[float], pos: int) -> tuple[int, int]:
+    """`binomial(4, 0.2)` from the uniforms `u[pos:]`; returns (count, next pos).
+
+    numpy's inversion: one uniform, walked down the pmf with the same float
+    operations, and a fresh uniform each time the count passes the bound.
+    No uniform below 1 passes it for these constants (a test pins this), so
+    each draw reads one; the fresh-uniform branch keeps the replay numpy's.
+    """
+    x, px, v = 0, _BINOM_QN, u[pos]
+    pos += 1
+    while v > px:
+        x += 1
+        if x > _BINOM_BOUND:
+            if pos >= len(u):
+                raise _Short(2)  # the new attempt and at least one bit
+            x, px, v = 0, _BINOM_QN, u[pos]
+            pos += 1
+        else:
+            v -= px
+            px = ((_BINOM_N - x + 1) * _BINOM_P * px) / (x * _BINOM_Q)
+    return x, pos
+
+
 def _later_rounds(
-    weights: np.ndarray, found: list[int], k: int, rng: np.random.Generator
-) -> list[int]:
+    weights: np.ndarray, found: list[int], k: int, u: list[float], pos: int
+) -> tuple[list[int], int]:
     """`choice(..., replace=False)`'s rounds after the first drew duplicates.
 
-    Each round draws one uniform per missing index, zeroes the weights of
-    the indices found so far, rebuilds the CDF, and keeps the first
-    occurrence of each new index in draw order.
+    Each round reads one uniform per missing index from `u[pos:]`, zeroes
+    the weights of the indices found so far, rebuilds the CDF, and keeps
+    the first occurrence of each new index in draw order.  Returns the `k`
+    indices and the next position.
     """
     p = weights.copy()
     while len(found) < k:
-        x = rng.random(k - len(found))
+        need = k - len(found)
+        if pos + need > len(u):
+            raise _Short(pos + need - len(u))
         p[found] = 0
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
-        new = cdf.searchsorted(x, side="right")
+        new = cdf.searchsorted(u[pos : pos + need], side="right")
+        pos += need
         _, first = np.unique(new, return_index=True)
         first.sort()
         found += new[first].tolist()
-    return found
+    return found, pos
+
+
+def _walk(u: list[float], pos: int, count: int, tables, masks: list[int]) -> tuple[int, int]:
+    """Read up to `count` flip patterns from the uniforms `u[pos:]`.
+
+    Per pattern, in generator order: one uniform for the multiplicity
+    bucket; `binomial(4, 0.2)` for bucket 2 (three or more bits); `k`
+    uniforms for the bits; and, only if those hit a bit twice, one round
+    of uniforms per missing bit until `k` are distinct.  Each mask is
+    appended to `masks`.
+
+    Returns `(pos, short)`.  When `u` runs out mid-pattern, `pos` is where
+    that pattern starts and `short` how many more uniforms it needs at
+    least; the caller draws them and walks the pattern again from `pos`.
+    Otherwise `short` is 0.
+    """
+    mult_cdf, bit_cdf, support, weights = tables
+    end = len(u)
+    try:
+        for _ in range(count):
+            start = pos
+            if pos + 2 > end:  # a bucket and at least one bit
+                raise _Short(pos + 2 - end)
+            bucket = bisect_right(mult_cdf, u[pos])
+            if bucket == 0:
+                masks.append(_BIT[bisect_right(bit_cdf, u[pos + 1])])
+                pos += 2
+                continue
+            if bucket == 1:
+                k, pos = 2, pos + 1
+            else:
+                x, pos = _binomial(u, pos + 1)
+                k = 3 + x
+            k = min(k, support)
+            if pos + k > end:
+                raise _Short(pos + k - end)
+            bits = [bisect_right(bit_cdf, v) for v in u[pos : pos + k]]
+            pos += k
+            mask = 0
+            for b in bits:
+                mask |= 1 << b
+            if mask.bit_count() < k:
+                found, pos = _later_rounds(weights, list(dict.fromkeys(bits)), k, u, pos)
+                mask = sum(1 << b for b in found)
+            masks.append(mask)
+    except _Short as short:
+        return start, short.need
+    return pos, 0
+
+
+def draw_flip_masks(
+    profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
+) -> list[int]:
+    """The masks of `n` consecutive `draw_flip_pattern` calls, as one block.
+
+    `rng` ends in the state those calls leave it in: the block draws at
+    most `_BLOCK` uniforms at a time, and never more than the patterns
+    still to walk are sure to consume.
+    """
+    tables = profile._flip_tables[profile.check_core(core)]
+    masks: list[int] = []
+    u, pos = [], 0
+    owed = 2 * n  # a bucket and at least one bit per pattern
+    while owed:
+        u = u[pos:] + rng.random(min(owed, _BLOCK)).tolist()
+        pos, short = _walk(u, 0, n - len(masks), tables, masks)
+        # The pattern in hand needs `short` more; each one after it, 2.
+        owed = short + 2 * (n - len(masks) - 1) if short else 0
+    return masks
 
 
 def draw_flip_pattern(
@@ -620,26 +749,17 @@ def draw_flip_pattern(
 ) -> BitFlipPattern:
     """Sample a flip pattern from the core's multiplicity and affinity tables.
 
-    Generator consumption, in order: one uniform for the multiplicity
-    bucket; one `binomial(4, 0.2)` when the bucket is 2 (three or more
-    bits); `k` uniforms for the bits; and, only if those hit a bit twice,
-    one further round of uniforms per missing bit until `k` are distinct.
-    This is pinned to `choice(3, p=...)` followed by
-    `choice(128, size=k, replace=False, p=...)`, and the oracle test in
-    `tests/test_processor.py` holds the two equal, generator state included.
+    Generator consumption is `_walk`'s, pinned to `choice(3, p=...)`,
+    `binomial(4, 0.2)` for bucket 2, then `choice(128, size=k,
+    replace=False, p=...)`; the oracle tests in `tests/test_processor.py`
+    hold the two equal, generator state included.
     """
-    mult_cdf, bit_cdf, support = profile._flip_tables[profile.check_core(core)]
-    bucket = _draw_index(mult_cdf, rng)
-    if bucket == 0:
-        k = 1
-    elif bucket == 1:
-        k = 2
-    else:
-        k = 3 + int(rng.binomial(4, 0.2))
-    k = min(k, support)
-    bits = [bisect_right(bit_cdf, u) for u in rng.random(k).tolist()]
-    if len(set(bits)) < k:
-        bits = _later_rounds(profile.bit_weights(core), list(dict.fromkeys(bits)), k, rng)
+    (mask,) = draw_flip_masks(profile, core, 1, rng)
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
     return BitFlipPattern(word_index, frozenset(bits))
 
 
@@ -756,21 +876,3 @@ def core_temp_targets(state: PlatformState) -> np.ndarray:
             victim_target = point.reference_temp_c + state.stressor_temp_boost_c
             targets[phys] = max(targets[phys], victim_target)
     return targets
-
-
-def update_temperature(
-    state: PlatformState, dt_s: float, workload: dict[int, float] | None = None
-) -> None:
-    """First-order relaxation of core temperatures toward their targets.
-
-    `workload` may override the target of individual physical cores (adds
-    degrees on top of the role-derived target).
-    """
-    if dt_s < 0:
-        raise InvariantError("time does not flow backwards here")
-    targets = core_temp_targets(state)
-    if workload:
-        for phys, extra in workload.items():
-            targets[state.profile.check_core(phys)] += extra
-    alpha = 1.0 - math.exp(-dt_s / state.temp_tau_s)
-    state.core_temp_c += (targets - state.core_temp_c) * alpha

@@ -19,6 +19,7 @@ each runner.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -41,6 +42,7 @@ from .processor import (
     PlatformState,
     ProcessorProfile,
     draw_crash_kind,
+    draw_flip_masks,
     draw_flip_pattern,
     effective_window_top_mv,
     mean_crash_probability,
@@ -447,8 +449,8 @@ POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
 
 
 class _DiversionOracle:
-    """Memoized check that a mask XORed into the guarded store really does
-    divert control flow.  One real execution per distinct mask."""
+    """Check that a mask XORed into the guarded store really does divert
+    control flow, by one real execution."""
 
     def __init__(self, program: MiniProgram, geometry: _Geometry, memory, scalar):
         self.program = program
@@ -456,17 +458,12 @@ class _DiversionOracle:
         self.memory = memory
         self.scalar = scalar
         self.reference_halt = geometry.reference.halt_index
-        self._seen: dict[int, bool] = {}
 
     def diverts(self, mask: int) -> bool:
-        hit = self._seen.get(mask)
-        if hit is None:
-            result, _ = _run_with_flips(
-                self.program, self.memory, None, self.scalar, 100_000, self.geometry, {0: mask}
-            )
-            hit = result.halt_index != self.reference_halt
-            self._seen[mask] = hit
-        return hit
+        result, _ = _run_with_flips(
+            self.program, self.memory, None, self.scalar, 100_000, self.geometry, {0: mask}
+        )
+        return result.halt_index != self.reference_halt
 
 
 def run_poc_enclave(
@@ -489,9 +486,12 @@ def run_poc_enclave(
     around the store window pass something smaller.
 
     Draw order: per-try fault Bernoullis as one block, then the crash
-    geometric, then per-fault detail draws in try order.  Raises
-    AbortedByCrash with a (successes, tries_completed) pair if the
-    platform dies mid-run.
+    geometric, then one flip pattern per completed faulted try, in try
+    order.  The patterns come from one `draw_flip_masks` call, which
+    consumes the generator exactly as that many `draw_flip_pattern` calls
+    would.  The oracle is asked once per distinct mask, weighted by how
+    many tries drew it.  Raises AbortedByCrash with a (successes,
+    tries_completed) pair if the platform dies mid-run.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
@@ -516,13 +516,9 @@ def run_poc_enclave(
 
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
     completed = _tries_before_crash(rng, c_try, tries)
+    masks = draw_flip_masks(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
     oracle = _DiversionOracle(program, geom, POC_MEMORY, POC_SCALARS)
-    successes = 0
-    # Word index 0: the guarded store is the only word that matters here.
-    for i in np.flatnonzero(faulted[:completed]):
-        pattern = draw_flip_pattern(profile, core, 0, rng)
-        if oracle.diverts(pattern.mask):
-            successes += 1
+    successes = sum(n for mask, n in Counter(masks).items() if oracle.diverts(mask))
     if completed < tries:
         raise AbortedByCrash(
             f"platform crashed on try {completed + 1} of {tries}",

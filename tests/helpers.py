@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import math
 import random
 
 import numpy as np
@@ -15,7 +16,7 @@ from voltlab.orchestrator import (
     _STABILITY_PROGRAM,
     _pinned_state,
 )
-from voltlab.processor import BitFlipPattern, normalize_pstate
+from voltlab.processor import BitFlipPattern, core_temp_targets, normalize_pstate
 from voltlab.victims import RunStatus, run_test_loop
 
 VREGS = [f"%xmm{i}" for i in range(16)]
@@ -187,3 +188,19 @@ def run_campaigns_out_of_order(monkeypatch, seed=0):
 
     for module in (victims, orchestrator):
         monkeypatch.setattr(module, "_campaign_runs", out_of_order)
+
+
+def update_temperature(state, dt_s, workload=None):
+    """First-order relaxation of core temperatures toward their targets.
+
+    `workload` may override the target of individual physical cores (adds
+    degrees on top of the role-derived target).
+    """
+    if dt_s < 0:
+        raise InvariantError("time does not flow backwards here")
+    targets = core_temp_targets(state)
+    if workload:
+        for phys, extra in workload.items():
+            targets[state.profile.check_core(phys)] += extra
+    alpha = 1.0 - math.exp(-dt_s / state.temp_tau_s)
+    state.core_temp_c += (targets - state.core_temp_c) * alpha

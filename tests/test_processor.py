@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_flip_pattern
+from helpers import reference_flip_pattern, update_temperature
 from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState
@@ -27,6 +27,7 @@ from voltlab.processor import (
     crash_kind_weights,
     crash_probability_per_slice,
     draw_crash_kind,
+    draw_flip_masks,
     draw_flip_pattern,
     effective_window_top_mv,
     event_fault_probability,
@@ -35,7 +36,6 @@ from voltlab.processor import (
     region_boundaries_mv,
     sample_crash,
     sample_fault,
-    update_temperature,
 )
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -471,6 +471,102 @@ def test_flip_draws_replay_choice_on_random_tables(tables, seed):
     retries = _replay_matches_choice(ProcessorProfile(raw), 1, seed, 300)
     if forces_retry:
         assert retries > 0
+
+
+def _block_matches_choice(profile, core, seed, n):
+    """`draw_flip_masks` against `n` oracle patterns from one seed; return the retry count."""
+    ours, theirs = vrng.stream(seed, "flips"), vrng.stream(seed, "flips")
+    with mock.patch.object(
+        processor, "_later_rounds", wraps=processor._later_rounds
+    ) as retries:
+        masks = draw_flip_masks(profile, core, n, ours)
+    assert masks == [reference_flip_pattern(profile, core, 0, theirs).mask for _ in range(n)]
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    return retries.call_count
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_flip_blocks_replay_choice_on_bundled_profiles(name):
+    profile = load_profile(name)
+    retries = sum(
+        _block_matches_choice(profile, core, seed, n)
+        for core in range(profile.physical_cores)
+        for seed in range(2)
+        for n in (0, 1, 2, 7, 500)
+    )
+    assert retries > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(_flip_tables(), st.integers(0, 2**32 - 1), st.integers(1, 64))
+def test_flip_blocks_replay_choice_on_random_tables(tables, seed, block):
+    # A small block makes patterns straddle block draws, retries included.
+    affinity, mult, forces_retry = tables
+    raw = _raw_profile()
+    raw["byte_affinity"][1] = affinity
+    raw["multiplicity"][1] = mult
+    with mock.patch.object(processor, "_BLOCK", block):
+        retries = _block_matches_choice(ProcessorProfile(raw), 1, seed, 300)
+    if forces_retry:
+        assert retries > 0
+
+
+def test_binomial_replay_matches_numpy():
+    ours, theirs = vrng.stream(18, "binomial"), vrng.stream(18, "binomial")
+    n = 100_000
+    expected = [int(theirs.binomial(4, 0.2)) for _ in range(n)]
+    u, pos, got = ours.random(n).tolist(), 0, []
+    while pos < n:
+        x, pos = processor._binomial(u, pos)
+        got.append(x)
+    assert got == expected
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    # Even the largest uniform stops at 4, inside numpy's bound: one uniform per draw.
+    assert processor._binomial([np.nextafter(1.0, 0.0)], 0) == (4, 1)
+
+
+def _next_uniforms(seed, uniforms):
+    """A Philox stream whose next four uniforms are `uniforms` (multiples of 2**-53)."""
+    gen = vrng.stream(seed, "ties")
+    state = gen.bit_generator.state
+    state["buffer"] = np.array([int(u * 2**53) << 11 for u in uniforms], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    gen.bit_generator.state = state
+    return gen
+
+
+def test_flip_draws_break_cdf_ties_like_choice():
+    # `choice` bisects with side="right": a uniform equal to a CDF entry
+    # takes the index above it.  Bucket CDF (0.5, 0.75, 1); bit CDF k/16
+    # over bits 0..15.
+    raw = _raw_profile()
+    raw["multiplicity"][1] = [0.5, 0.25, 0.25]
+    raw["byte_affinity"][1] = [1.0, 1.0] + [0.0] * 14
+    profile = ProcessorProfile(raw)
+    # The CDF of the round after bit 8 was drawn twice; entry 9 is 0.6.
+    p = profile.bit_weights(1).copy()
+    p[8] = 0
+    retry_cdf = np.cumsum(p)
+    retry_cdf /= retry_cdf[-1]
+    cases = [
+        # One bit at 0.5: bit 8.  Then 0.5 is bucket 1 (two bits), bit 8 first.
+        ((0.25, 0.5, 0.5, 0.5), {8}),
+        # Bucket 1, bit 8 twice, then the retry round's tie: bits 8 and 10.
+        ((0.5, 0.5, 0.5, float(retry_cdf[9])), {8, 10}),
+    ]
+    for uniforms, first_bits in cases:
+        reference = reference_flip_pattern(profile, 1, 0, _next_uniforms(19, uniforms))
+        assert reference.flipped_bits == first_bits
+        for n in (1, 2, 3):
+            ours, theirs = _next_uniforms(19, uniforms), _next_uniforms(19, uniforms)
+            masks = draw_flip_masks(profile, 1, n, ours)
+            assert masks == [reference_flip_pattern(profile, 1, 0, theirs).mask for _ in range(n)]
+            np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+        ours, theirs = _next_uniforms(19, uniforms), _next_uniforms(19, uniforms)
+        for _ in range(2):
+            assert draw_flip_pattern(profile, 1, 2, ours) == reference_flip_pattern(
+                profile, 1, 2, theirs
+            )
 
 
 @pytest.mark.parametrize("ratio", [8, 16, 27, 32, 36, 42])
