@@ -580,16 +580,35 @@ def mean_crash_probability(
 # builds (`_cdf`); a flip pattern replays `choice(..., replace=False)` round
 # by round.  `tests/helpers.py` keeps the `choice` calls as the oracle.
 #
-# Flip patterns are drawn in blocks (`draw_flip_masks`), and the block is
-# exact, not a new stream, for three reasons.  On a Philox generator,
-# `random(m)` consumes exactly what `m` scalar `random()` calls do, and the
-# bucket, the bits and the later rounds of `choice` each take such
-# uniforms.  `binomial(4, 0.2)` takes numpy's inversion branch (n*p <= 30),
-# which reads one uniform per attempt; `_walk` replays it with the same
-# float operations.  And a block never draws past what the sequential calls
-# consume: it draws only the lower bound still owed (2 per pattern not yet
-# started, plus what the pattern in hand still needs), so the generator
-# ends where `n` scalar draws leave it.
+# Runs of draws are replayed from blocks of raw Philox words (`_Words`), and
+# a block is exact, not a new stream, for these reasons:
+#
+# - `bit_generator.random_raw(m)` takes the generator's next `m` 64-bit
+#   words, and `random()` reads one whole word `w` as `(w >> 11) * 2**-53`;
+#   `random(m)` takes the same words as `m` scalar calls.
+# - `binomial(4, 0.2)` takes numpy's inversion branch (n*p <= 30), which
+#   reads one uniform per attempt; `_walk` replays it with the same float
+#   operations.
+# - A bounded draw (`_Words.bounded`) reads half-words: `next_uint32`
+#   returns the low half of a fresh word and buffers the high half in the
+#   state's `has_uint32`/`uinteger` for the next call.  Doubles leave that
+#   buffer alone.  The reader takes it from `bit_generator.state` on entry
+#   and writes it back on close.
+# - numpy bounds a half-word to `0..r` by Lemire's method: multiply by
+#   `r + 1`, reject while the low 32 bits of the product are under
+#   `(2**32 - 1 - r) % (r + 1)`, return the high 32 bits.  `r == 0` draws
+#   nothing.
+# - `choice(n, k, replace=False)` without `p`, for `n` up to 10 000, is
+#   Floyd's algorithm: for `j` from `n - k` to `n - 1`, draw `val` bounded
+#   by `j` and add it, or `j` if `val` is already in.  Then it shuffles the
+#   picks with one draw bounded by `i` for each `i` from `k - 1` down to 1.
+#   Callers sort the picks, so the shuffle's draws are consumed and their
+#   values dropped.  Above 10 000 numpy may tail-shuffle the population
+#   instead; that is refused.
+# - A block never draws past what the sequential calls consume: it draws
+#   only a lower bound of what is still owed (`_Words.later` plus what the
+#   draw in hand still needs), so the generator ends where those calls
+#   leave it.
 
 # numpy's `random_binomial_inversion` constants for binomial(4, 0.2).
 _BINOM_N, _BINOM_P = 4, 0.2
@@ -599,8 +618,14 @@ _BINOM_BOUND = int(
     min(_BINOM_N, _BINOM_N * _BINOM_P + 10.0 * math.sqrt(_BINOM_N * _BINOM_P * _BINOM_Q + 1))
 )
 
-# Uniforms per block draw: bounds the buffer a long run of patterns holds.
+# Words per block draw: bounds the buffer a long run of draws holds.
 _BLOCK = 256
+
+# The largest population `choice(..., replace=False)` surely draws by Floyd's
+# algorithm; numpy's tail-shuffle branch starts above it.
+_FLOYD_MAX = 10_000
+
+_M32 = 0xFFFF_FFFF
 
 # The one-bit masks, shared: most patterns are one bit, and a long block of
 # masks then holds references instead of a fresh int per pattern.
@@ -723,25 +748,127 @@ def _walk(u: list[float], pos: int, count: int, tables, masks: list[int]) -> tup
     return pos, 0
 
 
+class _Words:
+    """A Philox generator's next words, read as its scalar draws read them.
+
+    `u` holds the words drawn and not yet dropped, as `random()` doubles,
+    and `pos` the next one to read.  With `halves`, for callers that make
+    bounded draws, `w` holds the same words raw, and `has` and `half`
+    mirror the generator's half-word buffer (`has_uint32`, `uinteger`);
+    without, a block is drawn by `random()` itself, which is cheaper than
+    converting raw words.
+
+    `later` is how many words the draws after the one in hand are sure to
+    consume.  A top-up draws what the draw in hand still needs plus
+    `later`, capped at `_BLOCK`, so the generator never runs ahead of the
+    calls replayed; the caller keeps `later` current.  `close` writes the
+    half-word buffer back.
+    """
+
+    def __init__(self, rng: np.random.Generator, later: int = 0, halves: bool = False):
+        self._rng = rng
+        self.later = later
+        self.u: list[float] = []
+        self.pos = 0
+        self.w = None
+        if halves:
+            state = rng.bit_generator.state
+            self.has, self.half = bool(state["has_uint32"]), state["uinteger"]
+            self.w = np.empty(0, dtype=np.uint64)
+
+    def top_up(self, need: int):
+        """Drop the words read, then draw `need + later` more, at most `_BLOCK`."""
+        m = min(need + self.later, _BLOCK)
+        if self.w is None:
+            block = self._rng.random(m)
+        else:
+            raw = self._rng.bit_generator.random_raw(m)
+            self.w = np.concatenate((self.w[self.pos :], raw))
+            block = (raw >> 11) * 2.0**-53
+        self.u = self.u[self.pos :] + block.tolist()
+        self.pos = 0
+
+    def bounded(self, r: int) -> int:
+        """`integers(0, r, endpoint=True, dtype=np.uint32)` for `r < 2**32 - 1`."""
+        if r == 0:
+            return 0
+        threshold = (_M32 - r) % (r + 1)
+        while True:
+            if self.has:
+                self.has = False
+                x = self.half
+            else:
+                if self.pos == len(self.u):
+                    self.top_up(1)
+                word = int(self.w[self.pos])
+                self.pos += 1
+                x, self.half, self.has = word & _M32, word >> 32, True
+            m = x * (r + 1)
+            if m & _M32 >= threshold:
+                return m >> 32
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """`sorted(choice(n, k, replace=False))`, by Floyd's algorithm and
+        the shuffle after it; `n` above `_FLOYD_MAX` is refused."""
+        if n > _FLOYD_MAX:
+            raise InvariantError(f"a population of {n} is past Floyd's range ({_FLOYD_MAX})")
+        chosen: set[int] = set()
+        for j in range(n - k, n):
+            val = self.bounded(j)
+            chosen.add(j if val in chosen else val)
+        for i in range(k - 1, 0, -1):
+            self.bounded(i)
+        return sorted(chosen)
+
+    def masks(self, tables, count: int) -> list[int]:
+        """The masks of `count` flip patterns from the core's `tables`."""
+        masks: list[int] = []
+        while True:
+            self.pos, short = _walk(self.u, self.pos, count - len(masks), tables, masks)
+            if not short:
+                return masks
+            # The pattern in hand needs `short` more; each one after it, 2.
+            self.top_up(short + 2 * (count - len(masks) - 1))
+
+    def close(self):
+        """Leave the half-word buffer in the generator as the draws left it."""
+        bg = self._rng.bit_generator
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = int(self.has), self.half
+        bg.state = state
+
+
 def draw_flip_masks(
     profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
 ) -> list[int]:
     """The masks of `n` consecutive `draw_flip_pattern` calls, as one block.
 
     `rng` ends in the state those calls leave it in: the block draws at
-    most `_BLOCK` uniforms at a time, and never more than the patterns
-    still to walk are sure to consume.
+    most `_BLOCK` words at a time, and never more than the patterns still
+    to walk are sure to consume.
+    """
+    return _Words(rng).masks(profile._flip_tables[profile.check_core(core)], n)
+
+
+def draw_fault_sets(
+    profile: ProcessorProfile, core: int, n: int, ks: list[int], rng: np.random.Generator
+) -> list[list[tuple[int, int]]]:
+    """Per `k` in `ks`, which `k` of `n` events fault and their flip masks.
+
+    Each entry is `(event, mask)` pairs in event order: the events of
+    `sorted(rng.choice(n, k, replace=False))`, then one
+    `draw_flip_pattern` per event in that order, exactly as those calls
+    would consume `rng`.  `n` is at most `_FLOYD_MAX`.
     """
     tables = profile._flip_tables[profile.check_core(core)]
-    masks: list[int] = []
-    u, pos = [], 0
-    owed = 2 * n  # a bucket and at least one bit per pattern
-    while owed:
-        u = u[pos:] + rng.random(min(owed, _BLOCK)).tolist()
-        pos, short = _walk(u, 0, n - len(masks), tables, masks)
-        # The pattern in hand needs `short` more; each one after it, 2.
-        owed = short + 2 * (n - len(masks) - 1) if short else 0
-    return masks
+    words = _Words(rng, later=2 * sum(ks), halves=True)  # a bucket and a bit per pattern
+    out = []
+    for k in ks:
+        events = words.choice(n, k)
+        words.later -= 2 * k
+        out.append(list(zip(events, words.masks(tables, k))))
+    words.close()
+    return out
 
 
 def draw_flip_pattern(

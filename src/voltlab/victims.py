@@ -42,6 +42,7 @@ from .processor import (
     PlatformState,
     ProcessorProfile,
     draw_crash_kind,
+    draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,
     effective_window_top_mv,
@@ -627,8 +628,13 @@ def _hmac_single_run(
     the faulted events are drawn without replacement and each gets a flip
     pattern from the core's tables.  Success means the recomputed MAC no
     longer validates.  Draw order: the per-try binomial block, the crash
-    geometric, then detail draws in try order.  Every draw comes first;
-    the faulted MACs are then recomputed together as numpy lanes
+    geometric, then, per completed faulted try in try order,
+    `rng.choice(E, k, replace=False)` and one `draw_flip_pattern` per
+    chosen event in event order.  Those detail draws come from one
+    `draw_fault_sets` call, which replays them from blocks of raw words
+    and leaves `rng` where the calls would (held equal to them by
+    `tests/helpers.reference_hmac_detail`).  Every draw comes first; the
+    faulted MACs are then recomputed together as numpy lanes
     (`HmacContext.macs_with_faults`, held equal to the scalar reference
     `mac_with_faults` by tests).  No MAC feeds back into a draw, so this
     leaves the seeded stream as it is.
@@ -636,19 +642,11 @@ def _hmac_single_run(
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
     completed = _tries_before_crash(rng, c_try, tries)
-
-    fault_sets = []
-    for i in range(completed):
-        k = int(ks[i])
-        if k == 0:
-            continue
-        chosen = rng.choice(total, size=k, replace=False)
-        faults = {}
-        for g in sorted(int(x) for x in chosen):
-            block, event = ctx.locate_event(g)
-            pattern = draw_flip_pattern(profile, core, event, rng)
-            faults[(block, event)] = pattern.mask
-        fault_sets.append(faults)
+    ks = ks[:completed]
+    fault_sets = [
+        {ctx.locate_event(g): mask for g, mask in pairs}
+        for pairs in draw_fault_sets(profile, core, total, ks[ks > 0].tolist(), rng)
+    ]
     successes = sum(mac != ctx.clean_mac for mac in ctx.macs_with_faults(fault_sets))
     return successes, completed, completed < tries
 

@@ -76,6 +76,29 @@ def reference_flip_pattern(profile, core, word_index, rng):
     return BitFlipPattern(word_index, frozenset(int(b) for b in bits))
 
 
+def reference_hmac_detail(ctx, profile, core, ks, rng):
+    """The detail draws `victims._hmac_single_run` replays, as calls.
+
+    For each completed try's fault count in `ks`, in try order: one
+    `Generator.choice` of the faulted events, then one flip pattern per
+    event in sorted order, from `reference_flip_pattern` so that no
+    replayed draw sits on this side.  Returns the fault dicts the
+    production run hands to `HmacContext.macs_with_faults`.
+    """
+    fault_sets = []
+    for k in ks:
+        k = int(k)
+        if k == 0:
+            continue
+        chosen = rng.choice(ctx.total_events, size=k, replace=False)
+        faults = {}
+        for g in sorted(int(x) for x in chosen):
+            block, event = ctx.locate_event(g)
+            faults[(block, event)] = reference_flip_pattern(profile, core, event, rng).mask
+        fault_sets.append(faults)
+    return fault_sets
+
+
 def reference_memory_diff(before, after):
     """`victims.memory_diff` as a loop over every 128-bit word."""
     if len(before) != len(after):

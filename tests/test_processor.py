@@ -37,8 +37,18 @@ from voltlab.processor import (
     sample_crash,
     sample_fault,
 )
+from voltlab.sha256sim import HmacContext
+from voltlab.victims import HMAC_KEY, PAYLOAD_SIZES, _payload_bytes
 
-pytestmark = pytest.mark.filterwarnings("error")
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    # Hypothesis's report hook touches `mypy_extensions.TypedDict`; as an
+    # error inside the hook, that warning aborts the session when a
+    # property test fails, instead of reporting the failure.
+    pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -525,14 +535,20 @@ def test_binomial_replay_matches_numpy():
     assert processor._binomial([np.nextafter(1.0, 0.0)], 0) == (4, 1)
 
 
-def _next_uniforms(seed, uniforms):
-    """A Philox stream whose next four uniforms are `uniforms` (multiples of 2**-53)."""
+def _next_words(seed, words, has_uint32=0, uinteger=0):
+    """A Philox stream whose next four words are `words`, with the given half-word buffer."""
     gen = vrng.stream(seed, "ties")
     state = gen.bit_generator.state
-    state["buffer"] = np.array([int(u * 2**53) << 11 for u in uniforms], dtype=np.uint64)
+    state["buffer"] = np.array(words, dtype=np.uint64)
     state["buffer_pos"] = 0
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
     gen.bit_generator.state = state
     return gen
+
+
+def _next_uniforms(seed, uniforms):
+    """A Philox stream whose next four uniforms are `uniforms` (multiples of 2**-53)."""
+    return _next_words(seed, [int(u * 2**53) << 11 for u in uniforms])
 
 
 def test_flip_draws_break_cdf_ties_like_choice():
@@ -567,6 +583,60 @@ def test_flip_draws_break_cdf_ties_like_choice():
             assert draw_flip_pattern(profile, 1, 2, ours) == reference_flip_pattern(
                 profile, 1, 2, theirs
             )
+
+
+def _threshold_words(r):
+    """Words whose half-words sit on both sides of Lemire's threshold `t`
+    for range `r` (`r + 1` odd): the low half leaves `t - 1` in the low
+    bits of the product and is rejected, the high half leaves `t` and is
+    kept.  A zero half-word leaves 0 and is rejected too."""
+    t = (2**32 - 1 - r) % (r + 1)
+    assert t > 0
+    inv = pow(r + 1, -1, 2**32)
+    edge = (t - 1) * inv % 2**32 | (t * inv % 2**32) << 32
+    return [edge, 0, edge, 0]
+
+
+@pytest.mark.parametrize("r", [6, 54, 278, 9_998, 3 * 2**30 - 2])
+@pytest.mark.parametrize("has_uint32", [0, 1])
+def test_bounded_replays_lemire_through_rejections(r, has_uint32):
+    ours = _next_words(20, _threshold_words(r), has_uint32, 0)
+    theirs = _next_words(20, _threshold_words(r), has_uint32, 0)
+    words = processor._Words(ours, halves=True)
+    got = [words.bounded(r) for _ in range(12)]
+    words.close()
+    assert got == [int(theirs.integers(0, r, endpoint=True, dtype=np.uint32)) for _ in range(12)]
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 56, 280, 10_000])
+def test_choice_replays_floyd_and_the_shuffle(n):
+    # k == n starts Floyd's walk at j = 0, a bound that draws nothing.
+    ours, theirs = vrng.stream(n, "floyd"), vrng.stream(n, "floyd")
+    sizes = sorted({0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 300) + 1)))
+    words = processor._Words(ours, halves=True)
+    for k in sizes * 3:  # later passes start on other half-word buffer states
+        assert words.choice(n, k) == sorted(theirs.choice(n, k, replace=False).tolist())
+    words.close()
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+def test_choice_refuses_populations_past_floyd(kaby):
+    gen = vrng.stream(0, "floyd")
+    with pytest.raises(InvariantError):
+        processor._Words(gen, halves=True).choice(10_001, 1)
+    with pytest.raises(InvariantError):
+        processor.draw_fault_sets(kaby, 1, 10_001, [1], gen)
+
+
+def test_hmac_populations_are_floyd_sized():
+    # `_hmac_single_run` replays `choice` over these totals.
+    totals = {
+        payload: HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
+        for payload in PAYLOAD_SIZES
+    }
+    assert totals == {"hmac32": 56, "hmac1k": 280}
+    assert max(totals.values()) <= processor._FLOYD_MAX
 
 
 @pytest.mark.parametrize("ratio", [8, 16, 27, 32, 36, 42])

@@ -1,12 +1,14 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import (
     AbortedByCrash,
@@ -24,15 +26,22 @@ from voltlab.processor import (
     CrashKind,
     PlatformState,
     load_profile,
+    mean_event_fault_probability,
 )
 from voltlab.isa import parse_program
+from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
+    HMAC_KEY,
     STRESSORS,
     CampaignResult,
     RunOutcome,
     RunStatus,
     _DiversionOracle,
     _geometry,
+    _hmac_single_run,
+    _payload_bytes,
+    _tries_before_crash,
+    hmac_scenario,
     POC_MEMORY,
     POC_SCALARS,
     memory_diff,
@@ -43,7 +52,11 @@ from voltlab.victims import (
     stressor_profile,
 )
 
-from helpers import reference_memory_diff, run_campaigns_out_of_order
+from helpers import (
+    reference_hmac_detail,
+    reference_memory_diff,
+    run_campaigns_out_of_order,
+)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +345,72 @@ def test_hmac_crash_aborts_with_partial_result(kaby):
     assert isinstance(partial, CampaignResult)
     assert partial.crashes == 1
     assert partial.tries < 25_000
+
+
+_HMAC_CONTEXTS = {
+    payload: HmacContext(HMAC_KEY, _payload_bytes(payload)) for payload in ("hmac32", "hmac1k")
+}
+
+
+def _campaign_p_event(profile, payload, core):
+    env = pinned_state(profile, core, -250, stressor="shift_loop")
+    return mean_event_fault_probability(
+        profile, core, env.pstate, hmac_scenario(payload), env.stressor_fault_multiplier,
+        env.nominal_voltage_mv(), float(env.core_temp_c[core]),
+    )
+
+
+def _hmac_run_matches_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
+    """One `_hmac_single_run` against `reference_hmac_detail`: equal fault
+    sets and an equal final generator state.  `half` enters with a
+    buffered half-word; a positive `c_try` cuts the run short."""
+    ctx = _HMAC_CONTEXTS[payload]
+    ours, theirs = vrng.stream(seed, "hmac-detail"), vrng.stream(seed, "hmac-detail")
+    if half:
+        for gen in (ours, theirs):
+            gen.integers(0, 9, dtype=np.uint32)
+        assert ours.bit_generator.state["has_uint32"] == 1
+    with mock.patch.object(ctx, "macs_with_faults", return_value=[]) as macs:
+        _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
+    total = ctx.total_events
+    ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
+    completed = _tries_before_crash(theirs, c_try, tries)
+    expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
+    assert macs.call_args.args[0] == expected
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    return expected
+
+
+@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
+def test_hmac_detail_draws_replay_choice(kaby, payload):
+    faulted = 0
+    for core in range(kaby.physical_cores):
+        campaign = _campaign_p_event(kaby, payload, core)
+        for seed in range(3):
+            for p_event, tries in ((campaign, 400), (0.05, 40)):
+                for half in (False, True):
+                    faulted += len(
+                        _hmac_run_matches_oracle(kaby, payload, core, p_event, seed, tries, half)
+                    )
+    assert faulted > 0
+    # A crash cuts the run after 190 of 200 tries: only those draw their detail.
+    _hmac_run_matches_oracle(kaby, payload, 1, 0.05, 4, 200, c_try=0.02)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["hmac32", "hmac1k"]),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+)
+def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, seed, block):
+    # A block of a few words makes tries straddle top-ups mid-choice and mid-pattern.
+    p_event = 0.05 if dense else _campaign_p_event(kaby, payload, core)
+    with mock.patch.object(processor, "_BLOCK", block):
+        _hmac_run_matches_oracle(kaby, payload, core, p_event, seed, 30, half)
 
 
 def test_payload_names():
