@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
-from .isa import bundled_program, parse_program
+from .isa import parse_program
 from .msr import (
     IA32_MISC_ENABLE,
     IA32_THERM_INTERRUPT,
@@ -43,20 +43,17 @@ from .processor import (
     draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
-from .scanner import estimate_window, scan
 from .victims import (
     GUARD_SLICES,
-    POC_MEMORY,
-    POC_SCALARS,
     CampaignResult,
     RunStatus,
     _any_of,
     _campaign_runs,
-    _geometry,
-    _resolve_program,
     _tries_before_crash,
     loop_rates,
+    loop_victim,
     payload_name,
+    poc_victim,
     run_hmac_victim,
     run_poc_enclave,
     run_test_loop,
@@ -320,9 +317,11 @@ def phase1_find_window(
     level; a level that keeps crashing before any fault was seen means
     there is no usable window above the instability boundary.
 
-    The loop runs only at levels where it can draw.  A level whose fault
-    and crash chances are both zero is exactly one where `run_test_loop`
-    would return Match without touching its stream, so it is stepped over.
+    Both programs are prepared once per call, and each level's rates are
+    computed once and handed to `run_test_loop`, which runs only at levels
+    where it can draw.  A level whose fault and crash chances are both zero
+    is exactly one where `run_test_loop` would return Match without
+    touching its stream, so it is stepped over.
     Each stage first jumps to the highest level whose noise band reaches
     below its edge (the window top in stage one, the instability boundary
     in stage two); the jump is conservative, so it can only land on or
@@ -337,11 +336,10 @@ def phase1_find_window(
     if start_offset_mv % STEP_MV:
         raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
-    # Resolved before any level, so a bad victim raises even if every
+    # Prepared before any level, so a bad victim raises even if every
     # level is then stepped over.
-    victim = _resolve_program(victim_program)
-    victim_events = len(_geometry(victim, None, None, None, 100_000).store_slices)
-    stability_events = len(_geometry(_STABILITY_PROGRAM, None, None, None, 100_000).store_slices)
+    victim = loop_victim(victim_program)
+    stability = loop_victim(_STABILITY_PROGRAM)
 
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
@@ -356,12 +354,12 @@ def phase1_find_window(
         offset = _landing_offset(start_offset_mv, top, base, profile.noise_mv)
         retries = 0
         while offset >= OFFSET_FLOOR_MV:
-            if loop_rates(profile, core, pstate, base + offset, temp, victim_events).quiet:
+            rates = loop_rates(profile, core, pstate, base + offset, temp, victim.geometry.events)
+            if rates.quiet:
                 offset -= STEP_MV
                 continue
-            env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_test_loop(victim, env, ITERS_PER_LEVEL, gen)
+            out = run_test_loop(victim, rates, profile, core, pstate, ITERS_PER_LEVEL, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break
@@ -380,12 +378,14 @@ def phase1_find_window(
         offset = _landing_offset(offset, floor, base, profile.noise_mv)
         found = None
         while offset >= OFFSET_FLOOR_MV:
-            if loop_rates(profile, core, pstate, base + offset, temp, stability_events).quiet:
+            rates = loop_rates(
+                profile, core, pstate, base + offset, temp, stability.geometry.events
+            )
+            if rates.quiet:
                 offset -= STEP_MV
                 continue
-            env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
-            out = run_test_loop(_STABILITY_PROGRAM, env, STABILITY_ITERS, gen)
+            out = run_test_loop(stability, rates, profile, core, pstate, STABILITY_ITERS, gen)
             if out.status is RunStatus.CRASH:
                 crashes += 1
                 found = offset + STEP_MV
@@ -428,8 +428,7 @@ def phase2_probe_cores(
     the partial per-core stats if a probe kills the platform.
     """
     profile = state.profile
-    geom = _geometry(bundled_program("vp1_xor_kernel"), None, None, None, 100_000)
-    events = len(geom.store_slices)
+    victim = loop_victim("vp1_xor_kernel")
 
     stats: list[FaultStats] = []
     for core in range(profile.physical_cores):
@@ -444,10 +443,10 @@ def phase2_probe_cores(
         gen = rngmod.stream(state.seed, "phase2", plan.pstate, core)
         temp = float(env.core_temp_c[core])
         rates = loop_rates(
-            profile, core, env.pstate, env.nominal_voltage_mv(), temp, events,
+            profile, core, env.pstate, env.nominal_voltage_mv(), temp, victim.geometry.events,
             env.stressor_fault_multiplier,
         )
-        c_try = _any_of(rates.g_slice, geom.slices_per_iteration)
+        c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
 
         completed = _tries_before_crash(gen, c_try, tries_per_core)
         faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
@@ -494,6 +493,7 @@ def phase3_attack(
     `GUARD_SLICES` before and after, so the crash exposure per try is the
     window duration plus twice the guard.  Results aggregate across runs
     with independent keyed RNG streams; order of execution cannot matter.
+    The poc victim is prepared once, so its runs share one oracle.
     """
     profile = state.profile
     target_core = profile.check_core(target_core)
@@ -503,20 +503,15 @@ def phase3_attack(
     )
 
     if victim == "poc":
-        program = bundled_program("poc_and_branch")
-        hits = scan(program)
-        if len(hits) != 1:
-            raise InvariantError("the guarded-branch victim carries one pattern hit")
-        est = estimate_window(
-            program, hits[0], 1, memory=POC_MEMORY, scalar=POC_SCALARS
-        )
-        exposure = est.duration_slices + 2 * GUARD_SLICES
+        poc = poc_victim()
+        # The window is one slice per execution of the guarded store.
+        exposure = poc.geometry.events + 2 * GUARD_SLICES
 
         def one(run_index: int) -> tuple[int, int, bool]:
             gen = rngmod.stream(state.seed, "phase3", "poc", target_core, run_index)
             try:
                 got = run_poc_enclave(
-                    env, target_core, tries_per_run, gen, exposure_slices=exposure
+                    poc, env, target_core, tries_per_run, gen, exposure_slices=exposure
                 )
                 return got, tries_per_run, False
             except AbortedByCrash as abort:

@@ -278,11 +278,11 @@ class ProcessorProfile:
     # -- lookups ---------------------------------------------------------
 
     def pstate_point(self, pstate: str | int) -> PStatePoint:
-        key = normalize_pstate(pstate)
-        try:
-            return self.pstates[key]
-        except KeyError:
-            raise UnknownCoreOrPState(f"{self.name} does not define pstate {key}") from None
+        # Keys are canonical, so only a miss is normalised.
+        point = self.pstates.get(pstate) or self.pstates.get(key := normalize_pstate(pstate))
+        if point is None:
+            raise UnknownCoreOrPState(f"{self.name} does not define pstate {key}")
+        return point
 
     def check_core(self, core: int) -> int:
         if not 0 <= core < self.physical_cores:

@@ -18,6 +18,7 @@ each runner.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .errors import (
     InvariantError,
     UnknownStressor,
 )
-from .isa import MiniProgram, bundled_program, interpret
+from .isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
 from .mca import MachineCheck, SurfacedFault, draw_surfaced_fault
 from .processor import (
     BitFlipPattern,
@@ -55,12 +56,16 @@ from .sha256sim import EVENTS_PER_BLOCK, HmacContext
 __all__ = [
     "CampaignResult",
     "LoopRates",
+    "LoopVictim",
+    "PocVictim",
     "RunOutcome",
     "RunStatus",
     "STRESSORS",
     "StressorSpec",
     "loop_rates",
+    "loop_victim",
     "memory_diff",
+    "poc_victim",
     "run_hmac_victim",
     "run_poc_enclave",
     "run_test_loop",
@@ -190,38 +195,40 @@ def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """One fault-free execution plus where its eligible stores sit."""
+    """One fault-free execution plus which eligible stores it runs."""
 
     reference: object  # ExecutionResult
-    store_slices: tuple[int, ...]  # slice offset of each eligible store execution
-    store_insns: tuple[int, ...]  # instruction index behind each of those
+    store_insns: frozenset[int]  # eligible stores the reference executes
+    events: int  # eligible store executions in the reference
     slices_per_iteration: int
 
 
-def _resolve_program(program) -> MiniProgram:
-    if isinstance(program, MiniProgram):
-        return program
-    return bundled_program(program)
-
-
-def _geometry(program: MiniProgram, memory, xmm, scalar, max_slices) -> _Geometry:
-    eligible = {hit.store_index for hit in scan(program)}
+def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> _Geometry:
+    eligible = {hit.store_index for hit in hits}
     trace: list[int] = []
-    reference = interpret(
-        program, memory, xmm=xmm, scalar=scalar, max_slices=max_slices, trace=trace
-    )
+    reference = interpret(program, memory, scalar=scalar, trace=trace)
     if not reference.halted:
         raise InterpreterError(
-            f"{program.source_name}: does not halt within {max_slices} slices; "
+            f"{program.source_name}: does not halt within {DEFAULT_MAX_SLICES} slices; "
             "a comparison loop needs a finishing victim"
         )
-    store_slices = []
-    store_insns = []
-    for slice_index, insn_index in enumerate(trace):
-        if insn_index in eligible:
-            store_slices.append(slice_index)
-            store_insns.append(insn_index)
-    return _Geometry(reference, tuple(store_slices), tuple(store_insns), reference.slices)
+    executed = [insn for insn in trace if insn in eligible]
+    return _Geometry(reference, frozenset(executed), len(executed), reference.slices)
+
+
+class LoopVictim(NamedTuple):
+    """A comparison-loop program and its geometry, from `loop_victim`."""
+
+    program: MiniProgram
+    geometry: _Geometry
+
+
+def loop_victim(program) -> LoopVictim:
+    """Scan `program` (a MiniProgram or a bundled name) and run it once
+    fault-free; raises InterpreterError if it does not halt."""
+    if not isinstance(program, MiniProgram):
+        program = bundled_program(program)
+    return LoopVictim(program, _geometry(program, scan(program)))
 
 
 def _any_of(p: float, n: float) -> float:
@@ -251,34 +258,18 @@ def _tries_before_crash(rng: np.random.Generator, c_try: float, tries: int) -> i
     return min(int(rng.geometric(c_try)) - 1, tries)
 
 
-def _run_with_flips(program, memory, xmm, scalar, max_slices, geometry, flips):
-    """Re-execute, XORing the given masks into eligible store executions.
-
-    `flips` maps eligible-execution ordinal -> (mask, word_index_out list).
-    """
-    eligible = set(geometry.store_insns)
-    counter = 0
-    patterns: dict[int, BitFlipPattern] = {}
+def _run_with_flips(program, geometry, flips, memory=None, scalar=None):
+    """Re-execute, XORing `flips[ordinal]` into the eligible store
+    execution with that ordinal."""
+    eligible = geometry.store_insns
+    ordinals = itertools.count()
 
     def hook(store):
-        nonlocal counter
-        if store.insn_index not in eligible:
-            return None
-        ordinal = counter
-        counter += 1
-        if ordinal not in flips:
-            return None
-        mask = flips[ordinal]
-        patterns[ordinal] = BitFlipPattern(
-            store.address // 16,
-            frozenset(i for i in range(128) if mask >> i & 1),
-        )
-        return store.value ^ mask
+        if store.insn_index in eligible:
+            return store.value ^ flips.get(next(ordinals), 0)
+        return None
 
-    result = interpret(
-        program, memory, xmm=xmm, scalar=scalar, max_slices=max_slices, store_hook=hook
-    )
-    return result, patterns
+    return interpret(program, memory, scalar=scalar, store_hook=hook)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +324,17 @@ def loop_rates(
 
 
 def run_test_loop(
-    program,
-    env: PlatformState,
-    max_iters: int,
-    rng: np.random.Generator,
-    *,
-    machine_check: MachineCheck | None = None,
+    victim: LoopVictim, rates: LoopRates, profile: ProcessorProfile, core: int,
+    pstate: str, max_iters: int, rng: np.random.Generator,
 ) -> RunOutcome:
-    """Reference once at nominal voltage, then iterate under `env` on the
-    victim's physical core (core 0 when no victim is pinned).
+    """Iterate the prepared `victim` on physical `core` at one level whose
+    chances the caller computed with `loop_rates`; nothing is rebuilt here,
+    and `pstate` is read only for the crash kind.
 
-    Returns on the first iteration whose output differs from the reference
-    (Mismatch with the bit-level diff), on a platform crash, or on a
-    surfaced processor exception; Match after `max_iters` clean laps.  All
+    Returns on the first iteration whose output differs from the victim's
+    fault-free reference (Mismatch with the bit-level diff), on a platform
+    crash, or on a surfaced processor exception; Match after `max_iters`
+    clean laps, or at once, without a draw, when `rates` is quiet.  All
     failure modes are RunOutcome values, never exceptions.
 
     Draw order per run: first-fault iteration, first-crash slice, first-
@@ -353,21 +342,11 @@ def run_test_loop(
     and flip patterns, crash kind, or exception kind).  First-occurrence
     times use the noise-averaged marginals, which is distribution-exact.
     """
-    program = _resolve_program(program)
-    profile = env.profile
-    core = env.victim_physical
-    if core is None:
-        core = 0
-    geom = _geometry(program, None, None, None, 100_000)
-    spi = geom.slices_per_iteration
-    events = len(geom.store_slices)
-    temp = float(env.core_temp_c[core])
-    rates = loop_rates(
-        profile, core, env.pstate, env.nominal_voltage_mv(), temp, events,
-        env.stressor_fault_multiplier, machine_check,
-    )
     if rates.quiet:
         return RunOutcome.match(max_iters)
+    geom = victim.geometry
+    spi = geom.slices_per_iteration
+    events = geom.events
     p_event, q_iter, g_slice, e_slice = rates
 
     crash_slice = int(rng.geometric(g_slice)) - 1 if g_slice > 0.0 else None
@@ -400,7 +379,7 @@ def run_test_loop(
         it, _, _, what = min(candidates)
 
         if what == "crash":
-            kind = draw_crash_kind(profile.pstate_point(env.pstate).ratio, rng)
+            kind = draw_crash_kind(profile.pstate_point(pstate).ratio, rng)
             return RunOutcome.crashed(kind, it)
         if what == "exception":
             return RunOutcome.excepted(draw_surfaced_fault(rng), it)
@@ -418,7 +397,7 @@ def run_test_loop(
             # indexes computed from memory.
             pattern = draw_flip_pattern(profile, core, ordinal, rng)
             flips[ordinal] = pattern.mask
-        faulted, _ = _run_with_flips(program, None, None, None, 100_000, geom, flips)
+        faulted = _run_with_flips(victim.program, geom, flips)
         diff = memory_diff(geom.reference.memory, faulted.memory)
         if diff:
             return RunOutcome.mismatch(diff, it + 1)
@@ -451,23 +430,47 @@ POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
 
 class _DiversionOracle:
     """Check that a mask XORed into the guarded store really does divert
-    control flow, by one real execution."""
+    control flow, by one real execution per distinct mask.  A verdict is a
+    function of the mask alone, so it is kept for the oracle's lifetime."""
 
-    def __init__(self, program: MiniProgram, geometry: _Geometry, memory, scalar):
+    def __init__(self, program: MiniProgram, geometry: _Geometry):
         self.program = program
         self.geometry = geometry
-        self.memory = memory
-        self.scalar = scalar
-        self.reference_halt = geometry.reference.halt_index
+        self.verdicts: dict[int, bool] = {}
 
     def diverts(self, mask: int) -> bool:
-        result, _ = _run_with_flips(
-            self.program, self.memory, None, self.scalar, 100_000, self.geometry, {0: mask}
+        if mask not in self.verdicts:
+            run = _run_with_flips(self.program, self.geometry, {0: mask}, POC_MEMORY, POC_SCALARS)
+            self.verdicts[mask] = run.halt_index != self.geometry.reference.halt_index
+        return self.verdicts[mask]
+
+
+class PocVictim(NamedTuple):
+    """The guarded-branch victim, prepared once per campaign by
+    `poc_victim`; all of the campaign's runs share its oracle's verdicts."""
+
+    program: MiniProgram
+    geometry: _Geometry
+    oracle: _DiversionOracle
+
+
+def poc_victim() -> PocVictim:
+    """Scan `poc_and_branch` and run it once fault-free; raises
+    InvariantError unless it has one pattern hit, executed once."""
+    program = bundled_program("poc_and_branch")
+    hits = scan(program)
+    if len(hits) != 1:
+        raise InvariantError("the guarded-branch victim carries one pattern hit")
+    geom = _geometry(program, hits, POC_MEMORY, POC_SCALARS)
+    if geom.events != 1:
+        raise InvariantError(
+            f"{program.source_name}: expected exactly one guarded store, found {geom.events}"
         )
-        return result.halt_index != self.reference_halt
+    return PocVictim(program, geom, _DiversionOracle(program, geom))
 
 
 def run_poc_enclave(
+    victim: PocVictim,
     env: PlatformState,
     target_core: int,
     tries: int,
@@ -475,12 +478,13 @@ def run_poc_enclave(
     *,
     exposure_slices: int | None = None,
 ) -> int:
-    """Run the guarded-branch victim (`poc_and_branch`) `tries` times;
-    count diversions.
+    """Run the prepared guarded-branch victim `tries` times; count
+    diversions.
 
     A try succeeds when a flip lands in the checked store and the follow-up
     comparison takes the recovery path.  Each distinct flip mask is proved
-    to divert by actually executing the program once with that mask.
+    to divert by executing the program once with that mask; the victim's
+    oracle keeps the verdict for the campaign's later runs.
 
     `exposure_slices` is how many slices per try spend undervolted; it
     defaults to the whole program, and campaigns that gate the undervolt
@@ -496,15 +500,8 @@ def run_poc_enclave(
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
-    program = bundled_program("poc_and_branch")
     core = _pin_check(env, target_core)
     profile = env.profile
-    geom = _geometry(program, POC_MEMORY, None, POC_SCALARS, 100_000)
-    if len(geom.store_slices) != 1:
-        raise InvariantError(
-            f"{program.source_name}: expected exactly one guarded store, "
-            f"found {len(geom.store_slices)}"
-        )
     temp = float(env.core_temp_c[core])
     v_nom = env.nominal_voltage_mv()
     q = mean_event_fault_probability(
@@ -512,14 +509,13 @@ def run_poc_enclave(
     )
     g = mean_crash_probability(profile, core, env.pstate, v_nom, temp)
     if exposure_slices is None:
-        exposure_slices = geom.slices_per_iteration
+        exposure_slices = victim.geometry.slices_per_iteration
     c_try = _any_of(g, exposure_slices)
 
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
     completed = _tries_before_crash(rng, c_try, tries)
     masks = draw_flip_masks(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
-    oracle = _DiversionOracle(program, geom, POC_MEMORY, POC_SCALARS)
-    successes = sum(n for mask, n in Counter(masks).items() if oracle.diverts(mask))
+    successes = sum(n for mask, n in Counter(masks).items() if victim.oracle.diverts(mask))
     if completed < tries:
         raise AbortedByCrash(
             f"platform crashed on try {completed + 1} of {tries}",

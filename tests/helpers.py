@@ -17,7 +17,7 @@ from voltlab.orchestrator import (
     _pinned_state,
 )
 from voltlab.processor import BitFlipPattern, core_temp_targets, normalize_pstate
-from voltlab.victims import RunStatus, run_test_loop
+from voltlab.victims import LoopVictim, RunStatus, loop_rates, loop_victim, run_test_loop
 
 VREGS = [f"%xmm{i}" for i in range(16)]
 
@@ -114,6 +114,21 @@ def reference_memory_diff(before, after):
     return tuple(out)
 
 
+def run_loop_under(env, victim, max_iters, rng, machine_check=None):
+    """`run_test_loop` for `victim` (prepared, a MiniProgram or a bundled
+    name) on the pinned physical core of the `PlatformState` `env` (core 0
+    when no victim is pinned), with the rates `loop_rates` gives for it."""
+    if not isinstance(victim, LoopVictim):
+        victim = loop_victim(victim)
+    core = env.victim_physical or 0
+    rates = loop_rates(
+        env.profile, core, env.pstate, env.nominal_voltage_mv(),
+        float(env.core_temp_c[core]), victim.geometry.events,
+        env.stressor_fault_multiplier, machine_check,
+    )
+    return run_test_loop(victim, rates, env.profile, core, env.pstate, max_iters, rng)
+
+
 def reference_phase1(
     profile,
     victim_program="vp1_xor_kernel",
@@ -129,7 +144,9 @@ def reference_phase1(
 
     The production search steps over the levels where the loop cannot
     draw; this one runs `run_test_loop` at each of them, so the two must
-    return the same plan or raise the same error.
+    return the same plan or raise the same error.  It also builds a
+    `PlatformState` at every level and derives the level's rates from it
+    (`run_loop_under`), instead of from phase 1's per-core temperature.
     """
     if pstate is None:
         pstate = profile.default_attack_pstate
@@ -137,6 +154,8 @@ def reference_phase1(
     if start_offset_mv % STEP_MV:
         raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
+    victim = loop_victim(victim_program)
+    stability = loop_victim(_STABILITY_PROGRAM)
 
     window_top_mv = [None] * profile.physical_cores
     chosen_offset = [0] * profile.physical_cores
@@ -148,7 +167,7 @@ def reference_phase1(
         while offset >= OFFSET_FLOOR_MV:
             env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_test_loop(victim_program, env, iters_per_level, gen)
+            out = run_loop_under(env, victim, iters_per_level, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break
@@ -167,7 +186,7 @@ def reference_phase1(
         while offset >= OFFSET_FLOOR_MV:
             env = _pinned_state(profile, pstate, core, "none", seed, offset)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
-            out = run_test_loop(_STABILITY_PROGRAM, env, stability_iters, gen)
+            out = run_loop_under(env, stability, stability_iters, gen)
             if out.status is RunStatus.CRASH:
                 crashes += 1
                 found = offset + STEP_MV

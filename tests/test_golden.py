@@ -9,6 +9,7 @@ the files and say so.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,7 +19,8 @@ import voltlab.cli as cli
 from voltlab import rng
 from voltlab.errors import AbortedByCrash
 from voltlab.orchestrator import VoltagePlan, phase2_probe_cores, phase3_attack, setup_system
-from voltlab.victims import run_hmac_victim, run_poc_enclave
+from voltlab.sha256sim import HmacContext
+from voltlab.victims import poc_victim, run_hmac_victim, run_poc_enclave
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +61,7 @@ def test_crash_aborts_match_golden_file():
     plan = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-260, -255, -255, -255))
     cells = {
         "run_poc_enclave": _aborted(
-            lambda: run_poc_enclave(edge, 1, 2000, rng.stream(5, "poc-edge"))
+            lambda: run_poc_enclave(poc_victim(), edge, 1, 2000, rng.stream(5, "poc-edge"))
         ),
         "run_hmac_victim": _aborted(lambda: run_hmac_victim(edge, 1, "hmac32", 200, runs=3)),
         "phase2_probe_cores": _aborted(
@@ -71,3 +73,28 @@ def test_crash_aborts_match_golden_file():
     }
     out = json.dumps(cells, indent=2, sort_keys=True) + "\n"
     assert out == (GOLDEN / "crash_aborts.json").read_text(encoding="utf-8")
+
+
+# SHA-256 of the fault sets of one seeded `hmac32` run (i7-7700k core 1,
+# listing2, pstate 0x1b, -250 mV, seed 7, 2000 tries): one list of sorted
+# [block, event, mask] triples per faulted try, in try order, as JSON.
+HMAC32_FAULT_SETS_SHA256 = "9110181c530a086e159fc3c66bec30f238703454d56a9ebbb66b34e1de3ac957"
+
+
+def test_hmac_fault_sets_match_golden_digest(monkeypatch):
+    # The HMAC golden files count faulty MACs, and any nonzero flip makes
+    # one; this pins which events each faulted try hit, and with what mask.
+    seen = []
+    real = HmacContext.macs_with_faults
+
+    def recording(self, fault_sets):
+        seen.extend(fault_sets)
+        return real(self, fault_sets)
+
+    monkeypatch.setattr(HmacContext, "macs_with_faults", recording)
+    state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=7)
+    env = dataclasses.replace(state, offset_mv={0: -250})
+    run_hmac_victim(env, 1, "hmac32", 2000, runs=1)
+    assert len(seen) > 300
+    blob = json.dumps([sorted([b, e, m] for (b, e), m in faults.items()) for faults in seen])
+    assert hashlib.sha256(blob.encode()).hexdigest() == HMAC32_FAULT_SETS_SHA256

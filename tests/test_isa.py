@@ -1,8 +1,10 @@
 """Parser and interpreter semantics for the mini vector ISA."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voltlab.errors import InterpreterError, ParseError
+from voltlab.errors import InterpreterError, ParseError, VoltlabError
 from voltlab.isa import (
     DEFAULT_MEMORY_BYTES,
     ExecutionResult,
@@ -303,3 +305,46 @@ def test_branch_victim_deviates_on_any_stored_flip():
             store_hook=lambda e, b=bit: e.value ^ (1 << b),
         )
         assert res.halt_index == recovery, f"bit {bit} did not divert"
+
+
+# -- input contract ----------------------------------------------------------
+
+_V = ("%xmm0", "%xmm1", "%xmm15", "%XMM3")
+_S = ("%rax", "%rsp", "%r10", "%rbp")
+_M = ("0x20", "-16", "0xfff8", "4080", "8(%rsp)", "-8(%rbp)", "0x10(%rax)")
+_L = ("loop", "end")
+_VAL = _S + _M + ("$0", "$-1", "$0x10")
+# Operand kinds per mnemonic, as the parser wants them.
+_SHAPES = {
+    "vmovdqu": ((_M, _V), (_V, _M)), "movntdq": ((_V, _M),), "vpxor": ((_V, _V, _V),),
+    "vpand": ((_V, _V, _V),), "vpaddq": ((_V, _V, _V),), "vpsllq": ((_V, _V, _V),),
+    "sfence": ((),), "push": ((_S,),), "pop": ((_S,),), "cmpjne": ((_VAL, _VAL, _L),),
+    "cmpjeq": ((_VAL, _VAL, _L),), "jmp": ((_L,),), "halt": ((),),
+}
+# Tokens that break one rule or another.
+_JUNK = ("%xmm16", "%rip", "$", "$1e3", "0x", "()", "(%xmm1)", "(%nope)", "%", "nop", "9bad:")
+
+
+@st.composite
+def _line(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(("loop:", "end:", "# note", "halt;", "")))
+    mnemonic = draw(st.sampled_from(sorted(_SHAPES)))
+    shape = draw(st.sampled_from(_SHAPES[mnemonic]))
+    operands = [draw(st.sampled_from(pool)) for pool in shape]
+    if draw(st.integers(0, 9)) == 0:
+        operands.insert(draw(st.integers(0, len(operands))), draw(st.sampled_from(_JUNK)))
+    return f"{mnemonic} {', '.join(operands)}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_line(), max_size=12))
+def test_random_token_programs_raise_only_voltlab_errors(lines):
+    # Whatever the text, parsing, scanning and running it either works or
+    # raises a VoltlabError; never a bare Python or numpy exception.
+    try:
+        program = parse_program("\n".join(lines), "fuzz")
+        scan(program)
+        interpret(program, max_slices=200)
+    except VoltlabError:
+        pass

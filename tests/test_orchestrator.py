@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 import voltlab.orchestrator as orchestrator
+import voltlab.victims as victims
 from voltlab.errors import (
     AbortedByCrash,
     InterpreterError,
@@ -235,6 +236,56 @@ def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch)
     assert quiet and max(quiet.values()) <= 1, quiet
 
 
+def _count_geometry_builds(monkeypatch) -> Counter:
+    built = Counter()
+    geometry = victims._geometry
+
+    def counting(program, *rest):
+        built[program.source_name] += 1
+        return geometry(program, *rest)
+
+    monkeypatch.setattr(victims, "_geometry", counting)
+    return built
+
+
+def test_phase1_prepares_each_program_once_and_rates_each_level_once(monkeypatch):
+    built = _count_geometry_builds(monkeypatch)
+    levels, returned, handed = [], [], []
+    crash_marginals = Counter()
+    loop_rates, run_test_loop = orchestrator.loop_rates, orchestrator.run_test_loop
+    mean_crash_probability = victims.mean_crash_probability
+
+    def rating(profile, core, pstate, v_nom, temp, events, *rest):
+        levels.append((core, events, v_nom))
+        returned.append(loop_rates(profile, core, pstate, v_nom, temp, events, *rest))
+        return returned[-1]
+
+    def running(victim, rates, *rest):
+        handed.append(rates)
+        return run_test_loop(victim, rates, *rest)
+
+    def crash_marginal(*args):
+        crash_marginals["calls"] += 1
+        return mean_crash_probability(*args)
+
+    monkeypatch.setattr(orchestrator, "loop_rates", rating)
+    monkeypatch.setattr(orchestrator, "run_test_loop", running)
+    monkeypatch.setattr(victims, "mean_crash_probability", crash_marginal)
+    for pstate in KABY.pstates:
+        built.clear()
+        levels.clear()
+        crash_marginals.clear()
+        plan = phase1_find_window(KABY, pstate=pstate, seed=7)
+        assert built == {"vp1_xor_kernel": 1, "stability_check": 1}, pstate
+        # A stage-one crash retries its level; nothing else rates a level twice.
+        stage2_crashes = sum(off > orchestrator.OFFSET_FLOOR_MV for off in plan.chosen_offset_mv)
+        retries = plan.crashes_during_search - stage2_crashes
+        assert len(levels) - len(set(levels)) == retries, pstate
+        assert crash_marginals["calls"] == len(levels), pstate
+    # Every level that runs is handed the rates its quiet check computed.
+    assert handed and all(any(h is r for r in returned) for h in handed)
+
+
 @pytest.mark.parametrize("profile", [KABY, _quiet_profile()], ids=["i7-7700k", "quiet"])
 @pytest.mark.parametrize(
     "program, error",
@@ -355,6 +406,29 @@ def test_phase3_does_not_depend_on_run_order(monkeypatch):
     assert serial[-1].crashes == 1
     run_campaigns_out_of_order(monkeypatch, seed=8)
     assert [_phase3_outcome(*cell) for cell in cells] == serial
+
+
+def test_phase3_poc_prepares_once_and_runs_the_oracle_once_per_mask(monkeypatch):
+    state, plan = _kaby_attack_setup()
+    built = _count_geometry_builds(monkeypatch)
+    masks, executed = [], Counter()
+    draw_flip_masks, run_with_flips = victims.draw_flip_masks, victims._run_with_flips
+
+    def drawing(*args):
+        drawn = draw_flip_masks(*args)
+        masks.extend(drawn)
+        return drawn
+
+    def running(program, geometry, flips, *rest):
+        executed[flips[0]] += 1
+        return run_with_flips(program, geometry, flips, *rest)
+
+    monkeypatch.setattr(victims, "draw_flip_masks", drawing)
+    monkeypatch.setattr(victims, "_run_with_flips", running)
+    phase3_attack(state, plan, "poc", 1, "listing2", runs=4, tries_per_run=1500)
+    assert built == {"poc_and_branch": 1}
+    assert len(masks) > len(executed)  # later runs redraw earlier masks
+    assert executed == Counter(set(masks))
 
 
 def test_phase3_zero_offset_yields_nothing():

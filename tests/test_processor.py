@@ -163,6 +163,24 @@ def test_normalize_pstate_range():
         normalize_pstate(256)
 
 
+@pytest.mark.parametrize(
+    "form, key",
+    [("0x1b", "0x1b"), ("0x1B", "0x1b"), (27, "0x1b"), (0, None), (256, None), ("0x55", None)],
+)
+def test_pstate_point_normalises_only_on_a_miss(kaby, monkeypatch, form, key):
+    calls = []
+    monkeypatch.setattr(
+        processor, "normalize_pstate", lambda p: calls.append(p) or normalize_pstate(p)
+    )
+    if key is None:
+        with pytest.raises(UnknownCoreOrPState):
+            kaby.pstate_point(form)
+    else:
+        assert kaby.pstate_point(form) is kaby.pstates[key]
+    # A canonical key is found as given; any other form is normalised.
+    assert calls == ([] if form == key else [form])
+
+
 def test_unknown_core_and_pstate(kaby):
     with pytest.raises(UnknownCoreOrPState):
         kaby.check_core(4)

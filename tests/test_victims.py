@@ -36,19 +36,16 @@ from voltlab.victims import (
     CampaignResult,
     RunOutcome,
     RunStatus,
-    _DiversionOracle,
-    _geometry,
     _hmac_single_run,
     _payload_bytes,
     _tries_before_crash,
     hmac_scenario,
-    POC_MEMORY,
-    POC_SCALARS,
+    loop_victim,
     memory_diff,
     payload_name,
+    poc_victim,
     run_hmac_victim,
     run_poc_enclave,
-    run_test_loop,
     stressor_profile,
 )
 
@@ -56,6 +53,7 @@ from helpers import (
     reference_hmac_detail,
     reference_memory_diff,
     run_campaigns_out_of_order,
+    run_loop_under,
 )
 
 
@@ -169,7 +167,7 @@ def test_memory_diff_matches_the_word_loop(pair, extra):
 
 def test_loop_matches_at_nominal_voltage(kaby):
     env = pinned_state(kaby, 1, 0)
-    out = run_test_loop("vp1_xor_kernel", env, 500, vrng.stream(1, "a"))
+    out = run_loop_under(env, "vp1_xor_kernel", 500, vrng.stream(1, "a"))
     assert out.status is RunStatus.MATCH
     assert out.iterations_executed == 500
 
@@ -177,7 +175,7 @@ def test_loop_matches_at_nominal_voltage(kaby):
 def test_loop_mismatches_inside_the_window(kaby):
     # 710 mV on core 1 sits right at its window top.
     env = pinned_state(kaby, 1, -240)
-    out = run_test_loop("vp1_xor_kernel", env, 20_000, vrng.stream(2, "b"))
+    out = run_loop_under(env, "vp1_xor_kernel", 20_000, vrng.stream(2, "b"))
     assert out.status is RunStatus.MISMATCH
     assert 1 <= out.iterations_executed <= 20_000
     assert out.diff
@@ -189,7 +187,7 @@ def test_loop_mismatches_inside_the_window(kaby):
 
 def test_loop_crashes_below_the_floor(kaby):
     env = pinned_state(kaby, 1, -260)  # 690 mV < 695 floor
-    out = run_test_loop("vp1_xor_kernel", env, 20_000, vrng.stream(3, "c"))
+    out = run_loop_under(env, "vp1_xor_kernel", 20_000, vrng.stream(3, "c"))
     assert out.status is RunStatus.CRASH
     assert out.crash in set(CrashKind)
     assert out.iterations_executed < 20_000
@@ -197,8 +195,8 @@ def test_loop_crashes_below_the_floor(kaby):
 
 def test_loop_deterministic(kaby):
     env = pinned_state(kaby, 1, -240)
-    a = run_test_loop("vp1_xor_kernel", env, 5000, vrng.stream(9, "d"))
-    b = run_test_loop("vp1_xor_kernel", env, 5000, vrng.stream(9, "d"))
+    a = run_loop_under(env, "vp1_xor_kernel", 5000, vrng.stream(9, "d"))
+    b = run_loop_under(env, "vp1_xor_kernel", 5000, vrng.stream(9, "d"))
     assert a == b
 
 
@@ -207,24 +205,24 @@ def test_loop_surfaced_exception(kaby):
     program = parse_program("push %r10\npop %r10\nhalt\n", "plain")
     env = pinned_state(kaby, 1, -250)
     mc = MachineCheck.for_profile(kaby, surface_probability=1.0)
-    out = run_test_loop(program, env, 5000, vrng.stream(4, "e"), machine_check=mc)
+    out = run_loop_under(env, program, 5000, vrng.stream(4, "e"), machine_check=mc)
     assert out.status is RunStatus.PROCESSOR_EXCEPTION
     assert out.exception in (SurfacedFault.INVALID_OPCODE, SurfacedFault.GENERAL_PROTECTION)
 
 
-def test_loop_rejects_non_halting_programs(kaby):
-    env = pinned_state(kaby, 1, 0)
+def test_loop_rejects_non_halting_programs():
     with pytest.raises(InterpreterError):
-        run_test_loop("shift_stressor", env, 10, vrng.stream(5, "f"))
+        loop_victim("shift_stressor")
 
 
 def test_loop_mean_iterations_tracks_fault_rate(kaby):
     # At full saturation with no stressor the xor kernel faults at the
     # probe ceiling, 1.8% per iteration on core 1.
     env = pinned_state(kaby, 1, -250)
+    victim = loop_victim("vp1_xor_kernel")
     lengths = []
     for i in range(120):
-        out = run_test_loop("vp1_xor_kernel", env, 10_000, vrng.stream(i, "g"))
+        out = run_loop_under(env, victim, 10_000, vrng.stream(i, "g"))
         assert out.status is RunStatus.MISMATCH
         lengths.append(out.iterations_executed)
     mean = np.mean(lengths)
@@ -237,11 +235,7 @@ def test_loop_mean_iterations_tracks_fault_rate(kaby):
 
 
 def test_poc_every_single_bit_diverts():
-    from voltlab.isa import bundled_program
-
-    program = bundled_program("poc_and_branch")
-    geom = _geometry(program, POC_MEMORY, None, POC_SCALARS, 100_000)
-    oracle = _DiversionOracle(program, geom, POC_MEMORY, POC_SCALARS)
+    oracle = poc_victim().oracle
     assert all(oracle.diverts(1 << b) for b in range(128))
     gen = vrng.stream(11, "masks")
     for _ in range(50):
@@ -251,25 +245,25 @@ def test_poc_every_single_bit_diverts():
 
 def test_poc_success_rate_with_shift_stressor(kaby):
     env = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    successes = run_poc_enclave(env, 1, 2000, vrng.stream(21, "poc"))
+    successes = run_poc_enclave(poc_victim(), env, 1, 2000, vrng.stream(21, "poc"))
     assert abs(successes - 1980) <= 20  # q = 0.99, 4.5 sigma
 
 
 def test_poc_success_rate_with_twofish(kaby):
     env = pinned_state(kaby, 1, -250, stressor="twofish_avx")
-    successes = run_poc_enclave(env, 1, 2000, vrng.stream(22, "poc"))
+    successes = run_poc_enclave(poc_victim(), env, 1, 2000, vrng.stream(22, "poc"))
     assert abs(successes - 160) <= 50  # q = 0.08, ~4 sigma
 
 
 def test_poc_zero_offset_never_succeeds(kaby):
     env = pinned_state(kaby, 1, 0, stressor="shift_loop")
-    assert run_poc_enclave(env, 1, 5000, vrng.stream(23, "poc")) == 0
+    assert run_poc_enclave(poc_victim(), env, 1, 5000, vrng.stream(23, "poc")) == 0
 
 
 def test_poc_crash_aborts_with_partial(kaby):
     env = pinned_state(kaby, 1, -260)
     with pytest.raises(AbortedByCrash) as info:
-        run_poc_enclave(env, 1, 100_000, vrng.stream(24, "poc"))
+        run_poc_enclave(poc_victim(), env, 1, 100_000, vrng.stream(24, "poc"))
     successes, completed = info.value.partial
     assert successes == 0  # below the window nothing faults
     assert completed < 100_000
@@ -278,7 +272,7 @@ def test_poc_crash_aborts_with_partial(kaby):
 def test_poc_respects_the_pin(kaby):
     env = pinned_state(kaby, 2, -250)
     with pytest.raises(InvalidCore):
-        run_poc_enclave(env, 1, 10, vrng.stream(25, "poc"))
+        run_poc_enclave(poc_victim(), env, 1, 10, vrng.stream(25, "poc"))
 
 
 # ---------------------------------------------------------------------------
