@@ -5,149 +5,64 @@ format (`msr`), a calibrated multi-core fault simulator (`processor`,
 `mca`), a small vector ISA with susceptible-pattern scanning (`isa`,
 `scanner`), faultable victim workloads (`sha256sim`, `victims`), and the
 three-phase attack workflow (`orchestrator`).  Everything downstream of a
-seed is reproducible, including under parallel execution.
+seed is reproducible, whatever order a campaign's runs execute in.
+
+The public names below are resolved on first use (PEP 562), so
+`import voltlab` loads no submodule, and a name loads only the module
+that defines it and what that module imports.
 """
 
-from .errors import (
-    AbortedByCrash,
-    FormatError,
-    InterpreterError,
-    InvalidCore,
-    InvariantError,
-    NoWindowFound,
-    ParseError,
-    RangeError,
-    SchemaError,
-    UnknownCoreOrPState,
-    UnknownStressor,
-    VoltlabError,
-)
-from .msr import (
-    MailboxCommand,
-    MailboxOp,
-    MsrWrite,
-    PState,
-    PStateInterface,
-    VoltageDomain,
-    VoltageMode,
-    decode_mailbox,
-    encode_mailbox,
-    encode_offset,
-    plan_pstate_request,
-    pstate_frequency_mhz,
-)
-from .processor import (
-    PlatformState,
-    ProcessorProfile,
-    VoltageRegion,
-    bundled_profile_names,
-    classify_voltage,
-    load_profile,
-    region_boundaries_mv,
-)
-from .isa import (
-    MiniProgram,
-    bundled_program,
-    bundled_program_names,
-    interpret,
-    parse_program,
-)
-from .scanner import PatternHit, PatternKind, estimate_window, scan
-from .mca import MachineCheck, MceKind, MceLog, MceRecord, SurfacedFault
-from .sha256sim import HmacContext, hmac_sha256, sha256
-from .victims import (
-    CampaignResult,
-    RunOutcome,
-    RunStatus,
-    loop_rates,
-    loop_victim,
-    poc_victim,
-    run_hmac_victim,
-    run_poc_enclave,
-    run_test_loop,
-    stressor_profile,
-)
-from .orchestrator import (
-    FaultStats,
-    ProbeReport,
-    SystemConfig,
-    VoltagePlan,
-    phase1_find_window,
-    phase2_probe_cores,
-    phase3_attack,
-    run_campaign,
-    setup_system,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbortedByCrash",
-    "CampaignResult",
-    "FaultStats",
-    "FormatError",
-    "HmacContext",
-    "InterpreterError",
-    "InvalidCore",
-    "InvariantError",
-    "MachineCheck",
-    "MceKind",
-    "MceLog",
-    "MceRecord",
-    "SurfacedFault",
-    "MailboxCommand",
-    "MailboxOp",
-    "MiniProgram",
-    "MsrWrite",
-    "NoWindowFound",
-    "ParseError",
-    "PatternHit",
-    "PatternKind",
-    "PlatformState",
-    "ProbeReport",
-    "ProcessorProfile",
-    "PState",
-    "PStateInterface",
-    "RangeError",
-    "RunOutcome",
-    "RunStatus",
-    "SchemaError",
-    "SystemConfig",
-    "UnknownCoreOrPState",
-    "UnknownStressor",
-    "VoltageDomain",
-    "VoltageMode",
-    "VoltagePlan",
-    "VoltageRegion",
-    "VoltlabError",
-    "bundled_profile_names",
-    "bundled_program",
-    "bundled_program_names",
-    "classify_voltage",
-    "decode_mailbox",
-    "encode_mailbox",
-    "encode_offset",
-    "estimate_window",
-    "hmac_sha256",
-    "interpret",
-    "load_profile",
-    "loop_rates",
-    "loop_victim",
-    "parse_program",
-    "region_boundaries_mv",
-    "phase1_find_window",
-    "phase2_probe_cores",
-    "phase3_attack",
-    "plan_pstate_request",
-    "poc_victim",
-    "pstate_frequency_mhz",
-    "run_campaign",
-    "run_hmac_victim",
-    "run_poc_enclave",
-    "run_test_loop",
-    "scan",
-    "setup_system",
-    "sha256",
-    "stressor_profile",
-    "__version__",
-]
+# Defining module of each public name.
+_EXPORTS = {
+    "errors": (
+        "AbortedByCrash", "FormatError", "InterpreterError", "InvalidCore",
+        "InvariantError", "NoWindowFound", "ParseError", "RangeError", "SchemaError",
+        "UnknownCoreOrPState", "UnknownStressor", "VoltlabError",
+    ),
+    "msr": (
+        "MailboxCommand", "MailboxOp", "MsrWrite", "PState", "PStateInterface",
+        "VoltageDomain", "VoltageMode", "decode_mailbox", "encode_mailbox",
+        "encode_offset", "plan_pstate_request", "pstate_frequency_mhz",
+    ),
+    "processor": (
+        "PlatformState", "ProcessorProfile", "VoltageRegion", "bundled_profile_names",
+        "classify_voltage", "load_profile", "region_boundaries_mv",
+    ),
+    "isa": (
+        "MiniProgram", "bundled_program", "bundled_program_names", "interpret",
+        "parse_program",
+    ),
+    "scanner": ("PatternHit", "PatternKind", "scan"),
+    "mca": ("MachineCheck", "MceKind", "MceLog", "MceRecord", "SurfacedFault"),
+    "sha256sim": ("HmacContext", "hmac_sha256", "sha256"),
+    "victims": (
+        "CampaignResult", "RunOutcome", "RunStatus", "loop_rates", "loop_victim",
+        "poc_victim", "run_hmac_victim", "run_poc_enclave", "run_test_loop",
+        "stressor_profile",
+    ),
+    "orchestrator": (
+        "FaultStats", "ProbeReport", "SystemConfig", "VoltagePlan",
+        "phase1_find_window", "phase2_probe_cores", "phase3_attack", "run_campaign",
+        "setup_system",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN, key=str.lower) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORIGIN))

@@ -9,6 +9,9 @@ All output is deterministic for a given seed and flag set: JSON is dumped
 with sorted keys, and CSV cells come from integers or pre-rounded floats.
 Campaign runs execute serially; `campaign --jobs N` is still accepted for
 old command lines and ignored.
+
+Each command imports the modules it runs when it runs, so the codec
+commands and `scan` start without numpy or the simulator.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import sys
 
 from .errors import AbortedByCrash, VoltlabError
-from .isa import bundled_program, parse_program
 from .msr import (
     MailboxCommand,
     MailboxOp,
@@ -29,9 +31,6 @@ from .msr import (
     pstate_frequency_mhz,
     PState,
 )
-from .orchestrator import phase1_find_window, phase2_probe_cores, run_campaign, setup_system
-from .processor import load_profile, normalize_pstate
-from .scanner import hits_to_json, scan
 
 _DOMAINS = {d.name.lower(): d for d in VoltageDomain}
 _OPS = {"read": MailboxOp.READ_VOLTAGE, "write": MailboxOp.WRITE_VOLTAGE}
@@ -103,6 +102,8 @@ def _cmd_decode(args) -> int:
 
 
 def _load_program(spec: str):
+    from .isa import bundled_program, parse_program
+
     if spec.endswith(".s") or "/" in spec:
         with open(spec, "r", encoding="utf-8") as fh:
             return parse_program(fh.read(), source_name=spec)
@@ -110,11 +111,16 @@ def _load_program(spec: str):
 
 
 def _cmd_scan(args) -> int:
+    from .scanner import hits_to_json, scan
+
     print(hits_to_json(scan(_load_program(args.program))))
     return 0
 
 
 def _probe(args):
+    from .orchestrator import phase1_find_window, phase2_probe_cores, setup_system
+    from .processor import load_profile, normalize_pstate
+
     profile = load_profile(args.profile)
     pstate = normalize_pstate(args.pstate) if args.pstate else profile.default_attack_pstate
     state, _, _ = setup_system(profile, pstate, 0, args.stressor, seed=args.seed)
@@ -136,6 +142,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from .orchestrator import run_campaign
+
     result, ctx = run_campaign(
         args.profile,
         args.victim,
@@ -153,6 +161,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _write_campaign_csv(path: str, result, ctx, args) -> None:
+    from .processor import load_profile
+
     profile = load_profile(args.profile)
     point = profile.pstate_point(ctx["pstate"])
     freq = pstate_frequency_mhz(

@@ -15,6 +15,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
@@ -40,6 +41,7 @@ from .processor import (
     load_profile,
     region_boundaries_mv,
     normalize_pstate,
+    victim_temp_target_c,
     draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
@@ -131,8 +133,7 @@ class VoltagePlan:
         }
 
 
-@dataclass(frozen=True)
-class FaultStats:
+class FaultStats(NamedTuple):
     """What probing one core turned up."""
 
     core: int
@@ -346,8 +347,9 @@ def phase1_find_window(
     crashes = 0
 
     for core in range(profile.physical_cores):
-        # The pinned core's temperature does not depend on the offset.
-        temp = float(_pinned_state(profile, pstate, core, "none", seed).core_temp_c[core])
+        # The pinned core's temperature, as `_pinned_state` settles it with
+        # no stressor; it does not depend on the offset.
+        temp = victim_temp_target_c(profile, pstate, stressor_profile("none").temp_boost_c)
         _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
 
         # Stage 1: walk down until the comparison loop reports corruption.

@@ -30,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,10 +78,11 @@ def _profile_mv(volts) -> float:
     return _quantize_mv(volts) if math.isfinite(uv) else uv / 1000.0
 
 
-def _whole(origin: str, field: str, value) -> int:
-    """An integer profile field; a non-finite or fractional number is refused."""
-    if isinstance(value, float) and not value.is_integer():
-        raise InvariantError(f"{origin}: {field} must be a whole number, not {value}")
+def _whole(origin: str, field: str, value, top: int) -> int:
+    """An integer profile field in 0..=top; a non-finite, fractional or
+    out-of-range number is refused."""
+    if isinstance(value, float) and not value.is_integer() or not 0 <= int(value) <= top:
+        raise InvariantError(f"{origin}: {field} must be a whole number in 0..={top}, not {value}")
     return int(value)
 
 
@@ -93,8 +95,7 @@ def manifestation(depth_fraction: float) -> float:
     return depth_fraction / RAMP_SATURATION_DEPTH
 
 
-@dataclass(frozen=True)
-class PStatePoint:
+class PStatePoint(NamedTuple):
     ratio: int
     base_voltage_mv: float
     reference_temp_c: float
@@ -103,14 +104,12 @@ class PStatePoint:
     fault_voltage_mv: tuple[float, ...]  # window top per core
 
 
-@dataclass(frozen=True)
-class CalibrationEntry:
+class CalibrationEntry(NamedTuple):
     pstate_gated: bool
     p_event_max: tuple[float, ...]  # per core
 
 
-@dataclass(frozen=True)
-class CrashParams:
+class CrashParams(NamedTuple):
     rate_per_slice: float
     depth_slope_per_mv: float
     reboot_slices: int
@@ -145,15 +144,6 @@ class BitFlipPattern:
         return len(self.flipped_bits)
 
 
-@dataclass(frozen=True)
-class EligibleStoreEvent:
-    """A fault-eligible vector store about to retire."""
-
-    scenario: str
-    word_index: int
-    slice_index: int = 0
-
-
 class ProcessorProfile:
     """Immutable calibration data for one processor model."""
 
@@ -165,9 +155,11 @@ class ProcessorProfile:
                     f"{origin}: schema_version {raw['schema_version']} unsupported"
                 )
             self.name: str = raw["model_name"]
-            self.physical_cores = _whole(origin, "physical_cores", raw["physical_cores"])
-            self.threads_per_core = _whole(origin, "threads_per_core", raw["threads_per_core"])
-            self.base_clock_mhz = _whole(origin, "base_clock_mhz", raw["base_clock_mhz"])
+            # Upper bounds far above any real part, yet small enough that a
+            # campaign can size its per-core and per-thread tables from them.
+            self.physical_cores = _whole(origin, "physical_cores", raw["physical_cores"], 1024)
+            self.threads_per_core = _whole(origin, "threads_per_core", raw["threads_per_core"], 8)
+            self.base_clock_mhz = _whole(origin, "base_clock_mhz", raw["base_clock_mhz"], 10_000)
             self.ambient_temp_c: float = float(raw["ambient_temp_c"])
             self.noise_mv: float = float(raw["noise_mv"])
             self.temp_coeff_mv_per_c: float = float(raw["temp_coeff_mv_per_c"])
@@ -180,7 +172,7 @@ class ProcessorProfile:
             self.crash = CrashParams(
                 float(crash["rate_per_slice"]),
                 float(crash["depth_slope_per_mv"]),
-                _whole(origin, "crash.reboot_slices", crash["reboot_slices"]),
+                _whole(origin, "crash.reboot_slices", crash["reboot_slices"], 10**9),
             )
             self.pstates: dict[str, PStatePoint] = {}
             for key, entry in raw["pstates"].items():
@@ -201,6 +193,8 @@ class ProcessorProfile:
                     bool(entry["pstate_gated"]),
                     tuple(float(p) for p in entry["p_event_max"]),
                 )
+        except UnknownCoreOrPState as bad:  # a KeyError, but not a missing field
+            raise SchemaError(f"{origin}: {bad.args[0]}") from None
         except KeyError as missing:
             raise SchemaError(f"{origin}: missing field {missing}") from None
         self._validate()
@@ -303,11 +297,19 @@ class ProcessorProfile:
 
 
 def normalize_pstate(pstate: str | int) -> str:
-    """Canonical lowercase hex key, e.g. 0x1B or '0x1B' or 27 -> '0x1b'."""
+    """Canonical lowercase hex key, e.g. 0x1B or '0x1B' or 27 -> '0x1b'.
+
+    A number must be a whole one: a bool, a fraction or a non-finite float
+    is refused like an out-of-range ratio.
+    """
     if isinstance(pstate, str):
         value = int(pstate, 16)
-    else:
+    elif isinstance(pstate, float) and pstate.is_integer():
         value = int(pstate)
+    elif isinstance(pstate, bool) or not hasattr(pstate, "__index__"):
+        raise UnknownCoreOrPState(f"pstate ratio {pstate!r} is not a whole number")
+    else:
+        value = pstate.__index__()
     if not 1 <= value <= 255:
         raise UnknownCoreOrPState(f"pstate ratio {value} outside 1..=255")
     return f"0x{value:02x}"
@@ -890,38 +892,6 @@ def draw_flip_pattern(
     return BitFlipPattern(word_index, frozenset(bits))
 
 
-def sample_fault(
-    profile: ProcessorProfile,
-    state: PlatformState,
-    core: int,
-    event: EligibleStoreEvent,
-    rng: np.random.Generator,
-) -> BitFlipPattern | None:
-    """Does this eligible store retire corrupted?
-
-    Draw order per call: slice noise, fault uniform, then (on a hit) the
-    multiplicity bucket and bit positions.  Normal and corrected regions
-    never fault; below the window the crash process dominates and silent
-    data corruption is not modeled.
-    """
-    core = profile.check_core(core)
-    noise = rng.uniform(-profile.noise_mv, profile.noise_mv)
-    v_eff = state.nominal_voltage_mv() + noise
-    temp = float(state.core_temp_c[core])
-    p = event_fault_probability(
-        profile,
-        core,
-        state.pstate,
-        event.scenario,
-        state.stressor_fault_multiplier,
-        v_eff,
-        temp,
-    )
-    if p <= 0.0 or rng.uniform() >= p:
-        return None
-    return draw_flip_pattern(profile, core, event.word_index, rng)
-
-
 def crash_kind_weights(ratio: int) -> np.ndarray:
     """Relative weights for (kernel exception, freeze, hard crash).
 
@@ -950,56 +920,31 @@ def crash_probability_per_slice(
     return min(p, 1.0)
 
 
-def sample_crash(
-    profile: ProcessorProfile,
-    state: PlatformState,
-    rng: np.random.Generator,
-    core: int | None = None,
-    v_eff_mv: float | None = None,
-) -> CrashKind | None:
-    """One slice of the crash process on the loaded core.
-
-    Only a core actually executing work exercises critical paths, so the
-    check runs against the victim core's boundary unless told otherwise.
-    Returns None everywhere above the instability line.
-    """
-    if core is None:
-        core = state.victim_physical
-        if core is None:
-            core = 0
-    core = profile.check_core(core)
-    if v_eff_mv is None:
-        v_eff_mv = state.nominal_voltage_mv() + rng.uniform(-profile.noise_mv, profile.noise_mv)
-    point = profile.pstate_point(state.pstate)
-    top = effective_window_top_mv(profile, core, state.pstate, float(state.core_temp_c[core]))
-    depth = (top - point.exploit_window_mv) - v_eff_mv
-    if depth < 0.0:
-        return None
-    p = crash_probability_per_slice(profile, point.ratio, depth)
-    if rng.uniform() >= p:
-        return None
-    return draw_crash_kind(point.ratio, rng)
-
-
 # ---------------------------------------------------------------------------
 # Temperature
+
+
+def victim_temp_target_c(profile: ProcessorProfile, pstate: str, temp_boost_c: float) -> float:
+    """Equilibrium temperature of the victim's physical core when it hosts
+    no attacker thread: the pstate's reference temperature plus the
+    stressor's boost, never below ambient."""
+    point = profile.pstate_point(pstate)
+    return max(profile.ambient_temp_c, point.reference_temp_c + temp_boost_c)
 
 
 def core_temp_targets(state: PlatformState) -> np.ndarray:
     """Equilibrium temperature per physical core under the current roles.
 
     Idle cores settle at ambient, the attack core barely above it, and the
-    victim core at the pstate's reference temperature plus whatever the
-    stressor on its logical partner adds.
+    victim core at `victim_temp_target_c`.
     """
     profile = state.profile
-    point = profile.pstate_point(state.pstate)
     targets = np.full(profile.physical_cores, profile.ambient_temp_c)
     for logical, role in enumerate(state.assignment):
         phys = state.physical_of(logical)
         if role == ROLE_ATTACKER:
             targets[phys] = max(targets[phys], profile.ambient_temp_c + 1.0)
         elif role == ROLE_VICTIM:
-            victim_target = point.reference_temp_c + state.stressor_temp_boost_c
+            victim_target = victim_temp_target_c(profile, state.pstate, state.stressor_temp_boost_c)
             targets[phys] = max(targets[phys], victim_target)
     return targets

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvariantError
-from .isa import (
-    MiniProgram,
-    Opcode,
-    Reg,
-    VECTOR_STORES,
-    interpret,
-)
+from .isa import MiniProgram, Opcode, Reg, VECTOR_STORES
 
 # An op and its store may be separated by at most this many instructions.
 # Observed instances sit at distances 0 to 2; one extra for slack.
@@ -88,7 +82,7 @@ def scan(program: MiniProgram) -> list[PatternHit]:
     Single forward pass: track, per vector register, the index and kind of
     the last pattern-relevant op that defined it; a store within the
     adjacency limit completes a hit.  Equivalent to brute-forcing all
-    pairs, but linear.
+    pairs (`tests/slice_reference.scan_brute`), but linear.
     """
     hits: list[PatternHit] = []
     # register -> (op_index, kind); dropped on redefinition
@@ -110,59 +104,5 @@ def scan(program: MiniProgram) -> list[PatternHit]:
     return hits
 
 
-def scan_brute(program: MiniProgram) -> list[PatternHit]:
-    """Quadratic reference enumeration of the same definition."""
-    hits = []
-    insns = program.instructions
-    for i, op in enumerate(insns):
-        if op.opcode in VP1_OPS:
-            kind = PatternKind.VP1
-        elif op.opcode in VP2_OPS:
-            kind = PatternKind.VP2
-        else:
-            continue
-        dst = op.operands[-1].name
-        for j in range(i + 1, min(i + 2 + ADJACENCY_LIMIT, len(insns))):
-            if any(written_vreg(insns[k]) == dst for k in range(i + 1, j)):
-                break
-            if stored_vreg(insns[j]) == dst:
-                hits.append(PatternHit(kind, i, j))
-    # Completion order: a store finishes at most one pattern, so ordering
-    # by store index matches the forward pass exactly.
-    hits.sort(key=lambda h: h.store_index)
-    return hits
-
-
 def hits_to_json(hits: list[PatternHit]) -> str:
     return json.dumps([h.to_json() for h in hits], indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class WindowEstimate:
-    """When and for how long a hit's store is live during a full run."""
-
-    first_slice: int | None  # slice of first execution; None if never reached
-    duration_slices: int  # eligible-store executions across the whole run
-
-
-def estimate_window(
-    program: MiniProgram,
-    hit: PatternHit,
-    iterations_per_run: int,
-    memory: bytes | None = None,
-    xmm: dict | None = None,
-    scalar: dict | None = None,
-    max_slices: int = 100_000,
-) -> WindowEstimate:
-    """Count executions of the hit's store under the 1-instruction=1-slice
-    cost model: one traced pass, scaled by the run's iteration count."""
-    trace: list[int] = []
-    interpret(program, memory, xmm=xmm, scalar=scalar, max_slices=max_slices, trace=trace)
-    first = None
-    per_pass = 0
-    for slice_index, insn_index in enumerate(trace):
-        if insn_index == hit.store_index:
-            per_pass += 1
-            if first is None:
-                first = slice_index
-    return WindowEstimate(first, per_pass * iterations_per_run)

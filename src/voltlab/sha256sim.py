@@ -15,11 +15,12 @@ standard algorithm; `hashlib` is used as the oracle in tests, never here.
 Two implementations share that fault surface.  The scalar `compress` and
 `HmacContext.mac_with_faults` are the reference: `sha256`, the context
 set-up and the published vectors go through them.  Campaigns hand a whole
-run's fault sets to `HmacContext.macs_with_faults`, which recomputes every
+run's fault sets to `HmacContext.macs_with_keys`, which recomputes every
 distinct faulted MAC at once, each fault set one lane of numpy `uint32`
 arrays (FIPS 180-4 arithmetic, wrapping mod 2**32).  Both paths share the
-fault normalisation, range checks and memo, and tests hold the lanes equal
-to the scalar path.
+memo, and tests hold the lanes equal to the scalar path.  Fault dicts are
+normalised and range-checked by `_fault_key`, on the scalar path and in
+`macs_with_faults`; `macs_with_keys` takes keys already in that form.
 """
 
 from __future__ import annotations
@@ -222,9 +223,9 @@ class HmacContext:
 
     Built once per campaign target; `mac_with_faults` recomputes only from
     the earliest corrupted block, reusing per-block chaining checkpoints,
-    and memoizes digests by the canonical fault tuple.  `macs_with_faults`
-    does the same for many fault sets at once as numpy lanes, through the
-    same memo.  Event numbering is global: blocks 0..n-1 are the inner
+    and memoizes digests by the canonical fault tuple.  `macs_with_keys`
+    does the same for many canonical keys at once as numpy lanes, through
+    the same memo.  Event numbering is global: blocks 0..n-1 are the inner
     hash, n and n+1 the outer.
     """
 
@@ -309,10 +310,20 @@ class HmacContext:
     def macs_with_faults(self, fault_sets: list[dict[tuple[int, int], int]]) -> list[bytes]:
         """`mac_with_faults` of every fault set, in order.
 
-        The distinct sets not yet memoised are recomputed together, one
-        numpy lane each, and memoised like scalar results.
+        Each set is normalised and checked by `_fault_key`, then handed to
+        `macs_with_keys`.
         """
-        keys = [self._fault_key(faults) for faults in fault_sets]
+        return self.macs_with_keys([self._fault_key(faults) for faults in fault_sets])
+
+    def macs_with_keys(self, keys: list[tuple]) -> list[bytes]:
+        """The MAC of every canonical fault key, in order.
+
+        Each key must be what `_fault_key` returns: ((block, event), mask)
+        pairs sorted by store, in range, masks nonzero within 128 bits.
+        Nothing here checks that.  The distinct keys not yet memoised are
+        recomputed together, one numpy lane each, and memoised like scalar
+        results.
+        """
         misses = list(dict.fromkeys(k for k in keys if k and k not in self._cache))
         if misses:
             self._cache.update(self._lane_macs(misses))

@@ -36,7 +36,6 @@ from .errors import (
     UnknownStressor,
 )
 from .isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
-from .mca import MachineCheck, SurfacedFault, draw_surfaced_fault
 from .processor import (
     BitFlipPattern,
     CrashKind,
@@ -46,12 +45,10 @@ from .processor import (
     draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,
-    effective_window_top_mv,
     mean_crash_probability,
     mean_event_fault_probability,
 )
 from .scanner import scan
-from .sha256sim import EVENTS_PER_BLOCK, HmacContext
 
 __all__ = [
     "CampaignResult",
@@ -81,24 +78,20 @@ GUARD_SLICES = 10
 # Stressors
 
 
-@dataclass(frozen=True)
-class StressorSpec:
+class StressorSpec(NamedTuple):
     """What running a workload on the victim's logical partner does.
 
     `fault_multiplier` scales the calibrated per-event fault ceiling and is
-    at least 1 ("none" is exactly 1).  `temp_boost_c` adds to the victim
-    core's equilibrium temperature.  `program` names a bundled mini-ISA
-    source when the stressor is one, None for native workloads.
+    at least 1 ("none" is exactly 1; `PlatformState` refuses less).
+    `temp_boost_c` adds to the victim core's equilibrium temperature.
+    `program` names a bundled mini-ISA source when the stressor is one,
+    None for native workloads.
     """
 
     name: str
     fault_multiplier: float
     temp_boost_c: float
     program: str | None = None
-
-    def __post_init__(self):
-        if self.fault_multiplier < 1.0:
-            raise InvariantError("stressor multiplier is at least 1")
 
 
 STRESSORS = {
@@ -134,7 +127,6 @@ class RunStatus(Enum):
     MATCH = "match"
     MISMATCH = "mismatch"
     CRASH = "crash"
-    PROCESSOR_EXCEPTION = "processor_exception"
 
 
 @dataclass(frozen=True)
@@ -145,15 +137,12 @@ class RunOutcome:
     iterations_executed: int
     diff: tuple[BitFlipPattern, ...] = ()
     crash: CrashKind | None = None
-    exception: SurfacedFault | None = None
 
     def __post_init__(self):
         if self.status is RunStatus.MISMATCH and not self.diff:
             raise InvariantError("a mismatch carries a nonzero diff")
         if self.status is RunStatus.CRASH and self.crash is None:
             raise InvariantError("a crash outcome names its kind")
-        if self.status is RunStatus.PROCESSOR_EXCEPTION and self.exception is None:
-            raise InvariantError("an exception outcome names its kind")
 
     @classmethod
     def match(cls, iterations: int) -> "RunOutcome":
@@ -166,10 +155,6 @@ class RunOutcome:
     @classmethod
     def crashed(cls, kind: CrashKind, iterations: int) -> "RunOutcome":
         return cls(RunStatus.CRASH, iterations, crash=kind)
-
-    @classmethod
-    def excepted(cls, kind: SurfacedFault, iterations: int) -> "RunOutcome":
-        return cls(RunStatus.PROCESSOR_EXCEPTION, iterations, exception=kind)
 
 
 def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
@@ -193,8 +178,7 @@ def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
 # Program geometry
 
 
-@dataclass(frozen=True)
-class _Geometry:
+class _Geometry(NamedTuple):
     """One fault-free execution plus which eligible stores it runs."""
 
     reference: object  # ExecutionResult
@@ -282,12 +266,11 @@ class LoopRates(NamedTuple):
     p_event: float  # one eligible store faults
     q_iter: float  # at least one of an iteration's eligible stores faults
     g_slice: float  # the platform crashes, per slice
-    e_slice: float  # a decode error surfaces in the victim, per slice
 
     @property
     def quiet(self) -> bool:
         """Nothing can happen: `run_test_loop` returns Match without a draw."""
-        return self.q_iter <= 0.0 and self.g_slice <= 0.0 and self.e_slice <= 0.0
+        return self.q_iter <= 0.0 and self.g_slice <= 0.0
 
 
 def loop_rates(
@@ -298,7 +281,6 @@ def loop_rates(
     temp: float,
     events: int,
     stressor_multiplier: float = 1.0,
-    machine_check: MachineCheck | None = None,
 ) -> LoopRates:
     """The rates of a loop with `events` eligible stores per iteration, at
     nominal voltage `v_nom` and core temperature `temp`, under the probe
@@ -309,18 +291,7 @@ def loop_rates(
             profile, core, pstate, "probe", stressor_multiplier, v_nom, temp
         )
     g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
-    e_slice = 0.0
-    if machine_check is not None and machine_check.surface_probability > 0.0:
-        # Decode errors fire anywhere below the window top; the surfaced
-        # fraction of them trips the victim program.
-        n = profile.noise_mv
-        top = effective_window_top_mv(profile, core, pstate, temp)
-        if n > 0.0:
-            below = min(max((top - v_nom + n) / (2.0 * n), 0.0), 1.0)
-        else:
-            below = 1.0 if v_nom <= top else 0.0
-        e_slice = machine_check.decode_rate * machine_check.surface_probability * below
-    return LoopRates(p_event, _any_of(p_event, events), g_slice, e_slice)
+    return LoopRates(p_event, _any_of(p_event, events), g_slice)
 
 
 def run_test_loop(
@@ -332,25 +303,24 @@ def run_test_loop(
     and `pstate` is read only for the crash kind.
 
     Returns on the first iteration whose output differs from the victim's
-    fault-free reference (Mismatch with the bit-level diff), on a platform
-    crash, or on a surfaced processor exception; Match after `max_iters`
-    clean laps, or at once, without a draw, when `rates` is quiet.  All
-    failure modes are RunOutcome values, never exceptions.
+    fault-free reference (Mismatch with the bit-level diff) or on a
+    platform crash; Match after `max_iters` clean laps, or at once, without
+    a draw, when `rates` is quiet.  All failure modes are RunOutcome
+    values, never exceptions.
 
-    Draw order per run: first-fault iteration, first-crash slice, first-
-    exception slice, then the winner's detail draws (faulted-event choice
-    and flip patterns, crash kind, or exception kind).  First-occurrence
-    times use the noise-averaged marginals, which is distribution-exact.
+    Draw order per run: first-crash slice, first-fault iteration, then the
+    winner's detail draws (faulted-event choice and flip patterns, or
+    crash kind).  First-occurrence times use the noise-averaged marginals,
+    which is distribution-exact.
     """
     if rates.quiet:
         return RunOutcome.match(max_iters)
     geom = victim.geometry
     spi = geom.slices_per_iteration
     events = geom.events
-    p_event, q_iter, g_slice, e_slice = rates
+    p_event, q_iter, g_slice = rates
 
     crash_slice = int(rng.geometric(g_slice)) - 1 if g_slice > 0.0 else None
-    exc_slice = int(rng.geometric(e_slice)) - 1 if e_slice > 0.0 else None
 
     iter_base = 0  # iterations already survived
     while True:
@@ -364,15 +334,13 @@ def run_test_loop(
                 fault_iter = iter_base + draw - 1  # 0-based iteration index
 
         # Candidate (iteration, slice-within, precedence) triples; a crash
-        # or exception during the faulting iteration preempts the output
-        # comparison that happens at its end.
+        # during the faulting iteration preempts the output comparison that
+        # happens at its end.
         candidates = []
         if crash_slice is not None and crash_slice < max_iters * spi:
             candidates.append((crash_slice // spi, crash_slice % spi, 0, "crash"))
-        if exc_slice is not None and exc_slice < max_iters * spi:
-            candidates.append((exc_slice // spi, exc_slice % spi, 1, "exception"))
         if fault_iter is not None:
-            candidates.append((fault_iter, spi, 2, "fault"))
+            candidates.append((fault_iter, spi, 1, "fault"))
         candidates = [c for c in candidates if c[0] >= iter_base]
         if not candidates:
             break
@@ -381,8 +349,6 @@ def run_test_loop(
         if what == "crash":
             kind = draw_crash_kind(profile.pstate_point(pstate).ratio, rng)
             return RunOutcome.crashed(kind, it)
-        if what == "exception":
-            return RunOutcome.excepted(draw_surfaced_fault(rng), it)
 
         # Fault wins: pick which eligible store faulted first, then give
         # each later store in the same iteration its independent chance.
@@ -631,19 +597,25 @@ def _hmac_single_run(
     and leaves `rng` where the calls would (held equal to them by
     `tests/helpers.reference_hmac_detail`).  Every draw comes first; the
     faulted MACs are then recomputed together as numpy lanes
-    (`HmacContext.macs_with_faults`, held equal to the scalar reference
+    (`HmacContext.macs_with_keys`, held equal to the scalar reference
     `mac_with_faults` by tests).  No MAC feeds back into a draw, so this
     leaves the seeded stream as it is.
+
+    Each fault set goes over as its canonical key, built here: the events
+    arrive sorted and in range and every flip mask is nonzero within 128
+    bits, so the (block, event) pairs are already in `_fault_key`'s order.
     """
+    from .sha256sim import EVENTS_PER_BLOCK
+
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
     completed = _tries_before_crash(rng, c_try, tries)
     ks = ks[:completed]
-    fault_sets = [
-        {ctx.locate_event(g): mask for g, mask in pairs}
+    keys = [
+        tuple((divmod(g, EVENTS_PER_BLOCK), mask) for g, mask in pairs)
         for pairs in draw_fault_sets(profile, core, total, ks[ks > 0].tolist(), rng)
     ]
-    successes = sum(mac != ctx.clean_mac for mac in ctx.macs_with_faults(fault_sets))
+    successes = sum(mac != ctx.clean_mac for mac in ctx.macs_with_keys(keys))
     return successes, completed, completed < tries
 
 
@@ -663,6 +635,8 @@ def run_hmac_victim(
     crashes; runs after the first crashed one are not started, because the
     simulated machine is gone.
     """
+    from .sha256sim import HmacContext  # only the HMAC victim loads it
+
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
     core = _pin_check(env, target_core)

@@ -82,8 +82,9 @@ def reference_hmac_detail(ctx, profile, core, ks, rng):
     For each completed try's fault count in `ks`, in try order: one
     `Generator.choice` of the faulted events, then one flip pattern per
     event in sorted order, from `reference_flip_pattern` so that no
-    replayed draw sits on this side.  Returns the fault dicts the
-    production run hands to `HmacContext.macs_with_faults`.
+    replayed draw sits on this side.  Returns the fault dicts whose
+    `HmacContext._fault_key`s the production run hands to
+    `HmacContext.macs_with_keys`.
     """
     fault_sets = []
     for k in ks:
@@ -114,7 +115,7 @@ def reference_memory_diff(before, after):
     return tuple(out)
 
 
-def run_loop_under(env, victim, max_iters, rng, machine_check=None):
+def run_loop_under(env, victim, max_iters, rng):
     """`run_test_loop` for `victim` (prepared, a MiniProgram or a bundled
     name) on the pinned physical core of the `PlatformState` `env` (core 0
     when no victim is pinned), with the rates `loop_rates` gives for it."""
@@ -124,7 +125,7 @@ def run_loop_under(env, victim, max_iters, rng, machine_check=None):
     rates = loop_rates(
         env.profile, core, env.pstate, env.nominal_voltage_mv(),
         float(env.core_temp_c[core]), victim.geometry.events,
-        env.stressor_fault_multiplier, machine_check,
+        env.stressor_fault_multiplier,
     )
     return run_test_loop(victim, rates, env.profile, core, env.pstate, max_iters, rng)
 

@@ -42,11 +42,12 @@ from voltlab.processor import (
     draw_flip_pattern,
     load_profile,
 )
-from voltlab.scanner import PatternHit, PatternKind, scan, scan_brute
+from voltlab.scanner import PatternHit, PatternKind, scan
 from voltlab.sha256sim import HmacContext, hmac_sha256
 from voltlab.victims import run_poc_enclave
 
 from helpers import random_program_text
+from slice_reference import scan_brute
 
 KABY = load_profile("i7-7700k")
 COFFEE = load_profile("i7-8700k")

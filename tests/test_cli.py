@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface, via main(argv)."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from importlib import resources
 import pytest
 
 import voltlab.cli as cli
-from voltlab.errors import AbortedByCrash, InvariantError
+import voltlab.orchestrator as orchestrator
+from voltlab.errors import AbortedByCrash, InvariantError, SchemaError
 from voltlab.processor import load_profile
 from voltlab.victims import CampaignResult
 
@@ -228,7 +230,7 @@ def test_campaign_abort_reports_partial(capsys, monkeypatch):
     def boom(*_, **__):
         raise AbortedByCrash("platform died", partial=partial)
 
-    monkeypatch.setattr(cli, "run_campaign", boom)
+    monkeypatch.setattr(orchestrator, "run_campaign", boom)
     rc, out, _ = run_cli(capsys, *CAMPAIGN_FLAGS)
     assert rc == 3
     blob = json.loads(out)
@@ -308,6 +310,39 @@ def test_profile_with_a_non_whole_count_is_refused(capsys, tmp_path, path, value
     assert err.startswith("voltlab: ") and f"{field} must be a whole number" in err
 
 
+def _edited_profile(tmp_path, key, value):
+    """A copy of the bundled i7-7700k profile with one top-level field set."""
+    text = resources.files("voltlab").joinpath("data/profiles/i7-7700k.json").read_text()
+    raw = json.loads(text)
+    raw[key] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw), encoding="utf-8")
+    return str(edited)
+
+
+def test_profile_with_an_absurd_thread_count_is_refused(capsys, tmp_path):
+    # A whole number, but a campaign would size its role table from it.
+    edited = _edited_profile(tmp_path, "threads_per_core", 1e308)
+    with pytest.raises(InvariantError, match="threads_per_core must be a whole number in 0..=8"):
+        load_profile(edited)
+    rc, out, err = run_cli(
+        capsys, "campaign", "--profile", edited, "--victim", "poc", "--core", "1", "--tries", "10"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ") and "threads_per_core must be a whole number" in err
+
+
+def test_profile_with_an_infinite_default_pstate_is_refused(capsys, tmp_path):
+    edited = _edited_profile(tmp_path, "default_attack_pstate", float("inf"))
+    with pytest.raises(SchemaError, match="pstate ratio inf is not a whole number"):
+        load_profile(edited)
+    rc, out, err = run_cli(capsys, "probe", "--profile", edited, "--tries", "10")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ") and "not a whole number" in err
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 @pytest.mark.parametrize(
     "path",
@@ -338,3 +373,74 @@ def test_profile_with_non_finite_numbers_is_refused(capsys, tmp_path, path, valu
     assert rc == 2
     assert out == ""
     assert err.startswith("voltlab: ") and "finite" in err
+
+
+# ---------------------------------------------------------------------------
+# Cold start: what each command imports, checked in a fresh interpreter
+
+
+def _fresh_modules(*lines: str) -> set:
+    """The modules a fresh interpreter holds after running `lines`."""
+    script = "\n".join(["import sys", *lines, "print(' '.join(sys.modules))"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _cli_modules(*argv: str) -> set:
+    return _fresh_modules("import voltlab.cli", f"assert voltlab.cli.main({list(argv)!r}) == 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decode-msr", "0x80000011F3800000"),
+        ("encode-msr", "--offset-mv", "-100", "--json"),
+        ("scan", "vp1_xor_kernel"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_codec_and_scan_commands_start_without_numpy(argv):
+    loaded = _cli_modules(*argv)
+    assert "numpy" not in loaded
+    assert "voltlab.orchestrator" not in loaded
+
+
+def test_poc_campaign_loads_neither_mca_nor_sha256sim():
+    loaded = _cli_modules(
+        "campaign", "--profile", "i7-7700k", "--victim", "poc", "--core", "1",
+        "--runs", "1", "--tries", "100",
+    )
+    assert "voltlab.orchestrator" in loaded
+    assert "voltlab.mca" not in loaded
+    assert "voltlab.sha256sim" not in loaded
+
+
+def test_package_import_loads_no_submodule_until_a_name_is_touched():
+    loaded = _fresh_modules(
+        "import voltlab",
+        "assert [m for m in sys.modules if m.startswith('voltlab.')] == []",
+        "voltlab.encode_offset",
+    )
+    assert {m for m in loaded if m.startswith("voltlab.")} == {"voltlab.errors", "voltlab.msr"}
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import voltlab
+
+    for name in voltlab.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"voltlab.{voltlab._ORIGIN[name]}")
+            assert getattr(voltlab, name) is getattr(module, name)
+    assert set(voltlab.__all__) <= set(dir(voltlab))
+    namespace: dict = {}
+    exec("from voltlab import *", namespace)
+    assert set(voltlab.__all__) <= set(namespace)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import voltlab
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        voltlab.no_such_name  # noqa: B018
+    assert not hasattr(voltlab, "estimate_window")

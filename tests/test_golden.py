@@ -84,17 +84,18 @@ HMAC32_FAULT_SETS_SHA256 = "9110181c530a086e159fc3c66bec30f238703454d56a9ebbb66b
 def test_hmac_fault_sets_match_golden_digest(monkeypatch):
     # The HMAC golden files count faulty MACs, and any nonzero flip makes
     # one; this pins which events each faulted try hit, and with what mask.
+    # The run hands its fault sets to the lanes as canonical keys.
     seen = []
-    real = HmacContext.macs_with_faults
+    real = HmacContext.macs_with_keys
 
-    def recording(self, fault_sets):
-        seen.extend(fault_sets)
-        return real(self, fault_sets)
+    def recording(self, keys):
+        seen.extend(keys)
+        return real(self, keys)
 
-    monkeypatch.setattr(HmacContext, "macs_with_faults", recording)
+    monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
     state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=7)
     env = dataclasses.replace(state, offset_mv={0: -250})
     run_hmac_victim(env, 1, "hmac32", 2000, runs=1)
     assert len(seen) > 300
-    blob = json.dumps([sorted([b, e, m] for (b, e), m in faults.items()) for faults in seen])
+    blob = json.dumps([sorted([b, e, m] for (b, e), m in key) for key in seen])
     assert hashlib.sha256(blob.encode()).hexdigest() == HMAC32_FAULT_SETS_SHA256

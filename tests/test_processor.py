@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_flip_pattern, update_temperature
+from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState
 from voltlab.processor import (
     BitFlipPattern,
     CrashKind,
-    EligibleStoreEvent,
     PlatformState,
     ProcessorProfile,
     ROLE_ATTACKER,
@@ -34,8 +34,6 @@ from voltlab.processor import (
     load_profile,
     normalize_pstate,
     region_boundaries_mv,
-    sample_crash,
-    sample_fault,
 )
 from voltlab.sha256sim import HmacContext
 from voltlab.victims import HMAC_KEY, PAYLOAD_SIZES, _payload_bytes
@@ -161,6 +159,17 @@ def test_normalize_pstate_range():
         normalize_pstate(0)
     with pytest.raises(UnknownCoreOrPState):
         normalize_pstate(256)
+
+
+@pytest.mark.parametrize("form", [27.0, np.int64(27), np.float64(27.0)])
+def test_normalize_pstate_whole_numbers(form):
+    assert normalize_pstate(form) == "0x1b"
+
+
+@pytest.mark.parametrize("form", [float("inf"), float("nan"), 27.5, True, None])
+def test_normalize_pstate_refuses_what_is_not_a_whole_number(form):
+    with pytest.raises(UnknownCoreOrPState, match="not a whole number"):
+        normalize_pstate(form)
 
 
 @pytest.mark.parametrize(

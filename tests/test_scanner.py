@@ -4,17 +4,9 @@ import pytest
 
 from voltlab import rng as vrng
 from voltlab.isa import bundled_program, parse_program
-from voltlab.scanner import (
-    ADJACENCY_LIMIT,
-    PatternHit,
-    PatternKind,
-    WindowEstimate,
-    estimate_window,
-    hits_to_json,
-    scan,
-    scan_brute,
-)
+from voltlab.scanner import ADJACENCY_LIMIT, PatternHit, PatternKind, hits_to_json, scan
 from helpers import random_program_text
+from slice_reference import WindowEstimate, estimate_window, scan_brute
 
 
 def hits(text):

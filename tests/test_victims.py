@@ -17,7 +17,6 @@ from voltlab.errors import (
     InvariantError,
     UnknownStressor,
 )
-from voltlab.mca import MachineCheck, SurfacedFault
 from voltlab.orchestrator import setup_system
 from voltlab.processor import (
     ROLE_IDLE,
@@ -28,7 +27,6 @@ from voltlab.processor import (
     load_profile,
     mean_event_fault_probability,
 )
-from voltlab.isa import parse_program
 from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
     HMAC_KEY,
@@ -200,16 +198,6 @@ def test_loop_deterministic(kaby):
     assert a == b
 
 
-def test_loop_surfaced_exception(kaby):
-    # No eligible stores, so only the decode-surfacing process can fire.
-    program = parse_program("push %r10\npop %r10\nhalt\n", "plain")
-    env = pinned_state(kaby, 1, -250)
-    mc = MachineCheck.for_profile(kaby, surface_probability=1.0)
-    out = run_loop_under(env, program, 5000, vrng.stream(4, "e"), machine_check=mc)
-    assert out.status is RunStatus.PROCESSOR_EXCEPTION
-    assert out.exception in (SurfacedFault.INVALID_OPCODE, SurfacedFault.GENERAL_PROTECTION)
-
-
 def test_loop_rejects_non_halting_programs():
     with pytest.raises(InterpreterError):
         loop_victim("shift_stressor")
@@ -355,22 +343,23 @@ def _campaign_p_event(profile, payload, core):
 
 
 def _hmac_run_matches_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
-    """One `_hmac_single_run` against `reference_hmac_detail`: equal fault
-    sets and an equal final generator state.  `half` enters with a
-    buffered half-word; a positive `c_try` cuts the run short."""
+    """One `_hmac_single_run` against `reference_hmac_detail`: the keys it
+    hands to the lanes equal `_fault_key` of the reference fault sets, and
+    the final generator states are equal.  `half` enters with a buffered
+    half-word; a positive `c_try` cuts the run short."""
     ctx = _HMAC_CONTEXTS[payload]
     ours, theirs = vrng.stream(seed, "hmac-detail"), vrng.stream(seed, "hmac-detail")
     if half:
         for gen in (ours, theirs):
             gen.integers(0, 9, dtype=np.uint32)
         assert ours.bit_generator.state["has_uint32"] == 1
-    with mock.patch.object(ctx, "macs_with_faults", return_value=[]) as macs:
+    with mock.patch.object(ctx, "macs_with_keys", return_value=[]) as macs:
         _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
     total = ctx.total_events
     ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
     completed = _tries_before_crash(theirs, c_try, tries)
     expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
-    assert macs.call_args.args[0] == expected
+    assert macs.call_args.args[0] == [ctx._fault_key(faults) for faults in expected]
     np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
     return expected
 
@@ -405,6 +394,27 @@ def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, see
     p_event = 0.05 if dense else _campaign_p_event(kaby, payload, core)
     with mock.patch.object(processor, "_BLOCK", block):
         _hmac_run_matches_oracle(kaby, payload, core, p_event, seed, 30, half)
+
+
+@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
+def test_hmac_run_hands_over_canonical_keys(kaby, payload, monkeypatch):
+    # The run builds each fault set's key itself, unchecked; `_fault_key`
+    # of the same set must give back exactly that key.
+    seen = []
+    real = HmacContext.macs_with_keys
+
+    def recording(self, keys):
+        seen.extend(keys)
+        return real(self, keys)
+
+    monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
+    env = pinned_state(kaby, 1, -250, stressor="shift_loop", seed=3)
+    run_hmac_victim(env, 1, payload, 1000, runs=1)
+    assert len(seen) > 100
+    ctx = _HMAC_CONTEXTS[payload]
+    for key in seen:
+        assert type(key) is tuple
+        assert ctx._fault_key(dict(key)) == key
 
 
 def test_payload_names():
