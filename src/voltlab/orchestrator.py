@@ -15,7 +15,6 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
@@ -133,7 +132,8 @@ class VoltagePlan:
         }
 
 
-class FaultStats(NamedTuple):
+@dataclass(frozen=True)
+class FaultStats:
     """What probing one core turned up."""
 
     core: int

@@ -95,7 +95,8 @@ def manifestation(depth_fraction: float) -> float:
     return depth_fraction / RAMP_SATURATION_DEPTH
 
 
-class PStatePoint(NamedTuple):
+@dataclass(frozen=True)
+class PStatePoint:
     ratio: int
     base_voltage_mv: float
     reference_temp_c: float

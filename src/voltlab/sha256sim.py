@@ -19,8 +19,8 @@ run's fault sets to `HmacContext.macs_with_keys`, which recomputes every
 distinct faulted MAC at once, each fault set one lane of numpy `uint32`
 arrays (FIPS 180-4 arithmetic, wrapping mod 2**32).  Both paths share the
 memo, and tests hold the lanes equal to the scalar path.  Fault dicts are
-normalised and range-checked by `_fault_key`, on the scalar path and in
-`macs_with_faults`; `macs_with_keys` takes keys already in that form.
+normalised and range-checked by `_fault_key` on the scalar path;
+`macs_with_keys` takes keys already in that form.
 """
 
 from __future__ import annotations
@@ -306,14 +306,6 @@ class HmacContext:
         )
         self._cache[cache_key] = mac
         return mac
-
-    def macs_with_faults(self, fault_sets: list[dict[tuple[int, int], int]]) -> list[bytes]:
-        """`mac_with_faults` of every fault set, in order.
-
-        Each set is normalised and checked by `_fault_key`, then handed to
-        `macs_with_keys`.
-        """
-        return self.macs_with_keys([self._fault_key(faults) for faults in fault_sets])
 
     def macs_with_keys(self, keys: list[tuple]) -> list[bytes]:
         """The MAC of every canonical fault key, in order.

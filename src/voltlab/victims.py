@@ -49,6 +49,7 @@ from .processor import (
     mean_event_fault_probability,
 )
 from .scanner import scan
+from .sha256sim import EVENTS_PER_BLOCK, HmacContext
 
 __all__ = [
     "CampaignResult",
@@ -78,20 +79,24 @@ GUARD_SLICES = 10
 # Stressors
 
 
-class StressorSpec(NamedTuple):
+@dataclass(frozen=True)
+class StressorSpec:
     """What running a workload on the victim's logical partner does.
 
     `fault_multiplier` scales the calibrated per-event fault ceiling and is
-    at least 1 ("none" is exactly 1; `PlatformState` refuses less).
-    `temp_boost_c` adds to the victim core's equilibrium temperature.
-    `program` names a bundled mini-ISA source when the stressor is one,
-    None for native workloads.
+    at least 1 ("none" is exactly 1).  `temp_boost_c` adds to the victim
+    core's equilibrium temperature.  `program` names a bundled mini-ISA
+    source when the stressor is one, None for native workloads.
     """
 
     name: str
     fault_multiplier: float
     temp_boost_c: float
     program: str | None = None
+
+    def __post_init__(self):
+        if self.fault_multiplier < 1.0:
+            raise InvariantError("stressor multiplier is at least 1")
 
 
 STRESSORS = {
@@ -605,8 +610,6 @@ def _hmac_single_run(
     arrive sorted and in range and every flip mask is nonzero within 128
     bits, so the (block, event) pairs are already in `_fault_key`'s order.
     """
-    from .sha256sim import EVENTS_PER_BLOCK
-
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
     completed = _tries_before_crash(rng, c_try, tries)
@@ -635,8 +638,6 @@ def run_hmac_victim(
     crashes; runs after the first crashed one are not started, because the
     simulated machine is gone.
     """
-    from .sha256sim import HmacContext  # only the HMAC victim loads it
-
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
     core = _pin_check(env, target_core)

@@ -406,14 +406,13 @@ def test_codec_and_scan_commands_start_without_numpy(argv):
     assert "voltlab.orchestrator" not in loaded
 
 
-def test_poc_campaign_loads_neither_mca_nor_sha256sim():
+def test_poc_campaign_does_not_load_mca():
     loaded = _cli_modules(
         "campaign", "--profile", "i7-7700k", "--victim", "poc", "--core", "1",
         "--runs", "1", "--tries", "100",
     )
     assert "voltlab.orchestrator" in loaded
     assert "voltlab.mca" not in loaded
-    assert "voltlab.sha256sim" not in loaded
 
 
 def test_package_import_loads_no_submodule_until_a_name_is_touched():
