@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import AbortedByCrash, VoltlabError
+from .errors import AbortedByCrash, FormatError, ParseError, VoltlabError
 from .msr import (
     MailboxCommand,
     MailboxOp,
@@ -92,7 +92,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    word = int(args.word, 16)
+    try:
+        word = int(args.word, 16)
+    except ValueError:
+        raise FormatError(f"{args.word!r} is not a hexadecimal word") from None
     cmd = decode_mailbox(word)
     if args.json:
         _emit(_word_json(word, cmd))
@@ -105,8 +108,13 @@ def _load_program(spec: str):
     from .isa import bundled_program, parse_program
 
     if spec.endswith(".s") or "/" in spec:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_program(fh.read(), source_name=spec)
+        with open(spec, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise ParseError(f"{spec}: not UTF-8 text (byte {bad.start})") from None
+        return parse_program(text, source_name=spec)
     return bundled_program(spec)
 
 
@@ -143,9 +151,11 @@ def _cmd_probe(args) -> int:
 
 def _cmd_campaign(args) -> int:
     from .orchestrator import run_campaign
+    from .processor import load_profile
 
+    profile = load_profile(args.profile)
     result, ctx = run_campaign(
-        args.profile,
+        profile,
         args.victim,
         args.core,
         args.stressor,
@@ -156,39 +166,23 @@ def _cmd_campaign(args) -> int:
     )
     _emit({"context": ctx, "result": result.to_json()})
     if args.csv:
-        _write_campaign_csv(args.csv, result, ctx, args)
+        _write_campaign_csv(args.csv, profile, result, ctx, args)
     return 0
 
 
-def _write_campaign_csv(path: str, result, ctx, args) -> None:
-    from .processor import load_profile
-
-    profile = load_profile(args.profile)
+def _write_campaign_csv(path: str, profile, result, ctx, args) -> None:
     point = profile.pstate_point(ctx["pstate"])
-    freq = pstate_frequency_mhz(
-        PState(int(ctx["pstate"], 16), profile.base_clock_mhz)
-    )
+    freq = pstate_frequency_mhz(PState(point.ratio, profile.base_clock_mhz))
     header = (
         "model,core,pstate,frequency_mhz,base_voltage_v,attack_voltage_v,"
         "offset_mv,stressor,runs,tries_per_run,successes_per_10k,sigma"
     )
-    row = ",".join(
-        str(v)
-        for v in [
-            ctx["model"],
-            result.target_core,
-            ctx["pstate"],
-            freq,
-            round(point.base_voltage_mv / 1000.0, 4),
-            ctx["attack_voltage_v"],
-            ctx["offset_mv"],
-            ctx["stressor"],
-            len(result.per_run),
-            args.tries,
-            round(result.mean_per_10k, 4),
-            round(result.sigma, 4),
-        ]
-    )
+    row = ",".join(map(str, [
+        ctx["model"], result.target_core, ctx["pstate"], freq,
+        round(point.base_voltage_mv / 1000.0, 4), ctx["attack_voltage_v"], ctx["offset_mv"],
+        ctx["stressor"], len(result.per_run), args.tries,
+        round(result.mean_per_10k, 4), round(result.sigma, 4),
+    ]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + row + "\n")
 
@@ -203,23 +197,10 @@ def _cmd_report(args) -> int:
     else:  # multiplicity
         lines.append("core,faults,single,double,three_plus,single_pct,double_pct,three_plus_pct")
         for stat in report.stats:
-            single, double, more = stat.bucketed()
+            buckets = stat.bucketed()
             total = stat.faults or 1
-            lines.append(
-                ",".join(
-                    str(v)
-                    for v in [
-                        stat.core,
-                        stat.faults,
-                        single,
-                        double,
-                        more,
-                        round(100.0 * single / total, 2),
-                        round(100.0 * double / total, 2),
-                        round(100.0 * more / total, 2),
-                    ]
-                )
-            )
+            pcts = [round(100.0 * n / total, 2) for n in buckets]
+            lines.append(",".join(map(str, [stat.core, stat.faults, *buckets, *pcts])))
     print("\n".join(lines))
     return 0
 
@@ -312,7 +293,7 @@ def main(argv=None) -> int:
         partial = abort.partial.to_json() if abort.partial is not None else None
         _emit({"aborted": str(abort), "partial": partial})
         return 3
-    except (VoltlabError, OSError, ValueError) as exc:
+    except (VoltlabError, OSError) as exc:
         print(f"voltlab: {exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,13 @@ class InvariantError(VoltlabError, ValueError):
 class UnknownCoreOrPState(VoltlabError, KeyError):
     """Lookup of a core index or pstate the profile does not define."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class UnknownStressor(VoltlabError, KeyError):
     """Stressor name not in the registry."""
+
+    __str__ = Exception.__str__
 
 
 class ParseError(VoltlabError, ValueError):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -72,18 +73,71 @@ def _quantize_mv(volts: float) -> float:
     return round(volts * 1e6) / 1000.0
 
 
-def _profile_mv(volts) -> float:
-    """A profile voltage in mV; a non-finite one is left for `_validate` to refuse."""
-    uv = volts * 1e6
-    return _quantize_mv(volts) if math.isfinite(uv) else uv / 1000.0
+# Sane ranges of the profile's real-valued fields.
+_TEMP_C, _WIDTH_MV, _VOLTS, _UNIT = (-273.15, 1000.0), (0.0, 1000.0), (0.0, 10.0), (0.0, 1.0)
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
-def _whole(origin: str, field: str, value, top: int) -> int:
-    """An integer profile field in 0..=top; a non-finite, fractional or
-    out-of-range number is refused."""
-    if isinstance(value, float) and not value.is_integer() or not 0 <= int(value) <= top:
-        raise InvariantError(f"{origin}: {field} must be a whole number in 0..={top}, not {value}")
-    return int(value)
+def _path(at: str, key) -> str:
+    """The field path of `key` under `at`: dotted, with list indexes in brackets."""
+    return f"{at}[{key}]" if type(key) is int else f"{at}.{key}" if at else key
+
+
+class _Reader:
+    """One profile's JSON, read against the field contract.
+
+    A missing field, a wrong JSON type or a list of the wrong length raises
+    `SchemaError`; a number out of its range (non-finite, or fractional
+    where a whole one is due) raises `InvariantError`.  Both name the field
+    by its path, which is built only for the message.
+    """
+
+    def __init__(self, origin: str):
+        self.origin = origin
+
+    def get(self, node, key, at: str = "", kind=dict):
+        """`node[key]`, which must be of JSON type `kind` (None: any)."""
+        try:
+            value = node[key]
+        except KeyError:
+            raise SchemaError(f"{self.origin}: missing field {_path(at, key)}") from None
+        if kind is not None and type(value) is not kind:
+            raise SchemaError(f"{self.origin}: {_path(at, key)} must be {_JSON_KINDS[kind]}")
+        return value
+
+    def num(self, node, key, lo, hi, at: str = "", n: int | None = None, whole: bool = False):
+        """The number `node[key]` in lo..=hi, whole if `whole`; with `n`, a
+        list of `n` real numbers, checked and converted in one pass."""
+        if n is None:
+            return self._number(self.get(node, key, at, None), at, key, lo, hi, whole)
+        if len(values := self.get(node, key, at, list)) != n:
+            raise SchemaError(f"{self.origin}: {_path(at, key)} must list {n} entries")
+        return [
+            v if type(v) is float and lo <= v <= hi else self._number(v, _path(at, key), i, lo, hi)
+            for i, v in enumerate(values)
+        ]
+
+    def table(self, node, key, rows: int, cols: int, lo, hi) -> np.ndarray:
+        """A `rows` x `cols` list of lists of numbers in lo..=hi."""
+        if len(table := self.get(node, key, "", list)) != rows:
+            raise SchemaError(f"{self.origin}: {key} must list {rows} entries")
+        return np.array([self.num(table, i, lo, hi, key, cols) for i in range(rows)])
+
+    def pstate(self, key, at: str) -> str:
+        try:
+            return normalize_pstate(key)
+        except UnknownCoreOrPState as bad:
+            raise SchemaError(f"{self.origin}: {at}: {bad}") from None
+
+    def _number(self, value, at, key, lo, hi, whole=False):
+        if type(value) is not float and type(value) is not int:  # a bool is not a number here
+            raise SchemaError(f"{self.origin}: {_path(at, key)} must be a number")
+        if not lo <= value <= hi or whole and value % 1:
+            raise InvariantError(
+                f"{self.origin}: {_path(at, key)} must be a {'whole' if whole else 'finite'} "
+                f"number in {lo}..={hi}, not {value}"
+            )
+        return int(value) if whole else float(value)
 
 
 def manifestation(depth_fraction: float) -> float:
@@ -149,65 +203,79 @@ class ProcessorProfile:
     """Immutable calibration data for one processor model."""
 
     def __init__(self, raw: dict, origin: str = "<dict>"):
-        self._origin = origin
-        try:
-            if raw["schema_version"] != SCHEMA_VERSION:
-                raise SchemaError(
-                    f"{origin}: schema_version {raw['schema_version']} unsupported"
-                )
-            self.name: str = raw["model_name"]
-            # Upper bounds far above any real part, yet small enough that a
-            # campaign can size its per-core and per-thread tables from them.
-            self.physical_cores = _whole(origin, "physical_cores", raw["physical_cores"], 1024)
-            self.threads_per_core = _whole(origin, "threads_per_core", raw["threads_per_core"], 8)
-            self.base_clock_mhz = _whole(origin, "base_clock_mhz", raw["base_clock_mhz"], 10_000)
-            self.ambient_temp_c: float = float(raw["ambient_temp_c"])
-            self.noise_mv: float = float(raw["noise_mv"])
-            self.temp_coeff_mv_per_c: float = float(raw["temp_coeff_mv_per_c"])
-            self.corrected_band_mv: float = float(raw["corrected_band_mv"])
-            self.corrected_log_rate: float = float(raw["corrected_log_rate_per_slice"])
-            self.decode_error_rate: float = float(raw["decode_error_rate_per_slice"])
-            self.default_attack_pstate: str = normalize_pstate(raw["default_attack_pstate"])
-            self.affinity_source: str = raw.get("affinity_source", "unspecified")
-            crash = raw["crash"]
-            self.crash = CrashParams(
-                float(crash["rate_per_slice"]),
-                float(crash["depth_slope_per_mv"]),
-                _whole(origin, "crash.reboot_slices", crash["reboot_slices"], 10**9),
+        read = _Reader(origin)
+        if type(raw) is not dict:
+            raise SchemaError(f"{origin}: a profile is a JSON object")
+        version = read.get(raw, "schema_version", kind=None)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaError(f"{origin}: schema_version {version!r} unsupported")
+        self.name: str = read.get(raw, "model_name", kind=str)
+        # Upper bounds far above any real part, yet small enough that a
+        # campaign can size its per-core and per-thread tables from them.
+        n = self.physical_cores = read.num(raw, "physical_cores", 0, 1024, whole=True)
+        self.threads_per_core = read.num(raw, "threads_per_core", 0, 8, whole=True)
+        if n < 2 or self.threads_per_core < 2:
+            # One whole core for the attacker, the stressor on the victim's partner.
+            raise InvariantError(f"{origin}: the attack partition needs 2+ cores of 2+ threads")
+        self.base_clock_mhz = read.num(raw, "base_clock_mhz", 1, 10_000, whole=True)
+        self.ambient_temp_c: float = read.num(raw, "ambient_temp_c", *_TEMP_C)
+        self.noise_mv: float = read.num(raw, "noise_mv", *_WIDTH_MV)
+        self.temp_coeff_mv_per_c: float = read.num(raw, "temp_coeff_mv_per_c", -100.0, 100.0)
+        self.corrected_band_mv: float = read.num(raw, "corrected_band_mv", *_WIDTH_MV)
+        self.corrected_log_rate: float = read.num(raw, "corrected_log_rate_per_slice", *_UNIT)
+        self.decode_error_rate: float = read.num(raw, "decode_error_rate_per_slice", *_UNIT)
+        crash = read.get(raw, "crash")
+        self.crash = CrashParams(
+            read.num(crash, "rate_per_slice", *_UNIT, at="crash"),
+            read.num(crash, "depth_slope_per_mv", 0.0, 1000.0, at="crash"),
+            read.num(crash, "reboot_slices", 0, 10**9, at="crash", whole=True),
+        )
+        self.pstates: dict[str, PStatePoint] = {}
+        pstates = read.get(raw, "pstates")
+        for key in pstates:
+            norm = read.pstate(key, "pstates")
+            entry, at = read.get(pstates, key, "pstates"), _path("pstates", key)
+            base = _quantize_mv(read.num(entry, "base_voltage_v", *_VOLTS, at=at))
+            volts = read.num(entry, "fault_voltage_v", *_VOLTS, at=at, n=n)
+            faults = tuple(map(_quantize_mv, volts))
+            for core, fault_mv in enumerate(faults):
+                if fault_mv >= base:
+                    raise InvariantError(f"{origin}: {at} core {core} fault voltage "
+                                         f"{fault_mv} mV not below base {base} mV")
+            self.pstates[norm] = PStatePoint(
+                ratio=int(norm, 16),
+                base_voltage_mv=base,
+                reference_temp_c=read.num(entry, "reference_temp_c", *_TEMP_C, at=at),
+                exploit_window_mv=read.num(entry, "exploit_window_mv", *_WIDTH_MV, at=at),
+                exploit_factor=read.num(entry, "exploit_factor", *_UNIT, at=at),
+                fault_voltage_mv=faults,
             )
-            self.pstates: dict[str, PStatePoint] = {}
-            for key, entry in raw["pstates"].items():
-                norm = normalize_pstate(key)
-                self.pstates[norm] = PStatePoint(
-                    ratio=int(norm, 16),
-                    base_voltage_mv=_profile_mv(entry["base_voltage_v"]),
-                    reference_temp_c=float(entry["reference_temp_c"]),
-                    exploit_window_mv=float(entry["exploit_window_mv"]),
-                    exploit_factor=float(entry["exploit_factor"]),
-                    fault_voltage_mv=tuple(_profile_mv(v) for v in entry["fault_voltage_v"]),
-                )
-            self.byte_affinity = np.asarray(raw["byte_affinity"], dtype=float)
-            self.multiplicity = np.asarray(raw["multiplicity"], dtype=float)
-            self.calibration: dict[str, CalibrationEntry] = {}
-            for scenario, entry in raw["calibration"].items():
-                self.calibration[scenario] = CalibrationEntry(
-                    bool(entry["pstate_gated"]),
-                    tuple(float(p) for p in entry["p_event_max"]),
-                )
-        except UnknownCoreOrPState as bad:  # a KeyError, but not a missing field
-            raise SchemaError(f"{origin}: {bad.args[0]}") from None
-        except KeyError as missing:
-            raise SchemaError(f"{origin}: missing field {missing}") from None
-        self._validate()
+        self.default_attack_pstate = read.pstate(
+            read.get(raw, "default_attack_pstate", kind=None), "default_attack_pstate"
+        )
+        if self.default_attack_pstate not in self.pstates:
+            raise SchemaError(f"{origin}: default attack pstate undefined")
+        self.byte_affinity = read.table(raw, "byte_affinity", n, 16, 0.0, sys.float_info.max)
+        if (self.byte_affinity.max(axis=1) <= 0).any():
+            raise InvariantError(f"{origin}: every core needs a positive affinity weight")
+        self.multiplicity = read.table(raw, "multiplicity", n, 3, *_UNIT)
+        # np.allclose's tolerance (atol 1e-9, rtol 1e-5), without its overhead.
+        if not (abs(self.multiplicity.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
+            raise InvariantError(f"{origin}: multiplicity rows must sum to 1")
+        self.calibration: dict[str, CalibrationEntry] = {}
+        scenarios = read.get(raw, "calibration")
+        for scenario in scenarios:
+            entry, at = read.get(scenarios, scenario, "calibration"), _path("calibration", scenario)
+            self.calibration[scenario] = CalibrationEntry(
+                read.get(entry, "pstate_gated", at, bool),
+                tuple(read.num(entry, "p_event_max", *_UNIT, at=at, n=n)),
+            )
         # Per-core bit weights: byte affinity spread uniformly over each
         # byte's 8 bits, normalized for sampling without replacement.
-        rows = []
         with np.errstate(all="ignore"):  # a row that does not survive this is refused below
-            for core in range(self.physical_cores):
-                per_bit = np.repeat(self.byte_affinity[core], 8) / 8.0
-                rows.append(per_bit / per_bit.sum())
-        self._bit_weights = np.asarray(rows)
-        if not np.allclose(self._bit_weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
+            per_bit = np.repeat(self.byte_affinity, 8, axis=1) / 8.0
+            self._bit_weights = per_bit / per_bit.sum(axis=1, keepdims=True)
+        if not (abs(self._bit_weights.sum(axis=1) - 1.0) <= 1e-9).all():
             raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
         # Per core, what `_walk` reads: (multiplicity CDF, bit CDF, count of
         # bits with positive weight, bit weights).
@@ -215,60 +283,6 @@ class ProcessorProfile:
             (_cdf(mult), _cdf(bits), int(np.count_nonzero(bits)), bits)
             for mult, bits in zip(self.multiplicity, self._bit_weights)
         ]
-
-    def _validate(self):
-        n = self.physical_cores
-        numbers = [self.ambient_temp_c, self.noise_mv, self.temp_coeff_mv_per_c]
-        numbers += [self.corrected_band_mv, self.corrected_log_rate, self.decode_error_rate]
-        numbers += [self.crash.rate_per_slice, self.crash.depth_slope_per_mv]
-        for point in self.pstates.values():
-            numbers += [point.base_voltage_mv, point.reference_temp_c, point.exploit_window_mv]
-            numbers += [point.exploit_factor, *point.fault_voltage_mv]
-        for entry in self.calibration.values():
-            numbers += entry.p_event_max
-        for values in (numbers, self.byte_affinity, self.multiplicity):
-            if not np.isfinite(values).all():
-                raise InvariantError(f"{self._origin}: profile numbers must be finite")
-        if n < 2 or self.threads_per_core < 2:
-            # One whole core for the attacker, the stressor on the victim's partner.
-            raise InvariantError(
-                f"{self._origin}: the attack partition needs 2+ cores of 2+ threads"
-            )
-        if self.noise_mv < 0 or self.corrected_band_mv < 0:
-            raise InvariantError(f"{self._origin}: noise and band widths are nonnegative")
-        if self.byte_affinity.shape != (n, 16):
-            raise SchemaError(f"{self._origin}: byte_affinity must be {n}x16")
-        if self.multiplicity.shape != (n, 3):
-            raise SchemaError(f"{self._origin}: multiplicity must be {n}x3")
-        if (self.byte_affinity < 0).any():
-            raise InvariantError(f"{self._origin}: affinity weights are nonnegative")
-        if (self.byte_affinity.max(axis=1) <= 0).any():
-            raise InvariantError(f"{self._origin}: every core needs a positive affinity weight")
-        if (self.multiplicity < 0).any():
-            raise InvariantError(f"{self._origin}: multiplicity entries are nonnegative")
-        sums = self.multiplicity.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise InvariantError(f"{self._origin}: multiplicity rows must sum to 1")
-        for key, point in self.pstates.items():
-            if len(point.fault_voltage_mv) != n:
-                raise SchemaError(f"{self._origin}: {key} fault voltages must cover {n} cores")
-            if point.exploit_window_mv < 0:
-                raise InvariantError(f"{self._origin}: {key} window width is nonnegative")
-            if not 0.0 <= point.exploit_factor <= 1.0:
-                raise InvariantError(f"{self._origin}: {key} exploit factor in [0, 1]")
-            for core, fault_mv in enumerate(point.fault_voltage_mv):
-                if fault_mv >= point.base_voltage_mv:
-                    raise InvariantError(
-                        f"{self._origin}: {key} core {core} fault voltage "
-                        f"{fault_mv} mV not below base {point.base_voltage_mv} mV"
-                    )
-        for scenario, entry in self.calibration.items():
-            if len(entry.p_event_max) != n:
-                raise SchemaError(f"{self._origin}: calibration {scenario} must cover {n} cores")
-            if any(not 0.0 <= p <= 1.0 for p in entry.p_event_max):
-                raise InvariantError(f"{self._origin}: calibration {scenario} out of [0, 1]")
-        if self.default_attack_pstate not in self.pstates:
-            raise SchemaError(f"{self._origin}: default attack pstate undefined")
 
     # -- lookups ---------------------------------------------------------
 
@@ -304,7 +318,10 @@ def normalize_pstate(pstate: str | int) -> str:
     is refused like an out-of-range ratio.
     """
     if isinstance(pstate, str):
-        value = int(pstate, 16)
+        try:
+            value = int(pstate, 16)
+        except ValueError:
+            raise UnknownCoreOrPState(f"pstate {pstate!r} is not a hex ratio") from None
     elif isinstance(pstate, float) and pstate.is_integer():
         value = int(pstate)
     elif isinstance(pstate, bool) or not hasattr(pstate, "__index__"):
@@ -318,21 +335,20 @@ def normalize_pstate(pstate: str | int) -> str:
 
 def load_profile(name_or_path) -> ProcessorProfile:
     """Load a bundled profile by name (e.g. 'i7-8700K') or any JSON path."""
-    text = None
     origin = str(name_or_path)
-    candidate = str(name_or_path)
-    if candidate.lower().endswith(".json") or "/" in candidate:
-        with open(candidate, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    if origin.lower().endswith(".json") or "/" in origin:
+        with open(origin, "rb") as fh:
+            data = fh.read()
     else:
-        stem = candidate.lower()
-        res = resources.files("voltlab").joinpath(f"data/profiles/{stem}.json")
+        res = resources.files("voltlab").joinpath(f"data/profiles/{origin.lower()}.json")
         if not res.is_file():
-            raise SchemaError(f"no bundled profile named {candidate!r}")
-        text = res.read_text(encoding="utf-8")
+            raise SchemaError(f"no bundled profile named {origin!r}")
+        data = res.read_bytes()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as bad:
+        raise SchemaError(f"{origin}: not UTF-8 text (byte {bad.start})") from None
+    except (ValueError, RecursionError) as exc:  # also past Python's digit or depth limit
         raise SchemaError(f"{origin}: not valid JSON ({exc})") from None
     return ProcessorProfile(raw, origin=origin)
 
@@ -359,7 +375,6 @@ class PlatformState:
     stressor_fault_multiplier: float = 1.0
     stressor_temp_boost_c: float = 0.0
     seed: int = 0
-    temp_tau_s: float = 2.0
 
     def __post_init__(self):
         self.pstate = normalize_pstate(self.pstate)

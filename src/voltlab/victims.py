@@ -325,7 +325,11 @@ def run_test_loop(
     events = geom.events
     p_event, q_iter, g_slice = rates
 
-    crash_slice = int(rng.geometric(g_slice)) - 1 if g_slice > 0.0 else None
+    crash_it = None  # the iteration the platform dies in, if within the budget
+    if g_slice > 0.0:
+        crash_slice = int(rng.geometric(g_slice)) - 1
+        if crash_slice < max_iters * spi:
+            crash_it = crash_slice // spi
 
     iter_base = 0  # iterations already survived
     while True:
@@ -338,22 +342,14 @@ def run_test_loop(
             if draw <= budget:
                 fault_iter = iter_base + draw - 1  # 0-based iteration index
 
-        # Candidate (iteration, slice-within, precedence) triples; a crash
-        # during the faulting iteration preempts the output comparison that
-        # happens at its end.
-        candidates = []
-        if crash_slice is not None and crash_slice < max_iters * spi:
-            candidates.append((crash_slice // spi, crash_slice % spi, 0, "crash"))
-        if fault_iter is not None:
-            candidates.append((fault_iter, spi, 1, "fault"))
-        candidates = [c for c in candidates if c[0] >= iter_base]
-        if not candidates:
-            break
-        it, _, _, what = min(candidates)
-
-        if what == "crash":
+        # A crash during the faulting iteration preempts the output
+        # comparison that happens at its end.  A fault wins only before
+        # the crash's iteration, so `iter_base` never passes it.
+        if crash_it is not None and (fault_iter is None or crash_it <= fault_iter):
             kind = draw_crash_kind(profile.pstate_point(pstate).ratio, rng)
-            return RunOutcome.crashed(kind, it)
+            return RunOutcome.crashed(kind, crash_it)
+        if fault_iter is None:
+            break
 
         # Fault wins: pick which eligible store faulted first, then give
         # each later store in the same iteration its independent chance.
@@ -371,9 +367,9 @@ def run_test_loop(
         faulted = _run_with_flips(victim.program, geom, flips)
         diff = memory_diff(geom.reference.memory, faulted.memory)
         if diff:
-            return RunOutcome.mismatch(diff, it + 1)
+            return RunOutcome.mismatch(diff, fault_iter + 1)
         # Corruption never reached the output buffer; the loop keeps going.
-        iter_base = it + 1
+        iter_base = fault_iter + 1
 
     return RunOutcome.match(max_iters)
 

@@ -233,6 +233,10 @@ def run_campaigns_out_of_order(monkeypatch, seed=0):
         monkeypatch.setattr(module, "_campaign_runs", out_of_order)
 
 
+# Time constant of the first-order thermal relaxation.
+TEMP_TAU_S = 2.0
+
+
 def update_temperature(state, dt_s, workload=None):
     """First-order relaxation of core temperatures toward their targets.
 
@@ -245,5 +249,5 @@ def update_temperature(state, dt_s, workload=None):
     if workload:
         for phys, extra in workload.items():
             targets[state.profile.check_core(phys)] += extra
-    alpha = 1.0 - math.exp(-dt_s / state.temp_tau_s)
+    alpha = 1.0 - math.exp(-dt_s / TEMP_TAU_S)
     state.core_temp_c += (targets - state.core_temp_c) * alpha

@@ -11,7 +11,7 @@ import pytest
 import voltlab.cli as cli
 import voltlab.orchestrator as orchestrator
 from voltlab.errors import AbortedByCrash, InvariantError, SchemaError
-from voltlab.processor import load_profile
+from voltlab.processor import ProcessorProfile, load_profile
 from voltlab.victims import CampaignResult
 
 
@@ -215,6 +215,20 @@ def test_campaign_writes_summary_csv(capsys, tmp_path):
     assert cells[3] == "2700"  # 0x1b ratio on a 100 MHz base clock
 
 
+def test_campaign_with_csv_loads_the_profile_once(capsys, tmp_path, monkeypatch):
+    loads = []
+    real = ProcessorProfile.__init__
+
+    def counting(self, raw, origin="<dict>"):
+        loads.append(origin)
+        real(self, raw, origin)
+
+    monkeypatch.setattr(ProcessorProfile, "__init__", counting)
+    rc, _, _ = run_cli(capsys, *CAMPAIGN_FLAGS, "--csv", str(tmp_path / "table.csv"))
+    assert rc == 0
+    assert loads == ["i7-7700k"]
+
+
 def test_campaign_rejects_unknown_core(capsys):
     rc, _, err = run_cli(
         capsys, "campaign", "--profile", "i7-7700k", "--victim", "poc",
@@ -373,6 +387,38 @@ def test_profile_with_non_finite_numbers_is_refused(capsys, tmp_path, path, valu
     assert rc == 2
     assert out == ""
     assert err.startswith("voltlab: ") and "finite" in err
+
+
+def test_lookup_errors_print_without_quotes(capsys):
+    rc, out, err = run_cli(
+        capsys, "probe", "--profile", "i7-7700k", "--pstate", "0x99", "--tries", "10"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "voltlab: i7-7700K does not define pstate 0x99\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode-msr", "zz"],
+        ["probe", "--profile", "i7-7700k", "--pstate", "zz", "--tries", "10"],
+        ["probe", "--profile", "{latin1.json}", "--tries", "10"],
+        ["scan", "{latin1.s}"],
+        ["probe", "--profile", "i7-7700k", "--pstate", "0x99", "--tries", "10"],
+        ["campaign", "--profile", "i7-7700k", "--victim", "poc", "--core", "9", "--tries", "10"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exits_2_with_a_voltlab_message(capsys, tmp_path, argv):
+    for name in ("latin1.json", "latin1.s"):
+        (tmp_path / name).write_bytes(b"halt # caf\xe9\n")
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ")
+    assert "invalid literal" not in err and "codec" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Voltage geometry, fault sampling, crash process, temperature model."""
 
+import importlib.util
 import json
+import pathlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_flip_pattern, update_temperature
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
-from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState
+from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState, VoltlabError
+from voltlab.orchestrator import run_campaign
 from voltlab.processor import (
     BitFlipPattern,
     CrashKind,
@@ -99,9 +102,9 @@ def test_unknown_bundled_name():
         load_profile("i9-9999X")
 
 
-def _raw_profile():
+def _raw_profile(name="i7-7700k"):
     res = __import__("importlib.resources", fromlist=["files"]).files("voltlab")
-    return json.loads(res.joinpath("data/profiles/i7-7700k.json").read_text())
+    return json.loads(res.joinpath(f"data/profiles/{name}.json").read_text())
 
 
 def test_missing_field_is_schema_error():
@@ -149,6 +152,143 @@ def test_calibration_range_checked():
         ProcessorProfile(raw)
 
 
+def _parent(raw, path):
+    """The container that holds the last key of `path`, and that key."""
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    return raw, last
+
+
+@pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+        (("ambient_temp_c",), None, SchemaError, "ambient_temp_c must be a number"),
+        (("noise_mv",), True, SchemaError, "noise_mv must be a number"),
+        (("noise_mv",), "x", SchemaError, "noise_mv must be a number"),
+        (("crash",), [], SchemaError, "crash must be an object"),
+        (("model_name",), 7, SchemaError, "model_name must be a string"),
+        (("calibration", "poc", "pstate_gated"), 1, SchemaError,
+         "calibration.poc.pstate_gated must be true or false"),
+        (("pstates", "0x1b", "fault_voltage_v"), [0.7], SchemaError,
+         "pstates.0x1b.fault_voltage_v must list 4 entries"),
+        (("byte_affinity", 2), {}, SchemaError, r"byte_affinity\[2\] must be a list"),
+        (("multiplicity",), [[1.0, 0.0, 0.0]], SchemaError, "multiplicity must list 4 entries"),
+        (("multiplicity", 1, 2), "0", SchemaError, r"multiplicity\[1\]\[2\] must be a number"),
+        (("pstates", "zz"), {}, SchemaError, "pstates: pstate 'zz' is not a hex ratio"),
+        (("ambient_temp_c",), -1e308, InvariantError, "ambient_temp_c must be a finite number"),
+        (("crash", "depth_slope_per_mv"), -0.5, InvariantError,
+         "crash.depth_slope_per_mv must be a finite number in 0.0..=1000.0, not -0.5"),
+        (("pstates", "0x20", "exploit_factor"), 2**70, InvariantError,
+         "pstates.0x20.exploit_factor must be a finite number in 0.0..=1.0"),
+        (("calibration", "probe", "p_event_max", 3), float("nan"), InvariantError,
+         r"calibration.probe.p_event_max\[3\] must be a finite number"),
+        (("base_clock_mhz",), 0, InvariantError,
+         "base_clock_mhz must be a whole number in 1..=10000"),
+    ],
+    ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_field_contract_names_the_field(path, value, error, message):
+    raw = _raw_profile()
+    node, key = _parent(raw, path)
+    node[key] = value
+    with pytest.raises(error, match=message):
+        ProcessorProfile(raw, "edited")
+
+
+@pytest.mark.parametrize(
+    "path", [("crash", "rate_per_slice"), ("pstates", "0x1b", "exploit_factor")]
+)
+def test_missing_nested_field_names_its_path(path):
+    raw = _raw_profile()
+    node, key = _parent(raw, path)
+    del node[key]
+    with pytest.raises(SchemaError, match=f"missing field {'.'.join(path)}$"):
+        ProcessorProfile(raw, "edited")
+
+
+@pytest.mark.parametrize("raw", [[], "profile", None, 1])
+def test_a_profile_is_a_json_object(raw):
+    with pytest.raises(SchemaError, match="a profile is a JSON object"):
+        ProcessorProfile(raw)
+
+
+def test_non_utf8_profile_file_is_a_schema_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model_name": "i7-7700K \xe9"}')
+    with pytest.raises(SchemaError, match="not UTF-8 text"):
+        load_profile(path)
+
+
+# Leaves and containers of a bundled profile are deleted, replaced with a
+# value of any JSON type, or (numbers) scaled.  A profile either is refused
+# at load with a SchemaError or InvariantError, or runs: a short campaign
+# for each victim completes or raises a VoltlabError, never anything else.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.floats(0, 2), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.floats(0, 1), max_size=2),
+)
+
+
+def _json_paths(node, path=()):
+    """Every path in a JSON value: the root, each container and each leaf."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_paths(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(bundled_profile_names()), st.data())
+def test_fuzzed_profiles_are_refused_at_load_or_run(name, data):
+    raw = _raw_profile(name)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        path = data.draw(st.sampled_from(list(_json_paths(raw))), label="path")
+        how = data.draw(st.sampled_from(["delete", "replace", "scale", "scale"]), label="how")
+        if not path:
+            raw = data.draw(_JSON_VALUES, label="root")
+            continue
+        node, key = _parent(raw, path)
+        old = node[key]
+        if how == "delete":
+            del node[key]
+        elif how == "scale" and type(old) in (int, float):
+            node[key] = old * data.draw(st.floats(0, 2), label="factor")
+        else:
+            node[key] = data.draw(_JSON_VALUES, label="value")
+    try:
+        profile = ProcessorProfile(raw, "fuzzed")
+    except (SchemaError, InvariantError):
+        event("refused")
+        return
+    event("loaded")
+    for victim in ("poc", "hmac32"):
+        try:
+            run_campaign(profile, victim, 1, "listing2", seed=7, runs=1, tries_per_run=100)
+        except VoltlabError:
+            pass
+
+
+def test_bundled_profiles_match_the_build_script():
+    # The JSON files are generated; an edit to one of them alone would be
+    # lost on the next regeneration.  `main()` writes files, so the script's
+    # tables are serialised here the way it does.
+    script = pathlib.Path(__file__).resolve().parent.parent / "tools" / "build_profiles.py"
+    spec = importlib.util.spec_from_file_location("build_profiles", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sorted(module.PROFILES) == bundled_profile_names()
+    res = __import__("importlib.resources", fromlist=["files"]).files("voltlab")
+    for stem, profile in module.PROFILES.items():
+        text = json.dumps(profile, indent=2, sort_keys=True) + "\n"
+        assert text == res.joinpath(f"data/profiles/{stem}.json").read_text(encoding="utf-8"), stem
+
+
 @pytest.mark.parametrize("form", ["0x1b", "0x1B", "1b", 27])
 def test_normalize_pstate_forms(form):
     assert normalize_pstate(form) == "0x1b"
@@ -169,6 +309,12 @@ def test_normalize_pstate_whole_numbers(form):
 @pytest.mark.parametrize("form", [float("inf"), float("nan"), 27.5, True, None])
 def test_normalize_pstate_refuses_what_is_not_a_whole_number(form):
     with pytest.raises(UnknownCoreOrPState, match="not a whole number"):
+        normalize_pstate(form)
+
+
+@pytest.mark.parametrize("form", ["zz", "", "0x"])
+def test_normalize_pstate_refuses_what_is_not_hex(form):
+    with pytest.raises(UnknownCoreOrPState, match="is not a hex ratio"):
         normalize_pstate(form)
 
 
