@@ -37,12 +37,12 @@ _EXPORTS = {
         "parse_program",
     ),
     "scanner": ("PatternHit", "PatternKind", "scan"),
-    "mca": ("MachineCheck", "MceKind", "MceLog", "MceRecord", "SurfacedFault"),
+    "mca": ("MachineCheck", "MceKind", "MceLog", "MceRecord"),
     "sha256sim": ("HmacContext", "hmac_sha256", "sha256"),
     "victims": (
         "CampaignResult", "RunOutcome", "RunStatus", "loop_rates", "loop_victim",
-        "poc_victim", "run_hmac_victim", "run_poc_enclave", "run_test_loop",
-        "stressor_profile",
+        "pinned_rates", "poc_victim", "run_hmac_victim", "run_poc_enclave",
+        "run_poc_victim", "run_test_loop", "stressor_profile",
     ),
     "orchestrator": (
         "FaultStats", "ProbeReport", "SystemConfig", "VoltagePlan",

@@ -212,18 +212,28 @@ def _cmd_report(args) -> int:
 _STRESSOR_CHOICES = ("listing2", "twofish", "none", "shift_loop", "twofish_avx")
 
 
-def positive_int(text: str) -> int:
-    """Argument type for count flags: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+# Upper bounds on the count flags.  A run holds a few numpy arrays of
+# `--tries` entries, and runs execute one after another.
+MAX_TRIES = 10_000_000
+MAX_RUNS = 10_000
+
+
+def count_flag(limit: int):
+    """Argument type for count flags: an integer in 1..=`limit`."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"must be in 1..={limit}, not {value}")
+        return value
+
+    return count
 
 
 def _add_probe_flags(sub) -> None:
     sub.add_argument("--profile", required=True, help="bundled name or JSON path")
     sub.add_argument("--pstate", default=None, help="hex ratio, e.g. 0x1b")
-    sub.add_argument("--tries", type=positive_int, default=10_000)
+    sub.add_argument("--tries", type=count_flag(MAX_TRIES), default=10_000, help=f"1..={MAX_TRIES}")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--stressor", default="listing2", choices=_STRESSOR_CHOICES)
 
@@ -263,10 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--core", type=int, required=True)
     ca.add_argument("--stressor", default="listing2", choices=_STRESSOR_CHOICES)
     ca.add_argument("--seed", type=int, default=0)
-    ca.add_argument("--runs", type=positive_int, default=5)
-    ca.add_argument("--tries", type=positive_int, default=10_000)
+    ca.add_argument("--runs", type=count_flag(MAX_RUNS), default=5, help=f"1..={MAX_RUNS}")
+    ca.add_argument("--tries", type=count_flag(MAX_TRIES), default=10_000, help=f"1..={MAX_TRIES}")
     ca.add_argument(
-        "--jobs", type=positive_int, default=1,
+        "--jobs", type=count_flag(MAX_RUNS), default=1,
         help="accepted and ignored: campaign runs execute serially",
     )
     ca.add_argument("--pstate", default=None)

@@ -6,14 +6,15 @@ enough to stay above the fault window get detected and logged as corrected
 errors, while flips inside the window pass through with no record at all.
 Only a recoverable kernel-level exception produces an uncorrected record,
 and that one is broadcast so every core's view of the log contains it.
-Freezes and hard crashes outrun the reporting path entirely.
+Freezes and hard crashes outrun the reporting path entirely.  A reporter
+is built from a profile, which carries the per-slice logging rates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
@@ -25,28 +26,6 @@ class MceKind(Enum):
     CORRECTED = "corrected"
     UNCORRECTED_FATAL = "uncorrected_fatal"
     INSTRUCTION_DECODE_CORRECTED = "instruction_decode_corrected"
-
-    @property
-    def fatal(self) -> bool:
-        return self is MceKind.UNCORRECTED_FATAL
-
-
-class OutcomeKind(IntEnum):
-    SILENT = 0
-    LOGGED = 1
-    EXCEPTION = 2
-
-
-class SurfacedFault(Enum):
-    """Decode corruption occasionally visible to the running program."""
-
-    INVALID_OPCODE = "invalid_opcode"
-    GENERAL_PROTECTION = "general_protection"
-
-
-def draw_surfaced_fault(rng: np.random.Generator) -> SurfacedFault:
-    """Which exception a surfaced decode fault raises; mostly invalid opcode."""
-    return SurfacedFault.INVALID_OPCODE if rng.uniform() < 0.7 else SurfacedFault.GENERAL_PROTECTION
 
 
 @dataclass(frozen=True)
@@ -63,16 +42,6 @@ class MceRecord:
             "kind": self.kind.value,
             "detail": self.detail,
         }
-
-
-@dataclass(frozen=True)
-class MceOutcome:
-    kind: OutcomeKind
-    record: MceRecord | None = None
-
-    @classmethod
-    def silent(cls) -> "MceOutcome":
-        return cls(OutcomeKind.SILENT)
 
 
 class MceLog:
@@ -110,34 +79,12 @@ class MceLog:
 
 
 class MachineCheck:
-    """Per-run reporter: one instance, one log, single writer."""
+    """Per-run reporter for the cores of `profile`, logging at its
+    per-slice rates: one instance, one log, single writer."""
 
-    def __init__(
-        self,
-        cores: int,
-        corrected_rate: float = 0.01,
-        decode_rate: float = 1e-3,
-        surface_probability: float = 0.0,
-    ):
-        if not 0.0 <= corrected_rate <= 1.0 or not 0.0 <= decode_rate <= 1.0:
-            raise InvariantError("per-slice rates live in [0, 1]")
-        if not 0.0 <= surface_probability <= 1.0:
-            raise InvariantError("surface probability lives in [0, 1]")
-        self.cores = cores
-        self.corrected_rate = corrected_rate
-        self.decode_rate = decode_rate
-        self.surface_probability = surface_probability
+    def __init__(self, profile: ProcessorProfile):
+        self.profile = profile
         self.log = MceLog()
-
-    @classmethod
-    def for_profile(cls, profile: ProcessorProfile, **overrides) -> "MachineCheck":
-        kwargs = {
-            "cores": profile.physical_cores,
-            "corrected_rate": profile.corrected_log_rate,
-            "decode_rate": profile.decode_error_rate,
-        }
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     def observe(
         self,
@@ -147,8 +94,9 @@ class MachineCheck:
         slice_index: int = 0,
         core: int = 0,
         rng: np.random.Generator | None = None,
-    ) -> MceOutcome:
-        """Classify one slice's worth of hardware events.
+    ) -> MceRecord | None:
+        """Log one slice's worth of hardware events; return the record this
+        slice put in `core`'s view, or None when it logged nothing.
 
         Precedence: a crash ends the slice before anything is logged, so it
         is checked first.  A recoverable kernel exception is the only event
@@ -156,27 +104,22 @@ class MachineCheck:
         view.  Bit flips inside the exploit window are silent by
         construction; that is the property the rest of the system leans on.
         """
-        if crash is not None:
-            if crash is CrashKind.KERNEL_EXCEPTION:
-                first = None
-                for c in range(self.cores):
-                    rec = MceRecord(
-                        slice_index, c, MceKind.UNCORRECTED_FATAL, "broadcast mce"
-                    )
-                    self.log.append(rec)
-                    if c == core:
-                        first = rec
-                return MceOutcome(OutcomeKind.EXCEPTION, first)
-            # Freeze and hard crash outrun the reporting path.
-            return MceOutcome.silent()
-        if region is VoltageRegion.CORRECTED_ERRORS:
-            if rng is not None and rng.uniform() < self.corrected_rate:
+        if crash is CrashKind.KERNEL_EXCEPTION:
+            mine = None
+            for c in range(self.profile.physical_cores):
+                rec = MceRecord(slice_index, c, MceKind.UNCORRECTED_FATAL, "broadcast mce")
+                self.log.append(rec)
+                if c == core:
+                    mine = rec
+            return mine
+        if crash is None and region is VoltageRegion.CORRECTED_ERRORS:
+            if rng is not None and rng.uniform() < self.profile.corrected_log_rate:
                 rec = MceRecord(slice_index, core, MceKind.CORRECTED, "cache hierarchy")
                 self.log.append(rec)
-                return MceOutcome(OutcomeKind.LOGGED, rec)
-            return MceOutcome.silent()
-        # Exploit-window flips (fault is not None) deliberately fall through.
-        return MceOutcome.silent()
+                return rec
+        # Freeze and hard crash outrun the reporting path, and exploit-window
+        # flips (fault is not None) are deliberately silent.
+        return None
 
     def occasionally_decode_error(
         self,
@@ -187,27 +130,14 @@ class MachineCheck:
     ) -> MceRecord | None:
         """Rare corrected decode errors while running under the window top.
 
-        These are logged but never fatal; a separate opt-in knob lets a
-        fraction of them surface to the victim as a spurious exception.
+        These are logged but never fatal.
         """
         if region not in (VoltageRegion.EXPLOIT_WINDOW, VoltageRegion.UNSTABLE):
             return None
-        if rng.uniform() >= self.decode_rate:
+        if rng.uniform() >= self.profile.decode_error_rate:
             return None
         rec = MceRecord(
             slice_index, core, MceKind.INSTRUCTION_DECODE_CORRECTED, "frontend decode"
         )
         self.log.append(rec)
         return rec
-
-    def surface_decode_fault(self, rng: np.random.Generator) -> SurfacedFault | None:
-        """Whether a decode record additionally trips the running program.
-
-        Off by default (probability 0); campaigns that want flaky-frontend
-        behavior opt in.
-        """
-        if self.surface_probability <= 0.0:
-            return None
-        if rng.uniform() >= self.surface_probability:
-            return None
-        return draw_surfaced_fault(rng)

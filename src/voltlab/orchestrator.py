@@ -3,13 +3,14 @@
 Phase 1 searches offline, on a machine the attacker owns, for the voltage
 band where silent faults appear but the system still lives.  Phase 2
 probes each core of the target at the offsets the plan suggests, looking
-for the most fault-prone one.  Phase 3 runs the actual campaign against a
-victim workload, undervolting only around the victim's fault-prone window.
+for the most fault-prone one.  Phase 3 pins the victim at the planned
+offset and hands the campaign to its runner (`victims.run_poc_victim` or
+`victims.run_hmac_victim`), which undervolts only around the victim's
+fault-prone window and fans out the runs.
 
 Everything here is deterministic given a seed: each (phase, pstate, core,
 level) gets its own keyed RNG substream, so campaigns reproduce exactly
-whatever order their runs execute in.  Runs execute serially, in index
-order.
+whatever order their runs execute in.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .isa import parse_program
 from .msr import (
     IA32_MISC_ENABLE,
     IA32_THERM_INTERRUPT,
+    OFFSET_MAX_MV,
+    OFFSET_MIN_MV,
     MsrWrite,
     PState,
     PStateInterface,
@@ -45,18 +48,15 @@ from .processor import (
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
 from .victims import (
-    GUARD_SLICES,
     CampaignResult,
     RunStatus,
     _any_of,
-    _campaign_runs,
     _tries_before_crash,
     loop_rates,
     loop_victim,
-    payload_name,
-    poc_victim,
+    pinned_rates,
     run_hmac_victim,
-    run_poc_enclave,
+    run_poc_victim,
     run_test_loop,
     stressor_profile,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "setup_system",
 ]
 
-OFFSET_FLOOR_MV = -1024
+OFFSET_FLOOR_MV = OFFSET_MIN_MV
 STEP_MV = 5
 # How far above an edge a noise band must stay for phase 1 to jump past
 # its level: far above float rounding at millivolt scale, far below a step.
@@ -114,7 +114,7 @@ class VoltagePlan:
         for off in self.chosen_offset_mv:
             if off % self.step_mv:
                 raise InvariantError(f"offset {off} is not a {self.step_mv} mV step")
-            if not OFFSET_FLOOR_MV <= off <= 1023:
+            if not OFFSET_FLOOR_MV <= off <= OFFSET_MAX_MV:
                 raise InvariantError(f"offset {off} outside the encodable range")
         if len(self.window_top_v) != len(self.chosen_offset_mv):
             raise InvariantError("per-core arrays disagree on core count")
@@ -443,11 +443,7 @@ def phase2_probe_cores(
             plan.offset_for(core),
         )
         gen = rngmod.stream(state.seed, "phase2", plan.pstate, core)
-        temp = float(env.core_temp_c[core])
-        rates = loop_rates(
-            profile, core, env.pstate, env.nominal_voltage_mv(), temp, victim.geometry.events,
-            env.stressor_fault_multiplier,
-        )
+        rates = pinned_rates(env, core, victim.geometry.events, "probe")
         c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
 
         completed = _tries_before_crash(gen, c_try, tries_per_core)
@@ -489,41 +485,17 @@ def phase3_attack(
     runs: int = 5,
     tries_per_run: int = 10_000,
 ) -> CampaignResult:
-    """Run the campaign at the planned offset for the chosen core.
-
-    The undervolt is applied only around the victim's fault-prone window,
-    `GUARD_SLICES` before and after, so the crash exposure per try is the
-    window duration plus twice the guard.  Results aggregate across runs
-    with independent keyed RNG streams; order of execution cannot matter.
-    The poc victim is prepared once, so its runs share one oracle.
-    """
+    """Run the campaign at the planned offset for the chosen core: `victim`
+    is "poc" (`run_poc_victim`) or an HMAC payload (`run_hmac_victim`)."""
     profile = state.profile
     target_core = profile.check_core(target_core)
     offset = plan.offset_for(target_core)
     env = _pinned_state(
         profile, plan.pstate, target_core, stressor, state.seed, offset
     )
-
     if victim == "poc":
-        poc = poc_victim()
-        # The window is one slice per execution of the guarded store.
-        exposure = poc.geometry.events + 2 * GUARD_SLICES
-
-        def one(run_index: int) -> tuple[int, int, bool]:
-            gen = rngmod.stream(state.seed, "phase3", "poc", target_core, run_index)
-            try:
-                got = run_poc_enclave(
-                    poc, env, target_core, tries_per_run, gen, exposure_slices=exposure
-                )
-                return got, tries_per_run, False
-            except AbortedByCrash as abort:
-                successes, completed = abort.partial
-                return successes, completed, True
-
-        return _campaign_runs(one, runs, target_core, "poc")
-
-    payload = payload_name(victim)
-    return run_hmac_victim(env, target_core, payload, tries_per_run, runs=runs)
+        return run_poc_victim(env, target_core, tries_per_run, runs=runs)
+    return run_hmac_victim(env, target_core, victim, tries_per_run, runs=runs)
 
 
 # ---------------------------------------------------------------------------

@@ -576,7 +576,7 @@ def mean_crash_probability(
 
     if n <= 0.0:
         return g_at(v_nominal_mv)
-    freq_factor = 0.5 + 0.5 * ratio / 32.0
+    freq_factor = _crash_freq_factor(ratio)
     breaks = [floor]
     if profile.crash.depth_slope_per_mv > 0 and profile.crash.rate_per_slice > 0:
         cap_depth = (1.0 / (profile.crash.rate_per_slice * freq_factor) - 1.0) / (
@@ -932,8 +932,13 @@ def crash_probability_per_slice(
         return 0.0
     p = profile.crash.rate_per_slice
     p *= 1.0 + profile.crash.depth_slope_per_mv * depth_below_window_mv
-    p *= 0.5 + 0.5 * ratio / 32.0
+    p *= _crash_freq_factor(ratio)
     return min(p, 1.0)
+
+
+def _crash_freq_factor(ratio: int) -> float:
+    """How the crash rate scales with the core clock: 1 at ratio 32."""
+    return 0.5 + 0.5 * ratio / 32.0
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,11 @@ __all__ = [
     "loop_rates",
     "loop_victim",
     "memory_diff",
+    "pinned_rates",
     "poc_victim",
     "run_hmac_victim",
     "run_poc_enclave",
+    "run_poc_victim",
     "run_test_loop",
     "stressor_profile",
 ]
@@ -266,7 +268,8 @@ def _run_with_flips(program, geometry, flips, memory=None, scalar=None):
 
 
 class LoopRates(NamedTuple):
-    """Noise-averaged chances at one test-loop level."""
+    """Noise-averaged chances at one level, for a victim whose iteration
+    (or try) executes a fixed number of eligible stores."""
 
     p_event: float  # one eligible store faults
     q_iter: float  # at least one of an iteration's eligible stores faults
@@ -286,17 +289,27 @@ def loop_rates(
     temp: float,
     events: int,
     stressor_multiplier: float = 1.0,
+    scenario: str = "probe",
 ) -> LoopRates:
     """The rates of a loop with `events` eligible stores per iteration, at
-    nominal voltage `v_nom` and core temperature `temp`, under the probe
-    scenario's calibration."""
+    nominal voltage `v_nom` and core temperature `temp`, under the
+    calibration of `scenario`."""
     p_event = 0.0
     if events:
         p_event = mean_event_fault_probability(
-            profile, core, pstate, "probe", stressor_multiplier, v_nom, temp
+            profile, core, pstate, scenario, stressor_multiplier, v_nom, temp
         )
     g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
     return LoopRates(p_event, _any_of(p_event, events), g_slice)
+
+
+def pinned_rates(env: PlatformState, core: int, events: int, scenario: str) -> LoopRates:
+    """`loop_rates` on physical `core` of the pinned platform `env`: at its
+    nominal voltage, the core's temperature and its stressor multiplier."""
+    return loop_rates(
+        env.profile, core, env.pstate, env.nominal_voltage_mv(), float(env.core_temp_c[core]),
+        events, env.stressor_fault_multiplier, scenario,
+    )
 
 
 def run_test_loop(
@@ -468,20 +481,14 @@ def run_poc_enclave(
     if tries < 0:
         raise InvariantError("tries is nonnegative")
     core = _pin_check(env, target_core)
-    profile = env.profile
-    temp = float(env.core_temp_c[core])
-    v_nom = env.nominal_voltage_mv()
-    q = mean_event_fault_probability(
-        profile, core, env.pstate, "poc", env.stressor_fault_multiplier, v_nom, temp
-    )
-    g = mean_crash_probability(profile, core, env.pstate, v_nom, temp)
+    q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
     if exposure_slices is None:
         exposure_slices = victim.geometry.slices_per_iteration
     c_try = _any_of(g, exposure_slices)
 
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
     completed = _tries_before_crash(rng, c_try, tries)
-    masks = draw_flip_masks(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
+    masks = draw_flip_masks(env.profile, core, int(np.count_nonzero(faulted[:completed])), rng)
     successes = sum(n for mask, n in Counter(masks).items() if victim.oracle.diverts(mask))
     if completed < tries:
         raise AbortedByCrash(
@@ -489,6 +496,28 @@ def run_poc_enclave(
             partial=(successes, completed),
         )
     return successes
+
+
+def run_poc_victim(
+    env: PlatformState, target_core: int, tries: int, *, runs: int = 5
+) -> CampaignResult:
+    """`run_hmac_victim` for the guarded-branch victim, prepared once so
+    that every run shares its oracle.  The undervolt covers one slice per
+    execution of the guarded store, plus `GUARD_SLICES` on both sides."""
+    core = _pin_check(env, target_core)
+    victim = poc_victim()
+    exposure = victim.geometry.events + 2 * GUARD_SLICES
+
+    def one(run_index: int) -> tuple[int, int, bool]:
+        gen = rngmod.stream(env.seed, "phase3", "poc", core, run_index)
+        try:
+            got = run_poc_enclave(victim, env, core, tries, gen, exposure_slices=exposure)
+            return got, tries, False
+        except AbortedByCrash as abort:
+            successes, completed = abort.partial
+            return successes, completed, True
+
+    return _campaign_runs(one, runs, core, "poc")
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +666,15 @@ def run_hmac_victim(
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
     core = _pin_check(env, target_core)
-    profile = env.profile
     ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
-
-    temp = float(env.core_temp_c[core])
-    v_nom = env.nominal_voltage_mv()
-    p_event = mean_event_fault_probability(
-        profile, core, env.pstate, scenario, env.stressor_fault_multiplier, v_nom, temp
-    )
-    g = mean_crash_probability(profile, core, env.pstate, v_nom, temp)
+    p_event, _, g = pinned_rates(env, core, ctx.total_events, scenario)
     # One slice per compression store, plus the undervolt guard margin on
     # both sides of the fault-prone window.
-    slices_per_try = ctx.total_events + 2 * GUARD_SLICES
-    c_try = _any_of(g, slices_per_try)
+    c_try = _any_of(g, ctx.total_events + 2 * GUARD_SLICES)
 
     def one(run_index: int):
         gen = rngmod.stream(env.seed, "hmac", payload, core, run_index)
-        return _hmac_single_run(ctx, profile, core, p_event, c_try, tries, gen)
+        return _hmac_single_run(ctx, env.profile, core, p_event, c_try, tries, gen)
 
     return _campaign_runs(one, runs, core, scenario)
 

@@ -5,7 +5,6 @@ import random
 
 import numpy as np
 
-import voltlab.orchestrator as orchestrator
 import voltlab.victims as victims
 from voltlab import rng as rngmod
 from voltlab.errors import InvariantError, NoWindowFound
@@ -17,7 +16,7 @@ from voltlab.orchestrator import (
     _pinned_state,
 )
 from voltlab.processor import BitFlipPattern, core_temp_targets, normalize_pstate
-from voltlab.victims import LoopVictim, RunStatus, loop_rates, loop_victim, run_test_loop
+from voltlab.victims import LoopVictim, RunStatus, loop_victim, pinned_rates, run_test_loop
 
 VREGS = [f"%xmm{i}" for i in range(16)]
 
@@ -118,15 +117,11 @@ def reference_memory_diff(before, after):
 def run_loop_under(env, victim, max_iters, rng):
     """`run_test_loop` for `victim` (prepared, a MiniProgram or a bundled
     name) on the pinned physical core of the `PlatformState` `env` (core 0
-    when no victim is pinned), with the rates `loop_rates` gives for it."""
+    when no victim is pinned), with the rates `pinned_rates` gives for it."""
     if not isinstance(victim, LoopVictim):
         victim = loop_victim(victim)
     core = env.victim_physical or 0
-    rates = loop_rates(
-        env.profile, core, env.pstate, env.nominal_voltage_mv(),
-        float(env.core_temp_c[core]), victim.geometry.events,
-        env.stressor_fault_multiplier,
-    )
+    rates = pinned_rates(env, core, victim.geometry.events, "probe")
     return run_test_loop(victim, rates, env.profile, core, env.pstate, max_iters, rng)
 
 
@@ -212,7 +207,7 @@ def reference_phase1(
 def run_campaigns_out_of_order(monkeypatch, seed=0):
     """Make every campaign evaluate its runs out of index order.
 
-    `victims._campaign_runs` is patched at each name that binds it.  The
+    `victims._campaign_runs`, the one run fan-out, is patched.  The
     wrapper calls `one(r)` for every run in reversed order, then again in
     a seeded shuffle, checks that both passes agree, and hands the cached
     outcomes to the real fan-out in index order.  A campaign whose result
@@ -229,8 +224,7 @@ def run_campaigns_out_of_order(monkeypatch, seed=0):
         assert first == second, "a run's outcome depends on which runs came before it"
         return real(first.__getitem__, runs, core, scenario)
 
-    for module in (victims, orchestrator):
-        monkeypatch.setattr(module, "_campaign_runs", out_of_order)
+    monkeypatch.setattr(victims, "_campaign_runs", out_of_order)
 
 
 # Time constant of the first-order thermal relaxation.

@@ -252,16 +252,35 @@ def test_campaign_abort_reports_partial(capsys, monkeypatch):
     assert blob["partial"]["crashes"] == 1
 
 
+HUGE = "100000000000000000000"
+
+
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--runs", "0"), ("--runs", "-1"), ("--tries", "-5"), ("--tries", "0"), ("--jobs", "0")],
+    "command, flag, value",
+    [
+        pytest.param(CAMPAIGN_FLAGS, "--runs", "0", id="--runs-0"),
+        pytest.param(CAMPAIGN_FLAGS, "--runs", "-1", id="--runs--1"),
+        pytest.param(CAMPAIGN_FLAGS, "--tries", "-5", id="--tries--5"),
+        pytest.param(CAMPAIGN_FLAGS, "--tries", "0", id="--tries-0"),
+        pytest.param(CAMPAIGN_FLAGS, "--jobs", "0", id="--jobs-0"),
+        # Oversized counts are refused before any work, so no huge run starts.
+        pytest.param(CAMPAIGN_FLAGS, "--runs", HUGE, id="--runs-huge"),
+        pytest.param(CAMPAIGN_FLAGS, "--runs", str(cli.MAX_RUNS + 1), id="--runs-max+1"),
+        pytest.param(CAMPAIGN_FLAGS, "--tries", HUGE, id="--tries-huge"),
+        pytest.param(["probe", "--profile", "i7-7700k"], "--tries", HUGE, id="probe---tries-huge"),
+        pytest.param(
+            ["probe", "--profile", "i7-7700k"], "--tries", str(cli.MAX_TRIES + 1),
+            id="probe---tries-max+1",
+        ),
+    ],
 )
-def test_count_flags_must_be_positive(capsys, flag, value):
-    argv = [*CAMPAIGN_FLAGS, flag, value]
+def test_count_flags_must_be_positive(capsys, command, flag, value):
+    limit = cli.MAX_TRIES if flag == "--tries" else cli.MAX_RUNS
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv)
+        cli.main([*command, flag, value])
     assert exit_info.value.code == 2
-    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be in 1..={limit}, not {value}" in err
 
 
 def _one_core_profile(raw):

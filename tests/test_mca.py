@@ -1,23 +1,17 @@
 """Machine-check reporting: what gets logged, what slips through."""
 
 import json
+from importlib import resources
 
 import pytest
 
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError
-from voltlab.mca import (
-    MachineCheck,
-    MceKind,
-    MceLog,
-    MceOutcome,
-    MceRecord,
-    OutcomeKind,
-    SurfacedFault,
-)
+from voltlab.mca import MachineCheck, MceKind, MceLog, MceRecord
 from voltlab.processor import (
     BitFlipPattern,
     CrashKind,
+    ProcessorProfile,
     VoltageRegion,
     load_profile,
 )
@@ -25,7 +19,8 @@ from voltlab.processor import (
 
 @pytest.fixture()
 def mc():
-    return MachineCheck(cores=4)
+    # Four cores, logging at 0.01 corrected and 1e-3 decode records per slice.
+    return MachineCheck(load_profile("i7-7700k"))
 
 
 FLIP = BitFlipPattern(0, frozenset([3]))
@@ -37,15 +32,15 @@ def test_exploit_flips_are_always_silent(mc):
         out = mc.observe(
             VoltageRegion.EXPLOIT_WINDOW, fault=FLIP, slice_index=i, core=1, rng=gen
         )
-        assert out.kind is OutcomeKind.SILENT
+        assert out is None
     assert len(mc.log) == 0
 
 
 def test_normal_and_unstable_slices_log_nothing(mc):
     gen = vrng.stream(22, "none")
     for i in range(2000):
-        assert mc.observe(VoltageRegion.NORMAL, slice_index=i, rng=gen).kind is OutcomeKind.SILENT
-        assert mc.observe(VoltageRegion.UNSTABLE, slice_index=i, rng=gen).kind is OutcomeKind.SILENT
+        assert mc.observe(VoltageRegion.NORMAL, slice_index=i, rng=gen) is None
+        assert mc.observe(VoltageRegion.UNSTABLE, slice_index=i, rng=gen) is None
     assert len(mc.log) == 0
 
 
@@ -55,10 +50,9 @@ def test_corrected_band_logs_at_configured_rate(mc):
     logged = 0
     for i in range(n):
         out = mc.observe(VoltageRegion.CORRECTED_ERRORS, slice_index=i, core=2, rng=gen)
-        if out.kind is OutcomeKind.LOGGED:
+        if out is not None:
             logged += 1
-            assert out.record.kind is MceKind.CORRECTED
-            assert not out.record.kind.fatal
+            assert out.kind is MceKind.CORRECTED
     # binomial(20000, 0.01): mean 200, 3 sigma ~ 42
     assert abs(logged - 200) < 45
     assert len(mc.log) == logged
@@ -68,8 +62,8 @@ def test_kernel_exception_broadcasts_to_every_core(mc):
     out = mc.observe(
         VoltageRegion.UNSTABLE, crash=CrashKind.KERNEL_EXCEPTION, slice_index=7, core=1
     )
-    assert out.kind is OutcomeKind.EXCEPTION
-    assert out.record.core == 1
+    assert out.kind is MceKind.UNCORRECTED_FATAL
+    assert out.core == 1
     assert len(mc.log) == 4
     for core in range(4):
         view = mc.log.view(core)
@@ -80,8 +74,7 @@ def test_kernel_exception_broadcasts_to_every_core(mc):
 
 def test_hard_crashes_outrun_reporting(mc):
     for crash in (CrashKind.FREEZE, CrashKind.HARD_CRASH):
-        out = mc.observe(VoltageRegion.UNSTABLE, crash=crash, slice_index=3)
-        assert out.kind is OutcomeKind.SILENT
+        assert mc.observe(VoltageRegion.UNSTABLE, crash=crash, slice_index=3) is None
     assert len(mc.log) == 0
 
 
@@ -93,8 +86,7 @@ def test_decode_errors_only_under_the_window_top(mc):
     assert len(mc.log) == 0
 
 
-def test_decode_error_rate_binomial():
-    mc = MachineCheck(cores=4)
+def test_decode_error_rate_binomial(mc):
     gen = vrng.stream(25, "decode-rate")
     n = 100_000
     hits = 0
@@ -103,27 +95,9 @@ def test_decode_error_rate_binomial():
         if rec is not None:
             hits += 1
             assert rec.kind is MceKind.INSTRUCTION_DECODE_CORRECTED
-            assert not rec.kind.fatal
     # binomial(1e5, 1e-3): mean 100, 3 sigma ~ 30
     assert abs(hits - 100) < 32
     assert len(mc.log) == hits
-
-
-def test_decode_surfacing_off_by_default(mc):
-    gen = vrng.stream(26, "surface")
-    assert all(mc.surface_decode_fault(gen) is None for _ in range(5000))
-
-
-def test_decode_surfacing_opt_in():
-    mc = MachineCheck(cores=4, surface_probability=0.5)
-    gen = vrng.stream(27, "surface-on")
-    kinds = [mc.surface_decode_fault(gen) for _ in range(4000)]
-    surfaced = [k for k in kinds if k is not None]
-    assert 1700 < len(surfaced) < 2300
-    assert set(surfaced) == {SurfacedFault.INVALID_OPCODE, SurfacedFault.GENERAL_PROTECTION}
-    assert surfaced.count(SurfacedFault.INVALID_OPCODE) > surfaced.count(
-        SurfacedFault.GENERAL_PROTECTION
-    )
 
 
 def test_log_is_append_only_and_ordered():
@@ -151,7 +125,7 @@ def test_jsonl_round_trip(mc):
 
 def test_replay_is_deterministic():
     def run():
-        mc = MachineCheck(cores=6)
+        mc = MachineCheck(load_profile("i7-8700K"))
         gen = vrng.stream(29, "replay")
         for i in range(5000):
             mc.observe(VoltageRegion.CORRECTED_ERRORS, slice_index=i, core=i % 6, rng=gen)
@@ -162,16 +136,16 @@ def test_replay_is_deterministic():
 
 
 def test_for_profile_picks_up_rates():
-    prof = load_profile("i7-8700K")
-    mc = MachineCheck.for_profile(prof)
-    assert mc.cores == 6
-    assert mc.corrected_rate == pytest.approx(0.01)
-    assert mc.decode_rate == pytest.approx(1e-3)
-    assert mc.surface_probability == 0.0
-
-
-def test_rate_validation():
-    with pytest.raises(InvariantError):
-        MachineCheck(cores=4, corrected_rate=1.5)
-    with pytest.raises(InvariantError):
-        MachineCheck(cores=4, surface_probability=-0.1)
+    raw = json.loads(
+        resources.files("voltlab").joinpath("data/profiles/i7-8700k.json").read_text()
+    )
+    raw["corrected_log_rate_per_slice"] = 1.0
+    raw["decode_error_rate_per_slice"] = 0.0
+    mc = MachineCheck(ProcessorProfile(raw))
+    gen = vrng.stream(30, "profile-rates")
+    for i in range(200):
+        assert mc.observe(VoltageRegion.CORRECTED_ERRORS, slice_index=i, core=5, rng=gen)
+        assert mc.occasionally_decode_error(VoltageRegion.EXPLOIT_WINDOW, gen, i) is None
+    mc.observe(VoltageRegion.UNSTABLE, crash=CrashKind.KERNEL_EXCEPTION, slice_index=200)
+    assert mc.log.count(MceKind.CORRECTED) == 200
+    assert mc.log.count(MceKind.UNCORRECTED_FATAL) == 6

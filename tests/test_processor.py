@@ -185,6 +185,8 @@ def _parent(raw, path):
          r"calibration.probe.p_event_max\[3\] must be a finite number"),
         (("base_clock_mhz",), 0, InvariantError,
          "base_clock_mhz must be a whole number in 1..=10000"),
+        (("corrected_log_rate_per_slice",), 1.5, InvariantError,
+         "corrected_log_rate_per_slice must be a finite number in 0.0..=1.0, not 1.5"),
     ],
     ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
 )
