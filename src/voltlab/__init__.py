@@ -40,12 +40,12 @@ _EXPORTS = {
     "mca": ("MachineCheck", "MceKind", "MceLog", "MceRecord"),
     "sha256sim": ("HmacContext", "hmac_sha256", "sha256"),
     "victims": (
-        "CampaignResult", "RunOutcome", "RunStatus", "loop_rates", "loop_victim",
-        "pinned_rates", "poc_victim", "run_hmac_victim", "run_poc_enclave",
-        "run_poc_victim", "run_test_loop", "stressor_profile",
+        "CampaignResult", "FaultStats", "RunOutcome", "RunStatus", "loop_rates",
+        "loop_victim", "pinned_rates", "poc_victim", "run_hmac_victim", "run_poc_enclave",
+        "run_poc_victim", "run_probe_victim", "run_test_loop", "stressor_profile",
     ),
     "orchestrator": (
-        "FaultStats", "ProbeReport", "SystemConfig", "VoltagePlan",
+        "ProbeReport", "SystemConfig", "VoltagePlan",
         "phase1_find_window", "phase2_probe_cores", "phase3_attack", "run_campaign",
         "setup_system",
     ),

@@ -164,9 +164,9 @@ def _cmd_campaign(args) -> int:
         tries_per_run=args.tries,
         pstate=args.pstate,
     )
-    _emit({"context": ctx, "result": result.to_json()})
-    if args.csv:
+    if args.csv:  # first, so a failed write prints no result
         _write_campaign_csv(args.csv, profile, result, ctx, args)
+    _emit({"context": ctx, "result": result.to_json()})
     return 0
 
 

@@ -6,7 +6,8 @@ probes each core of the target at the offsets the plan suggests, looking
 for the most fault-prone one.  Phase 3 pins the victim at the planned
 offset and hands the campaign to its runner (`victims.run_poc_victim` or
 `victims.run_hmac_victim`), which undervolts only around the victim's
-fault-prone window and fans out the runs.
+fault-prone window and fans out the runs.  This module holds the search
+policy, the pinning and the dispatch; every run belongs to `victims`.
 
 Everything here is deterministic given a seed: each (phase, pstate, core,
 level) gets its own keyed RNG substream, so campaigns reproduce exactly
@@ -15,7 +16,7 @@ whatever order their runs execute in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
@@ -44,25 +45,22 @@ from .processor import (
     region_boundaries_mv,
     normalize_pstate,
     victim_temp_target_c,
-    draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
 from .victims import (
     CampaignResult,
+    FaultStats,
     RunStatus,
-    _any_of,
-    _tries_before_crash,
     loop_rates,
     loop_victim,
-    pinned_rates,
     run_hmac_victim,
     run_poc_victim,
+    run_probe_victim,
     run_test_loop,
     stressor_profile,
 )
 
 __all__ = [
-    "FaultStats",
     "ProbeReport",
     "SystemConfig",
     "VoltagePlan",
@@ -133,42 +131,13 @@ class VoltagePlan:
 
 
 @dataclass(frozen=True)
-class FaultStats:
-    """What probing one core turned up."""
-
-    core: int
-    tries: int
-    faults: int
-    byte_histogram: tuple[int, ...]  # 16 counts, one per byte lane
-    multiplicity_histogram: dict[int, int]  # flipped-bit count -> faults
-
-    @property
-    def fault_rate(self) -> float:
-        return self.faults / self.tries if self.tries else 0.0
-
-    def bucketed(self) -> tuple[int, int, int]:
-        """(single, double, three-or-more) fault counts."""
-        singles = self.multiplicity_histogram.get(1, 0)
-        doubles = self.multiplicity_histogram.get(2, 0)
-        return singles, doubles, self.faults - singles - doubles
-
-    def to_json(self) -> dict:
-        return {
-            "core": self.core,
-            "tries": self.tries,
-            "faults": self.faults,
-            "fault_rate": round(self.fault_rate, 6),
-            "byte_histogram": list(self.byte_histogram),
-            "multiplicity_histogram": {
-                str(k): v for k, v in sorted(self.multiplicity_histogram.items())
-            },
-        }
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     stats: tuple[FaultStats, ...]
-    best_core: int
+
+    @property
+    def best_core(self) -> int:
+        """The core with the highest fault rate, the lowest on a tie."""
+        return max(self.stats, key=lambda s: (s.fault_rate, -s.core)).core
 
     def to_json(self) -> dict:
         return {
@@ -185,7 +154,6 @@ class SystemConfig:
     victim_group: tuple[int, ...]  # logical cores reserved for the victim side
     drivers_disabled: tuple[str, ...]
     pstate_pin: str
-    interference_flags: dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
         if set(self.attack_group) & set(self.victim_group):
@@ -265,12 +233,6 @@ def setup_system(
         victim_group=victim_group,
         drivers_disabled=("acpi_cpufreq", "intel_pstate"),
         pstate_pin=pstate,
-        interference_flags={
-            "thermal_control_circuit": True,
-            "turbo": True,
-            "package_c_states": True,
-            "frequency_scaling": True,
-        },
     )
 
     writes = plan_pstate_request(
@@ -418,58 +380,31 @@ def phase2_probe_cores(
     plan: VoltagePlan,
     tries_per_core: int = 10_000,
 ) -> ProbeReport:
-    """Pin the `vp1_xor_kernel` victim to each core at its planned offset;
-    tally faults.
+    """Pin the `vp1_xor_kernel` victim to each core at its planned offset
+    and tally its faults there with `victims.run_probe_victim`.
 
-    Per core: the per-try fault chance comes from the noise-averaged event
-    marginal, the number of faulty tries from one binomial, and each fault
-    gets a flip pattern from the core's tables.  Draw order per core: the
-    crash geometric, the binomial, then the faults' flip patterns from one
-    `draw_flip_masks` call, which consumes the core's stream exactly as one
-    `draw_flip_pattern` per fault would.  Raises AbortedByCrash carrying
+    The victim is prepared once per call.  Raises AbortedByCrash carrying
     the partial per-core stats if a probe kills the platform.
     """
-    profile = state.profile
     victim = loop_victim("vp1_xor_kernel")
 
     stats: list[FaultStats] = []
-    for core in range(profile.physical_cores):
+    for core in range(state.profile.physical_cores):
         env = _pinned_state(
-            profile,
+            state.profile,
             plan.pstate,
             core,
             state.stressor_name,
             state.seed,
             plan.offset_for(core),
         )
-        gen = rngmod.stream(state.seed, "phase2", plan.pstate, core)
-        rates = pinned_rates(env, core, victim.geometry.events, "probe")
-        c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
-
-        completed = _tries_before_crash(gen, c_try, tries_per_core)
-        faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
-        byte_hist = [0] * 16
-        mult_hist: dict[int, int] = {}
-        for mask in draw_flip_masks(profile, core, faults, gen):
-            for b in range(16):
-                if mask >> (8 * b) & 0xFF:
-                    byte_hist[b] += 1
-            bits = mask.bit_count()
-            mult_hist[bits] = mult_hist.get(bits, 0) + 1
-        stats.append(
-            FaultStats(core, completed, faults, tuple(byte_hist), mult_hist)
-        )
-        if completed < tries_per_core:
+        stats.append(run_probe_victim(victim, env, core, tries_per_core))
+        if stats[-1].tries < tries_per_core:
             raise AbortedByCrash(
                 f"probe crashed the platform on core {core}",
-                partial=ProbeReport(tuple(stats), _best_core(stats)),
+                partial=ProbeReport(tuple(stats)),
             )
-    return ProbeReport(tuple(stats), _best_core(stats))
-
-
-def _best_core(stats) -> int:
-    best = max(stats, key=lambda s: (s.fault_rate, -s.core))
-    return best.core
+    return ProbeReport(tuple(stats))
 
 
 # ---------------------------------------------------------------------------

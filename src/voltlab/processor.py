@@ -167,7 +167,6 @@ class CalibrationEntry(NamedTuple):
 class CrashParams(NamedTuple):
     rate_per_slice: float
     depth_slope_per_mv: float
-    reboot_slices: int
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,6 @@ class ProcessorProfile:
         self.crash = CrashParams(
             read.num(crash, "rate_per_slice", *_UNIT, at="crash"),
             read.num(crash, "depth_slope_per_mv", 0.0, 1000.0, at="crash"),
-            read.num(crash, "reboot_slices", 0, 10**9, at="crash", whole=True),
         )
         self.pstates: dict[str, PStatePoint] = {}
         pstates = read.get(raw, "pstates")
@@ -632,9 +630,6 @@ def mean_crash_probability(
 _BINOM_N, _BINOM_P = 4, 0.2
 _BINOM_Q = 1.0 - _BINOM_P
 _BINOM_QN = math.exp(_BINOM_N * math.log(_BINOM_Q))
-_BINOM_BOUND = int(
-    min(_BINOM_N, _BINOM_N * _BINOM_P + 10.0 * math.sqrt(_BINOM_N * _BINOM_P * _BINOM_Q + 1))
-)
 
 # Words per block draw: bounds the buffer a long run of draws holds.
 _BLOCK = 256
@@ -670,26 +665,19 @@ class _Short(Exception):
 
 
 def _binomial(u: list[float], pos: int) -> tuple[int, int]:
-    """`binomial(4, 0.2)` from the uniforms `u[pos:]`; returns (count, next pos).
+    """`binomial(4, 0.2)` from the uniform `u[pos]`; returns (count, next pos).
 
     numpy's inversion: one uniform, walked down the pmf with the same float
-    operations, and a fresh uniform each time the count passes the bound.
-    No uniform below 1 passes it for these constants (a test pins this), so
-    each draw reads one; the fresh-uniform branch keeps the replay numpy's.
+    operations.  numpy draws a fresh uniform once the count passes its
+    bound, 4 for these constants; no uniform below 1 walks past 4 (a test
+    pins this for the largest), so each draw reads exactly one.
     """
     x, px, v = 0, _BINOM_QN, u[pos]
-    pos += 1
     while v > px:
         x += 1
-        if x > _BINOM_BOUND:
-            if pos >= len(u):
-                raise _Short(2)  # the new attempt and at least one bit
-            x, px, v = 0, _BINOM_QN, u[pos]
-            pos += 1
-        else:
-            v -= px
-            px = ((_BINOM_N - x + 1) * _BINOM_P * px) / (x * _BINOM_Q)
-    return x, pos
+        v -= px
+        px = ((_BINOM_N - x + 1) * _BINOM_P * px) / (x * _BINOM_Q)
+    return x, pos + 1
 
 
 def _later_rounds(

@@ -1,4 +1,4 @@
-"""Victim programs and the campaign primitives that drive them.
+"""Victim programs and every run that drives them.
 
 Three victims matter here: a probing test loop that re-runs a small vector
 kernel and compares outputs, a branch-diversion target whose single store
@@ -7,13 +7,15 @@ stores are the fault surface.  Stressors are co-resident workloads pinned
 to the victim's logical partner; they raise the victim core's temperature
 and its appetite for faults.
 
-Campaign runners here never iterate slice by slice.  The per-event and
-per-slice probabilities averaged over supply noise are piecewise exact
-(see processor.mean_event_fault_probability), so first-occurrence times
-come from geometric draws and per-try fault counts from binomials.  The
-distribution of observable outcomes is the same as a slice-level loop;
-only the draw order differs, and that order is fixed and documented on
-each runner.
+Every run of the three phases lives here (`run_test_loop`,
+`run_probe_victim`, `run_poc_victim`, `run_hmac_victim`), with its rates,
+exposure, crash cut-off and draws.  No runner iterates slice by slice:
+the per-event and per-slice probabilities averaged over supply noise are
+piecewise exact (see processor.mean_event_fault_probability), so
+first-occurrence times come from geometric draws and per-try fault counts
+from binomials.  The distribution of observable outcomes is the same as a
+slice-level loop; only the draw order differs, and that order is fixed
+and documented on each runner.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .processor import (
     draw_crash_kind,
     draw_fault_sets,
     draw_flip_masks,
-    draw_flip_pattern,
+    draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
     mean_crash_probability,
     mean_event_fault_probability,
 )
@@ -53,6 +55,7 @@ from .sha256sim import EVENTS_PER_BLOCK, HmacContext
 
 __all__ = [
     "CampaignResult",
+    "FaultStats",
     "LoopRates",
     "LoopVictim",
     "PocVictim",
@@ -68,6 +71,7 @@ __all__ = [
     "run_hmac_victim",
     "run_poc_enclave",
     "run_poc_victim",
+    "run_probe_victim",
     "run_test_loop",
     "stressor_profile",
 ]
@@ -87,14 +91,12 @@ class StressorSpec:
 
     `fault_multiplier` scales the calibrated per-event fault ceiling and is
     at least 1 ("none" is exactly 1).  `temp_boost_c` adds to the victim
-    core's equilibrium temperature.  `program` names a bundled mini-ISA
-    source when the stressor is one, None for native workloads.
+    core's equilibrium temperature.
     """
 
     name: str
     fault_multiplier: float
     temp_boost_c: float
-    program: str | None = None
 
     def __post_init__(self):
         if self.fault_multiplier < 1.0:
@@ -102,7 +104,7 @@ class StressorSpec:
 
 
 STRESSORS = {
-    "shift_loop": StressorSpec("shift_loop", 24.75, 3.0, program="shift_stressor"),
+    "shift_loop": StressorSpec("shift_loop", 24.75, 3.0),
     "twofish_avx": StressorSpec("twofish_avx", 2.0, 2.0),
     "none": StressorSpec("none", 1.0, 0.0),
 }
@@ -327,9 +329,9 @@ def run_test_loop(
     values, never exceptions.
 
     Draw order per run: first-crash slice, first-fault iteration, then the
-    winner's detail draws (faulted-event choice and flip patterns, or
-    crash kind).  First-occurrence times use the noise-averaged marginals,
-    which is distribution-exact.
+    winner's detail draws (faulted-event choice and one `draw_flip_masks`
+    block of flip patterns, or crash kind).  First-occurrence times use the
+    noise-averaged marginals, which is distribution-exact.
     """
     if rates.quiet:
         return RunOutcome.match(max_iters)
@@ -371,13 +373,8 @@ def run_test_loop(
         if j + 1 < events:
             extra = rng.uniform(size=events - j - 1) < p_event
             ordinals.extend(j + 1 + k for k in np.flatnonzero(extra))
-        flips = {}
-        for ordinal in ordinals:
-            # Only the mask matters; the outcome's diff carries real word
-            # indexes computed from memory.
-            pattern = draw_flip_pattern(profile, core, ordinal, rng)
-            flips[ordinal] = pattern.mask
-        faulted = _run_with_flips(victim.program, geom, flips)
+        masks = draw_flip_masks(profile, core, len(ordinals), rng)
+        faulted = _run_with_flips(victim.program, geom, dict(zip(ordinals, masks)))
         diff = memory_diff(geom.reference.memory, faulted.memory)
         if diff:
             return RunOutcome.mismatch(diff, fault_iter + 1)
@@ -388,7 +385,7 @@ def run_test_loop(
 
 
 # ---------------------------------------------------------------------------
-# Branch-diversion victim
+# The phase-2 probe
 
 
 def _pin_check(env: PlatformState, target_core: int) -> int:
@@ -399,6 +396,71 @@ def _pin_check(env: PlatformState, target_core: int) -> int:
             f"victim is pinned to physical core {pinned}, asked to run on {core}"
         )
     return core
+
+
+@dataclass(frozen=True)
+class FaultStats:
+    """What probing one core turned up."""
+
+    core: int
+    tries: int
+    faults: int
+    byte_histogram: tuple[int, ...]  # 16 counts, one per byte lane
+    multiplicity_histogram: dict[int, int]  # flipped-bit count -> faults
+
+    @property
+    def fault_rate(self) -> float:
+        return self.faults / self.tries if self.tries else 0.0
+
+    def bucketed(self) -> tuple[int, int, int]:
+        """(single, double, three-or-more) fault counts."""
+        singles = self.multiplicity_histogram.get(1, 0)
+        doubles = self.multiplicity_histogram.get(2, 0)
+        return singles, doubles, self.faults - singles - doubles
+
+    def to_json(self) -> dict:
+        return {
+            "core": self.core,
+            "tries": self.tries,
+            "faults": self.faults,
+            "fault_rate": round(self.fault_rate, 6),
+            "byte_histogram": list(self.byte_histogram),
+            "multiplicity_histogram": {
+                str(k): v for k, v in sorted(self.multiplicity_histogram.items())
+            },
+        }
+
+
+def run_probe_victim(
+    victim: LoopVictim, env: PlatformState, target_core: int, tries: int
+) -> FaultStats:
+    """Run the prepared comparison loop `tries` times on the pinned
+    `target_core` of `env`, the whole program undervolted; tally its faults.
+
+    Draw order: the crash geometric, the binomial count of faulty tries
+    among those completed, then one `draw_flip_masks` block.  A crash
+    shows as fewer `tries` than asked; nothing is raised.
+    """
+    core = _pin_check(env, target_core)
+    gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
+    rates = pinned_rates(env, core, victim.geometry.events, "probe")
+    c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
+
+    completed = _tries_before_crash(gen, c_try, tries)
+    faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
+    byte_hist = [0] * 16
+    mult_hist: dict[int, int] = {}
+    for mask in draw_flip_masks(env.profile, core, faults, gen):
+        for b in range(16):
+            if mask >> (8 * b) & 0xFF:
+                byte_hist[b] += 1
+        bits = mask.bit_count()
+        mult_hist[bits] = mult_hist.get(bits, 0) + 1
+    return FaultStats(core, completed, faults, tuple(byte_hist), mult_hist)
+
+
+# ---------------------------------------------------------------------------
+# Branch-diversion victim
 
 
 # The guarded-branch victim checks its published conjunction against the
@@ -451,24 +513,22 @@ def poc_victim() -> PocVictim:
 
 def run_poc_enclave(
     victim: PocVictim,
-    env: PlatformState,
-    target_core: int,
+    profile: ProcessorProfile,
+    core: int,
+    q: float,
+    c_try: float,
     tries: int,
     rng: np.random.Generator,
-    *,
-    exposure_slices: int | None = None,
 ) -> int:
-    """Run the prepared guarded-branch victim `tries` times; count
-    diversions.
+    """Run the prepared guarded-branch victim `tries` times on physical
+    `core`; count diversions.  `q` is the per-try fault chance of the
+    guarded store and `c_try` the per-try crash chance, both read once per
+    campaign by the caller.
 
     A try succeeds when a flip lands in the checked store and the follow-up
     comparison takes the recovery path.  Each distinct flip mask is proved
     to divert by executing the program once with that mask; the victim's
     oracle keeps the verdict for the campaign's later runs.
-
-    `exposure_slices` is how many slices per try spend undervolted; it
-    defaults to the whole program, and campaigns that gate the undervolt
-    around the store window pass something smaller.
 
     Draw order: per-try fault Bernoullis as one block, then the crash
     geometric, then one flip pattern per completed faulted try, in try
@@ -480,15 +540,9 @@ def run_poc_enclave(
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
-    core = _pin_check(env, target_core)
-    q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
-    if exposure_slices is None:
-        exposure_slices = victim.geometry.slices_per_iteration
-    c_try = _any_of(g, exposure_slices)
-
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
     completed = _tries_before_crash(rng, c_try, tries)
-    masks = draw_flip_masks(env.profile, core, int(np.count_nonzero(faulted[:completed])), rng)
+    masks = draw_flip_masks(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
     successes = sum(n for mask, n in Counter(masks).items() if victim.oracle.diverts(mask))
     if completed < tries:
         raise AbortedByCrash(
@@ -501,18 +555,18 @@ def run_poc_enclave(
 def run_poc_victim(
     env: PlatformState, target_core: int, tries: int, *, runs: int = 5
 ) -> CampaignResult:
-    """`run_hmac_victim` for the guarded-branch victim, prepared once so
-    that every run shares its oracle.  The undervolt covers one slice per
-    execution of the guarded store, plus `GUARD_SLICES` on both sides."""
+    """`run_hmac_victim` for the guarded-branch victim, prepared and rated
+    once per campaign.  The undervolt covers one slice per execution of the
+    guarded store, plus `GUARD_SLICES` on both sides."""
     core = _pin_check(env, target_core)
     victim = poc_victim()
-    exposure = victim.geometry.events + 2 * GUARD_SLICES
+    q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
+    c_try = _any_of(g, victim.geometry.events + 2 * GUARD_SLICES)
 
     def one(run_index: int) -> tuple[int, int, bool]:
         gen = rngmod.stream(env.seed, "phase3", "poc", core, run_index)
         try:
-            got = run_poc_enclave(victim, env, core, tries, gen, exposure_slices=exposure)
-            return got, tries, False
+            return run_poc_enclave(victim, env.profile, core, q, c_try, tries, gen), tries, False
         except AbortedByCrash as abort:
             successes, completed = abort.partial
             return successes, completed, True

@@ -16,7 +16,15 @@ from voltlab.orchestrator import (
     _pinned_state,
 )
 from voltlab.processor import BitFlipPattern, core_temp_targets, normalize_pstate
-from voltlab.victims import LoopVictim, RunStatus, loop_victim, pinned_rates, run_test_loop
+from voltlab.victims import (
+    LoopVictim,
+    RunStatus,
+    loop_victim,
+    pinned_rates,
+    poc_victim,
+    run_poc_enclave,
+    run_test_loop,
+)
 
 VREGS = [f"%xmm{i}" for i in range(16)]
 
@@ -123,6 +131,16 @@ def run_loop_under(env, victim, max_iters, rng):
     core = env.victim_physical or 0
     rates = pinned_rates(env, core, victim.geometry.events, "probe")
     return run_test_loop(victim, rates, env.profile, core, env.pstate, max_iters, rng)
+
+
+def run_poc_under(env, core, tries, rng):
+    """`run_poc_enclave` for a fresh `poc_victim` on physical `core` of the
+    `PlatformState` `env`, with the rates `pinned_rates` gives for it and
+    the whole program undervolted on every try."""
+    victim = poc_victim()
+    q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
+    c_try = victims._any_of(g, victim.geometry.slices_per_iteration)
+    return run_poc_enclave(victim, env.profile, core, q, c_try, tries, rng)
 
 
 def reference_phase1(

@@ -44,7 +44,6 @@ from voltlab.processor import (
 )
 from voltlab.scanner import PatternHit, PatternKind, scan
 from voltlab.sha256sim import HmacContext, hmac_sha256
-from voltlab.victims import run_poc_enclave
 
 from helpers import random_program_text
 from slice_reference import scan_brute

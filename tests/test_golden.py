@@ -20,7 +20,9 @@ from voltlab import rng
 from voltlab.errors import AbortedByCrash
 from voltlab.orchestrator import VoltagePlan, phase2_probe_cores, phase3_attack, setup_system
 from voltlab.sha256sim import HmacContext
-from voltlab.victims import poc_victim, run_hmac_victim, run_poc_enclave
+from voltlab.victims import run_hmac_victim
+
+from helpers import run_poc_under
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,7 +63,7 @@ def test_crash_aborts_match_golden_file():
     plan = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-260, -255, -255, -255))
     cells = {
         "run_poc_enclave": _aborted(
-            lambda: run_poc_enclave(poc_victim(), edge, 1, 2000, rng.stream(5, "poc-edge"))
+            lambda: run_poc_under(edge, 1, 2000, rng.stream(5, "poc-edge"))
         ),
         "run_hmac_victim": _aborted(lambda: run_hmac_victim(edge, 1, "hmac32", 200, runs=3)),
         "phase2_probe_cores": _aborted(

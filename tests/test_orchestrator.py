@@ -106,7 +106,6 @@ def test_setup_interference_bookkeeping():
     _, config, _ = setup_system(KABY, "0x1b", 1, "none")
     assert config.drivers_disabled == ("acpi_cpufreq", "intel_pstate")
     assert config.pstate_pin == "0x1b"
-    assert config.interference_flags and all(config.interference_flags.values())
 
 
 def test_setup_prewarms_temperatures():
@@ -356,6 +355,13 @@ def test_phase2_crash_aborts_with_partial_stats():
     assert partial.stats[-1].tries < 10_000
 
 
+def test_phase2_prepares_the_probe_victim_once(monkeypatch):
+    state, plan = _kaby_attack_setup()
+    built = _count_geometry_builds(monkeypatch)
+    phase2_probe_cores(state, plan, tries_per_core=500)
+    assert built == {"vp1_xor_kernel": 1}
+
+
 def test_fault_stats_bucketing():
     stats = FaultStats(2, 1000, 10, (0,) * 16, {1: 5, 2: 3, 4: 2})
     assert stats.bucketed() == (5, 3, 2)
@@ -429,6 +435,23 @@ def test_phase3_poc_prepares_once_and_runs_the_oracle_once_per_mask(monkeypatch)
     assert built == {"poc_and_branch": 1}
     assert len(masks) > len(executed)  # later runs redraw earlier masks
     assert executed == Counter(set(masks))
+
+
+def test_poc_campaign_reads_its_rates_once_like_hmac(monkeypatch):
+    calls = []
+    real = victims.mean_event_fault_probability
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(victims, "mean_event_fault_probability", counting)
+    counts = {}
+    for victim in ("poc", "hmac32"):
+        calls.clear()
+        run_campaign("i7-7700k", victim, 1, "listing2", seed=7, runs=5, tries_per_run=1000)
+        counts[victim] = len(calls)
+    assert counts["poc"] == counts["hmac32"], counts
 
 
 def test_phase3_zero_offset_yields_nothing():

@@ -43,7 +43,7 @@ from voltlab.victims import (
     payload_name,
     poc_victim,
     run_hmac_victim,
-    run_poc_enclave,
+    run_poc_victim,
     stressor_profile,
 )
 
@@ -52,6 +52,7 @@ from helpers import (
     reference_memory_diff,
     run_campaigns_out_of_order,
     run_loop_under,
+    run_poc_under,
 )
 
 
@@ -99,7 +100,6 @@ def test_stressor_registry_dominance():
     assert shift.fault_multiplier > fish.fault_multiplier > none.fault_multiplier
     assert none.fault_multiplier == 1.0
     assert shift.temp_boost_c > fish.temp_boost_c > none.temp_boost_c == 0.0
-    assert shift.program == "shift_stressor"
 
 
 def test_stressor_aliases():
@@ -233,25 +233,25 @@ def test_poc_every_single_bit_diverts():
 
 def test_poc_success_rate_with_shift_stressor(kaby):
     env = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    successes = run_poc_enclave(poc_victim(), env, 1, 2000, vrng.stream(21, "poc"))
+    successes = run_poc_under(env, 1, 2000, vrng.stream(21, "poc"))
     assert abs(successes - 1980) <= 20  # q = 0.99, 4.5 sigma
 
 
 def test_poc_success_rate_with_twofish(kaby):
     env = pinned_state(kaby, 1, -250, stressor="twofish_avx")
-    successes = run_poc_enclave(poc_victim(), env, 1, 2000, vrng.stream(22, "poc"))
+    successes = run_poc_under(env, 1, 2000, vrng.stream(22, "poc"))
     assert abs(successes - 160) <= 50  # q = 0.08, ~4 sigma
 
 
 def test_poc_zero_offset_never_succeeds(kaby):
     env = pinned_state(kaby, 1, 0, stressor="shift_loop")
-    assert run_poc_enclave(poc_victim(), env, 1, 5000, vrng.stream(23, "poc")) == 0
+    assert run_poc_under(env, 1, 5000, vrng.stream(23, "poc")) == 0
 
 
 def test_poc_crash_aborts_with_partial(kaby):
     env = pinned_state(kaby, 1, -260)
     with pytest.raises(AbortedByCrash) as info:
-        run_poc_enclave(poc_victim(), env, 1, 100_000, vrng.stream(24, "poc"))
+        run_poc_under(env, 1, 100_000, vrng.stream(24, "poc"))
     successes, completed = info.value.partial
     assert successes == 0  # below the window nothing faults
     assert completed < 100_000
@@ -260,7 +260,7 @@ def test_poc_crash_aborts_with_partial(kaby):
 def test_poc_respects_the_pin(kaby):
     env = pinned_state(kaby, 2, -250)
     with pytest.raises(InvalidCore):
-        run_poc_enclave(poc_victim(), env, 1, 10, vrng.stream(25, "poc"))
+        run_poc_victim(env, 1, 10, runs=1)
 
 
 # ---------------------------------------------------------------------------

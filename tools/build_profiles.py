@@ -92,7 +92,7 @@ COMMON = {
     "decode_error_rate_per_slice": 0.001,
     "default_attack_pstate": "0x1b",
     "affinity_source": "qualitative-heatmap",
-    "crash": {"rate_per_slice": 0.02, "depth_slope_per_mv": 0.4, "reboot_slices": 50000},
+    "crash": {"rate_per_slice": 0.02, "depth_slope_per_mv": 0.4},
 }
 
 
