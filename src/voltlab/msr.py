@@ -21,7 +21,6 @@ bit clear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import FormatError, RangeError
@@ -87,8 +86,43 @@ class PStateInterface(IntEnum):
     HWP = 1
 
 
-@dataclass(frozen=True)
-class MailboxCommand:
+class _Record:
+    """A small immutable record: its fields are its `__slots__`, set once
+    by `__init__`; equal and hashed by class and field values, like a
+    frozen dataclass, without importing `dataclasses` on the codec path."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MailboxCommand(_Record):
     """One decoded (or to-be-encoded) mailbox transaction.
 
     offset_mv is meaningful in OFFSET mode, static_units in STATIC mode.
@@ -96,42 +130,42 @@ class MailboxCommand:
     whatever a raw word contains.
     """
 
-    domain: VoltageDomain
-    op: MailboxOp
-    mode: VoltageMode
-    offset_mv: int = 0
-    static_units: int = 0
+    __slots__ = ("domain", "op", "mode", "offset_mv", "static_units")
+
+    def __init__(
+        self, domain: VoltageDomain, op: MailboxOp, mode: VoltageMode,
+        offset_mv: int = 0, static_units: int = 0,
+    ):
+        self._set(domain, op, mode, offset_mv, static_units)
 
     def static_volts(self) -> float:
         return self.static_units / 1024.0
 
 
-@dataclass(frozen=True)
-class PState:
+class PState(_Record):
     """A frequency operating point: ratio x base clock."""
 
-    ratio: int
-    base_clock_mhz: int = 100
+    __slots__ = ("ratio", "base_clock_mhz")
 
-    def __post_init__(self):
-        if not 1 <= self.ratio <= 255:
-            raise RangeError(f"pstate ratio {self.ratio:#x} outside 1..=0xff")
-        if self.base_clock_mhz <= 0:
+    def __init__(self, ratio: int, base_clock_mhz: int = 100):
+        if not 1 <= ratio <= 255:
+            raise RangeError(f"pstate ratio {ratio:#x} outside 1..=0xff")
+        if base_clock_mhz <= 0:
             raise RangeError("base clock must be positive")
+        self._set(ratio, base_clock_mhz)
 
 
-@dataclass(frozen=True)
-class MsrWrite:
+class MsrWrite(_Record):
     """A single (address, value) pair destined for wrmsr."""
 
-    address: int
-    value: int
+    __slots__ = ("address", "value")
 
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << 64):
-            raise RangeError(f"MSR value {self.value:#x} is not a u64")
-        if self.address == OC_MAILBOX_MSR and not self.value & MAILBOX_BUSY_BIT:
+    def __init__(self, address: int, value: int):
+        if not 0 <= value < (1 << 64):
+            raise RangeError(f"MSR value {value:#x} is not a u64")
+        if address == OC_MAILBOX_MSR and not value & MAILBOX_BUSY_BIT:
             raise RangeError("mailbox writes must carry bit 63")
+        self._set(address, value)
 
 
 def encode_mailbox(cmd: MailboxCommand) -> int:

@@ -866,10 +866,19 @@ def draw_fault_sets(
     `draw_flip_pattern` per event in that order, exactly as those calls
     would consume `rng`.  `n` is at most `_FLOYD_MAX`.
     """
+    if n > _FLOYD_MAX:
+        raise InvariantError(f"a population of {n} is past Floyd's range ({_FLOYD_MAX})")
     tables = profile._flip_tables[profile.check_core(core)]
     words = _Words(rng, later=2 * sum(ks), halves=True)  # a bucket and a bit per pattern
     out = []
     for k in ks:
+        if k == 1:
+            # Most faulted tries: Floyd's walk is one draw bounded by
+            # n - 1, and a single pick has no shuffle draws.
+            event = words.bounded(n - 1)
+            words.later -= 2
+            out.append([(event, words.masks(tables, 1)[0])])
+            continue
         events = words.choice(n, k)
         words.later -= 2 * k
         out.append(list(zip(events, words.masks(tables, k))))

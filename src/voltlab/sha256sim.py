@@ -14,13 +14,13 @@ standard algorithm; `hashlib` is used as the oracle in tests, never here.
 
 Two implementations share that fault surface.  The scalar `compress` and
 `HmacContext.mac_with_faults` are the reference: `sha256`, the context
-set-up and the published vectors go through them.  Campaigns hand a whole
-run's fault sets to `HmacContext.macs_with_keys`, which recomputes every
-distinct faulted MAC at once, each fault set one lane of numpy `uint32`
-arrays (FIPS 180-4 arithmetic, wrapping mod 2**32).  Both paths share the
-memo, and tests hold the lanes equal to the scalar path.  Fault dicts are
-normalised and range-checked by `_fault_key` on the scalar path;
-`macs_with_keys` takes keys already in that form.
+set-up and the published vectors go through them.  A campaign hands the
+fault sets of all its runs to `HmacContext.macs_with_keys` in one call,
+which recomputes every distinct faulted MAC at once, each fault set one
+lane of numpy `uint32` arrays (FIPS 180-4 arithmetic, wrapping mod
+2**32).  Both paths share the memo, and tests hold the lanes equal to the
+scalar path.  Fault dicts are normalised and range-checked by `_fault_key`
+on the scalar path; `macs_with_keys` takes keys already in that form.
 """
 
 from __future__ import annotations
@@ -243,6 +243,8 @@ class HmacContext:
         self.n_inner = len(self.inner_blocks)
         self.total_blocks = self.n_inner + 2
         self.total_events = self.total_blocks * EVENTS_PER_BLOCK
+        # (block, event-in-block) of each global store-event index
+        self.stores = tuple(divmod(g, EVENTS_PER_BLOCK) for g in range(self.total_events))
         # chaining state entering each inner block
         self.checkpoints: list[tuple[int, ...]] = []
         state = _H0

@@ -51,7 +51,7 @@ from .processor import (
     mean_event_fault_probability,
 )
 from .scanner import scan
-from .sha256sim import EVENTS_PER_BLOCK, HmacContext
+from .sha256sim import HmacContext
 
 __all__ = [
     "CampaignResult",
@@ -441,6 +441,8 @@ def run_probe_victim(
     among those completed, then one `draw_flip_masks` block.  A crash
     shows as fewer `tries` than asked; nothing is raised.
     """
+    if tries < 0:
+        raise InvariantError("tries is nonnegative")
     core = _pin_check(env, target_core)
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
     rates = pinned_rates(env, core, victim.geometry.events, "probe")
@@ -667,38 +669,37 @@ def _hmac_single_run(
     c_try: float,
     tries: int,
     rng: np.random.Generator,
-) -> tuple[int, int, bool]:
-    """(successes, tries_completed, crashed) for one run of the validator.
+) -> tuple[list[tuple], int, bool]:
+    """(keys, tries_completed, crashed) for one run of the validator: the
+    draw half of the run, with the fault key of each faulted try in try
+    order.  No MAC is computed here; `run_hmac_victim` recomputes the
+    campaign's faulted MACs once every run is drawn.
 
     Per try, the number of faulted compression stores is Binomial(E, p);
     the faulted events are drawn without replacement and each gets a flip
-    pattern from the core's tables.  Success means the recomputed MAC no
-    longer validates.  Draw order: the per-try binomial block, the crash
-    geometric, then, per completed faulted try in try order,
-    `rng.choice(E, k, replace=False)` and one `draw_flip_pattern` per
-    chosen event in event order.  Those detail draws come from one
+    pattern from the core's tables.  Draw order: the per-try binomial
+    block, the crash geometric, then, per completed faulted try in try
+    order, `rng.choice(E, k, replace=False)` and one `draw_flip_pattern`
+    per chosen event in event order.  Those detail draws come from one
     `draw_fault_sets` call, which replays them from blocks of raw words
     and leaves `rng` where the calls would (held equal to them by
-    `tests/helpers.reference_hmac_detail`).  Every draw comes first; the
-    faulted MACs are then recomputed together as numpy lanes
-    (`HmacContext.macs_with_keys`, held equal to the scalar reference
-    `mac_with_faults` by tests).  No MAC feeds back into a draw, so this
-    leaves the seeded stream as it is.
+    `tests/helpers.reference_hmac_detail`).
 
-    Each fault set goes over as its canonical key, built here: the events
-    arrive sorted and in range and every flip mask is nonzero within 128
-    bits, so the (block, event) pairs are already in `_fault_key`'s order.
+    Each fault set is returned as its canonical key, built here from the
+    context's (block, event) table: the events arrive sorted and in range
+    and every flip mask is nonzero within 128 bits, so the pairs are
+    already in `_fault_key`'s order.
     """
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
     completed = _tries_before_crash(rng, c_try, tries)
     ks = ks[:completed]
+    stores = ctx.stores
     keys = [
-        tuple((divmod(g, EVENTS_PER_BLOCK), mask) for g, mask in pairs)
+        tuple([(stores[g], mask) for g, mask in pairs])
         for pairs in draw_fault_sets(profile, core, total, ks[ks > 0].tolist(), rng)
     ]
-    successes = sum(mac != ctx.clean_mac for mac in ctx.macs_with_keys(keys))
-    return successes, completed, completed < tries
+    return keys, completed, completed < tries
 
 
 def run_hmac_victim(
@@ -713,10 +714,17 @@ def run_hmac_victim(
 
     Each run owns an independent RNG substream keyed by `env.seed` and its
     index, so the aggregate does not depend on the order runs execute in.
-    Raises AbortedByCrash carrying the partial CampaignResult if any run
-    crashes; runs after the first crashed one are not started, because the
-    simulated machine is gone.
+    Every run's draws come first (`_hmac_single_run`); then one lane pass
+    (`HmacContext.macs_with_keys`) recomputes the distinct faulted MACs of
+    the whole campaign, and a try succeeds when its MAC no longer
+    validates.  Recomputed MACs as numpy lanes are held equal to the scalar
+    reference `mac_with_faults` by tests; no MAC feeds back into a draw, so
+    the seeded streams are as they were.  Raises AbortedByCrash carrying
+    the partial CampaignResult if any run crashes; runs after the first
+    crashed one are not started, because the simulated machine is gone.
     """
+    if tries < 0:
+        raise InvariantError("tries is nonnegative")
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
     core = _pin_check(env, target_core)
@@ -730,21 +738,32 @@ def run_hmac_victim(
         gen = rngmod.stream(env.seed, "hmac", payload, core, run_index)
         return _hmac_single_run(ctx, env.profile, core, p_event, c_try, tries, gen)
 
-    return _campaign_runs(one, runs, core, scenario)
+    def successes(drawn: list[list[tuple]]) -> list[int]:
+        macs = ctx.macs_with_keys([key for keys in drawn for key in keys])
+        faulty = (mac != ctx.clean_mac for mac in macs)
+        return [sum(itertools.islice(faulty, len(keys))) for keys in drawn]
+
+    return _campaign_runs(one, runs, core, scenario, successes)
 
 
-def _campaign_runs(one, runs: int, core: int, scenario: str) -> CampaignResult:
-    """Run `one(run_index) -> (successes, tries_completed, crashed)` for
-    each run in index order, then aggregate.  The first crashed run raises
-    AbortedByCrash carrying the runs up to and including it; no later run
-    starts."""
-    per_run = []
+def _campaign_runs(one, runs: int, core: int, scenario: str, successes=None) -> CampaignResult:
+    """Run `one(run_index) -> (outcome, tries_completed, crashed)` for each
+    run in index order, up to and including the first crashed run, then
+    aggregate.  A run's success count is its outcome, or, given
+    `successes`, its entry in `successes(outcomes)`, one call over the
+    runs drawn.  A crashed run raises AbortedByCrash carrying the runs up
+    to and including it; no later run starts."""
+    drawn = []
     for r in range(runs):
-        successes, completed, crashed = one(r)
-        per_run.append((successes, completed))
-        if crashed:
-            partial = CampaignResult.from_runs(core, scenario, per_run, crashes=1)
-            raise AbortedByCrash(
-                f"platform crashed during run {r} of {runs}", partial=partial
-            )
+        drawn.append(one(r))
+        if drawn[-1][2]:
+            break
+    outcomes = [outcome for outcome, _, _ in drawn]
+    counts = successes(outcomes) if successes else outcomes
+    per_run = [(s, completed) for s, (_, completed, _) in zip(counts, drawn)]
+    if drawn and drawn[-1][2]:
+        partial = CampaignResult.from_runs(core, scenario, per_run, crashes=1)
+        raise AbortedByCrash(
+            f"platform crashed during run {len(drawn) - 1} of {runs}", partial=partial
+        )
     return CampaignResult.from_runs(core, scenario, per_run)

@@ -234,13 +234,13 @@ def run_campaigns_out_of_order(monkeypatch, seed=0):
     """
     real = victims._campaign_runs
 
-    def out_of_order(one, runs, core, scenario):
+    def out_of_order(one, runs, core, scenario, successes=None):
         indexes = list(range(runs))[::-1]
         first = {r: one(r) for r in indexes}
         random.Random(seed).shuffle(indexes)
         second = {r: one(r) for r in indexes}
         assert first == second, "a run's outcome depends on which runs came before it"
-        return real(first.__getitem__, runs, core, scenario)
+        return real(first.__getitem__, runs, core, scenario, successes)
 
     monkeypatch.setattr(victims, "_campaign_runs", out_of_order)
 

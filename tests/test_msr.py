@@ -1,5 +1,7 @@
 """Codec tests: frozen words, exhaustive round-trips, field isolation."""
 
+import copy
+
 import pytest
 
 from voltlab.msr import (
@@ -181,3 +183,22 @@ def test_mailbox_msr_write_requires_busy_bit():
     with pytest.raises(RangeError):
         MsrWrite(OC_MAILBOX_MSR, 0x0000001100000000)
     MsrWrite(OC_MAILBOX_MSR, MINUS_100MV_WORD)  # fine
+
+
+def test_records_are_frozen_and_compare_by_class_and_fields():
+    cmd = MailboxCommand(VoltageDomain.CORES, MailboxOp.WRITE_VOLTAGE, VoltageMode.OFFSET)
+    assert (cmd.offset_mv, cmd.static_units) == (0, 0)
+    assert cmd == decode_mailbox(encode_mailbox(cmd))
+    assert PState(0x1B) == PState(0x1B, 100) != PState(0x1B, 133)
+    assert hash(PState(0x1B)) == hash(PState(0x1B, 100))
+    assert MsrWrite(0x1B, 100) != PState(0x1B, 100)
+    assert repr(MsrWrite(0x199, 0x1B00)) == "MsrWrite(address=409, value=6912)"
+    for record in (cmd, PState(0x1B), MsrWrite(0x199, 0)):
+        assert copy.deepcopy(record) == record
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        for field in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)

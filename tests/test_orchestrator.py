@@ -355,6 +355,13 @@ def test_phase2_crash_aborts_with_partial_stats():
     assert partial.stats[-1].tries < 10_000
 
 
+def test_phase2_refuses_a_negative_try_count():
+    state, _, _ = setup_system(KABY, "0x1b", 1, "listing2", seed=5)
+    idle = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (0, 0, 0, 0))
+    with pytest.raises(InvariantError, match="tries is nonnegative"):
+        phase2_probe_cores(state, idle, tries_per_core=-3)
+
+
 def test_phase2_prepares_the_probe_victim_once(monkeypatch):
     state, plan = _kaby_attack_setup()
     built = _count_geometry_builds(monkeypatch)

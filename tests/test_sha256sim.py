@@ -94,6 +94,8 @@ def test_context_geometry():
     assert big.total_events == 280
     assert small.locate_event(0) == (0, 0)
     assert small.locate_event(55) == (3, 13)
+    for ctx in (small, big):
+        assert ctx.stores == tuple(ctx.locate_event(g) for g in range(ctx.total_events))
     with pytest.raises(InvariantError):
         small.locate_event(56)
 

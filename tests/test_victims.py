@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from voltlab import processor
 from voltlab import rng as vrng
+from voltlab import victims
 from voltlab.errors import (
     AbortedByCrash,
     InterpreterError,
@@ -329,6 +330,75 @@ def test_hmac_crash_aborts_with_partial_result(kaby):
     assert partial.tries < 25_000
 
 
+def test_hmac_refuses_a_negative_try_count(kaby):
+    env = pinned_state(kaby, 1, -250, stressor="shift_loop")
+    with pytest.raises(InvariantError, match="tries is nonnegative"):
+        run_hmac_victim(env, 1, "hmac32", -3, runs=1)
+
+
+def _count_lane_passes(monkeypatch) -> list:
+    calls = []
+    real = HmacContext._lane_macs
+
+    def counting(self, keys):
+        calls.append(len(keys))
+        return real(self, keys)
+
+    monkeypatch.setattr(HmacContext, "_lane_macs", counting)
+    return calls
+
+
+def test_hmac_campaign_makes_one_lane_pass(kaby, monkeypatch):
+    # The warm cell of test_hmac_does_not_depend_on_run_order.
+    calls = _count_lane_passes(monkeypatch)
+    warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
+    run_hmac_victim(warm, 1, "hmac32", 400, runs=4)
+    assert len(calls) == 1 and calls[0] > 0
+    calls.clear()
+    idle = pinned_state(kaby, 1, 0, stressor="shift_loop")
+    assert run_hmac_victim(idle, 1, "hmac32", 400, runs=4).successes == 0
+    assert calls == []
+
+
+def _scalar_campaign(env, core, payload, tries, runs):
+    """`run_hmac_victim`'s per-run (successes, tries) from the reference
+    draws and the scalar MAC, up to and including the first crashed run."""
+    ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
+    total = ctx.total_events
+    p_event, _, g = victims.pinned_rates(env, core, total, hmac_scenario(payload))
+    c_try = victims._any_of(g, total + 2 * victims.GUARD_SLICES)
+    per_run = []
+    for r in range(runs):
+        gen = vrng.stream(env.seed, "hmac", payload, core, r)
+        ks = gen.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
+        completed = _tries_before_crash(gen, c_try, tries)
+        fault_sets = reference_hmac_detail(ctx, env.profile, core, ks[:completed], gen)
+        faulty = sum(ctx.mac_with_faults(f) != ctx.clean_mac for f in fault_sets)
+        per_run.append((faulty, completed))
+        if completed < tries:
+            break
+    return tuple(per_run)
+
+
+@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
+def test_hmac_campaign_equals_the_scalar_path(kaby, payload):
+    warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
+    result = run_hmac_victim(warm, 1, payload, 300, runs=3)
+    assert result.successes > 0
+    assert result.per_run == _scalar_campaign(warm, 1, payload, 300, 3)
+
+
+def test_hmac_crashed_campaign_equals_the_scalar_path(kaby):
+    # The -252 mV cell of tests/golden/crash_aborts.json.
+    state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
+    edge = dataclasses.replace(state, offset_mv={0: -252})
+    with pytest.raises(AbortedByCrash) as info:
+        run_hmac_victim(edge, 1, "hmac32", 300, runs=3)
+    partial = info.value.partial
+    assert partial.crashes == 1 and partial.successes > 0
+    assert partial.per_run == _scalar_campaign(edge, 1, "hmac32", 300, 3)
+
+
 _HMAC_CONTEXTS = {
     payload: HmacContext(HMAC_KEY, _payload_bytes(payload)) for payload in ("hmac32", "hmac1k")
 }
@@ -344,22 +414,23 @@ def _campaign_p_event(profile, payload, core):
 
 def _hmac_run_matches_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
     """One `_hmac_single_run` against `reference_hmac_detail`: the keys it
-    hands to the lanes equal `_fault_key` of the reference fault sets, and
-    the final generator states are equal.  `half` enters with a buffered
-    half-word; a positive `c_try` cuts the run short."""
+    returns equal `_fault_key` of the reference fault sets, the tries
+    completed and the crash flag agree, and the final generator states are
+    equal.  `half` enters with a buffered half-word; a positive `c_try`
+    cuts the run short."""
     ctx = _HMAC_CONTEXTS[payload]
     ours, theirs = vrng.stream(seed, "hmac-detail"), vrng.stream(seed, "hmac-detail")
     if half:
         for gen in (ours, theirs):
             gen.integers(0, 9, dtype=np.uint32)
         assert ours.bit_generator.state["has_uint32"] == 1
-    with mock.patch.object(ctx, "macs_with_keys", return_value=[]) as macs:
-        _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
+    keys, completed, crashed = _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
     total = ctx.total_events
     ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
-    completed = _tries_before_crash(theirs, c_try, tries)
+    assert completed == _tries_before_crash(theirs, c_try, tries)
+    assert crashed == (completed < tries)
     expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
-    assert macs.call_args.args[0] == [ctx._fault_key(faults) for faults in expected]
+    assert keys == [ctx._fault_key(faults) for faults in expected]
     np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
     return expected
 
