@@ -107,6 +107,50 @@ def reference_hmac_detail(ctx, profile, core, ks, rng):
     return fault_sets
 
 
+def _pool_sparse(table, floor=5.0):
+    """The contingency `table` with empty columns dropped and the columns
+    whose expected count is under `floor` in any row merged into one."""
+    table = np.asarray(table, dtype=float)
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    small = (expected < floor).any(axis=0)
+    if small.any():
+        table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
+    return table
+
+
+def two_sample_p(a, b):
+    """Chi-square p-value that the bin counts `a` and `b` come from one
+    distribution, sparse bins pooled; 1.0 when a single bin is left."""
+    from scipy.stats import chi2_contingency
+
+    table = _pool_sparse(np.vstack([a, b]))
+    if table.shape[1] < 2:
+        return 1.0
+    return float(chi2_contingency(table, correction=False).pvalue)
+
+
+def goodness_of_fit_p(observed, weights):
+    """Chi-square p-value of the bin counts `observed` against bins in
+    proportion to `weights`, sparse bins pooled.  A count in a bin of zero
+    weight is an impossible draw and fails outright."""
+    from scipy.stats import chisquare
+
+    observed, weights = np.asarray(observed, dtype=float), np.asarray(weights, dtype=float)
+    live = weights > 0
+    if observed[~live].any():
+        return 0.0
+    observed = observed[live]
+    expected = observed.sum() * weights[live] / weights[live].sum()
+    small = expected < 5.0
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    if len(observed) < 2:
+        return 1.0
+    return float(chisquare(observed, expected).pvalue)
+
+
 def reference_memory_diff(before, after):
     """`victims.memory_diff` as a loop over every 128-bit word."""
     if len(before) != len(after):

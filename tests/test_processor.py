@@ -1,5 +1,6 @@
 """Voltage geometry, fault sampling, crash process, temperature model."""
 
+import functools
 import importlib.util
 import json
 import pathlib
@@ -9,8 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
-from helpers import reference_flip_pattern, update_temperature
+from helpers import (
+    goodness_of_fit_p,
+    reference_flip_pattern,
+    two_sample_p,
+    update_temperature,
+)
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
@@ -591,6 +598,73 @@ def test_multiplicity_distribution(coffee):
     assert sum(m >= 3 for m in many) / 2000 > 0.98
     assert sum(m == 1 for m in rare) / 2000 > 0.99
     assert max(many) <= 7
+
+
+# -- flip draws against their distribution ---------------------------------------
+
+# Each test below passes at this level.  The seeds are fixed, so a verdict
+# is reproducible; a change to the draws redraws every sample.
+ALPHA = 1e-4
+
+_CORES = [
+    (name, core)
+    for name in bundled_profile_names()
+    for core in range(load_profile(name).physical_cores)
+]
+
+
+def _bit_matrix(masks) -> np.ndarray:
+    """One row of 128 flags per mask, bit 0 first."""
+    halves = np.array(
+        [(m & 0xFFFF_FFFF_FFFF_FFFF, m >> 64) for m in masks], dtype=np.uint64
+    ).reshape(-1, 2)
+    return np.unpackbits(halves.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+
+
+@functools.cache
+def _flip_samples(name, core):
+    """(production, reference) bit matrices for one core: 30 000 masks
+    from one `draw_flip_masks` block and 1 500 `Generator.choice` patterns."""
+    profile = load_profile(name)
+    ours = draw_flip_masks(profile, core, 30_000, vrng.stream(29, "flip-dist", name, core))
+    gen = vrng.stream(31, "flip-oracle", name, core)
+    theirs = [reference_flip_pattern(profile, core, 0, gen).mask for _ in range(1_500)]
+    return _bit_matrix(ours), _bit_matrix(theirs)
+
+
+def _multiplicity_pmf(profile, core) -> np.ndarray:
+    """P(k bits flip), k = 0..7, from the core's multiplicity row."""
+    mult = profile.multiplicity[core]
+    cap = int(np.count_nonzero(profile.bit_weights(core)))
+    pmf = np.zeros(8)
+    pmf[min(1, cap)] += mult[0]
+    pmf[min(2, cap)] += mult[1]
+    for extra in range(5):
+        pmf[min(3 + extra, cap)] += mult[2] * binom.pmf(extra, 4, 0.2)
+    return pmf
+
+
+@pytest.mark.parametrize("name,core", _CORES)
+def test_flip_multiplicity_matches_the_choice_oracle(name, core):
+    ours, theirs = _flip_samples(name, core)
+    counts = [np.bincount(bits.sum(axis=1), minlength=8) for bits in (ours, theirs)]
+    assert two_sample_p(*counts) > ALPHA
+    # The large sample alone, against the table: this is where a pattern
+    # that lost a repeated bit shows.
+    assert goodness_of_fit_p(counts[0], _multiplicity_pmf(load_profile(name), core)) > ALPHA
+
+
+@pytest.mark.parametrize("name,core", _CORES)
+def test_flipped_bits_match_the_choice_oracle(name, core):
+    ours, theirs = _flip_samples(name, core)
+    assert two_sample_p(ours.sum(axis=0), theirs.sum(axis=0)) > ALPHA
+
+
+@pytest.mark.parametrize("name,core", _CORES)
+def test_one_bit_flips_follow_the_bit_weights(name, core):
+    ours, _ = _flip_samples(name, core)
+    single = ours[ours.sum(axis=1) == 1].sum(axis=0)
+    assert goodness_of_fit_p(single, load_profile(name).bit_weights(core)) > ALPHA
 
 
 # -- flip draws against the `Generator.choice` oracle ------------------------

@@ -28,7 +28,7 @@ from voltlab.processor import (
     load_profile,
     mean_event_fault_probability,
 )
-from voltlab.sha256sim import HmacContext
+from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
     HMAC_KEY,
     STRESSORS,
@@ -49,6 +49,7 @@ from voltlab.victims import (
 )
 
 from helpers import (
+    goodness_of_fit_p,
     reference_hmac_detail,
     reference_memory_diff,
     run_campaigns_out_of_order,
@@ -465,6 +466,39 @@ def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, see
     p_event = 0.05 if dense else _campaign_p_event(kaby, payload, core)
     with mock.patch.object(processor, "_BLOCK", block):
         _hmac_run_matches_oracle(kaby, payload, core, p_event, seed, 30, half)
+
+
+ALPHA = 1e-4
+
+
+def _fault_sets(profile, payload, p_event, tries, seed):
+    """One run's fault sets as sorted global event lists, and the per-try
+    fault counts its binomial block drew, read from a twin generator."""
+    ctx = _HMAC_CONTEXTS[payload]
+    keys, completed, _ = _hmac_single_run(
+        ctx, profile, 1, p_event, 0.0, tries, vrng.stream(seed, "fault-sets", payload)
+    )
+    assert completed == tries
+    ks = vrng.stream(seed, "fault-sets", payload).binomial(ctx.total_events, p_event, size=tries)
+    sets = [[block * EVENTS_PER_BLOCK + event for (block, event), _ in key] for key in keys]
+    return ctx, sets, ks[ks > 0].tolist()
+
+
+@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
+def test_fault_sets_hold_k_distinct_sorted_events(kaby, payload):
+    ctx, sets, ks = _fault_sets(kaby, payload, 0.05, 400, 5)
+    assert [len(events) for events in sets] == ks
+    assert max(ks) > 1
+    for events in sets:
+        assert all(a < b for a, b in zip(events, events[1:]))
+        assert 0 <= events[0] and events[-1] < ctx.total_events
+
+
+@pytest.mark.parametrize("payload,p_event", [("hmac32", 0.05), ("hmac1k", 0.02)])
+def test_fault_set_events_are_uniform(kaby, payload, p_event):
+    ctx, sets, _ = _fault_sets(kaby, payload, p_event, 2_000, 6)
+    counts = np.bincount([g for events in sets for g in events], minlength=ctx.total_events)
+    assert goodness_of_fit_p(counts, np.ones(ctx.total_events)) > ALPHA
 
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
