@@ -25,9 +25,9 @@ with three decimals land exactly on band boundaries.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from importlib import resources
@@ -275,12 +275,15 @@ class ProcessorProfile:
             self._bit_weights = per_bit / per_bit.sum(axis=1, keepdims=True)
         if not (abs(self._bit_weights.sum(axis=1) - 1.0) <= 1e-9).all():
             raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
-        # Per core, what `_walk` reads: (multiplicity CDF, bit CDF, count of
-        # bits with positive weight, bit weights).
-        self._flip_tables = [
-            (_cdf(mult), _cdf(bits), int(np.count_nonzero(bits)), bits)
-            for mult, bits in zip(self.multiplicity, self._bit_weights)
-        ]
+        # Per core, what `draw_flip_masks` reads: the multiplicity CDF, the
+        # bit CDF as an array for block draws and as a list for one-by-one
+        # draws, and how many bits the CDF can reach, which caps a pattern's
+        # bit count.
+        self._flip_tables = []
+        for mult, bits in zip(self.multiplicity, self._bit_weights):
+            bit_cdf = _cdf(bits)
+            reach = int(np.count_nonzero(np.diff(bit_cdf, prepend=0.0)))
+            self._flip_tables.append((_cdf(mult), bit_cdf, bit_cdf.tolist(), reach))
 
     # -- lookups ---------------------------------------------------------
 
@@ -589,313 +592,97 @@ def mean_crash_probability(
 # ---------------------------------------------------------------------------
 # Stochastic draws
 #
-# Every weighted draw here consumes the generator exactly as
-# `Generator.choice(..., p=...)` does, without calling it: `choice` redoes its
-# argument checks and CDF on every call, and these tables never change.  A
-# draw with replacement is one uniform bisected into the CDF that `choice`
-# builds (`_cdf`); a flip pattern replays `choice(..., replace=False)` round
-# by round.  `tests/helpers.py` keeps the `choice` calls as the oracle.
+# A flip pattern is `k` distinct bits of a 128-bit word.  The core's
+# multiplicity row picks one bit, two, or three plus `binomial(4, 0.2)`,
+# never more than its bit CDF can reach, and the bits are a weighted sample
+# without replacement from the core's bit weights.
 #
-# Runs of draws are replayed from blocks of raw Philox words (`_Words`), and
-# a block is exact, not a new stream, for these reasons:
+# Runs of patterns are drawn as arrays: one uniform per pattern picks its
+# bucket and one its first bit, each by `searchsorted` into the core's CDF.
+# Only the multi-bit rows are walked in Python.  Each later bit is a
+# weighted draw with replacement, and a bit the row already holds is
+# rejected.  Rejecting repeats is successive weighted sampling: given the
+# bits kept so far, the next kept bit falls on each bit left in proportion
+# to its weight, which is the distribution of `Generator.choice(...,
+# replace=False, p=...)`.  `tests/helpers.reference_flip_pattern` keeps that
+# `choice` call as the distribution oracle.
 #
-# - `bit_generator.random_raw(m)` takes the generator's next `m` 64-bit
-#   words, and `random()` reads one whole word `w` as `(w >> 11) * 2**-53`;
-#   `random(m)` takes the same words as `m` scalar calls.
-# - `binomial(4, 0.2)` takes numpy's inversion branch (n*p <= 30), which
-#   reads one uniform per attempt; `_walk` replays it with the same float
-#   operations.
-# - A bounded draw (`_Words.bounded`) reads half-words: `next_uint32`
-#   returns the low half of a fresh word and buffers the high half in the
-#   state's `has_uint32`/`uinteger` for the next call.  Doubles leave that
-#   buffer alone.  The reader takes it from `bit_generator.state` on entry
-#   and writes it back on close.
-# - numpy bounds a half-word to `0..r` by Lemire's method: multiply by
-#   `r + 1`, reject while the low 32 bits of the product are under
-#   `(2**32 - 1 - r) % (r + 1)`, return the high 32 bits.  `r == 0` draws
-#   nothing.
-# - `choice(n, k, replace=False)` without `p`, for `n` up to 10 000, is
-#   Floyd's algorithm: for `j` from `n - k` to `n - 1`, draw `val` bounded
-#   by `j` and add it, or `j` if `val` is already in.  Then it shuffles the
-#   picks with one draw bounded by `i` for each `i` from `k - 1` down to 1.
-#   Callers sort the picks, so the shuffle's draws are consumed and their
-#   values dropped.  Above 10 000 numpy may tail-shuffle the population
-#   instead; that is refused.
-# - A block never draws past what the sequential calls consume: it draws
-#   only a lower bound of what is still owed (`_Words.later` plus what the
-#   draw in hand still needs), so the generator ends where those calls
-#   leave it.
-
-# numpy's `random_binomial_inversion` constants for binomial(4, 0.2).
-_BINOM_N, _BINOM_P = 4, 0.2
-_BINOM_Q = 1.0 - _BINOM_P
-_BINOM_QN = math.exp(_BINOM_N * math.log(_BINOM_Q))
-
-# Words per block draw: bounds the buffer a long run of draws holds.
-_BLOCK = 256
-
-# The largest population `choice(..., replace=False)` surely draws by Floyd's
-# algorithm; numpy's tail-shuffle branch starts above it.
-_FLOYD_MAX = 10_000
-
-_M32 = 0xFFFF_FFFF
+# A fault set is `k` distinct events of a run's `n`, uniform.  One integer
+# block draws every set's events with replacement, and a set that hit an
+# event twice redraws the repeat; by the same argument each set is uniform
+# over the `k`-subsets.
 
 # The one-bit masks, shared: most patterns are one bit, and a long block of
 # masks then holds references instead of a fresh int per pattern.
 _BIT = tuple(1 << b for b in range(128))
 
 
-def _cdf(weights) -> list[float]:
-    """The CDF `Generator.choice` builds from `weights`, as a list for `bisect`."""
+def _cdf(weights) -> np.ndarray:
+    """The normalised CDF of `weights`, as `Generator.choice` builds it."""
     c = np.cumsum(weights)
     c /= c[-1]
-    return c.tolist()
-
-
-def _draw_index(cdf: list[float], rng: np.random.Generator) -> int:
-    """One weighted index: `rng.choice(len(cdf), p=...)`, from the same uniform."""
-    return bisect_right(cdf, rng.random())
-
-
-class _Short(Exception):
-    """The uniforms ran out mid-pattern; the pattern needs `need` more at least."""
-
-    def __init__(self, need: int):
-        self.need = need
-
-
-def _binomial(u: list[float], pos: int) -> tuple[int, int]:
-    """`binomial(4, 0.2)` from the uniform `u[pos]`; returns (count, next pos).
-
-    numpy's inversion: one uniform, walked down the pmf with the same float
-    operations.  numpy draws a fresh uniform once the count passes its
-    bound, 4 for these constants; no uniform below 1 walks past 4 (a test
-    pins this for the largest), so each draw reads exactly one.
-    """
-    x, px, v = 0, _BINOM_QN, u[pos]
-    while v > px:
-        x += 1
-        v -= px
-        px = ((_BINOM_N - x + 1) * _BINOM_P * px) / (x * _BINOM_Q)
-    return x, pos + 1
-
-
-def _later_rounds(
-    weights: np.ndarray, found: list[int], k: int, u: list[float], pos: int
-) -> tuple[list[int], int]:
-    """`choice(..., replace=False)`'s rounds after the first drew duplicates.
-
-    Each round reads one uniform per missing index from `u[pos:]`, zeroes
-    the weights of the indices found so far, rebuilds the CDF, and keeps
-    the first occurrence of each new index in draw order.  Returns the `k`
-    indices and the next position.
-    """
-    p = weights.copy()
-    while len(found) < k:
-        need = k - len(found)
-        if pos + need > len(u):
-            raise _Short(pos + need - len(u))
-        p[found] = 0
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        new = cdf.searchsorted(u[pos : pos + need], side="right")
-        pos += need
-        _, first = np.unique(new, return_index=True)
-        first.sort()
-        found += new[first].tolist()
-    return found, pos
-
-
-def _walk(u: list[float], pos: int, count: int, tables, masks: list[int]) -> tuple[int, int]:
-    """Read up to `count` flip patterns from the uniforms `u[pos:]`.
-
-    Per pattern, in generator order: one uniform for the multiplicity
-    bucket; `binomial(4, 0.2)` for bucket 2 (three or more bits); `k`
-    uniforms for the bits; and, only if those hit a bit twice, one round
-    of uniforms per missing bit until `k` are distinct.  Each mask is
-    appended to `masks`.
-
-    Returns `(pos, short)`.  When `u` runs out mid-pattern, `pos` is where
-    that pattern starts and `short` how many more uniforms it needs at
-    least; the caller draws them and walks the pattern again from `pos`.
-    Otherwise `short` is 0.
-    """
-    mult_cdf, bit_cdf, support, weights = tables
-    end = len(u)
-    try:
-        for _ in range(count):
-            start = pos
-            if pos + 2 > end:  # a bucket and at least one bit
-                raise _Short(pos + 2 - end)
-            bucket = bisect_right(mult_cdf, u[pos])
-            if bucket == 0:
-                masks.append(_BIT[bisect_right(bit_cdf, u[pos + 1])])
-                pos += 2
-                continue
-            if bucket == 1:
-                k, pos = 2, pos + 1
-            else:
-                x, pos = _binomial(u, pos + 1)
-                k = 3 + x
-            k = min(k, support)
-            if pos + k > end:
-                raise _Short(pos + k - end)
-            bits = [bisect_right(bit_cdf, v) for v in u[pos : pos + k]]
-            pos += k
-            mask = 0
-            for b in bits:
-                mask |= 1 << b
-            if mask.bit_count() < k:
-                found, pos = _later_rounds(weights, list(dict.fromkeys(bits)), k, u, pos)
-                mask = sum(1 << b for b in found)
-            masks.append(mask)
-    except _Short as short:
-        return start, short.need
-    return pos, 0
-
-
-class _Words:
-    """A Philox generator's next words, read as its scalar draws read them.
-
-    `u` holds the words drawn and not yet dropped, as `random()` doubles,
-    and `pos` the next one to read.  With `halves`, for callers that make
-    bounded draws, `w` holds the same words raw, and `has` and `half`
-    mirror the generator's half-word buffer (`has_uint32`, `uinteger`);
-    without, a block is drawn by `random()` itself, which is cheaper than
-    converting raw words.
-
-    `later` is how many words the draws after the one in hand are sure to
-    consume.  A top-up draws what the draw in hand still needs plus
-    `later`, capped at `_BLOCK`, so the generator never runs ahead of the
-    calls replayed; the caller keeps `later` current.  `close` writes the
-    half-word buffer back.
-    """
-
-    def __init__(self, rng: np.random.Generator, later: int = 0, halves: bool = False):
-        self._rng = rng
-        self.later = later
-        self.u: list[float] = []
-        self.pos = 0
-        self.w = None
-        if halves:
-            state = rng.bit_generator.state
-            self.has, self.half = bool(state["has_uint32"]), state["uinteger"]
-            self.w = np.empty(0, dtype=np.uint64)
-
-    def top_up(self, need: int):
-        """Drop the words read, then draw `need + later` more, at most `_BLOCK`."""
-        m = min(need + self.later, _BLOCK)
-        if self.w is None:
-            block = self._rng.random(m)
-        else:
-            raw = self._rng.bit_generator.random_raw(m)
-            self.w = np.concatenate((self.w[self.pos :], raw))
-            block = (raw >> 11) * 2.0**-53
-        self.u = self.u[self.pos :] + block.tolist()
-        self.pos = 0
-
-    def bounded(self, r: int) -> int:
-        """`integers(0, r, endpoint=True, dtype=np.uint32)` for `r < 2**32 - 1`."""
-        if r == 0:
-            return 0
-        threshold = (_M32 - r) % (r + 1)
-        while True:
-            if self.has:
-                self.has = False
-                x = self.half
-            else:
-                if self.pos == len(self.u):
-                    self.top_up(1)
-                word = int(self.w[self.pos])
-                self.pos += 1
-                x, self.half, self.has = word & _M32, word >> 32, True
-            m = x * (r + 1)
-            if m & _M32 >= threshold:
-                return m >> 32
-
-    def choice(self, n: int, k: int) -> list[int]:
-        """`sorted(choice(n, k, replace=False))`, by Floyd's algorithm and
-        the shuffle after it; `n` above `_FLOYD_MAX` is refused."""
-        if n > _FLOYD_MAX:
-            raise InvariantError(f"a population of {n} is past Floyd's range ({_FLOYD_MAX})")
-        chosen: set[int] = set()
-        for j in range(n - k, n):
-            val = self.bounded(j)
-            chosen.add(j if val in chosen else val)
-        for i in range(k - 1, 0, -1):
-            self.bounded(i)
-        return sorted(chosen)
-
-    def masks(self, tables, count: int) -> list[int]:
-        """The masks of `count` flip patterns from the core's `tables`."""
-        masks: list[int] = []
-        while True:
-            self.pos, short = _walk(self.u, self.pos, count - len(masks), tables, masks)
-            if not short:
-                return masks
-            # The pattern in hand needs `short` more; each one after it, 2.
-            self.top_up(short + 2 * (count - len(masks) - 1))
-
-    def close(self):
-        """Leave the half-word buffer in the generator as the draws left it."""
-        bg = self._rng.bit_generator
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = int(self.has), self.half
-        bg.state = state
+    return c
 
 
 def draw_flip_masks(
     profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
 ) -> list[int]:
-    """The masks of `n` consecutive `draw_flip_pattern` calls, as one block.
+    """The masks of `n` flip patterns on physical `core`, in draw order.
 
-    `rng` ends in the state those calls leave it in: the block draws at
-    most `_BLOCK` words at a time, and never more than the patterns still
-    to walk are sure to consume.
+    Draw order: one `rng.random((2, n))` block, whose first row picks each
+    pattern's multiplicity bucket and second row its first bit; then, per
+    multi-bit pattern in order, `binomial(4, 0.2)` for bucket 2 and one
+    uniform per later bit, repeats included.
     """
-    return _Words(rng).masks(profile._flip_tables[profile.check_core(core)], n)
+    mult_cdf, bit_cdf, bit_list, reach = profile._flip_tables[profile.check_core(core)]
+    u = rng.random((2, n))
+    masks = [_BIT[b] for b in bit_cdf.searchsorted(u[1], side="right").tolist()]
+    buckets = mult_cdf.searchsorted(u[0], side="right")
+    for i in buckets.nonzero()[0].tolist():
+        k = min(2 if buckets[i] == 1 else 3 + int(rng.binomial(4, 0.2)), reach)
+        mask = masks[i]
+        while mask.bit_count() < k:
+            mask |= _BIT[bisect_right(bit_list, rng.random())]
+        masks[i] = mask
+    return masks
 
 
 def draw_fault_sets(
-    profile: ProcessorProfile, core: int, n: int, ks: list[int], rng: np.random.Generator
-) -> list[list[tuple[int, int]]]:
-    """Per `k` in `ks`, which `k` of `n` events fault and their flip masks.
+    profile: ProcessorProfile,
+    core: int,
+    stores: Sequence,
+    ks: np.ndarray,
+    rng: np.random.Generator,
+) -> list[tuple]:
+    """Per `k` in `ks`, which `k` of the `stores` fault and their flip masks.
 
-    Each entry is `(event, mask)` pairs in event order: the events of
-    `sorted(rng.choice(n, k, replace=False))`, then one
-    `draw_flip_pattern` per event in that order, exactly as those calls
-    would consume `rng`.  `n` is at most `_FLOYD_MAX`.
+    Each set is a tuple of `(store, mask)` pairs in `stores` order, its
+    stores distinct and uniform over the `k`-subsets.  Draw order: one
+    `integers(0, len(stores), size=sum(ks))` block, the first `ks[0]` for
+    the first set and so on; then, per set that drew a store twice, in
+    order, one integer per repeat until its stores are distinct; then one
+    `draw_flip_masks` block, a mask per store in set order.
     """
-    if n > _FLOYD_MAX:
-        raise InvariantError(f"a population of {n} is past Floyd's range ({_FLOYD_MAX})")
-    tables = profile._flip_tables[profile.check_core(core)]
-    words = _Words(rng, later=2 * sum(ks), halves=True)  # a bucket and a bit per pattern
-    out = []
-    for k in ks:
-        if k == 1:
-            # Most faulted tries: Floyd's walk is one draw bounded by
-            # n - 1, and a single pick has no shuffle draws.
-            event = words.bounded(n - 1)
-            words.later -= 2
-            out.append([(event, words.masks(tables, 1)[0])])
-            continue
-        events = words.choice(n, k)
-        words.later -= 2 * k
-        out.append(list(zip(events, words.masks(tables, k))))
-    words.close()
-    return out
+    ends = np.cumsum(ks).tolist()
+    starts = [0, *ends[:-1]]
+    n = len(stores)
+    picks = rng.integers(0, n, size=ends[-1] if ends else 0).tolist()
+    for i in (ks > 1).nonzero()[0].tolist():
+        start, end = starts[i], ends[i]
+        row = set(picks[start:end])
+        while len(row) < end - start:
+            row.add(int(rng.integers(n)))
+        picks[start:end] = sorted(row)
+    masks = draw_flip_masks(profile, core, len(picks), rng)
+    pairs = list(zip(map(stores.__getitem__, picks), masks))
+    return [tuple(pairs[start:end]) for start, end in zip(starts, ends)]
 
 
 def draw_flip_pattern(
     profile: ProcessorProfile, core: int, word_index: int, rng: np.random.Generator
 ) -> BitFlipPattern:
-    """Sample a flip pattern from the core's multiplicity and affinity tables.
-
-    Generator consumption is `_walk`'s, pinned to `choice(3, p=...)`,
-    `binomial(4, 0.2)` for bucket 2, then `choice(128, size=k,
-    replace=False, p=...)`; the oracle tests in `tests/test_processor.py`
-    hold the two equal, generator state included.
-    """
+    """Sample one flip pattern from the core's multiplicity and affinity
+    tables: `draw_flip_masks` with `n = 1`, drawn in its order."""
     (mask,) = draw_flip_masks(profile, core, 1, rng)
     bits = []
     while mask:
@@ -918,7 +705,8 @@ def crash_kind_weights(ratio: int) -> np.ndarray:
 
 def draw_crash_kind(ratio: int, rng: np.random.Generator) -> CrashKind:
     """Which way the platform dies at this ratio: one weighted draw."""
-    return CrashKind(_draw_index(_cdf(crash_kind_weights(ratio)), rng))
+    cdf = _cdf(crash_kind_weights(ratio))
+    return CrashKind(int(cdf.searchsorted(rng.random(), side="right")))
 
 
 def crash_probability_per_slice(

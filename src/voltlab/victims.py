@@ -329,9 +329,11 @@ def run_test_loop(
     values, never exceptions.
 
     Draw order per run: first-crash slice, first-fault iteration, then the
-    winner's detail draws (faulted-event choice and one `draw_flip_masks`
-    block of flip patterns, or crash kind).  First-occurrence times use the
-    noise-averaged marginals, which is distribution-exact.
+    winner's detail draws.  A fault draws one uniform for the first
+    faulted store, one uniform block for the later stores' chances and one
+    `draw_flip_masks` block for their patterns; a crash draws its kind.
+    First-occurrence times use the noise-averaged marginals, which is
+    distribution-exact.
     """
     if rates.quiet:
         return RunOutcome.match(max_iters)
@@ -438,8 +440,9 @@ def run_probe_victim(
     `target_core` of `env`, the whole program undervolted; tally its faults.
 
     Draw order: the crash geometric, the binomial count of faulty tries
-    among those completed, then one `draw_flip_masks` block.  A crash
-    shows as fewer `tries` than asked; nothing is raised.
+    among those completed, then one `draw_flip_masks` block, one pattern
+    per faulty try.  A crash shows as fewer `tries` than asked; nothing is
+    raised.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
@@ -533,12 +536,10 @@ def run_poc_enclave(
     oracle keeps the verdict for the campaign's later runs.
 
     Draw order: per-try fault Bernoullis as one block, then the crash
-    geometric, then one flip pattern per completed faulted try, in try
-    order.  The patterns come from one `draw_flip_masks` call, which
-    consumes the generator exactly as that many `draw_flip_pattern` calls
-    would.  The oracle is asked once per distinct mask, weighted by how
-    many tries drew it.  Raises AbortedByCrash with a (successes,
-    tries_completed) pair if the platform dies mid-run.
+    geometric, then one `draw_flip_masks` block, one pattern per completed
+    faulted try in try order.  The oracle is asked once per distinct mask,
+    weighted by how many tries drew it.  Raises AbortedByCrash with a
+    (successes, tries_completed) pair if the platform dies mid-run.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
@@ -676,29 +677,20 @@ def _hmac_single_run(
     campaign's faulted MACs once every run is drawn.
 
     Per try, the number of faulted compression stores is Binomial(E, p);
-    the faulted events are drawn without replacement and each gets a flip
+    the faulted stores are drawn without replacement and each gets a flip
     pattern from the core's tables.  Draw order: the per-try binomial
-    block, the crash geometric, then, per completed faulted try in try
-    order, `rng.choice(E, k, replace=False)` and one `draw_flip_pattern`
-    per chosen event in event order.  Those detail draws come from one
-    `draw_fault_sets` call, which replays them from blocks of raw words
-    and leaves `rng` where the calls would (held equal to them by
-    `tests/helpers.reference_hmac_detail`).
+    block, the crash geometric, then one `draw_fault_sets` call for the
+    completed faulted tries in try order.
 
-    Each fault set is returned as its canonical key, built here from the
-    context's (block, event) table: the events arrive sorted and in range
-    and every flip mask is nonzero within 128 bits, so the pairs are
-    already in `_fault_key`'s order.
+    Each fault set is returned as its canonical key: `ctx.stores` lists
+    the (block, event) pairs in `_fault_key`'s order, and every flip mask
+    is nonzero within 128 bits.
     """
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
     completed = _tries_before_crash(rng, c_try, tries)
     ks = ks[:completed]
-    stores = ctx.stores
-    keys = [
-        tuple([(stores[g], mask) for g, mask in pairs])
-        for pairs in draw_fault_sets(profile, core, total, ks[ks > 0].tolist(), rng)
-    ]
+    keys = draw_fault_sets(profile, core, ctx.stores, ks[ks > 0], rng)
     return keys, completed, completed < tries
 
 
@@ -753,6 +745,8 @@ def _campaign_runs(one, runs: int, core: int, scenario: str, successes=None) -> 
     `successes`, its entry in `successes(outcomes)`, one call over the
     runs drawn.  A crashed run raises AbortedByCrash carrying the runs up
     to and including it; no later run starts."""
+    if runs < 1:
+        raise InvariantError("a campaign makes at least one run")
     drawn = []
     for r in range(runs):
         drawn.append(one(r))

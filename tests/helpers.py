@@ -4,6 +4,7 @@ import math
 import random
 
 import numpy as np
+from scipy.stats import chi2_contingency, chisquare
 
 import voltlab.victims as victims
 from voltlab import rng as rngmod
@@ -63,11 +64,9 @@ def random_program_text(gen: np.random.Generator, max_len: int = 50) -> str:
 
 
 def reference_flip_pattern(profile, core, word_index, rng):
-    """The `Generator.choice` sampler that `processor.draw_flip_pattern` replays.
-
-    `draw_flip_pattern` must return the same pattern and leave `rng` in the
-    same state; a numpy release that changes how `choice` consumes the
-    generator shows up as a mismatch here.
+    """One flip pattern by `Generator.choice`: the distribution oracle of
+    `processor.draw_flip_masks`, which must draw patterns the same way in
+    distribution, not draw for draw.
     """
     core = profile.check_core(core)
     bucket = int(rng.choice(3, p=profile.multiplicity[core]))
@@ -83,48 +82,17 @@ def reference_flip_pattern(profile, core, word_index, rng):
     return BitFlipPattern(word_index, frozenset(int(b) for b in bits))
 
 
-def reference_hmac_detail(ctx, profile, core, ks, rng):
-    """The detail draws `victims._hmac_single_run` replays, as calls.
-
-    For each completed try's fault count in `ks`, in try order: one
-    `Generator.choice` of the faulted events, then one flip pattern per
-    event in sorted order, from `reference_flip_pattern` so that no
-    replayed draw sits on this side.  Returns the fault dicts whose
-    `HmacContext._fault_key`s the production run hands to
-    `HmacContext.macs_with_keys`.
-    """
-    fault_sets = []
-    for k in ks:
-        k = int(k)
-        if k == 0:
-            continue
-        chosen = rng.choice(ctx.total_events, size=k, replace=False)
-        faults = {}
-        for g in sorted(int(x) for x in chosen):
-            block, event = ctx.locate_event(g)
-            faults[(block, event)] = reference_flip_pattern(profile, core, event, rng).mask
-        fault_sets.append(faults)
-    return fault_sets
-
-
-def _pool_sparse(table, floor=5.0):
-    """The contingency `table` with empty columns dropped and the columns
-    whose expected count is under `floor` in any row merged into one."""
-    table = np.asarray(table, dtype=float)
-    table = table[:, table.sum(axis=0) > 0]
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    small = (expected < floor).any(axis=0)
-    if small.any():
-        table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
-    return table
-
-
 def two_sample_p(a, b):
     """Chi-square p-value that the bin counts `a` and `b` come from one
-    distribution, sparse bins pooled; 1.0 when a single bin is left."""
-    from scipy.stats import chi2_contingency
-
-    table = _pool_sparse(np.vstack([a, b]))
+    distribution.  Empty bins are dropped and the bins whose expected count
+    is under 5 in either sample are merged into one; 1.0 when a single bin
+    is left."""
+    table = np.vstack([a, b]).astype(float)
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    small = (expected < 5.0).any(axis=0)
+    if small.any():
+        table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
     if table.shape[1] < 2:
         return 1.0
     return float(chi2_contingency(table, correction=False).pvalue)
@@ -132,10 +100,8 @@ def two_sample_p(a, b):
 
 def goodness_of_fit_p(observed, weights):
     """Chi-square p-value of the bin counts `observed` against bins in
-    proportion to `weights`, sparse bins pooled.  A count in a bin of zero
-    weight is an impossible draw and fails outright."""
-    from scipy.stats import chisquare
-
+    proportion to `weights`, the bins expecting under 5 merged into one.  A
+    count in a bin of zero weight is an impossible draw and fails outright."""
     observed, weights = np.asarray(observed, dtype=float), np.asarray(weights, dtype=float)
     live = weights > 0
     if observed[~live].any():

@@ -80,7 +80,7 @@ def test_crash_aborts_match_golden_file():
 # SHA-256 of the fault sets of one seeded `hmac32` run (i7-7700k core 1,
 # listing2, pstate 0x1b, -250 mV, seed 7, 2000 tries): one list of sorted
 # [block, event, mask] triples per faulted try, in try order, as JSON.
-HMAC32_FAULT_SETS_SHA256 = "9110181c530a086e159fc3c66bec30f238703454d56a9ebbb66b34e1de3ac957"
+HMAC32_FAULT_SETS_SHA256 = "0aa4fcf198b35c1f6883d5772e52f03b03edad55d68cd29bd6421a8155952744"
 
 
 def test_hmac_fault_sets_match_golden_digest(monkeypatch):

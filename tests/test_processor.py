@@ -4,7 +4,6 @@ import functools
 import importlib.util
 import json
 import pathlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,8 +44,6 @@ from voltlab.processor import (
     normalize_pstate,
     region_boundaries_mv,
 )
-from voltlab.sha256sim import HmacContext
-from voltlab.victims import HMAC_KEY, PAYLOAD_SIZES, _payload_bytes
 
 pytestmark = [
     pytest.mark.filterwarnings("error"),
@@ -613,23 +610,25 @@ _CORES = [
 ]
 
 
-def _bit_matrix(masks) -> np.ndarray:
-    """One row of 128 flags per mask, bit 0 first."""
+def _counts(masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(patterns per bit count 0..7, flips per bit, one-bit patterns per bit)."""
     halves = np.array(
         [(m & 0xFFFF_FFFF_FFFF_FFFF, m >> 64) for m in masks], dtype=np.uint64
     ).reshape(-1, 2)
-    return np.unpackbits(halves.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    bits = np.unpackbits(halves.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    mult = bits.sum(axis=1)
+    return np.bincount(mult, minlength=8), bits.sum(axis=0), bits[mult == 1].sum(axis=0)
 
 
 @functools.cache
-def _flip_samples(name, core):
-    """(production, reference) bit matrices for one core: 30 000 masks
-    from one `draw_flip_masks` block and 1 500 `Generator.choice` patterns."""
+def _flip_counts(name, core):
+    """`_counts` of 30 000 masks from one `draw_flip_masks` block and of
+    1 500 `Generator.choice` patterns, on one core."""
     profile = load_profile(name)
     ours = draw_flip_masks(profile, core, 30_000, vrng.stream(29, "flip-dist", name, core))
     gen = vrng.stream(31, "flip-oracle", name, core)
     theirs = [reference_flip_pattern(profile, core, 0, gen).mask for _ in range(1_500)]
-    return _bit_matrix(ours), _bit_matrix(theirs)
+    return _counts(ours), _counts(theirs)
 
 
 def _multiplicity_pmf(profile, core) -> np.ndarray:
@@ -646,53 +645,23 @@ def _multiplicity_pmf(profile, core) -> np.ndarray:
 
 @pytest.mark.parametrize("name,core", _CORES)
 def test_flip_multiplicity_matches_the_choice_oracle(name, core):
-    ours, theirs = _flip_samples(name, core)
-    counts = [np.bincount(bits.sum(axis=1), minlength=8) for bits in (ours, theirs)]
-    assert two_sample_p(*counts) > ALPHA
+    (ours, _, _), (theirs, _, _) = _flip_counts(name, core)
+    assert two_sample_p(ours, theirs) > ALPHA
     # The large sample alone, against the table: this is where a pattern
     # that lost a repeated bit shows.
-    assert goodness_of_fit_p(counts[0], _multiplicity_pmf(load_profile(name), core)) > ALPHA
+    assert goodness_of_fit_p(ours, _multiplicity_pmf(load_profile(name), core)) > ALPHA
 
 
 @pytest.mark.parametrize("name,core", _CORES)
 def test_flipped_bits_match_the_choice_oracle(name, core):
-    ours, theirs = _flip_samples(name, core)
-    assert two_sample_p(ours.sum(axis=0), theirs.sum(axis=0)) > ALPHA
+    (_, ours, _), (_, theirs, _) = _flip_counts(name, core)
+    assert two_sample_p(ours, theirs) > ALPHA
 
 
 @pytest.mark.parametrize("name,core", _CORES)
 def test_one_bit_flips_follow_the_bit_weights(name, core):
-    ours, _ = _flip_samples(name, core)
-    single = ours[ours.sum(axis=1) == 1].sum(axis=0)
+    (_, _, single), _ = _flip_counts(name, core)
     assert goodness_of_fit_p(single, load_profile(name).bit_weights(core)) > ALPHA
-
-
-# -- flip draws against the `Generator.choice` oracle ------------------------
-
-
-def _replay_matches_choice(profile, core, seed, draws):
-    """Draw `draws` patterns both ways from one seed; return the retry count."""
-    ours, theirs = vrng.stream(seed, "flips"), vrng.stream(seed, "flips")
-    with mock.patch.object(
-        processor, "_later_rounds", wraps=processor._later_rounds
-    ) as retries:
-        for _ in range(draws):
-            assert draw_flip_pattern(profile, core, 3, ours) == reference_flip_pattern(
-                profile, core, 3, theirs
-            )
-    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-    return retries.call_count
-
-
-@pytest.mark.parametrize("name", bundled_profile_names())
-def test_flip_draws_replay_choice_on_bundled_profiles(name):
-    profile = load_profile(name)
-    retries = sum(
-        _replay_matches_choice(profile, core, seed, 300)
-        for core in range(profile.physical_cores)
-        for seed in range(50)
-    )
-    assert retries > 0
 
 
 _WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -700,192 +669,43 @@ _WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
 @st.composite
 def _flip_tables(draw):
-    """(affinity row, multiplicity row, forces a retry) for one core."""
+    """(affinity row, multiplicity row) for one core."""
     shape = draw(st.sampled_from(["general", "sparse", "dominant"]))
     if shape == "general":
         affinity = draw(st.lists(_WEIGHT, min_size=16, max_size=16).filter(any))
+        mult = draw(st.lists(_WEIGHT, min_size=3, max_size=3).filter(any))
     else:
         # One or two bytes carry (almost) all the weight, so a 3+ bit
-        # pattern lands on the same bits twice and `choice` draws again.
-        # A sparse row still spreads over 8 bits, more than the 7 a
-        # pattern can take, so no loadable profile clamps `k`.
+        # pattern lands on the same bits twice and rejects repeats.
         heavy = draw(st.lists(st.integers(0, 15), min_size=1, max_size=2, unique=True))
         light = 0.0 if shape == "sparse" else draw(st.floats(1e-6, 1e-2))
         affinity = [1000.0 if b in heavy else light for b in range(16)]
-    mult = draw(st.lists(_WEIGHT, min_size=3, max_size=3).filter(any))
-    forces_retry = shape != "general"
-    if forces_retry:
+        mult = draw(st.lists(_WEIGHT, min_size=3, max_size=3))
         mult[2] = sum(mult) + 1.0  # at least half the patterns take 3+ bits
     total = sum(mult)
-    return affinity, [m / total for m in mult], forces_retry
+    return affinity, [m / total for m in mult]
 
 
-@settings(max_examples=60, deadline=None)
-@given(_flip_tables(), st.integers(0, 2**32 - 1))
-def test_flip_draws_replay_choice_on_random_tables(tables, seed):
-    affinity, mult, forces_retry = tables
+@settings(max_examples=40, deadline=None)
+@given(_flip_tables(), st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_flip_masks_on_random_tables_stay_on_the_table(tables, seed, n):
+    affinity, mult = tables
     raw = _raw_profile()
     raw["byte_affinity"][1] = affinity
     raw["multiplicity"][1] = mult
-    retries = _replay_matches_choice(ProcessorProfile(raw), 1, seed, 300)
-    if forces_retry:
-        assert retries > 0
-
-
-def _block_matches_choice(profile, core, seed, n):
-    """`draw_flip_masks` against `n` oracle patterns from one seed; return the retry count."""
-    ours, theirs = vrng.stream(seed, "flips"), vrng.stream(seed, "flips")
-    with mock.patch.object(
-        processor, "_later_rounds", wraps=processor._later_rounds
-    ) as retries:
-        masks = draw_flip_masks(profile, core, n, ours)
-    assert masks == [reference_flip_pattern(profile, core, 0, theirs).mask for _ in range(n)]
-    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-    return retries.call_count
-
-
-@pytest.mark.parametrize("name", bundled_profile_names())
-def test_flip_blocks_replay_choice_on_bundled_profiles(name):
-    profile = load_profile(name)
-    retries = sum(
-        _block_matches_choice(profile, core, seed, n)
-        for core in range(profile.physical_cores)
-        for seed in range(2)
-        for n in (0, 1, 2, 7, 500)
-    )
-    assert retries > 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(_flip_tables(), st.integers(0, 2**32 - 1), st.integers(1, 64))
-def test_flip_blocks_replay_choice_on_random_tables(tables, seed, block):
-    # A small block makes patterns straddle block draws, retries included.
-    affinity, mult, forces_retry = tables
-    raw = _raw_profile()
-    raw["byte_affinity"][1] = affinity
-    raw["multiplicity"][1] = mult
-    with mock.patch.object(processor, "_BLOCK", block):
-        retries = _block_matches_choice(ProcessorProfile(raw), 1, seed, 300)
-    if forces_retry:
-        assert retries > 0
-
-
-def test_binomial_replay_matches_numpy():
-    ours, theirs = vrng.stream(18, "binomial"), vrng.stream(18, "binomial")
-    n = 100_000
-    expected = [int(theirs.binomial(4, 0.2)) for _ in range(n)]
-    u, pos, got = ours.random(n).tolist(), 0, []
-    while pos < n:
-        x, pos = processor._binomial(u, pos)
-        got.append(x)
-    assert got == expected
-    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-    # Even the largest uniform stops at 4, inside numpy's bound: one uniform per draw.
-    assert processor._binomial([np.nextafter(1.0, 0.0)], 0) == (4, 1)
-
-
-def _next_words(seed, words, has_uint32=0, uinteger=0):
-    """A Philox stream whose next four words are `words`, with the given half-word buffer."""
-    gen = vrng.stream(seed, "ties")
-    state = gen.bit_generator.state
-    state["buffer"] = np.array(words, dtype=np.uint64)
-    state["buffer_pos"] = 0
-    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-    gen.bit_generator.state = state
-    return gen
-
-
-def _next_uniforms(seed, uniforms):
-    """A Philox stream whose next four uniforms are `uniforms` (multiples of 2**-53)."""
-    return _next_words(seed, [int(u * 2**53) << 11 for u in uniforms])
-
-
-def test_flip_draws_break_cdf_ties_like_choice():
-    # `choice` bisects with side="right": a uniform equal to a CDF entry
-    # takes the index above it.  Bucket CDF (0.5, 0.75, 1); bit CDF k/16
-    # over bits 0..15.
-    raw = _raw_profile()
-    raw["multiplicity"][1] = [0.5, 0.25, 0.25]
-    raw["byte_affinity"][1] = [1.0, 1.0] + [0.0] * 14
     profile = ProcessorProfile(raw)
-    # The CDF of the round after bit 8 was drawn twice; entry 9 is 0.6.
-    p = profile.bit_weights(1).copy()
-    p[8] = 0
-    retry_cdf = np.cumsum(p)
-    retry_cdf /= retry_cdf[-1]
-    cases = [
-        # One bit at 0.5: bit 8.  Then 0.5 is bucket 1 (two bits), bit 8 first.
-        ((0.25, 0.5, 0.5, 0.5), {8}),
-        # Bucket 1, bit 8 twice, then the retry round's tie: bits 8 and 10.
-        ((0.5, 0.5, 0.5, float(retry_cdf[9])), {8, 10}),
-    ]
-    for uniforms, first_bits in cases:
-        reference = reference_flip_pattern(profile, 1, 0, _next_uniforms(19, uniforms))
-        assert reference.flipped_bits == first_bits
-        for n in (1, 2, 3):
-            ours, theirs = _next_uniforms(19, uniforms), _next_uniforms(19, uniforms)
-            masks = draw_flip_masks(profile, 1, n, ours)
-            assert masks == [reference_flip_pattern(profile, 1, 0, theirs).mask for _ in range(n)]
-            np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-        ours, theirs = _next_uniforms(19, uniforms), _next_uniforms(19, uniforms)
-        for _ in range(2):
-            assert draw_flip_pattern(profile, 1, 2, ours) == reference_flip_pattern(
-                profile, 1, 2, theirs
-            )
-
-
-def _threshold_words(r):
-    """Words whose half-words sit on both sides of Lemire's threshold `t`
-    for range `r` (`r + 1` odd): the low half leaves `t - 1` in the low
-    bits of the product and is rejected, the high half leaves `t` and is
-    kept.  A zero half-word leaves 0 and is rejected too."""
-    t = (2**32 - 1 - r) % (r + 1)
-    assert t > 0
-    inv = pow(r + 1, -1, 2**32)
-    edge = (t - 1) * inv % 2**32 | (t * inv % 2**32) << 32
-    return [edge, 0, edge, 0]
-
-
-@pytest.mark.parametrize("r", [6, 54, 278, 9_998, 3 * 2**30 - 2])
-@pytest.mark.parametrize("has_uint32", [0, 1])
-def test_bounded_replays_lemire_through_rejections(r, has_uint32):
-    ours = _next_words(20, _threshold_words(r), has_uint32, 0)
-    theirs = _next_words(20, _threshold_words(r), has_uint32, 0)
-    words = processor._Words(ours, halves=True)
-    got = [words.bounded(r) for _ in range(12)]
-    words.close()
-    assert got == [int(theirs.integers(0, r, endpoint=True, dtype=np.uint32)) for _ in range(12)]
-    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 56, 280, 10_000])
-def test_choice_replays_floyd_and_the_shuffle(n):
-    # k == n starts Floyd's walk at j = 0, a bound that draws nothing.
-    ours, theirs = vrng.stream(n, "floyd"), vrng.stream(n, "floyd")
-    sizes = sorted({0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 300) + 1)))
-    words = processor._Words(ours, halves=True)
-    for k in sizes * 3:  # later passes start on other half-word buffer states
-        assert words.choice(n, k) == sorted(theirs.choice(n, k, replace=False).tolist())
-    words.close()
-    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-
-
-def test_choice_refuses_populations_past_floyd(kaby):
-    gen = vrng.stream(0, "floyd")
-    with pytest.raises(InvariantError):
-        processor._Words(gen, halves=True).choice(10_001, 1)
-    with pytest.raises(InvariantError):
-        processor.draw_fault_sets(kaby, 1, 10_001, [1], gen)
-
-
-def test_hmac_populations_are_floyd_sized():
-    # `_hmac_single_run` replays `choice` over these totals.
-    totals = {
-        payload: HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
-        for payload in PAYLOAD_SIZES
-    }
-    assert totals == {"hmac32": 56, "hmac1k": 280}
-    assert max(totals.values()) <= processor._FLOYD_MAX
+    masks = draw_flip_masks(profile, 1, n, vrng.stream(seed, "flips"))
+    assert len(masks) == n
+    live = sum(1 << b for b in np.flatnonzero(profile.bit_weights(1)).tolist())
+    possible = {k for k, p in enumerate(_multiplicity_pmf(profile, 1)) if p > 0}
+    for mask in masks:
+        assert mask & ~live == 0
+        assert mask.bit_count() in possible
+    # The same stream gives the same block, and a pattern is a block of one.
+    assert draw_flip_masks(profile, 1, n, vrng.stream(seed, "flips")) == masks
+    (one,) = draw_flip_masks(profile, 1, 1, vrng.stream(seed, "flips"))
+    pattern = draw_flip_pattern(profile, 1, 4, vrng.stream(seed, "flips"))
+    assert pattern.mask == one and pattern.word_index == 4
 
 
 @pytest.mark.parametrize("ratio", [8, 16, 27, 32, 36, 42])

@@ -1,14 +1,12 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voltlab import processor
 from voltlab import rng as vrng
 from voltlab import victims
 from voltlab.errors import (
@@ -26,7 +24,6 @@ from voltlab.processor import (
     CrashKind,
     PlatformState,
     load_profile,
-    mean_event_fault_probability,
 )
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
@@ -37,8 +34,6 @@ from voltlab.victims import (
     RunStatus,
     _hmac_single_run,
     _payload_bytes,
-    _tries_before_crash,
-    hmac_scenario,
     loop_victim,
     memory_diff,
     payload_name,
@@ -50,7 +45,6 @@ from voltlab.victims import (
 
 from helpers import (
     goodness_of_fit_p,
-    reference_hmac_detail,
     reference_memory_diff,
     run_campaigns_out_of_order,
     run_loop_under,
@@ -337,6 +331,21 @@ def test_hmac_refuses_a_negative_try_count(kaby):
         run_hmac_victim(env, 1, "hmac32", -3, runs=1)
 
 
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda env: run_hmac_victim(env, 1, "hmac32", 100, runs=0),
+        lambda env: run_hmac_victim(env, 1, "hmac32", 100, runs=-1),
+        lambda env: run_poc_victim(env, 1, 100, runs=0),
+    ],
+    ids=["hmac-0", "hmac-minus-1", "poc-0"],
+)
+def test_campaigns_refuse_fewer_than_one_run(kaby, campaign):
+    env = pinned_state(kaby, 1, -250, stressor="shift_loop")
+    with pytest.raises(InvariantError, match="at least one run"):
+        campaign(env)
+
+
 def _count_lane_passes(monkeypatch) -> list:
     calls = []
     real = HmacContext._lane_macs
@@ -361,111 +370,59 @@ def test_hmac_campaign_makes_one_lane_pass(kaby, monkeypatch):
     assert calls == []
 
 
-def _scalar_campaign(env, core, payload, tries, runs):
-    """`run_hmac_victim`'s per-run (successes, tries) from the reference
-    draws and the scalar MAC, up to and including the first crashed run."""
+def _lanes_and_scalar(monkeypatch, campaign, payload):
+    """`campaign()`'s per-run (successes, tries), partial on a crash, and
+    the same from the scalar `mac_with_faults` over the keys the campaign
+    handed to its one lane pass, on a fresh context with an empty memo."""
+    handed, drawn = [], []
+    real_macs, real_run = HmacContext.macs_with_keys, victims._hmac_single_run
+
+    def recording(self, keys):
+        handed.extend(keys)
+        return real_macs(self, keys)
+
+    def counting(*args):
+        keys, completed, crashed = real_run(*args)
+        drawn.append((len(keys), completed))
+        return keys, completed, crashed
+
+    monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
+    monkeypatch.setattr(victims, "_hmac_single_run", counting)
+    result = _hmac_outcome(campaign)
+    assert len(handed) == sum(n for n, _ in drawn)
     ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
-    total = ctx.total_events
-    p_event, _, g = victims.pinned_rates(env, core, total, hmac_scenario(payload))
-    c_try = victims._any_of(g, total + 2 * victims.GUARD_SLICES)
-    per_run = []
-    for r in range(runs):
-        gen = vrng.stream(env.seed, "hmac", payload, core, r)
-        ks = gen.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
-        completed = _tries_before_crash(gen, c_try, tries)
-        fault_sets = reference_hmac_detail(ctx, env.profile, core, ks[:completed], gen)
-        faulty = sum(ctx.mac_with_faults(f) != ctx.clean_mac for f in fault_sets)
-        per_run.append((faulty, completed))
-        if completed < tries:
-            break
-    return tuple(per_run)
+    per_run, at = [], 0
+    for n, completed in drawn:
+        run = handed[at : at + n]
+        per_run.append((sum(ctx.mac_with_faults(dict(k)) != ctx.clean_mac for k in run), completed))
+        at += n
+    return result, tuple(per_run)
 
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_campaign_equals_the_scalar_path(kaby, payload):
+def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    result = run_hmac_victim(warm, 1, payload, 300, runs=3)
+    result, scalar = _lanes_and_scalar(
+        monkeypatch, lambda: run_hmac_victim(warm, 1, payload, 300, runs=3), payload
+    )
     assert result.successes > 0
-    assert result.per_run == _scalar_campaign(warm, 1, payload, 300, 3)
+    assert result.per_run == scalar
 
 
-def test_hmac_crashed_campaign_equals_the_scalar_path(kaby):
+def test_hmac_crashed_campaign_equals_the_scalar_path(kaby, monkeypatch):
     # The -252 mV cell of tests/golden/crash_aborts.json.
     state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
     edge = dataclasses.replace(state, offset_mv={0: -252})
-    with pytest.raises(AbortedByCrash) as info:
-        run_hmac_victim(edge, 1, "hmac32", 300, runs=3)
-    partial = info.value.partial
+    partial, scalar = _lanes_and_scalar(
+        monkeypatch, lambda: run_hmac_victim(edge, 1, "hmac32", 300, runs=3), "hmac32"
+    )
     assert partial.crashes == 1 and partial.successes > 0
-    assert partial.per_run == _scalar_campaign(edge, 1, "hmac32", 300, 3)
+    assert partial.per_run == scalar
 
 
 _HMAC_CONTEXTS = {
     payload: HmacContext(HMAC_KEY, _payload_bytes(payload)) for payload in ("hmac32", "hmac1k")
 }
-
-
-def _campaign_p_event(profile, payload, core):
-    env = pinned_state(profile, core, -250, stressor="shift_loop")
-    return mean_event_fault_probability(
-        profile, core, env.pstate, hmac_scenario(payload), env.stressor_fault_multiplier,
-        env.nominal_voltage_mv(), float(env.core_temp_c[core]),
-    )
-
-
-def _hmac_run_matches_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
-    """One `_hmac_single_run` against `reference_hmac_detail`: the keys it
-    returns equal `_fault_key` of the reference fault sets, the tries
-    completed and the crash flag agree, and the final generator states are
-    equal.  `half` enters with a buffered half-word; a positive `c_try`
-    cuts the run short."""
-    ctx = _HMAC_CONTEXTS[payload]
-    ours, theirs = vrng.stream(seed, "hmac-detail"), vrng.stream(seed, "hmac-detail")
-    if half:
-        for gen in (ours, theirs):
-            gen.integers(0, 9, dtype=np.uint32)
-        assert ours.bit_generator.state["has_uint32"] == 1
-    keys, completed, crashed = _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
-    total = ctx.total_events
-    ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
-    assert completed == _tries_before_crash(theirs, c_try, tries)
-    assert crashed == (completed < tries)
-    expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
-    assert keys == [ctx._fault_key(faults) for faults in expected]
-    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
-    return expected
-
-
-@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_detail_draws_replay_choice(kaby, payload):
-    faulted = 0
-    for core in range(kaby.physical_cores):
-        campaign = _campaign_p_event(kaby, payload, core)
-        for seed in range(3):
-            for p_event, tries in ((campaign, 400), (0.05, 40)):
-                for half in (False, True):
-                    faulted += len(
-                        _hmac_run_matches_oracle(kaby, payload, core, p_event, seed, tries, half)
-                    )
-    assert faulted > 0
-    # A crash cuts the run after 190 of 200 tries: only those draw their detail.
-    _hmac_run_matches_oracle(kaby, payload, 1, 0.05, 4, 200, c_try=0.02)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(["hmac32", "hmac1k"]),
-    st.integers(0, 3),
-    st.booleans(),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 8),
-)
-def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, seed, block):
-    # A block of a few words makes tries straddle top-ups mid-choice and mid-pattern.
-    p_event = 0.05 if dense else _campaign_p_event(kaby, payload, core)
-    with mock.patch.object(processor, "_BLOCK", block):
-        _hmac_run_matches_oracle(kaby, payload, core, p_event, seed, 30, half)
 
 
 ALPHA = 1e-4
