@@ -82,6 +82,28 @@ def reference_flip_pattern(profile, core, word_index, rng):
     return BitFlipPattern(word_index, frozenset(int(b) for b in bits))
 
 
+def reference_hmac_detail(ctx, profile, core, ks, rng):
+    """The fault sets of one HMAC run by `Generator.choice`: the
+    distribution oracle of `victims._hmac_single_run`'s detail draws.
+
+    For each completed try's fault count in `ks`, in try order: one
+    `choice` of the faulted events, then one `reference_flip_pattern` per
+    event in sorted order.  Returns each set as its `HmacContext._fault_key`.
+    """
+    keys = []
+    for k in ks:
+        k = int(k)
+        if k == 0:
+            continue
+        chosen = rng.choice(ctx.total_events, size=k, replace=False)
+        faults = {}
+        for g in sorted(int(x) for x in chosen):
+            block, event = ctx.locate_event(g)
+            faults[(block, event)] = reference_flip_pattern(profile, core, event, rng).mask
+        keys.append(ctx._fault_key(faults))
+    return keys
+
+
 def two_sample_p(a, b):
     """Chi-square p-value that the bin counts `a` and `b` come from one
     distribution.  Empty bins are dropped and the bins whose expected count

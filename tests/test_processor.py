@@ -2,7 +2,9 @@
 
 import functools
 import importlib.util
+import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -36,6 +38,7 @@ from voltlab.processor import (
     crash_kind_weights,
     crash_probability_per_slice,
     draw_crash_kind,
+    draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,
     effective_window_top_mv,
@@ -44,6 +47,8 @@ from voltlab.processor import (
     normalize_pstate,
     region_boundaries_mv,
 )
+from voltlab.sha256sim import HmacContext
+from voltlab.victims import HMAC_KEY, PAYLOAD_SIZES, _payload_bytes
 
 pytestmark = [
     pytest.mark.filterwarnings("error"),
@@ -706,6 +711,206 @@ def test_flip_masks_on_random_tables_stay_on_the_table(tables, seed, n):
     (one,) = draw_flip_masks(profile, 1, 1, vrng.stream(seed, "flips"))
     pattern = draw_flip_pattern(profile, 1, 4, vrng.stream(seed, "flips"))
     assert pattern.mask == one and pattern.word_index == 4
+
+
+# -- flip draws against `Generator.choice`, uniform for uniform ---------------
+#
+# A flip draw reads each pattern's bucket and first bit off one uniform
+# each, through the CDF `choice` builds and its `side="right"` bisection,
+# so from the same uniform it picks what `choice` picks.  A pattern drawn
+# on its own reads its uniforms in `choice`'s order as well: where `choice`
+# takes one round (one bit, or two bits whose draws differ), the two agree
+# word for word.  Only the repeats and the 3+ bit patterns part ways, and
+# there the tests above hold them to one distribution.
+
+
+def _next_words(seed, words):
+    """A Philox stream whose next four words are `words`."""
+    gen = vrng.stream(seed, "ties")
+    state = gen.bit_generator.state
+    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    state["has_uint32"], state["uinteger"] = 0, 0
+    gen.bit_generator.state = state
+    return gen
+
+
+def _next_uniforms(seed, uniforms):
+    """A Philox stream whose next four uniforms are `uniforms` (multiples of 2**-53)."""
+    return _next_words(seed, [int(u * 2**53) << 11 for u in uniforms])
+
+
+def _peek(gen, shape):
+    """The next uniforms of `gen` in `shape`, leaving `gen` where it was."""
+    twin = np.random.Generator(type(gen.bit_generator)())
+    twin.bit_generator.state = gen.bit_generator.state
+    return twin.random(shape)
+
+
+def _choice_pick(p, u):
+    """The index `Generator.choice(len(p), p=p)` picks from the uniform `u`."""
+    return int(_next_uniforms(0, [u, 0.0, 0.0, 0.0]).choice(len(p), p=p))
+
+
+def _bit_counts(profile, core, bucket):
+    """The bit counts a pattern of multiplicity `bucket` can have on `core`."""
+    reach = int(np.count_nonzero(profile.bit_weights(core)))
+    return {min(k, reach) for k in ((1,), (2,), range(3, 8))[bucket]}
+
+
+def _single_draw_matches_choice(profile, core, *key):
+    """One `draw_flip_pattern` and one `reference_flip_pattern` from the
+    stream `key`.  Both keep `choice`'s bucket and its first bit; where
+    `choice` takes one round the patterns and the final stream states are
+    equal.  Returns the bit count of an equal pattern, else 0."""
+    ours, theirs = vrng.stream(*key), vrng.stream(*key)
+    u_bucket, u_first, u_second = _peek(ours, 3)
+    weights = profile.bit_weights(core)
+    bucket = _choice_pick(profile.multiplicity[core], u_bucket)
+    pattern = draw_flip_pattern(profile, core, 3, ours)
+    reference = reference_flip_pattern(profile, core, 3, theirs)
+    assert len(pattern.flipped_bits) in _bit_counts(profile, core, bucket)
+    if bucket == 2:  # `binomial(4, 0.2)` comes before the bits in `choice`'s order
+        return 0
+    first = _choice_pick(weights, u_first)
+    assert first in pattern.flipped_bits
+    if bucket == 1 and _choice_pick(weights, u_second) == first:
+        return 0  # `choice` draws a second round, the flip draw rejects the repeat
+    assert pattern == reference
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    return len(pattern.flipped_bits)
+
+
+def _table_profile(tables):
+    affinity, mult = tables
+    raw = _raw_profile()
+    raw["byte_affinity"][1] = affinity
+    raw["multiplicity"][1] = mult
+    return ProcessorProfile(raw)
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_flip_draws_replay_choice_on_bundled_profiles(name):
+    profile = load_profile(name)
+    agreed = [
+        _single_draw_matches_choice(profile, core, seed, "flips")
+        for core in range(profile.physical_cores)
+        for seed in range(150)
+    ]
+    assert agreed.count(1) > 0 and agreed.count(2) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flip_tables(), st.integers(0, 2**32 - 1))
+def test_flip_draws_replay_choice_on_random_tables(tables, seed):
+    profile = _table_profile(tables)
+    for i in range(10):
+        _single_draw_matches_choice(profile, 1, seed, "flips", i)
+
+
+def _block_matches_choice(profile, core, gen, n):
+    """One `draw_flip_masks` block of `n` on `gen`: each pattern holds the
+    bit `choice` picks from its uniform in the second row and has a bit
+    count of the bucket `choice` picks from its uniform in the first."""
+    u = _peek(gen, (2, n))
+    masks = draw_flip_masks(profile, core, n, gen)
+    assert len(masks) == n
+    for mask, u_bucket, u_first in zip(masks, *u.tolist()):
+        bucket = _choice_pick(profile.multiplicity[core], u_bucket)
+        assert mask.bit_count() in _bit_counts(profile, core, bucket)
+        assert mask >> _choice_pick(profile.bit_weights(core), u_first) & 1
+    return masks
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_flip_blocks_replay_choice_on_bundled_profiles(name):
+    profile = load_profile(name)
+    for core in range(profile.physical_cores):
+        gen = vrng.stream(2, "flips", core)
+        masks = [m for n in (0, 1, 2, 7, 500) for m in _block_matches_choice(profile, core, gen, n)]
+        assert any(mask.bit_count() > 1 for mask in masks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_flip_tables(), st.integers(0, 2**32 - 1), st.integers(1, 64))
+def test_flip_blocks_replay_choice_on_random_tables(tables, seed, block):
+    # Small blocks back to back: each block's rows start where the walk of
+    # the block before it stopped.
+    profile = _table_profile(tables)
+    gen = vrng.stream(seed, "flips")
+    for start in range(0, 300, block):
+        _block_matches_choice(profile, 1, gen, min(block, 300 - start))
+
+
+def test_flip_draws_break_cdf_ties_like_choice():
+    # `choice` bisects with side="right": a uniform equal to a CDF entry
+    # takes the index above it.  Bucket CDF (0.5, 0.75, 1); bit CDF k/16
+    # over bits 0..15, so 0.5 closes bit 7 and 0.625 closes bit 9.
+    raw = _raw_profile()
+    raw["multiplicity"][1] = [0.5, 0.25, 0.25]
+    raw["byte_affinity"][1] = [1.0, 1.0] + [0.0] * 14
+    profile = ProcessorProfile(raw)
+    cases = [
+        # Bucket 0 at 0.25, then the tie 0.5: bit 8.
+        ((0.25, 0.5, 0.5, 0.5), {8}),
+        # The tie 0.5: bucket 1, bit 8, bit 8 again (rejected), then the
+        # tie 0.625: bit 10.  `choice` spends the same four uniforms: its
+        # second round, over the fifteen bits left, lands on bit 10 too.
+        ((0.5, 0.5, 0.5, 0.625), {8, 10}),
+    ]
+    for uniforms, bits in cases:
+        ours, theirs = _next_uniforms(19, uniforms), _next_uniforms(19, uniforms)
+        assert draw_flip_pattern(profile, 1, 2, ours).flipped_bits == bits
+        assert reference_flip_pattern(profile, 1, 2, theirs).flipped_bits == bits
+        np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    # A block of two reads the ties in both rows: buckets 1 and 0 from
+    # (0.5, 0.25), first bits 8 and 8 from (0.5, 0.5).
+    first, second = draw_flip_masks(profile, 1, 2, _next_uniforms(19, (0.5, 0.25, 0.5, 0.5)))
+    assert first >> 8 & 1 and first.bit_count() == 2
+    assert second == 1 << 8
+
+
+# -- fault-set draws: `k` distinct stores, uniform over the `k`-subsets ------
+
+_POPULATIONS = [1, 2, 3, 4, 5, 56, 280, 10_000]
+
+
+@pytest.mark.parametrize("n", _POPULATIONS)
+def test_choice_replays_floyd_and_the_shuffle(n, kaby):
+    # `choice(n, k, replace=False)` is Floyd's walk and a shuffle: a uniform
+    # `k`-subset in random order.  `draw_fault_sets` draws the same subsets,
+    # in stores order; `k == n` takes every store.
+    gen = vrng.stream(n, "floyd")
+    for k in sorted({0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 300) + 1))):
+        reps = max(4, 4_000 // max(k, 1))
+        sets = [
+            [store for store, _ in fault_set]
+            for fault_set in draw_fault_sets(kaby, 1, range(n), np.full(reps, k), gen)
+        ]
+        assert len(sets) == reps
+        for stores in sets:
+            assert len(stores) == k and stores == sorted(set(stores))
+            assert all(0 <= store < n for store in stores)
+        if not 0 < k < n:
+            continue
+        if math.comb(n, k) <= 50:
+            subsets = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
+            counts = np.bincount([subsets[tuple(s)] for s in sets], minlength=len(subsets))
+            assert goodness_of_fit_p(counts, np.ones(len(subsets))) > ALPHA
+        else:
+            bins = np.arange(n) * 50 // n
+            drawn = np.bincount([bins[s] for stores in sets for s in stores], minlength=50)
+            assert goodness_of_fit_p(drawn, np.bincount(bins, minlength=50)) > ALPHA
+
+
+def test_hmac_populations_are_floyd_sized():
+    # The subset draws above cover each HMAC payload's compression stores.
+    totals = {
+        payload: HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
+        for payload in PAYLOAD_SIZES
+    }
+    assert totals == {"hmac32": 56, "hmac1k": 280}
+    assert set(totals.values()) <= set(_POPULATIONS)
 
 
 @pytest.mark.parametrize("ratio", [8, 16, 27, 32, 36, 42])

@@ -1,12 +1,14 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voltlab import processor
 from voltlab import rng as vrng
 from voltlab import victims
 from voltlab.errors import (
@@ -24,6 +26,7 @@ from voltlab.processor import (
     CrashKind,
     PlatformState,
     load_profile,
+    mean_event_fault_probability,
 )
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
@@ -34,6 +37,8 @@ from voltlab.victims import (
     RunStatus,
     _hmac_single_run,
     _payload_bytes,
+    _tries_before_crash,
+    hmac_scenario,
     loop_victim,
     memory_diff,
     payload_name,
@@ -45,10 +50,12 @@ from voltlab.victims import (
 
 from helpers import (
     goodness_of_fit_p,
+    reference_hmac_detail,
     reference_memory_diff,
     run_campaigns_out_of_order,
     run_loop_under,
     run_poc_under,
+    two_sample_p,
 )
 
 
@@ -456,6 +463,102 @@ def test_fault_set_events_are_uniform(kaby, payload, p_event):
     ctx, sets, _ = _fault_sets(kaby, payload, p_event, 2_000, 6)
     counts = np.bincount([g for events in sets for g in events], minlength=ctx.total_events)
     assert goodness_of_fit_p(counts, np.ones(ctx.total_events)) > ALPHA
+
+
+def _campaign_p_event(profile, payload, core):
+    env = pinned_state(profile, core, -250, stressor="shift_loop")
+    return mean_event_fault_probability(
+        profile, core, env.pstate, hmac_scenario(payload), env.stressor_fault_multiplier,
+        env.nominal_voltage_mv(), float(env.core_temp_c[core]),
+    )
+
+
+def _hmac_run_against_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
+    """One `_hmac_single_run` and `reference_hmac_detail` from one seed.
+
+    The per-try fault counts and the crash geometric are drawn word for
+    word alike, so the tries completed, the crash flag and each set's size
+    agree exactly.  The stream is keyed by every argument but the rates,
+    so pooled runs are independent samples.  `half` enters with a buffered half-word; a positive
+    `c_try` cuts the run short.  Returns (our keys, the oracle's keys,
+    tries completed).
+    """
+    ctx = _HMAC_CONTEXTS[payload]
+    key = (seed, "hmac-detail", payload, core, tries, int(half))
+    ours, theirs = vrng.stream(*key), vrng.stream(*key)
+    if half:
+        for gen in (ours, theirs):
+            gen.integers(0, 9, dtype=np.uint32)
+        assert ours.bit_generator.state["has_uint32"] == 1
+    keys, completed, crashed = _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
+    total = ctx.total_events
+    ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
+    assert completed == _tries_before_crash(theirs, c_try, tries)
+    assert crashed == (completed < tries)
+    expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
+    assert [len(key) for key in keys] == [len(key) for key in expected]
+    return keys, expected, completed
+
+
+def _detail_counts(ctx, keys):
+    """(faults per global event, masks per bit count 1..7) over `keys`."""
+    events = [block * EVENTS_PER_BLOCK + event for key in keys for (block, event), _ in key]
+    bits = [mask.bit_count() for key in keys for _, mask in key]
+    return np.bincount(events, minlength=ctx.total_events), np.bincount(bits, minlength=8)
+
+
+@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
+def test_hmac_detail_draws_replay_choice(kaby, payload):
+    ours, theirs = [], []
+    for core in range(kaby.physical_cores):
+        campaign = _campaign_p_event(kaby, payload, core)
+        for seed in range(3):
+            for p_event, tries in ((campaign, 400), (0.05, 40)):
+                for half in (False, True):
+                    keys, expected, _ = _hmac_run_against_oracle(
+                        kaby, payload, core, p_event, seed, tries, half
+                    )
+                    ours += keys
+                    theirs += expected
+    assert len(ours) > 100
+    # Same cores, same set sizes: the faulted stores and the flip masks,
+    # pooled, follow the oracle's distribution.
+    ctx = _HMAC_CONTEXTS[payload]
+    for a, b in zip(_detail_counts(ctx, ours), _detail_counts(ctx, theirs)):
+        assert two_sample_p(a, b) > ALPHA
+    # A crash cuts the run short: only the completed tries draw their detail.
+    _, _, completed = _hmac_run_against_oracle(kaby, payload, 1, 0.05, 4, 200, c_try=0.02)
+    assert 0 < completed < 200
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["hmac32", "hmac1k"]),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+)
+def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, seed, tries):
+    # A run of a few tries makes its store block and its mask block empty,
+    # one set long or a few sets long; each set takes its own slice of both.
+    p_event = 0.05 if dense else _campaign_p_event(kaby, payload, core)
+    blocks, real = [], processor.draw_flip_masks
+
+    def recording(*args):
+        blocks.append(real(*args))
+        return blocks[-1]
+
+    with mock.patch.object(processor, "draw_flip_masks", recording):
+        keys, _, _ = _hmac_run_against_oracle(kaby, payload, core, p_event, seed, tries, half)
+    (block,) = blocks
+    assert [mask for key in keys for _, mask in key] == block
+    ctx = _HMAC_CONTEXTS[payload]
+    live = sum(1 << b for b in np.flatnonzero(kaby.bit_weights(core)).tolist())
+    for key in keys:
+        assert ctx._fault_key(dict(key)) == key
+        assert all(mask and mask & ~live == 0 for _, mask in key)
 
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
