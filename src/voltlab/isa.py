@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import InterpreterError, ParseError
+from .msr import Record
 
 WORD_BYTES = 16
 LANE_MASK = (1 << 64) - 1
@@ -55,53 +56,59 @@ class Opcode(Enum):
 VECTOR_STORES = frozenset({Opcode.VMOVDQU_STORE, Opcode.MOVNT_STORE})
 
 
-@dataclass(frozen=True)
-class Reg:
-    name: str
+class Reg(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name)
 
     @property
     def is_vector(self) -> bool:
         return self.name in VECTOR_REGS
 
 
-@dataclass(frozen=True)
-class Mem:
-    base: str | None  # scalar register, or None for absolute
-    disp: int = 0
+class Mem(Record):
+    __slots__ = ("base", "disp")  # base: scalar register, or None for absolute
+
+    def __init__(self, base: str | None, disp: int = 0):
+        self._set(base, disp)
 
 
-@dataclass(frozen=True)
-class Imm:
-    value: int
+class Imm(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class LabelRef:
-    name: str
+class LabelRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class MiniInsn:
-    opcode: Opcode
-    operands: tuple
-    text: str
-    line_no: int
-    # cmp_branch only: jump when equal (cmpjeq) or when different (cmpjne)
-    branch_on_equal: bool = False
+class MiniInsn(Record):
+    # branch_on_equal, cmp_branch only: jump when equal (cmpjeq) or different (cmpjne)
+    __slots__ = ("opcode", "operands", "text", "line_no", "branch_on_equal")
+
+    def __init__(
+        self, opcode: Opcode, operands: tuple, text: str, line_no: int, branch_on_equal=False
+    ):
+        self._set(opcode, operands, text, line_no, branch_on_equal)
 
 
-@dataclass(frozen=True)
-class MiniProgram:
-    instructions: tuple[MiniInsn, ...]
-    labels: dict[str, int]
-    source_name: str = "<string>"
+class MiniProgram(Record):
+    __slots__ = ("instructions", "labels", "source_name")
+
+    def __init__(self, instructions: tuple, labels: dict[str, int], source_name: str = "<string>"):
+        self._set(instructions, labels, source_name)
 
     def __len__(self) -> int:
         return len(self.instructions)
 
 
-@dataclass(frozen=True)
-class StoreExecution:
+class StoreExecution(NamedTuple):
     """One vector store about to retire; hooks may replace the value."""
 
     insn_index: int
@@ -110,8 +117,7 @@ class StoreExecution:
     value: int
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     memory: bytearray
     xmm: dict[str, int]
     scalar: dict[str, int]
@@ -228,13 +234,7 @@ def _build_insn(mnemonic, operands, text, line_no, where) -> MiniInsn:
         return MiniInsn(Opcode.MOVNT_STORE, operands, text, line_no)
     if mnemonic in ("vpxor", "vpand", "vpaddq", "vpsllq"):
         _want(("v", "v", "v"), operands, where)
-        opcode = {
-            "vpxor": Opcode.VPXOR,
-            "vpand": Opcode.VPAND,
-            "vpaddq": Opcode.VPADDQ,
-            "vpsllq": Opcode.VPSLLQ,
-        }[mnemonic]
-        return MiniInsn(opcode, operands, text, line_no)
+        return MiniInsn(Opcode(mnemonic), operands, text, line_no)  # the value is the mnemonic
     if mnemonic == "sfence":
         _want((), operands, where)
         return MiniInsn(Opcode.SFENCE, operands, text, line_no)

@@ -13,12 +13,12 @@ is built from a profile, which carries the per-slice logging rates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvariantError
+from .msr import Record
 from .processor import CrashKind, ProcessorProfile, VoltageRegion
 
 
@@ -28,12 +28,11 @@ class MceKind(Enum):
     INSTRUCTION_DECODE_CORRECTED = "instruction_decode_corrected"
 
 
-@dataclass(frozen=True)
-class MceRecord:
-    timestamp: int  # slice index within the run
-    core: int
-    kind: MceKind
-    detail: str = ""
+class MceRecord(Record):
+    __slots__ = ("timestamp", "core", "kind", "detail")  # timestamp: slice of the run
+
+    def __init__(self, timestamp: int, core: int, kind: MceKind, detail: str = ""):
+        self._set(timestamp, core, kind, detail)
 
     def to_json(self) -> dict:
         return {

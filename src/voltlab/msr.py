@@ -86,10 +86,13 @@ class PStateInterface(IntEnum):
     HWP = 1
 
 
-class _Record:
-    """A small immutable record: its fields are its `__slots__`, set once
-    by `__init__`; equal and hashed by class and field values, like a
-    frozen dataclass, without importing `dataclasses` on the codec path."""
+class Record:
+    """The one base of voltlab's value records.  A record's fields are its
+    `__slots__`; its `__init__` checks its arguments, then sets each field
+    once through `_set`.  It is immutable from then on: assigning or deleting
+    an attribute raises AttributeError.  A record equals only a record of
+    its own class with equal fields (never a tuple), hashes by its fields,
+    reprs as `Name(field=value, ...)`, and copies and pickles by them."""
 
     __slots__ = ()
 
@@ -122,7 +125,7 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-class MailboxCommand(_Record):
+class MailboxCommand(Record):
     """One decoded (or to-be-encoded) mailbox transaction.
 
     offset_mv is meaningful in OFFSET mode, static_units in STATIC mode.
@@ -142,7 +145,7 @@ class MailboxCommand(_Record):
         return self.static_units / 1024.0
 
 
-class PState(_Record):
+class PState(Record):
     """A frequency operating point: ratio x base clock."""
 
     __slots__ = ("ratio", "base_clock_mhz")
@@ -155,7 +158,7 @@ class PState(_Record):
         self._set(ratio, base_clock_mhz)
 
 
-class MsrWrite(_Record):
+class MsrWrite(Record):
     """A single (address, value) pair destined for wrmsr."""
 
     __slots__ = ("address", "value")

@@ -16,8 +16,6 @@ whatever order their runs execute in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
 from .isa import parse_program
@@ -29,6 +27,7 @@ from .msr import (
     MsrWrite,
     PState,
     PStateInterface,
+    Record,
     VoltageDomain,
     encode_offset,
     plan_pstate_request,
@@ -98,24 +97,24 @@ _STABILITY_PROGRAM = parse_program(_STABILITY_SOURCE, "stability_check")
 # Plan and report types
 
 
-@dataclass(frozen=True)
-class VoltagePlan:
-    """What the offline search learned about one pstate."""
+class VoltagePlan(Record):
+    """What the offline search learned about one pstate: per core, the
+    window top in volts and the attack offset, a multiple of STEP_MV."""
 
-    pstate: str
-    window_top_v: tuple[float, ...]  # per core, volts
-    chosen_offset_mv: tuple[int, ...]  # per core, attack offset
-    step_mv: int = STEP_MV
-    crashes_during_search: int = 0
+    __slots__ = ("pstate", "window_top_v", "chosen_offset_mv", "crashes_during_search")
 
-    def __post_init__(self):
-        for off in self.chosen_offset_mv:
-            if off % self.step_mv:
-                raise InvariantError(f"offset {off} is not a {self.step_mv} mV step")
+    def __init__(
+        self, pstate: str, window_top_v: tuple[float, ...], chosen_offset_mv: tuple[int, ...],
+        crashes_during_search: int = 0,
+    ):
+        for off in chosen_offset_mv:
+            if off % STEP_MV:
+                raise InvariantError(f"offset {off} is not a {STEP_MV} mV step")
             if not OFFSET_FLOOR_MV <= off <= OFFSET_MAX_MV:
                 raise InvariantError(f"offset {off} outside the encodable range")
-        if len(self.window_top_v) != len(self.chosen_offset_mv):
+        if len(window_top_v) != len(chosen_offset_mv):
             raise InvariantError("per-core arrays disagree on core count")
+        self._set(pstate, window_top_v, chosen_offset_mv, crashes_during_search)
 
     def offset_for(self, core: int) -> int:
         return self.chosen_offset_mv[core]
@@ -125,14 +124,16 @@ class VoltagePlan:
             "pstate": self.pstate,
             "window_top_v": [round(v, 4) for v in self.window_top_v],
             "chosen_offset_mv": list(self.chosen_offset_mv),
-            "step_mv": self.step_mv,
+            "step_mv": STEP_MV,
             "crashes_during_search": self.crashes_during_search,
         }
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    stats: tuple[FaultStats, ...]
+class ProbeReport(Record):
+    __slots__ = ("stats",)
+
+    def __init__(self, stats: tuple[FaultStats, ...]):
+        self._set(stats)
 
     @property
     def best_core(self) -> int:
@@ -146,18 +147,19 @@ class ProbeReport:
         }
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """How the machine was partitioned and quieted for the attack."""
+class SystemConfig(Record):
+    """How the machine was partitioned and quieted for the attack: the logical
+    cores of the attacker tooling, and those reserved for the victim side."""
 
-    attack_group: tuple[int, ...]  # logical cores running the attacker tooling
-    victim_group: tuple[int, ...]  # logical cores reserved for the victim side
-    drivers_disabled: tuple[str, ...]
-    pstate_pin: str
+    __slots__ = ("attack_group", "victim_group", "drivers_disabled", "pstate_pin")
 
-    def __post_init__(self):
-        if set(self.attack_group) & set(self.victim_group):
+    def __init__(
+        self, attack_group: tuple[int, ...], victim_group: tuple[int, ...],
+        drivers_disabled: tuple[str, ...], pstate_pin: str,
+    ):
+        if set(attack_group) & set(victim_group):
             raise InvariantError("attack and victim groups overlap")
+        self._set(attack_group, victim_group, drivers_disabled, pstate_pin)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def _pinned_state(
     state = PlatformState(
         profile=profile,
         pstate=pstate,
-        offset_mv={int(VoltageDomain.CORES): int(offset_mv)},
+        offset_mv=int(offset_mv),
         assignment=tuple(roles),
         stressor_name=spec.name,
         stressor_fault_multiplier=spec.fault_multiplier,

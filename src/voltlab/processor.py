@@ -28,7 +28,6 @@ import json
 import sys
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import IntEnum
 from importlib import resources
 from typing import NamedTuple
@@ -36,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, SchemaError, UnknownCoreOrPState
+from .msr import Record
 
 SCHEMA_VERSION = 1
 
@@ -149,14 +149,18 @@ def manifestation(depth_fraction: float) -> float:
     return depth_fraction / RAMP_SATURATION_DEPTH
 
 
-@dataclass(frozen=True)
-class PStatePoint:
-    ratio: int
-    base_voltage_mv: float
-    reference_temp_c: float
-    exploit_window_mv: float
-    exploit_factor: float
-    fault_voltage_mv: tuple[float, ...]  # window top per core
+class PStatePoint(Record):
+    """One pstate's calibration; `fault_voltage_mv` is the window top per core."""
+
+    __slots__ = ("ratio", "base_voltage_mv", "reference_temp_c", "exploit_window_mv",
+                 "exploit_factor", "fault_voltage_mv")
+
+    def __init__(
+        self, ratio: int, base_voltage_mv: float, reference_temp_c: float,
+        exploit_window_mv: float, exploit_factor: float, fault_voltage_mv: tuple[float, ...],
+    ):
+        self._set(ratio, base_voltage_mv, reference_temp_c, exploit_window_mv, exploit_factor,
+                  fault_voltage_mv)
 
 
 class CalibrationEntry(NamedTuple):
@@ -169,18 +173,17 @@ class CrashParams(NamedTuple):
     depth_slope_per_mv: float
 
 
-@dataclass(frozen=True)
-class BitFlipPattern:
+class BitFlipPattern(Record):
     """One corrupted 128-bit word: which word, and which bits flipped."""
 
-    word_index: int
-    flipped_bits: frozenset[int]
+    __slots__ = ("word_index", "flipped_bits")
 
-    def __post_init__(self):
-        if not self.flipped_bits:
+    def __init__(self, word_index: int, flipped_bits: frozenset[int]):
+        if not flipped_bits:
             raise InvariantError("a flip pattern needs at least one bit")
-        if min(self.flipped_bits) < 0 or max(self.flipped_bits) > 127:
+        if min(flipped_bits) < 0 or max(flipped_bits) > 127:
             raise InvariantError("flip bit positions live in 0..127")
+        self._set(word_index, flipped_bits)
 
     @property
     def mask(self) -> int:
@@ -363,37 +366,34 @@ def bundled_profile_names() -> list[str]:
 # Platform state
 
 
-@dataclass
 class PlatformState:
-    """One simulated machine.  Owned by a single campaign at a time."""
+    """One simulated machine.  Owned by a single campaign at a time, which
+    may set `offset_mv` (the core-domain undervolt) and `core_temp_c`."""
 
-    profile: ProcessorProfile
-    pstate: str
-    offset_mv: dict[int, int] = field(default_factory=dict)  # domain -> mV
-    core_temp_c: np.ndarray = None
-    assignment: tuple[str, ...] = ()
-    stressor_name: str = "none"
-    stressor_fault_multiplier: float = 1.0
-    stressor_temp_boost_c: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        self.pstate = normalize_pstate(self.pstate)
-        self.profile.pstate_point(self.pstate)
-        if self.core_temp_c is None:
-            self.core_temp_c = np.full(
-                self.profile.physical_cores, self.profile.ambient_temp_c, dtype=float
-            )
-        else:
-            self.core_temp_c = np.asarray(self.core_temp_c, dtype=float).copy()
-        if not self.assignment:
-            self.assignment = (ROLE_IDLE,) * self.profile.logical_cores()
-        if len(self.assignment) != self.profile.logical_cores():
+    def __init__(
+        self, profile: ProcessorProfile, pstate: str, offset_mv: int = 0,
+        core_temp_c: np.ndarray | None = None, assignment: tuple[str, ...] = (),
+        stressor_name: str = "none", stressor_fault_multiplier: float = 1.0,
+        stressor_temp_boost_c: float = 0.0, seed: int = 0,
+    ):
+        self.profile = profile
+        self.pstate = normalize_pstate(pstate)
+        profile.pstate_point(self.pstate)
+        self.offset_mv = offset_mv
+        if core_temp_c is None:
+            core_temp_c = np.full(profile.physical_cores, profile.ambient_temp_c)
+        self.core_temp_c = np.array(core_temp_c, dtype=float)
+        self.assignment = assignment or (ROLE_IDLE,) * profile.logical_cores()
+        if len(self.assignment) != profile.logical_cores():
             raise InvariantError("assignment must cover every logical core")
         if sum(1 for r in self.assignment if r == ROLE_VICTIM) > 1:
             raise InvariantError("at most one logical core may run the victim")
-        if self.stressor_fault_multiplier < 1.0:
+        if stressor_fault_multiplier < 1.0:
             raise InvariantError("stressor fault multiplier is at least 1")
+        self.stressor_name = stressor_name
+        self.stressor_fault_multiplier = stressor_fault_multiplier
+        self.stressor_temp_boost_c = stressor_temp_boost_c
+        self.seed = seed
 
     # Logical core L is thread L // physical of physical core L % physical.
     def physical_of(self, logical: int) -> int:
@@ -414,13 +414,9 @@ class PlatformState:
         logical = self.victim_logical
         return None if logical is None else self.physical_of(logical)
 
-    def core_offset_mv(self) -> float:
-        """Offset applied to the core voltage domain (domain 0)."""
-        return float(self.offset_mv.get(0, 0))
-
     def nominal_voltage_mv(self) -> float:
         point = self.profile.pstate_point(self.pstate)
-        return point.base_voltage_mv + self.core_offset_mv()
+        return point.base_voltage_mv + self.offset_mv
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ the pattern exploitable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvariantError
 from .isa import MiniProgram, Opcode, Reg, VECTOR_STORES
+from .msr import Record
 
 # An op and its store may be separated by at most this many instructions.
 # Observed instances sit at distances 0 to 2; one extra for slack.
@@ -36,17 +36,16 @@ class PatternKind(Enum):
     VP2 = "VP2"  # parallel add feeding a store
 
 
-@dataclass(frozen=True)
-class PatternHit:
-    kind: PatternKind
-    op_index: int
-    store_index: int
+class PatternHit(Record):
+    __slots__ = ("kind", "op_index", "store_index")
 
-    def __post_init__(self):
-        if self.store_index <= self.op_index:
+    def __init__(self, kind: PatternKind, op_index: int, store_index: int):
+        if store_index <= op_index:
             raise InvariantError("the store follows the op")
-        if self.gap > ADJACENCY_LIMIT:
-            raise InvariantError(f"gap {self.gap} beyond adjacency limit")
+        gap = store_index - op_index - 1
+        if gap > ADJACENCY_LIMIT:
+            raise InvariantError(f"gap {gap} beyond adjacency limit")
+        self._set(kind, op_index, store_index)
 
     @property
     def gap(self) -> int:

@@ -175,7 +175,7 @@ def _compress_lanes(state: list[np.ndarray], w, faults: dict | None) -> list[np.
         if event < SCHEDULE_EVENTS:
             for j in range(4):
                 i = 16 + 4 * event + j
-                w[i] = np.broadcast_to(w[i], n).copy()
+                w[i] = np.full(n, w[i], dtype=np.uint32)
                 w[i][lanes] ^= words[j]
     a, b, c, d, e, f, g, h = state
     for i in range(64):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,6 +37,7 @@ from .errors import (
     UnknownStressor,
 )
 from .isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
+from .msr import Record
 from .processor import (
     BitFlipPattern,
     CrashKind,
@@ -85,8 +85,7 @@ GUARD_SLICES = 10
 # Stressors
 
 
-@dataclass(frozen=True)
-class StressorSpec:
+class StressorSpec(Record):
     """What running a workload on the victim's logical partner does.
 
     `fault_multiplier` scales the calibrated per-event fault ceiling and is
@@ -94,13 +93,12 @@ class StressorSpec:
     core's equilibrium temperature.
     """
 
-    name: str
-    fault_multiplier: float
-    temp_boost_c: float
+    __slots__ = ("name", "fault_multiplier", "temp_boost_c")
 
-    def __post_init__(self):
-        if self.fault_multiplier < 1.0:
+    def __init__(self, name: str, fault_multiplier: float, temp_boost_c: float):
+        if fault_multiplier < 1.0:
             raise InvariantError("stressor multiplier is at least 1")
+        self._set(name, fault_multiplier, temp_boost_c)
 
 
 STRESSORS = {
@@ -138,20 +136,20 @@ class RunStatus(Enum):
     CRASH = "crash"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(Record):
     """Terminal state of one test-loop run."""
 
-    status: RunStatus
-    iterations_executed: int
-    diff: tuple[BitFlipPattern, ...] = ()
-    crash: CrashKind | None = None
+    __slots__ = ("status", "iterations_executed", "diff", "crash")
 
-    def __post_init__(self):
-        if self.status is RunStatus.MISMATCH and not self.diff:
+    def __init__(
+        self, status: RunStatus, iterations_executed: int,
+        diff: tuple[BitFlipPattern, ...] = (), crash: CrashKind | None = None,
+    ):
+        if status is RunStatus.MISMATCH and not diff:
             raise InvariantError("a mismatch carries a nonzero diff")
-        if self.status is RunStatus.CRASH and self.crash is None:
+        if status is RunStatus.CRASH and crash is None:
             raise InvariantError("a crash outcome names its kind")
+        self._set(status, iterations_executed, diff, crash)
 
     @classmethod
     def match(cls, iterations: int) -> "RunOutcome":
@@ -400,15 +398,17 @@ def _pin_check(env: PlatformState, target_core: int) -> int:
     return core
 
 
-@dataclass(frozen=True)
-class FaultStats:
-    """What probing one core turned up."""
+class FaultStats(Record):
+    """What probing one core turned up: 16 fault counts, one per byte lane,
+    and a map from flipped-bit count to faults."""
 
-    core: int
-    tries: int
-    faults: int
-    byte_histogram: tuple[int, ...]  # 16 counts, one per byte lane
-    multiplicity_histogram: dict[int, int]  # flipped-bit count -> faults
+    __slots__ = ("core", "tries", "faults", "byte_histogram", "multiplicity_histogram")
+
+    def __init__(
+        self, core: int, tries: int, faults: int,
+        byte_histogram: tuple[int, ...], multiplicity_histogram: dict[int, int],
+    ):
+        self._set(core, tries, faults, byte_histogram, multiplicity_histogram)
 
     @property
     def fault_rate(self) -> float:
@@ -611,26 +611,26 @@ def _payload_bytes(payload: str) -> bytes:
     return bytes((7 * i + 13) & 0xFF for i in range(n))
 
 
-@dataclass(frozen=True)
-class CampaignResult:
-    """Aggregate of a repeated-runs fault campaign."""
+class CampaignResult(Record):
+    """Aggregate of a repeated-runs fault campaign; `per_run` holds
+    (successes, tries) per run."""
 
-    target_core: int
-    scenario: str
-    tries: int
-    successes: int
-    crashes: int
-    per_run: tuple[tuple[int, int], ...]  # (successes, tries) per run
-    mean_per_10k: float
-    sigma: float
+    __slots__ = (
+        "target_core", "scenario", "tries", "successes", "crashes", "per_run",
+        "mean_per_10k", "sigma",
+    )
 
-    def __post_init__(self):
-        if self.successes > self.tries:
+    def __init__(
+        self, target_core: int, scenario: str, tries: int, successes: int, crashes: int,
+        per_run: tuple[tuple[int, int], ...], mean_per_10k: float, sigma: float,
+    ):
+        if successes > tries:
             raise InvariantError("successes cannot exceed tries")
-        if sum(s for s, _ in self.per_run) != self.successes:
+        if sum(s for s, _ in per_run) != successes:
             raise InvariantError("per-run successes must sum to the total")
-        if sum(t for _, t in self.per_run) != self.tries:
+        if sum(t for _, t in per_run) != tries:
             raise InvariantError("per-run tries must sum to the total")
+        self._set(target_core, scenario, tries, successes, crashes, per_run, mean_per_10k, sigma)
 
     @classmethod
     def from_runs(cls, target_core, scenario, per_run, crashes=0) -> "CampaignResult":

@@ -476,8 +476,7 @@ def test_codec_and_scan_commands_start_without_numpy(argv):
     loaded = _cli_modules(*argv)
     assert "numpy" not in loaded
     assert "voltlab.orchestrator" not in loaded
-    if argv[0] != "scan":  # `isa` keeps its dataclasses
-        assert "dataclasses" not in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_poc_campaign_does_not_load_mca():
@@ -487,6 +486,22 @@ def test_poc_campaign_does_not_load_mca():
     )
     assert "voltlab.orchestrator" in loaded
     assert "voltlab.mca" not in loaded
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("campaign", "--profile", "i7-7700k", "--victim", "hmac32", "--core", "1",
+         "--runs", "1", "--tries", "100"),
+        ("probe", "--profile", "i7-7700k", "--tries", "100"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_hmac_campaign_and_probe_start_without_dataclasses(argv):
+    loaded = _cli_modules(*argv)
+    assert "voltlab.orchestrator" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_package_import_loads_no_submodule_until_a_name_is_touched():

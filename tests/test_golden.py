@@ -8,7 +8,7 @@ evaluation order shows up here as a diff; such a change must regenerate
 the files and say so.
 """
 
-import dataclasses
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -59,7 +59,8 @@ def test_crash_aborts_match_golden_file():
     # Core 1 of the i7-7700K starts to crash just below -251 mV, so the
     # -252 mV cells die partway through a run rather than on its first try.
     state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=5)
-    edge = dataclasses.replace(state, offset_mv={0: -252})
+    edge = copy.copy(state)
+    edge.offset_mv = -252
     plan = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-260, -255, -255, -255))
     cells = {
         "run_poc_enclave": _aborted(
@@ -96,7 +97,8 @@ def test_hmac_fault_sets_match_golden_digest(monkeypatch):
 
     monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
     state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=7)
-    env = dataclasses.replace(state, offset_mv={0: -250})
+    env = copy.copy(state)
+    env.offset_mv = -250
     run_hmac_victim(env, 1, "hmac32", 2000, runs=1)
     assert len(seen) > 300
     blob = json.dumps([sorted([b, e, m] for (b, e), m in key) for key in seen])

@@ -1,9 +1,16 @@
-"""Codec tests: frozen words, exhaustive round-trips, field isolation."""
+"""Codec tests: frozen words, exhaustive round-trips, field isolation, and
+the contract that every `Record` keeps."""
 
 import copy
+import importlib
+import pickle
+import pkgutil
 
 import pytest
 
+import voltlab
+from voltlab.isa import Imm, LabelRef, Mem, Reg, parse_program
+from voltlab.mca import MceKind, MceRecord
 from voltlab.msr import (
     IA32_HWP_REQUEST,
     IA32_PERF_CTL,
@@ -14,6 +21,7 @@ from voltlab.msr import (
     MsrWrite,
     PState,
     PStateInterface,
+    Record,
     VoltageDomain,
     VoltageMode,
     decode_mailbox,
@@ -23,6 +31,10 @@ from voltlab.msr import (
     pstate_frequency_mhz,
 )
 from voltlab.errors import FormatError, RangeError
+from voltlab.orchestrator import ProbeReport, SystemConfig, VoltagePlan
+from voltlab.processor import BitFlipPattern, CrashKind, load_profile
+from voltlab.scanner import PatternHit, PatternKind
+from voltlab.victims import STRESSORS, CampaignResult, FaultStats, RunOutcome
 
 # Frozen reference word: core-domain write, offset mode, -100 mV.
 MINUS_100MV_WORD = 0x80000011F3800000
@@ -185,20 +197,82 @@ def test_mailbox_msr_write_requires_busy_bit():
     MsrWrite(OC_MAILBOX_MSR, MINUS_100MV_WORD)  # fine
 
 
-def test_records_are_frozen_and_compare_by_class_and_fields():
+def test_msr_records_default_and_round_trip():
     cmd = MailboxCommand(VoltageDomain.CORES, MailboxOp.WRITE_VOLTAGE, VoltageMode.OFFSET)
     assert (cmd.offset_mv, cmd.static_units) == (0, 0)
     assert cmd == decode_mailbox(encode_mailbox(cmd))
     assert PState(0x1B) == PState(0x1B, 100) != PState(0x1B, 133)
-    assert hash(PState(0x1B)) == hash(PState(0x1B, 100))
-    assert MsrWrite(0x1B, 100) != PState(0x1B, 100)
     assert repr(MsrWrite(0x199, 0x1B00)) == "MsrWrite(address=409, value=6912)"
-    for record in (cmd, PState(0x1B), MsrWrite(0x199, 0)):
-        assert copy.deepcopy(record) == record
+
+
+# Every module loaded, so that `Record.__subclasses__()` sees every record.
+for _module in pkgutil.iter_modules(voltlab.__path__):
+    importlib.import_module(f"voltlab.{_module.name}")
+
+_FAULTS = FaultStats(2, 1000, 10, (0,) * 16, {1: 5, 2: 3, 4: 2})
+_PROGRAM = parse_program("top:\nvpxor %xmm0, %xmm1, %xmm2\ncmpjne %rax, $0, top\nhalt\n")
+
+# One sample per record class, by class name; a record missing here fails.
+RECORD_SAMPLES = {
+    "MailboxCommand": lambda: MailboxCommand(
+        VoltageDomain.CORES, MailboxOp.WRITE_VOLTAGE, VoltageMode.OFFSET, offset_mv=-100
+    ),
+    "PState": lambda: PState(0x1B),
+    "MsrWrite": lambda: MsrWrite(0x199, 0x1B00),
+    "Reg": lambda: Reg("xmm0"),
+    "Mem": lambda: Mem("rsp", -16),
+    "Imm": lambda: Imm(3),
+    "LabelRef": lambda: LabelRef("top"),
+    "MiniInsn": lambda: _PROGRAM.instructions[1],
+    "MiniProgram": lambda: _PROGRAM,
+    "PStatePoint": lambda: load_profile("i7-7700k").pstate_point("0x1b"),
+    "BitFlipPattern": lambda: BitFlipPattern(2, frozenset([5, 17])),
+    "PatternHit": lambda: PatternHit(PatternKind.VP1, 0, 2),
+    "MceRecord": lambda: MceRecord(5, 1, MceKind.CORRECTED),
+    "StressorSpec": lambda: STRESSORS["shift_loop"],
+    "RunOutcome": lambda: RunOutcome.crashed(CrashKind.FREEZE, 12),
+    "FaultStats": lambda: _FAULTS,
+    "CampaignResult": lambda: CampaignResult.from_runs(1, "poc", [(3, 10), (1, 10)], crashes=1),
+    "VoltagePlan": lambda: VoltagePlan("0x1b", (0.7, 0.71), (-260, -250), 2),
+    "ProbeReport": lambda: ProbeReport((_FAULTS,)),
+    "SystemConfig": lambda: SystemConfig((0, 4), (1, 5), ("intel_pstate",), "0x1b"),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(Record.__subclasses__(), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_records_are_frozen_and_compare_by_class_and_fields(cls):
+    record = RECORD_SAMPLES[cls.__name__]()
+    assert type(record) is cls
+    values = tuple(getattr(record, name) for name in cls.__slots__)
+
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for name in cls.__slots__:
         with pytest.raises(AttributeError):
-            record.extra = 1
-        for field in record.__slots__:
-            with pytest.raises(AttributeError):
-                setattr(record, field, 0)
-            with pytest.raises(AttributeError):
-                delattr(record, field)
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in cls.__slots__) == values
+
+    twin = type("Twin", (cls,), {"__slots__": ()})(*values)
+    assert twin != record and record != values
+    for name in cls.__slots__:
+        changed = copy.copy(record)
+        object.__setattr__(changed, name, object())
+        assert changed != record
+
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+    clones = copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+    for clone in clones:
+        assert type(clone) is cls and clone == record
+    try:
+        digest = hash(record)
+    except TypeError:  # only when a field is unhashable, like a frozen dataclass
+        with pytest.raises(TypeError):
+            hash(values)
+    else:
+        assert all(hash(clone) == digest for clone in clones)

@@ -78,7 +78,7 @@ def idle_state(profile, pstate, offset_mv=0, victim=None, temps=None):
     return PlatformState(
         profile=profile,
         pstate=pstate,
-        offset_mv={0: offset_mv},
+        offset_mv=offset_mv,
         assignment=tuple(roles),
         core_temp_c=temps,
     )
@@ -469,7 +469,7 @@ def test_sample_fault_rate_matches_ceiling(kaby):
     # noise draw, so the hit rate is the ceiling times the multiplier.
     state = idle_state(kaby, "0x1b", victim=1, temps=[30.0, 40.0, 30.0, 30.0])
     state.stressor_fault_multiplier = 24.75
-    state.offset_mv[0] = -250  # 950 -> 700 mV; core 1 top is 710+0.6
+    state.offset_mv = -250  # 950 -> 700 mV; core 1 top is 710+0.6
     gen = vrng.stream(7, "fault-rate")
     event = EligibleStoreEvent("poc", word_index=3)
     hits = sum(
@@ -927,7 +927,7 @@ def test_crash_kind_draw_replays_choice(ratio):
 
 def test_no_crash_inside_window(kaby):
     state = idle_state(kaby, "0x1b", victim=1, temps=[30.0, 37.0, 30.0, 30.0])
-    state.offset_mv[0] = -245  # 705 mV, well above core 1 instability at 695
+    state.offset_mv = -245  # 705 mV, well above core 1 instability at 695
     gen = vrng.stream(13, "stable")
     assert all(sample_crash(kaby, state, gen) is None for _ in range(4000))
 
@@ -1045,7 +1045,7 @@ def test_state_topology_helpers(kaby):
     assert state.partner_of(6) == 2
     assert state.partner_of(2) == 6
     assert state.nominal_voltage_mv() == pytest.approx(950.0)
-    state.offset_mv[0] = -230
+    state.offset_mv = -230
     assert state.nominal_voltage_mv() == pytest.approx(720.0)
 
 

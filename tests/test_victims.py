@@ -1,6 +1,6 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
-import dataclasses
+import copy
 from unittest import mock
 
 import numpy as np
@@ -82,7 +82,7 @@ def pinned_state(profile, core, offset_mv, stressor="none", seed=7, pstate="0x1b
     return PlatformState(
         profile=profile,
         pstate=pstate,
-        offset_mv={0: offset_mv},
+        offset_mv=offset_mv,
         core_temp_c=temps,
         assignment=tuple(roles),
         stressor_name=spec.name,
@@ -309,7 +309,8 @@ def test_hmac_does_not_depend_on_run_order(kaby, monkeypatch):
     # through a run, so its partial result must not move either.
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
     state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
-    edge = dataclasses.replace(state, offset_mv={0: -252})
+    edge = copy.copy(state)
+    edge.offset_mv = -252
     calls = [
         lambda: run_hmac_victim(warm, 1, "hmac32", 400, runs=4),
         lambda: run_hmac_victim(warm, 1, "hmac1k", 100, runs=3),
@@ -419,7 +420,8 @@ def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
 def test_hmac_crashed_campaign_equals_the_scalar_path(kaby, monkeypatch):
     # The -252 mV cell of tests/golden/crash_aborts.json.
     state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
-    edge = dataclasses.replace(state, offset_mv={0: -252})
+    edge = copy.copy(state)
+    edge.offset_mv = -252
     partial, scalar = _lanes_and_scalar(
         monkeypatch, lambda: run_hmac_victim(edge, 1, "hmac32", 300, runs=3), "hmac32"
     )
