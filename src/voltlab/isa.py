@@ -32,6 +32,9 @@ SCALAR_REGS = frozenset(
     ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp"]
     + [f"r{i}" for i in range(8, 16)]
 )
+# Zeroed register files in name order, copied by every run.
+_VECTOR_ZERO = dict.fromkeys(sorted(VECTOR_REGS), 0)
+_SCALAR_ZERO = dict.fromkeys(sorted(SCALAR_REGS), 0)
 
 DEFAULT_MEMORY_BYTES = 4096
 DEFAULT_MAX_SLICES = 100_000
@@ -297,15 +300,19 @@ def bundled_program(name: str) -> MiniProgram:
 # Interpretation
 
 
-def _read_word(memory, addr: int, width: int, where: str) -> int:
+class _SliceError(Exception):
+    """An instruction that cannot run; `interpret` names its `source:line`."""
+
+
+def _read_word(memory, addr: int, width: int) -> int:
     if addr < 0 or addr + width > len(memory):
-        raise InterpreterError(f"{where}: read of {width} bytes at {addr:#x} out of range")
+        raise _SliceError(f"read of {width} bytes at {addr:#x} out of range")
     return int.from_bytes(memory[addr : addr + width], "little")
 
 
-def _write_word(memory, addr: int, width: int, value: int, where: str) -> None:
+def _write_word(memory, addr: int, width: int, value: int) -> None:
     if addr < 0 or addr + width > len(memory):
-        raise InterpreterError(f"{where}: write of {width} bytes at {addr:#x} out of range")
+        raise _SliceError(f"write of {width} bytes at {addr:#x} out of range")
     memory[addr : addr + width] = value.to_bytes(width, "little")
 
 
@@ -335,8 +342,8 @@ def interpret(
     instruction index per slice.
     """
     mem = bytearray(DEFAULT_MEMORY_BYTES) if memory is None else bytearray(memory)
-    vregs = {name: 0 for name in sorted(VECTOR_REGS)}
-    sregs = {name: 0 for name in sorted(SCALAR_REGS)}
+    vregs = _VECTOR_ZERO.copy()
+    sregs = _SCALAR_ZERO.copy()
     sregs["rsp"] = len(mem) - WORD_BYTES
     if xmm:
         for name, value in xmm.items():
@@ -349,86 +356,87 @@ def interpret(
                 raise InterpreterError(f"no scalar register {name!r}")
             sregs[name] = value & LANE_MASK
 
-    def address_of(op: Mem, where: str) -> int:
-        base = sregs[op.base] if op.base else 0
-        return base + op.disp
+    def address_of(op: Mem) -> int:
+        return sregs[op.base] + op.disp if op.base else op.disp
 
-    def value_of(op, where: str) -> int:
+    def value_of(op) -> int:
         if isinstance(op, Imm):
             return op.value & LANE_MASK
         if isinstance(op, Reg):
             return sregs[op.name]
-        return _read_word(mem, address_of(op, where), 8, where)
+        return _read_word(mem, address_of(op), 8)
 
     pc = 0
     slices = 0
     halt_index: int | None = None
     insns = program.instructions
-    while slices < max_slices:
-        if pc >= len(insns):
-            halt_index = len(insns)  # fell off the end
-            break
-        insn = insns[pc]
-        where = f"{program.source_name}:{insn.line_no}"
-        if trace is not None:
-            trace.append(pc)
-        slices += 1
-        next_pc = pc + 1
-        op = insn.opcode
-        if op is Opcode.VMOVDQU_LOAD:
-            src, dst = insn.operands
-            vregs[dst.name] = _read_word(mem, address_of(src, where), WORD_BYTES, where)
-        elif op in VECTOR_STORES:
-            src, dst = insn.operands
-            addr = address_of(dst, where)
-            value = vregs[src.name]
-            if store_hook is not None:
-                replaced = store_hook(StoreExecution(pc, slices - 1, addr, value))
-                if replaced is not None:
-                    value = replaced & WORD_MASK
-            _write_word(mem, addr, WORD_BYTES, value, where)
-        elif op is Opcode.VPXOR:
-            a, b, dst = insn.operands
-            vregs[dst.name] = vregs[a.name] ^ vregs[b.name]
-        elif op is Opcode.VPAND:
-            a, b, dst = insn.operands
-            vregs[dst.name] = vregs[a.name] & vregs[b.name]
-        elif op is Opcode.VPADDQ:
-            a, b, dst = insn.operands
-            alo, ahi = _lanes(vregs[a.name])
-            blo, bhi = _lanes(vregs[b.name])
-            vregs[dst.name] = _from_lanes(alo + blo, ahi + bhi)
-        elif op is Opcode.VPSLLQ:
-            count, src, dst = insn.operands
-            c = vregs[count.name] & LANE_MASK
-            if c > 63:
-                vregs[dst.name] = 0
-            else:
-                lo, hi = _lanes(vregs[src.name])
-                vregs[dst.name] = _from_lanes(lo << c, hi << c)
-        elif op is Opcode.SFENCE:
-            pass  # ordering token; this interpreter is already sequential
-        elif op is Opcode.PUSH:
-            (reg,) = insn.operands
-            sregs["rsp"] = (sregs["rsp"] - 8) & LANE_MASK
-            _write_word(mem, sregs["rsp"], 8, sregs[reg.name], where)
-        elif op is Opcode.POP:
-            (reg,) = insn.operands
-            sregs[reg.name] = _read_word(mem, sregs["rsp"], 8, where)
-            sregs["rsp"] = (sregs["rsp"] + 8) & LANE_MASK
-        elif op is Opcode.CMP_BRANCH:
-            lhs, rhs, target = insn.operands
-            taken = (value_of(lhs, where) == value_of(rhs, where)) == insn.branch_on_equal
-            if taken:
+    try:
+        # The branches run in the order the bundled programs need them most.
+        while slices < max_slices:
+            if pc >= len(insns):
+                halt_index = len(insns)  # fell off the end
+                break
+            insn = insns[pc]
+            if trace is not None:
+                trace.append(pc)
+            slices += 1
+            next_pc = pc + 1
+            op = insn.opcode
+            if op is Opcode.VMOVDQU_LOAD:
+                src, dst = insn.operands
+                vregs[dst.name] = _read_word(mem, address_of(src), WORD_BYTES)
+            elif op is Opcode.VMOVDQU_STORE or op is Opcode.MOVNT_STORE:
+                src, dst = insn.operands
+                addr = address_of(dst)
+                value = vregs[src.name]
+                if store_hook is not None:
+                    replaced = store_hook(StoreExecution(pc, slices - 1, addr, value))
+                    if replaced is not None:
+                        value = replaced & WORD_MASK
+                _write_word(mem, addr, WORD_BYTES, value)
+            elif op is Opcode.CMP_BRANCH:
+                lhs, rhs, target = insn.operands
+                if (value_of(lhs) == value_of(rhs)) == insn.branch_on_equal:
+                    next_pc = program.labels[target.name]
+            elif op is Opcode.VPXOR:
+                a, b, dst = insn.operands
+                vregs[dst.name] = vregs[a.name] ^ vregs[b.name]
+            elif op is Opcode.VPAND:
+                a, b, dst = insn.operands
+                vregs[dst.name] = vregs[a.name] & vregs[b.name]
+            elif op is Opcode.VPADDQ:
+                a, b, dst = insn.operands
+                alo, ahi = _lanes(vregs[a.name])
+                blo, bhi = _lanes(vregs[b.name])
+                vregs[dst.name] = _from_lanes(alo + blo, ahi + bhi)
+            elif op is Opcode.HALT:
+                halt_index = pc
+                break
+            elif op is Opcode.PUSH:
+                (reg,) = insn.operands
+                sregs["rsp"] = (sregs["rsp"] - 8) & LANE_MASK
+                _write_word(mem, sregs["rsp"], 8, sregs[reg.name])
+            elif op is Opcode.POP:
+                (reg,) = insn.operands
+                sregs[reg.name] = _read_word(mem, sregs["rsp"], 8)
+                sregs["rsp"] = (sregs["rsp"] + 8) & LANE_MASK
+            elif op is Opcode.VPSLLQ:
+                count, src, dst = insn.operands
+                c = vregs[count.name] & LANE_MASK
+                if c > 63:
+                    vregs[dst.name] = 0
+                else:
+                    lo, hi = _lanes(vregs[src.name])
+                    vregs[dst.name] = _from_lanes(lo << c, hi << c)
+            elif op is Opcode.JMP:
+                (target,) = insn.operands
                 next_pc = program.labels[target.name]
-        elif op is Opcode.JMP:
-            (target,) = insn.operands
-            next_pc = program.labels[target.name]
-        elif op is Opcode.HALT:
-            halt_index = pc
-            break
-        else:  # pragma: no cover
-            raise InterpreterError(f"{where}: unhandled opcode {op}")
-        pc = next_pc
+            elif op is Opcode.SFENCE:
+                pass  # ordering token; this interpreter is already sequential
+            else:  # pragma: no cover
+                raise _SliceError(f"unhandled opcode {op}")
+            pc = next_pc
+    except _SliceError as exc:
+        raise InterpreterError(f"{program.source_name}:{insns[pc].line_no}: {exc}") from None
 
     return ExecutionResult(mem, vregs, sregs, slices, halt_index)

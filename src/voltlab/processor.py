@@ -185,6 +185,15 @@ class BitFlipPattern(Record):
             raise InvariantError("flip bit positions live in 0..127")
         self._set(word_index, flipped_bits)
 
+    @classmethod
+    def from_mask(cls, word_index: int, mask: int) -> "BitFlipPattern":
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        return cls(word_index, frozenset(bits))
+
     @property
     def mask(self) -> int:
         m = 0
@@ -278,7 +287,7 @@ class ProcessorProfile:
             self._bit_weights = per_bit / per_bit.sum(axis=1, keepdims=True)
         if not (abs(self._bit_weights.sum(axis=1) - 1.0) <= 1e-9).all():
             raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
-        # Per core, what `draw_flip_masks` reads: the multiplicity CDF, the
+        # Per core, what `_flip_rows` reads: the multiplicity CDF, the
         # bit CDF as an array for block draws and as a list for one-by-one
         # draws, and how many bits the CDF can reach, which caps a pattern's
         # bit count.
@@ -595,7 +604,8 @@ def mean_crash_probability(
 #
 # Runs of patterns are drawn as arrays: one uniform per pattern picks its
 # bucket and one its first bit, each by `searchsorted` into the core's CDF.
-# Only the multi-bit rows are walked in Python.  Each later bit is a
+# Only the multi-bit rows are walked in Python (`_flip_rows`, shared by
+# `draw_flip_masks` and by `flip_mask_counts`).  Each later bit is a
 # weighted draw with replacement, and a bit the row already holds is
 # rejected.  Rejecting repeats is successive weighted sampling: given the
 # bits kept so far, the next kept bit falls on each bit left in proportion
@@ -620,27 +630,50 @@ def _cdf(weights) -> np.ndarray:
     return c
 
 
+def _flip_rows(profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator):
+    """`n` flip patterns on physical `core`: every first bit as an array,
+    then the multi-bit patterns' indices and masks.  Draw order: one
+    `rng.random((2, n))` block, whose first row picks each pattern's
+    multiplicity bucket and second row its first bit; then, per multi-bit
+    pattern in order, `binomial(4, 0.2)` for bucket 2 and one uniform per
+    later bit, repeats included."""
+    mult_cdf, bit_cdf, bit_list, reach = profile._flip_tables[profile.check_core(core)]
+    u = rng.random((2, n))
+    first = bit_cdf.searchsorted(u[1], side="right")
+    buckets = mult_cdf.searchsorted(u[0], side="right")
+    rows = buckets.nonzero()[0]
+    masks = []
+    for bucket, bit in zip(buckets[rows].tolist(), first[rows].tolist()):
+        k = min(2 if bucket == 1 else 3 + int(rng.binomial(4, 0.2)), reach)
+        mask = _BIT[bit]
+        while mask.bit_count() < k:
+            mask |= _BIT[bisect_right(bit_list, rng.random())]
+        masks.append(mask)
+    return first, rows, masks
+
+
 def draw_flip_masks(
     profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
 ) -> list[int]:
-    """The masks of `n` flip patterns on physical `core`, in draw order.
-
-    Draw order: one `rng.random((2, n))` block, whose first row picks each
-    pattern's multiplicity bucket and second row its first bit; then, per
-    multi-bit pattern in order, `binomial(4, 0.2)` for bucket 2 and one
-    uniform per later bit, repeats included.
-    """
-    mult_cdf, bit_cdf, bit_list, reach = profile._flip_tables[profile.check_core(core)]
-    u = rng.random((2, n))
-    masks = [_BIT[b] for b in bit_cdf.searchsorted(u[1], side="right").tolist()]
-    buckets = mult_cdf.searchsorted(u[0], side="right")
-    for i in buckets.nonzero()[0].tolist():
-        k = min(2 if buckets[i] == 1 else 3 + int(rng.binomial(4, 0.2)), reach)
-        mask = masks[i]
-        while mask.bit_count() < k:
-            mask |= _BIT[bisect_right(bit_list, rng.random())]
+    """The masks of `n` flip patterns on physical `core`, in draw order."""
+    first, rows, multi = _flip_rows(profile, core, n, rng)
+    masks = [_BIT[b] for b in first.tolist()]
+    for i, mask in zip(rows.tolist(), multi):
         masks[i] = mask
     return masks
+
+
+def flip_mask_counts(
+    profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
+) -> dict[int, int]:
+    """How many of `n` flip patterns on physical `core` drew each mask:
+    `Counter(draw_flip_masks(...))` from the same draws, without the list."""
+    first, rows, multi = _flip_rows(profile, core, n, rng)
+    single = np.bincount(np.delete(first, rows)).tolist()
+    counts = {_BIT[b]: c for b, c in enumerate(single) if c}
+    for mask in multi:
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts
 
 
 def draw_fault_sets(
@@ -679,13 +712,7 @@ def draw_flip_pattern(
 ) -> BitFlipPattern:
     """Sample one flip pattern from the core's multiplicity and affinity
     tables: `draw_flip_masks` with `n = 1`, drawn in its order."""
-    (mask,) = draw_flip_masks(profile, core, 1, rng)
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return BitFlipPattern(word_index, frozenset(bits))
+    return BitFlipPattern.from_mask(word_index, draw_flip_masks(profile, core, 1, rng)[0])
 
 
 def crash_kind_weights(ratio: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ from .errors import (
     InvariantError,
     UnknownStressor,
 )
-from .isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
+from .isa import DEFAULT_MAX_SLICES, WORD_MASK, MiniProgram, bundled_program, interpret
 from .msr import Record
 from .processor import (
     BitFlipPattern,
@@ -47,6 +46,7 @@ from .processor import (
     draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
+    flip_mask_counts,
     mean_crash_probability,
     mean_event_fault_probability,
 )
@@ -169,15 +169,16 @@ def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
     differing 128-bit word (word index = byte offset // 16)."""
     if len(before) != len(after):
         raise InvariantError("memories must be the same size to diff")
+    if before == after:
+        return ()
     size = len(before) // 16 * 16
-    old = np.frombuffer(before, dtype=np.uint8, count=size).reshape(-1, 16)
-    new = np.frombuffer(after, dtype=np.uint8, count=size).reshape(-1, 16)
+    delta = int.from_bytes(before[:size], "little") ^ int.from_bytes(after[:size], "little")
     out = []
-    for word in np.flatnonzero((old != new).any(axis=1)).tolist():
-        a = int.from_bytes(before[16 * word : 16 * word + 16], "little")
-        b = int.from_bytes(after[16 * word : 16 * word + 16], "little")
-        delta = a ^ b
-        out.append(BitFlipPattern(word, frozenset(i for i in range(128) if delta >> i & 1)))
+    while delta:
+        word = ((delta & -delta).bit_length() - 1) // 128  # lowest word still differing
+        flips = delta >> (128 * word) & WORD_MASK
+        delta ^= flips << (128 * word)
+        out.append(BitFlipPattern.from_mask(word, flips))
     return tuple(out)
 
 
@@ -441,8 +442,8 @@ def run_probe_victim(
 
     Draw order: the crash geometric, the binomial count of faulty tries
     among those completed, then one `draw_flip_masks` block, one pattern
-    per faulty try.  A crash shows as fewer `tries` than asked; nothing is
-    raised.
+    per faulty try, tallied per distinct mask by `flip_mask_counts`.  A
+    crash shows as fewer `tries` than asked; nothing is raised.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
@@ -455,12 +456,11 @@ def run_probe_victim(
     faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
     byte_hist = [0] * 16
     mult_hist: dict[int, int] = {}
-    for mask in draw_flip_masks(env.profile, core, faults, gen):
-        for b in range(16):
-            if mask >> (8 * b) & 0xFF:
-                byte_hist[b] += 1
+    for mask, n in flip_mask_counts(env.profile, core, faults, gen).items():
+        for b in BitFlipPattern.from_mask(0, mask).byte_positions:
+            byte_hist[b] += n
         bits = mask.bit_count()
-        mult_hist[bits] = mult_hist.get(bits, 0) + 1
+        mult_hist[bits] = mult_hist.get(bits, 0) + n
     return FaultStats(core, completed, faults, tuple(byte_hist), mult_hist)
 
 
@@ -477,8 +477,8 @@ POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
 
 class _DiversionOracle:
     """Check that a mask XORed into the guarded store really does divert
-    control flow, by one real execution per distinct mask.  A verdict is a
-    function of the mask alone, so it is kept for the oracle's lifetime."""
+    control flow, by one real execution per distinct mask of a tally.  A
+    verdict is a function of the mask alone, so the oracle keeps it."""
 
     def __init__(self, program: MiniProgram, geometry: _Geometry):
         self.program = program
@@ -537,16 +537,17 @@ def run_poc_enclave(
 
     Draw order: per-try fault Bernoullis as one block, then the crash
     geometric, then one `draw_flip_masks` block, one pattern per completed
-    faulted try in try order.  The oracle is asked once per distinct mask,
-    weighted by how many tries drew it.  Raises AbortedByCrash with a
-    (successes, tries_completed) pair if the platform dies mid-run.
+    faulted try in try order, as its `flip_mask_counts` tally: the oracle
+    is asked once per distinct mask, weighted by how many tries drew it.
+    Raises AbortedByCrash with a (successes, tries_completed) pair if the
+    platform dies mid-run.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
     completed = _tries_before_crash(rng, c_try, tries)
-    masks = draw_flip_masks(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
-    successes = sum(n for mask, n in Counter(masks).items() if victim.oracle.diverts(mask))
+    counts = flip_mask_counts(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
+    successes = sum(n for mask, n in counts.items() if victim.oracle.diverts(mask))
     if completed < tries:
         raise AbortedByCrash(
             f"platform crashed on try {completed + 1} of {tries}",

@@ -210,10 +210,17 @@ def test_slice_budget_stops_infinite_loops():
 
 
 def test_out_of_range_access():
-    with pytest.raises(InterpreterError):
+    # Each error names the program and the line of the faulting instruction.
+    with pytest.raises(InterpreterError, match=r"^<string>:1: write of 16 bytes at 0xff8 "):
         run(f"vmovdqu %xmm0, 0x{DEFAULT_MEMORY_BYTES - 8:x}\n")
-    with pytest.raises(InterpreterError):
-        run("vmovdqu -0x20(%rax), %xmm0\n")
+    with pytest.raises(InterpreterError, match=r"^<string>:2: read of 16 bytes at -0x20 "):
+        run("vpxor %xmm0, %xmm0, %xmm1\nvmovdqu -0x20(%rax), %xmm0\n")
+    with pytest.raises(InterpreterError, match=r"^stack:2: write of 8 bytes at 0xf{15}8 "):
+        interpret(parse_program("push %rax\npush %rbx\n", "stack"), scalar={"rsp": 8})
+    with pytest.raises(InterpreterError, match=r"^<string>:4: read of 8 bytes at 0x1000 "):
+        run("pop %rax\npop %rbx\n# the top\npop %rcx\n")
+    with pytest.raises(InterpreterError, match=r"^<string>:2: read of 8 bytes at 0xffc "):
+        run(f"sfence\ncmpjne 0x{DEFAULT_MEMORY_BYTES - 4:x}, %rax, _end\n_end:\n")
 
 
 def test_interpret_is_pure():

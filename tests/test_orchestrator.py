@@ -425,18 +425,19 @@ def test_phase3_poc_prepares_once_and_runs_the_oracle_once_per_mask(monkeypatch)
     state, plan = _kaby_attack_setup()
     built = _count_geometry_builds(monkeypatch)
     masks, executed = [], Counter()
-    draw_flip_masks, run_with_flips = victims.draw_flip_masks, victims._run_with_flips
+    flip_mask_counts, run_with_flips = victims.flip_mask_counts, victims._run_with_flips
 
     def drawing(*args):
-        drawn = draw_flip_masks(*args)
-        masks.extend(drawn)
-        return drawn
+        counts = flip_mask_counts(*args)
+        for mask, n in counts.items():
+            masks.extend([mask] * n)
+        return counts
 
     def running(program, geometry, flips, *rest):
         executed[flips[0]] += 1
         return run_with_flips(program, geometry, flips, *rest)
 
-    monkeypatch.setattr(victims, "draw_flip_masks", drawing)
+    monkeypatch.setattr(victims, "flip_mask_counts", drawing)
     monkeypatch.setattr(victims, "_run_with_flips", running)
     phase3_attack(state, plan, "poc", 1, "listing2", runs=4, tries_per_run=1500)
     assert built == {"poc_and_branch": 1}

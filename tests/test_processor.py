@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from voltlab.processor import (
     draw_flip_pattern,
     effective_window_top_mv,
     event_fault_probability,
+    flip_mask_counts,
     load_profile,
     normalize_pstate,
     region_boundaries_mv,
@@ -711,6 +713,33 @@ def test_flip_masks_on_random_tables_stay_on_the_table(tables, seed, n):
     (one,) = draw_flip_masks(profile, 1, 1, vrng.stream(seed, "flips"))
     pattern = draw_flip_pattern(profile, 1, 4, vrng.stream(seed, "flips"))
     assert pattern.mask == one and pattern.word_index == 4
+
+
+def _counts_match_the_listed_block(profile, core, n, seed):
+    """`flip_mask_counts` tallies what `draw_flip_masks` lists from the same
+    stream and leaves that stream where the list leaves it."""
+    listed, counted = vrng.stream(seed, "flips", core), vrng.stream(seed, "flips", core)
+    masks = draw_flip_masks(profile, core, n, listed)
+    counts = flip_mask_counts(profile, core, n, counted)
+    assert counts == Counter(masks)
+    assert all(type(mask) is int and type(c) is int and c > 0 for mask, c in counts.items())
+    assert counted.random() == listed.random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 5_000])
+@pytest.mark.parametrize("name,core", _CORES)
+def test_flip_mask_counts_tally_the_listed_block(name, core, n):
+    _counts_match_the_listed_block(load_profile(name), core, n, 11 + n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flip_tables(), st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_flip_mask_counts_on_random_tables_tally_the_listed_block(tables, seed, n):
+    affinity, mult = tables
+    raw = _raw_profile()
+    raw["byte_affinity"][1] = affinity
+    raw["multiplicity"][1] = mult
+    _counts_match_the_listed_block(ProcessorProfile(raw), 1, n, seed)
 
 
 # -- flip draws against `Generator.choice`, uniform for uniform ---------------
