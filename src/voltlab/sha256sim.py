@@ -18,9 +18,9 @@ set-up and the published vectors go through them.  A campaign hands the
 fault sets of all its runs to `HmacContext.macs_with_keys` in one call,
 which recomputes every distinct faulted MAC at once, each fault set one
 lane of numpy `uint32` arrays (FIPS 180-4 arithmetic, wrapping mod
-2**32).  Both paths share the memo, and tests hold the lanes equal to the
-scalar path.  Fault dicts are normalised and range-checked by `_fault_key`
-on the scalar path; `macs_with_keys` takes keys already in that form.
+2**32); tests hold the lanes equal to the scalar path.  Fault dicts are
+normalised and range-checked by `_fault_key` on the scalar path;
+`macs_with_keys` takes keys already in that form.
 """
 
 from __future__ import annotations
@@ -222,11 +222,10 @@ class HmacContext:
     """HMAC-SHA256 of one fixed (key, message), faultable per store event.
 
     Built once per campaign target; `mac_with_faults` recomputes only from
-    the earliest corrupted block, reusing per-block chaining checkpoints,
-    and memoizes digests by the canonical fault tuple.  `macs_with_keys`
-    does the same for many canonical keys at once as numpy lanes, through
-    the same memo.  Event numbering is global: blocks 0..n-1 are the inner
-    hash, n and n+1 the outer.
+    the earliest corrupted block, reusing per-block chaining checkpoints.
+    `macs_with_keys` does the same for many canonical keys at once as
+    numpy lanes, one pass per call.  Event numbering is global: blocks
+    0..n-1 are the inner hash, n and n+1 the outer.
     """
 
     def __init__(self, key: bytes, message: bytes):
@@ -255,7 +254,6 @@ class HmacContext:
         self.outer_first_block = bytes(k ^ 0x5C for k in key)
         self.outer_state1 = compress(_H0, self.outer_first_block)
         self.clean_mac = self._outer(self.clean_inner, None, None)
-        self._cache: dict[tuple, bytes] = {}
 
     def _outer_tail_block(self, inner_digest: bytes) -> bytes:
         tail = pad_message(b"\x00" * BLOCK_BYTES + inner_digest)[BLOCK_BYTES:]
@@ -271,7 +269,7 @@ class HmacContext:
         return _digest_bytes(state)
 
     def _fault_key(self, faults: dict[tuple[int, int], int]) -> tuple:
-        """Canonical memo key of a fault set: masks cut to 128 bits, zero
+        """Canonical key of a fault set: masks cut to 128 bits, zero
         masks dropped, sorted by (block, event).  Empty means fault-free."""
         key = tuple(sorted((store, m & MASK128) for store, m in faults.items() if m & MASK128))
         for (blk, event), _ in key:
@@ -283,14 +281,11 @@ class HmacContext:
 
     def mac_with_faults(self, faults: dict[tuple[int, int], int]) -> bytes:
         """MAC with XOR masks applied at (global block, event) stores."""
-        cache_key = self._fault_key(faults)
-        if not cache_key:
+        key = self._fault_key(faults)
+        if not key:
             return self.clean_mac
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
         by_block: dict[int, dict[int, int]] = {}
-        for (blk, event), mask in cache_key:
+        for (blk, event), mask in key:
             by_block.setdefault(blk, {})[event] = mask
         inner_faulted = [b for b in by_block if b < self.n_inner]
         if inner_faulted:
@@ -301,27 +296,24 @@ class HmacContext:
             inner_digest = _digest_bytes(state)
         else:
             inner_digest = self.clean_inner
-        mac = self._outer(
+        return self._outer(
             inner_digest,
             by_block.get(self.n_inner),
             by_block.get(self.n_inner + 1),
         )
-        self._cache[cache_key] = mac
-        return mac
 
     def macs_with_keys(self, keys: list[tuple]) -> list[bytes]:
         """The MAC of every canonical fault key, in order.
 
         Each key must be what `_fault_key` returns: ((block, event), mask)
         pairs sorted by store, in range, masks nonzero within 128 bits.
-        Nothing here checks that.  The distinct keys not yet memoised are
-        recomputed together, one numpy lane each, and memoised like scalar
-        results.
+        Nothing here checks that.  The distinct nonempty keys are
+        recomputed together in one `_lane_macs` pass, one numpy lane each;
+        empty keys are fault-free and make no pass.
         """
-        misses = list(dict.fromkeys(k for k in keys if k and k not in self._cache))
-        if misses:
-            self._cache.update(self._lane_macs(misses))
-        return [self._cache[k] if k else self.clean_mac for k in keys]
+        distinct = [k for k in dict.fromkeys(keys) if k]
+        macs = self._lane_macs(distinct) if distinct else {}
+        return [macs[k] if k else self.clean_mac for k in keys]
 
     def _lane_macs(self, keys: list[tuple]) -> dict[tuple, bytes]:
         """MAC per canonical fault key, all keys as lanes of one pass.

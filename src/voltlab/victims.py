@@ -58,7 +58,6 @@ __all__ = [
     "FaultStats",
     "LoopRates",
     "LoopVictim",
-    "PocVictim",
     "RunOutcome",
     "RunStatus",
     "STRESSORS",
@@ -209,7 +208,8 @@ def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> _Geometry
 
 
 class LoopVictim(NamedTuple):
-    """A comparison-loop program and its geometry, from `loop_victim`."""
+    """A victim program and its fault-free geometry, prepared once by
+    `loop_victim` (a comparison loop) or `poc_victim` (the guarded branch)."""
 
     program: MiniProgram
     geometry: _Geometry
@@ -250,7 +250,7 @@ def _tries_before_crash(rng: np.random.Generator, c_try: float, tries: int) -> i
     return min(int(rng.geometric(c_try)) - 1, tries)
 
 
-def _run_with_flips(program, geometry, flips, memory=None, scalar=None):
+def _run_with_flips(program, geometry, flips):
     """Re-execute, XORing `flips[ordinal]` into the eligible store
     execution with that ordinal."""
     eligible = geometry.store_insns
@@ -261,7 +261,7 @@ def _run_with_flips(program, geometry, flips, memory=None, scalar=None):
             return store.value ^ flips.get(next(ordinals), 0)
         return None
 
-    return interpret(program, memory, scalar=scalar, store_hook=hook)
+    return interpret(program, store_hook=hook)
 
 
 # ---------------------------------------------------------------------------
@@ -475,35 +475,12 @@ POC_MEMORY = b"\xff" * 32 + b"\x00" * (4096 - 32)
 POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
 
 
-class _DiversionOracle:
-    """Check that a mask XORed into the guarded store really does divert
-    control flow, by one real execution per distinct mask of a tally.  A
-    verdict is a function of the mask alone, so the oracle keeps it."""
-
-    def __init__(self, program: MiniProgram, geometry: _Geometry):
-        self.program = program
-        self.geometry = geometry
-        self.verdicts: dict[int, bool] = {}
-
-    def diverts(self, mask: int) -> bool:
-        if mask not in self.verdicts:
-            run = _run_with_flips(self.program, self.geometry, {0: mask}, POC_MEMORY, POC_SCALARS)
-            self.verdicts[mask] = run.halt_index != self.geometry.reference.halt_index
-        return self.verdicts[mask]
-
-
-class PocVictim(NamedTuple):
-    """The guarded-branch victim, prepared once per campaign by
-    `poc_victim`; all of the campaign's runs share its oracle's verdicts."""
-
-    program: MiniProgram
-    geometry: _Geometry
-    oracle: _DiversionOracle
-
-
-def poc_victim() -> PocVictim:
+def poc_victim() -> LoopVictim:
     """Scan `poc_and_branch` and run it once fault-free; raises
-    InvariantError unless it has one pattern hit, executed once."""
+    InvariantError unless it has one pattern hit, executed once, and the
+    run stays off `_recovery`.  The store is checked against all-ones in two
+    64-bit halves, so any nonzero mask XORed into it diverts to `_recovery`:
+    runs count on that, and tests prove it by real execution."""
     program = bundled_program("poc_and_branch")
     hits = scan(program)
     if len(hits) != 1:
@@ -513,41 +490,29 @@ def poc_victim() -> PocVictim:
         raise InvariantError(
             f"{program.source_name}: expected exactly one guarded store, found {geom.events}"
         )
-    return PocVictim(program, geom, _DiversionOracle(program, geom))
+    if geom.reference.halt_index == program.labels["_recovery"]:
+        raise InvariantError(f"{program.source_name}: the fault-free run diverts")
+    return LoopVictim(program, geom)
 
 
-def run_poc_enclave(
-    victim: PocVictim,
-    profile: ProcessorProfile,
-    core: int,
-    q: float,
-    c_try: float,
-    tries: int,
-    rng: np.random.Generator,
-) -> int:
-    """Run the prepared guarded-branch victim `tries` times on physical
-    `core`; count diversions.  `q` is the per-try fault chance of the
-    guarded store and `c_try` the per-try crash chance, both read once per
-    campaign by the caller.
+def run_poc_enclave(q: float, c_try: float, tries: int, rng: np.random.Generator) -> int:
+    """Run the guarded-branch victim `tries` times; count diversions.  `q`
+    is the per-try fault chance of the guarded store and `c_try` the
+    per-try crash chance, both read once per campaign by the caller.
 
-    A try succeeds when a flip lands in the checked store and the follow-up
-    comparison takes the recovery path.  Each distinct flip mask is proved
-    to divert by executing the program once with that mask; the victim's
-    oracle keeps the verdict for the campaign's later runs.
+    A try succeeds when a flip lands in the checked store: every nonzero
+    mask diverts (see `poc_victim`), so each completed faulted try is a
+    success and no mask is drawn.
 
     Draw order: per-try fault Bernoullis as one block, then the crash
-    geometric, then one `draw_flip_masks` block, one pattern per completed
-    faulted try in try order, as its `flip_mask_counts` tally: the oracle
-    is asked once per distinct mask, weighted by how many tries drew it.
-    Raises AbortedByCrash with a (successes, tries_completed) pair if the
-    platform dies mid-run.
+    geometric.  Raises AbortedByCrash with a (successes, tries_completed)
+    pair if the platform dies mid-run.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
     faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
     completed = _tries_before_crash(rng, c_try, tries)
-    counts = flip_mask_counts(profile, core, int(np.count_nonzero(faulted[:completed])), rng)
-    successes = sum(n for mask, n in counts.items() if victim.oracle.diverts(mask))
+    successes = int(np.count_nonzero(faulted[:completed]))
     if completed < tries:
         raise AbortedByCrash(
             f"platform crashed on try {completed + 1} of {tries}",
@@ -560,8 +525,8 @@ def run_poc_victim(
     env: PlatformState, target_core: int, tries: int, *, runs: int = 5
 ) -> CampaignResult:
     """`run_hmac_victim` for the guarded-branch victim, prepared and rated
-    once per campaign.  The undervolt covers one slice per execution of the
-    guarded store, plus `GUARD_SLICES` on both sides."""
+    once per campaign, one `run_poc_enclave` per run.  The undervolt covers
+    one slice per guarded store execution, plus `GUARD_SLICES` both sides."""
     core = _pin_check(env, target_core)
     victim = poc_victim()
     q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
@@ -570,7 +535,7 @@ def run_poc_victim(
     def one(run_index: int) -> tuple[int, int, bool]:
         gen = rngmod.stream(env.seed, "phase3", "poc", core, run_index)
         try:
-            return run_poc_enclave(victim, env.profile, core, q, c_try, tries, gen), tries, False
+            return run_poc_enclave(q, c_try, tries, gen), tries, False
         except AbortedByCrash as abort:
             successes, completed = abort.partial
             return successes, completed, True
@@ -708,8 +673,8 @@ def run_hmac_victim(
     Each run owns an independent RNG substream keyed by `env.seed` and its
     index, so the aggregate does not depend on the order runs execute in.
     Every run's draws come first (`_hmac_single_run`); then one lane pass
-    (`HmacContext.macs_with_keys`) recomputes the distinct faulted MACs of
-    the whole campaign, and a try succeeds when its MAC no longer
+    (`HmacContext.macs_with_keys`) recomputes each distinct faulted MAC of
+    the whole campaign once, and a try succeeds when its MAC no longer
     validates.  Recomputed MACs as numpy lanes are held equal to the scalar
     reference `mac_with_faults` by tests; no MAC feeds back into a draw, so
     the seeded streams are as they were.  Raises AbortedByCrash carrying

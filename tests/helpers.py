@@ -172,7 +172,7 @@ def run_poc_under(env, core, tries, rng):
     victim = poc_victim()
     q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
     c_try = victims._any_of(g, victim.geometry.slices_per_iteration)
-    return run_poc_enclave(victim, env.profile, core, q, c_try, tries, rng)
+    return run_poc_enclave(q, c_try, tries, rng)
 
 
 def reference_phase1(

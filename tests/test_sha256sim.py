@@ -156,15 +156,6 @@ def test_multi_event_faults_compose():
     assert got == expect
 
 
-def test_cache_returns_identical_results():
-    ctx = HmacContext(b"c" * 32, b"d" * 32)
-    fault = {(2, 5): 1 << 33}
-    first = ctx.mac_with_faults(fault)
-    second = ctx.mac_with_faults(dict(fault))
-    assert first == second
-    assert first is second  # memoized object, not a recomputation
-
-
 def test_fault_validation():
     ctx = HmacContext(b"a", b"b")
     with pytest.raises(InvariantError):
@@ -250,10 +241,21 @@ def test_lane_fault_validation():
             ctx.mac_with_faults(bad)
 
 
-def test_lane_and_scalar_paths_share_the_memo():
+def test_macs_with_keys_makes_one_pass_over_the_distinct_faulted_keys(monkeypatch):
     ctx = HmacContext(b"c" * 32, b"d" * 32)
-    lane_first, scalar_first = {(1, 4): 1 << 9}, {(3, 12): 1 << 70}
-    (from_lanes,) = _lane_macs(ctx, [lane_first])
-    assert ctx.mac_with_faults(dict(lane_first)) is from_lanes
-    from_scalar = ctx.mac_with_faults(scalar_first)
-    assert _lane_macs(ctx, [dict(scalar_first)])[0] is from_scalar
+    lane_macs, passes = HmacContext._lane_macs, []
+
+    def recording(self, keys):
+        passes.append(list(keys))
+        return lane_macs(self, keys)
+
+    monkeypatch.setattr(HmacContext, "_lane_macs", recording)
+    a, b = ctx._fault_key({(1, 4): 1 << 9}), ctx._fault_key({(3, 12): 1 << 70})
+    macs = ctx.macs_with_keys([a, (), b, a, (), b, a])
+    assert passes == [[a, b]]
+    assert macs == [ctx.mac_with_faults(dict(k)) for k in (a, (), b, a, (), b, a)]
+    assert macs[1] == macs[4] == ctx.clean_mac
+    passes.clear()
+    assert ctx.macs_with_keys([(), ()]) == [ctx.clean_mac] * 2
+    assert ctx.macs_with_keys([]) == []
+    assert passes == []

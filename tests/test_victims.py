@@ -18,6 +18,7 @@ from voltlab.errors import (
     InvariantError,
     UnknownStressor,
 )
+from voltlab.isa import interpret
 from voltlab.orchestrator import setup_system
 from voltlab.processor import (
     ROLE_IDLE,
@@ -31,6 +32,8 @@ from voltlab.processor import (
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
     HMAC_KEY,
+    POC_MEMORY,
+    POC_SCALARS,
     STRESSORS,
     CampaignResult,
     RunOutcome,
@@ -225,13 +228,38 @@ def test_loop_mean_iterations_tracks_fault_rate(kaby):
 # Branch-diversion PoC
 
 
-def test_poc_every_single_bit_diverts():
-    oracle = poc_victim().oracle
-    assert all(oracle.diverts(1 << b) for b in range(128))
-    gen = vrng.stream(11, "masks")
-    for _ in range(50):
-        mask = int(gen.integers(1, 1 << 63)) | int(gen.integers(0, 1 << 63)) << 64
-        assert oracle.diverts(mask)
+def test_poc_every_drawn_mask_diverts_by_real_execution():
+    # `run_poc_enclave` counts every faulted try as a diversion.  Prove it
+    # by running the program with each mask XORed into the guarded store:
+    # every 1- and 2-bit mask, and every distinct mask the bundled flip
+    # tables draw in 5 000 tries on each core.
+    victim = poc_victim()
+    program, eligible = victim.program, victim.geometry.store_insns
+    masks = {1 << b for b in range(128)}
+    masks |= {1 << a | 1 << b for a in range(128) for b in range(a)}
+    for name in processor.bundled_profile_names():
+        profile = load_profile(name)
+        for core in range(profile.physical_cores):
+            gen = vrng.stream(11, "poc-masks", name, core)
+            masks |= set(processor.flip_mask_counts(profile, core, 5_000, gen))
+    recovery = program.labels["_recovery"]
+    assert len(masks) > 128 + 128 * 127 // 2
+    for mask in masks:
+        assert mask != 0
+
+        def hook(store, mask=mask):
+            return store.value ^ mask if store.insn_index in eligible else None
+
+        run = interpret(program, POC_MEMORY, scalar=POC_SCALARS, store_hook=hook)
+        assert run.halt_index == recovery, hex(mask)
+
+
+def test_poc_victim_refuses_a_fault_free_run_that_diverts(monkeypatch):
+    # With zeroed inputs the conjunction fails the all-ones check unfaulted,
+    # so the closed form "every flip diverts" would not hold.
+    monkeypatch.setattr(victims, "POC_MEMORY", bytes(4096))
+    with pytest.raises(InvariantError, match="diverts"):
+        poc_victim()
 
 
 def test_poc_success_rate_with_shift_stressor(kaby):
