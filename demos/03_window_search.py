@@ -31,4 +31,4 @@ print(f"drivers disabled:             {', '.join(config.drivers_disabled)}")
 print("msr write plan:")
 for w in writes:
     print(f"  wrmsr {w.address:#6x} <- {w.value:#018x}")
-print(f"victim core temp after warm-up: {state.core_temp_c[1]:.1f} C")
+print(f"victim core {state.core} temp after warm-up: {state.temp_c:.1f} C")

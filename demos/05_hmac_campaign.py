@@ -10,15 +10,17 @@ notices a thing.
 from voltlab import load_profile, phase1_find_window, phase3_attack, run_campaign, setup_system
 
 profile = load_profile("i7-7700k")
-state, _, _ = setup_system(profile, "0x1b", 1, "listing2", seed=5)
 plan = phase1_find_window(profile, pstate="0x1b", seed=5)
 
+# Each campaign pins the victim anew: one setup per core and stressor.
 print("guarded-branch victim, 2 x 5000 tries per core:")
 for core in range(1, profile.physical_cores):
-    result = phase3_attack(state, plan, "poc", core, "listing2", runs=2, tries_per_run=5000)
+    state, _, _ = setup_system(profile, "0x1b", core, "listing2", seed=5)
+    result = phase3_attack(state, plan, "poc", runs=2, tries_per_run=5000)
     print(f"  core {core}: {result.mean_per_10k / 100:5.1f}% diverted")
 
-slow = phase3_attack(state, plan, "poc", 1, "twofish", runs=2, tries_per_run=5000)
+state, _, _ = setup_system(profile, "0x1b", 1, "twofish", seed=5)
+slow = phase3_attack(state, plan, "poc", runs=2, tries_per_run=5000)
 print(f"  core 1 with the cipher stressor instead: {slow.mean_per_10k / 100:5.1f}%")
 
 # ---------------------------------------------------------------------------

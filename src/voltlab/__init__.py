@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 # Defining module of each public name.
 _EXPORTS = {
     "errors": (
-        "AbortedByCrash", "FormatError", "InterpreterError", "InvalidCore",
-        "InvariantError", "NoWindowFound", "ParseError", "RangeError", "SchemaError",
-        "UnknownCoreOrPState", "UnknownStressor", "VoltlabError",
+        "AbortedByCrash", "FormatError", "InterpreterError", "InvariantError",
+        "NoWindowFound", "ParseError", "RangeError", "SchemaError", "UnknownCoreOrPState",
+        "UnknownStressor", "VoltlabError",
     ),
     "msr": (
         "MailboxCommand", "MailboxOp", "MsrWrite", "PState", "PStateInterface",
@@ -29,8 +29,8 @@ _EXPORTS = {
         "encode_offset", "plan_pstate_request", "pstate_frequency_mhz",
     ),
     "processor": (
-        "PlatformState", "ProcessorProfile", "VoltageRegion", "bundled_profile_names",
-        "classify_voltage", "load_profile", "region_boundaries_mv",
+        "ProcessorProfile", "VoltageRegion", "bundled_profile_names", "classify_voltage",
+        "load_profile", "region_boundaries_mv",
     ),
     "isa": (
         "MiniProgram", "bundled_program", "bundled_program_names", "interpret",
@@ -40,9 +40,10 @@ _EXPORTS = {
     "mca": ("MachineCheck", "MceKind", "MceLog", "MceRecord"),
     "sha256sim": ("HmacContext", "hmac_sha256", "sha256"),
     "victims": (
-        "CampaignResult", "FaultStats", "RunOutcome", "RunStatus", "loop_rates",
-        "loop_victim", "pinned_rates", "poc_victim", "run_hmac_victim", "run_poc_enclave",
-        "run_poc_victim", "run_probe_victim", "run_test_loop", "stressor_profile",
+        "CampaignResult", "FaultStats", "PlatformState", "RunOutcome", "RunStatus",
+        "loop_rates", "loop_victim", "pinned_rates", "poc_victim", "run_hmac_victim",
+        "run_poc_enclave", "run_poc_victim", "run_probe_victim", "run_test_loop",
+        "stressor_profile",
     ),
     "orchestrator": (
         "ProbeReport", "SystemConfig", "VoltagePlan",

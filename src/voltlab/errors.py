@@ -41,10 +41,6 @@ class InterpreterError(VoltlabError, RuntimeError):
     """Runtime fault inside the mini-ISA interpreter (bad access, budget)."""
 
 
-class InvalidCore(VoltlabError, ValueError):
-    """Core selection impossible for the requested partition."""
-
-
 class NoWindowFound(VoltlabError, RuntimeError):
     """Voltage search hit the offset floor without finding a fault window."""
 

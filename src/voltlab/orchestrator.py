@@ -33,22 +33,16 @@ from .msr import (
     plan_pstate_request,
 )
 from .processor import (
-    ROLE_ATTACKER,
-    ROLE_IDLE,
-    ROLE_STRESSOR,
-    ROLE_VICTIM,
-    PlatformState,
     ProcessorProfile,
-    core_temp_targets,
     load_profile,
     region_boundaries_mv,
     normalize_pstate,
-    victim_temp_target_c,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
 from .victims import (
     CampaignResult,
     FaultStats,
+    PlatformState,
     RunStatus,
     loop_rates,
     loop_victim,
@@ -166,40 +160,6 @@ class SystemConfig(Record):
 # System setup
 
 
-def _pinned_state(
-    profile: ProcessorProfile,
-    pstate: str,
-    target_core: int,
-    stressor_name: str,
-    seed: int,
-    offset_mv: int = 0,
-) -> PlatformState:
-    """PlatformState with the victim pinned, the attacker on the first
-    other physical core, and temperatures settled."""
-    spec = stressor_profile(stressor_name)
-    phys = profile.physical_cores
-    attack_core = next(c for c in range(phys) if c != target_core)
-    roles = [ROLE_IDLE] * profile.logical_cores()
-    roles[attack_core] = ROLE_ATTACKER
-    roles[attack_core + phys] = ROLE_ATTACKER
-    roles[target_core] = ROLE_VICTIM
-    if spec.name != "none":
-        roles[target_core + phys] = ROLE_STRESSOR
-    state = PlatformState(
-        profile=profile,
-        pstate=pstate,
-        offset_mv=int(offset_mv),
-        assignment=tuple(roles),
-        stressor_name=spec.name,
-        stressor_fault_multiplier=spec.fault_multiplier,
-        stressor_temp_boost_c=spec.temp_boost_c,
-        seed=seed,
-    )
-    # Thermal equilibrium before anything runs; one long relaxation step.
-    state.core_temp_c = core_temp_targets(state).astype(float)
-    return state
-
-
 def setup_system(
     profile: ProcessorProfile | str,
     pstate,
@@ -208,25 +168,24 @@ def setup_system(
     *,
     seed: int = 0,
 ) -> tuple[PlatformState, SystemConfig, list[MsrWrite]]:
-    """Partition the machine and emit the MSR plan that quiets it.
+    """Pin the victim, partition the machine and emit the MSR plan that
+    quiets it.
 
-    One physical core (both hardware threads) is kept for the attacker's
-    tooling and every other process; the rest belong to the victim side,
-    with the victim on `target_core` and the stressor on its logical
-    partner.  The write plan claims software p-state control, pins the
+    The returned state pins the victim to physical `target_core`, with
+    `stressor` on its sibling hyperthread and no undervolt yet.  Both
+    hardware threads of the first other physical core are kept for the
+    attacker's tooling and every other process; the rest belong to the
+    victim side.  The write plan claims software p-state control, pins the
     ratio, masks thermal/turbo interference, and parks the core voltage
     offset at zero.
     """
     if isinstance(profile, str):
         profile = load_profile(profile)
-    pstate = normalize_pstate(pstate)
-    target_core = profile.check_core(target_core)
-    point = profile.pstate_point(pstate)
-
-    state = _pinned_state(profile, pstate, target_core, stressor, seed)
-    attack_group = tuple(
-        l for l, role in enumerate(state.assignment) if role == ROLE_ATTACKER
-    )
+    spec = stressor_profile(stressor)
+    state = PlatformState(profile, pstate, target_core, stressor=spec, seed=seed)
+    phys = profile.physical_cores
+    attack_core = next(c for c in range(phys) if c != state.core)
+    attack_group = (attack_core, attack_core + phys)
     victim_group = tuple(
         l for l in range(profile.logical_cores()) if l not in attack_group
     )
@@ -234,11 +193,12 @@ def setup_system(
         attack_group=attack_group,
         victim_group=victim_group,
         drivers_disabled=("acpi_cpufreq", "intel_pstate"),
-        pstate_pin=pstate,
+        pstate_pin=state.pstate,
     )
 
     writes = plan_pstate_request(
-        PState(point.ratio, profile.base_clock_mhz), PStateInterface.EIST
+        PState(profile.pstate_point(state.pstate).ratio, profile.base_clock_mhz),
+        PStateInterface.EIST,
     )
     writes.append(MsrWrite(IA32_MISC_ENABLE, 1 << 38))  # turbo disengage
     writes.append(MsrWrite(IA32_THERM_INTERRUPT, 0))  # mask thermal interrupts
@@ -311,9 +271,9 @@ def phase1_find_window(
     crashes = 0
 
     for core in range(profile.physical_cores):
-        # The pinned core's temperature, as `_pinned_state` settles it with
-        # no stressor; it does not depend on the offset.
-        temp = victim_temp_target_c(profile, pstate, stressor_profile("none").temp_boost_c)
+        # The pinned core's temperature with no stressor; it does not
+        # depend on the offset.
+        temp = PlatformState(profile, pstate, core).temp_c
         _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
 
         # Stage 1: walk down until the comparison loop reports corruption.
@@ -382,8 +342,9 @@ def phase2_probe_cores(
     plan: VoltagePlan,
     tries_per_core: int = 10_000,
 ) -> ProbeReport:
-    """Pin the `vp1_xor_kernel` victim to each core at its planned offset
-    and tally its faults there with `victims.run_probe_victim`.
+    """Pin the `vp1_xor_kernel` victim to each core in turn, at the core's
+    planned offset with the stressor of `state`, and tally its faults there
+    with `victims.run_probe_victim`.
 
     The victim is prepared once per call.  Raises AbortedByCrash carrying
     the partial per-core stats if a probe kills the platform.
@@ -392,15 +353,10 @@ def phase2_probe_cores(
 
     stats: list[FaultStats] = []
     for core in range(state.profile.physical_cores):
-        env = _pinned_state(
-            state.profile,
-            plan.pstate,
-            core,
-            state.stressor_name,
-            state.seed,
-            plan.offset_for(core),
+        env = PlatformState(
+            state.profile, plan.pstate, core, plan.offset_for(core), state.stressor, state.seed
         )
-        stats.append(run_probe_victim(victim, env, core, tries_per_core))
+        stats.append(run_probe_victim(victim, env, tries_per_core))
         if stats[-1].tries < tries_per_core:
             raise AbortedByCrash(
                 f"probe crashed the platform on core {core}",
@@ -417,22 +373,19 @@ def phase3_attack(
     state: PlatformState,
     plan: VoltagePlan,
     victim: str,
-    target_core: int,
-    stressor: str,
     runs: int = 5,
     tries_per_run: int = 10_000,
 ) -> CampaignResult:
-    """Run the campaign at the planned offset for the chosen core: `victim`
-    is "poc" (`run_poc_victim`) or an HMAC payload (`run_hmac_victim`)."""
-    profile = state.profile
-    target_core = profile.check_core(target_core)
-    offset = plan.offset_for(target_core)
-    env = _pinned_state(
-        profile, plan.pstate, target_core, stressor, state.seed, offset
+    """Run the campaign on the pinned core of `state`, with its stressor, at
+    the core's planned offset: `victim` is "poc" (`run_poc_victim`) or an
+    HMAC payload (`run_hmac_victim`)."""
+    core = state.core
+    env = PlatformState(
+        state.profile, plan.pstate, core, plan.offset_for(core), state.stressor, state.seed
     )
     if victim == "poc":
-        return run_poc_victim(env, target_core, tries_per_run, runs=runs)
-    return run_hmac_victim(env, target_core, victim, tries_per_run, runs=runs)
+        return run_poc_victim(env, tries_per_run, runs=runs)
+    return run_hmac_victim(env, victim, tries_per_run, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +413,13 @@ def run_campaign(
         profile, pstate, target_core, stressor, seed=seed
     )
     plan = phase1_find_window(profile, "vp1_xor_kernel", pstate, seed=seed)
-    result = phase3_attack(state, plan, victim, target_core, stressor, runs, tries_per_run)
-    offset = plan.offset_for(target_core)
+    result = phase3_attack(state, plan, victim, runs, tries_per_run)
+    offset = plan.offset_for(state.core)
     base = profile.pstate_point(pstate).base_voltage_mv
     context = {
         "model": profile.name,
         "pstate": pstate,
-        "stressor": stressor_profile(stressor).name,
+        "stressor": state.stressor.name,
         "offset_mv": offset,
         "attack_voltage_v": round((base + offset) / 1000.0, 4),
         "plan": plan.to_json(),

@@ -3,9 +3,9 @@
 A ProcessorProfile carries, per (core, pstate), the voltage where silent
 SIMD faults begin (the window top), how wide the exploitable band under it
 is, and per-scenario probabilities that an eligible vector store actually
-corrupts data once the supply sits inside that band.  A PlatformState is
-one simulated machine wired to a profile: pstate pin, applied undervolt,
-per-core temperatures, and the logical-core role assignment.
+corrupts data once the supply sits inside that band.  The physics here reads
+only a profile, a core, a pstate, a supply voltage and a temperature; the
+pinned victim those come from is `victims.PlatformState`.
 
 Voltage geometry, from high to low supply::
 
@@ -60,12 +60,6 @@ class CrashKind(IntEnum):
     KERNEL_EXCEPTION = 0  # recoverable: logged, machine survives reboot-free
     FREEZE = 1
     HARD_CRASH = 2
-
-
-ROLE_IDLE = "idle"
-ROLE_ATTACKER = "attacker"
-ROLE_VICTIM = "victim"
-ROLE_STRESSOR = "stressor"
 
 
 def _quantize_mv(volts: float) -> float:
@@ -211,12 +205,16 @@ class BitFlipPattern(Record):
 
 
 class ProcessorProfile:
-    """Immutable calibration data for one processor model."""
+    """Immutable calibration data for one processor model, read from the
+    JSON document `raw`, which it keeps and which must not change after.
+    Two profiles read from equal documents are equal, and a profile copies
+    and pickles as its document."""
 
     def __init__(self, raw: dict, origin: str = "<dict>"):
         read = _Reader(origin)
         if type(raw) is not dict:
             raise SchemaError(f"{origin}: a profile is a JSON object")
+        self._raw = raw
         version = read.get(raw, "schema_version", kind=None)
         if type(version) is not int or version != SCHEMA_VERSION:
             raise SchemaError(f"{origin}: schema_version {version!r} unsupported")
@@ -287,7 +285,7 @@ class ProcessorProfile:
             self._bit_weights = per_bit / per_bit.sum(axis=1, keepdims=True)
         if not (abs(self._bit_weights.sum(axis=1) - 1.0) <= 1e-9).all():
             raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
-        # Per core, what `_flip_rows` reads: the multiplicity CDF, the
+        # Per core, what `draw_flip_masks` reads: the multiplicity CDF, the
         # bit CDF as an array for block draws and as a list for one-by-one
         # draws, and how many bits the CDF can reach, which caps a pattern's
         # bit count.
@@ -296,6 +294,17 @@ class ProcessorProfile:
             bit_cdf = _cdf(bits)
             reach = int(np.count_nonzero(np.diff(bit_cdf, prepend=0.0)))
             self._flip_tables.append((_cdf(mult), bit_cdf, bit_cdf.tolist(), reach))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._raw == other._raw
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __reduce__(self):
+        return ProcessorProfile, (self._raw,)
 
     # -- lookups ---------------------------------------------------------
 
@@ -369,63 +378,6 @@ def load_profile(name_or_path) -> ProcessorProfile:
 def bundled_profile_names() -> list[str]:
     pkg = resources.files("voltlab").joinpath("data/profiles")
     return sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json"))
-
-
-# ---------------------------------------------------------------------------
-# Platform state
-
-
-class PlatformState:
-    """One simulated machine.  Owned by a single campaign at a time, which
-    may set `offset_mv` (the core-domain undervolt) and `core_temp_c`."""
-
-    def __init__(
-        self, profile: ProcessorProfile, pstate: str, offset_mv: int = 0,
-        core_temp_c: np.ndarray | None = None, assignment: tuple[str, ...] = (),
-        stressor_name: str = "none", stressor_fault_multiplier: float = 1.0,
-        stressor_temp_boost_c: float = 0.0, seed: int = 0,
-    ):
-        self.profile = profile
-        self.pstate = normalize_pstate(pstate)
-        profile.pstate_point(self.pstate)
-        self.offset_mv = offset_mv
-        if core_temp_c is None:
-            core_temp_c = np.full(profile.physical_cores, profile.ambient_temp_c)
-        self.core_temp_c = np.array(core_temp_c, dtype=float)
-        self.assignment = assignment or (ROLE_IDLE,) * profile.logical_cores()
-        if len(self.assignment) != profile.logical_cores():
-            raise InvariantError("assignment must cover every logical core")
-        if sum(1 for r in self.assignment if r == ROLE_VICTIM) > 1:
-            raise InvariantError("at most one logical core may run the victim")
-        if stressor_fault_multiplier < 1.0:
-            raise InvariantError("stressor fault multiplier is at least 1")
-        self.stressor_name = stressor_name
-        self.stressor_fault_multiplier = stressor_fault_multiplier
-        self.stressor_temp_boost_c = stressor_temp_boost_c
-        self.seed = seed
-
-    # Logical core L is thread L // physical of physical core L % physical.
-    def physical_of(self, logical: int) -> int:
-        return logical % self.profile.physical_cores
-
-    def partner_of(self, logical: int) -> int:
-        return (logical + self.profile.physical_cores) % self.profile.logical_cores()
-
-    @property
-    def victim_logical(self) -> int | None:
-        for idx, role in enumerate(self.assignment):
-            if role == ROLE_VICTIM:
-                return idx
-        return None
-
-    @property
-    def victim_physical(self) -> int | None:
-        logical = self.victim_logical
-        return None if logical is None else self.physical_of(logical)
-
-    def nominal_voltage_mv(self) -> float:
-        point = self.profile.pstate_point(self.pstate)
-        return point.base_voltage_mv + self.offset_mv
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +556,7 @@ def mean_crash_probability(
 #
 # Runs of patterns are drawn as arrays: one uniform per pattern picks its
 # bucket and one its first bit, each by `searchsorted` into the core's CDF.
-# Only the multi-bit rows are walked in Python (`_flip_rows`, shared by
-# `draw_flip_masks` and by `flip_mask_counts`).  Each later bit is a
+# Only the multi-bit rows are walked in Python.  Each later bit is a
 # weighted draw with replacement, and a bit the row already holds is
 # rejected.  Rejecting repeats is successive weighted sampling: given the
 # bits kept so far, the next kept bit falls on each bit left in proportion
@@ -630,50 +581,27 @@ def _cdf(weights) -> np.ndarray:
     return c
 
 
-def _flip_rows(profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator):
-    """`n` flip patterns on physical `core`: every first bit as an array,
-    then the multi-bit patterns' indices and masks.  Draw order: one
-    `rng.random((2, n))` block, whose first row picks each pattern's
-    multiplicity bucket and second row its first bit; then, per multi-bit
-    pattern in order, `binomial(4, 0.2)` for bucket 2 and one uniform per
-    later bit, repeats included."""
-    mult_cdf, bit_cdf, bit_list, reach = profile._flip_tables[profile.check_core(core)]
-    u = rng.random((2, n))
-    first = bit_cdf.searchsorted(u[1], side="right")
-    buckets = mult_cdf.searchsorted(u[0], side="right")
-    rows = buckets.nonzero()[0]
-    masks = []
-    for bucket, bit in zip(buckets[rows].tolist(), first[rows].tolist()):
-        k = min(2 if bucket == 1 else 3 + int(rng.binomial(4, 0.2)), reach)
-        mask = _BIT[bit]
-        while mask.bit_count() < k:
-            mask |= _BIT[bisect_right(bit_list, rng.random())]
-        masks.append(mask)
-    return first, rows, masks
-
-
 def draw_flip_masks(
     profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
 ) -> list[int]:
-    """The masks of `n` flip patterns on physical `core`, in draw order."""
-    first, rows, multi = _flip_rows(profile, core, n, rng)
-    masks = [_BIT[b] for b in first.tolist()]
-    for i, mask in zip(rows.tolist(), multi):
+    """The masks of `n` flip patterns on physical `core`, in draw order.
+
+    Draw order: one `rng.random((2, n))` block, whose first row picks each
+    pattern's multiplicity bucket and second row its first bit; then, per
+    multi-bit pattern in order, `binomial(4, 0.2)` for bucket 2 and one
+    uniform per later bit, repeats included."""
+    mult_cdf, bit_cdf, bit_list, reach = profile._flip_tables[profile.check_core(core)]
+    u = rng.random((2, n))
+    masks = [_BIT[b] for b in bit_cdf.searchsorted(u[1], side="right").tolist()]
+    buckets = mult_cdf.searchsorted(u[0], side="right")
+    rows = buckets.nonzero()[0]
+    for i, bucket in zip(rows.tolist(), buckets[rows].tolist()):
+        k = min(2 if bucket == 1 else 3 + int(rng.binomial(4, 0.2)), reach)
+        mask = masks[i]
+        while mask.bit_count() < k:
+            mask |= _BIT[bisect_right(bit_list, rng.random())]
         masks[i] = mask
     return masks
-
-
-def flip_mask_counts(
-    profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
-) -> dict[int, int]:
-    """How many of `n` flip patterns on physical `core` drew each mask:
-    `Counter(draw_flip_masks(...))` from the same draws, without the list."""
-    first, rows, multi = _flip_rows(profile, core, n, rng)
-    single = np.bincount(np.delete(first, rows)).tolist()
-    counts = {_BIT[b]: c for b, c in enumerate(single) if c}
-    for mask in multi:
-        counts[mask] = counts.get(mask, 0) + 1
-    return counts
 
 
 def draw_fault_sets(
@@ -759,21 +687,3 @@ def victim_temp_target_c(profile: ProcessorProfile, pstate: str, temp_boost_c: f
     stressor's boost, never below ambient."""
     point = profile.pstate_point(pstate)
     return max(profile.ambient_temp_c, point.reference_temp_c + temp_boost_c)
-
-
-def core_temp_targets(state: PlatformState) -> np.ndarray:
-    """Equilibrium temperature per physical core under the current roles.
-
-    Idle cores settle at ambient, the attack core barely above it, and the
-    victim core at `victim_temp_target_c`.
-    """
-    profile = state.profile
-    targets = np.full(profile.physical_cores, profile.ambient_temp_c)
-    for logical, role in enumerate(state.assignment):
-        phys = state.physical_of(logical)
-        if role == ROLE_ATTACKER:
-            targets[phys] = max(targets[phys], profile.ambient_temp_c + 1.0)
-        elif role == ROLE_VICTIM:
-            victim_target = victim_temp_target_c(profile, state.pstate, state.stressor_temp_boost_c)
-            targets[phys] = max(targets[phys], victim_target)
-    return targets

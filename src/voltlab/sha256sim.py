@@ -64,11 +64,6 @@ def pad_message(message: bytes) -> bytes:
     return padded + bit_len.to_bytes(8, "big")
 
 
-def block_count(message_length: int) -> int:
-    """Compressed blocks for a message of this many bytes."""
-    return (message_length + 9 + 63) // 64
-
-
 def _apply_quad_mask(words: list[int], start: int, mask: int) -> None:
     packed = (
         words[start]
@@ -353,13 +348,6 @@ class HmacContext:
             key: digests[i * DIGEST_BYTES : (i + 1) * DIGEST_BYTES]
             for i, key in enumerate(keys)
         }
-
-    def locate_event(self, global_event: int) -> tuple[int, int]:
-        """Global store-event index -> (block, event-in-block)."""
-        if not 0 <= global_event < self.total_events:
-            raise InvariantError(f"event {global_event} out of range")
-        return divmod(global_event, EVENTS_PER_BLOCK)
-
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return HmacContext(key, message).clean_mac

@@ -9,7 +9,8 @@ and its appetite for faults.
 
 Every run of the three phases lives here (`run_test_loop`,
 `run_probe_victim`, `run_poc_victim`, `run_hmac_victim`), with its rates,
-exposure, crash cut-off and draws.  No runner iterates slice by slice:
+exposure, crash cut-off and draws, and so does the pinned victim the
+campaign runners read (`PlatformState`).  No runner iterates slice by slice:
 the per-event and per-slice probabilities averaged over supply noise are
 piecewise exact (see processor.mean_event_fault_probability), so
 first-occurrence times come from geometric draws and per-try fault counts
@@ -22,33 +23,28 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import (
-    AbortedByCrash,
-    InterpreterError,
-    InvalidCore,
-    InvariantError,
-    UnknownStressor,
-)
+from .errors import AbortedByCrash, InterpreterError, InvariantError, UnknownStressor
 from .isa import DEFAULT_MAX_SLICES, WORD_MASK, MiniProgram, bundled_program, interpret
 from .msr import Record
 from .processor import (
     BitFlipPattern,
     CrashKind,
-    PlatformState,
     ProcessorProfile,
     draw_crash_kind,
     draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
-    flip_mask_counts,
     mean_crash_probability,
     mean_event_fault_probability,
+    normalize_pstate,
+    victim_temp_target_c,
 )
 from .scanner import scan
 from .sha256sim import HmacContext
@@ -58,6 +54,7 @@ __all__ = [
     "FaultStats",
     "LoopRates",
     "LoopVictim",
+    "PlatformState",
     "RunOutcome",
     "RunStatus",
     "STRESSORS",
@@ -123,6 +120,40 @@ def stressor_profile(name: str) -> StressorSpec:
         raise UnknownStressor(
             f"unknown stressor {name!r}; know {sorted(STRESSORS)}"
         ) from None
+
+
+# ---------------------------------------------------------------------------
+# The pinned victim
+
+
+class PlatformState(Record):
+    """The victim pinned to physical `core` at `pstate`, the core-domain
+    undervolt `offset_mv` applied, and `stressor` on the core's sibling
+    hyperthread; `seed` keys every stream a runner draws.  The attacker's
+    tooling holds another physical core, so the pinned core's temperature
+    is its equilibrium under the stressor (`temp_c`).
+
+    Refuses a core or pstate the profile does not define with
+    UnknownCoreOrPState.
+    """
+
+    __slots__ = ("profile", "pstate", "core", "offset_mv", "stressor", "seed")
+
+    def __init__(
+        self, profile: ProcessorProfile, pstate, core: int, offset_mv: int = 0,
+        stressor: StressorSpec = STRESSORS["none"], seed: int = 0,
+    ):
+        pstate = normalize_pstate(pstate)
+        core = profile.check_core(core)
+        profile.pstate_point(pstate)
+        self._set(profile, pstate, core, offset_mv, stressor, seed)
+
+    @property
+    def temp_c(self) -> float:
+        return victim_temp_target_c(self.profile, self.pstate, self.stressor.temp_boost_c)
+
+    def nominal_voltage_mv(self) -> float:
+        return self.profile.pstate_point(self.pstate).base_voltage_mv + self.offset_mv
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +335,12 @@ def loop_rates(
     return LoopRates(p_event, _any_of(p_event, events), g_slice)
 
 
-def pinned_rates(env: PlatformState, core: int, events: int, scenario: str) -> LoopRates:
-    """`loop_rates` on physical `core` of the pinned platform `env`: at its
-    nominal voltage, the core's temperature and its stressor multiplier."""
+def pinned_rates(env: PlatformState, events: int, scenario: str) -> LoopRates:
+    """`loop_rates` on the pinned core of `env`: at its nominal voltage, its
+    temperature and its stressor's multiplier."""
     return loop_rates(
-        env.profile, core, env.pstate, env.nominal_voltage_mv(), float(env.core_temp_c[core]),
-        events, env.stressor_fault_multiplier, scenario,
+        env.profile, env.core, env.pstate, env.nominal_voltage_mv(), env.temp_c,
+        events, env.stressor.fault_multiplier, scenario,
     )
 
 
@@ -389,16 +420,6 @@ def run_test_loop(
 # The phase-2 probe
 
 
-def _pin_check(env: PlatformState, target_core: int) -> int:
-    core = env.profile.check_core(target_core)
-    pinned = env.victim_physical
-    if pinned is not None and pinned != core:
-        raise InvalidCore(
-            f"victim is pinned to physical core {pinned}, asked to run on {core}"
-        )
-    return core
-
-
 class FaultStats(Record):
     """What probing one core turned up: 16 fault counts, one per byte lane,
     and a map from flipped-bit count to faults."""
@@ -434,29 +455,27 @@ class FaultStats(Record):
         }
 
 
-def run_probe_victim(
-    victim: LoopVictim, env: PlatformState, target_core: int, tries: int
-) -> FaultStats:
-    """Run the prepared comparison loop `tries` times on the pinned
-    `target_core` of `env`, the whole program undervolted; tally its faults.
+def run_probe_victim(victim: LoopVictim, env: PlatformState, tries: int) -> FaultStats:
+    """Run the prepared comparison loop `tries` times on the pinned core of
+    `env`, the whole program undervolted; tally its faults.
 
     Draw order: the crash geometric, the binomial count of faulty tries
     among those completed, then one `draw_flip_masks` block, one pattern
-    per faulty try, tallied per distinct mask by `flip_mask_counts`.  A
-    crash shows as fewer `tries` than asked; nothing is raised.
+    per faulty try.  A crash shows as fewer `tries` than asked; nothing is
+    raised.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
-    core = _pin_check(env, target_core)
+    core = env.core
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
-    rates = pinned_rates(env, core, victim.geometry.events, "probe")
+    rates = pinned_rates(env, victim.geometry.events, "probe")
     c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
 
     completed = _tries_before_crash(gen, c_try, tries)
     faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
     byte_hist = [0] * 16
     mult_hist: dict[int, int] = {}
-    for mask, n in flip_mask_counts(env.profile, core, faults, gen).items():
+    for mask, n in Counter(draw_flip_masks(env.profile, core, faults, gen)).items():
         for b in BitFlipPattern.from_mask(0, mask).byte_positions:
             byte_hist[b] += n
         bits = mask.bit_count()
@@ -521,15 +540,14 @@ def run_poc_enclave(q: float, c_try: float, tries: int, rng: np.random.Generator
     return successes
 
 
-def run_poc_victim(
-    env: PlatformState, target_core: int, tries: int, *, runs: int = 5
-) -> CampaignResult:
-    """`run_hmac_victim` for the guarded-branch victim, prepared and rated
-    once per campaign, one `run_poc_enclave` per run.  The undervolt covers
-    one slice per guarded store execution, plus `GUARD_SLICES` both sides."""
-    core = _pin_check(env, target_core)
+def run_poc_victim(env: PlatformState, tries: int, *, runs: int = 5) -> CampaignResult:
+    """`run_hmac_victim` for the guarded-branch victim on the pinned core of
+    `env`, prepared and rated once per campaign, one `run_poc_enclave` per
+    run.  The undervolt covers one slice per guarded store execution, plus
+    `GUARD_SLICES` both sides."""
+    core = env.core
     victim = poc_victim()
-    q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
+    q, _, g = pinned_rates(env, victim.geometry.events, "poc")
     c_try = _any_of(g, victim.geometry.events + 2 * GUARD_SLICES)
 
     def one(run_index: int) -> tuple[int, int, bool]:
@@ -661,14 +679,10 @@ def _hmac_single_run(
 
 
 def run_hmac_victim(
-    env: PlatformState,
-    target_core: int,
-    payload_size,
-    tries: int,
-    *,
-    runs: int = 5,
+    env: PlatformState, payload_size, tries: int, *, runs: int = 5
 ) -> CampaignResult:
-    """Mean successes per 10k tries and sigma across `runs` runs.
+    """Mean successes per 10k tries and sigma across `runs` runs of the
+    HMAC validator on the pinned core of `env`.
 
     Each run owns an independent RNG substream keyed by `env.seed` and its
     index, so the aggregate does not depend on the order runs execute in.
@@ -685,9 +699,9 @@ def run_hmac_victim(
         raise InvariantError("tries is nonnegative")
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
-    core = _pin_check(env, target_core)
+    core = env.core
     ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
-    p_event, _, g = pinned_rates(env, core, ctx.total_events, scenario)
+    p_event, _, g = pinned_rates(env, ctx.total_events, scenario)
     # One slice per compression store, plus the undervolt guard margin on
     # both sides of the fault-prone window.
     c_try = _any_of(g, ctx.total_events + 2 * GUARD_SLICES)

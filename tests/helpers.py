@@ -1,6 +1,5 @@
 """Shared test utilities."""
 
-import math
 import random
 
 import numpy as np
@@ -14,11 +13,11 @@ from voltlab.orchestrator import (
     STEP_MV,
     VoltagePlan,
     _STABILITY_PROGRAM,
-    _pinned_state,
 )
-from voltlab.processor import BitFlipPattern, core_temp_targets, normalize_pstate
+from voltlab.processor import BitFlipPattern, normalize_pstate
 from voltlab.victims import (
     LoopVictim,
+    PlatformState,
     RunStatus,
     loop_victim,
     pinned_rates,
@@ -98,7 +97,7 @@ def reference_hmac_detail(ctx, profile, core, ks, rng):
         chosen = rng.choice(ctx.total_events, size=k, replace=False)
         faults = {}
         for g in sorted(int(x) for x in chosen):
-            block, event = ctx.locate_event(g)
+            block, event = ctx.stores[g]
             faults[(block, event)] = reference_flip_pattern(profile, core, event, rng).mask
         keys.append(ctx._fault_key(faults))
     return keys
@@ -156,21 +155,20 @@ def reference_memory_diff(before, after):
 
 def run_loop_under(env, victim, max_iters, rng):
     """`run_test_loop` for `victim` (prepared, a MiniProgram or a bundled
-    name) on the pinned physical core of the `PlatformState` `env` (core 0
-    when no victim is pinned), with the rates `pinned_rates` gives for it."""
+    name) on the pinned core of the `PlatformState` `env`, with the rates
+    `pinned_rates` gives for it."""
     if not isinstance(victim, LoopVictim):
         victim = loop_victim(victim)
-    core = env.victim_physical or 0
-    rates = pinned_rates(env, core, victim.geometry.events, "probe")
-    return run_test_loop(victim, rates, env.profile, core, env.pstate, max_iters, rng)
+    rates = pinned_rates(env, victim.geometry.events, "probe")
+    return run_test_loop(victim, rates, env.profile, env.core, env.pstate, max_iters, rng)
 
 
-def run_poc_under(env, core, tries, rng):
-    """`run_poc_enclave` for a fresh `poc_victim` on physical `core` of the
+def run_poc_under(env, tries, rng):
+    """`run_poc_enclave` for a fresh `poc_victim` on the pinned core of the
     `PlatformState` `env`, with the rates `pinned_rates` gives for it and
     the whole program undervolted on every try."""
     victim = poc_victim()
-    q, _, g = pinned_rates(env, core, victim.geometry.events, "poc")
+    q, _, g = pinned_rates(env, victim.geometry.events, "poc")
     c_try = victims._any_of(g, victim.geometry.slices_per_iteration)
     return run_poc_enclave(q, c_try, tries, rng)
 
@@ -211,7 +209,7 @@ def reference_phase1(
         offset = start_offset_mv
         retries = 0
         while offset >= OFFSET_FLOOR_MV:
-            env = _pinned_state(profile, pstate, core, "none", seed, offset)
+            env = PlatformState(profile, pstate, core, offset, seed=seed)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
             out = run_loop_under(env, victim, iters_per_level, gen)
             if out.status is RunStatus.MISMATCH:
@@ -230,7 +228,7 @@ def reference_phase1(
         offset = int(window_top_mv[core] - base) - STEP_MV
         found = None
         while offset >= OFFSET_FLOOR_MV:
-            env = _pinned_state(profile, pstate, core, "none", seed, offset)
+            env = PlatformState(profile, pstate, core, offset, seed=seed)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
             out = run_loop_under(env, stability, stability_iters, gen)
             if out.status is RunStatus.CRASH:
@@ -276,22 +274,3 @@ def run_campaigns_out_of_order(monkeypatch, seed=0):
 
     monkeypatch.setattr(victims, "_campaign_runs", out_of_order)
 
-
-# Time constant of the first-order thermal relaxation.
-TEMP_TAU_S = 2.0
-
-
-def update_temperature(state, dt_s, workload=None):
-    """First-order relaxation of core temperatures toward their targets.
-
-    `workload` may override the target of individual physical cores (adds
-    degrees on top of the role-derived target).
-    """
-    if dt_s < 0:
-        raise InvariantError("time does not flow backwards here")
-    targets = core_temp_targets(state)
-    if workload:
-        for phys, extra in workload.items():
-            targets[state.profile.check_core(phys)] += extra
-    alpha = 1.0 - math.exp(-dt_s / TEMP_TAU_S)
-    state.core_temp_c += (targets - state.core_temp_c) * alpha

@@ -17,8 +17,6 @@ from voltlab.isa import MiniProgram, interpret
 from voltlab.processor import (
     BitFlipPattern,
     CrashKind,
-    PlatformState,
-    ProcessorProfile,
     crash_probability_per_slice,
     draw_crash_kind,
     draw_flip_pattern,
@@ -34,6 +32,7 @@ from voltlab.scanner import (
     stored_vreg,
     written_vreg,
 )
+from voltlab.victims import PlatformState
 
 
 # ---------------------------------------------------------------------------
@@ -50,31 +49,27 @@ class EligibleStoreEvent:
 
 
 def sample_fault(
-    profile: ProcessorProfile,
-    state: PlatformState,
-    core: int,
-    event: EligibleStoreEvent,
-    rng: np.random.Generator,
+    state: PlatformState, event: EligibleStoreEvent, rng: np.random.Generator
 ) -> BitFlipPattern | None:
-    """Does this eligible store retire corrupted?
+    """Does this eligible store, on the pinned core of `state`, retire
+    corrupted?
 
     Draw order per call: slice noise, fault uniform, then (on a hit) the
     multiplicity bucket and bit positions.  Normal and corrected regions
     never fault; below the window the crash process dominates and silent
     data corruption is not modeled.
     """
-    core = profile.check_core(core)
+    profile, core = state.profile, state.core
     noise = rng.uniform(-profile.noise_mv, profile.noise_mv)
     v_eff = state.nominal_voltage_mv() + noise
-    temp = float(state.core_temp_c[core])
     p = event_fault_probability(
         profile,
         core,
         state.pstate,
         event.scenario,
-        state.stressor_fault_multiplier,
+        state.stressor.fault_multiplier,
         v_eff,
-        temp,
+        state.temp_c,
     )
     if p <= 0.0 or rng.uniform() >= p:
         return None
@@ -82,27 +77,19 @@ def sample_fault(
 
 
 def sample_crash(
-    profile: ProcessorProfile,
-    state: PlatformState,
-    rng: np.random.Generator,
-    core: int | None = None,
-    v_eff_mv: float | None = None,
+    state: PlatformState, rng: np.random.Generator, v_eff_mv: float | None = None
 ) -> CrashKind | None:
-    """One slice of the crash process on the loaded core.
+    """One slice of the crash process on the pinned core of `state`.
 
     Only a core actually executing work exercises critical paths, so the
-    check runs against the victim core's boundary unless told otherwise.
-    Returns None everywhere above the instability line.
+    check runs against the victim core's boundary.  Returns None everywhere
+    above the instability line.
     """
-    if core is None:
-        core = state.victim_physical
-        if core is None:
-            core = 0
-    core = profile.check_core(core)
+    profile = state.profile
     if v_eff_mv is None:
         v_eff_mv = state.nominal_voltage_mv() + rng.uniform(-profile.noise_mv, profile.noise_mv)
     point = profile.pstate_point(state.pstate)
-    top = effective_window_top_mv(profile, core, state.pstate, float(state.core_temp_c[core]))
+    top = effective_window_top_mv(profile, state.core, state.pstate, state.temp_c)
     depth = (top - point.exploit_window_mv) - v_eff_mv
     if depth < 0.0:
         return None

@@ -140,18 +140,15 @@ def test_ac04_campaign_means_match_reference_cells():
 
 def test_ac05_poc_rates_per_core_and_stressor():
     t0 = perf_counter()
-    state, _, _ = setup_system(KABY, "0x1b", 1, "listing2", seed=5)
     plan = phase1_find_window(KABY, pstate="0x1b", seed=5)
     expected_pct = {1: 99.0, 2: 96.0, 3: 99.0}
     for core, expect in expected_pct.items():
-        result = phase3_attack(
-            state, plan, "poc", core, "listing2", runs=2, tries_per_run=5000
-        )
+        state, _, _ = setup_system(KABY, "0x1b", core, "listing2", seed=5)
+        result = phase3_attack(state, plan, "poc", runs=2, tries_per_run=5000)
         pct = result.mean_per_10k / 100.0
         assert abs(pct - expect) <= 2.0, f"core {core}: {pct:.2f}% vs {expect}%"
-    slow = phase3_attack(
-        state, plan, "poc", 1, "twofish", runs=2, tries_per_run=5000
-    )
+    state, _, _ = setup_system(KABY, "0x1b", 1, "twofish", seed=5)
+    slow = phase3_attack(state, plan, "poc", runs=2, tries_per_run=5000)
     slow_pct = slow.mean_per_10k / 100.0
     assert slow_pct <= 10.0 and abs(slow_pct - 8.0) <= 2.0, f"twofish: {slow_pct:.2f}%"
     dt = perf_counter() - t0
@@ -225,9 +222,7 @@ def test_ac07_region_and_reporting_properties():
     state, _, _ = setup_system(KABY, "0x1b", 1, "listing2", seed=5)
     idle = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (0, 0, 0, 0))
     for victim in ("poc", "hmac32"):
-        result = phase3_attack(
-            state, idle, victim, 1, "listing2", runs=2, tries_per_run=500
-        )
+        result = phase3_attack(state, idle, victim, runs=2, tries_per_run=500)
         assert result.successes == 0, f"{victim} succeeded without undervolting"
     print("AC7 PASS monotone regions, silent window flips, broadcast MCE, zero-offset zero")
 
@@ -293,7 +288,7 @@ def test_ac10_hmac_vectors_and_flip_sensitivity():
     for _ in range(1000):
         g = int(gen.integers(ctx.total_events))
         bit = int(gen.integers(128))
-        mac = ctx.mac_with_faults({ctx.locate_event(g): 1 << bit})
+        mac = ctx.mac_with_faults({ctx.stores[g]: 1 << bit})
         changed += mac != ctx.clean_mac
     assert changed == 1000, f"{1000 - changed} single-bit flips left the MAC intact"
     print("AC10 PASS standard vectors match, 1000/1000 single-bit flips change the MAC")

@@ -1,6 +1,7 @@
 """Module boundaries inside the package, checked on the source."""
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import voltlab
@@ -25,3 +26,36 @@ def test_no_module_imports_a_private_name_of_another():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 10
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name, attribute and imported name `tree` mentions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_module_name_is_used_or_exported():
+    # A public function or class that no code in the package reads, and
+    # that neither `voltlab` nor its module exports, is dead weight.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    exported = {name for names in voltlab._EXPORTS.values() for name in names}
+    unused = []
+    for stem, tree in sorted(trees.items()):
+        module = import_module("voltlab" if stem == "__init__" else f"voltlab.{stem}")
+        kept = referenced | exported | set(getattr(module, "__all__", ()))
+        unused += [
+            f"{stem}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in kept
+        ]
+    assert unused == []

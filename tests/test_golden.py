@@ -8,7 +8,6 @@ evaluation order shows up here as a diff; such a change must regenerate
 the files and say so.
 """
 
-import copy
 import hashlib
 import json
 from pathlib import Path
@@ -20,7 +19,7 @@ from voltlab import rng
 from voltlab.errors import AbortedByCrash
 from voltlab.orchestrator import VoltagePlan, phase2_probe_cores, phase3_attack, setup_system
 from voltlab.sha256sim import HmacContext
-from voltlab.victims import run_hmac_victim
+from voltlab.victims import PlatformState, run_hmac_victim
 
 from helpers import run_poc_under
 
@@ -59,19 +58,18 @@ def test_crash_aborts_match_golden_file():
     # Core 1 of the i7-7700K starts to crash just below -251 mV, so the
     # -252 mV cells die partway through a run rather than on its first try.
     state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=5)
-    edge = copy.copy(state)
-    edge.offset_mv = -252
+    edge = PlatformState(state.profile, state.pstate, state.core, -252, state.stressor, state.seed)
     plan = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-260, -255, -255, -255))
     cells = {
         "run_poc_enclave": _aborted(
-            lambda: run_poc_under(edge, 1, 2000, rng.stream(5, "poc-edge"))
+            lambda: run_poc_under(edge, 2000, rng.stream(5, "poc-edge"))
         ),
-        "run_hmac_victim": _aborted(lambda: run_hmac_victim(edge, 1, "hmac32", 200, runs=3)),
+        "run_hmac_victim": _aborted(lambda: run_hmac_victim(edge, "hmac32", 200, runs=3)),
         "phase2_probe_cores": _aborted(
             lambda: phase2_probe_cores(state, plan, tries_per_core=2000)
         ),
         "phase3_attack_poc": _aborted(
-            lambda: phase3_attack(state, plan, "poc", 1, "listing2", 3, 500)
+            lambda: phase3_attack(state, plan, "poc", 3, 500)
         ),
     }
     out = json.dumps(cells, indent=2, sort_keys=True) + "\n"
@@ -97,9 +95,8 @@ def test_hmac_fault_sets_match_golden_digest(monkeypatch):
 
     monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
     state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=7)
-    env = copy.copy(state)
-    env.offset_mv = -250
-    run_hmac_victim(env, 1, "hmac32", 2000, runs=1)
+    env = PlatformState(state.profile, state.pstate, state.core, -250, state.stressor, state.seed)
+    run_hmac_victim(env, "hmac32", 2000, runs=1)
     assert len(seen) > 300
     blob = json.dumps([sorted([b, e, m] for (b, e), m in key) for key in seen])
     assert hashlib.sha256(blob.encode()).hexdigest() == HMAC32_FAULT_SETS_SHA256

@@ -34,7 +34,7 @@ from voltlab.errors import FormatError, RangeError
 from voltlab.orchestrator import ProbeReport, SystemConfig, VoltagePlan
 from voltlab.processor import BitFlipPattern, CrashKind, load_profile
 from voltlab.scanner import PatternHit, PatternKind
-from voltlab.victims import STRESSORS, CampaignResult, FaultStats, RunOutcome
+from voltlab.victims import STRESSORS, CampaignResult, FaultStats, PlatformState, RunOutcome
 
 # Frozen reference word: core-domain write, offset mode, -100 mV.
 MINUS_100MV_WORD = 0x80000011F3800000
@@ -230,6 +230,9 @@ RECORD_SAMPLES = {
     "PatternHit": lambda: PatternHit(PatternKind.VP1, 0, 2),
     "MceRecord": lambda: MceRecord(5, 1, MceKind.CORRECTED),
     "StressorSpec": lambda: STRESSORS["shift_loop"],
+    "PlatformState": lambda: PlatformState(
+        load_profile("i7-7700k"), "0x1b", 1, -250, STRESSORS["shift_loop"], 7
+    ),
     "RunOutcome": lambda: RunOutcome.crashed(CrashKind.FREEZE, 12),
     "FaultStats": lambda: _FAULTS,
     "CampaignResult": lambda: CampaignResult.from_runs(1, "poc", [(3, 10), (1, 10)], crashes=1),

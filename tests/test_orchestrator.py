@@ -30,9 +30,10 @@ from voltlab.orchestrator import (
 from voltlab.processor import (
     ProcessorProfile,
     bundled_profile_names,
-    core_temp_targets,
     load_profile,
+    victim_temp_target_c,
 )
+from voltlab.victims import STRESSORS
 
 from helpers import reference_phase1, run_campaigns_out_of_order
 
@@ -82,7 +83,7 @@ def test_setup_partitions_the_machine():
     assert not set(config.attack_group) & set(config.victim_group)
     everything = set(config.attack_group) | set(config.victim_group)
     assert everything == set(range(KABY.logical_cores()))
-    assert state.victim_physical == 1
+    assert state.core == 1
 
 
 def test_setup_moves_the_attacker_off_the_target():
@@ -110,9 +111,9 @@ def test_setup_interference_bookkeeping():
 
 def test_setup_prewarms_temperatures():
     state, _, _ = setup_system(KABY, "0x1b", 1, "listing2", seed=9)
-    targets = core_temp_targets(state)
-    assert state.core_temp_c == pytest.approx(targets)
-    assert state.core_temp_c[1] > KABY.ambient_temp_c
+    assert state.stressor is STRESSORS["shift_loop"]
+    assert state.temp_c == victim_temp_target_c(KABY, "0x1b", STRESSORS["shift_loop"].temp_boost_c)
+    assert state.temp_c > KABY.ambient_temp_c
 
 
 def test_setup_rejects_unknown_core():
@@ -389,7 +390,7 @@ def _kaby_attack_setup(seed=5, stressor="listing2"):
 
 def test_phase3_poc_lands_nearly_every_try():
     state, plan = _kaby_attack_setup()
-    result = phase3_attack(state, plan, "poc", 1, "listing2", runs=2, tries_per_run=2000)
+    result = phase3_attack(state, plan, "poc", runs=2, tries_per_run=2000)
     assert result.scenario == "poc"
     assert result.mean_per_10k == pytest.approx(9900, abs=120)
     assert result.crashes == 0
@@ -409,10 +410,10 @@ def test_phase3_does_not_depend_on_run_order(monkeypatch):
     edge_state, _, _ = setup_system(KABY, "0x1b", 1, "listing2", seed=5)
     edge_plan = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-260, -255, -255, -255))
     cells = [
-        (state, plan, "hmac32", 1, "listing2", 3, 400),
-        (state, plan, "hmac1k", 1, "listing2", 3, 100),
-        (state, plan, "poc", 1, "listing2", 3, 400),
-        (edge_state, edge_plan, "poc", 1, "listing2", 3, 500),
+        (state, plan, "hmac32", 3, 400),
+        (state, plan, "hmac1k", 3, 100),
+        (state, plan, "poc", 3, 400),
+        (edge_state, edge_plan, "poc", 3, 500),
     ]
     serial = [_phase3_outcome(*cell) for cell in cells]
     assert [r.scenario for r in serial] == ["hmac_32b", "hmac_1kb", "poc", "poc"]
@@ -425,9 +426,9 @@ def test_phase3_poc_prepares_once_and_executes_no_faulted_run(monkeypatch):
     state, plan = _kaby_attack_setup()
     built = _count_geometry_builds(monkeypatch)
     called = []
-    for name in ("_run_with_flips", "flip_mask_counts"):
+    for name in ("_run_with_flips", "draw_flip_masks"):
         monkeypatch.setattr(victims, name, lambda *args, name=name: called.append(name))
-    result = phase3_attack(state, plan, "poc", 1, "listing2", runs=4, tries_per_run=1500)
+    result = phase3_attack(state, plan, "poc", runs=4, tries_per_run=1500)
     assert built == {"poc_and_branch": 1}
     assert called == []
     assert result.successes > 0
@@ -453,23 +454,26 @@ def test_poc_campaign_reads_its_rates_once_like_hmac(monkeypatch):
 def test_phase3_zero_offset_yields_nothing():
     state, _ = _kaby_attack_setup()
     idle = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (0, 0, 0, 0))
-    poc = phase3_attack(state, idle, "poc", 1, "listing2", runs=2, tries_per_run=500)
-    mac = phase3_attack(state, idle, "hmac32", 1, "listing2", runs=2, tries_per_run=300)
+    poc = phase3_attack(state, idle, "poc", runs=2, tries_per_run=500)
+    mac = phase3_attack(state, idle, "hmac32", runs=2, tries_per_run=300)
     assert poc.successes == 0 and poc.mean_per_10k == 0.0
     assert mac.successes == 0 and mac.mean_per_10k == 0.0
 
 
-def test_phase3_rejects_unknown_core():
-    state, plan = _kaby_attack_setup()
+def test_phase3_rejects_a_plan_at_an_unknown_pstate():
+    # The core comes from the state, which refuses one the profile lacks
+    # (test_setup_rejects_unknown_core); the pstate comes from the plan.
+    state, _ = _kaby_attack_setup()
+    plan = VoltagePlan("0x1c", (0.7, 0.71, 0.705, 0.705), (-250, -250, -250, -250))
     with pytest.raises(UnknownCoreOrPState):
-        phase3_attack(state, plan, "hmac32", 7, "listing2")
+        phase3_attack(state, plan, "hmac32")
 
 
 def test_phase3_crash_aborts_with_partial_result():
     state, _ = _kaby_attack_setup()
     doomed = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-500, -500, -500, -500))
     with pytest.raises(AbortedByCrash) as info:
-        phase3_attack(state, doomed, "poc", 1, "listing2", runs=3, tries_per_run=1000)
+        phase3_attack(state, doomed, "poc", runs=3, tries_per_run=1000)
     partial = info.value.partial
     assert partial.crashes == 1
     assert partial.tries < 3000

@@ -1,4 +1,4 @@
-"""Voltage geometry, fault sampling, crash process, temperature model."""
+"""Voltage geometry, fault sampling, crash process, the pinned victim."""
 
 import functools
 import importlib.util
@@ -6,7 +6,7 @@ import itertools
 import json
 import math
 import pathlib
-from collections import Counter
+import pickle
 
 import numpy as np
 import pytest
@@ -14,12 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from helpers import (
-    goodness_of_fit_p,
-    reference_flip_pattern,
-    two_sample_p,
-    update_temperature,
-)
+from helpers import goodness_of_fit_p, reference_flip_pattern, two_sample_p
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
@@ -28,11 +23,7 @@ from voltlab.orchestrator import run_campaign
 from voltlab.processor import (
     BitFlipPattern,
     CrashKind,
-    PlatformState,
     ProcessorProfile,
-    ROLE_ATTACKER,
-    ROLE_IDLE,
-    ROLE_VICTIM,
     VoltageRegion,
     bundled_profile_names,
     classify_voltage,
@@ -44,13 +35,19 @@ from voltlab.processor import (
     draw_flip_pattern,
     effective_window_top_mv,
     event_fault_probability,
-    flip_mask_counts,
     load_profile,
     normalize_pstate,
     region_boundaries_mv,
 )
 from voltlab.sha256sim import HmacContext
-from voltlab.victims import HMAC_KEY, PAYLOAD_SIZES, _payload_bytes
+from voltlab.victims import (
+    HMAC_KEY,
+    PAYLOAD_SIZES,
+    STRESSORS,
+    PlatformState,
+    StressorSpec,
+    _payload_bytes,
+)
 
 pytestmark = [
     pytest.mark.filterwarnings("error"),
@@ -73,19 +70,6 @@ def coffee():
     return load_profile("i7-8700K")
 
 
-def idle_state(profile, pstate, offset_mv=0, victim=None, temps=None):
-    roles = [ROLE_IDLE] * profile.logical_cores()
-    if victim is not None:
-        roles[victim] = ROLE_VICTIM
-    return PlatformState(
-        profile=profile,
-        pstate=pstate,
-        offset_mv=offset_mv,
-        assignment=tuple(roles),
-        core_temp_c=temps,
-    )
-
-
 # -- loading and validation -------------------------------------------------
 
 
@@ -97,6 +81,15 @@ def test_bundled_profiles_present():
 def test_load_by_name_case_insensitive(name):
     prof = load_profile(name)
     assert prof.physical_cores in (4, 6)
+
+
+def test_profiles_compare_and_pickle_by_document(kaby):
+    # A pinned `PlatformState` holds its profile, and records pickle and
+    # compare by their fields.
+    clone = pickle.loads(pickle.dumps(kaby))
+    assert clone is not kaby and clone == kaby and hash(clone) == hash(kaby)
+    assert clone.pstate_point("0x1b") == kaby.pstate_point("0x1b")
+    assert load_profile("i7-7700k") == kaby != load_profile("i7-7700")
 
 
 def test_load_by_path(tmp_path, kaby):
@@ -469,25 +462,21 @@ def test_stressor_multiplier_scales_and_clamps(kaby):
 def test_sample_fault_rate_matches_ceiling(kaby):
     # At 5 mV above the instability line the ramp is saturated for every
     # noise draw, so the hit rate is the ceiling times the multiplier.
-    state = idle_state(kaby, "0x1b", victim=1, temps=[30.0, 40.0, 30.0, 30.0])
-    state.stressor_fault_multiplier = 24.75
-    state.offset_mv = -250  # 950 -> 700 mV; core 1 top is 710+0.6
+    # 950 -> 700 mV; core 1 top is 710+0.6 at the shift stressor's 40 C.
+    state = PlatformState(kaby, "0x1b", 1, -250, STRESSORS["shift_loop"])
+    assert state.temp_c == 40.0
     gen = vrng.stream(7, "fault-rate")
     event = EligibleStoreEvent("poc", word_index=3)
-    hits = sum(
-        sample_fault(kaby, state, 1, event, gen) is not None for _ in range(4000)
-    )
+    hits = sum(sample_fault(state, event, gen) is not None for _ in range(4000))
     # q = 0.99 by calibration; 3 sigma of 4000 draws is ~19.
     assert abs(hits - 0.99 * 4000) < 25
 
 
 def test_sample_fault_silent_above_window(kaby):
-    state = idle_state(kaby, "0x1b", victim=1)
+    state = PlatformState(kaby, "0x1b", 1)
     gen = vrng.stream(8, "quiet")
     event = EligibleStoreEvent("poc", word_index=0)
-    assert all(
-        sample_fault(kaby, state, 1, event, gen) is None for _ in range(2000)
-    )
+    assert all(sample_fault(state, event, gen) is None for _ in range(2000))
 
 
 # -- noise-averaged marginals -----------------------------------------------------
@@ -715,33 +704,6 @@ def test_flip_masks_on_random_tables_stay_on_the_table(tables, seed, n):
     assert pattern.mask == one and pattern.word_index == 4
 
 
-def _counts_match_the_listed_block(profile, core, n, seed):
-    """`flip_mask_counts` tallies what `draw_flip_masks` lists from the same
-    stream and leaves that stream where the list leaves it."""
-    listed, counted = vrng.stream(seed, "flips", core), vrng.stream(seed, "flips", core)
-    masks = draw_flip_masks(profile, core, n, listed)
-    counts = flip_mask_counts(profile, core, n, counted)
-    assert counts == Counter(masks)
-    assert all(type(mask) is int and type(c) is int and c > 0 for mask, c in counts.items())
-    assert counted.random() == listed.random()
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 5_000])
-@pytest.mark.parametrize("name,core", _CORES)
-def test_flip_mask_counts_tally_the_listed_block(name, core, n):
-    _counts_match_the_listed_block(load_profile(name), core, n, 11 + n)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_flip_tables(), st.integers(0, 2**32 - 1), st.integers(0, 300))
-def test_flip_mask_counts_on_random_tables_tally_the_listed_block(tables, seed, n):
-    affinity, mult = tables
-    raw = _raw_profile()
-    raw["byte_affinity"][1] = affinity
-    raw["multiplicity"][1] = mult
-    _counts_match_the_listed_block(ProcessorProfile(raw), 1, n, seed)
-
-
 # -- flip draws against `Generator.choice`, uniform for uniform ---------------
 #
 # A flip draw reads each pattern's bucket and first bit off one uniform
@@ -955,22 +917,18 @@ def test_crash_kind_draw_replays_choice(ratio):
 
 
 def test_no_crash_inside_window(kaby):
-    state = idle_state(kaby, "0x1b", victim=1, temps=[30.0, 37.0, 30.0, 30.0])
-    state.offset_mv = -245  # 705 mV, well above core 1 instability at 695
+    state = PlatformState(kaby, "0x1b", 1, -245)  # 705 mV, well above core 1 instability at 695
+    assert state.temp_c == 37.0
     gen = vrng.stream(13, "stable")
-    assert all(sample_crash(kaby, state, gen) is None for _ in range(4000))
+    assert all(sample_crash(state, gen) is None for _ in range(4000))
 
 
 def test_crash_rate_grows_with_depth(kaby):
     gen = vrng.stream(14, "depth")
     point = kaby.pstate_point("0x1b")
-    state = idle_state(kaby, "0x1b", victim=1, temps=[30.0, 37.0, 30.0, 30.0])
-    shallow = sum(
-        sample_crash(kaby, state, gen, v_eff_mv=694.0) is not None for _ in range(3000)
-    )
-    deep = sum(
-        sample_crash(kaby, state, gen, v_eff_mv=680.0) is not None for _ in range(3000)
-    )
+    state = PlatformState(kaby, "0x1b", 1)
+    shallow = sum(sample_crash(state, gen, v_eff_mv=694.0) is not None for _ in range(3000))
+    deep = sum(sample_crash(state, gen, v_eff_mv=680.0) is not None for _ in range(3000))
     assert shallow < deep
     # Closed form at 0x1b (ratio 27): rate * (1 + 0.4 * depth) * (0.5 + 27/64).
     expected = crash_probability_per_slice(kaby, point.ratio, 695.0 - 680.0)
@@ -980,13 +938,14 @@ def test_crash_rate_grows_with_depth(kaby):
 
 def test_crash_kind_depends_on_ratio(kaby):
     gen = vrng.stream(15, "kinds")
-    fast = idle_state(kaby, "0x2a", victim=0, temps=[50.0, 30.0, 30.0, 30.0])
-    slow = idle_state(kaby, "0x08", victim=0, temps=[32.0, 30.0, 30.0, 30.0])
+    fast = PlatformState(kaby, "0x2a", 0)
+    slow = PlatformState(kaby, "0x08", 0)
+    assert (fast.temp_c, slow.temp_c) == (50.0, 32.0)
 
     def kinds(state, floor_mv, n=600):
         out = []
         while len(out) < n:
-            k = sample_crash(kaby, state, gen, v_eff_mv=floor_mv - 30.0)
+            k = sample_crash(state, gen, v_eff_mv=floor_mv - 30.0)
             if k is not None:
                 out.append(k)
         return out
@@ -1008,76 +967,16 @@ def test_kind_weights_normalized():
         assert (w > 0).all()
 
 
-# -- temperature -------------------------------------------------------------------
-
-
-def test_idle_machine_settles_at_ambient(kaby):
-    state = idle_state(kaby, "0x1b", temps=[55.0, 41.0, 33.0, 62.0])
-    for _ in range(400):
-        update_temperature(state, 0.25)
-    assert np.allclose(state.core_temp_c, kaby.ambient_temp_c, atol=0.01)
-
-
-def test_victim_core_heats_to_reference(coffee):
-    state = idle_state(coffee, "0x1b", victim=0)
-    state.stressor_temp_boost_c = 3.0
-    for _ in range(400):
-        update_temperature(state, 0.25)
-    # Coffee Lake 2.7 GHz reference is 44 C; the shift stressor adds 3.
-    assert state.core_temp_c[0] == pytest.approx(47.0, abs=0.01)
-    assert np.allclose(state.core_temp_c[1:], 30.0, atol=0.01)
-
-
-def test_attacker_core_runs_barely_warm(kaby):
-    roles = [ROLE_IDLE] * 8
-    roles[2] = ROLE_ATTACKER
-    state = PlatformState(profile=kaby, pstate="0x1b", assignment=tuple(roles))
-    for _ in range(400):
-        update_temperature(state, 0.25)
-    assert state.core_temp_c[2] == pytest.approx(31.0, abs=0.01)
-
-
-def test_temperature_approach_is_monotone(kaby):
-    state = idle_state(kaby, "0x20", victim=3, temps=[30.0, 30.0, 30.0, 30.0])
-    last = state.core_temp_c[3]
-    for _ in range(50):
-        update_temperature(state, 0.1)
-        assert state.core_temp_c[3] >= last
-        last = state.core_temp_c[3]
-    assert last < kaby.pstate_point("0x20").reference_temp_c + 0.5
-
-
-def test_zero_dt_is_identity(kaby):
-    state = idle_state(kaby, "0x1b", victim=1, temps=[31.0, 39.0, 30.0, 33.0])
-    before = state.core_temp_c.copy()
-    update_temperature(state, 0.0)
-    assert np.array_equal(state.core_temp_c, before)
-    with pytest.raises(InvariantError):
-        update_temperature(state, -1.0)
-
-
 # -- platform state ------------------------------------------------------------------
 
 
-def test_state_validates_assignment(kaby):
-    with pytest.raises(InvariantError):
-        PlatformState(profile=kaby, pstate="0x1b", assignment=("idle",) * 3)
-    roles = [ROLE_VICTIM, ROLE_VICTIM] + [ROLE_IDLE] * 6
-    with pytest.raises(InvariantError):
-        PlatformState(profile=kaby, pstate="0x1b", assignment=tuple(roles))
-
-
 def test_state_topology_helpers(kaby):
-    state = idle_state(kaby, "0x1b", victim=6)
-    assert state.victim_logical == 6
-    assert state.victim_physical == 2
-    assert state.partner_of(6) == 2
-    assert state.partner_of(2) == 6
+    state = PlatformState(kaby, 27, 2)
+    assert (state.pstate, state.core) == ("0x1b", 2)
     assert state.nominal_voltage_mv() == pytest.approx(950.0)
-    state.offset_mv = -230
-    assert state.nominal_voltage_mv() == pytest.approx(720.0)
+    assert PlatformState(kaby, "0x1b", 2, -230).nominal_voltage_mv() == pytest.approx(720.0)
 
 
-def test_state_rejects_weak_multiplier(kaby):
+def test_state_rejects_weak_multiplier():
     with pytest.raises(InvariantError):
-        PlatformState(profile=kaby, pstate="0x1b", stressor_fault_multiplier=0.5)
+        StressorSpec("weak", 0.5, 0.0)

@@ -13,7 +13,6 @@ from voltlab.sha256sim import (
     EVENTS_PER_BLOCK,
     MASK128,
     HmacContext,
-    block_count,
     compress,
     hmac_sha256,
     pad_message,
@@ -76,14 +75,6 @@ def test_padding_layout():
     assert int.from_bytes(padded[-8:], "big") == 24
 
 
-def test_block_count():
-    assert block_count(0) == 1
-    assert block_count(55) == 1
-    assert block_count(56) == 2
-    assert block_count(64 + 32) == 2  # inner hash of a 32 B payload
-    assert block_count(64 + 1024) == 18  # inner hash of a 1 KB payload
-
-
 def test_context_geometry():
     small = HmacContext(b"k" * 32, b"m" * 32)
     assert small.n_inner == 2
@@ -92,12 +83,12 @@ def test_context_geometry():
     big = HmacContext(b"k" * 32, b"m" * 1024)
     assert big.total_blocks == 20
     assert big.total_events == 280
-    assert small.locate_event(0) == (0, 0)
-    assert small.locate_event(55) == (3, 13)
+    assert small.stores[0] == (0, 0)
+    assert small.stores[-1] == (3, 13)
     for ctx in (small, big):
-        assert ctx.stores == tuple(ctx.locate_event(g) for g in range(ctx.total_events))
-    with pytest.raises(InvariantError):
-        small.locate_event(56)
+        assert ctx.stores == tuple(
+            (block, event) for block in range(ctx.total_blocks) for event in range(EVENTS_PER_BLOCK)
+        )
 
 
 def test_fault_free_context_matches_oracle():

@@ -1,6 +1,5 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
-import copy
 from unittest import mock
 
 import numpy as np
@@ -14,21 +13,12 @@ from voltlab import victims
 from voltlab.errors import (
     AbortedByCrash,
     InterpreterError,
-    InvalidCore,
     InvariantError,
+    UnknownCoreOrPState,
     UnknownStressor,
 )
 from voltlab.isa import interpret
-from voltlab.orchestrator import setup_system
-from voltlab.processor import (
-    ROLE_IDLE,
-    ROLE_STRESSOR,
-    ROLE_VICTIM,
-    CrashKind,
-    PlatformState,
-    load_profile,
-    mean_event_fault_probability,
-)
+from voltlab.processor import CrashKind, load_profile, mean_event_fault_probability
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
     HMAC_KEY,
@@ -36,6 +26,7 @@ from voltlab.victims import (
     POC_SCALARS,
     STRESSORS,
     CampaignResult,
+    PlatformState,
     RunOutcome,
     RunStatus,
     _hmac_single_run,
@@ -73,26 +64,9 @@ def coffee():
 
 
 def pinned_state(profile, core, offset_mv, stressor="none", seed=7, pstate="0x1b"):
-    """Victim on logical `core`, its partner running the stressor, victim
-    core pre-warmed to its equilibrium temperature."""
-    spec = stressor_profile(stressor)
-    roles = [ROLE_IDLE] * profile.logical_cores()
-    roles[core] = ROLE_VICTIM
-    roles[core + profile.physical_cores] = ROLE_STRESSOR
-    point = profile.pstate_point(pstate)
-    temps = np.full(profile.physical_cores, profile.ambient_temp_c)
-    temps[core] = point.reference_temp_c + spec.temp_boost_c
-    return PlatformState(
-        profile=profile,
-        pstate=pstate,
-        offset_mv=offset_mv,
-        core_temp_c=temps,
-        assignment=tuple(roles),
-        stressor_name=spec.name,
-        stressor_fault_multiplier=spec.fault_multiplier,
-        stressor_temp_boost_c=spec.temp_boost_c,
-        seed=seed,
-    )
+    """Victim pinned to physical `core` at `offset_mv`, its sibling
+    hyperthread running the stressor."""
+    return PlatformState(profile, pstate, core, offset_mv, stressor_profile(stressor), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +215,7 @@ def test_poc_every_drawn_mask_diverts_by_real_execution():
         profile = load_profile(name)
         for core in range(profile.physical_cores):
             gen = vrng.stream(11, "poc-masks", name, core)
-            masks |= set(processor.flip_mask_counts(profile, core, 5_000, gen))
+            masks |= set(processor.draw_flip_masks(profile, core, 5_000, gen))
     recovery = program.labels["_recovery"]
     assert len(masks) > 128 + 128 * 127 // 2
     for mask in masks:
@@ -264,34 +238,34 @@ def test_poc_victim_refuses_a_fault_free_run_that_diverts(monkeypatch):
 
 def test_poc_success_rate_with_shift_stressor(kaby):
     env = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    successes = run_poc_under(env, 1, 2000, vrng.stream(21, "poc"))
+    successes = run_poc_under(env, 2000, vrng.stream(21, "poc"))
     assert abs(successes - 1980) <= 20  # q = 0.99, 4.5 sigma
 
 
 def test_poc_success_rate_with_twofish(kaby):
     env = pinned_state(kaby, 1, -250, stressor="twofish_avx")
-    successes = run_poc_under(env, 1, 2000, vrng.stream(22, "poc"))
+    successes = run_poc_under(env, 2000, vrng.stream(22, "poc"))
     assert abs(successes - 160) <= 50  # q = 0.08, ~4 sigma
 
 
 def test_poc_zero_offset_never_succeeds(kaby):
     env = pinned_state(kaby, 1, 0, stressor="shift_loop")
-    assert run_poc_under(env, 1, 5000, vrng.stream(23, "poc")) == 0
+    assert run_poc_under(env, 5000, vrng.stream(23, "poc")) == 0
 
 
 def test_poc_crash_aborts_with_partial(kaby):
     env = pinned_state(kaby, 1, -260)
     with pytest.raises(AbortedByCrash) as info:
-        run_poc_under(env, 1, 100_000, vrng.stream(24, "poc"))
+        run_poc_under(env, 100_000, vrng.stream(24, "poc"))
     successes, completed = info.value.partial
     assert successes == 0  # below the window nothing faults
     assert completed < 100_000
 
 
-def test_poc_respects_the_pin(kaby):
-    env = pinned_state(kaby, 2, -250)
-    with pytest.raises(InvalidCore):
-        run_poc_victim(env, 1, 10, runs=1)
+@pytest.mark.parametrize("pstate,core", [("0x1b", 4), ("0x1b", -1), ("0x1c", 1), ("0x100", 1)])
+def test_state_refuses_an_unknown_core_or_pstate(kaby, pstate, core):
+    with pytest.raises(UnknownCoreOrPState):
+        PlatformState(kaby, pstate, core)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +274,7 @@ def test_poc_respects_the_pin(kaby):
 
 def test_hmac_32b_campaign_hits_the_calibrated_mean(kaby):
     env = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    result = run_hmac_victim(env, 1, "hmac32", 2000, runs=5)
+    result = run_hmac_victim(env, "hmac32", 2000, runs=5)
     assert result.scenario == "hmac_32b"
     assert result.tries == 10_000
     assert len(result.per_run) == 5
@@ -314,14 +288,14 @@ def test_hmac_zero_rate_core(coffee):
     # Core 3's window top is 775 mV off a 1005 mV base; saturated attack
     # voltage 765 mV.  Its 32-byte calibration is exactly zero.
     env = pinned_state(coffee, 3, -240)
-    result = run_hmac_victim(env, 3, "hmac32", 500, runs=5)
+    result = run_hmac_victim(env, "hmac32", 500, runs=5)
     assert result.successes == 0
     assert result.mean_per_10k == 0.0
 
 
 def test_hmac_zero_offset(kaby):
     env = pinned_state(kaby, 1, 0, stressor="shift_loop")
-    result = run_hmac_victim(env, 1, 32, 300, runs=3)
+    result = run_hmac_victim(env, 32, 300, runs=3)
     assert result.successes == 0
 
 
@@ -336,13 +310,11 @@ def test_hmac_does_not_depend_on_run_order(kaby, monkeypatch):
     # The -252 mV cell of tests/golden/crash_aborts.json dies partway
     # through a run, so its partial result must not move either.
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
-    edge = copy.copy(state)
-    edge.offset_mv = -252
+    edge = pinned_state(kaby, 1, -252, stressor="listing2", seed=5)
     calls = [
-        lambda: run_hmac_victim(warm, 1, "hmac32", 400, runs=4),
-        lambda: run_hmac_victim(warm, 1, "hmac1k", 100, runs=3),
-        lambda: run_hmac_victim(edge, 1, "hmac32", 200, runs=3),
+        lambda: run_hmac_victim(warm, "hmac32", 400, runs=4),
+        lambda: run_hmac_victim(warm, "hmac1k", 100, runs=3),
+        lambda: run_hmac_victim(edge, "hmac32", 200, runs=3),
     ]
     serial = [_hmac_outcome(call) for call in calls]
     assert serial[2].crashes == 1
@@ -354,7 +326,7 @@ def test_hmac_does_not_depend_on_run_order(kaby, monkeypatch):
 def test_hmac_crash_aborts_with_partial_result(kaby):
     env = pinned_state(kaby, 1, -260, stressor="shift_loop")
     with pytest.raises(AbortedByCrash) as info:
-        run_hmac_victim(env, 1, "hmac32", 5000, runs=5)
+        run_hmac_victim(env, "hmac32", 5000, runs=5)
     partial = info.value.partial
     assert isinstance(partial, CampaignResult)
     assert partial.crashes == 1
@@ -364,15 +336,15 @@ def test_hmac_crash_aborts_with_partial_result(kaby):
 def test_hmac_refuses_a_negative_try_count(kaby):
     env = pinned_state(kaby, 1, -250, stressor="shift_loop")
     with pytest.raises(InvariantError, match="tries is nonnegative"):
-        run_hmac_victim(env, 1, "hmac32", -3, runs=1)
+        run_hmac_victim(env, "hmac32", -3, runs=1)
 
 
 @pytest.mark.parametrize(
     "campaign",
     [
-        lambda env: run_hmac_victim(env, 1, "hmac32", 100, runs=0),
-        lambda env: run_hmac_victim(env, 1, "hmac32", 100, runs=-1),
-        lambda env: run_poc_victim(env, 1, 100, runs=0),
+        lambda env: run_hmac_victim(env, "hmac32", 100, runs=0),
+        lambda env: run_hmac_victim(env, "hmac32", 100, runs=-1),
+        lambda env: run_poc_victim(env, 100, runs=0),
     ],
     ids=["hmac-0", "hmac-minus-1", "poc-0"],
 )
@@ -398,11 +370,11 @@ def test_hmac_campaign_makes_one_lane_pass(kaby, monkeypatch):
     # The warm cell of test_hmac_does_not_depend_on_run_order.
     calls = _count_lane_passes(monkeypatch)
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    run_hmac_victim(warm, 1, "hmac32", 400, runs=4)
+    run_hmac_victim(warm, "hmac32", 400, runs=4)
     assert len(calls) == 1 and calls[0] > 0
     calls.clear()
     idle = pinned_state(kaby, 1, 0, stressor="shift_loop")
-    assert run_hmac_victim(idle, 1, "hmac32", 400, runs=4).successes == 0
+    assert run_hmac_victim(idle, "hmac32", 400, runs=4).successes == 0
     assert calls == []
 
 
@@ -439,7 +411,7 @@ def _lanes_and_scalar(monkeypatch, campaign, payload):
 def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
     result, scalar = _lanes_and_scalar(
-        monkeypatch, lambda: run_hmac_victim(warm, 1, payload, 300, runs=3), payload
+        monkeypatch, lambda: run_hmac_victim(warm, payload, 300, runs=3), payload
     )
     assert result.successes > 0
     assert result.per_run == scalar
@@ -447,11 +419,9 @@ def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
 
 def test_hmac_crashed_campaign_equals_the_scalar_path(kaby, monkeypatch):
     # The -252 mV cell of tests/golden/crash_aborts.json.
-    state, _, _ = setup_system(kaby, "0x1b", 1, "listing2", seed=5)
-    edge = copy.copy(state)
-    edge.offset_mv = -252
+    edge = pinned_state(kaby, 1, -252, stressor="listing2", seed=5)
     partial, scalar = _lanes_and_scalar(
-        monkeypatch, lambda: run_hmac_victim(edge, 1, "hmac32", 300, runs=3), "hmac32"
+        monkeypatch, lambda: run_hmac_victim(edge, "hmac32", 300, runs=3), "hmac32"
     )
     assert partial.crashes == 1 and partial.successes > 0
     assert partial.per_run == scalar
@@ -498,8 +468,8 @@ def test_fault_set_events_are_uniform(kaby, payload, p_event):
 def _campaign_p_event(profile, payload, core):
     env = pinned_state(profile, core, -250, stressor="shift_loop")
     return mean_event_fault_probability(
-        profile, core, env.pstate, hmac_scenario(payload), env.stressor_fault_multiplier,
-        env.nominal_voltage_mv(), float(env.core_temp_c[core]),
+        profile, core, env.pstate, hmac_scenario(payload), env.stressor.fault_multiplier,
+        env.nominal_voltage_mv(), env.temp_c,
     )
 
 
@@ -604,7 +574,7 @@ def test_hmac_run_hands_over_canonical_keys(kaby, payload, monkeypatch):
 
     monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
     env = pinned_state(kaby, 1, -250, stressor="shift_loop", seed=3)
-    run_hmac_victim(env, 1, payload, 1000, runs=1)
+    run_hmac_victim(env, payload, 1000, runs=1)
     assert len(seen) > 100
     ctx = _HMAC_CONTEXTS[payload]
     for key in seen:
