@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -702,6 +703,35 @@ def test_flip_masks_on_random_tables_stay_on_the_table(tables, seed, n):
     (one,) = draw_flip_masks(profile, 1, 1, vrng.stream(seed, "flips"))
     pattern = draw_flip_pattern(profile, 1, 4, vrng.stream(seed, "flips"))
     assert pattern.mask == one and pattern.word_index == 4
+
+
+def _histograms(pairs):
+    """(flips per byte, patterns per bit count) of `(mask, count)` pairs,
+    as the probe folds its faults."""
+    byte_hist, mult_hist = [0] * 16, Counter()
+    for mask, n in pairs:
+        for b in BitFlipPattern.from_mask(0, mask).byte_positions:
+            byte_hist[b] += n
+        mult_hist[mask.bit_count()] += n
+    return byte_hist, mult_hist
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 5_000])
+@pytest.mark.parametrize("name,core", _CORES)
+def test_flip_mask_counts_tally_the_listed_block(name, core, n):
+    # The probe tallies one `draw_flip_masks` block with `Counter`: the
+    # tally holds every listed mask as an int key, folds to the histograms
+    # the list folds to one mask at a time, and the same stream gives it
+    # again and leaves off at the same place.
+    profile = load_profile(name)
+    listed, again = vrng.stream(11 + n, "flips", core), vrng.stream(11 + n, "flips", core)
+    masks = draw_flip_masks(profile, core, n, listed)
+    counts = Counter(masks)
+    assert sum(counts.values()) == n
+    assert all(type(mask) is int and mask > 0 and c > 0 for mask, c in counts.items())
+    assert _histograms(counts.items()) == _histograms((mask, 1) for mask in masks)
+    assert Counter(draw_flip_masks(profile, core, n, again)) == counts
+    assert again.random() == listed.random()
 
 
 # -- flip draws against `Generator.choice`, uniform for uniform ---------------
