@@ -113,6 +113,14 @@ class VoltagePlan(Record):
     def offset_for(self, core: int) -> int:
         return self.chosen_offset_mv[core]
 
+    def check_cores(self, profile: ProcessorProfile) -> None:
+        """Refuse `profile` unless this plan has one entry per core of it."""
+        if len(self.chosen_offset_mv) != profile.physical_cores:
+            raise InvariantError(
+                f"the plan covers {len(self.chosen_offset_mv)} cores, "
+                f"the {profile.name} has {profile.physical_cores}"
+            )
+
     def to_json(self) -> dict:
         return {
             "pstate": self.pstate,
@@ -346,9 +354,11 @@ def phase2_probe_cores(
     planned offset with the stressor of `state`, and tally its faults there
     with `victims.run_probe_victim`.
 
-    The victim is prepared once per call.  Raises AbortedByCrash carrying
-    the partial per-core stats if a probe kills the platform.
+    The victim is prepared once per call.  Raises InvariantError for a
+    plan made for another core count, and AbortedByCrash carrying the
+    partial per-core stats if a probe kills the platform.
     """
+    plan.check_cores(state.profile)
     victim = loop_victim("vp1_xor_kernel")
 
     stats: list[FaultStats] = []
@@ -378,7 +388,9 @@ def phase3_attack(
 ) -> CampaignResult:
     """Run the campaign on the pinned core of `state`, with its stressor, at
     the core's planned offset: `victim` is "poc" (`run_poc_victim`) or an
-    HMAC payload (`run_hmac_victim`)."""
+    HMAC payload (`run_hmac_victim`).  Raises InvariantError for a plan
+    made for another core count."""
+    plan.check_cores(state.profile)
     core = state.core
     env = PlatformState(
         state.profile, plan.pstate, core, plan.offset_for(core), state.stressor, state.seed

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
 from enum import IntEnum
 from importlib import resources
 from typing import NamedTuple
@@ -563,11 +562,6 @@ def mean_crash_probability(
 # to its weight, which is the distribution of `Generator.choice(...,
 # replace=False, p=...)`.  `tests/helpers.reference_flip_pattern` keeps that
 # `choice` call as the distribution oracle.
-#
-# A fault set is `k` distinct events of a run's `n`, uniform.  One integer
-# block draws every set's events with replacement, and a set that hit an
-# event twice redraws the repeat; by the same argument each set is uniform
-# over the `k`-subsets.
 
 # The one-bit masks, shared: most patterns are one bit, and a long block of
 # masks then holds references instead of a fresh int per pattern.
@@ -602,37 +596,6 @@ def draw_flip_masks(
             mask |= _BIT[bisect_right(bit_list, rng.random())]
         masks[i] = mask
     return masks
-
-
-def draw_fault_sets(
-    profile: ProcessorProfile,
-    core: int,
-    stores: Sequence,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-) -> list[tuple]:
-    """Per `k` in `ks`, which `k` of the `stores` fault and their flip masks.
-
-    Each set is a tuple of `(store, mask)` pairs in `stores` order, its
-    stores distinct and uniform over the `k`-subsets.  Draw order: one
-    `integers(0, len(stores), size=sum(ks))` block, the first `ks[0]` for
-    the first set and so on; then, per set that drew a store twice, in
-    order, one integer per repeat until its stores are distinct; then one
-    `draw_flip_masks` block, a mask per store in set order.
-    """
-    ends = np.cumsum(ks).tolist()
-    starts = [0, *ends[:-1]]
-    n = len(stores)
-    picks = rng.integers(0, n, size=ends[-1] if ends else 0).tolist()
-    for i in (ks > 1).nonzero()[0].tolist():
-        start, end = starts[i], ends[i]
-        row = set(picks[start:end])
-        while len(row) < end - start:
-            row.add(int(rng.integers(n)))
-        picks[start:end] = sorted(row)
-    masks = draw_flip_masks(profile, core, len(picks), rng)
-    pairs = list(zip(map(stores.__getitem__, picks), masks))
-    return [tuple(pairs[start:end]) for start, end in zip(starts, ends)]
 
 
 def draw_flip_pattern(

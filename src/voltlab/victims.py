@@ -38,7 +38,6 @@ from .processor import (
     CrashKind,
     ProcessorProfile,
     draw_crash_kind,
-    draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
     mean_crash_probability,
@@ -647,35 +646,19 @@ class CampaignResult(Record):
 
 
 def _hmac_single_run(
-    ctx: HmacContext,
-    profile: ProcessorProfile,
-    core: int,
-    p_event: float,
-    c_try: float,
-    tries: int,
-    rng: np.random.Generator,
-) -> tuple[list[tuple], int, bool]:
-    """(keys, tries_completed, crashed) for one run of the validator: the
-    draw half of the run, with the fault key of each faulted try in try
-    order.  No MAC is computed here; `run_hmac_victim` recomputes the
-    campaign's faulted MACs once every run is drawn.
+    total_events: int, p_event: float, c_try: float, tries: int, rng: np.random.Generator
+) -> tuple[int, int, bool]:
+    """(successes, tries_completed, crashed) for one run of the validator.
 
-    Per try, the number of faulted compression stores is Binomial(E, p);
-    the faulted stores are drawn without replacement and each gets a flip
-    pattern from the core's tables.  Draw order: the per-try binomial
-    block, the crash geometric, then one `draw_fault_sets` call for the
-    completed faulted tries in try order.
-
-    Each fault set is returned as its canonical key: `ctx.stores` lists
-    the (block, event) pairs in `_fault_key`'s order, and every flip mask
-    is nonzero within 128 bits.
+    Per try, the number of faulted compression stores is
+    Binomial(`total_events`, `p_event`), and a try succeeds when that
+    number is nonzero (see `run_hmac_victim`), so which stores fault, and
+    with what masks, is never drawn.  Draw order: the per-try binomial
+    block, then the crash geometric.
     """
-    total = ctx.total_events
-    ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
+    ks = rng.binomial(total_events, p_event, size=tries) if p_event > 0.0 else np.zeros(tries)
     completed = _tries_before_crash(rng, c_try, tries)
-    ks = ks[:completed]
-    keys = draw_fault_sets(profile, core, ctx.stores, ks[ks > 0], rng)
-    return keys, completed, completed < tries
+    return int(np.count_nonzero(ks[:completed])), completed, completed < tries
 
 
 def run_hmac_victim(
@@ -684,60 +667,52 @@ def run_hmac_victim(
     """Mean successes per 10k tries and sigma across `runs` runs of the
     HMAC validator on the pinned core of `env`.
 
+    The exposure is the validator's compression stores
+    (`HmacContext.total_events`).  A try succeeds when at least one of them
+    faults: the victim always validates the same MAC, and every nonempty
+    fault set changes it.  A single faulted store always changes its
+    block's output, and past that block only a SHA-256 collision could undo
+    the change (see `sha256sim`).  A set of two or more stores could in
+    principle cancel, as a SHA-256 local collision; for those the premise
+    rests on a grid test that recomputes the faulted MACs, not on a proof.
+    So the verdict is closed form, and no fault set or MAC is computed.
+
     Each run owns an independent RNG substream keyed by `env.seed` and its
     index, so the aggregate does not depend on the order runs execute in.
-    Every run's draws come first (`_hmac_single_run`); then one lane pass
-    (`HmacContext.macs_with_keys`) recomputes each distinct faulted MAC of
-    the whole campaign once, and a try succeeds when its MAC no longer
-    validates.  Recomputed MACs as numpy lanes are held equal to the scalar
-    reference `mac_with_faults` by tests; no MAC feeds back into a draw, so
-    the seeded streams are as they were.  Raises AbortedByCrash carrying
-    the partial CampaignResult if any run crashes; runs after the first
-    crashed one are not started, because the simulated machine is gone.
+    Raises AbortedByCrash carrying the partial CampaignResult if any run
+    crashes; runs after the first crashed one are not started, because the
+    simulated machine is gone.
     """
     if tries < 0:
         raise InvariantError("tries is nonnegative")
     payload = payload_name(payload_size)
     scenario = hmac_scenario(payload)
     core = env.core
-    ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
-    p_event, _, g = pinned_rates(env, ctx.total_events, scenario)
+    total = HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
+    p_event, _, g = pinned_rates(env, total, scenario)
     # One slice per compression store, plus the undervolt guard margin on
     # both sides of the fault-prone window.
-    c_try = _any_of(g, ctx.total_events + 2 * GUARD_SLICES)
+    c_try = _any_of(g, total + 2 * GUARD_SLICES)
 
-    def one(run_index: int):
+    def one(run_index: int) -> tuple[int, int, bool]:
         gen = rngmod.stream(env.seed, "hmac", payload, core, run_index)
-        return _hmac_single_run(ctx, env.profile, core, p_event, c_try, tries, gen)
+        return _hmac_single_run(total, p_event, c_try, tries, gen)
 
-    def successes(drawn: list[list[tuple]]) -> list[int]:
-        macs = ctx.macs_with_keys([key for keys in drawn for key in keys])
-        faulty = (mac != ctx.clean_mac for mac in macs)
-        return [sum(itertools.islice(faulty, len(keys))) for keys in drawn]
-
-    return _campaign_runs(one, runs, core, scenario, successes)
+    return _campaign_runs(one, runs, core, scenario)
 
 
-def _campaign_runs(one, runs: int, core: int, scenario: str, successes=None) -> CampaignResult:
-    """Run `one(run_index) -> (outcome, tries_completed, crashed)` for each
-    run in index order, up to and including the first crashed run, then
-    aggregate.  A run's success count is its outcome, or, given
-    `successes`, its entry in `successes(outcomes)`, one call over the
-    runs drawn.  A crashed run raises AbortedByCrash carrying the runs up
-    to and including it; no later run starts."""
+def _campaign_runs(one, runs: int, core: int, scenario: str) -> CampaignResult:
+    """Run `one(run_index) -> (successes, tries_completed, crashed)` for
+    each run in index order, up to and including the first crashed run,
+    then aggregate.  A crashed run raises AbortedByCrash carrying the runs
+    up to and including it; no later run starts."""
     if runs < 1:
         raise InvariantError("a campaign makes at least one run")
-    drawn = []
+    per_run = []
     for r in range(runs):
-        drawn.append(one(r))
-        if drawn[-1][2]:
-            break
-    outcomes = [outcome for outcome, _, _ in drawn]
-    counts = successes(outcomes) if successes else outcomes
-    per_run = [(s, completed) for s, (_, completed, _) in zip(counts, drawn)]
-    if drawn and drawn[-1][2]:
-        partial = CampaignResult.from_runs(core, scenario, per_run, crashes=1)
-        raise AbortedByCrash(
-            f"platform crashed during run {len(drawn) - 1} of {runs}", partial=partial
-        )
+        successes, completed, crashed = one(r)
+        per_run.append((successes, completed))
+        if crashed:
+            partial = CampaignResult.from_runs(core, scenario, per_run, crashes=1)
+            raise AbortedByCrash(f"platform crashed during run {r} of {runs}", partial=partial)
     return CampaignResult.from_runs(core, scenario, per_run)

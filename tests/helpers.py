@@ -15,6 +15,7 @@ from voltlab.orchestrator import (
     _STABILITY_PROGRAM,
 )
 from voltlab.processor import BitFlipPattern, normalize_pstate
+from voltlab.sha256sim import EVENTS_PER_BLOCK
 from voltlab.victims import (
     LoopVictim,
     PlatformState,
@@ -83,7 +84,7 @@ def reference_flip_pattern(profile, core, word_index, rng):
 
 def reference_hmac_detail(ctx, profile, core, ks, rng):
     """The fault sets of one HMAC run by `Generator.choice`: the
-    distribution oracle of `victims._hmac_single_run`'s detail draws.
+    distribution oracle of `hmac_reference.draw_fault_sets`.
 
     For each completed try's fault count in `ks`, in try order: one
     `choice` of the faulted events, then one `reference_flip_pattern` per
@@ -97,7 +98,7 @@ def reference_hmac_detail(ctx, profile, core, ks, rng):
         chosen = rng.choice(ctx.total_events, size=k, replace=False)
         faults = {}
         for g in sorted(int(x) for x in chosen):
-            block, event = ctx.stores[g]
+            block, event = divmod(g, EVENTS_PER_BLOCK)
             faults[(block, event)] = reference_flip_pattern(profile, core, event, rng).mask
         keys.append(ctx._fault_key(faults))
     return keys
@@ -264,13 +265,13 @@ def run_campaigns_out_of_order(monkeypatch, seed=0):
     """
     real = victims._campaign_runs
 
-    def out_of_order(one, runs, core, scenario, successes=None):
+    def out_of_order(one, runs, core, scenario):
         indexes = list(range(runs))[::-1]
         first = {r: one(r) for r in indexes}
         random.Random(seed).shuffle(indexes)
         second = {r: one(r) for r in indexes}
         assert first == second, "a run's outcome depends on which runs came before it"
-        return real(first.__getitem__, runs, core, scenario, successes)
+        return real(first.__getitem__, runs, core, scenario)
 
     monkeypatch.setattr(victims, "_campaign_runs", out_of_order)
 

@@ -43,7 +43,7 @@ from voltlab.processor import (
     load_profile,
 )
 from voltlab.scanner import PatternHit, PatternKind, scan
-from voltlab.sha256sim import HmacContext, hmac_sha256
+from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext, hmac_sha256
 
 from helpers import random_program_text
 from slice_reference import scan_brute
@@ -288,7 +288,7 @@ def test_ac10_hmac_vectors_and_flip_sensitivity():
     for _ in range(1000):
         g = int(gen.integers(ctx.total_events))
         bit = int(gen.integers(128))
-        mac = ctx.mac_with_faults({ctx.stores[g]: 1 << bit})
+        mac = ctx.mac_with_faults({divmod(g, EVENTS_PER_BLOCK): 1 << bit})
         changed += mac != ctx.clean_mac
     assert changed == 1000, f"{1000 - changed} single-bit flips left the MAC intact"
     print("AC10 PASS standard vectors match, 1000/1000 single-bit flips change the MAC")

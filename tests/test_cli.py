@@ -479,6 +479,18 @@ def test_codec_and_scan_commands_start_without_numpy(argv):
     assert "dataclasses" not in loaded
 
 
+def test_sha256sim_imports_without_numpy():
+    loaded = _fresh_modules(
+        "import hashlib, hmac",
+        "from voltlab.sha256sim import hmac_sha256, sha256",
+        "for key, msg in ((b'', b''), (b'k' * 100, b'm' * 1000)):",
+        "    assert hmac_sha256(key, msg) == hmac.new(key, msg, 'sha256').digest()",
+        "    assert sha256(msg) == hashlib.sha256(msg).digest()",
+    )
+    assert "voltlab.sha256sim" in loaded
+    assert "numpy" not in loaded
+
+
 def test_poc_campaign_does_not_load_mca():
     loaded = _cli_modules(
         "campaign", "--profile", "i7-7700k", "--victim", "poc", "--core", "1",

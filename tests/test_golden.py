@@ -19,9 +19,10 @@ from voltlab import rng
 from voltlab.errors import AbortedByCrash
 from voltlab.orchestrator import VoltagePlan, phase2_probe_cores, phase3_attack, setup_system
 from voltlab.sha256sim import HmacContext
-from voltlab.victims import PlatformState, run_hmac_victim
+from voltlab.victims import HMAC_KEY, PlatformState, _payload_bytes, run_hmac_victim
 
 from helpers import run_poc_under
+from hmac_reference import record_hmac_runs, replay_fault_sets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,20 +84,17 @@ HMAC32_FAULT_SETS_SHA256 = "0aa4fcf198b35c1f6883d5772e52f03b03edad55d68cd29bd642
 
 
 def test_hmac_fault_sets_match_golden_digest(monkeypatch):
-    # The HMAC golden files count faulty MACs, and any nonzero flip makes
-    # one; this pins which events each faulted try hit, and with what mask.
-    # The run hands its fault sets to the lanes as canonical keys.
-    seen = []
-    real = HmacContext.macs_with_keys
-
-    def recording(self, keys):
-        seen.extend(keys)
-        return real(self, keys)
-
-    monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
+    # The HMAC golden files count faulted tries, and every nonempty fault
+    # set changes the MAC.  The run itself draws no fault set: the oracle
+    # draws them on from where the run's binomial block and crash geometric
+    # leave its stream, and this pins which events each faulted try hit,
+    # and with what mask.
+    runs = record_hmac_runs(monkeypatch)
     state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=7)
     env = PlatformState(state.profile, state.pstate, state.core, -250, state.stressor, state.seed)
     run_hmac_victim(env, "hmac32", 2000, runs=1)
-    assert len(seen) > 300
-    blob = json.dumps([sorted([b, e, m] for (b, e), m in key) for key in seen])
+    (run,) = runs
+    keys, _ = replay_fault_sets(HmacContext(HMAC_KEY, _payload_bytes("hmac32")), env, run)
+    assert len(keys) > 300
+    blob = json.dumps([sorted([b, e, m] for (b, e), m in key) for key in keys])
     assert hashlib.sha256(blob.encode()).hexdigest() == HMAC32_FAULT_SETS_SHA256

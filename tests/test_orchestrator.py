@@ -469,6 +469,22 @@ def test_phase3_rejects_a_plan_at_an_unknown_pstate():
         phase3_attack(state, plan, "hmac32")
 
 
+@pytest.mark.parametrize(
+    "phase",
+    [
+        lambda state, plan: phase2_probe_cores(state, plan, tries_per_core=100),
+        lambda state, plan: phase3_attack(state, plan, "hmac32", 1, 100),
+    ],
+    ids=["phase2", "phase3"],
+)
+def test_phases_refuse_a_plan_for_another_core_count(phase):
+    # A one-core plan against the four-core i7-7700K, the victim on core 1.
+    state, _ = _kaby_attack_setup()
+    short = VoltagePlan("0x1b", (0.7,), (-250,))
+    with pytest.raises(InvariantError, match="the plan covers 1 cores, the .* has 4"):
+        phase(state, short)
+
+
 def test_phase3_crash_aborts_with_partial_result():
     state, _ = _kaby_attack_setup()
     doomed = VoltagePlan("0x1b", (0.7, 0.71, 0.705, 0.705), (-500, -500, -500, -500))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from helpers import goodness_of_fit_p, reference_flip_pattern, two_sample_p
+from hmac_reference import draw_fault_sets
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
@@ -31,7 +32,6 @@ from voltlab.processor import (
     crash_kind_weights,
     crash_probability_per_slice,
     draw_crash_kind,
-    draw_fault_sets,
     draw_flip_masks,
     draw_flip_pattern,
     effective_window_top_mv,
@@ -899,8 +899,8 @@ _POPULATIONS = [1, 2, 3, 4, 5, 56, 280, 10_000]
 @pytest.mark.parametrize("n", _POPULATIONS)
 def test_choice_replays_floyd_and_the_shuffle(n, kaby):
     # `choice(n, k, replace=False)` is Floyd's walk and a shuffle: a uniform
-    # `k`-subset in random order.  `draw_fault_sets` draws the same subsets,
-    # in stores order; `k == n` takes every store.
+    # `k`-subset in random order.  The oracle `draw_fault_sets` draws the
+    # same subsets, in stores order; `k == n` takes every store.
     gen = vrng.stream(n, "floyd")
     for k in sorted({0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 300) + 1))):
         reps = max(4, 4_000 // max(k, 1))

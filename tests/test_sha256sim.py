@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmac_reference
+from hmac_reference import macs_with_keys, store_events
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError
 from voltlab.sha256sim import (
@@ -83,10 +85,10 @@ def test_context_geometry():
     big = HmacContext(b"k" * 32, b"m" * 1024)
     assert big.total_blocks == 20
     assert big.total_events == 280
-    assert small.stores[0] == (0, 0)
-    assert small.stores[-1] == (3, 13)
+    assert store_events(small)[0] == (0, 0)
+    assert store_events(small)[-1] == (3, 13)
     for ctx in (small, big):
-        assert ctx.stores == tuple(
+        assert store_events(ctx) == tuple(
             (block, event) for block in range(ctx.total_blocks) for event in range(EVENTS_PER_BLOCK)
         )
 
@@ -159,8 +161,9 @@ def test_fault_validation():
         compress((0,) * 8, b"\x00" * 63)
 
 
-# Key and message lengths for the lane tests: a key longer than a block is
-# hashed first, and the message lengths sit on the padding edges.
+# The lane pass of tests/hmac_reference.py, held to the scalar path.  Key
+# and message lengths: a key longer than a block is hashed first, and the
+# message lengths sit on the padding edges.
 KEY_LENGTHS = (0, 20, 64, 131)
 MESSAGE_LENGTHS = (0, 55, 56, 64, 119, 1024)
 
@@ -178,7 +181,7 @@ def _scalar_macs(ctx: HmacContext, fault_sets) -> list[bytes]:
 
 
 def _lane_macs(ctx: HmacContext, fault_sets) -> list[bytes]:
-    return ctx.macs_with_keys([ctx._fault_key(f) for f in fault_sets])
+    return macs_with_keys(ctx, [ctx._fault_key(f) for f in fault_sets])
 
 
 @st.composite
@@ -234,19 +237,19 @@ def test_lane_fault_validation():
 
 def test_macs_with_keys_makes_one_pass_over_the_distinct_faulted_keys(monkeypatch):
     ctx = HmacContext(b"c" * 32, b"d" * 32)
-    lane_macs, passes = HmacContext._lane_macs, []
+    lane_macs, passes = hmac_reference._lane_macs, []
 
-    def recording(self, keys):
+    def recording(ctx, keys):
         passes.append(list(keys))
-        return lane_macs(self, keys)
+        return lane_macs(ctx, keys)
 
-    monkeypatch.setattr(HmacContext, "_lane_macs", recording)
+    monkeypatch.setattr(hmac_reference, "_lane_macs", recording)
     a, b = ctx._fault_key({(1, 4): 1 << 9}), ctx._fault_key({(3, 12): 1 << 70})
-    macs = ctx.macs_with_keys([a, (), b, a, (), b, a])
+    macs = macs_with_keys(ctx, [a, (), b, a, (), b, a])
     assert passes == [[a, b]]
     assert macs == [ctx.mac_with_faults(dict(k)) for k in (a, (), b, a, (), b, a)]
     assert macs[1] == macs[4] == ctx.clean_mac
     passes.clear()
-    assert ctx.macs_with_keys([(), ()]) == [ctx.clean_mac] * 2
-    assert ctx.macs_with_keys([]) == []
+    assert macs_with_keys(ctx, [(), ()]) == [ctx.clean_mac] * 2
+    assert macs_with_keys(ctx, []) == []
     assert passes == []

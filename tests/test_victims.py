@@ -1,5 +1,6 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from voltlab.errors import (
     UnknownStressor,
 )
 from voltlab.isa import interpret
+from voltlab.orchestrator import phase1_find_window
 from voltlab.processor import CrashKind, load_profile, mean_event_fault_probability
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
@@ -29,13 +31,13 @@ from voltlab.victims import (
     PlatformState,
     RunOutcome,
     RunStatus,
-    _hmac_single_run,
     _payload_bytes,
     _tries_before_crash,
     hmac_scenario,
     loop_victim,
     memory_diff,
     payload_name,
+    pinned_rates,
     poc_victim,
     run_hmac_victim,
     run_poc_victim,
@@ -50,6 +52,14 @@ from helpers import (
     run_loop_under,
     run_poc_under,
     two_sample_p,
+)
+from hmac_reference import (
+    draw_fault_sets,
+    hmac_fault_sets,
+    macs_with_keys,
+    record_hmac_runs,
+    replay_fault_sets,
+    store_events,
 )
 
 
@@ -354,64 +364,42 @@ def test_campaigns_refuse_fewer_than_one_run(kaby, campaign):
         campaign(env)
 
 
-def _count_lane_passes(monkeypatch) -> list:
-    calls = []
-    real = HmacContext._lane_macs
+def test_hmac_campaign_draws_no_fault_set(kaby, monkeypatch):
+    # The warm cell of test_hmac_does_not_depend_on_run_order.  A try's
+    # verdict is whether its fault set is nonempty, so no flip mask is
+    # drawn and no faulted MAC computed.
+    def forbidden(*args):
+        raise AssertionError("an HMAC campaign drew a flip mask or recomputed a MAC")
 
-    def counting(self, keys):
-        calls.append(len(keys))
-        return real(self, keys)
-
-    monkeypatch.setattr(HmacContext, "_lane_macs", counting)
-    return calls
-
-
-def test_hmac_campaign_makes_one_lane_pass(kaby, monkeypatch):
-    # The warm cell of test_hmac_does_not_depend_on_run_order.
-    calls = _count_lane_passes(monkeypatch)
+    for target in (processor, victims):
+        monkeypatch.setattr(target, "draw_flip_masks", forbidden)
+    monkeypatch.setattr(HmacContext, "mac_with_faults", forbidden)
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    run_hmac_victim(warm, "hmac32", 400, runs=4)
-    assert len(calls) == 1 and calls[0] > 0
-    calls.clear()
+    assert run_hmac_victim(warm, "hmac32", 400, runs=4).successes > 0
     idle = pinned_state(kaby, 1, 0, stressor="shift_loop")
     assert run_hmac_victim(idle, "hmac32", 400, runs=4).successes == 0
-    assert calls == []
 
 
-def _lanes_and_scalar(monkeypatch, campaign, payload):
+def _closed_form_and_scalar(monkeypatch, campaign, env, payload):
     """`campaign()`'s per-run (successes, tries), partial on a crash, and
-    the same from the scalar `mac_with_faults` over the keys the campaign
-    handed to its one lane pass, on a fresh context with an empty memo."""
-    handed, drawn = [], []
-    real_macs, real_run = HmacContext.macs_with_keys, victims._hmac_single_run
-
-    def recording(self, keys):
-        handed.extend(keys)
-        return real_macs(self, keys)
-
-    def counting(*args):
-        keys, completed, crashed = real_run(*args)
-        drawn.append((len(keys), completed))
-        return keys, completed, crashed
-
-    monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
-    monkeypatch.setattr(victims, "_hmac_single_run", counting)
+    the same from the scalar `mac_with_faults` over each run's fault sets,
+    drawn by the oracle on from where the run left its stream."""
+    runs = record_hmac_runs(monkeypatch)
     result = _hmac_outcome(campaign)
-    assert len(handed) == sum(n for n, _ in drawn)
     ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
-    per_run, at = [], 0
-    for n, completed in drawn:
-        run = handed[at : at + n]
-        per_run.append((sum(ctx.mac_with_faults(dict(k)) != ctx.clean_mac for k in run), completed))
-        at += n
+    per_run = []
+    for run in runs:
+        keys, completed = replay_fault_sets(ctx, env, run)
+        faulty = sum(ctx.mac_with_faults(dict(k)) != ctx.clean_mac for k in keys)
+        per_run.append((faulty, completed))
     return result, tuple(per_run)
 
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
 def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    result, scalar = _lanes_and_scalar(
-        monkeypatch, lambda: run_hmac_victim(warm, payload, 300, runs=3), payload
+    result, scalar = _closed_form_and_scalar(
+        monkeypatch, lambda: run_hmac_victim(warm, payload, 300, runs=3), warm, payload
     )
     assert result.successes > 0
     assert result.per_run == scalar
@@ -420,8 +408,8 @@ def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
 def test_hmac_crashed_campaign_equals_the_scalar_path(kaby, monkeypatch):
     # The -252 mV cell of tests/golden/crash_aborts.json.
     edge = pinned_state(kaby, 1, -252, stressor="listing2", seed=5)
-    partial, scalar = _lanes_and_scalar(
-        monkeypatch, lambda: run_hmac_victim(edge, "hmac32", 300, runs=3), "hmac32"
+    partial, scalar = _closed_form_and_scalar(
+        monkeypatch, lambda: run_hmac_victim(edge, "hmac32", 300, runs=3), edge, "hmac32"
     )
     assert partial.crashes == 1 and partial.successes > 0
     assert partial.per_run == scalar
@@ -432,6 +420,54 @@ _HMAC_CONTEXTS = {
 }
 
 
+# -- the premise of the closed-form verdict: every nonempty set changes the MAC
+
+
+def _premise_cells():
+    """(profile, core, payload, p_event) for every bundled profile, core
+    and payload: at the p_event of a campaign at the core's planned offset
+    (listing2 on the sibling thread, pstate the profile's default), and at
+    0.05, where most sets hold several stores."""
+    for name in processor.bundled_profile_names():
+        profile = load_profile(name)
+        pstate = profile.default_attack_pstate
+        plan = phase1_find_window(profile, "vp1_xor_kernel", pstate, seed=0)
+        for core in range(profile.physical_cores):
+            env = PlatformState(
+                profile, pstate, core, plan.offset_for(core), stressor_profile("listing2")
+            )
+            for payload, ctx in _HMAC_CONTEXTS.items():
+                p_event = pinned_rates(env, ctx.total_events, hmac_scenario(payload))[0]
+                yield profile, core, payload, p_event
+                yield profile, core, payload, 0.05
+
+
+def test_no_drawn_fault_set_leaves_the_mac_valid():
+    # A single faulted store changes its block's output by construction
+    # (see `sha256sim`); two or more could in principle cancel.  About
+    # 1000 nonempty sets per cell, drawn as a campaign would draw them,
+    # and every one recomputed.
+    drawn = {payload: [] for payload in _HMAC_CONTEXTS}
+    for i, (profile, core, payload, p_event) in enumerate(_premise_cells()):
+        if p_event == 0.0:
+            continue
+        ctx = _HMAC_CONTEXTS[payload]
+        gen = vrng.stream(i, "premise", payload)
+        faulted = -math.expm1(ctx.total_events * math.log1p(-p_event))
+        ks = gen.binomial(ctx.total_events, p_event, size=min(math.ceil(1000 / faulted), 10**6))
+        drawn[payload] += draw_fault_sets(profile, core, store_events(ctx), ks[ks > 0], gen)
+    for payload, keys in drawn.items():
+        ctx = _HMAC_CONTEXTS[payload]
+        assert sum(len(key) > 1 for key in keys) > 10_000
+        assert ctx.clean_mac not in macs_with_keys(ctx, keys)
+
+
+def test_every_single_bit_mask_at_every_store_changes_the_mac():
+    for payload, ctx in _HMAC_CONTEXTS.items():
+        keys = [((store, 1 << bit),) for store in store_events(ctx) for bit in range(128)]
+        assert ctx.clean_mac not in macs_with_keys(ctx, keys)
+
+
 ALPHA = 1e-4
 
 
@@ -439,7 +475,7 @@ def _fault_sets(profile, payload, p_event, tries, seed):
     """One run's fault sets as sorted global event lists, and the per-try
     fault counts its binomial block drew, read from a twin generator."""
     ctx = _HMAC_CONTEXTS[payload]
-    keys, completed, _ = _hmac_single_run(
+    keys, completed, _ = hmac_fault_sets(
         ctx, profile, 1, p_event, 0.0, tries, vrng.stream(seed, "fault-sets", payload)
     )
     assert completed == tries
@@ -474,7 +510,7 @@ def _campaign_p_event(profile, payload, core):
 
 
 def _hmac_run_against_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
-    """One `_hmac_single_run` and `reference_hmac_detail` from one seed.
+    """One `hmac_fault_sets` and `reference_hmac_detail` from one seed.
 
     The per-try fault counts and the crash geometric are drawn word for
     word alike, so the tries completed, the crash flag and each set's size
@@ -490,7 +526,7 @@ def _hmac_run_against_oracle(profile, payload, core, p_event, seed, tries, half=
         for gen in (ours, theirs):
             gen.integers(0, 9, dtype=np.uint32)
         assert ours.bit_generator.state["has_uint32"] == 1
-    keys, completed, crashed = _hmac_single_run(ctx, profile, core, p_event, c_try, tries, ours)
+    keys, completed, crashed = hmac_fault_sets(ctx, profile, core, p_event, c_try, tries, ours)
     total = ctx.total_events
     ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
     assert completed == _tries_before_crash(theirs, c_try, tries)
@@ -563,21 +599,17 @@ def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, see
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
 def test_hmac_run_hands_over_canonical_keys(kaby, payload, monkeypatch):
-    # The run builds each fault set's key itself, unchecked; `_fault_key`
-    # of the same set must give back exactly that key.
-    seen = []
-    real = HmacContext.macs_with_keys
-
-    def recording(self, keys):
-        seen.extend(keys)
-        return real(self, keys)
-
-    monkeypatch.setattr(HmacContext, "macs_with_keys", recording)
+    # The oracle builds each fault set's key itself, unchecked, and the
+    # lane pass takes it so; `_fault_key` of the same set must give back
+    # exactly that key.
+    runs = record_hmac_runs(monkeypatch)
     env = pinned_state(kaby, 1, -250, stressor="shift_loop", seed=3)
     run_hmac_victim(env, payload, 1000, runs=1)
-    assert len(seen) > 100
     ctx = _HMAC_CONTEXTS[payload]
-    for key in seen:
+    (run,) = runs
+    keys, _ = replay_fault_sets(ctx, env, run)
+    assert len(keys) > 100
+    for key in keys:
         assert type(key) is tuple
         assert ctx._fault_key(dict(key)) == key
 
