@@ -238,14 +238,7 @@ def _add_probe_flags(sub) -> None:
     sub.add_argument("--stressor", default="listing2", choices=_STRESSOR_CHOICES)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="voltlab",
-        description="Deterministic undervolting-fault laboratory",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    enc = subs.add_parser("encode-msr", help="assemble a voltage mailbox word")
+def _encode_arguments(enc) -> None:
     enc.add_argument("--domain", default="cores", choices=sorted(_DOMAINS))
     enc.add_argument("--op", default="write", choices=sorted(_OPS))
     value = enc.add_mutually_exclusive_group(required=True)
@@ -254,20 +247,24 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--json", action="store_true")
     enc.set_defaults(run=_cmd_encode)
 
-    dec = subs.add_parser("decode-msr", help="break a mailbox word into fields")
+
+def _decode_arguments(dec) -> None:
     dec.add_argument("word", help="hexadecimal 64-bit word")
     dec.add_argument("--json", action="store_true")
     dec.set_defaults(run=_cmd_decode)
 
-    sc = subs.add_parser("scan", help="find susceptible op/store patterns")
+
+def _scan_arguments(sc) -> None:
     sc.add_argument("program", help="bundled program name or .s path")
     sc.set_defaults(run=_cmd_scan)
 
-    pr = subs.add_parser("probe", help="find the window, then probe each core")
+
+def _probe_arguments(pr) -> None:
     _add_probe_flags(pr)
     pr.set_defaults(run=_cmd_probe)
 
-    ca = subs.add_parser("campaign", help="run the three-phase attack")
+
+def _campaign_arguments(ca) -> None:
     ca.add_argument("--profile", required=True)
     ca.add_argument("--victim", required=True, choices=["poc", "hmac32", "hmac1k"])
     ca.add_argument("--core", type=int, required=True)
@@ -283,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--csv", default=None, help="also write a one-row summary table")
     ca.set_defaults(run=_cmd_campaign)
 
-    rep = subs.add_parser("report", help="render probe data as CSV")
+
+def _report_arguments(rep) -> None:
     what = rep.add_subparsers(dest="what", required=True)
     heat = what.add_parser("heatmap", help="fault counts per byte lane, one row per core")
     _add_probe_flags(heat)
@@ -292,11 +290,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_probe_flags(mult)
     mult.set_defaults(run=_cmd_report)
 
+
+# Subcommand name -> (help line, function adding its arguments), in the
+# order `--help` lists them.
+_COMMANDS = {
+    "encode-msr": ("assemble a voltage mailbox word", _encode_arguments),
+    "decode-msr": ("break a mailbox word into fields", _decode_arguments),
+    "scan": ("find susceptible op/store patterns", _scan_arguments),
+    "probe": ("find the window, then probe each core", _probe_arguments),
+    "campaign": ("run the three-phase attack", _campaign_arguments),
+    "report": ("render probe data as CSV", _report_arguments),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line; arguments for `command` only,
+    or for all of them when `command` is None."""
+    parser = argparse.ArgumentParser(
+        prog="voltlab",
+        description="Deterministic undervolting-fault laboratory",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A leading command name sends every later word to that command's
+    # parser alone, so the others need no arguments; any other first word
+    # (none, `--help`, an unknown name) gets the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.run(args)
     except AbortedByCrash as abort:

@@ -28,6 +28,7 @@ import json
 import sys
 from bisect import bisect_right
 from enum import IntEnum
+from functools import cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -617,10 +618,15 @@ def crash_kind_weights(ratio: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+@cache
+def _crash_kind_cdf(ratio: int) -> tuple[float, ...]:
+    """`_cdf(crash_kind_weights(ratio))` as a tuple, built once per ratio."""
+    return tuple(_cdf(crash_kind_weights(ratio)).tolist())
+
+
 def draw_crash_kind(ratio: int, rng: np.random.Generator) -> CrashKind:
     """Which way the platform dies at this ratio: one weighted draw."""
-    cdf = _cdf(crash_kind_weights(ratio))
-    return CrashKind(int(cdf.searchsorted(rng.random(), side="right")))
+    return CrashKind(bisect_right(_crash_kind_cdf(ratio), rng.random()))
 
 
 def crash_probability_per_slice(

@@ -291,6 +291,40 @@ def test_count_flags_must_be_positive(capsys, command, flag, value):
     assert f"argument {flag}: must be in 1..={limit}, not {value}" in err
 
 
+def _exit_and_output(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exit_info:
+        code = exit_info.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["report", "heatmap", "--help"],
+        ["report", "multiplicity", "--help"],
+        [],
+        ["no-such-command"],
+        ["probe"],
+        ["report"],
+        ["encode-msr", "--offset-mv", "-5", "--static-units", "9"],
+        ["decode-msr", "0x80000011F3800000", "--json", "--stray"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # `main` adds arguments only to the command it was given; the output
+    # and exit code must be those of the parser with every command built.
+    ours = _exit_and_output(capsys, argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command: build(None))
+    assert ours == _exit_and_output(capsys, argv)
+
+
 def _one_core_profile(raw):
     raw["physical_cores"] = 1
     raw["byte_affinity"] = raw["byte_affinity"][:1]

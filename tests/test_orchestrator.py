@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import voltlab.orchestrator as orchestrator
@@ -234,6 +235,35 @@ def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch)
     for pstate in KABY.pstates:
         phase1_find_window(KABY, pstate=pstate, start_offset_mv=100, seed=3)
     assert quiet and max(quiet.values()) <= 1, quiet
+
+
+@pytest.mark.parametrize(
+    "profile, quiet",
+    [*((load_profile(name), False) for name in bundled_profile_names()), (_quiet_profile(), True)],
+    ids=[*bundled_profile_names(), "quiet"],
+)
+def test_phase1_builds_at_most_one_generator_per_call(monkeypatch, profile, quiet):
+    # One Philox per search, re-keyed at each later running level; none
+    # when every level is stepped over.
+    counts = Counter()
+    philox, run_test_loop = np.random.Philox, orchestrator.run_test_loop
+
+    def building(*args, **kwargs):
+        counts["philox"] += 1
+        return philox(*args, **kwargs)
+
+    def running(*args):
+        counts["levels"] += 1
+        return run_test_loop(*args)
+
+    monkeypatch.setattr(np.random, "Philox", building)
+    monkeypatch.setattr(orchestrator, "run_test_loop", running)
+    for pstate in profile.pstates:
+        counts.clear()
+        _plan_or_error(phase1_find_window, profile, pstate=pstate, seed=7)
+        assert counts["philox"] == min(counts["levels"], 1), (profile.name, pstate, counts)
+        # Bundled cells re-key at least once; the quiet profile runs no level.
+        assert counts["levels"] == 0 if quiet else counts["levels"] > 1, (pstate, counts)
 
 
 def _count_geometry_builds(monkeypatch) -> Counter:

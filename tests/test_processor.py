@@ -934,13 +934,26 @@ def test_hmac_populations_are_floyd_sized():
     assert set(totals.values()) <= set(_POPULATIONS)
 
 
-@pytest.mark.parametrize("ratio", [8, 16, 27, 32, 36, 42])
+_BUNDLED_RATIOS = sorted(
+    {
+        profile.pstate_point(pstate).ratio
+        for profile in map(load_profile, bundled_profile_names())
+        for pstate in profile.pstates
+    }
+)
+
+
+@pytest.mark.parametrize("ratio", _BUNDLED_RATIOS)
 def test_crash_kind_draw_replays_choice(ratio):
     ours, theirs = vrng.stream(16, "kind"), vrng.stream(16, "kind")
     for _ in range(500):
         expected = CrashKind(int(theirs.choice(3, p=crash_kind_weights(ratio))))
         assert draw_crash_kind(ratio, ours) == expected
     np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    # The draw reads a CDF built once per ratio, equal to the one `choice` builds.
+    cdf = processor._crash_kind_cdf(ratio)
+    assert isinstance(cdf, tuple) and processor._crash_kind_cdf(ratio) is cdf
+    assert cdf == tuple(processor._cdf(crash_kind_weights(ratio)))
 
 
 # -- crash process ---------------------------------------------------------------
