@@ -212,8 +212,8 @@ def _cmd_report(args) -> int:
 _STRESSOR_CHOICES = ("listing2", "twofish", "none", "shift_loop", "twofish_avx")
 
 
-# Upper bounds on the count flags.  A run holds a few numpy arrays of
-# `--tries` entries, and runs execute one after another.
+# Upper bounds on the count flags, which come from outside the program.  A
+# campaign run costs the same at any `--tries`; runs execute one by one.
 MAX_TRIES = 10_000_000
 MAX_RUNS = 10_000
 

@@ -13,10 +13,10 @@ exposure, crash cut-off and draws, and so does the pinned victim the
 campaign runners read (`PlatformState`).  No runner iterates slice by slice:
 the per-event and per-slice probabilities averaged over supply noise are
 piecewise exact (see processor.mean_event_fault_probability), so
-first-occurrence times come from geometric draws and per-try fault counts
-from binomials.  The distribution of observable outcomes is the same as a
-slice-level loop; only the draw order differs, and that order is fixed
-and documented on each runner.
+first-occurrence times come from geometric draws and a run's count of
+faulted tries from one binomial.  The distribution of observable outcomes
+is the same as a slice-level loop; only the draw order differs, and that
+order is fixed and documented on each runner.
 """
 
 from __future__ import annotations
@@ -272,12 +272,15 @@ def _truncated_geometric(u: float, p: float, n: int) -> int:
     return min(j, n - 1)
 
 
-def _tries_before_crash(rng: np.random.Generator, c_try: float, tries: int) -> int:
-    """Tries completed before the crash: one geometric draw of the 1-based
-    crash try, or none when the per-try crash chance is zero."""
-    if c_try <= 0.0:
-        return tries
-    return min(int(rng.geometric(c_try)) - 1, tries)
+def _hits_before_crash(rng, q: float, c_try: float, tries: int) -> tuple[int, int]:
+    """(hits, tries completed) of `tries` tries, each a hit with chance `q`
+    and a crash with chance `c_try`.  Draw order: one geometric of the
+    1-based crash try (none when `c_try` is 0), then one binomial count of
+    hits among the tries completed (none when `q` is 0)."""
+    if tries < 0:
+        raise InvariantError("tries is nonnegative")
+    completed = tries if c_try <= 0.0 else min(int(rng.geometric(c_try)) - 1, tries)
+    return (int(rng.binomial(completed, q)) if q > 0.0 else 0), completed
 
 
 def _run_with_flips(program, geometry, flips):
@@ -458,20 +461,17 @@ def run_probe_victim(victim: LoopVictim, env: PlatformState, tries: int) -> Faul
     """Run the prepared comparison loop `tries` times on the pinned core of
     `env`, the whole program undervolted; tally its faults.
 
-    Draw order: the crash geometric, the binomial count of faulty tries
-    among those completed, then one `draw_flip_masks` block, one pattern
-    per faulty try.  A crash shows as fewer `tries` than asked; nothing is
+    Draw order: `_hits_before_crash`'s crash geometric and binomial count
+    of faulty tries, then one `draw_flip_masks` block, one pattern per
+    faulty try.  A crash shows as fewer `tries` than asked; nothing is
     raised.
     """
-    if tries < 0:
-        raise InvariantError("tries is nonnegative")
     core = env.core
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
     rates = pinned_rates(env, victim.geometry.events, "probe")
     c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
 
-    completed = _tries_before_crash(gen, c_try, tries)
-    faults = int(gen.binomial(completed, rates.q_iter)) if rates.q_iter > 0.0 else 0
+    faults, completed = _hits_before_crash(gen, rates.q_iter, c_try, tries)
     byte_hist = [0] * 16
     mult_hist: dict[int, int] = {}
     for mask, n in Counter(draw_flip_masks(env.profile, core, faults, gen)).items():
@@ -514,23 +514,20 @@ def poc_victim() -> LoopVictim:
 
 
 def run_poc_enclave(q: float, c_try: float, tries: int, rng: np.random.Generator) -> int:
-    """Run the guarded-branch victim `tries` times; count diversions.  `q`
-    is the per-try fault chance of the guarded store and `c_try` the
-    per-try crash chance, both read once per campaign by the caller.
+    """Run a campaign victim `tries` times; count its successes.  `q` is
+    the per-try success chance and `c_try` the per-try crash chance, both
+    read once per campaign by the caller.
 
-    A try succeeds when a flip lands in the checked store: every nonzero
-    mask diverts (see `poc_victim`), so each completed faulted try is a
-    success and no mask is drawn.
+    This runs both campaign victims, the guarded branch (`run_poc_victim`)
+    and the HMAC validator (`run_hmac_victim`): a try succeeds when any of
+    its exposed stores faults, so no fault set or mask is drawn.
 
-    Draw order: per-try fault Bernoullis as one block, then the crash
-    geometric.  Raises AbortedByCrash with a (successes, tries_completed)
-    pair if the platform dies mid-run.
+    Draw order: `_hits_before_crash`'s crash geometric, then its binomial
+    count of successes among the tries completed, whatever `tries` is.
+    Raises AbortedByCrash with a (successes, tries_completed) pair if the
+    platform dies mid-run.
     """
-    if tries < 0:
-        raise InvariantError("tries is nonnegative")
-    faulted = rng.random(tries) < q if q > 0.0 else np.zeros(tries, dtype=bool)
-    completed = _tries_before_crash(rng, c_try, tries)
-    successes = int(np.count_nonzero(faulted[:completed]))
+    successes, completed = _hits_before_crash(rng, q, c_try, tries)
     if completed < tries:
         raise AbortedByCrash(
             f"platform crashed on try {completed + 1} of {tries}",
@@ -541,23 +538,9 @@ def run_poc_enclave(q: float, c_try: float, tries: int, rng: np.random.Generator
 
 def run_poc_victim(env: PlatformState, tries: int, *, runs: int = 5) -> CampaignResult:
     """`run_hmac_victim` for the guarded-branch victim on the pinned core of
-    `env`, prepared and rated once per campaign, one `run_poc_enclave` per
-    run.  The undervolt covers one slice per guarded store execution, plus
-    `GUARD_SLICES` both sides."""
-    core = env.core
-    victim = poc_victim()
-    q, _, g = pinned_rates(env, victim.geometry.events, "poc")
-    c_try = _any_of(g, victim.geometry.events + 2 * GUARD_SLICES)
-
-    def one(run_index: int) -> tuple[int, int, bool]:
-        gen = rngmod.stream(env.seed, "phase3", "poc", core, run_index)
-        try:
-            return run_poc_enclave(q, c_try, tries, gen), tries, False
-        except AbortedByCrash as abort:
-            successes, completed = abort.partial
-            return successes, completed, True
-
-    return _campaign_runs(one, runs, core, "poc")
+    `env`, whose exposure is its one guarded store: every nonzero mask
+    diverts (see `poc_victim`).  Runs are keyed ("phase3", "poc", core, run)."""
+    return _campaign(env, poc_victim().geometry.events, "poc", ("phase3", "poc"), tries, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +628,6 @@ class CampaignResult(Record):
         }
 
 
-def _hmac_single_run(
-    total_events: int, p_event: float, c_try: float, tries: int, rng: np.random.Generator
-) -> tuple[int, int, bool]:
-    """(successes, tries_completed, crashed) for one run of the validator.
-
-    Per try, the number of faulted compression stores is
-    Binomial(`total_events`, `p_event`), and a try succeeds when that
-    number is nonzero (see `run_hmac_victim`), so which stores fault, and
-    with what masks, is never drawn.  Draw order: the per-try binomial
-    block, then the crash geometric.
-    """
-    ks = rng.binomial(total_events, p_event, size=tries) if p_event > 0.0 else np.zeros(tries)
-    completed = _tries_before_crash(rng, c_try, tries)
-    return int(np.count_nonzero(ks[:completed])), completed, completed < tries
-
-
 def run_hmac_victim(
     env: PlatformState, payload_size, tries: int, *, runs: int = 5
 ) -> CampaignResult:
@@ -675,30 +642,38 @@ def run_hmac_victim(
     the change (see `sha256sim`).  A set of two or more stores could in
     principle cancel, as a SHA-256 local collision; for those the premise
     rests on a grid test that recomputes the faulted MACs, not on a proof.
-    So the verdict is closed form, and no fault set or MAC is computed.
+    So the verdict is closed form, and no fault set or MAC is computed:
+    each run is one `run_poc_enclave`, keyed ("hmac", payload, core, run).
 
-    Each run owns an independent RNG substream keyed by `env.seed` and its
-    index, so the aggregate does not depend on the order runs execute in.
     Raises AbortedByCrash carrying the partial CampaignResult if any run
     crashes; runs after the first crashed one are not started, because the
     simulated machine is gone.
     """
-    if tries < 0:
-        raise InvariantError("tries is nonnegative")
     payload = payload_name(payload_size)
-    scenario = hmac_scenario(payload)
-    core = env.core
-    total = HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
-    p_event, _, g = pinned_rates(env, total, scenario)
-    # One slice per compression store, plus the undervolt guard margin on
-    # both sides of the fault-prone window.
-    c_try = _any_of(g, total + 2 * GUARD_SLICES)
+    events = HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
+    return _campaign(env, events, hmac_scenario(payload), ("hmac", payload), tries, runs)
+
+
+def _campaign(
+    env: PlatformState, events: int, scenario: str, key: tuple, tries: int, runs: int
+) -> CampaignResult:
+    """The campaign both runners share: rates read once for `events` exposed
+    stores per try, then one `run_poc_enclave` per run on a substream keyed
+    by `env.seed`, `key`, the core and the run index, so no run depends on
+    another."""
+    _, q, g = pinned_rates(env, events, scenario)
+    # One slice per exposed store, plus the undervolt guard margin on both
+    # sides of the fault-prone window.
+    c_try = _any_of(g, events + 2 * GUARD_SLICES)
 
     def one(run_index: int) -> tuple[int, int, bool]:
-        gen = rngmod.stream(env.seed, "hmac", payload, core, run_index)
-        return _hmac_single_run(total, p_event, c_try, tries, gen)
+        gen = rngmod.stream(env.seed, *key, env.core, run_index)
+        try:
+            return run_poc_enclave(q, c_try, tries, gen), tries, False
+        except AbortedByCrash as abort:
+            return (*abort.partial, True)
 
-    return _campaign_runs(one, runs, core, scenario)
+    return _campaign_runs(one, runs, env.core, scenario)
 
 
 def _campaign_runs(one, runs: int, core: int, scenario: str) -> CampaignResult:

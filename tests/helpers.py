@@ -169,7 +169,7 @@ def run_poc_under(env, tries, rng):
     `PlatformState` `env`, with the rates `pinned_rates` gives for it and
     the whole program undervolted on every try."""
     victim = poc_victim()
-    q, _, g = pinned_rates(env, victim.geometry.events, "poc")
+    _, q, g = pinned_rates(env, victim.geometry.events, "poc")
     c_try = victims._any_of(g, victim.geometry.slices_per_iteration)
     return run_poc_enclave(q, c_try, tries, rng)
 

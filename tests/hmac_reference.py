@@ -1,17 +1,17 @@
 """The HMAC fault-set draw and a lane-parallel MAC pass, kept as test oracles.
 
 `victims.run_hmac_victim` counts a try as a success whenever its fault set
-is nonempty and computes neither the set nor the faulted MAC.  The code
-here is what it would compute: `hmac_fault_sets` draws one run's fault sets
-on from where the run's own draws leave its stream (which stores fault,
-uniform over the `k`-subsets, and a flip mask for each), and
-`macs_with_keys` recomputes many faulted MACs at once, each fault set one
-lane of numpy `uint32` arrays (FIPS 180-4 arithmetic, wrapping mod 2**32).
-Tests hold the lanes equal to the scalar `HmacContext.mac_with_faults`,
-and use both to check the premise that every nonempty set changes the MAC.
+is nonempty and computes neither the set nor the faulted MAC; a run draws
+only its crash try and one binomial count of successes.  The code here is
+the scalar path it stands for: `hmac_fault_sets` draws a run try by try,
+each try's fault set (which stores fault, uniform over the `k`-subsets,
+and a flip mask for each), and `macs_with_keys` recomputes many faulted
+MACs at once, each fault set one lane of numpy `uint32` arrays (FIPS 180-4
+arithmetic, wrapping mod 2**32).  Tests hold the lanes equal to the scalar
+`HmacContext.mac_with_faults`, use both to check the premise that every
+nonempty set changes the MAC, and hold a campaign's runs to this path's in
+distribution.
 """
-
-import copy
 
 import numpy as np
 
@@ -64,47 +64,20 @@ def draw_fault_sets(
 
 
 def hmac_fault_sets(ctx, profile, core, p_event, c_try, tries, rng):
-    """(keys, tries_completed, crashed) of one HMAC run on `rng`.
+    """(keys, tries_completed, crashed) of one HMAC run on `rng`, try by try.
 
-    The per-try binomial block and the crash geometric are
-    `victims._hmac_single_run`'s draws, made alike; then one
-    `draw_fault_sets` call gives the fault set of each completed faulted
-    try, in try order, as the canonical key `ctx._fault_key` would make.
+    Each try's fault count is Binomial(`ctx.total_events`, `p_event`), drawn
+    for all `tries` as one block; then the crash cut-off, the geometric of
+    `victims._hits_before_crash`; then one `draw_fault_sets` call gives the
+    fault set of each completed faulted try, in try order, as the canonical
+    key `ctx._fault_key` would make.
     """
     total = ctx.total_events
     ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
-    completed = victims._tries_before_crash(rng, c_try, tries)
+    _, completed = victims._hits_before_crash(rng, 0.0, c_try, tries)
     ks = ks[:completed]
     keys = draw_fault_sets(profile, core, store_events(ctx), ks[ks > 0], rng)
     return keys, completed, completed < tries
-
-
-def record_hmac_runs(monkeypatch) -> list:
-    """Patch `victims._hmac_single_run` to record every run made from now
-    on: `(p_event, c_try, tries, rng, outcome)`, where `rng` is a copy of
-    the run's stream as the run received it."""
-    runs, real = [], victims._hmac_single_run
-
-    def recording(total_events, p_event, c_try, tries, rng):
-        fresh = copy.deepcopy(rng)
-        outcome = real(total_events, p_event, c_try, tries, rng)
-        runs.append((p_event, c_try, tries, fresh, outcome))
-        return outcome
-
-    monkeypatch.setattr(victims, "_hmac_single_run", recording)
-    return runs
-
-
-def replay_fault_sets(ctx, env, run) -> tuple[list, int]:
-    """(keys, tries_completed) of a run `record_hmac_runs` recorded on the
-    pinned core of `env`: `hmac_fault_sets` on a copy of its stream.  The
-    run's own outcome must count one success per fault set."""
-    p_event, c_try, tries, rng, outcome = run
-    keys, completed, crashed = hmac_fault_sets(
-        ctx, env.profile, env.core, p_event, c_try, tries, copy.deepcopy(rng)
-    )
-    assert outcome == (len(keys), completed, crashed)
-    return keys, completed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Slice-level reference samplers, kept as test oracles.
 
-Production draws first-occurrence times and per-try counts from the
+Production draws first-occurrence times and per-run counts from the
 noise-averaged marginals (`processor.mean_event_fault_probability`,
 `mean_crash_probability`).  The samplers here are the model those
 marginals integrate, one store or one slice at a time: a fresh supply

@@ -43,7 +43,8 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 def test_every_public_module_name_is_used_or_exported():
     # A public function or class that no code in the package reads, and
-    # that neither `voltlab` nor its module exports, is dead weight.
+    # that neither `voltlab` nor its module exports, is dead weight.  So is
+    # a private one that no code in the package reads, whatever tests do.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     referenced = set().union(*map(_referenced_names, trees.values()))
     exported = {name for names in voltlab._EXPORTS.values() for name in names}
@@ -55,7 +56,7 @@ def test_every_public_module_name_is_used_or_exported():
             f"{stem}.{node.name}"
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in kept
+            and not node.name.startswith("__")
+            and node.name not in (referenced if node.name.startswith("_") else kept)
         ]
     assert unused == []

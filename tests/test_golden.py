@@ -8,7 +8,6 @@ evaluation order shows up here as a diff; such a change must regenerate
 the files and say so.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -18,11 +17,9 @@ import voltlab.cli as cli
 from voltlab import rng
 from voltlab.errors import AbortedByCrash
 from voltlab.orchestrator import VoltagePlan, phase2_probe_cores, phase3_attack, setup_system
-from voltlab.sha256sim import HmacContext
-from voltlab.victims import HMAC_KEY, PlatformState, _payload_bytes, run_hmac_victim
+from voltlab.victims import PlatformState, run_hmac_victim
 
 from helpers import run_poc_under
-from hmac_reference import record_hmac_runs, replay_fault_sets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,25 +73,3 @@ def test_crash_aborts_match_golden_file():
     out = json.dumps(cells, indent=2, sort_keys=True) + "\n"
     assert out == (GOLDEN / "crash_aborts.json").read_text(encoding="utf-8")
 
-
-# SHA-256 of the fault sets of one seeded `hmac32` run (i7-7700k core 1,
-# listing2, pstate 0x1b, -250 mV, seed 7, 2000 tries): one list of sorted
-# [block, event, mask] triples per faulted try, in try order, as JSON.
-HMAC32_FAULT_SETS_SHA256 = "0aa4fcf198b35c1f6883d5772e52f03b03edad55d68cd29bd6421a8155952744"
-
-
-def test_hmac_fault_sets_match_golden_digest(monkeypatch):
-    # The HMAC golden files count faulted tries, and every nonempty fault
-    # set changes the MAC.  The run itself draws no fault set: the oracle
-    # draws them on from where the run's binomial block and crash geometric
-    # leave its stream, and this pins which events each faulted try hit,
-    # and with what mask.
-    runs = record_hmac_runs(monkeypatch)
-    state, _, _ = setup_system("i7-7700k", "0x1b", 1, "listing2", seed=7)
-    env = PlatformState(state.profile, state.pstate, state.core, -250, state.stressor, state.seed)
-    run_hmac_victim(env, "hmac32", 2000, runs=1)
-    (run,) = runs
-    keys, _ = replay_fault_sets(HmacContext(HMAC_KEY, _payload_bytes("hmac32")), env, run)
-    assert len(keys) > 300
-    blob = json.dumps([sorted([b, e, m] for (b, e), m in key) for key in keys])
-    assert hashlib.sha256(blob.encode()).hexdigest() == HMAC32_FAULT_SETS_SHA256

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voltlab import processor
+from voltlab import cli, processor
 from voltlab import rng as vrng
 from voltlab import victims
 from voltlab.errors import (
@@ -31,8 +31,8 @@ from voltlab.victims import (
     PlatformState,
     RunOutcome,
     RunStatus,
+    _hits_before_crash,
     _payload_bytes,
-    _tries_before_crash,
     hmac_scenario,
     loop_victim,
     memory_diff,
@@ -40,6 +40,7 @@ from voltlab.victims import (
     pinned_rates,
     poc_victim,
     run_hmac_victim,
+    run_poc_enclave,
     run_poc_victim,
     stressor_profile,
 )
@@ -57,8 +58,6 @@ from hmac_reference import (
     draw_fault_sets,
     hmac_fault_sets,
     macs_with_keys,
-    record_hmac_runs,
-    replay_fault_sets,
     store_events,
 )
 
@@ -272,6 +271,25 @@ def test_poc_crash_aborts_with_partial(kaby):
     assert completed < 100_000
 
 
+@pytest.mark.parametrize("tries", [1, 10_000, cli.MAX_TRIES])
+@pytest.mark.parametrize("crash", [False, True])
+def test_a_run_draws_the_same_whatever_its_tries(tries, crash):
+    # One crash geometric, then one binomial of the tries completed: a run
+    # leaves its stream as a fresh one after those two draws, at any size.
+    q, c_try = 0.2, 0.5 if crash else 1e-12
+    gen, fresh = vrng.stream(1, "run-draws", tries), vrng.stream(1, "run-draws", tries)
+    completed = min(int(fresh.geometric(c_try)) - 1, tries)
+    successes = int(fresh.binomial(completed, q))
+    assert (completed < tries) == crash
+    if crash:
+        with pytest.raises(AbortedByCrash) as info:
+            run_poc_enclave(q, c_try, tries, gen)
+        assert info.value.partial == (successes, completed)
+    else:
+        assert run_poc_enclave(q, c_try, tries, gen) == successes
+    np.testing.assert_equal(gen.bit_generator.state, fresh.bit_generator.state)
+
+
 @pytest.mark.parametrize("pstate,core", [("0x1b", 4), ("0x1b", -1), ("0x1c", 1), ("0x100", 1)])
 def test_state_refuses_an_unknown_core_or_pstate(kaby, pstate, core):
     with pytest.raises(UnknownCoreOrPState):
@@ -380,39 +398,60 @@ def test_hmac_campaign_draws_no_fault_set(kaby, monkeypatch):
     assert run_hmac_victim(idle, "hmac32", 400, runs=4).successes == 0
 
 
-def _closed_form_and_scalar(monkeypatch, campaign, env, payload):
-    """`campaign()`'s per-run (successes, tries), partial on a crash, and
-    the same from the scalar `mac_with_faults` over each run's fault sets,
-    drawn by the oracle on from where the run left its stream."""
-    runs = record_hmac_runs(monkeypatch)
-    result = _hmac_outcome(campaign)
-    ctx = HmacContext(HMAC_KEY, _payload_bytes(payload))
-    per_run = []
-    for run in runs:
-        keys, completed = replay_fault_sets(ctx, env, run)
-        faulty = sum(ctx.mac_with_faults(dict(k)) != ctx.clean_mac for k in keys)
-        per_run.append((faulty, completed))
-    return result, tuple(per_run)
+def _campaign_runs_of(env, payload, tries, n):
+    """(successes, tries completed) of `n` one-run campaigns on the pinned
+    core of `env`, seeded 0..n-1, a crashed run's partial included."""
+    runs = []
+    for seed in range(n):
+        env = PlatformState(env.profile, env.pstate, env.core, env.offset_mv, env.stressor, seed)
+        runs += _hmac_outcome(lambda: run_hmac_victim(env, payload, tries, runs=1)).per_run
+    return runs
+
+
+def _scalar_runs_of(env, payload, tries, n):
+    """(successes, tries completed) of `n` runs of the scalar path on the
+    pinned core of `env`: `hmac_fault_sets` draws each run try by try on its
+    own stream, and a faulted try succeeds when its MAC, recomputed by the
+    lane pass, differs from the clean one."""
+    ctx = _HMAC_CONTEXTS[payload]
+    events = ctx.total_events
+    p_event, _, g = pinned_rates(env, events, hmac_scenario(payload))
+    c_try = victims._any_of(g, events + 2 * victims.GUARD_SLICES)
+    runs, keys = [], []
+    for r in range(n):
+        gen = vrng.stream(r, "scalar-path", payload)
+        run_keys, completed, _ = hmac_fault_sets(
+            ctx, env.profile, env.core, p_event, c_try, tries, gen
+        )
+        runs.append((len(keys), len(run_keys), completed))
+        keys += run_keys
+    valid = np.array(macs_with_keys(ctx, keys)) == ctx.clean_mac
+    return [(k - int(valid[start : start + k].sum()), completed) for start, k, completed in runs]
+
+
+def _assert_runs_agree(ours, scalar):
+    """Per-run successes and tries completed follow one distribution."""
+    for a, b in zip(zip(*ours), zip(*scalar)):
+        bins = max(a + b) + 1
+        assert two_sample_p(np.bincount(a, minlength=bins), np.bincount(b, minlength=bins)) > ALPHA
 
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_campaign_equals_the_scalar_path(kaby, payload, monkeypatch):
+def test_hmac_campaign_equals_the_scalar_path(kaby, payload):
     warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    result, scalar = _closed_form_and_scalar(
-        monkeypatch, lambda: run_hmac_victim(warm, payload, 300, runs=3), warm, payload
-    )
-    assert result.successes > 0
-    assert result.per_run == scalar
+    ours = _campaign_runs_of(warm, payload, 100, 200)
+    scalar = _scalar_runs_of(warm, payload, 100, 200)
+    assert {completed for _, completed in ours + scalar} == {100}
+    _assert_runs_agree(ours, scalar)
 
 
-def test_hmac_crashed_campaign_equals_the_scalar_path(kaby, monkeypatch):
+def test_hmac_crashed_campaign_equals_the_scalar_path(kaby):
     # The -252 mV cell of tests/golden/crash_aborts.json.
     edge = pinned_state(kaby, 1, -252, stressor="listing2", seed=5)
-    partial, scalar = _closed_form_and_scalar(
-        monkeypatch, lambda: run_hmac_victim(edge, "hmac32", 300, runs=3), edge, "hmac32"
-    )
-    assert partial.crashes == 1 and partial.successes > 0
-    assert partial.per_run == scalar
+    ours = _campaign_runs_of(edge, "hmac32", 100, 300)
+    scalar = _scalar_runs_of(edge, "hmac32", 100, 300)
+    assert sum(completed < 100 for _, completed in ours) > 150
+    _assert_runs_agree(ours, scalar)
 
 
 _HMAC_CONTEXTS = {
@@ -529,7 +568,7 @@ def _hmac_run_against_oracle(profile, payload, core, p_event, seed, tries, half=
     keys, completed, crashed = hmac_fault_sets(ctx, profile, core, p_event, c_try, tries, ours)
     total = ctx.total_events
     ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
-    assert completed == _tries_before_crash(theirs, c_try, tries)
+    assert completed == _hits_before_crash(theirs, 0.0, c_try, tries)[1]
     assert crashed == (completed < tries)
     expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
     assert [len(key) for key in keys] == [len(key) for key in expected]
@@ -598,16 +637,14 @@ def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, see
 
 
 @pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_run_hands_over_canonical_keys(kaby, payload, monkeypatch):
+def test_hmac_run_hands_over_canonical_keys(kaby, payload):
     # The oracle builds each fault set's key itself, unchecked, and the
     # lane pass takes it so; `_fault_key` of the same set must give back
     # exactly that key.
-    runs = record_hmac_runs(monkeypatch)
-    env = pinned_state(kaby, 1, -250, stressor="shift_loop", seed=3)
-    run_hmac_victim(env, payload, 1000, runs=1)
     ctx = _HMAC_CONTEXTS[payload]
-    (run,) = runs
-    keys, _ = replay_fault_sets(ctx, env, run)
+    p_event = _campaign_p_event(kaby, payload, 1)
+    gen = vrng.stream(3, "canonical-keys", payload)
+    keys, _, _ = hmac_fault_sets(ctx, kaby, 1, p_event, 0.0, 1000, gen)
     assert len(keys) > 100
     for key in keys:
         assert type(key) is tuple
