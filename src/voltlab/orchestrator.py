@@ -16,6 +16,8 @@ whatever order their runs execute in.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
 from .isa import parse_program
@@ -42,6 +44,7 @@ from .processor import (
 from .victims import (
     CampaignResult,
     FaultStats,
+    LoopVictim,
     PlatformState,
     RunStatus,
     loop_rates,
@@ -84,7 +87,12 @@ _STABILITY_SOURCE = "\n".join(
     + ["push %r10", "pop %r10", "push %r11", "pop %r11"] * 3
     + ["push %r12", "pop %r12", "halt"]
 )
-_STABILITY_PROGRAM = parse_program(_STABILITY_SOURCE, "stability_check")
+
+
+@cache
+def _stability_victim() -> LoopVictim:
+    """The stability loop, parsed and prepared on first use and kept."""
+    return loop_victim(parse_program(_STABILITY_SOURCE, "stability_check"))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +265,10 @@ def phase1_find_window(
     level; a level that keeps crashing before any fault was seen means
     there is no usable window above the instability boundary.
 
-    Both programs are prepared once per call, and each level's rates are
-    computed once and handed to `run_test_loop`, which runs only at levels
-    where it can draw.  A level whose fault and crash chances are both zero
+    Both programs are prepared once per process (a MiniProgram
+    `victim_program` once per call), and each level's rates are computed
+    once and handed to `run_test_loop`, which runs only at levels where it
+    can draw.  A level whose fault and crash chances are both zero
     is exactly one where `run_test_loop` would return Match without
     touching its stream, so it is stepped over.
     Each stage first jumps to the highest level whose noise band reaches
@@ -287,7 +296,7 @@ def phase1_find_window(
     # Prepared before any level, so a bad victim raises even if every
     # level is then stepped over.
     victim = loop_victim(victim_program)
-    stability = loop_victim(_STABILITY_PROGRAM)
+    stability = _stability_victim()
 
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
@@ -370,7 +379,7 @@ def phase2_probe_cores(
     planned offset with the stressor of `state`, and tally its faults there
     with `victims.run_probe_victim`.
 
-    The victim is prepared once per call.  Raises InvariantError for a
+    The victim is prepared once per process.  Raises InvariantError for a
     plan made for another core count, and AbortedByCrash carrying the
     partial per-core stats if a probe kills the platform.
     """

@@ -30,6 +30,7 @@ from bisect import bisect_right
 from enum import IntEnum
 from functools import cache
 from importlib import resources
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -206,15 +207,17 @@ class BitFlipPattern(Record):
 
 class ProcessorProfile:
     """Immutable calibration data for one processor model, read from the
-    JSON document `raw`, which it keeps and which must not change after.
-    Two profiles read from equal documents are equal, and a profile copies
-    and pickles as its document."""
+    JSON document `raw`, of which it keeps a read-only copy.  Every array,
+    mapping and document it holds is read-only, so one profile can be
+    shared by all its callers (`load_profile` does).  Two profiles read from
+    equal documents are equal, and a profile copies and pickles as its
+    document."""
 
     def __init__(self, raw: dict, origin: str = "<dict>"):
         read = _Reader(origin)
         if type(raw) is not dict:
             raise SchemaError(f"{origin}: a profile is a JSON object")
-        self._raw = raw
+        self._raw = _frozen_doc(raw)
         version = read.get(raw, "schema_version", kind=None)
         if type(version) is not int or version != SCHEMA_VERSION:
             raise SchemaError(f"{origin}: schema_version {version!r} unsupported")
@@ -238,7 +241,7 @@ class ProcessorProfile:
             read.num(crash, "rate_per_slice", *_UNIT, at="crash"),
             read.num(crash, "depth_slope_per_mv", 0.0, 1000.0, at="crash"),
         )
-        self.pstates: dict[str, PStatePoint] = {}
+        points: dict[str, PStatePoint] = {}
         pstates = read.get(raw, "pstates")
         for key in pstates:
             norm = read.pstate(key, "pstates")
@@ -250,7 +253,7 @@ class ProcessorProfile:
                 if fault_mv >= base:
                     raise InvariantError(f"{origin}: {at} core {core} fault voltage "
                                          f"{fault_mv} mV not below base {base} mV")
-            self.pstates[norm] = PStatePoint(
+            points[norm] = PStatePoint(
                 ratio=int(norm, 16),
                 base_voltage_mv=base,
                 reference_temp_c=read.num(entry, "reference_temp_c", *_TEMP_C, at=at),
@@ -258,42 +261,47 @@ class ProcessorProfile:
                 exploit_factor=read.num(entry, "exploit_factor", *_UNIT, at=at),
                 fault_voltage_mv=faults,
             )
+        self.pstates: MappingProxyType[str, PStatePoint] = MappingProxyType(points)
         self.default_attack_pstate = read.pstate(
             read.get(raw, "default_attack_pstate", kind=None), "default_attack_pstate"
         )
         if self.default_attack_pstate not in self.pstates:
             raise SchemaError(f"{origin}: default attack pstate undefined")
-        self.byte_affinity = read.table(raw, "byte_affinity", n, 16, 0.0, sys.float_info.max)
+        self.byte_affinity = _frozen(
+            read.table(raw, "byte_affinity", n, 16, 0.0, sys.float_info.max)
+        )
         if (self.byte_affinity.max(axis=1) <= 0).any():
             raise InvariantError(f"{origin}: every core needs a positive affinity weight")
-        self.multiplicity = read.table(raw, "multiplicity", n, 3, *_UNIT)
+        self.multiplicity = _frozen(read.table(raw, "multiplicity", n, 3, *_UNIT))
         # np.allclose's tolerance (atol 1e-9, rtol 1e-5), without its overhead.
         if not (abs(self.multiplicity.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
             raise InvariantError(f"{origin}: multiplicity rows must sum to 1")
-        self.calibration: dict[str, CalibrationEntry] = {}
+        calibration: dict[str, CalibrationEntry] = {}
         scenarios = read.get(raw, "calibration")
         for scenario in scenarios:
             entry, at = read.get(scenarios, scenario, "calibration"), _path("calibration", scenario)
-            self.calibration[scenario] = CalibrationEntry(
+            calibration[scenario] = CalibrationEntry(
                 read.get(entry, "pstate_gated", at, bool),
                 tuple(read.num(entry, "p_event_max", *_UNIT, at=at, n=n)),
             )
+        self.calibration: MappingProxyType[str, CalibrationEntry] = MappingProxyType(calibration)
         # Per-core bit weights: byte affinity spread uniformly over each
         # byte's 8 bits, normalized for sampling without replacement.
         with np.errstate(all="ignore"):  # a row that does not survive this is refused below
             per_bit = np.repeat(self.byte_affinity, 8, axis=1) / 8.0
-            self._bit_weights = per_bit / per_bit.sum(axis=1, keepdims=True)
+            self._bit_weights = _frozen(per_bit / per_bit.sum(axis=1, keepdims=True))
         if not (abs(self._bit_weights.sum(axis=1) - 1.0) <= 1e-9).all():
             raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
         # Per core, what `draw_flip_masks` reads: the multiplicity CDF, the
-        # bit CDF as an array for block draws and as a list for one-by-one
+        # bit CDF as an array for block draws and as a tuple for one-by-one
         # draws, and how many bits the CDF can reach, which caps a pattern's
         # bit count.
-        self._flip_tables = []
+        tables = []
         for mult, bits in zip(self.multiplicity, self._bit_weights):
-            bit_cdf = _cdf(bits)
+            bit_cdf = _frozen(_cdf(bits))
             reach = int(np.count_nonzero(np.diff(bit_cdf, prepend=0.0)))
-            self._flip_tables.append((_cdf(mult), bit_cdf, bit_cdf.tolist(), reach))
+            tables.append((_frozen(_cdf(mult)), bit_cdf, tuple(bit_cdf.tolist()), reach))
+        self._flip_tables = tuple(tables)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -304,7 +312,7 @@ class ProcessorProfile:
         return hash(self.name)
 
     def __reduce__(self):
-        return ProcessorProfile, (self._raw,)
+        return ProcessorProfile, (_thawed_doc(self._raw),)
 
     # -- lookups ---------------------------------------------------------
 
@@ -356,16 +364,30 @@ def normalize_pstate(pstate: str | int) -> str:
 
 
 def load_profile(name_or_path) -> ProcessorProfile:
-    """Load a bundled profile by name (e.g. 'i7-8700K') or any JSON path."""
+    """Load a bundled profile by name (e.g. 'i7-8700K') or any JSON path.
+
+    A bundled profile is read, parsed and validated once per process: later
+    calls with the same name, in any case, return the same read-only
+    profile.  A path is read afresh on every call, since the file may
+    change.  A refused name or file is refused on every call."""
     origin = str(name_or_path)
     if origin.lower().endswith(".json") or "/" in origin:
         with open(origin, "rb") as fh:
-            data = fh.read()
-    else:
-        res = resources.files("voltlab").joinpath(f"data/profiles/{origin.lower()}.json")
-        if not res.is_file():
-            raise SchemaError(f"no bundled profile named {origin!r}")
-        data = res.read_bytes()
+            return _parse_profile(fh.read(), origin)
+    return _bundled_profile(origin.lower())
+
+
+@cache
+def _bundled_profile(name: str) -> ProcessorProfile:
+    """The bundled profile `name` (lowercase), built once per process."""
+    res = resources.files("voltlab").joinpath(f"data/profiles/{name}.json")
+    if not res.is_file():
+        raise SchemaError(f"no bundled profile named {name!r}")
+    return _parse_profile(res.read_bytes(), name)
+
+
+def _parse_profile(data: bytes, origin: str) -> ProcessorProfile:
+    """The profile in the UTF-8 JSON `data`; `origin` names it in errors."""
     try:
         raw = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as bad:
@@ -567,6 +589,31 @@ def mean_crash_probability(
 # The one-bit masks, shared: most patterns are one bit, and a long block of
 # masks then holds references instead of a fresh int per pattern.
 _BIT = tuple(1 << b for b in range(128))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
+def _frozen_doc(value):
+    """A read-only deep copy of the JSON value `value`: objects become
+    mapping proxies and arrays tuples."""
+    if type(value) is dict:
+        return MappingProxyType({k: _frozen_doc(v) for k, v in value.items()})
+    if type(value) in (list, tuple):
+        return tuple(map(_frozen_doc, value))
+    return value
+
+
+def _thawed_doc(value):
+    """The plain JSON value that `_frozen_doc` froze."""
+    if type(value) is MappingProxyType:
+        return {k: _thawed_doc(v) for k, v in value.items()}
+    if type(value) is tuple:
+        return list(map(_thawed_doc, value))
+    return value
 
 
 def _cdf(weights) -> np.ndarray:

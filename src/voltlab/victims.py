@@ -25,6 +25,7 @@ import itertools
 import math
 from collections import Counter
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -216,9 +217,11 @@ def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
 
 
 class _Geometry(NamedTuple):
-    """One fault-free execution plus which eligible stores it runs."""
+    """One fault-free execution, immutable: its final memory, where it
+    halted, and which eligible stores it runs."""
 
-    reference: object  # ExecutionResult
+    memory: bytes  # the reference output
+    halt_index: int  # the instruction that stopped the reference run
     store_insns: frozenset[int]  # eligible stores the reference executes
     events: int  # eligible store executions in the reference
     slices_per_iteration: int
@@ -234,12 +237,19 @@ def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> _Geometry
             "a comparison loop needs a finishing victim"
         )
     executed = [insn for insn in trace if insn in eligible]
-    return _Geometry(reference, frozenset(executed), len(executed), reference.slices)
+    return _Geometry(
+        bytes(reference.memory), reference.halt_index, frozenset(executed), len(executed),
+        reference.slices,
+    )
 
 
 class LoopVictim(NamedTuple):
-    """A victim program and its fault-free geometry, prepared once by
-    `loop_victim` (a comparison loop) or `poc_victim` (the guarded branch)."""
+    """A victim program and its fault-free geometry, prepared by
+    `loop_victim` (a comparison loop) or `poc_victim` (the guarded branch).
+    The geometry is immutable, and nothing writes the program, whose one
+    mutable part is its `labels` dict; so a bundled victim, like the
+    bundled program it holds, is prepared once per process and shared by
+    every caller."""
 
     program: MiniProgram
     geometry: _Geometry
@@ -247,10 +257,18 @@ class LoopVictim(NamedTuple):
 
 def loop_victim(program) -> LoopVictim:
     """Scan `program` (a MiniProgram or a bundled name) and run it once
-    fault-free; raises InterpreterError if it does not halt."""
+    fault-free; raises InterpreterError if it does not halt.
+
+    A bundled name is prepared once per process, and later calls return
+    the same victim; a MiniProgram is prepared on every call."""
     if not isinstance(program, MiniProgram):
-        program = bundled_program(program)
+        return _bundled_victim(program)
     return LoopVictim(program, _geometry(program, scan(program)))
+
+
+@cache
+def _bundled_victim(name: str) -> LoopVictim:
+    return loop_victim(bundled_program(name))
 
 
 def _any_of(p: float, n: float) -> float:
@@ -409,7 +427,7 @@ def run_test_loop(
             ordinals.extend(j + 1 + k for k in np.flatnonzero(extra))
         masks = draw_flip_masks(profile, core, len(ordinals), rng)
         faulted = _run_with_flips(victim.program, geom, dict(zip(ordinals, masks)))
-        diff = memory_diff(geom.reference.memory, faulted.memory)
+        diff = memory_diff(geom.memory, faulted.memory)
         if diff:
             return RunOutcome.mismatch(diff, fault_iter + 1)
         # Corruption never reached the output buffer; the loop keeps going.
@@ -493,12 +511,15 @@ POC_MEMORY = b"\xff" * 32 + b"\x00" * (4096 - 32)
 POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
 
 
+@cache
 def poc_victim() -> LoopVictim:
     """Scan `poc_and_branch` and run it once fault-free; raises
     InvariantError unless it has one pattern hit, executed once, and the
     run stays off `_recovery`.  The store is checked against all-ones in two
     64-bit halves, so any nonzero mask XORed into it diverts to `_recovery`:
-    runs count on that, and tests prove it by real execution."""
+    runs count on that, and tests prove it by real execution.
+
+    Prepared once per process; later calls return the same victim."""
     program = bundled_program("poc_and_branch")
     hits = scan(program)
     if len(hits) != 1:
@@ -508,7 +529,7 @@ def poc_victim() -> LoopVictim:
         raise InvariantError(
             f"{program.source_name}: expected exactly one guarded store, found {geom.events}"
         )
-    if geom.reference.halt_index == program.labels["_recovery"]:
+    if geom.halt_index == program.labels["_recovery"]:
         raise InvariantError(f"{program.source_name}: the fault-free run diverts")
     return LoopVictim(program, geom)
 

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import functools
 import random
 
 import numpy as np
@@ -12,7 +13,7 @@ from voltlab.orchestrator import (
     OFFSET_FLOOR_MV,
     STEP_MV,
     VoltagePlan,
-    _STABILITY_PROGRAM,
+    _stability_victim,
 )
 from voltlab.processor import BitFlipPattern, normalize_pstate
 from voltlab.sha256sim import EVENTS_PER_BLOCK
@@ -154,6 +155,13 @@ def reference_memory_diff(before, after):
     return tuple(out)
 
 
+def fresh_cache(monkeypatch, module, name):
+    """Give the `functools.cache` function `module.name` an empty cache
+    for the rest of the test; `monkeypatch` puts back the warm one, so
+    later tests still share what earlier ones prepared."""
+    monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
+
+
 def run_loop_under(env, victim, max_iters, rng):
     """`run_test_loop` for `victim` (prepared, a MiniProgram or a bundled
     name) on the pinned core of the `PlatformState` `env`, with the rates
@@ -200,7 +208,7 @@ def reference_phase1(
         raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
     victim = loop_victim(victim_program)
-    stability = loop_victim(_STABILITY_PROGRAM)
+    stability = _stability_victim()
 
     window_top_mv = [None] * profile.physical_cores
     chosen_offset = [0] * profile.physical_cores

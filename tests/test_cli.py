@@ -10,9 +10,12 @@ import pytest
 
 import voltlab.cli as cli
 import voltlab.orchestrator as orchestrator
+import voltlab.processor as processor
 from voltlab.errors import AbortedByCrash, InvariantError, SchemaError
 from voltlab.processor import ProcessorProfile, load_profile
 from voltlab.victims import CampaignResult
+
+from helpers import fresh_cache
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +227,9 @@ def test_campaign_csv_that_cannot_be_written_prints_no_result(capsys, tmp_path):
 
 
 def test_campaign_with_csv_loads_the_profile_once(capsys, tmp_path, monkeypatch):
+    # Once per process: a second campaign, with or without the table,
+    # reads the profile the first one loaded.
+    fresh_cache(monkeypatch, processor, "_bundled_profile")
     loads = []
     real = ProcessorProfile.__init__
 
@@ -233,6 +239,9 @@ def test_campaign_with_csv_loads_the_profile_once(capsys, tmp_path, monkeypatch)
 
     monkeypatch.setattr(ProcessorProfile, "__init__", counting)
     rc, _, _ = run_cli(capsys, *CAMPAIGN_FLAGS, "--csv", str(tmp_path / "table.csv"))
+    assert rc == 0
+    assert loads == ["i7-7700k"]
+    rc, _, _ = run_cli(capsys, *CAMPAIGN_FLAGS)
     assert rc == 0
     assert loads == ["i7-7700k"]
 
@@ -548,6 +557,25 @@ def test_hmac_campaign_and_probe_start_without_dataclasses(argv):
     loaded = _cli_modules(*argv)
     assert "voltlab.orchestrator" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_import_prepares_nothing():
+    # Profiles and victims are read and prepared on first use, never at
+    # import, so a fresh interpreter pays for only what its command runs.
+    caches = [
+        "voltlab.processor._bundled_profile", "voltlab.processor._crash_kind_cdf",
+        "voltlab.isa.bundled_program", "voltlab.victims._bundled_victim",
+        "voltlab.victims.poc_victim", "voltlab.orchestrator._stability_victim",
+    ]
+    script = "\n".join([
+        "import voltlab.cli, voltlab.orchestrator",
+        f"for path in {caches!r}:",
+        "    module, name = path.rsplit('.', 1)",
+        "    info = getattr(sys.modules[module], name).cache_info()",
+        "    assert info.currsize == info.hits == info.misses == 0, (path, info)",
+    ])
+    loaded = _fresh_modules(script)
+    assert "voltlab.orchestrator" in loaded
 
 
 def test_package_import_loads_no_submodule_until_a_name_is_touched():

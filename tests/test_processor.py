@@ -8,6 +8,7 @@ import math
 import pathlib
 import pickle
 from collections import Counter
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState, VoltlabError
+from voltlab.msr import Record
 from voltlab.orchestrator import run_campaign
 from voltlab.processor import (
     BitFlipPattern,
@@ -82,6 +84,7 @@ def test_bundled_profiles_present():
 def test_load_by_name_case_insensitive(name):
     prof = load_profile(name)
     assert prof.physical_cores in (4, 6)
+    assert load_profile(name.lower()) is prof  # loaded once per process
 
 
 def test_profiles_compare_and_pickle_by_document(kaby):
@@ -103,8 +106,80 @@ def test_load_by_path(tmp_path, kaby):
 
 
 def test_unknown_bundled_name():
-    with pytest.raises(SchemaError):
-        load_profile("i9-9999X")
+    # Refused on every call: a refusal is never cached.
+    cached = processor._bundled_profile.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(SchemaError, match="no bundled profile named 'i9-9999x'"):
+            load_profile("i9-9999X")
+    assert processor._bundled_profile.cache_info().currsize == cached
+
+
+def _writable_parts(value, where: str) -> list[str]:
+    """Where `value` holds a container that can be written in place."""
+    if isinstance(value, np.ndarray):
+        return [where] if value.flags.writeable else []
+    if isinstance(value, (dict, list, set, bytearray)):
+        return [where]
+    if isinstance(value, MappingProxyType):
+        return [p for k, v in value.items() for p in _writable_parts(v, f"{where}[{k!r}]")]
+    if isinstance(value, tuple):  # a NamedTuple too
+        return [p for i, v in enumerate(value) for p in _writable_parts(v, f"{where}[{i}]")]
+    if isinstance(value, Record):
+        return [
+            p for name in value.__slots__
+            for p in _writable_parts(getattr(value, name), f"{where}.{name}")
+        ]
+    return []
+
+
+@pytest.mark.parametrize("name", bundled_profile_names())
+def test_every_part_of_a_loaded_profile_is_read_only(name):
+    # A bundled profile is shared by every caller in the process, so no
+    # caller may write into it.
+    profile = load_profile(name)
+    assert [p for k, v in vars(profile).items() for p in _writable_parts(v, k)] == []
+    arrays = [v for v in vars(profile).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3  # byte_affinity, multiplicity, _bit_weights
+    arrays.append(profile.bit_weights(1))
+    for mult_cdf, bit_cdf, _, _ in profile._flip_tables:
+        arrays += [mult_cdf, bit_cdf]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            array += 0
+    for mapping in (profile.pstates, profile.calibration, profile._raw, profile._raw["pstates"]):
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    with pytest.raises(TypeError):
+        profile._raw["byte_affinity"][0][0] = 0.5
+    assert pickle.loads(pickle.dumps(profile)) == profile
+
+
+def test_a_profile_keeps_its_own_copy_of_the_document():
+    raw = _raw_profile()
+    profile = ProcessorProfile(raw)
+    raw["model_name"] = "edited after the build"
+    raw["pstates"].clear()
+    raw["byte_affinity"][0][0] = 0.5
+    assert profile == ProcessorProfile(_raw_profile()) == load_profile("i7-7700k")
+    assert pickle.loads(pickle.dumps(profile)).name == profile.name != raw["model_name"]
+
+
+def test_a_profile_path_is_read_on_every_call(tmp_path):
+    raw = _raw_profile()
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    first = load_profile(path)
+    assert load_profile(path) is not first
+    assert first == load_profile(str(path)) == load_profile("i7-7700k")
+    raw["model_name"] = "edited between loads"
+    path.write_text(json.dumps(raw))
+    assert load_profile(path).name == "edited between loads"
+    assert first.name == load_profile("i7-7700k").name != "edited between loads"
 
 
 def _raw_profile(name="i7-7700k"):

@@ -18,8 +18,8 @@ from voltlab.errors import (
     UnknownCoreOrPState,
     UnknownStressor,
 )
-from voltlab.isa import interpret
-from voltlab.orchestrator import phase1_find_window
+from voltlab.isa import interpret, parse_program
+from voltlab.orchestrator import _stability_victim, phase1_find_window
 from voltlab.processor import CrashKind, load_profile, mean_event_fault_probability
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
 from voltlab.victims import (
@@ -46,6 +46,7 @@ from voltlab.victims import (
 )
 
 from helpers import (
+    fresh_cache,
     goodness_of_fit_p,
     reference_hmac_detail,
     reference_memory_diff,
@@ -239,10 +240,30 @@ def test_poc_every_drawn_mask_diverts_by_real_execution():
 
 def test_poc_victim_refuses_a_fault_free_run_that_diverts(monkeypatch):
     # With zeroed inputs the conjunction fails the all-ones check unfaulted,
-    # so the closed form "every flip diverts" would not hold.
+    # so the closed form "every flip diverts" would not hold.  An empty
+    # cache, so a victim prepared earlier cannot hide the patch; the warm
+    # one comes back with the patch undone.
+    fresh_cache(monkeypatch, victims, "poc_victim")
     monkeypatch.setattr(victims, "POC_MEMORY", bytes(4096))
     with pytest.raises(InvariantError, match="diverts"):
-        poc_victim()
+        victims.poc_victim()
+    with pytest.raises(InvariantError, match="diverts"):
+        victims.poc_victim()
+
+
+def test_bundled_victims_are_prepared_once_and_immutable():
+    xor, poc, stability = loop_victim("vp1_xor_kernel"), poc_victim(), _stability_victim()
+    assert loop_victim("vp1_xor_kernel") is xor
+    assert poc_victim() is poc
+    assert _stability_victim() is stability
+    for victim in (xor, poc, stability):
+        assert type(victim.geometry.memory) is bytes
+        assert type(victim.geometry.store_insns) is frozenset
+    assert poc.geometry.memory == interpret(poc.program, POC_MEMORY, scalar=POC_SCALARS).memory
+    # A program a caller passes in is prepared on every call.
+    program = parse_program("vmovdqu %xmm1, 0x20\nhalt", "caller")
+    assert loop_victim(program) is not loop_victim(program)
+    assert loop_victim(program) == loop_victim(program)
 
 
 def test_poc_success_rate_with_shift_stressor(kaby):
