@@ -11,12 +11,15 @@ Campaign runs execute serially; `campaign --jobs N` is still accepted for
 old command lines and ignored.
 
 Each command imports the modules it runs when it runs, so the codec
-commands and `scan` start without numpy or the simulator.
+commands and `scan` start without numpy or the simulator.  Each command's
+parser is built on its first call and reused for every later one in the
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -303,9 +306,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """Every subcommand with its help line; arguments for `command` only,
-    or for all of them when `command` is None."""
+    or for all of them when `command` is None.
+
+    Built once per process for each `command`: a parser keeps no state
+    from one `parse_args` to the next, and help is wrapped to the terminal
+    width when it is printed, not when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="voltlab",
         description="Deterministic undervolting-fault laboratory",

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface, via main(argv)."""
 
+import argparse
 import importlib
 import json
 import subprocess
@@ -334,6 +335,86 @@ def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypat
     assert ours == _exit_and_output(capsys, argv)
 
 
+_CAMPAIGN = [
+    "campaign", "--profile", "i7-7700k", "--victim", "poc", "--core", "1",
+    "--runs", "2", "--tries", "500",
+]
+_PROBE = ["--profile", "i7-7700k", "--tries", "300", "--seed", "3"]
+
+# (COLUMNS, argv): one in-process sequence of calls, each of which could
+# pick up what an earlier call left on a shared parser.
+_SEQUENCE = [
+    ("80", [*_CAMPAIGN, "--csv", "summary.csv"]),
+    ("80", _CAMPAIGN),
+    ("80", ["encode-msr", "--offset-mv", "-5"]),
+    ("80", ["encode-msr", "--static-units", "9"]),
+    ("80", ["encode-msr", "--offset-mv", "-5", "--static-units", "9"]),
+    ("80", ["campaign", "--profile", "i7-7700k", "--victim", "poc"]),
+    ("80", [*_CAMPAIGN, "--seed", "8"]),
+    ("80", ["report", "heatmap", *_PROBE]),
+    ("80", ["report", "multiplicity", *_PROBE]),
+    ("60", ["campaign", "--help"]),
+    ("120", ["campaign", "--help"]),
+]
+
+
+def test_each_command_parser_is_built_once_per_process(capsys, monkeypatch):
+    # Seven parsers on the first call (the top level and one per command),
+    # none on later calls.
+    fresh_cache(monkeypatch, cli, "_build_parser")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    counts = []
+    for seed in ("7", "8", "7"):
+        before = len(built)
+        rc, _, _ = run_cli(capsys, *_CAMPAIGN, "--seed", seed)
+        assert rc == 0
+        counts.append(len(built) - before)
+    assert counts == [len(cli._COMMANDS) + 1, 0, 0]
+
+
+def _run_sequence(capsys, monkeypatch, directory):
+    """(exit code, stdout, stderr, files written) of each `_SEQUENCE` call,
+    run in `directory`, which is emptied after each call."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    steps = []
+    for columns, argv in _SEQUENCE:
+        monkeypatch.setenv("COLUMNS", columns)
+        outcome = _exit_and_output(capsys, argv)
+        written = {path.name: path.read_bytes() for path in directory.iterdir()}
+        for path in directory.iterdir():
+            path.unlink()
+        steps.append((*outcome, written))
+    return steps
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, tmp_path):
+    fresh_cache(monkeypatch, cli, "_build_parser")
+    reused = _run_sequence(capsys, monkeypatch, tmp_path / "reused")
+    assert cli._build_parser.cache_info().misses == 3  # campaign, encode-msr, report
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert reused == _run_sequence(capsys, monkeypatch, tmp_path / "fresh")
+    # The sequence exercises what it names: a CSV written once, both
+    # mutually exclusive flags alone and together, a usage error before a
+    # valid call, and help wrapped to each width.
+    codes = [code for code, _, _, _ in reused]
+    assert codes == [0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0]
+    assert list(reused[0][3]) == ["summary.csv"]
+    assert not any(written for *_, written in reused[1:])
+    assert "offset   -5 mV" in reused[2][1] and "static   9/1024" in reused[3][1]
+    assert "not allowed with argument" in reused[4][2]
+    assert "--core" in reused[5][2]
+    assert reused[7][1].startswith("core,byte_0") and reused[8][1].startswith("core,faults")
+    assert reused[9][1] != reused[10][1]
+
+
 def _one_core_profile(raw):
     raw["physical_cores"] = 1
     raw["byte_affinity"] = raw["byte_affinity"][:1]
@@ -560,12 +641,14 @@ def test_hmac_campaign_and_probe_start_without_dataclasses(argv):
 
 
 def test_import_prepares_nothing():
-    # Profiles and victims are read and prepared on first use, never at
-    # import, so a fresh interpreter pays for only what its command runs.
+    # Profiles, victims and command parsers are read, prepared and built
+    # on first use, never at import, so a fresh interpreter pays for only
+    # what its command runs.
     caches = [
         "voltlab.processor._bundled_profile", "voltlab.processor._crash_kind_cdf",
         "voltlab.isa.bundled_program", "voltlab.victims._bundled_victim",
         "voltlab.victims.poc_victim", "voltlab.orchestrator._stability_victim",
+        "voltlab.cli._build_parser",
     ]
     script = "\n".join([
         "import voltlab.cli, voltlab.orchestrator",
