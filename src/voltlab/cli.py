@@ -11,7 +11,7 @@ Campaign runs execute serially; `campaign --jobs N` is still accepted for
 old command lines and ignored.
 
 Each command imports the modules it runs when it runs, so the codec
-commands and `scan` start without numpy or the simulator.  Each command's
+commands and `scan` start without the simulator.  Each command's
 parser is built on its first call and reused for every later one in the
 process.
 """

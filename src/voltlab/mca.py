@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 from enum import Enum
 
-import numpy as np
-
 from .errors import InvariantError
 from .msr import Record
 from .processor import CrashKind, ProcessorProfile, VoltageRegion
+from .rng import Stream
 
 
 class MceKind(Enum):
@@ -92,7 +91,7 @@ class MachineCheck:
         crash: CrashKind | None = None,
         slice_index: int = 0,
         core: int = 0,
-        rng: np.random.Generator | None = None,
+        rng: Stream | None = None,
     ) -> MceRecord | None:
         """Log one slice's worth of hardware events; return the record this
         slice put in `core`'s view, or None when it logged nothing.
@@ -123,7 +122,7 @@ class MachineCheck:
     def occasionally_decode_error(
         self,
         region: VoltageRegion,
-        rng: np.random.Generator,
+        rng: Stream,
         slice_index: int = 0,
         core: int = 0,
     ) -> MceRecord | None:

@@ -240,13 +240,6 @@ def _landing_offset(start_mv: int, edge_mv: float, base_mv: float, noise_mv: flo
     return start_mv - STEP_MV * (int((start_mv - reach) // STEP_MV) + 1)
 
 
-def _level_stream(gen, seed: int, *path):
-    """`rng.stream(seed, *path)`, made by re-keying `gen` once there is one."""
-    if gen is None:
-        return rngmod.stream(seed, *path)
-    return rngmod.rekey(gen, seed, *path)
-
-
 def phase1_find_window(
     profile_clone: ProcessorProfile | str,
     victim_program="vp1_xor_kernel",
@@ -276,13 +269,10 @@ def phase1_find_window(
     in stage two); the jump is conservative, so it can only land on or
     above the first level that can draw, and the walk goes on from there.
 
-    Each running level draws from its own stream, keyed
+    Each running level opens its own `rng.stream`, keyed
     ("phase1", pstate, core, offset, retries) in stage one and
-    ("phase1-stability", pstate, core, offset) in stage two.  The call
-    builds one generator, at its first running level, and re-keys it
-    (`rng.rekey`) at each later one; `run_test_loop` keeps no reference
-    to its generator, so every level draws exactly what a fresh
-    `rng.stream` on its key path would.
+    ("phase1-stability", pstate, core, offset) in stage two, so a level
+    draws the same whatever ran before it; a stepped-over level opens none.
     """
     if isinstance(profile_clone, str):
         profile_clone = load_profile(profile_clone)
@@ -301,7 +291,6 @@ def phase1_find_window(
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
     crashes = 0
-    gen = None  # built at the first running level, re-keyed at the later ones
 
     for core in range(profile.physical_cores):
         # The pinned core's temperature with no stressor; it does not
@@ -317,7 +306,7 @@ def phase1_find_window(
             if rates.quiet:
                 offset -= STEP_MV
                 continue
-            gen = _level_stream(gen, seed, "phase1", pstate, core, offset, retries)
+            gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
             out = run_test_loop(victim, rates, profile, core, pstate, ITERS_PER_LEVEL, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
@@ -343,7 +332,7 @@ def phase1_find_window(
             if rates.quiet:
                 offset -= STEP_MV
                 continue
-            gen = _level_stream(gen, seed, "phase1-stability", pstate, core, offset)
+            gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
             out = run_test_loop(stability, rates, profile, core, pstate, STABILITY_ITERS, gen)
             if out.status is RunStatus.CRASH:
                 crashes += 1

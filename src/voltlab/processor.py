@@ -25,18 +25,19 @@ with three decimals land exactly on band boundaries.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from bisect import bisect_right
 from enum import IntEnum
 from functools import cache
 from importlib import resources
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvariantError, SchemaError, UnknownCoreOrPState
 from .msr import Record
+from .rng import Stream
 
 SCHEMA_VERSION = 1
 
@@ -112,11 +113,11 @@ class _Reader:
             for i, v in enumerate(values)
         ]
 
-    def table(self, node, key, rows: int, cols: int, lo, hi) -> np.ndarray:
-        """A `rows` x `cols` list of lists of numbers in lo..=hi."""
+    def table(self, node, key, rows: int, cols: int, lo, hi) -> tuple[tuple[float, ...], ...]:
+        """A `rows` x `cols` list of lists of numbers in lo..=hi, as tuples."""
         if len(table := self.get(node, key, "", list)) != rows:
             raise SchemaError(f"{self.origin}: {key} must list {rows} entries")
-        return np.array([self.num(table, i, lo, hi, key, cols) for i in range(rows)])
+        return tuple(tuple(self.num(table, i, lo, hi, key, cols)) for i in range(rows))
 
     def pstate(self, key, at: str) -> str:
         try:
@@ -207,7 +208,7 @@ class BitFlipPattern(Record):
 
 class ProcessorProfile:
     """Immutable calibration data for one processor model, read from the
-    JSON document `raw`, of which it keeps a read-only copy.  Every array,
+    JSON document `raw`, of which it keeps a read-only copy.  Every table,
     mapping and document it holds is read-only, so one profile can be
     shared by all its callers (`load_profile` does).  Two profiles read from
     equal documents are equal, and a profile copies and pickles as its
@@ -267,14 +268,12 @@ class ProcessorProfile:
         )
         if self.default_attack_pstate not in self.pstates:
             raise SchemaError(f"{origin}: default attack pstate undefined")
-        self.byte_affinity = _frozen(
-            read.table(raw, "byte_affinity", n, 16, 0.0, sys.float_info.max)
-        )
-        if (self.byte_affinity.max(axis=1) <= 0).any():
+        self.byte_affinity = read.table(raw, "byte_affinity", n, 16, 0.0, sys.float_info.max)
+        if any(max(row) <= 0 for row in self.byte_affinity):
             raise InvariantError(f"{origin}: every core needs a positive affinity weight")
-        self.multiplicity = _frozen(read.table(raw, "multiplicity", n, 3, *_UNIT))
-        # np.allclose's tolerance (atol 1e-9, rtol 1e-5), without its overhead.
-        if not (abs(self.multiplicity.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
+        self.multiplicity = read.table(raw, "multiplicity", n, 3, *_UNIT)
+        # numpy's `allclose` tolerance (atol 1e-9, rtol 1e-5).
+        if any(abs(sum(row) - 1.0) > 1e-9 + 1e-5 for row in self.multiplicity):
             raise InvariantError(f"{origin}: multiplicity rows must sum to 1")
         calibration: dict[str, CalibrationEntry] = {}
         scenarios = read.get(raw, "calibration")
@@ -286,21 +285,24 @@ class ProcessorProfile:
             )
         self.calibration: MappingProxyType[str, CalibrationEntry] = MappingProxyType(calibration)
         # Per-core bit weights: byte affinity spread uniformly over each
-        # byte's 8 bits, normalized for sampling without replacement.
-        with np.errstate(all="ignore"):  # a row that does not survive this is refused below
-            per_bit = np.repeat(self.byte_affinity, 8, axis=1) / 8.0
-            self._bit_weights = _frozen(per_bit / per_bit.sum(axis=1, keepdims=True))
-        if not (abs(self._bit_weights.sum(axis=1) - 1.0) <= 1e-9).all():
-            raise InvariantError(f"{origin}: affinity weights underflow or overflow per bit")
+        # byte's 8 bits, normalized for sampling without replacement.  A row
+        # whose per-bit weights all underflow sums to zero, and one whose
+        # sum overflows makes `fsum` raise.
+        try:
+            self._bit_weights = tuple(_normalized([w / 8.0 for w in row for _ in range(8)])
+                                      for row in self.byte_affinity)
+        except (ZeroDivisionError, OverflowError):
+            raise InvariantError(
+                f"{origin}: affinity weights underflow or overflow per bit"
+            ) from None
         # Per core, what `draw_flip_masks` reads: the multiplicity CDF, the
-        # bit CDF as an array for block draws and as a tuple for one-by-one
-        # draws, and how many bits the CDF can reach, which caps a pattern's
-        # bit count.
+        # bit CDF, and how many bits the CDF can reach, which caps a
+        # pattern's bit count.
         tables = []
         for mult, bits in zip(self.multiplicity, self._bit_weights):
-            bit_cdf = _frozen(_cdf(bits))
-            reach = int(np.count_nonzero(np.diff(bit_cdf, prepend=0.0)))
-            tables.append((_frozen(_cdf(mult)), bit_cdf, tuple(bit_cdf.tolist()), reach))
+            bit_cdf = _cdf(bits)
+            reach = sum(hi > lo for lo, hi in zip((0.0,) + bit_cdf, bit_cdf))
+            tables.append((_cdf(mult), bit_cdf, reach))
         self._flip_tables = tuple(tables)
 
     def __eq__(self, other):
@@ -334,7 +336,7 @@ class ProcessorProfile:
         except KeyError:
             raise UnknownCoreOrPState(f"{self.name} has no calibration for {scenario!r}") from None
 
-    def bit_weights(self, core: int) -> np.ndarray:
+    def bit_weights(self, core: int) -> tuple[float, ...]:
         return self._bit_weights[self.check_core(core)]
 
     def logical_cores(self) -> int:
@@ -576,9 +578,9 @@ def mean_crash_probability(
 # never more than its bit CDF can reach, and the bits are a weighted sample
 # without replacement from the core's bit weights.
 #
-# Runs of patterns are drawn as arrays: one uniform per pattern picks its
-# bucket and one its first bit, each by `searchsorted` into the core's CDF.
-# Only the multi-bit rows are walked in Python.  Each later bit is a
+# Runs of patterns are drawn as one block of uniforms: one per pattern picks
+# its bucket and one its first bit, each by bisection into the core's CDF.
+# Only the multi-bit patterns draw more.  Each later bit is a
 # weighted draw with replacement, and a bit the row already holds is
 # rejected.  Rejecting repeats is successive weighted sampling: given the
 # bits kept so far, the next kept bit falls on each bit left in proportion
@@ -589,12 +591,6 @@ def mean_crash_probability(
 # The one-bit masks, shared: most patterns are one bit, and a long block of
 # masks then holds references instead of a fresh int per pattern.
 _BIT = tuple(1 << b for b in range(128))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """`a`, made read-only."""
-    a.flags.writeable = False
-    return a
 
 
 def _frozen_doc(value):
@@ -616,62 +612,65 @@ def _thawed_doc(value):
     return value
 
 
-def _cdf(weights) -> np.ndarray:
+def _normalized(weights) -> tuple[float, ...]:
+    """`weights` over their sum; raises ZeroDivisionError if it is zero and
+    OverflowError if it overflows."""
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+def _cdf(weights) -> tuple[float, ...]:
     """The normalised CDF of `weights`, as `Generator.choice` builds it."""
-    c = np.cumsum(weights)
-    c /= c[-1]
-    return c
+    c = list(accumulate(weights))
+    return tuple(x / c[-1] for x in c)
 
 
-def draw_flip_masks(
-    profile: ProcessorProfile, core: int, n: int, rng: np.random.Generator
-) -> list[int]:
+def draw_flip_masks(profile: ProcessorProfile, core: int, n: int, rng: Stream) -> list[int]:
     """The masks of `n` flip patterns on physical `core`, in draw order.
 
-    Draw order: one `rng.random((2, n))` block, whose first row picks each
-    pattern's multiplicity bucket and second row its first bit; then, per
+    Draw order: one `rng.random(2 * n)` block, whose first `n` uniforms pick
+    each pattern's multiplicity bucket and last `n` its first bit; then, per
     multi-bit pattern in order, `binomial(4, 0.2)` for bucket 2 and one
     uniform per later bit, repeats included."""
-    mult_cdf, bit_cdf, bit_list, reach = profile._flip_tables[profile.check_core(core)]
-    u = rng.random((2, n))
-    masks = [_BIT[b] for b in bit_cdf.searchsorted(u[1], side="right").tolist()]
-    buckets = mult_cdf.searchsorted(u[0], side="right")
-    rows = buckets.nonzero()[0]
-    for i, bucket in zip(rows.tolist(), buckets[rows].tolist()):
-        k = min(2 if bucket == 1 else 3 + int(rng.binomial(4, 0.2)), reach)
+    mult_cdf, bit_cdf, reach = profile._flip_tables[profile.check_core(core)]
+    u = rng.random(2 * n)
+    masks = [_BIT[bisect_right(bit_cdf, x)] for x in u[n:]]
+    for i, x in enumerate(u[:n]):
+        if x < mult_cdf[0]:
+            continue  # one bit: the first is the pattern
+        k = min(2 if x < mult_cdf[1] else 3 + int(rng.binomial(4, 0.2)), reach)
         mask = masks[i]
         while mask.bit_count() < k:
-            mask |= _BIT[bisect_right(bit_list, rng.random())]
+            mask |= _BIT[bisect_right(bit_cdf, rng.random())]
         masks[i] = mask
     return masks
 
 
 def draw_flip_pattern(
-    profile: ProcessorProfile, core: int, word_index: int, rng: np.random.Generator
+    profile: ProcessorProfile, core: int, word_index: int, rng: Stream
 ) -> BitFlipPattern:
     """Sample one flip pattern from the core's multiplicity and affinity
     tables: `draw_flip_masks` with `n = 1`, drawn in its order."""
     return BitFlipPattern.from_mask(word_index, draw_flip_masks(profile, core, 1, rng)[0])
 
 
-def crash_kind_weights(ratio: int) -> np.ndarray:
+def crash_kind_weights(ratio: int) -> tuple[float, float, float]:
     """Relative weights for (kernel exception, freeze, hard crash).
 
     Low ratios die softly; past the pivot the hard-crash term grows
     quadratically and overtakes the recoverable kinds.
     """
     rn = ratio / _KIND_PIVOT_RATIO
-    weights = np.array([2.2 / rn, 0.5, rn * rn])
-    return weights / weights.sum()
+    return _normalized((2.2 / rn, 0.5, rn * rn))
 
 
 @cache
 def _crash_kind_cdf(ratio: int) -> tuple[float, ...]:
-    """`_cdf(crash_kind_weights(ratio))` as a tuple, built once per ratio."""
-    return tuple(_cdf(crash_kind_weights(ratio)).tolist())
+    """`_cdf(crash_kind_weights(ratio))`, built once per ratio."""
+    return _cdf(crash_kind_weights(ratio))
 
 
-def draw_crash_kind(ratio: int, rng: np.random.Generator) -> CrashKind:
+def draw_crash_kind(ratio: int, rng: Stream) -> CrashKind:
     """Which way the platform dies at this ratio: one weighted draw."""
     return CrashKind(bisect_right(_crash_kind_cdf(ratio), rng.random()))
 

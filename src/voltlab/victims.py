@@ -28,8 +28,6 @@ from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-import numpy as np
-
 from . import rng as rngmod
 from .errors import AbortedByCrash, InterpreterError, InvariantError, UnknownStressor
 from .isa import DEFAULT_MAX_SLICES, WORD_MASK, MiniProgram, bundled_program, interpret
@@ -366,7 +364,7 @@ def pinned_rates(env: PlatformState, events: int, scenario: str) -> LoopRates:
 
 def run_test_loop(
     victim: LoopVictim, rates: LoopRates, profile: ProcessorProfile, core: int,
-    pstate: str, max_iters: int, rng: np.random.Generator,
+    pstate: str, max_iters: int, rng: rngmod.Stream,
 ) -> RunOutcome:
     """Iterate the prepared `victim` on physical `core` at one level whose
     chances the caller computed with `loop_rates`; nothing is rebuilt here,
@@ -423,8 +421,8 @@ def run_test_loop(
         j = _truncated_geometric(float(rng.uniform()), p_event, events)
         ordinals = [j]
         if j + 1 < events:
-            extra = rng.uniform(size=events - j - 1) < p_event
-            ordinals.extend(j + 1 + k for k in np.flatnonzero(extra))
+            extra = rng.uniform(size=events - j - 1)
+            ordinals.extend(j + 1 + k for k, u in enumerate(extra) if u < p_event)
         masks = draw_flip_masks(profile, core, len(ordinals), rng)
         faulted = _run_with_flips(victim.program, geom, dict(zip(ordinals, masks)))
         diff = memory_diff(geom.memory, faulted.memory)
@@ -534,7 +532,7 @@ def poc_victim() -> LoopVictim:
     return LoopVictim(program, geom)
 
 
-def run_poc_enclave(q: float, c_try: float, tries: int, rng: np.random.Generator) -> int:
+def run_poc_enclave(q: float, c_try: float, tries: int, rng: rngmod.Stream) -> int:
     """Run a campaign victim `tries` times; count its successes.  `q` is
     the per-try success chance and `c_try` the per-try crash chance, both
     read once per campaign by the caller.
@@ -623,8 +621,10 @@ class CampaignResult(Record):
     def from_runs(cls, target_core, scenario, per_run, crashes=0) -> "CampaignResult":
         per_run = tuple((int(s), int(t)) for s, t in per_run)
         rates = [10_000.0 * s / t for s, t in per_run if t > 0]
-        mean = float(np.mean(rates)) if rates else 0.0
-        sigma = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
+        mean = math.fsum(rates) / len(rates) if rates else 0.0
+        sigma = 0.0
+        if len(rates) > 1:
+            sigma = math.sqrt(math.fsum((r - mean) ** 2 for r in rates) / (len(rates) - 1))
         return cls(
             target_core=int(target_core),
             scenario=scenario,

@@ -31,6 +31,15 @@ from voltlab.victims import (
 VREGS = [f"%xmm{i}" for i in range(16)]
 
 
+def numpy_stream(seed, *path) -> np.random.Generator:
+    """A numpy Philox generator keyed by `rng.derive_key(seed, *path)`, for
+    test data and oracles that need numpy's own draws (`integers`,
+    `choice`, sized `binomial`).  Every voltlab runner also takes one in
+    place of an `rng.stream`."""
+    key = np.frombuffer(rngmod.derive_key(seed, *path), dtype="<u8")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def random_program_text(gen: np.random.Generator, max_len: int = 50) -> str:
     """Straight-line program mixing pattern ops, stores, and filler.
 

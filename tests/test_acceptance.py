@@ -45,7 +45,7 @@ from voltlab.processor import (
 from voltlab.scanner import PatternHit, PatternKind, scan
 from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext, hmac_sha256
 
-from helpers import random_program_text
+from helpers import numpy_stream, random_program_text
 from slice_reference import scan_brute
 
 KABY = load_profile("i7-7700k")
@@ -188,7 +188,7 @@ def test_ac06_flip_patterns_match_profile_distributions():
 
 
 def test_ac07_region_and_reporting_properties():
-    gen = vrng.stream(23, "acceptance-regions")
+    gen = numpy_stream(23, "acceptance-regions")
     pstates = sorted(KABY.pstates)
     for _ in range(10_000):
         core = int(gen.integers(KABY.physical_cores))
@@ -229,7 +229,7 @@ def test_ac07_region_and_reporting_properties():
 
 def test_ac08_scan_equals_brute_oracle():
     t0 = perf_counter()
-    gen = vrng.stream(31, "acceptance-scan")
+    gen = numpy_stream(31, "acceptance-scan")
     for _ in range(1000):
         program = parse_program(random_program_text(gen))
         assert scan(program) == scan_brute(program)
@@ -283,7 +283,7 @@ def test_ac10_hmac_vectors_and_flip_sensitivity():
         assert hmac_sha256(key, message).hex() == tag
 
     ctx = HmacContext(b"\x0b" * 32, bytes(range(32)))
-    gen = vrng.stream(41, "acceptance-hmac")
+    gen = numpy_stream(41, "acceptance-hmac")
     changed = 0
     for _ in range(1000):
         g = int(gen.integers(ctx.total_events))

@@ -539,6 +539,24 @@ def test_profile_with_non_finite_numbers_is_refused(capsys, tmp_path, path, valu
     assert err.startswith("voltlab: ") and "finite" in err
 
 
+@pytest.mark.parametrize("weight", [5e-324, 1e308])
+def test_profile_whose_affinity_does_not_survive_the_spread_over_bits_is_refused(
+    capsys, tmp_path, weight
+):
+    # The per-bit weights underflow to a zero sum, or their sum overflows.
+    text = resources.files("voltlab").joinpath("data/profiles/i7-7700k.json").read_text()
+    raw = json.loads(text)
+    raw["byte_affinity"][1] = [weight] * 16
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw), encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "campaign", "--profile", str(edited), "--victim", "poc", "--core", "1", "--tries", "10"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("voltlab: ") and "underflow or overflow per bit" in err
+
+
 def test_lookup_errors_print_without_quotes(capsys):
     rc, out, err = run_cli(
         capsys, "probe", "--profile", "i7-7700k", "--pstate", "0x99", "--tries", "10"
@@ -583,8 +601,12 @@ def _fresh_modules(*lines: str) -> set:
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def _cli_lines(*argv: str) -> tuple[str, str]:
+    return "import voltlab.cli", f"assert voltlab.cli.main({list(argv)!r}) == 0"
+
+
 def _cli_modules(*argv: str) -> set:
-    return _fresh_modules("import voltlab.cli", f"assert voltlab.cli.main({list(argv)!r}) == 0")
+    return _fresh_modules(*_cli_lines(*argv))
 
 
 @pytest.mark.parametrize(
@@ -612,6 +634,29 @@ def test_sha256sim_imports_without_numpy():
         "    assert sha256(msg) == hashlib.sha256(msg).digest()",
     )
     assert "voltlab.sha256sim" in loaded
+    assert "numpy" not in loaded
+
+
+_CELL = ("--profile", "i7-7700k", "--core", "1", "--runs", "1", "--tries", "100")
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        *(_cli_lines("campaign", "--victim", victim, *_CELL)
+          for victim in ("poc", "hmac32", "hmac1k")),
+        _cli_lines("probe", "--profile", "i7-7700k", "--tries", "100"),
+        # What the benchmark's start-up time measures: the CLI module, a
+        # bundled profile and the bundled programs.
+        ("import voltlab.cli", "from voltlab.isa import bundled_program",
+         "from voltlab.processor import load_profile", "load_profile('i7-7700k')",
+         "bundled_program('vp1_xor_kernel')", "bundled_program('poc_and_branch')"),
+    ],
+    ids=["campaign-poc", "campaign-hmac32", "campaign-hmac1k", "probe", "setup"],
+)
+def test_simulator_commands_start_without_numpy(lines):
+    loaded = _fresh_modules(*lines)
+    assert "voltlab.processor" in loaded
     assert "numpy" not in loaded
 
 

@@ -4,10 +4,10 @@ import json
 from collections import Counter
 from importlib import resources
 
-import numpy as np
 import pytest
 
 import voltlab.orchestrator as orchestrator
+import voltlab.rng as rngmod
 import voltlab.victims as victims
 from voltlab.errors import (
     AbortedByCrash,
@@ -242,27 +242,27 @@ def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch)
     [*((load_profile(name), False) for name in bundled_profile_names()), (_quiet_profile(), True)],
     ids=[*bundled_profile_names(), "quiet"],
 )
-def test_phase1_builds_at_most_one_generator_per_call(monkeypatch, profile, quiet):
-    # One Philox per search, re-keyed at each later running level; none
-    # when every level is stepped over.
+def test_phase1_opens_one_stream_per_running_level(monkeypatch, profile, quiet):
+    # Each running level opens its own `rng.stream`, and a stepped-over
+    # level opens none.
     counts = Counter()
-    philox, run_test_loop = np.random.Philox, orchestrator.run_test_loop
+    stream, run_test_loop = rngmod.stream, orchestrator.run_test_loop
 
-    def building(*args, **kwargs):
-        counts["philox"] += 1
-        return philox(*args, **kwargs)
+    def opening(*args):
+        counts["streams"] += 1
+        return stream(*args)
 
     def running(*args):
         counts["levels"] += 1
         return run_test_loop(*args)
 
-    monkeypatch.setattr(np.random, "Philox", building)
+    monkeypatch.setattr(rngmod, "stream", opening)
     monkeypatch.setattr(orchestrator, "run_test_loop", running)
     for pstate in profile.pstates:
         counts.clear()
         _plan_or_error(phase1_find_window, profile, pstate=pstate, seed=7)
-        assert counts["philox"] == min(counts["levels"], 1), (profile.name, pstate, counts)
-        # Bundled cells re-key at least once; the quiet profile runs no level.
+        assert counts["streams"] == counts["levels"], (profile.name, pstate, counts)
+        # Bundled cells run several levels; the quiet profile runs none.
         assert counts["levels"] == 0 if quiet else counts["levels"] > 1, (pstate, counts)
 
 

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from helpers import goodness_of_fit_p, reference_flip_pattern, two_sample_p
+from helpers import goodness_of_fit_p, numpy_stream, reference_flip_pattern, two_sample_p
 from hmac_reference import draw_fault_sets
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
@@ -138,16 +138,13 @@ def test_every_part_of_a_loaded_profile_is_read_only(name):
     # caller may write into it.
     profile = load_profile(name)
     assert [p for k, v in vars(profile).items() for p in _writable_parts(v, k)] == []
-    arrays = [v for v in vars(profile).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 3  # byte_affinity, multiplicity, _bit_weights
-    arrays.append(profile.bit_weights(1))
-    for mult_cdf, bit_cdf, _, _ in profile._flip_tables:
-        arrays += [mult_cdf, bit_cdf]
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = 0.5
-        with pytest.raises(ValueError, match="read-only"):
-            array += 0
+    # The tables are tuples of floats: byte_affinity, multiplicity and
+    # _bit_weights per core, and each core's flip CDFs.
+    tables = [*profile.byte_affinity, *profile.multiplicity, *profile._bit_weights]
+    for mult_cdf, bit_cdf, _ in profile._flip_tables:
+        tables += [mult_cdf, bit_cdf]
+    for table in tables:
+        assert type(table) is tuple and all(type(x) is float for x in table)
     for mapping in (profile.pstates, profile.calibration, profile._raw, profile._raw["pstates"]):
         key = next(iter(mapping))
         with pytest.raises(TypeError):
@@ -698,7 +695,7 @@ def _flip_counts(name, core):
     1 500 `Generator.choice` patterns, on one core."""
     profile = load_profile(name)
     ours = draw_flip_masks(profile, core, 30_000, vrng.stream(29, "flip-dist", name, core))
-    gen = vrng.stream(31, "flip-oracle", name, core)
+    gen = numpy_stream(31, "flip-oracle", name, core)
     theirs = [reference_flip_pattern(profile, core, 0, gen).mask for _ in range(1_500)]
     return _counts(ours), _counts(theirs)
 
@@ -811,9 +808,11 @@ def test_flip_mask_counts_tally_the_listed_block(name, core, n):
 
 # -- flip draws against `Generator.choice`, uniform for uniform ---------------
 #
-# A flip draw reads each pattern's bucket and first bit off one uniform
-# each, through the CDF `choice` builds and its `side="right"` bisection,
-# so from the same uniform it picks what `choice` picks.  A pattern drawn
+# These draw from numpy generators, which the flip draws take in place of an
+# `rng.stream`, so a test can set and peek the uniforms.  A flip draw reads
+# each pattern's bucket and first bit off one uniform each, through the CDF
+# `choice` builds and its `side="right"` bisection, so from the same
+# uniform it picks what `choice` picks.  A pattern drawn
 # on its own reads its uniforms in `choice`'s order as well: where `choice`
 # takes one round (one bit, or two bits whose draws differ), the two agree
 # word for word.  Only the repeats and the 3+ bit patterns part ways, and
@@ -821,8 +820,8 @@ def test_flip_mask_counts_tally_the_listed_block(name, core, n):
 
 
 def _next_words(seed, words):
-    """A Philox stream whose next four words are `words`."""
-    gen = vrng.stream(seed, "ties")
+    """A numpy Philox generator whose next four words are `words`."""
+    gen = numpy_stream(seed, "ties")
     state = gen.bit_generator.state
     state["buffer"] = np.array(words, dtype=np.uint64)
     state["buffer_pos"] = 0
@@ -832,7 +831,8 @@ def _next_words(seed, words):
 
 
 def _next_uniforms(seed, uniforms):
-    """A Philox stream whose next four uniforms are `uniforms` (multiples of 2**-53)."""
+    """A numpy Philox generator whose next four uniforms are `uniforms`
+    (multiples of 2**-53)."""
     return _next_words(seed, [int(u * 2**53) << 11 for u in uniforms])
 
 
@@ -859,7 +859,7 @@ def _single_draw_matches_choice(profile, core, *key):
     stream `key`.  Both keep `choice`'s bucket and its first bit; where
     `choice` takes one round the patterns and the final stream states are
     equal.  Returns the bit count of an equal pattern, else 0."""
-    ours, theirs = vrng.stream(*key), vrng.stream(*key)
+    ours, theirs = numpy_stream(*key), numpy_stream(*key)
     u_bucket, u_first, u_second = _peek(ours, 3)
     weights = profile.bit_weights(core)
     bucket = _choice_pick(profile.multiplicity[core], u_bucket)
@@ -922,7 +922,7 @@ def _block_matches_choice(profile, core, gen, n):
 def test_flip_blocks_replay_choice_on_bundled_profiles(name):
     profile = load_profile(name)
     for core in range(profile.physical_cores):
-        gen = vrng.stream(2, "flips", core)
+        gen = numpy_stream(2, "flips", core)
         masks = [m for n in (0, 1, 2, 7, 500) for m in _block_matches_choice(profile, core, gen, n)]
         assert any(mask.bit_count() > 1 for mask in masks)
 
@@ -933,7 +933,7 @@ def test_flip_blocks_replay_choice_on_random_tables(tables, seed, block):
     # Small blocks back to back: each block's rows start where the walk of
     # the block before it stopped.
     profile = _table_profile(tables)
-    gen = vrng.stream(seed, "flips")
+    gen = numpy_stream(seed, "flips")
     for start in range(0, 300, block):
         _block_matches_choice(profile, 1, gen, min(block, 300 - start))
 
@@ -976,7 +976,7 @@ def test_choice_replays_floyd_and_the_shuffle(n, kaby):
     # `choice(n, k, replace=False)` is Floyd's walk and a shuffle: a uniform
     # `k`-subset in random order.  The oracle `draw_fault_sets` draws the
     # same subsets, in stores order; `k == n` takes every store.
-    gen = vrng.stream(n, "floyd")
+    gen = numpy_stream(n, "floyd")
     for k in sorted({0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 300) + 1))):
         reps = max(4, 4_000 // max(k, 1))
         sets = [
@@ -1020,7 +1020,7 @@ _BUNDLED_RATIOS = sorted(
 
 @pytest.mark.parametrize("ratio", _BUNDLED_RATIOS)
 def test_crash_kind_draw_replays_choice(ratio):
-    ours, theirs = vrng.stream(16, "kind"), vrng.stream(16, "kind")
+    ours, theirs = numpy_stream(16, "kind"), numpy_stream(16, "kind")
     for _ in range(500):
         expected = CrashKind(int(theirs.choice(3, p=crash_kind_weights(ratio))))
         assert draw_crash_kind(ratio, ours) == expected
@@ -1081,8 +1081,8 @@ def test_crash_kind_depends_on_ratio(kaby):
 def test_kind_weights_normalized():
     for ratio in (8, 16, 27, 32, 36, 42):
         w = crash_kind_weights(ratio)
-        assert w.sum() == pytest.approx(1.0)
-        assert (w > 0).all()
+        assert sum(w) == pytest.approx(1.0)
+        assert all(x > 0 for x in w)
 
 
 # -- platform state ------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 import pytest
 
-from voltlab import rng as vrng
 from voltlab.isa import bundled_program, parse_program
 from voltlab.scanner import ADJACENCY_LIMIT, PatternHit, PatternKind, hits_to_json, scan
-from helpers import random_program_text
+from helpers import numpy_stream, random_program_text
 from slice_reference import WindowEstimate, estimate_window, scan_brute
 
 
@@ -115,7 +114,7 @@ def test_hits_to_json_shape():
 
 
 def test_scan_matches_brute_oracle():
-    gen = vrng.stream(31, "scan-fuzz")
+    gen = numpy_stream(31, "scan-fuzz")
     for _ in range(300):
         prog = parse_program(random_program_text(gen))
         assert scan(prog) == scan_brute(prog)

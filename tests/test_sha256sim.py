@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmac_reference
+from helpers import numpy_stream
 from hmac_reference import macs_with_keys, store_events
-from voltlab import rng as vrng
 from voltlab.errors import InvariantError
 from voltlab.sha256sim import (
     EVENTS_PER_BLOCK,
@@ -57,7 +57,7 @@ def test_hmac_published_vectors(key, msg, expected):
 
 
 def test_matches_hashlib_on_random_inputs():
-    gen = vrng.stream(41, "hash-fuzz")
+    gen = numpy_stream(41, "hash-fuzz")
     for _ in range(60):
         n = int(gen.integers(0, 300))
         data = gen.bytes(n)
@@ -102,7 +102,7 @@ def test_fault_free_context_matches_oracle():
 
 def test_every_single_bit_flip_changes_the_mac():
     ctx = HmacContext(b"k" * 32, b"m" * 32)
-    gen = vrng.stream(42, "flip-sweep")
+    gen = numpy_stream(42, "flip-sweep")
     seen_macs = {ctx.clean_mac}
     for _ in range(1000):
         blk = int(gen.integers(0, ctx.total_blocks))
@@ -120,7 +120,7 @@ def test_schedule_fault_equals_direct_recomputation():
     ctx = HmacContext(key, msg)
     ipad = bytes(k ^ 0x36 for k in key.ljust(64, b"\x00"))
     opad = bytes(k ^ 0x5C for k in key.ljust(64, b"\x00"))
-    gen = vrng.stream(43, "cross-check")
+    gen = numpy_stream(43, "cross-check")
     for _ in range(200):
         blk = int(gen.integers(0, ctx.total_blocks))
         event = int(gen.integers(0, EVENTS_PER_BLOCK))
@@ -212,7 +212,7 @@ def test_lane_macs_equal_scalar_macs(case):
 @pytest.mark.parametrize("msg_len", MESSAGE_LENGTHS)
 def test_lane_macs_with_every_store_faulted(key_len, msg_len):
     ctx = _context(key_len, msg_len)
-    gen = vrng.stream(44, "every-store", key_len, msg_len)
+    gen = numpy_stream(44, "every-store", key_len, msg_len)
     every = {
         (blk, event): int(gen.integers(1, 1 << 63)) << int(gen.integers(0, 65))
         for blk in range(ctx.total_blocks)
