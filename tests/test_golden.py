@@ -2,7 +2,9 @@
 
 Each `CASES` file under tests/golden/ is the exact stdout of one CLI
 invocation.  The bundled profiles' planned offsets never crash, so
-crash_aborts.json pins the crash paths through the library instead.  A
+crash_aborts.json pins the crash paths through the library instead, and
+phase1_sweep.json pins the phase-1 plan of every bundled profile and
+pstate at two seeds, which the CLI shows for one cell only.  A
 change that alters any random-number stream, draw order or float
 evaluation order shows up here as a diff; such a change must regenerate
 the files and say so.
@@ -16,7 +18,14 @@ import pytest
 import voltlab.cli as cli
 from voltlab import rng
 from voltlab.errors import AbortedByCrash
-from voltlab.orchestrator import VoltagePlan, phase2_probe_cores, phase3_attack, setup_system
+from voltlab.orchestrator import (
+    VoltagePlan,
+    phase1_find_window,
+    phase2_probe_cores,
+    phase3_attack,
+    setup_system,
+)
+from voltlab.processor import bundled_profile_names, load_profile
 from voltlab.victims import PlatformState, run_hmac_victim
 
 from helpers import run_poc_under
@@ -73,3 +82,18 @@ def test_crash_aborts_match_golden_file():
     out = json.dumps(cells, indent=2, sort_keys=True) + "\n"
     assert out == (GOLDEN / "crash_aborts.json").read_text(encoding="utf-8")
 
+
+
+def test_phase1_sweep_matches_golden_file():
+    plans = {
+        str(seed): {
+            name: {
+                pstate: phase1_find_window(profile, pstate=pstate, seed=seed).to_json()
+                for pstate in profile.pstates
+            }
+            for name, profile in ((n, load_profile(n)) for n in bundled_profile_names())
+        }
+        for seed in (7, 23)
+    }
+    out = json.dumps(plans, indent=2, sort_keys=True) + "\n"
+    assert out == (GOLDEN / "phase1_sweep.json").read_text(encoding="utf-8")
