@@ -57,6 +57,8 @@ class Opcode(Enum):
 
 
 VECTOR_STORES = frozenset({Opcode.VMOVDQU_STORE, Opcode.MOVNT_STORE})
+# `interpret` compares with these globals, cheaper than `Opcode.X` lookups; in definition order.
+_LOAD, _STORE, _XOR, _AND, _ADDQ, _SLLQ, _NT_STORE, _SFENCE, _PUSH, _POP, _CMP, _JMP, _HALT = Opcode
 
 
 class Reg(Record):
@@ -356,25 +358,22 @@ def interpret(
                 raise InterpreterError(f"no scalar register {name!r}")
             sregs[name] = value & LANE_MASK
 
-    def address_of(op: Mem) -> int:
-        return sregs[op.base] + op.disp if op.base else op.disp
-
     def value_of(op) -> int:
         if isinstance(op, Imm):
             return op.value & LANE_MASK
         if isinstance(op, Reg):
             return sregs[op.name]
-        return _read_word(mem, address_of(op), 8)
+        return _read_word(mem, sregs[op.base] + op.disp if op.base else op.disp, 8)
 
-    pc = 0
-    slices = 0
+    pc = slices = 0
     halt_index: int | None = None
     insns = program.instructions
+    n_insns = len(insns)
     try:
         # The branches run in the order the bundled programs need them most.
         while slices < max_slices:
-            if pc >= len(insns):
-                halt_index = len(insns)  # fell off the end
+            if pc >= n_insns:
+                halt_index = n_insns  # fell off the end
                 break
             insn = insns[pc]
             if trace is not None:
@@ -382,45 +381,46 @@ def interpret(
             slices += 1
             next_pc = pc + 1
             op = insn.opcode
-            if op is Opcode.VMOVDQU_LOAD:
+            if op is _LOAD:
                 src, dst = insn.operands
-                vregs[dst.name] = _read_word(mem, address_of(src), WORD_BYTES)
-            elif op is Opcode.VMOVDQU_STORE or op is Opcode.MOVNT_STORE:
+                addr = sregs[src.base] + src.disp if src.base else src.disp
+                vregs[dst.name] = _read_word(mem, addr, WORD_BYTES)
+            elif op is _STORE or op is _NT_STORE:
                 src, dst = insn.operands
-                addr = address_of(dst)
+                addr = sregs[dst.base] + dst.disp if dst.base else dst.disp
                 value = vregs[src.name]
                 if store_hook is not None:
                     replaced = store_hook(StoreExecution(pc, slices - 1, addr, value))
                     if replaced is not None:
                         value = replaced & WORD_MASK
                 _write_word(mem, addr, WORD_BYTES, value)
-            elif op is Opcode.CMP_BRANCH:
+            elif op is _CMP:
                 lhs, rhs, target = insn.operands
                 if (value_of(lhs) == value_of(rhs)) == insn.branch_on_equal:
                     next_pc = program.labels[target.name]
-            elif op is Opcode.VPXOR:
+            elif op is _XOR:
                 a, b, dst = insn.operands
                 vregs[dst.name] = vregs[a.name] ^ vregs[b.name]
-            elif op is Opcode.VPAND:
+            elif op is _AND:
                 a, b, dst = insn.operands
                 vregs[dst.name] = vregs[a.name] & vregs[b.name]
-            elif op is Opcode.VPADDQ:
+            elif op is _ADDQ:
                 a, b, dst = insn.operands
                 alo, ahi = _lanes(vregs[a.name])
                 blo, bhi = _lanes(vregs[b.name])
                 vregs[dst.name] = _from_lanes(alo + blo, ahi + bhi)
-            elif op is Opcode.HALT:
+            elif op is _HALT:
                 halt_index = pc
                 break
-            elif op is Opcode.PUSH:
+            elif op is _PUSH:
                 (reg,) = insn.operands
                 sregs["rsp"] = (sregs["rsp"] - 8) & LANE_MASK
                 _write_word(mem, sregs["rsp"], 8, sregs[reg.name])
-            elif op is Opcode.POP:
+            elif op is _POP:
                 (reg,) = insn.operands
                 sregs[reg.name] = _read_word(mem, sregs["rsp"], 8)
                 sregs["rsp"] = (sregs["rsp"] + 8) & LANE_MASK
-            elif op is Opcode.VPSLLQ:
+            elif op is _SLLQ:
                 count, src, dst = insn.operands
                 c = vregs[count.name] & LANE_MASK
                 if c > 63:
@@ -428,10 +428,10 @@ def interpret(
                 else:
                     lo, hi = _lanes(vregs[src.name])
                     vregs[dst.name] = _from_lanes(lo << c, hi << c)
-            elif op is Opcode.JMP:
+            elif op is _JMP:
                 (target,) = insn.operands
                 next_pc = program.labels[target.name]
-            elif op is Opcode.SFENCE:
+            elif op is _SFENCE:
                 pass  # ordering token; this interpreter is already sequential
             else:  # pragma: no cover
                 raise _SliceError(f"unhandled opcode {op}")

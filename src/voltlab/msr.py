@@ -25,6 +25,7 @@ from enum import IntEnum
 
 from .errors import FormatError, RangeError
 
+_setattr = object.__setattr__  # for `Record._set`: a lookup per field costs more than the write
 OC_MAILBOX_MSR = 0x150
 
 # P-state plumbing (see plan_pstate_request)
@@ -98,7 +99,7 @@ class Record:
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -259,11 +259,13 @@ def phase1_find_window(
     there is no usable window above the instability boundary.
 
     Both programs are prepared once per process (a MiniProgram
-    `victim_program` once per call), and each level's rates are computed
-    once and handed to `run_test_loop`, which runs only at levels where it
-    can draw.  A level whose fault and crash chances are both zero
-    is exactly one where `run_test_loop` would return Match without
-    touching its stream, so it is stepped over.
+    `victim_program` once per call), the core temperature once per call (no
+    stressor is pinned, so it depends on neither core nor offset), each
+    core's window top and instability line once per core, and each level's
+    rates once, by `loop_rates`, and handed to `run_test_loop`, which runs
+    only at levels where it can draw.  A level whose fault and crash
+    chances are both zero is exactly one where `run_test_loop` would return
+    Match without touching its stream, so it is stepped over.
     Each stage first jumps to the highest level whose noise band reaches
     below its edge (the window top in stage one, the instability boundary
     in stage two); the jump is conservative, so it can only land on or
@@ -292,10 +294,8 @@ def phase1_find_window(
     chosen_offset: list[int] = [0] * profile.physical_cores
     crashes = 0
 
+    temp = PlatformState(profile, pstate, 0).temp_c  # any core's, with no stressor
     for core in range(profile.physical_cores):
-        # The pinned core's temperature with no stressor; it does not
-        # depend on the offset.
-        temp = PlatformState(profile, pstate, core).temp_c
         _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
 
         # Stage 1: walk down until the comparison loop reports corruption.

@@ -450,13 +450,8 @@ def classify_voltage(
 
 
 def event_fault_probability(
-    profile: ProcessorProfile,
-    core: int,
-    pstate: str | int,
-    scenario: str,
-    stressor_multiplier: float,
-    v_eff_mv: float,
-    temp_c: float,
+    profile: ProcessorProfile, core: int, pstate: str | int, scenario: str,
+    stressor_multiplier: float, v_eff_mv: float, temp_c: float,
 ) -> float:
     """Per-event fault probability at one effective voltage.
 
@@ -464,23 +459,32 @@ def event_fault_probability(
     ceiling is scaled by the stressor multiplier, the pstate's exploit
     factor (for gated scenarios), and the depth ramp, then clamped.
     """
+    return _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)[0](v_eff_mv)
+
+
+def _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
+    """`event_fault_probability` at one (core, pstate, scenario, multiplier,
+    temperature) as a function of the effective voltage alone, and the
+    voltages where it bends (the window edges, the ramp's end, the clamp)."""
     point = profile.pstate_point(pstate)
     top = effective_window_top_mv(profile, core, pstate, temp_c)
     width = point.exploit_window_mv
-    if width <= 0.0 or v_eff_mv > top or v_eff_mv <= top - width:
-        return 0.0
-    p = _scenario_ceiling(profile, point, core, scenario, stressor_multiplier)
-    p *= manifestation((top - v_eff_mv) / width)
-    return min(p, 1.0)
-
-
-def _scenario_ceiling(profile, point, core, scenario, stressor_multiplier) -> float:
-    """Per-event fault probability at full manifestation, before the clamp."""
     entry = profile.calibration_entry(scenario)
-    p = entry.p_event_max[core] * stressor_multiplier
+    ceiling = entry.p_event_max[core] * stressor_multiplier  # at full manifestation, unclamped
     if entry.pstate_gated:
-        p *= point.exploit_factor
-    return p
+        ceiling *= point.exploit_factor
+
+    def p_at(v_eff_mv: float) -> float:
+        if width <= 0.0 or v_eff_mv > top or v_eff_mv <= top - width:
+            return 0.0
+        return min(ceiling * manifestation((top - v_eff_mv) / width), 1.0)
+
+    breaks = [top, top - width]
+    if width > 0.0:
+        breaks.append(top - width * RAMP_SATURATION_DEPTH)
+        if ceiling > 1.0:
+            breaks.append(top - width * RAMP_SATURATION_DEPTH / ceiling)
+    return p_at, breaks
 
 
 def _integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
@@ -491,7 +495,11 @@ def _integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
     """
     if hi <= lo:
         return 0.0
-    points = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
+    points = [lo]  # then the distinct breakpoints strictly inside, ascending, then hi
+    for b in sorted(breakpoints):
+        if lo < b < hi and b != points[-1]:
+            points.append(b)
+    points.append(hi)
     total = 0.0
     for a, b in zip(points, points[1:]):
         total += fn(0.5 * (a + b)) * (b - a)
@@ -499,13 +507,8 @@ def _integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
 
 
 def mean_event_fault_probability(
-    profile: ProcessorProfile,
-    core: int,
-    pstate: str | int,
-    scenario: str,
-    stressor_multiplier: float,
-    v_nominal_mv: float,
-    temp_c: float,
+    profile: ProcessorProfile, core: int, pstate: str | int, scenario: str,
+    stressor_multiplier: float, v_nominal_mv: float, temp_c: float,
 ) -> float:
     """Per-event fault probability averaged over the supply-noise band.
 
@@ -513,60 +516,41 @@ def mean_event_fault_probability(
     (ramp, plateau, cap, and the window edges), so averaging over uniform
     noise reduces to exact trapezoids between the breakpoints.  This is
     the marginal that lets a campaign draw one binomial per try instead of
-    one uniform per store without changing the distribution.
+    one uniform per store without changing the distribution.  The window
+    and ceiling are read once per call, not once per trapezoid.
     """
-    point = profile.pstate_point(pstate)
-    core = profile.check_core(core)
     n = profile.noise_mv
-
-    def p_at(v):
-        return event_fault_probability(
-            profile, core, pstate, scenario, stressor_multiplier, v, temp_c
-        )
-
     if n <= 0.0:
-        return p_at(v_nominal_mv)
-    top = effective_window_top_mv(profile, core, pstate, temp_c)
-    width = point.exploit_window_mv
-    breaks = [top, top - width]
-    ceiling = _scenario_ceiling(profile, point, core, scenario, stressor_multiplier)
-    if width > 0.0:
-        breaks.append(top - width * RAMP_SATURATION_DEPTH)
-        if ceiling > 1.0:  # the clamp introduces its own corner
-            breaks.append(top - width * RAMP_SATURATION_DEPTH / ceiling)
-    lo, hi = v_nominal_mv - n, v_nominal_mv + n
-    return _integrate_piecewise(p_at, lo, hi, breaks) / (2.0 * n)
+        return event_fault_probability(
+            profile, core, pstate, scenario, stressor_multiplier, v_nominal_mv, temp_c
+        )
+    p_at, breaks = _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
+    return _integrate_piecewise(p_at, v_nominal_mv - n, v_nominal_mv + n, breaks) / (2.0 * n)
 
 
 def mean_crash_probability(
-    profile: ProcessorProfile,
-    core: int,
-    pstate: str | int,
-    v_nominal_mv: float,
-    temp_c: float,
+    profile: ProcessorProfile, core: int, pstate: str | int, v_nominal_mv: float, temp_c: float
 ) -> float:
     """Per-slice crash probability averaged over the supply-noise band."""
     point = profile.pstate_point(pstate)
-    core = profile.check_core(core)
     top = effective_window_top_mv(profile, core, pstate, temp_c)
     floor = top - point.exploit_window_mv
-    ratio = point.ratio
     n = profile.noise_mv
-
-    def g_at(v):
-        return crash_probability_per_slice(profile, ratio, floor - v)
-
     if n <= 0.0:
-        return g_at(v_nominal_mv)
-    freq_factor = _crash_freq_factor(ratio)
+        return crash_probability_per_slice(profile, point.ratio, floor - v_nominal_mv)
+    lo, hi = v_nominal_mv - n, v_nominal_mv + n
+    if lo > floor:
+        return 0.0  # every trapezoid's midpoint lies above the floor, where the chance is 0
     breaks = [floor]
-    if profile.crash.depth_slope_per_mv > 0 and profile.crash.rate_per_slice > 0:
-        cap_depth = (1.0 / (profile.crash.rate_per_slice * freq_factor) - 1.0) / (
-            profile.crash.depth_slope_per_mv
-        )
+    rate, slope = profile.crash
+    if slope > 0 and rate > 0:
+        cap_depth = (1.0 / (rate * _crash_freq_factor(point.ratio)) - 1.0) / slope
         if cap_depth > 0:
             breaks.append(floor - cap_depth)
-    lo, hi = v_nominal_mv - n, v_nominal_mv + n
+
+    def g_at(v):
+        return crash_probability_per_slice(profile, point.ratio, floor - v)
+
     return _integrate_piecewise(g_at, lo, hi, breaks) / (2.0 * n)
 
 
@@ -591,6 +575,7 @@ def mean_crash_probability(
 # The one-bit masks, shared: most patterns are one bit, and a long block of
 # masks then holds references instead of a fresh int per pattern.
 _BIT = tuple(1 << b for b in range(128))
+_CRASH_KINDS = tuple(CrashKind)  # by value: indexing is cheaper than calling the enum
 
 
 def _frozen_doc(value):
@@ -672,7 +657,7 @@ def _crash_kind_cdf(ratio: int) -> tuple[float, ...]:
 
 def draw_crash_kind(ratio: int, rng: Stream) -> CrashKind:
     """Which way the platform dies at this ratio: one weighted draw."""
-    return CrashKind(bisect_right(_crash_kind_cdf(ratio), rng.random()))
+    return _CRASH_KINDS[bisect_right(_crash_kind_cdf(ratio), rng.random())]
 
 
 def crash_probability_per_slice(

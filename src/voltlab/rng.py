@@ -27,6 +27,7 @@ import struct
 
 _SCALE = 2.0**-53  # one unit in the last place of a 53-bit double in [0, 1)
 _FIRST_BLOCK, _DOUBLINGS = 8, 7  # block c holds 8 << min(c, 7) doubles
+_NEVER = 1 << 1024  # past every finite inversion, so past every budget
 
 
 def derive_key(seed: int, *path) -> bytes:
@@ -117,13 +118,15 @@ class Stream:
 
     def geometric(self, p: float) -> int:
         """Trials up to and including the first success, each a success
-        with chance `p` in (0, 1]: one uniform, by inversion."""
+        with chance `p` in (0, 1]: one uniform, by inversion (`_NEVER` if
+        that overflows, as it may at a subnormal `p`)."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"geometric chance {p} outside (0, 1]")
         u = self.random()
         if p == 1.0:
             return 1
-        return int(math.log1p(-u) / math.log1p(-p)) + 1
+        trials = math.log1p(-u) / math.log1p(-p)
+        return int(trials) + 1 if trials < math.inf else _NEVER
 
     def binomial(self, n: int, p: float) -> int:
         """Successes in `n` trials, each with chance `p` in [0, 1].  Draws

@@ -173,9 +173,9 @@ class RunOutcome(Record):
         self, status: RunStatus, iterations_executed: int,
         diff: tuple[BitFlipPattern, ...] = (), crash: CrashKind | None = None,
     ):
-        if status is RunStatus.MISMATCH and not diff:
+        if not diff and status is RunStatus.MISMATCH:
             raise InvariantError("a mismatch carries a nonzero diff")
-        if status is RunStatus.CRASH and crash is None:
+        if crash is None and status is RunStatus.CRASH:
             raise InvariantError("a crash outcome names its kind")
         self._set(status, iterations_executed, diff, crash)
 
@@ -185,28 +185,37 @@ class RunOutcome(Record):
 
     @classmethod
     def mismatch(cls, diff, iterations: int) -> "RunOutcome":
-        return cls(RunStatus.MISMATCH, iterations, diff=tuple(diff))
+        return cls(RunStatus.MISMATCH, iterations, tuple(diff))
 
     @classmethod
     def crashed(cls, kind: CrashKind, iterations: int) -> "RunOutcome":
-        return cls(RunStatus.CRASH, iterations, crash=kind)
+        return cls(RunStatus.CRASH, iterations, (), kind)
 
 
 def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
     """Differences between two equal-sized memories, one pattern per
-    differing 128-bit word (word index = byte offset // 16)."""
+    differing 128-bit word (word index = byte offset // 16); bytes past the
+    last whole word are not compared.  Slice compares skip equal stretches
+    first, so the big-int work spans only the stretch holding the first
+    difference, and the rest of the memory only if that differs too."""
     if len(before) != len(after):
         raise InvariantError("memories must be the same size to diff")
-    if before == after:
-        return ()
-    size = len(before) // 16 * 16
-    delta = int.from_bytes(before[:size], "little") ^ int.from_bytes(after[:size], "little")
+    view = memoryview(after)  # `before.startswith(view[a:b], a)`: a memcmp, no copy
+    end = len(before) // 16 * 16
+    # Gallop up from address 0, where the victims keep their outputs, past
+    # equal stretches of 64, 64, 128, 256, ... bytes.
+    lo, hi = 0, min(64, end)
+    while hi < end and before.startswith(view[lo:hi], lo):
+        lo, hi = hi, min(2 * hi, end)
+    if not before.startswith(view[hi:end], hi):
+        hi = end
+    delta = int.from_bytes(before[lo:hi], "little") ^ int.from_bytes(view[lo:hi], "little")
     out = []
     while delta:
         word = ((delta & -delta).bit_length() - 1) // 128  # lowest word still differing
         flips = delta >> (128 * word) & WORD_MASK
         delta ^= flips << (128 * word)
-        out.append(BitFlipPattern.from_mask(word, flips))
+        out.append(BitFlipPattern.from_mask(lo // 16 + word, flips))
     return tuple(out)
 
 
@@ -332,18 +341,14 @@ class LoopRates(NamedTuple):
 
 
 def loop_rates(
-    profile: ProcessorProfile,
-    core: int,
-    pstate: str,
-    v_nom: float,
-    temp: float,
-    events: int,
-    stressor_multiplier: float = 1.0,
-    scenario: str = "probe",
+    profile: ProcessorProfile, core: int, pstate: str, v_nom: float, temp: float, events: int,
+    stressor_multiplier: float = 1.0, scenario: str = "probe",
 ) -> LoopRates:
     """The rates of a loop with `events` eligible stores per iteration, at
     nominal voltage `v_nom` and core temperature `temp`, under the
-    calibration of `scenario`."""
+    calibration of `scenario`: one call of each marginal (none of the fault
+    marginal when `events` is 0), each reading the window and calibration
+    once per call, so nothing is kept from one level to the next."""
     p_event = 0.0
     if events:
         p_event = mean_event_fault_probability(
@@ -418,7 +423,7 @@ def run_test_loop(
 
         # Fault wins: pick which eligible store faulted first, then give
         # each later store in the same iteration its independent chance.
-        j = _truncated_geometric(float(rng.uniform()), p_event, events)
+        j = _truncated_geometric(rng.random(), p_event, events)
         ordinals = [j]
         if j + 1 < events:
             extra = rng.uniform(size=events - j - 1)

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 import voltlab.orchestrator as orchestrator
+import voltlab.processor as processor
 import voltlab.rng as rngmod
 import voltlab.victims as victims
 from voltlab.errors import (
@@ -282,6 +283,48 @@ def _count_geometry_builds(monkeypatch) -> Counter:
 
     monkeypatch.setattr(victims, "_geometry", counting)
     return built
+
+
+def test_phase1_computes_the_temperature_once_per_search(monkeypatch):
+    # Phase 1 pins no stressor, so the temperature depends on neither the
+    # core nor the offset; every core and level reads the one value.
+    temps = []
+
+    def counting(*args):
+        temps.append(victim_temp_target_c(*args))
+        return temps[-1]
+
+    monkeypatch.setattr(victims, "victim_temp_target_c", counting)
+    for profile in (KABY, COFFEE):
+        for pstate in profile.pstates:
+            temps.clear()
+            phase1_find_window(profile, pstate=pstate, seed=7)
+            assert temps == [victim_temp_target_c(profile, pstate, 0.0)], (profile.name, pstate)
+
+
+def test_phase1_keeps_no_marginal_between_calls(monkeypatch):
+    # Each marginal is computed afresh from the profile: a second identical
+    # search calls each marginal, builds the fault curve and evaluates the
+    # pointwise models (the ramp, the crash chance) as often as the first.
+    counts = Counter()
+    for module, name in (
+        (victims, "mean_event_fault_probability"), (victims, "mean_crash_probability"),
+        (processor, "_event_curve"), (processor, "manifestation"),
+        (processor, "crash_probability_per_slice"),
+    ):
+        def counting(*args, real=getattr(module, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for pstate in KABY.pstates:
+        plans, seen = [], []
+        for _ in range(2):
+            counts.clear()
+            plans.append(phase1_find_window(KABY, pstate=pstate, seed=7))
+            seen.append(dict(counts))
+        assert plans[0] == plans[1]
+        assert seen[0] == seen[1] and len(seen[0]) == 5, (pstate, seen)
 
 
 def test_phase1_prepares_each_program_once_and_rates_each_level_once(monkeypatch):

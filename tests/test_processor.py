@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -322,8 +322,24 @@ def _json_paths(node, path=()):
             yield from _json_paths(child, path + (key,))
 
 
+class _Scripted:
+    """Stands in for `st.data()` in an explicit example: each `draw`
+    returns the next scripted value."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self._values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(bundled_profile_names()), st.data())
+# A subnormal per-event ceiling on core 0: phase 1's geometric draws once
+# overflowed to an OverflowError here instead of ending in NoWindowFound.
+@example("i7-8700k", _Scripted(
+    1, ("calibration", "probe", "p_event_max", 0), "scale", 2.225073858507203e-309
+))
 def test_fuzzed_profiles_are_refused_at_load_or_run(name, data):
     raw = _raw_profile(name)
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
@@ -592,15 +608,16 @@ def test_mean_fault_probability_with_clamped_ceiling(kaby):
     from voltlab.processor import mean_event_fault_probability
 
     # Force the per-event cap into the middle of the noise band and check
-    # against the dense grid.
-    v = 699.0
-    closed = mean_event_fault_probability(kaby, 1, "0x1b", "poc", 1000.0, v, 37.0)
-    dense = numeric_mean(
-        lambda x: event_fault_probability(kaby, 1, "0x1b", "poc", 1000.0, x, 37.0),
-        v,
-        kaby.noise_mv,
-    )
-    assert closed == pytest.approx(dense, abs=2e-5)
+    # against the dense grid.  Core 1's unit ceiling is 0.04, so these are
+    # ceilings of 40 and of 3, with the clamp's corner at 709.81 and 707.5 mV.
+    for multiplier, v in ((1000.0, 699.0), (75.0, 708.0)):
+        closed = mean_event_fault_probability(kaby, 1, "0x1b", "poc", multiplier, v, 37.0)
+        dense = numeric_mean(
+            lambda x: event_fault_probability(kaby, 1, "0x1b", "poc", multiplier, x, 37.0),
+            v,
+            kaby.noise_mv,
+        )
+        assert closed == pytest.approx(dense, abs=2e-5), multiplier
 
 
 def test_mean_crash_probability_matches_dense_grid(kaby):

@@ -143,6 +143,22 @@ def test_geometric_follows_scipy(p):
     assert goodness_of_fit_p(observed, mass) > ALPHA
 
 
+@pytest.mark.parametrize("p", [5e-324, 2.2e-308 / 3, 1e-300])
+def test_geometric_of_a_tiny_chance_is_one_finite_int_per_uniform(p):
+    # At a subnormal chance log1p(-u) / log1p(-p) overflows to infinity for
+    # almost every u; the draw is then an int past every budget a runner
+    # compares it with, and still costs one uniform.  Where the inversion
+    # is finite, its value is kept.
+    gen = _Counting(4, "tiny", repr(p))
+    draws = [gen.geometric(p) for _ in range(200)]
+    assert gen.uniforms == 200
+    assert all(type(k) is int and k > 10**290 for k in draws)
+    us = vrng.stream(4, "tiny", repr(p)).random(200)
+    for k, u in zip(draws, us):
+        trials = math.log1p(-u) / math.log1p(-p)
+        assert k == (int(trials) + 1 if math.isfinite(trials) else 1 << 1024)
+
+
 @pytest.mark.parametrize(
     "n,p", [(10**7, 0.18), (10**7, 0.5), (10**4, 0.82), (10**4, 0.01), (200, 0.05), (30, 0.5)]
 )

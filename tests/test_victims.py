@@ -132,10 +132,11 @@ def test_memory_diff():
 
 @st.composite
 def _memory_pairs(draw):
-    """A memory of 16-4096 bytes and a copy with 0-5 words corrupted."""
-    before = draw(st.binary(min_size=16, max_size=4096))
+    """A memory of 0-4096 bytes and a copy with 0-5 bytes corrupted, the
+    bytes past the last whole word included."""
+    before = draw(st.binary(max_size=4096))
     after = bytearray(before)
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, 5)) if before else 0):
         at = draw(st.integers(0, len(after) - 1))
         after[at] ^= draw(st.integers(1, 255))
     return before, bytes(after)
@@ -149,6 +150,31 @@ def test_memory_diff_matches_the_word_loop(pair, extra):
     assert memory_diff(bytearray(before), after) == memory_diff(before, after)
     with pytest.raises(InvariantError):
         memory_diff(before, after + bytes(extra))
+
+
+def test_memory_diff_ignores_the_bytes_past_the_last_whole_word():
+    for size in range(40):
+        tail = size % 16
+        for at in range(size - tail, size):
+            after = bytearray(size)
+            after[at] = 0x80
+            assert memory_diff(bytes(size), after) == (), (size, at)
+
+
+@pytest.mark.parametrize("size", [4096, 4100])
+def test_memory_diff_finds_flips_on_both_sides_of_every_stretch_edge(size):
+    # The search gallops up from address 0 past equal stretches of 64, 64,
+    # 128, ... bytes; a flip on either side of any stretch edge, alone or
+    # with a second one further up, is found once and in word order.
+    edges = sorted({0, 15, 16, 63, 64, 127, 128, 255, 256, 1023, 1024, 2047, 2048, 4079, 4095})
+    before = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    for first in edges:
+        for second in [None, *(e for e in edges if e > first)]:
+            after = bytearray(before)
+            for at in (first, second):
+                if at is not None:
+                    after[at] ^= 0x11
+            assert memory_diff(before, after) == reference_memory_diff(before, after)
 
 # ---------------------------------------------------------------------------
 # Test loop
