@@ -24,6 +24,7 @@ from .isa import parse_program
 from .msr import (
     IA32_MISC_ENABLE,
     IA32_THERM_INTERRUPT,
+    OC_MAILBOX_MSR,
     OFFSET_MAX_MV,
     OFFSET_MIN_MV,
     MsrWrite,
@@ -218,7 +219,7 @@ def setup_system(
     )
     writes.append(MsrWrite(IA32_MISC_ENABLE, 1 << 38))  # turbo disengage
     writes.append(MsrWrite(IA32_THERM_INTERRUPT, 0))  # mask thermal interrupts
-    writes.append(MsrWrite(0x150, encode_offset(VoltageDomain.CORES, 0)))
+    writes.append(MsrWrite(OC_MAILBOX_MSR, encode_offset(VoltageDomain.CORES, 0)))
     return state, config, writes
 
 
@@ -302,7 +303,7 @@ def phase1_find_window(
         offset = _landing_offset(start_offset_mv, top, base, profile.noise_mv)
         retries = 0
         while offset >= OFFSET_FLOOR_MV:
-            rates = loop_rates(profile, core, pstate, base + offset, temp, victim.geometry.events)
+            rates = loop_rates(profile, core, pstate, base + offset, temp, victim.events)
             if rates.quiet:
                 offset -= STEP_MV
                 continue
@@ -326,9 +327,7 @@ def phase1_find_window(
         offset = _landing_offset(offset, floor, base, profile.noise_mv)
         found = None
         while offset >= OFFSET_FLOOR_MV:
-            rates = loop_rates(
-                profile, core, pstate, base + offset, temp, stability.geometry.events
-            )
+            rates = loop_rates(profile, core, pstate, base + offset, temp, stability.events)
             if rates.quiet:
                 offset -= STEP_MV
                 continue

@@ -170,40 +170,27 @@ class CrashParams(NamedTuple):
 
 
 class BitFlipPattern(Record):
-    """One corrupted 128-bit word: which word, and which bits flipped."""
+    """One corrupted 128-bit word: which word, and the nonzero mask of the
+    bits that flipped in it (bit `b` set: bit `b` of the word flipped)."""
 
-    __slots__ = ("word_index", "flipped_bits")
+    __slots__ = ("word_index", "mask")
 
-    def __init__(self, word_index: int, flipped_bits: frozenset[int]):
-        if not flipped_bits:
-            raise InvariantError("a flip pattern needs at least one bit")
-        if min(flipped_bits) < 0 or max(flipped_bits) > 127:
-            raise InvariantError("flip bit positions live in 0..127")
-        self._set(word_index, flipped_bits)
-
-    @classmethod
-    def from_mask(cls, word_index: int, mask: int) -> "BitFlipPattern":
-        bits = []
-        while mask:
-            low = mask & -mask
-            bits.append(low.bit_length() - 1)
-            mask ^= low
-        return cls(word_index, frozenset(bits))
+    def __init__(self, word_index: int, mask: int):
+        if not 0 < mask < 1 << 128:
+            raise InvariantError("a flip mask sets at least one bit, all in 0..127")
+        self._set(word_index, mask)
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for b in self.flipped_bits:
-            m |= 1 << b
-        return m
+    def flipped_bits(self) -> frozenset[int]:
+        return frozenset(b for b in range(self.mask.bit_length()) if self.mask >> b & 1)
 
     @property
     def byte_positions(self) -> frozenset[int]:
-        return frozenset(b // 8 for b in self.flipped_bits)
+        return frozenset(i for i, byte in enumerate(self.mask.to_bytes(16, "little")) if byte)
 
     @property
     def multiplicity(self) -> int:
-        return len(self.flipped_bits)
+        return self.mask.bit_count()
 
 
 class ProcessorProfile:
@@ -408,25 +395,19 @@ def bundled_profile_names() -> list[str]:
 # Voltage geometry
 
 
-def effective_window_top_mv(
-    profile: ProcessorProfile, core: int, pstate: str | int, temp_c: float
-) -> float:
-    """Window top for this core, shifted up by heat.
-
-    The shift is temp_coeff_mv_per_c per degree above the pstate's reference
-    temperature; cooler cores fault slightly later.
-    """
-    point = profile.pstate_point(pstate)
-    top = point.fault_voltage_mv[profile.check_core(core)]
-    return top + profile.temp_coeff_mv_per_c * (temp_c - point.reference_temp_c)
-
-
 def region_boundaries_mv(
     profile: ProcessorProfile, core: int, pstate: str | int, temp_c: float
 ) -> tuple[float, float, float]:
-    """(corrected band top, window top, instability boundary) in mV."""
+    """(corrected band top, window top, instability boundary) in mV.
+
+    The window top is the core's fault voltage shifted up by heat:
+    temp_coeff_mv_per_c per degree above the pstate's reference
+    temperature, so cooler cores fault slightly later.  The instability
+    boundary lies the pstate's window width below it.
+    """
     point = profile.pstate_point(pstate)
-    top = effective_window_top_mv(profile, core, pstate, temp_c)
+    top = point.fault_voltage_mv[profile.check_core(core)]
+    top += profile.temp_coeff_mv_per_c * (temp_c - point.reference_temp_c)
     return top + profile.corrected_band_mv, top, top - point.exploit_window_mv
 
 
@@ -467,7 +448,7 @@ def _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
     temperature) as a function of the effective voltage alone, and the
     voltages where it bends (the window edges, the ramp's end, the clamp)."""
     point = profile.pstate_point(pstate)
-    top = effective_window_top_mv(profile, core, pstate, temp_c)
+    _, top, floor = region_boundaries_mv(profile, core, pstate, temp_c)
     width = point.exploit_window_mv
     entry = profile.calibration_entry(scenario)
     ceiling = entry.p_event_max[core] * stressor_multiplier  # at full manifestation, unclamped
@@ -475,11 +456,11 @@ def _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
         ceiling *= point.exploit_factor
 
     def p_at(v_eff_mv: float) -> float:
-        if width <= 0.0 or v_eff_mv > top or v_eff_mv <= top - width:
+        if width <= 0.0 or v_eff_mv > top or v_eff_mv <= floor:
             return 0.0
         return min(ceiling * manifestation((top - v_eff_mv) / width), 1.0)
 
-    breaks = [top, top - width]
+    breaks = [top, floor]
     if width > 0.0:
         breaks.append(top - width * RAMP_SATURATION_DEPTH)
         if ceiling > 1.0:
@@ -533,8 +514,7 @@ def mean_crash_probability(
 ) -> float:
     """Per-slice crash probability averaged over the supply-noise band."""
     point = profile.pstate_point(pstate)
-    top = effective_window_top_mv(profile, core, pstate, temp_c)
-    floor = top - point.exploit_window_mv
+    _, _, floor = region_boundaries_mv(profile, core, pstate, temp_c)
     n = profile.noise_mv
     if n <= 0.0:
         return crash_probability_per_slice(profile, point.ratio, floor - v_nominal_mv)
@@ -636,7 +616,7 @@ def draw_flip_pattern(
 ) -> BitFlipPattern:
     """Sample one flip pattern from the core's multiplicity and affinity
     tables: `draw_flip_masks` with `n = 1`, drawn in its order."""
-    return BitFlipPattern.from_mask(word_index, draw_flip_masks(profile, core, 1, rng)[0])
+    return BitFlipPattern(word_index, draw_flip_masks(profile, core, 1, rng)[0])
 
 
 def crash_kind_weights(ratio: int) -> tuple[float, float, float]:

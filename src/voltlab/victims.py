@@ -215,18 +215,23 @@ def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
         word = ((delta & -delta).bit_length() - 1) // 128  # lowest word still differing
         flips = delta >> (128 * word) & WORD_MASK
         delta ^= flips << (128 * word)
-        out.append(BitFlipPattern.from_mask(lo // 16 + word, flips))
+        out.append(BitFlipPattern(lo // 16 + word, flips))
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# Program geometry
+# Prepared victims
 
 
-class _Geometry(NamedTuple):
-    """One fault-free execution, immutable: its final memory, where it
-    halted, and which eligible stores it runs."""
+class LoopVictim(NamedTuple):
+    """A victim program and its fault-free run, prepared by `loop_victim`
+    (a comparison loop) or `poc_victim` (the guarded branch).  Every field
+    but the program is immutable, and nothing writes the program, whose
+    one mutable part is its `labels` dict; so a bundled victim, like the
+    bundled program it holds, is prepared once per process and shared by
+    every caller."""
 
+    program: MiniProgram
     memory: bytes  # the reference output
     halt_index: int  # the instruction that stopped the reference run
     store_insns: frozenset[int]  # eligible stores the reference executes
@@ -234,7 +239,7 @@ class _Geometry(NamedTuple):
     slices_per_iteration: int
 
 
-def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> _Geometry:
+def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> LoopVictim:
     eligible = {hit.store_index for hit in hits}
     trace: list[int] = []
     reference = interpret(program, memory, scalar=scalar, trace=trace)
@@ -244,22 +249,10 @@ def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> _Geometry
             "a comparison loop needs a finishing victim"
         )
     executed = [insn for insn in trace if insn in eligible]
-    return _Geometry(
-        bytes(reference.memory), reference.halt_index, frozenset(executed), len(executed),
-        reference.slices,
+    return LoopVictim(
+        program, bytes(reference.memory), reference.halt_index, frozenset(executed),
+        len(executed), reference.slices,
     )
-
-
-class LoopVictim(NamedTuple):
-    """A victim program and its fault-free geometry, prepared by
-    `loop_victim` (a comparison loop) or `poc_victim` (the guarded branch).
-    The geometry is immutable, and nothing writes the program, whose one
-    mutable part is its `labels` dict; so a bundled victim, like the
-    bundled program it holds, is prepared once per process and shared by
-    every caller."""
-
-    program: MiniProgram
-    geometry: _Geometry
 
 
 def loop_victim(program) -> LoopVictim:
@@ -270,7 +263,7 @@ def loop_victim(program) -> LoopVictim:
     the same victim; a MiniProgram is prepared on every call."""
     if not isinstance(program, MiniProgram):
         return _bundled_victim(program)
-    return LoopVictim(program, _geometry(program, scan(program)))
+    return _geometry(program, scan(program))
 
 
 @cache
@@ -287,13 +280,13 @@ def _any_of(p: float, n: float) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
-def _truncated_geometric(u: float, p: float, n: int) -> int:
+def _truncated_geometric(u: float, p: float, n: int, q: float) -> int:
     # First-success index in 0..n-1 conditioned on at least one success
-    # among n independent Bernoulli(p) trials.
+    # among n independent Bernoulli(p) trials, whose chance `q` is
+    # `_any_of(p, n)`.
     if p >= 1.0:
         return 0
-    total = -math.expm1(n * math.log1p(-p))  # 1-(1-p)^n
-    j = int(math.log1p(-u * total) / math.log1p(-p))
+    j = int(math.log1p(-u * q) / math.log1p(-p))
     return min(j, n - 1)
 
 
@@ -308,10 +301,10 @@ def _hits_before_crash(rng, q: float, c_try: float, tries: int) -> tuple[int, in
     return (int(rng.binomial(completed, q)) if q > 0.0 else 0), completed
 
 
-def _run_with_flips(program, geometry, flips):
-    """Re-execute, XORing `flips[ordinal]` into the eligible store
+def _run_with_flips(victim, flips):
+    """Re-execute `victim`, XORing `flips[ordinal]` into the eligible store
     execution with that ordinal."""
-    eligible = geometry.store_insns
+    eligible = victim.store_insns
     ordinals = itertools.count()
 
     def hook(store):
@@ -319,7 +312,7 @@ def _run_with_flips(program, geometry, flips):
             return store.value ^ flips.get(next(ordinals), 0)
         return None
 
-    return interpret(program, store_hook=hook)
+    return interpret(victim.program, store_hook=hook)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +383,8 @@ def run_test_loop(
     """
     if rates.quiet:
         return RunOutcome.match(max_iters)
-    geom = victim.geometry
-    spi = geom.slices_per_iteration
-    events = geom.events
+    spi = victim.slices_per_iteration
+    events = victim.events
     p_event, q_iter, g_slice = rates
 
     crash_it = None  # the iteration the platform dies in, if within the budget
@@ -423,14 +415,14 @@ def run_test_loop(
 
         # Fault wins: pick which eligible store faulted first, then give
         # each later store in the same iteration its independent chance.
-        j = _truncated_geometric(rng.random(), p_event, events)
+        j = _truncated_geometric(rng.random(), p_event, events, q_iter)
         ordinals = [j]
         if j + 1 < events:
             extra = rng.uniform(size=events - j - 1)
             ordinals.extend(j + 1 + k for k, u in enumerate(extra) if u < p_event)
         masks = draw_flip_masks(profile, core, len(ordinals), rng)
-        faulted = _run_with_flips(victim.program, geom, dict(zip(ordinals, masks)))
-        diff = memory_diff(geom.memory, faulted.memory)
+        faulted = _run_with_flips(victim, dict(zip(ordinals, masks)))
+        diff = memory_diff(victim.memory, faulted.memory)
         if diff:
             return RunOutcome.mismatch(diff, fault_iter + 1)
         # Corruption never reached the output buffer; the loop keeps going.
@@ -489,14 +481,14 @@ def run_probe_victim(victim: LoopVictim, env: PlatformState, tries: int) -> Faul
     """
     core = env.core
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
-    rates = pinned_rates(env, victim.geometry.events, "probe")
-    c_try = _any_of(rates.g_slice, victim.geometry.slices_per_iteration)
+    rates = pinned_rates(env, victim.events, "probe")
+    c_try = _any_of(rates.g_slice, victim.slices_per_iteration)
 
     faults, completed = _hits_before_crash(gen, rates.q_iter, c_try, tries)
     byte_hist = [0] * 16
     mult_hist: dict[int, int] = {}
     for mask, n in Counter(draw_flip_masks(env.profile, core, faults, gen)).items():
-        for b in BitFlipPattern.from_mask(0, mask).byte_positions:
+        for b in BitFlipPattern(0, mask).byte_positions:
             byte_hist[b] += n
         bits = mask.bit_count()
         mult_hist[bits] = mult_hist.get(bits, 0) + n
@@ -527,14 +519,14 @@ def poc_victim() -> LoopVictim:
     hits = scan(program)
     if len(hits) != 1:
         raise InvariantError("the guarded-branch victim carries one pattern hit")
-    geom = _geometry(program, hits, POC_MEMORY, POC_SCALARS)
-    if geom.events != 1:
+    victim = _geometry(program, hits, POC_MEMORY, POC_SCALARS)
+    if victim.events != 1:
         raise InvariantError(
-            f"{program.source_name}: expected exactly one guarded store, found {geom.events}"
+            f"{program.source_name}: expected exactly one guarded store, found {victim.events}"
         )
-    if geom.halt_index == program.labels["_recovery"]:
+    if victim.halt_index == program.labels["_recovery"]:
         raise InvariantError(f"{program.source_name}: the fault-free run diverts")
-    return LoopVictim(program, geom)
+    return victim
 
 
 def run_poc_enclave(q: float, c_try: float, tries: int, rng: rngmod.Stream) -> int:
@@ -564,7 +556,7 @@ def run_poc_victim(env: PlatformState, tries: int, *, runs: int = 5) -> Campaign
     """`run_hmac_victim` for the guarded-branch victim on the pinned core of
     `env`, whose exposure is its one guarded store: every nonzero mask
     diverts (see `poc_victim`).  Runs are keyed ("phase3", "poc", core, run)."""
-    return _campaign(env, poc_victim().geometry.events, "poc", ("phase3", "poc"), tries, runs)
+    return _campaign(env, poc_victim().events, "poc", ("phase3", "poc"), tries, runs)
 
 
 # ---------------------------------------------------------------------------

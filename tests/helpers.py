@@ -89,7 +89,7 @@ def reference_flip_pattern(profile, core, word_index, rng):
     weights = profile.bit_weights(core)
     k = min(k, int(np.count_nonzero(weights)))
     bits = rng.choice(128, size=k, replace=False, p=weights)
-    return BitFlipPattern(word_index, frozenset(int(b) for b in bits))
+    return BitFlipPattern(word_index, sum(1 << int(b) for b in bits))
 
 
 def reference_hmac_detail(ctx, profile, core, ks, rng):
@@ -157,10 +157,8 @@ def reference_memory_diff(before, after):
     for word in range(len(before) // 16):
         a = int.from_bytes(before[16 * word : 16 * word + 16], "little")
         b = int.from_bytes(after[16 * word : 16 * word + 16], "little")
-        delta = a ^ b
-        if delta:
-            bits = frozenset(i for i in range(128) if delta >> i & 1)
-            out.append(BitFlipPattern(word, bits))
+        if a ^ b:
+            out.append(BitFlipPattern(word, a ^ b))
     return tuple(out)
 
 
@@ -177,7 +175,7 @@ def run_loop_under(env, victim, max_iters, rng):
     `pinned_rates` gives for it."""
     if not isinstance(victim, LoopVictim):
         victim = loop_victim(victim)
-    rates = pinned_rates(env, victim.geometry.events, "probe")
+    rates = pinned_rates(env, victim.events, "probe")
     return run_test_loop(victim, rates, env.profile, env.core, env.pstate, max_iters, rng)
 
 
@@ -186,8 +184,8 @@ def run_poc_under(env, tries, rng):
     `PlatformState` `env`, with the rates `pinned_rates` gives for it and
     the whole program undervolted on every try."""
     victim = poc_victim()
-    _, q, g = pinned_rates(env, victim.geometry.events, "poc")
-    c_try = victims._any_of(g, victim.geometry.slices_per_iteration)
+    _, q, g = pinned_rates(env, victim.events, "poc")
+    c_try = victims._any_of(g, victim.slices_per_iteration)
     return run_poc_enclave(q, c_try, tries, rng)
 
 

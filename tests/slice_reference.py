@@ -20,8 +20,8 @@ from voltlab.processor import (
     crash_probability_per_slice,
     draw_crash_kind,
     draw_flip_pattern,
-    effective_window_top_mv,
     event_fault_probability,
+    region_boundaries_mv,
 )
 from voltlab.scanner import (
     ADJACENCY_LIMIT,
@@ -89,8 +89,8 @@ def sample_crash(
     if v_eff_mv is None:
         v_eff_mv = state.nominal_voltage_mv() + rng.uniform(-profile.noise_mv, profile.noise_mv)
     point = profile.pstate_point(state.pstate)
-    top = effective_window_top_mv(profile, state.core, state.pstate, state.temp_c)
-    depth = (top - point.exploit_window_mv) - v_eff_mv
+    _, _, floor = region_boundaries_mv(profile, state.core, state.pstate, state.temp_c)
+    depth = floor - v_eff_mv
     if depth < 0.0:
         return None
     p = crash_probability_per_slice(profile, point.ratio, depth)

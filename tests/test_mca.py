@@ -23,7 +23,7 @@ def mc():
     return MachineCheck(load_profile("i7-7700k"))
 
 
-FLIP = BitFlipPattern(0, frozenset([3]))
+FLIP = BitFlipPattern(0, 1 << 3)
 
 
 def test_exploit_flips_are_always_silent(mc):

@@ -226,7 +226,7 @@ RECORD_SAMPLES = {
     "MiniInsn": lambda: _PROGRAM.instructions[1],
     "MiniProgram": lambda: _PROGRAM,
     "PStatePoint": lambda: load_profile("i7-7700k").pstate_point("0x1b"),
-    "BitFlipPattern": lambda: BitFlipPattern(2, frozenset([5, 17])),
+    "BitFlipPattern": lambda: BitFlipPattern(2, 1 << 5 | 1 << 17),
     "PatternHit": lambda: PatternHit(PatternKind.VP1, 0, 2),
     "MceRecord": lambda: MceRecord(5, 1, MceKind.CORRECTED),
     "StressorSpec": lambda: STRESSORS["shift_loop"],

@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import pickle
+import random
 from collections import Counter
 from types import MappingProxyType
 
@@ -36,7 +37,6 @@ from voltlab.processor import (
     draw_crash_kind,
     draw_flip_masks,
     draw_flip_pattern,
-    effective_window_top_mv,
     event_fault_probability,
     load_profile,
     normalize_pstate,
@@ -50,6 +50,8 @@ from voltlab.victims import (
     PlatformState,
     StressorSpec,
     _payload_bytes,
+    hmac_scenario,
+    poc_victim,
 )
 
 pytestmark = [
@@ -378,6 +380,11 @@ def test_bundled_profiles_match_the_build_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert sorted(module.PROFILES) == bundled_profile_names()
+    # The script restates simulator values; they must agree with it.
+    assert module.SHIFT_LOOP_MULT == STRESSORS["shift_loop"].fault_multiplier
+    events = {hmac_scenario(p): HmacContext(HMAC_KEY, bytes(n)).total_events
+              for p, n in PAYLOAD_SIZES.items()}
+    assert module.EVENTS == {"poc": poc_victim().events, **events}
     res = __import__("importlib.resources", fromlist=["files"]).files("voltlab")
     for stem, profile in module.PROFILES.items():
         text = json.dumps(profile, indent=2, sort_keys=True) + "\n"
@@ -470,7 +477,7 @@ def test_heat_raises_the_window(kaby):
     # corrected to exploitable.
     assert classify_voltage(kaby, 0, "0x08", 0.541, 32.0) == VoltageRegion.CORRECTED_ERRORS
     assert classify_voltage(kaby, 0, "0x08", 0.541, 42.0) == VoltageRegion.EXPLOIT_WINDOW
-    assert effective_window_top_mv(kaby, 0, "0x08", 42.0) == pytest.approx(542.0)
+    assert region_boundaries_mv(kaby, 0, "0x08", 42.0)[1] == pytest.approx(542.0)
 
 
 def test_cold_lowers_the_window(kaby):
@@ -647,14 +654,26 @@ def test_mean_crash_probability_zero_above_floor(kaby):
 
 
 def test_flip_pattern_invariants():
-    with pytest.raises(InvariantError):
-        BitFlipPattern(0, frozenset())
-    with pytest.raises(InvariantError):
-        BitFlipPattern(0, frozenset([128]))
-    pat = BitFlipPattern(2, frozenset([5, 17]))
-    assert pat.mask == (1 << 5) | (1 << 17)
+    for bad in (0, -1, 1 << 128):
+        with pytest.raises(InvariantError):
+            BitFlipPattern(0, bad)
+    pat = BitFlipPattern(2, (1 << 5) | (1 << 17))
+    assert pat.flipped_bits == {5, 17}
     assert pat.byte_positions == {0, 2}
     assert pat.multiplicity == 2
+    top = BitFlipPattern(0, 1 << 127)
+    assert (top.byte_positions, top.multiplicity) == ({15}, 1)
+    full = BitFlipPattern(0, (1 << 128) - 1)
+    assert (full.byte_positions, full.multiplicity) == (set(range(16)), 128)
+    # The derived views against a plain loop over the mask's bits.
+    gen = random.Random(5)
+    for _ in range(300):
+        mask = gen.getrandbits(gen.randint(1, 128)) or 1
+        bits = {b for b in range(128) if mask >> b & 1}
+        pat = BitFlipPattern(0, mask)
+        assert pat.flipped_bits == bits
+        assert pat.byte_positions == {b // 8 for b in bits}
+        assert pat.multiplicity == len(bits)
 
 
 def test_flips_respect_byte_affinity(kaby, coffee):
@@ -799,7 +818,7 @@ def _histograms(pairs):
     as the probe folds its faults."""
     byte_hist, mult_hist = [0] * 16, Counter()
     for mask, n in pairs:
-        for b in BitFlipPattern.from_mask(0, mask).byte_positions:
+        for b in BitFlipPattern(0, mask).byte_positions:
             byte_hist[b] += n
         mult_hist[mask.bit_count()] += n
     return byte_hist, mult_hist

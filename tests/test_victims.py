@@ -245,7 +245,7 @@ def test_poc_every_drawn_mask_diverts_by_real_execution():
     # every 1- and 2-bit mask, and every distinct mask the bundled flip
     # tables draw in 5 000 tries on each core.
     victim = poc_victim()
-    program, eligible = victim.program, victim.geometry.store_insns
+    program, eligible = victim.program, victim.store_insns
     masks = {1 << b for b in range(128)}
     masks |= {1 << a | 1 << b for a in range(128) for b in range(a)}
     for name in processor.bundled_profile_names():
@@ -284,9 +284,9 @@ def test_bundled_victims_are_prepared_once_and_immutable():
     assert poc_victim() is poc
     assert _stability_victim() is stability
     for victim in (xor, poc, stability):
-        assert type(victim.geometry.memory) is bytes
-        assert type(victim.geometry.store_insns) is frozenset
-    assert poc.geometry.memory == interpret(poc.program, POC_MEMORY, scalar=POC_SCALARS).memory
+        assert type(victim.memory) is bytes
+        assert type(victim.store_insns) is frozenset
+    assert poc.memory == interpret(poc.program, POC_MEMORY, scalar=POC_SCALARS).memory
     # A program a caller passes in is prepared on every call.
     program = parse_program("vmovdqu %xmm1, 0x20\nhalt", "caller")
     assert loop_victim(program) is not loop_victim(program)

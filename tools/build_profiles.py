@@ -21,13 +21,12 @@ import pathlib
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "voltlab" / "data" / "profiles"
 
-# Stressor fault multipliers.  The ratio shift_loop:twofish = 12.375 makes a
-# single-store victim that succeeds 99% of the time under the shift loop
-# succeed 8% of the time under the cipher, matching the measured split.
+# The shift-loop stressor's fault multiplier (victims.STRESSORS), under
+# which the targets were measured.
 SHIFT_LOOP_MULT = 24.75
-TWOFISH_MULT = 2.0
 
-# Eligible vector-store events per victim iteration (see victims.py).
+# Eligible vector-store events per victim iteration (see victims.py).  The
+# tests pin both tables to the simulator's values.
 EVENTS = {"poc": 1, "hmac_32b": 56, "hmac_1kb": 280}
 
 
