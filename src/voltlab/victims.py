@@ -14,10 +14,10 @@ campaign runners read (`PlatformState`).  No runner iterates slice by slice:
 the per-event and per-slice probabilities averaged over supply noise are
 piecewise exact (see processor.mean_event_fault_probability), so
 first-occurrence times come from geometric draws and a run's count of
-faulted tries from one binomial.  The distribution of observable outcomes
-is the same as a slice-level loop; only the draw order differs, and that
-order is fixed and documented on each runner.
-"""
+faulted tries from one binomial.  Observable outcomes follow the
+distribution of the slice-level loop in tests/slice_reference.py, which
+`test_campaign_runs_match_the_slice_loop`, `test_probe_matches_the_slice_loop`
+and `test_test_loop_matches_the_slice_loop` check; the draw order differs."""
 
 from __future__ import annotations
 

@@ -16,7 +16,6 @@ from voltlab.orchestrator import (
     _stability_victim,
 )
 from voltlab.processor import BitFlipPattern, normalize_pstate
-from voltlab.sha256sim import EVENTS_PER_BLOCK
 from voltlab.victims import (
     LoopVictim,
     PlatformState,
@@ -90,28 +89,6 @@ def reference_flip_pattern(profile, core, word_index, rng):
     k = min(k, int(np.count_nonzero(weights)))
     bits = rng.choice(128, size=k, replace=False, p=weights)
     return BitFlipPattern(word_index, sum(1 << int(b) for b in bits))
-
-
-def reference_hmac_detail(ctx, profile, core, ks, rng):
-    """The fault sets of one HMAC run by `Generator.choice`: the
-    distribution oracle of `hmac_reference.draw_fault_sets`.
-
-    For each completed try's fault count in `ks`, in try order: one
-    `choice` of the faulted events, then one `reference_flip_pattern` per
-    event in sorted order.  Returns each set as its `HmacContext._fault_key`.
-    """
-    keys = []
-    for k in ks:
-        k = int(k)
-        if k == 0:
-            continue
-        chosen = rng.choice(ctx.total_events, size=k, replace=False)
-        faults = {}
-        for g in sorted(int(x) for x in chosen):
-            block, event = divmod(g, EVENTS_PER_BLOCK)
-            faults[(block, event)] = reference_flip_pattern(profile, core, event, rng).mask
-        keys.append(ctx._fault_key(faults))
-    return keys
 
 
 def two_sample_p(a, b):

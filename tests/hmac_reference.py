@@ -1,21 +1,17 @@
-"""The HMAC fault-set draw and a lane-parallel MAC pass, kept as test oracles.
+"""A lane-parallel MAC pass, kept as a test oracle.
 
 `victims.run_hmac_victim` counts a try as a success whenever its fault set
 is nonempty and computes neither the set nor the faulted MAC; a run draws
-only its crash try and one binomial count of successes.  The code here is
-the scalar path it stands for: `hmac_fault_sets` draws a run try by try,
-each try's fault set (which stores fault, uniform over the `k`-subsets,
-and a flip mask for each), and `macs_with_keys` recomputes many faulted
-MACs at once, each fault set one lane of numpy `uint32` arrays (FIPS 180-4
-arithmetic, wrapping mod 2**32).  Tests hold the lanes equal to the scalar
-`HmacContext.mac_with_faults`, use both to check the premise that every
-nonempty set changes the MAC, and hold a campaign's runs to this path's in
-distribution.
+only its crash try and one binomial count of successes.  `macs_with_keys`
+recomputes many faulted MACs at once, each fault set one lane of numpy
+`uint32` arrays (FIPS 180-4 arithmetic, wrapping mod 2**32).  Tests hold
+the lanes equal to the scalar `HmacContext.mac_with_faults`, use them to
+check the premise that every nonempty fault set changes the MAC, and give
+the slice-level loop of `slice_reference` its HMAC verdicts.
 """
 
 import numpy as np
 
-from voltlab import processor, victims
 from voltlab.sha256sim import _H0, _K, EVENTS_PER_BLOCK, MASK32, SCHEDULE_EVENTS
 
 DIGEST_BYTES = 32
@@ -25,59 +21,6 @@ def store_events(ctx) -> tuple:
     """(block, event-in-block) of each global store-event index of `ctx`,
     in `HmacContext._fault_key`'s order."""
     return tuple(divmod(g, EVENTS_PER_BLOCK) for g in range(ctx.total_events))
-
-
-# ---------------------------------------------------------------------------
-# Fault sets
-#
-# A fault set is `k` distinct events of a run's `n`, uniform.  One integer
-# block draws every set's events with replacement, and a set that hit an
-# event twice redraws the repeat.  Rejecting repeats draws each next event
-# uniformly from those left, so each set is uniform over the `k`-subsets.
-
-
-def draw_fault_sets(
-    profile, core: int, stores, ks: np.ndarray, rng: np.random.Generator
-) -> list[tuple]:
-    """Per `k` in `ks`, which `k` of the `stores` fault and their flip masks.
-
-    Each set is a tuple of `(store, mask)` pairs in `stores` order, its
-    stores distinct and uniform over the `k`-subsets.  Draw order: one
-    `integers(0, len(stores), size=sum(ks))` block, the first `ks[0]` for
-    the first set and so on; then, per set that drew a store twice, in
-    order, one integer per repeat until its stores are distinct; then one
-    `draw_flip_masks` block, a mask per store in set order.
-    """
-    ends = np.cumsum(ks).tolist()
-    starts = [0, *ends[:-1]]
-    n = len(stores)
-    picks = rng.integers(0, n, size=ends[-1] if ends else 0).tolist()
-    for i in (ks > 1).nonzero()[0].tolist():
-        start, end = starts[i], ends[i]
-        row = set(picks[start:end])
-        while len(row) < end - start:
-            row.add(int(rng.integers(n)))
-        picks[start:end] = sorted(row)
-    masks = processor.draw_flip_masks(profile, core, len(picks), rng)
-    pairs = list(zip(map(stores.__getitem__, picks), masks))
-    return [tuple(pairs[start:end]) for start, end in zip(starts, ends)]
-
-
-def hmac_fault_sets(ctx, profile, core, p_event, c_try, tries, rng):
-    """(keys, tries_completed, crashed) of one HMAC run on `rng`, try by try.
-
-    Each try's fault count is Binomial(`ctx.total_events`, `p_event`), drawn
-    for all `tries` as one block; then the crash cut-off, the geometric of
-    `victims._hits_before_crash`; then one `draw_fault_sets` call gives the
-    fault set of each completed faulted try, in try order, as the canonical
-    key `ctx._fault_key` would make.
-    """
-    total = ctx.total_events
-    ks = rng.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, dtype=int)
-    _, completed = victims._hits_before_crash(rng, 0.0, c_try, tries)
-    ks = ks[:completed]
-    keys = draw_fault_sets(profile, core, store_events(ctx), ks[ks > 0], rng)
-    return keys, completed, completed < tries
 
 
 # ---------------------------------------------------------------------------

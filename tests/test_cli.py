@@ -12,6 +12,7 @@ import pytest
 import voltlab.cli as cli
 import voltlab.orchestrator as orchestrator
 import voltlab.processor as processor
+import voltlab.victims as victims
 from voltlab.errors import AbortedByCrash, InvariantError, SchemaError
 from voltlab.processor import ProcessorProfile, load_profile
 from voltlab.victims import CampaignResult
@@ -254,6 +255,23 @@ def test_campaign_rejects_unknown_core(capsys):
     )
     assert rc == 2
     assert "core 9" in err
+
+
+def _choices(command, flag):
+    """The choices `flag` takes on the `command` parser."""
+    (subs,) = [a for a in cli._build_parser(command)._actions if a.dest == "command"]
+    (action,) = [a for a in subs.choices[command]._actions if flag in a.option_strings]
+    return action.choices
+
+
+def test_choices_restate_the_victims_registries():
+    # `cli` keeps its own tuples so that `--help` does not import `victims`.
+    for command in ("probe", "campaign"):
+        stressors = _choices(command, "--stressor")
+        for name in stressors:
+            victims.stressor_profile(name)
+        assert set(victims.STRESSORS) <= set(stressors)
+    assert set(_choices("campaign", "--victim")) == {"poc"} | set(victims.PAYLOAD_SIZES)
 
 
 def test_campaign_abort_reports_partial(capsys, monkeypatch):

@@ -2,9 +2,7 @@
 
 import functools
 import importlib.util
-import itertools
 import json
-import math
 import pathlib
 import pickle
 import random
@@ -18,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from helpers import goodness_of_fit_p, numpy_stream, reference_flip_pattern, two_sample_p
-from hmac_reference import draw_fault_sets
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
@@ -49,7 +46,6 @@ from voltlab.victims import (
     STRESSORS,
     PlatformState,
     StressorSpec,
-    _payload_bytes,
     hmac_scenario,
     poc_victim,
 )
@@ -1000,49 +996,6 @@ def test_flip_draws_break_cdf_ties_like_choice():
     first, second = draw_flip_masks(profile, 1, 2, _next_uniforms(19, (0.5, 0.25, 0.5, 0.5)))
     assert first >> 8 & 1 and first.bit_count() == 2
     assert second == 1 << 8
-
-
-# -- fault-set draws: `k` distinct stores, uniform over the `k`-subsets ------
-
-_POPULATIONS = [1, 2, 3, 4, 5, 56, 280, 10_000]
-
-
-@pytest.mark.parametrize("n", _POPULATIONS)
-def test_choice_replays_floyd_and_the_shuffle(n, kaby):
-    # `choice(n, k, replace=False)` is Floyd's walk and a shuffle: a uniform
-    # `k`-subset in random order.  The oracle `draw_fault_sets` draws the
-    # same subsets, in stores order; `k == n` takes every store.
-    gen = numpy_stream(n, "floyd")
-    for k in sorted({0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 300) + 1))):
-        reps = max(4, 4_000 // max(k, 1))
-        sets = [
-            [store for store, _ in fault_set]
-            for fault_set in draw_fault_sets(kaby, 1, range(n), np.full(reps, k), gen)
-        ]
-        assert len(sets) == reps
-        for stores in sets:
-            assert len(stores) == k and stores == sorted(set(stores))
-            assert all(0 <= store < n for store in stores)
-        if not 0 < k < n:
-            continue
-        if math.comb(n, k) <= 50:
-            subsets = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
-            counts = np.bincount([subsets[tuple(s)] for s in sets], minlength=len(subsets))
-            assert goodness_of_fit_p(counts, np.ones(len(subsets))) > ALPHA
-        else:
-            bins = np.arange(n) * 50 // n
-            drawn = np.bincount([bins[s] for stores in sets for s in stores], minlength=50)
-            assert goodness_of_fit_p(drawn, np.bincount(bins, minlength=50)) > ALPHA
-
-
-def test_hmac_populations_are_floyd_sized():
-    # The subset draws above cover each HMAC payload's compression stores.
-    totals = {
-        payload: HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
-        for payload in PAYLOAD_SIZES
-    }
-    assert totals == {"hmac32": 56, "hmac1k": 280}
-    assert set(totals.values()) <= set(_POPULATIONS)
 
 
 _BUNDLED_RATIOS = sorted(

@@ -1,11 +1,12 @@
-"""Pattern scan vs brute-force oracle, and window estimation."""
+"""Pattern scan vs brute-force oracle, and the store windows victims count."""
 
 import pytest
 
 from voltlab.isa import bundled_program, parse_program
 from voltlab.scanner import ADJACENCY_LIMIT, PatternHit, PatternKind, hits_to_json, scan
+from voltlab.victims import loop_victim
 from helpers import numpy_stream, random_program_text
-from slice_reference import WindowEstimate, estimate_window, scan_brute
+from slice_reference import scan_brute
 
 
 def hits(text):
@@ -120,39 +121,43 @@ def test_scan_matches_brute_oracle():
         assert scan(prog) == scan_brute(prog)
 
 
-# -- window estimation -------------------------------------------------------
+# -- store windows: the eligible stores a victim's fault-free run executes --
 
 
 def test_straight_line_window():
     prog = bundled_program("vp1_xor_kernel")
     (hit,) = scan(prog)
-    est = estimate_window(prog, hit, iterations_per_run=100)
-    assert est == WindowEstimate(first_slice=3, duration_slices=100)
+    victim = loop_victim(prog)
+    assert victim.store_insns == {hit.store_index}
+    assert victim.events == 1
 
 
 def test_two_instruction_kernel_window():
     prog = bundled_program("vp1_indirect_store")
     (hit,) = scan(prog)
-    est = estimate_window(prog, hit, iterations_per_run=100)
-    assert est == WindowEstimate(first_slice=1, duration_slices=100)
+    victim = loop_victim(prog)
+    assert victim.store_insns == {hit.store_index}
+    assert victim.events == 1
 
 
 def test_loop_multiplies_store_executions():
-    # xmm2 accumulates 1 per pass; the loop publishes it and exits at 5.
+    # The increment is the stack pointer after one push, 0xfe8, read back
+    # from where the push wrote it; xmm2 accumulates it once per pass, and
+    # the loop publishes it and exits after the fifth.
     text = (
+        "push %rsp\n"
+        "vmovdqu 0xfe8, %xmm1\n"
         "_loop:\n"
         "vpaddq %xmm1, %xmm2, %xmm2\n"
         "vmovdqu %xmm2, 0x40\n"
-        "cmpjne 0x40, $5, _loop\n"
+        f"cmpjne 0x40, ${5 * 0xFE8}, _loop\n"
         "halt\n"
     )
     prog = parse_program(text)
     (hit,) = scan(prog)
-    est = estimate_window(prog, hit, 1, xmm={"xmm1": 1})
-    assert est.first_slice == 1
-    assert est.duration_slices == 5
-    scaled = estimate_window(prog, hit, 200, xmm={"xmm1": 1})
-    assert scaled.duration_slices == 1000
+    victim = loop_victim(prog)
+    assert victim.store_insns == {hit.store_index}
+    assert victim.events == 5
 
 
 def test_never_taken_branch_window():
@@ -164,6 +169,7 @@ def test_never_taken_branch_window():
         "halt\n"
     )
     prog = parse_program(text)
-    (hit,) = scan(prog)
-    est = estimate_window(prog, hit, iterations_per_run=50)
-    assert est == WindowEstimate(first_slice=None, duration_slices=0)
+    assert len(scan(prog)) == 1
+    victim = loop_victim(prog)
+    assert victim.store_insns == frozenset()
+    assert victim.events == 0

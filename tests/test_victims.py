@@ -1,7 +1,7 @@
 """Victim runners: stressor registry, test loop, branch PoC, HMAC campaigns."""
 
+import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +18,10 @@ from voltlab.errors import (
     UnknownCoreOrPState,
     UnknownStressor,
 )
-from voltlab.isa import interpret, parse_program
+from voltlab.isa import bundled_program, interpret, parse_program
 from voltlab.orchestrator import _stability_victim, phase1_find_window
-from voltlab.processor import CrashKind, load_profile, mean_event_fault_probability
-from voltlab.sha256sim import EVENTS_PER_BLOCK, HmacContext
+from voltlab.processor import BitFlipPattern, CrashKind, load_profile
+from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
     HMAC_KEY,
     POC_MEMORY,
@@ -31,7 +31,6 @@ from voltlab.victims import (
     PlatformState,
     RunOutcome,
     RunStatus,
-    _hits_before_crash,
     _payload_bytes,
     hmac_scenario,
     loop_victim,
@@ -42,26 +41,21 @@ from voltlab.victims import (
     run_hmac_victim,
     run_poc_enclave,
     run_poc_victim,
+    run_probe_victim,
     stressor_profile,
 )
 
 from helpers import (
     fresh_cache,
-    goodness_of_fit_p,
     numpy_stream,
-    reference_hmac_detail,
     reference_memory_diff,
     run_campaigns_out_of_order,
     run_loop_under,
     run_poc_under,
     two_sample_p,
 )
-from hmac_reference import (
-    draw_fault_sets,
-    hmac_fault_sets,
-    macs_with_keys,
-    store_events,
-)
+from hmac_reference import macs_with_keys, store_events
+from slice_reference import campaign_runs, faulted_run, loop_run, probe_run, reference_run
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +369,7 @@ def test_hmac_zero_offset(kaby):
     assert result.successes == 0
 
 
-def _hmac_outcome(call):
+def _campaign_outcome(call):
     try:
         return call()
     except AbortedByCrash as abort:
@@ -392,11 +386,11 @@ def test_hmac_does_not_depend_on_run_order(kaby, monkeypatch):
         lambda: run_hmac_victim(warm, "hmac1k", 100, runs=3),
         lambda: run_hmac_victim(edge, "hmac32", 200, runs=3),
     ]
-    serial = [_hmac_outcome(call) for call in calls]
+    serial = [_campaign_outcome(call) for call in calls]
     assert serial[2].crashes == 1
-    assert serial == [_hmac_outcome(call) for call in calls]
+    assert serial == [_campaign_outcome(call) for call in calls]
     run_campaigns_out_of_order(monkeypatch, seed=3)
-    assert [_hmac_outcome(call) for call in calls] == serial
+    assert [_campaign_outcome(call) for call in calls] == serial
 
 
 def test_hmac_crash_aborts_with_partial_result(kaby):
@@ -446,62 +440,6 @@ def test_hmac_campaign_draws_no_fault_set(kaby, monkeypatch):
     assert run_hmac_victim(idle, "hmac32", 400, runs=4).successes == 0
 
 
-def _campaign_runs_of(env, payload, tries, n):
-    """(successes, tries completed) of `n` one-run campaigns on the pinned
-    core of `env`, seeded 0..n-1, a crashed run's partial included."""
-    runs = []
-    for seed in range(n):
-        env = PlatformState(env.profile, env.pstate, env.core, env.offset_mv, env.stressor, seed)
-        runs += _hmac_outcome(lambda: run_hmac_victim(env, payload, tries, runs=1)).per_run
-    return runs
-
-
-def _scalar_runs_of(env, payload, tries, n):
-    """(successes, tries completed) of `n` runs of the scalar path on the
-    pinned core of `env`: `hmac_fault_sets` draws each run try by try on its
-    own stream, and a faulted try succeeds when its MAC, recomputed by the
-    lane pass, differs from the clean one."""
-    ctx = _HMAC_CONTEXTS[payload]
-    events = ctx.total_events
-    p_event, _, g = pinned_rates(env, events, hmac_scenario(payload))
-    c_try = victims._any_of(g, events + 2 * victims.GUARD_SLICES)
-    runs, keys = [], []
-    for r in range(n):
-        gen = numpy_stream(r, "scalar-path", payload)
-        run_keys, completed, _ = hmac_fault_sets(
-            ctx, env.profile, env.core, p_event, c_try, tries, gen
-        )
-        runs.append((len(keys), len(run_keys), completed))
-        keys += run_keys
-    valid = np.array(macs_with_keys(ctx, keys)) == ctx.clean_mac
-    return [(k - int(valid[start : start + k].sum()), completed) for start, k, completed in runs]
-
-
-def _assert_runs_agree(ours, scalar):
-    """Per-run successes and tries completed follow one distribution."""
-    for a, b in zip(zip(*ours), zip(*scalar)):
-        bins = max(a + b) + 1
-        assert two_sample_p(np.bincount(a, minlength=bins), np.bincount(b, minlength=bins)) > ALPHA
-
-
-@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_campaign_equals_the_scalar_path(kaby, payload):
-    warm = pinned_state(kaby, 1, -250, stressor="shift_loop")
-    ours = _campaign_runs_of(warm, payload, 100, 200)
-    scalar = _scalar_runs_of(warm, payload, 100, 200)
-    assert {completed for _, completed in ours + scalar} == {100}
-    _assert_runs_agree(ours, scalar)
-
-
-def test_hmac_crashed_campaign_equals_the_scalar_path(kaby):
-    # The -252 mV cell of tests/golden/crash_aborts.json.
-    edge = pinned_state(kaby, 1, -252, stressor="listing2", seed=5)
-    ours = _campaign_runs_of(edge, "hmac32", 100, 300)
-    scalar = _scalar_runs_of(edge, "hmac32", 100, 300)
-    assert sum(completed < 100 for _, completed in ours) > 150
-    _assert_runs_agree(ours, scalar)
-
-
 _HMAC_CONTEXTS = {
     payload: HmacContext(HMAC_KEY, _payload_bytes(payload)) for payload in ("hmac32", "hmac1k")
 }
@@ -532,17 +470,23 @@ def _premise_cells():
 def test_no_drawn_fault_set_leaves_the_mac_valid():
     # A single faulted store changes its block's output by construction
     # (see `sha256sim`); two or more could in principle cancel.  About
-    # 1000 nonempty sets per cell, drawn as a campaign would draw them,
-    # and every one recomputed.
+    # 1000 nonempty sets per cell, drawn as a campaign's tries fault: a
+    # binomial count of faulted stores per try, a uniform subset of that
+    # many stores (`choice` without replacement) and a flip mask for each;
+    # every one recomputed.
     drawn = {payload: [] for payload in _HMAC_CONTEXTS}
     for i, (profile, core, payload, p_event) in enumerate(_premise_cells()):
         if p_event == 0.0:
             continue
         ctx = _HMAC_CONTEXTS[payload]
+        stores = store_events(ctx)
         gen = numpy_stream(i, "premise", payload)
         faulted = -math.expm1(ctx.total_events * math.log1p(-p_event))
         ks = gen.binomial(ctx.total_events, p_event, size=min(math.ceil(1000 / faulted), 10**6))
-        drawn[payload] += draw_fault_sets(profile, core, store_events(ctx), ks[ks > 0], gen)
+        sets = [sorted(gen.choice(ctx.total_events, k, replace=False).tolist()) for k in ks[ks > 0]]
+        masks = iter(processor.draw_flip_masks(profile, core, sum(map(len, sets)), gen))
+        # Sorted stores and nonzero masks: the key `ctx._fault_key` would make.
+        drawn[payload] += [tuple((stores[g], next(masks)) for g in s) for s in sets]
     for payload, keys in drawn.items():
         ctx = _HMAC_CONTEXTS[payload]
         assert sum(len(key) > 1 for key in keys) > 10_000
@@ -555,148 +499,142 @@ def test_every_single_bit_mask_at_every_store_changes_the_mac():
         assert ctx.clean_mac not in macs_with_keys(ctx, keys)
 
 
+# ---------------------------------------------------------------------------
+# Every closed-form runner against the slice-level loop
+#
+# Cells on core 1 at pstate 0x1b, whose window runs from 710.6 down to
+# 695.6 mV with listing2 or shift_loop on the sibling: at 710 mV the noise
+# band straddles the window top; 700 mV is mid-window; 698 mV is the
+# -252 mV cell of tests/golden/crash_aborts.json, where most campaign runs
+# crash; at 694 mV, below the instability line, crashes and faults race
+# in a loop or a probe.
+
 ALPHA = 1e-4
+RUNS = 200
+CELLS = {
+    "top": (-240, "listing2"),
+    "mid": (-250, "shift_loop"),
+    "edge": (-252, "listing2"),
+    "deep": (-256, "listing2"),
+}
 
-
-def _fault_sets(profile, payload, p_event, tries, seed):
-    """One run's fault sets as sorted global event lists, and the per-try
-    fault counts its binomial block drew, read from a twin generator."""
-    ctx = _HMAC_CONTEXTS[payload]
-    keys, completed, _ = hmac_fault_sets(
-        ctx, profile, 1, p_event, 0.0, tries, numpy_stream(seed, "fault-sets", payload)
-    )
-    assert completed == tries
-    ks = numpy_stream(seed, "fault-sets", payload).binomial(ctx.total_events, p_event, size=tries)
-    sets = [[block * EVENTS_PER_BLOCK + event for (block, event), _ in key] for key in keys]
-    return ctx, sets, ks[ks > 0].tolist()
-
-
-@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_fault_sets_hold_k_distinct_sorted_events(kaby, payload):
-    ctx, sets, ks = _fault_sets(kaby, payload, 0.05, 400, 5)
-    assert [len(events) for events in sets] == ks
-    assert max(ks) > 1
-    for events in sets:
-        assert all(a < b for a, b in zip(events, events[1:]))
-        assert 0 <= events[0] and events[-1] < ctx.total_events
-
-
-@pytest.mark.parametrize("payload,p_event", [("hmac32", 0.05), ("hmac1k", 0.02)])
-def test_fault_set_events_are_uniform(kaby, payload, p_event):
-    ctx, sets, _ = _fault_sets(kaby, payload, p_event, 2_000, 6)
-    counts = np.bincount([g for events in sets for g in events], minlength=ctx.total_events)
-    assert goodness_of_fit_p(counts, np.ones(ctx.total_events)) > ALPHA
-
-
-def _campaign_p_event(profile, payload, core):
-    env = pinned_state(profile, core, -250, stressor="shift_loop")
-    return mean_event_fault_probability(
-        profile, core, env.pstate, hmac_scenario(payload), env.stressor.fault_multiplier,
-        env.nominal_voltage_mv(), env.temp_c,
-    )
-
-
-def _hmac_run_against_oracle(profile, payload, core, p_event, seed, tries, half=False, c_try=0.0):
-    """One `hmac_fault_sets` and `reference_hmac_detail` from one seed.
-
-    The per-try fault counts and the crash geometric are drawn word for
-    word alike, so the tries completed, the crash flag and each set's size
-    agree exactly.  The stream is keyed by every argument but the rates,
-    so pooled runs are independent samples.  `half` enters with a buffered half-word; a positive
-    `c_try` cuts the run short.  Returns (our keys, the oracle's keys,
-    tries completed).
-    """
-    ctx = _HMAC_CONTEXTS[payload]
-    key = (seed, "hmac-detail", payload, core, tries, int(half))
-    ours, theirs = numpy_stream(*key), numpy_stream(*key)
-    if half:
-        for gen in (ours, theirs):
-            gen.integers(0, 9, dtype=np.uint32)
-        assert ours.bit_generator.state["has_uint32"] == 1
-    keys, completed, crashed = hmac_fault_sets(ctx, profile, core, p_event, c_try, tries, ours)
-    total = ctx.total_events
-    ks = theirs.binomial(total, p_event, size=tries) if p_event > 0.0 else np.zeros(tries, int)
-    assert completed == _hits_before_crash(theirs, 0.0, c_try, tries)[1]
-    assert crashed == (completed < tries)
-    expected = reference_hmac_detail(ctx, profile, core, ks[:completed], theirs)
-    assert [len(key) for key in keys] == [len(key) for key in expected]
-    return keys, expected, completed
-
-
-def _detail_counts(ctx, keys):
-    """(faults per global event, masks per bit count 1..7) over `keys`."""
-    events = [block * EVENTS_PER_BLOCK + event for key in keys for (block, event), _ in key]
-    bits = [mask.bit_count() for key in keys for _, mask in key]
-    return np.bincount(events, minlength=ctx.total_events), np.bincount(bits, minlength=8)
-
-
-@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_detail_draws_replay_choice(kaby, payload):
-    ours, theirs = [], []
-    for core in range(kaby.physical_cores):
-        campaign = _campaign_p_event(kaby, payload, core)
-        for seed in range(3):
-            for p_event, tries in ((campaign, 400), (0.05, 40)):
-                for half in (False, True):
-                    keys, expected, _ = _hmac_run_against_oracle(
-                        kaby, payload, core, p_event, seed, tries, half
-                    )
-                    ours += keys
-                    theirs += expected
-    assert len(ours) > 100
-    # Same cores, same set sizes: the faulted stores and the flip masks,
-    # pooled, follow the oracle's distribution.
-    ctx = _HMAC_CONTEXTS[payload]
-    for a, b in zip(_detail_counts(ctx, ours), _detail_counts(ctx, theirs)):
-        assert two_sample_p(a, b) > ALPHA
-    # A crash cuts the run short: only the completed tries draw their detail.
-    _, _, completed = _hmac_run_against_oracle(kaby, payload, 1, 0.05, 4, 200, c_try=0.02)
-    assert 0 < completed < 200
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(["hmac32", "hmac1k"]),
-    st.integers(0, 3),
-    st.booleans(),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 8),
+# Three eligible stores an iteration, the first to a scratch word that a
+# plain store then overwrites, so a fault there never reaches the output.
+THREE_STORES = parse_program(
+    "vpxor %xmm1, %xmm2, %xmm3\n"
+    "vmovdqu %xmm3, 0x40\n"
+    "vpaddq %xmm1, %xmm2, %xmm4\n"
+    "vmovdqu %xmm4, 0x20\n"
+    "vpand %xmm1, %xmm2, %xmm5\n"
+    "vmovdqu %xmm5, 0x30\n"
+    "vmovdqu %xmm0, 0x40\n"
+    "halt\n",
+    "three_stores",
 )
-def test_hmac_detail_draws_straddle_blocks(kaby, payload, core, dense, half, seed, tries):
-    # A run of a few tries makes its store block and its mask block empty,
-    # one set long or a few sets long; each set takes its own slice of both.
-    p_event = 0.05 if dense else _campaign_p_event(kaby, payload, core)
-    blocks, real = [], processor.draw_flip_masks
-
-    def recording(*args):
-        blocks.append(real(*args))
-        return blocks[-1]
-
-    with mock.patch.object(processor, "draw_flip_masks", recording):
-        keys, _, _ = _hmac_run_against_oracle(kaby, payload, core, p_event, seed, tries, half)
-    (block,) = blocks
-    assert [mask for key in keys for _, mask in key] == block
-    ctx = _HMAC_CONTEXTS[payload]
-    live = sum(1 << b for b in np.flatnonzero(kaby.bit_weights(core)).tolist())
-    for key in keys:
-        assert ctx._fault_key(dict(key)) == key
-        assert all(mask and mask & ~live == 0 for _, mask in key)
+POC = reference_run(bundled_program("poc_and_branch"), POC_MEMORY, POC_SCALARS)
 
 
-@pytest.mark.parametrize("payload", ["hmac32", "hmac1k"])
-def test_hmac_run_hands_over_canonical_keys(kaby, payload):
-    # The oracle builds each fault set's key itself, unchecked, and the
-    # lane pass takes it so; `_fault_key` of the same set must give back
-    # exactly that key.
-    ctx = _HMAC_CONTEXTS[payload]
-    p_event = _campaign_p_event(kaby, payload, 1)
-    gen = numpy_stream(3, "canonical-keys", payload)
-    keys, _, _ = hmac_fault_sets(ctx, kaby, 1, p_event, 0.0, 1000, gen)
-    assert len(keys) > 100
-    for key in keys:
-        assert type(key) is tuple
-        assert ctx._fault_key(dict(key)) == key
+def _in_cell(profile, cell, seed=0):
+    offset, stressor = CELLS[cell]
+    return pinned_state(profile, 1, offset, stressor, seed)
+
+
+def _assert_same_distribution(ours, reference):
+    """Each column of per-run outcomes follows one distribution in both."""
+    for a, b in zip(zip(*ours), zip(*reference)):
+        bins = max(a + b) + 1
+        assert two_sample_p(np.bincount(a, minlength=bins), np.bincount(b, minlength=bins)) > ALPHA
+
+
+def _campaign_runs_of(env, victim, tries, n):
+    """(successes, tries completed) of `n` campaign runs on the pinned core
+    of `env`: a campaign of `n` runs on seed 0, and after each crash, which
+    ends a campaign, one of the runs still wanted on the next seed; a
+    crashed run's partial included."""
+    runs = []
+    for seed in itertools.count():
+        env = PlatformState(env.profile, env.pstate, env.core, env.offset_mv, env.stressor, seed)
+        runs += _campaign_outcome(lambda: _campaign(env, victim, tries, n - len(runs))).per_run
+        if len(runs) == n:
+            return runs
+
+
+def _campaign(env, victim, tries, runs):
+    if victim == "poc":
+        return run_poc_victim(env, tries, runs=runs)
+    return run_hmac_victim(env, victim, tries, runs=runs)
+
+
+def _diverted(flip_sets):
+    """Whether the guarded branch, run with each flip set, halts at
+    `_recovery`; each distinct set runs once."""
+    keys = [tuple(flips.items()) for flips in flip_sets]
+    halts = {key: faulted_run(POC, dict(key)).halt_index for key in set(keys)}
+    return [halts[key] == POC.program.labels["_recovery"] for key in keys]
+
+
+def _mac_changed(ctx, flip_sets):
+    """Whether each flip set, its ordinals global store events of `ctx`,
+    changes the MAC: one lane pass over them all."""
+    stores = store_events(ctx)
+    keys = [ctx._fault_key({stores[g]: m for g, m in flips.items()}) for flips in flip_sets]
+    return [mac != ctx.clean_mac for mac in macs_with_keys(ctx, keys)]
+
+
+@pytest.mark.parametrize("cell", ["top", "mid", "edge"])
+@pytest.mark.parametrize("victim", ["poc", "hmac32", "hmac1k"])
+def test_campaign_runs_match_the_slice_loop(kaby, victim, cell):
+    env = _in_cell(kaby, cell)
+    ours = _campaign_runs_of(env, victim, 100, RUNS)
+    gens = [numpy_stream(r, "slice-loop", victim, cell) for r in range(RUNS)]
+    if victim == "poc":
+        reference = campaign_runs(env, "poc", POC.events, 100, gens, _diverted)
+    else:
+        ctx = _HMAC_CONTEXTS[victim]
+        reference = campaign_runs(
+            env, hmac_scenario(victim), ctx.total_events, 100, gens,
+            lambda flip_sets: _mac_changed(ctx, flip_sets),
+        )
+    _assert_same_distribution(ours, reference)
+
+
+@pytest.mark.parametrize("cell", ["top", "mid", "deep"])
+def test_probe_matches_the_slice_loop(kaby, cell):
+    victim = loop_victim("vp1_xor_kernel")
+    ref = reference_run(victim.program)
+    ours, theirs, masks = [], [], []
+    for r in range(RUNS):
+        ours.append(run_probe_victim(victim, _in_cell(kaby, cell, seed=r), 100))
+        faults, completed, run_masks = probe_run(
+            _in_cell(kaby, cell), ref, 100, numpy_stream(r, "slice-probe", cell)
+        )
+        theirs.append((faults, completed))
+        masks += run_masks
+    _assert_same_distribution([(s.faults, s.tries) for s in ours], theirs)
+    patterns = [BitFlipPattern(0, mask) for mask in masks]
+    bytes_hist = np.bincount([b for p in patterns for b in p.byte_positions], minlength=16)
+    bits = np.bincount([min(p.multiplicity, 3) - 1 for p in patterns], minlength=3)
+    assert two_sample_p(np.sum([s.byte_histogram for s in ours], axis=0), bytes_hist) > ALPHA
+    assert two_sample_p(np.sum([s.bucketed() for s in ours], axis=0), bits) > ALPHA
+
+
+@pytest.mark.parametrize("cell", ["top", "mid", "deep"])
+def test_test_loop_matches_the_slice_loop(kaby, cell):
+    # The status a run ends in, the iteration it stops at, and which
+    # output words a mismatch flipped.
+    victim, ref = loop_victim(THREE_STORES), reference_run(THREE_STORES)
+    env = _in_cell(kaby, cell)
+    statuses = list(RunStatus)
+
+    def outcome(status, iterations, diff):
+        return statuses.index(status), iterations, sum(1 << p.word_index for p in diff)
+
+    ours, theirs = [], []
+    for r in range(RUNS):
+        out = run_loop_under(env, victim, 20, vrng.stream(r, "loop-vs-slices", cell))
+        ours.append(outcome(out.status, out.iterations_executed, out.diff))
+        theirs.append(outcome(*loop_run(env, ref, 20, numpy_stream(r, "slice-loop", cell))))
+    _assert_same_distribution(ours, theirs)
 
 
 def test_payload_names():
