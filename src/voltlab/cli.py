@@ -201,7 +201,7 @@ def _cmd_report(args) -> int:
         lines.append("core,faults,single,double,three_plus,single_pct,double_pct,three_plus_pct")
         for stat in report.stats:
             buckets = stat.bucketed()
-            total = stat.faults or 1
+            total = sum(stat.multiplicity_histogram.values()) or 1
             pcts = [round(100.0 * n / total, 2) for n in buckets]
             lines.append(",".join(map(str, [stat.core, stat.faults, *buckets, *pcts])))
     print("\n".join(lines))

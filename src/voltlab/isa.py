@@ -334,14 +334,12 @@ def interpret(
     scalar: dict[str, int] | None = None,
     max_slices: int = DEFAULT_MAX_SLICES,
     store_hook=None,
-    trace: list | None = None,
 ) -> ExecutionResult:
     """Run a program to halt or slice budget.
 
     One instruction is one time slice.  `store_hook(StoreExecution) -> int
-    or None` may replace the value of any vector store; scalar stack
-    traffic is not hooked.  `trace`, if given, receives the executed
-    instruction index per slice.
+    or None` sees every vector store in execution order and may replace its
+    value; scalar stack traffic is not hooked.
     """
     mem = bytearray(DEFAULT_MEMORY_BYTES) if memory is None else bytearray(memory)
     vregs = _VECTOR_ZERO.copy()
@@ -376,8 +374,6 @@ def interpret(
                 halt_index = n_insns  # fell off the end
                 break
             insn = insns[pc]
-            if trace is not None:
-                trace.append(pc)
             slices += 1
             next_pc = pc + 1
             op = insn.opcode

@@ -57,18 +57,6 @@ from .victims import (
     stressor_profile,
 )
 
-__all__ = [
-    "ProbeReport",
-    "SystemConfig",
-    "VoltagePlan",
-    "phase1_find_window",
-    "phase2_probe_cores",
-    "phase3_attack",
-    "run_campaign",
-    "setup_system",
-]
-
-OFFSET_FLOOR_MV = OFFSET_MIN_MV
 STEP_MV = 5
 # How far above an edge a noise band must stay for phase 1 to jump past
 # its level: far above float rounding at millivolt scale, far below a step.
@@ -113,7 +101,7 @@ class VoltagePlan(Record):
         for off in chosen_offset_mv:
             if off % STEP_MV:
                 raise InvariantError(f"offset {off} is not a {STEP_MV} mV step")
-            if not OFFSET_FLOOR_MV <= off <= OFFSET_MAX_MV:
+            if not OFFSET_MIN_MV <= off <= OFFSET_MAX_MV:
                 raise InvariantError(f"offset {off} outside the encodable range")
         if len(window_top_v) != len(chosen_offset_mv):
             raise InvariantError("per-core arrays disagree on core count")
@@ -302,7 +290,7 @@ def phase1_find_window(
         # Stage 1: walk down until the comparison loop reports corruption.
         offset = _landing_offset(start_offset_mv, top, base, profile.noise_mv)
         retries = 0
-        while offset >= OFFSET_FLOOR_MV:
+        while offset >= OFFSET_MIN_MV:
             rates = loop_rates(profile, core, pstate, base + offset, temp, victim.events)
             if rates.quiet:
                 offset -= STEP_MV
@@ -326,7 +314,7 @@ def phase1_find_window(
         offset = int(window_top_mv[core] - base) - STEP_MV
         offset = _landing_offset(offset, floor, base, profile.noise_mv)
         found = None
-        while offset >= OFFSET_FLOOR_MV:
+        while offset >= OFFSET_MIN_MV:
             rates = loop_rates(profile, core, pstate, base + offset, temp, stability.events)
             if rates.quiet:
                 offset -= STEP_MV
@@ -338,13 +326,13 @@ def phase1_find_window(
                 found = offset + STEP_MV
                 break
             offset -= STEP_MV
-        chosen_offset[core] = found if found is not None else OFFSET_FLOOR_MV
+        chosen_offset[core] = found if found is not None else OFFSET_MIN_MV
 
     missing = [c for c, w in enumerate(window_top_mv) if w is None]
     if missing:
         raise NoWindowFound(
             f"no fault window above instability for cores {missing} "
-            f"at pstate {pstate} (searched down to {OFFSET_FLOOR_MV} mV)"
+            f"at pstate {pstate} (searched down to {OFFSET_MIN_MV} mV)"
         )
     return VoltagePlan(
         pstate=pstate,

@@ -47,29 +47,6 @@ from .processor import (
 from .scanner import scan
 from .sha256sim import HmacContext
 
-__all__ = [
-    "CampaignResult",
-    "FaultStats",
-    "LoopRates",
-    "LoopVictim",
-    "PlatformState",
-    "RunOutcome",
-    "RunStatus",
-    "STRESSORS",
-    "StressorSpec",
-    "loop_rates",
-    "loop_victim",
-    "memory_diff",
-    "pinned_rates",
-    "poc_victim",
-    "run_hmac_victim",
-    "run_poc_enclave",
-    "run_poc_victim",
-    "run_probe_victim",
-    "run_test_loop",
-    "stressor_profile",
-]
-
 # Slices the undervolt stays applied before and after a victim's
 # fault-prone window; campaigns pay crash exposure for both margins.
 GUARD_SLICES = 10
@@ -103,9 +80,7 @@ STRESSORS = {
 
 # Alternate lookup keys accepted anywhere a stressor name is taken.
 STRESSOR_ALIASES = {
-    "listing2_shift_loop": "shift_loop",
     "listing2": "shift_loop",
-    "shift": "shift_loop",
     "twofish": "twofish_avx",
 }
 
@@ -241,14 +216,14 @@ class LoopVictim(NamedTuple):
 
 def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> LoopVictim:
     eligible = {hit.store_index for hit in hits}
-    trace: list[int] = []
-    reference = interpret(program, memory, scalar=scalar, trace=trace)
+    stores = []  # the hook sees every vector store, and eligible stores are vector stores
+    reference = interpret(program, memory, scalar=scalar, store_hook=stores.append)
     if not reference.halted:
         raise InterpreterError(
             f"{program.source_name}: does not halt within {DEFAULT_MAX_SLICES} slices; "
             "a comparison loop needs a finishing victim"
         )
-    executed = [insn for insn in trace if insn in eligible]
+    executed = [store.insn_index for store in stores if store.insn_index in eligible]
     return LoopVictim(
         program, bytes(reference.memory), reference.halt_index, frozenset(executed),
         len(executed), reference.slices,
@@ -299,6 +274,18 @@ def _hits_before_crash(rng, q: float, c_try: float, tries: int) -> tuple[int, in
         raise InvariantError("tries is nonnegative")
     completed = tries if c_try <= 0.0 else min(int(rng.geometric(c_try)) - 1, tries)
     return (int(rng.binomial(completed, q)) if q > 0.0 else 0), completed
+
+
+def _faulted_ordinals(rates: LoopRates, events: int, rng: rngmod.Stream) -> list[int]:
+    """Which of the `events` eligible stores of a try or iteration known to
+    fault do fault: the first by `_truncated_geometric` on one uniform, then
+    each later store with its independent chance, from one uniform block."""
+    j = _truncated_geometric(rng.random(), rates.p_event, events, rates.q_iter)
+    ordinals = [j]
+    if j + 1 < events:
+        extra = rng.uniform(size=events - j - 1)
+        ordinals.extend(j + 1 + k for k, u in enumerate(extra) if u < rates.p_event)
+    return ordinals
 
 
 def _run_with_flips(victim, flips):
@@ -385,7 +372,7 @@ def run_test_loop(
         return RunOutcome.match(max_iters)
     spi = victim.slices_per_iteration
     events = victim.events
-    p_event, q_iter, g_slice = rates
+    _, q_iter, g_slice = rates
 
     crash_it = None  # the iteration the platform dies in, if within the budget
     if g_slice > 0.0:
@@ -413,13 +400,8 @@ def run_test_loop(
         if fault_iter is None:
             break
 
-        # Fault wins: pick which eligible store faulted first, then give
-        # each later store in the same iteration its independent chance.
-        j = _truncated_geometric(rng.random(), p_event, events, q_iter)
-        ordinals = [j]
-        if j + 1 < events:
-            extra = rng.uniform(size=events - j - 1)
-            ordinals.extend(j + 1 + k for k, u in enumerate(extra) if u < p_event)
+        # Fault wins: the stores that faulted in that iteration, a mask each.
+        ordinals = _faulted_ordinals(rates, events, rng)
         masks = draw_flip_masks(profile, core, len(ordinals), rng)
         faulted = _run_with_flips(victim, dict(zip(ordinals, masks)))
         diff = memory_diff(victim.memory, faulted.memory)
@@ -436,8 +418,9 @@ def run_test_loop(
 
 
 class FaultStats(Record):
-    """What probing one core turned up: 16 fault counts, one per byte lane,
-    and a map from flipped-bit count to faults."""
+    """What probing one core turned up: `faults` faulty tries among `tries`,
+    and over the faulted stores of those tries, 16 counts, one per byte
+    lane, and a map from flipped-bit count to faulted stores."""
 
     __slots__ = ("core", "tries", "faults", "byte_histogram", "multiplicity_histogram")
 
@@ -452,10 +435,10 @@ class FaultStats(Record):
         return self.faults / self.tries if self.tries else 0.0
 
     def bucketed(self) -> tuple[int, int, int]:
-        """(single, double, three-or-more) fault counts."""
+        """(single, double, three-or-more) faulted-store counts."""
         singles = self.multiplicity_histogram.get(1, 0)
         doubles = self.multiplicity_histogram.get(2, 0)
-        return singles, doubles, self.faults - singles - doubles
+        return singles, doubles, sum(self.multiplicity_histogram.values()) - singles - doubles
 
     def to_json(self) -> dict:
         return {
@@ -475,19 +458,24 @@ def run_probe_victim(victim: LoopVictim, env: PlatformState, tries: int) -> Faul
     `env`, the whole program undervolted; tally its faults.
 
     Draw order: `_hits_before_crash`'s crash geometric and binomial count
-    of faulty tries, then one `draw_flip_masks` block, one pattern per
-    faulty try.  A crash shows as fewer `tries` than asked; nothing is
-    raised.
+    of faulty tries; for a victim with more than one eligible store, then
+    `_faulted_ordinals` per faulty try, in try order; then one
+    `draw_flip_masks` block, one pattern per faulted store.  A crash shows
+    as fewer `tries` than asked; nothing is raised.
     """
     core = env.core
+    events = victim.events
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
-    rates = pinned_rates(env, victim.events, "probe")
+    rates = pinned_rates(env, events, "probe")
     c_try = _any_of(rates.g_slice, victim.slices_per_iteration)
 
     faults, completed = _hits_before_crash(gen, rates.q_iter, c_try, tries)
+    stores = faults  # a faulty try of a one-store victim faults that store
+    if events > 1:
+        stores = sum(len(_faulted_ordinals(rates, events, gen)) for _ in range(faults))
     byte_hist = [0] * 16
     mult_hist: dict[int, int] = {}
-    for mask, n in Counter(draw_flip_masks(env.profile, core, faults, gen)).items():
+    for mask, n in Counter(draw_flip_masks(env.profile, core, stores, gen)).items():
         for b in BitFlipPattern(0, mask).byte_positions:
             byte_hist[b] += n
         bits = mask.bit_count()
@@ -567,30 +555,11 @@ def run_poc_victim(env: PlatformState, tries: int, *, runs: int = 5) -> Campaign
 HMAC_KEY = bytes.fromhex(
     "6b2602361a8a3b8017f1b0f4ea4ad18f79b5bc63e3a1fbd6e8c29ad46b2fa723"
 )
-PAYLOAD_SIZES = {"hmac32": 32, "hmac1k": 1024}
-_PAYLOAD_ALIASES = {
-    "hmac_32b": "hmac32",
-    "hmac_1kb": "hmac1k",
-    "32": "hmac32",
-    "1024": "hmac1k",
+# Each payload the validator checks: its calibration scenario and message.
+PAYLOADS = {
+    name: (scenario, bytes((7 * i + 13) & 0xFF for i in range(size)))
+    for name, scenario, size in (("hmac32", "hmac_32b", 32), ("hmac1k", "hmac_1kb", 1024))
 }
-
-
-def payload_name(size_or_name) -> str:
-    key = str(size_or_name).lower()
-    key = _PAYLOAD_ALIASES.get(key, key)
-    if key not in PAYLOAD_SIZES:
-        raise InvariantError(f"payload is one of {sorted(PAYLOAD_SIZES)}, not {size_or_name!r}")
-    return key
-
-
-def hmac_scenario(payload: str) -> str:
-    return {"hmac32": "hmac_32b", "hmac1k": "hmac_1kb"}[payload]
-
-
-def _payload_bytes(payload: str) -> bytes:
-    n = PAYLOAD_SIZES[payload]
-    return bytes((7 * i + 13) & 0xFF for i in range(n))
 
 
 class CampaignResult(Record):
@@ -647,10 +616,11 @@ class CampaignResult(Record):
 
 
 def run_hmac_victim(
-    env: PlatformState, payload_size, tries: int, *, runs: int = 5
+    env: PlatformState, payload: str, tries: int, *, runs: int = 5
 ) -> CampaignResult:
     """Mean successes per 10k tries and sigma across `runs` runs of the
-    HMAC validator on the pinned core of `env`.
+    HMAC validator on the pinned core of `env`, checking `payload`, a key
+    of PAYLOADS; any other value raises InvariantError.
 
     The exposure is the validator's compression stores
     (`HmacContext.total_events`).  A try succeeds when at least one of them
@@ -667,45 +637,37 @@ def run_hmac_victim(
     crashes; runs after the first crashed one are not started, because the
     simulated machine is gone.
     """
-    payload = payload_name(payload_size)
-    events = HmacContext(HMAC_KEY, _payload_bytes(payload)).total_events
-    return _campaign(env, events, hmac_scenario(payload), ("hmac", payload), tries, runs)
+    try:
+        scenario, message = PAYLOADS[payload]
+    except (KeyError, TypeError):
+        raise InvariantError(f"payload is one of {sorted(PAYLOADS)}, not {payload!r}") from None
+    events = HmacContext(HMAC_KEY, message).total_events
+    return _campaign(env, events, scenario, ("hmac", payload), tries, runs)
 
 
 def _campaign(
     env: PlatformState, events: int, scenario: str, key: tuple, tries: int, runs: int
 ) -> CampaignResult:
     """The campaign both runners share: rates read once for `events` exposed
-    stores per try, then one `run_poc_enclave` per run on a substream keyed
-    by `env.seed`, `key`, the core and the run index, so no run depends on
-    another."""
+    stores per try, then one `run_poc_enclave` per run, in index order, on
+    a substream keyed by `env.seed`, `key`, the core and the run index, so
+    no run depends on another.  A crashed run raises AbortedByCrash
+    carrying the runs up to and including it; no later run starts."""
+    if runs < 1:
+        raise InvariantError("a campaign makes at least one run")
     _, q, g = pinned_rates(env, events, scenario)
     # One slice per exposed store, plus the undervolt guard margin on both
     # sides of the fault-prone window.
     c_try = _any_of(g, events + 2 * GUARD_SLICES)
-
-    def one(run_index: int) -> tuple[int, int, bool]:
-        gen = rngmod.stream(env.seed, *key, env.core, run_index)
-        try:
-            return run_poc_enclave(q, c_try, tries, gen), tries, False
-        except AbortedByCrash as abort:
-            return (*abort.partial, True)
-
-    return _campaign_runs(one, runs, env.core, scenario)
-
-
-def _campaign_runs(one, runs: int, core: int, scenario: str) -> CampaignResult:
-    """Run `one(run_index) -> (successes, tries_completed, crashed)` for
-    each run in index order, up to and including the first crashed run,
-    then aggregate.  A crashed run raises AbortedByCrash carrying the runs
-    up to and including it; no later run starts."""
-    if runs < 1:
-        raise InvariantError("a campaign makes at least one run")
     per_run = []
     for r in range(runs):
-        successes, completed, crashed = one(r)
-        per_run.append((successes, completed))
-        if crashed:
-            partial = CampaignResult.from_runs(core, scenario, per_run, crashes=1)
-            raise AbortedByCrash(f"platform crashed during run {r} of {runs}", partial=partial)
-    return CampaignResult.from_runs(core, scenario, per_run)
+        gen = rngmod.stream(env.seed, *key, env.core, r)
+        try:
+            per_run.append((run_poc_enclave(q, c_try, tries, gen), tries))
+        except AbortedByCrash as abort:
+            per_run.append(abort.partial)
+            partial = CampaignResult.from_runs(env.core, scenario, per_run, crashes=1)
+            raise AbortedByCrash(
+                f"platform crashed during run {r} of {runs}", partial=partial
+            ) from None
+    return CampaignResult.from_runs(env.core, scenario, per_run)

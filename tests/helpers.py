@@ -8,9 +8,9 @@ from scipy.stats import chi2_contingency, chisquare
 
 import voltlab.victims as victims
 from voltlab import rng as rngmod
-from voltlab.errors import InvariantError, NoWindowFound
+from voltlab.errors import AbortedByCrash, InvariantError, NoWindowFound
+from voltlab.msr import OFFSET_MIN_MV
 from voltlab.orchestrator import (
-    OFFSET_FLOOR_MV,
     STEP_MV,
     VoltagePlan,
     _stability_victim,
@@ -201,7 +201,7 @@ def reference_phase1(
     for core in range(profile.physical_cores):
         offset = start_offset_mv
         retries = 0
-        while offset >= OFFSET_FLOOR_MV:
+        while offset >= OFFSET_MIN_MV:
             env = PlatformState(profile, pstate, core, offset, seed=seed)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
             out = run_loop_under(env, victim, iters_per_level, gen)
@@ -220,7 +220,7 @@ def reference_phase1(
 
         offset = int(window_top_mv[core] - base) - STEP_MV
         found = None
-        while offset >= OFFSET_FLOOR_MV:
+        while offset >= OFFSET_MIN_MV:
             env = PlatformState(profile, pstate, core, offset, seed=seed)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
             out = run_loop_under(env, stability, stability_iters, gen)
@@ -229,13 +229,13 @@ def reference_phase1(
                 found = offset + STEP_MV
                 break
             offset -= STEP_MV
-        chosen_offset[core] = found if found is not None else OFFSET_FLOOR_MV
+        chosen_offset[core] = found if found is not None else OFFSET_MIN_MV
 
     missing = [c for c, w in enumerate(window_top_mv) if w is None]
     if missing:
         raise NoWindowFound(
             f"no fault window above instability for cores {missing} "
-            f"at pstate {pstate} (searched down to {OFFSET_FLOOR_MV} mV)"
+            f"at pstate {pstate} (searched down to {OFFSET_MIN_MV} mV)"
         )
     return VoltagePlan(
         pstate=pstate,
@@ -246,24 +246,49 @@ def reference_phase1(
 
 
 def run_campaigns_out_of_order(monkeypatch, seed=0):
-    """Make every campaign evaluate its runs out of index order.
+    """Check every campaign's runs against the same runs made alone and
+    out of index order.
 
-    `victims._campaign_runs`, the one run fan-out, is patched.  The
-    wrapper calls `one(r)` for every run in reversed order, then again in
-    a seeded shuffle, checks that both passes agree, and hands the cached
-    outcomes to the real fan-out in index order.  A campaign whose result
-    then differs from a plain call depends on the order its runs execute
-    in, for instance through state shared between runs.
+    `victims._campaign`, the one run loop, is wrapped.  After the real
+    loop, each of its runs is recomputed from its own stream,
+    `rng.stream(env.seed, *key, core, r)`, at the rates the loop handed
+    `run_poc_enclave`: once in reversed order, then again in a seeded
+    shuffle.  Both passes must give the campaign's `per_run`, a crashed
+    run's partial included.  A run whose outcome depends on the runs before
+    it, for instance through state or a stream shared between runs, fails.
+    The wrapper returns or raises what the real loop did.
     """
-    real = victims._campaign_runs
+    real_campaign, real_run = victims._campaign, victims.run_poc_enclave
+    rates = []
 
-    def out_of_order(one, runs, core, scenario):
-        indexes = list(range(runs))[::-1]
-        first = {r: one(r) for r in indexes}
+    def recorded_run(q, c_try, tries, rng):
+        rates.append((q, c_try, tries))
+        return real_run(q, c_try, tries, rng)
+
+    def checked(env, events, scenario, key, tries, runs):
+        rates.clear()
+        try:
+            result, raised = real_campaign(env, events, scenario, key, tries, runs), None
+        except AbortedByCrash as abort:
+            result, raised = abort.partial, abort
+        (args,) = set(rates)  # one rate for every run of a campaign
+
+        def alone(r):
+            try:
+                return real_run(*args, rngmod.stream(env.seed, *key, env.core, r)), tries
+            except AbortedByCrash as abort:
+                return abort.partial
+
+        indexes = list(range(len(result.per_run)))[::-1]
+        first = {r: alone(r) for r in indexes}
         random.Random(seed).shuffle(indexes)
-        second = {r: one(r) for r in indexes}
-        assert first == second, "a run's outcome depends on which runs came before it"
-        return real(first.__getitem__, runs, core, scenario)
+        second = {r: alone(r) for r in indexes}
+        expected = dict(enumerate(result.per_run))
+        assert first == second == expected, "a run's outcome depends on more than its own key"
+        if raised is not None:
+            raise raised
+        return result
 
-    monkeypatch.setattr(victims, "_campaign_runs", out_of_order)
+    monkeypatch.setattr(victims, "run_poc_enclave", recorded_run)
+    monkeypatch.setattr(victims, "_campaign", checked)
 

@@ -267,11 +267,9 @@ def _choices(command, flag):
 def test_choices_restate_the_victims_registries():
     # `cli` keeps its own tuples so that `--help` does not import `victims`.
     for command in ("probe", "campaign"):
-        stressors = _choices(command, "--stressor")
-        for name in stressors:
-            victims.stressor_profile(name)
-        assert set(victims.STRESSORS) <= set(stressors)
-    assert set(_choices("campaign", "--victim")) == {"poc"} | set(victims.PAYLOAD_SIZES)
+        stressors = set(_choices(command, "--stressor"))
+        assert stressors == set(victims.STRESSORS) | set(victims.STRESSOR_ALIASES)
+    assert set(_choices("campaign", "--victim")) == {"poc"} | set(victims.PAYLOADS)
 
 
 def test_campaign_abort_reports_partial(capsys, monkeypatch):

@@ -237,12 +237,6 @@ def test_interpret_is_pure():
     assert first.scalar == second.scalar
 
 
-def test_trace_records_execution_order():
-    trace = []
-    interpret(parse_program("push %rax\npop %rbx\nhalt\n"), trace=trace)
-    assert trace == [0, 1, 2]
-
-
 # -- store hook ---------------------------------------------------------------
 
 

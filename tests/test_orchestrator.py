@@ -18,6 +18,7 @@ from voltlab.errors import (
     ParseError,
     UnknownCoreOrPState,
 )
+from voltlab.msr import OFFSET_MIN_MV
 from voltlab.orchestrator import (
     FaultStats,
     ProbeReport,
@@ -357,7 +358,7 @@ def test_phase1_prepares_each_program_once_and_rates_each_level_once(monkeypatch
         # Once per process: the first search prepares both, later ones reuse them.
         assert built == {"vp1_xor_kernel": 1, "stability_check": 1}, pstate
         # A stage-one crash retries its level; nothing else rates a level twice.
-        stage2_crashes = sum(off > orchestrator.OFFSET_FLOOR_MV for off in plan.chosen_offset_mv)
+        stage2_crashes = sum(off > OFFSET_MIN_MV for off in plan.chosen_offset_mv)
         retries = plan.crashes_during_search - stage2_crashes
         assert len(levels) - len(set(levels)) == retries, pstate
         assert crash_marginals["calls"] == len(levels), pstate

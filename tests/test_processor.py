@@ -42,11 +42,10 @@ from voltlab.processor import (
 from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
     HMAC_KEY,
-    PAYLOAD_SIZES,
+    PAYLOADS,
     STRESSORS,
     PlatformState,
     StressorSpec,
-    hmac_scenario,
     poc_victim,
 )
 
@@ -378,8 +377,8 @@ def test_bundled_profiles_match_the_build_script():
     assert sorted(module.PROFILES) == bundled_profile_names()
     # The script restates simulator values; they must agree with it.
     assert module.SHIFT_LOOP_MULT == STRESSORS["shift_loop"].fault_multiplier
-    events = {hmac_scenario(p): HmacContext(HMAC_KEY, bytes(n)).total_events
-              for p, n in PAYLOAD_SIZES.items()}
+    events = {scenario: HmacContext(HMAC_KEY, message).total_events
+              for scenario, message in PAYLOADS.values()}
     assert module.EVENTS == {"poc": poc_victim().events, **events}
     res = __import__("importlib.resources", fromlist=["files"]).files("voltlab")
     for stem, profile in module.PROFILES.items():

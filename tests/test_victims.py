@@ -24,6 +24,7 @@ from voltlab.processor import BitFlipPattern, CrashKind, load_profile
 from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
     HMAC_KEY,
+    PAYLOADS,
     POC_MEMORY,
     POC_SCALARS,
     STRESSORS,
@@ -31,11 +32,8 @@ from voltlab.victims import (
     PlatformState,
     RunOutcome,
     RunStatus,
-    _payload_bytes,
-    hmac_scenario,
     loop_victim,
     memory_diff,
-    payload_name,
     pinned_rates,
     poc_victim,
     run_hmac_victim,
@@ -88,9 +86,11 @@ def test_stressor_registry_dominance():
 
 
 def test_stressor_aliases():
-    assert stressor_profile("listing2_shift_loop") is STRESSORS["shift_loop"]
     assert stressor_profile("listing2") is STRESSORS["shift_loop"]
     assert stressor_profile("twofish") is STRESSORS["twofish_avx"]
+    for name in ("listing2_shift_loop", "shift", "Listing2"):
+        with pytest.raises(UnknownStressor):
+            stressor_profile(name)
 
 
 def test_unknown_stressor():
@@ -365,7 +365,7 @@ def test_hmac_zero_rate_core(coffee):
 
 def test_hmac_zero_offset(kaby):
     env = pinned_state(kaby, 1, 0, stressor="shift_loop")
-    result = run_hmac_victim(env, 32, 300, runs=3)
+    result = run_hmac_victim(env, "hmac32", 300, runs=3)
     assert result.successes == 0
 
 
@@ -441,7 +441,7 @@ def test_hmac_campaign_draws_no_fault_set(kaby, monkeypatch):
 
 
 _HMAC_CONTEXTS = {
-    payload: HmacContext(HMAC_KEY, _payload_bytes(payload)) for payload in ("hmac32", "hmac1k")
+    payload: HmacContext(HMAC_KEY, message) for payload, (_, message) in PAYLOADS.items()
 }
 
 
@@ -462,7 +462,7 @@ def _premise_cells():
                 profile, pstate, core, plan.offset_for(core), stressor_profile("listing2")
             )
             for payload, ctx in _HMAC_CONTEXTS.items():
-                p_event = pinned_rates(env, ctx.total_events, hmac_scenario(payload))[0]
+                p_event = pinned_rates(env, ctx.total_events, PAYLOADS[payload][0])[0]
                 yield profile, core, payload, p_event
                 yield profile, core, payload, 0.05
 
@@ -592,15 +592,24 @@ def test_campaign_runs_match_the_slice_loop(kaby, victim, cell):
     else:
         ctx = _HMAC_CONTEXTS[victim]
         reference = campaign_runs(
-            env, hmac_scenario(victim), ctx.total_events, 100, gens,
+            env, PAYLOADS[victim][0], ctx.total_events, 100, gens,
             lambda flip_sets: _mac_changed(ctx, flip_sets),
         )
     _assert_same_distribution(ours, reference)
 
 
-@pytest.mark.parametrize("cell", ["top", "mid", "deep"])
-def test_probe_matches_the_slice_loop(kaby, cell):
-    victim = loop_victim("vp1_xor_kernel")
+# The phase-2 victim, with one eligible store, and THREE_STORES, each of
+# whose faulted stores is tallied with its own mask.  In the mid and edge
+# cells about half of THREE_STORES' faulty tries fault two or more stores.
+PROBE_CASES = [pytest.param("vp1_xor_kernel", cell, id=cell) for cell in ("top", "mid", "deep")]
+PROBE_CASES += [
+    pytest.param(THREE_STORES, cell, id=f"three_stores-{cell}") for cell in ("mid", "edge")
+]
+
+
+@pytest.mark.parametrize("program, cell", PROBE_CASES)
+def test_probe_matches_the_slice_loop(kaby, program, cell):
+    victim = loop_victim(program)
     ref = reference_run(victim.program)
     ours, theirs, masks = [], [], []
     for r in range(RUNS):
@@ -608,9 +617,10 @@ def test_probe_matches_the_slice_loop(kaby, cell):
         faults, completed, run_masks = probe_run(
             _in_cell(kaby, cell), ref, 100, numpy_stream(r, "slice-probe", cell)
         )
-        theirs.append((faults, completed))
+        theirs.append((faults, completed, len(run_masks)))
         masks += run_masks
-    _assert_same_distribution([(s.faults, s.tries) for s in ours], theirs)
+    tallied = [(s.faults, s.tries, sum(s.multiplicity_histogram.values())) for s in ours]
+    _assert_same_distribution(tallied, theirs)
     patterns = [BitFlipPattern(0, mask) for mask in masks]
     bytes_hist = np.bincount([b for p in patterns for b in p.byte_positions], minlength=16)
     bits = np.bincount([min(p.multiplicity, 3) - 1 for p in patterns], minlength=3)
@@ -637,12 +647,13 @@ def test_test_loop_matches_the_slice_loop(kaby, cell):
     _assert_same_distribution(ours, theirs)
 
 
-def test_payload_names():
-    assert payload_name("hmac_32b") == "hmac32"
-    assert payload_name(1024) == "hmac1k"
-    assert payload_name("hmac1k") == "hmac1k"
-    with pytest.raises(InvariantError):
-        payload_name("hmac2k")
+def test_payload_names(kaby):
+    env = pinned_state(kaby, 1, 0)
+    assert run_hmac_victim(env, "hmac32", 10, runs=1).scenario == "hmac_32b"
+    assert run_hmac_victim(env, "hmac1k", 10, runs=1).scenario == "hmac_1kb"
+    for other in ("hmac_32b", "hmac_1kb", "32", "1024", 32, 1024, "HMAC32", "hmac2k", [32]):
+        with pytest.raises(InvariantError, match=r"payload is one of \['hmac1k', 'hmac32'\]"):
+            run_hmac_victim(env, other, 10, runs=1)
 
 
 def test_campaign_result_validation():
