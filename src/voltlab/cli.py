@@ -133,7 +133,7 @@ def _probe(args):
     from .processor import load_profile, normalize_pstate
 
     profile = load_profile(args.profile)
-    pstate = normalize_pstate(args.pstate) if args.pstate else profile.default_attack_pstate
+    pstate = profile.default_attack_pstate if args.pstate is None else normalize_pstate(args.pstate)
     state, _, _ = setup_system(profile, pstate, 0, args.stressor, seed=args.seed)
     plan = phase1_find_window(profile, pstate=pstate, seed=args.seed)
     report = phase2_probe_cores(state, plan, tries_per_core=args.tries)

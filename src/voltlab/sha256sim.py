@@ -13,9 +13,10 @@ Faults are expressed as XOR masks over the 128-bit store payload, keyed by
 standard algorithm; `hashlib` is used as the oracle in tests, never here.
 
 `compress`, `sha256` and `HmacContext.mac_with_faults` are the one
-implementation of that surface.  A campaign computes no faulted MAC:
-`victims.run_hmac_victim` counts a try as a success whenever its fault set
-is nonempty, on the premise that every nonempty set changes the MAC.
+implementation of that surface.  A campaign does not load this module:
+`victims.run_hmac_victim` reads each payload's store count from
+`victims.PAYLOADS` and counts a try as a success whenever its fault set is
+nonempty, on the premise that every nonempty set changes the MAC.
 
 - A single faulted store always changes the faulted block's output.  A
   schedule-quad fault changes the round input that consumes its first

@@ -45,7 +45,6 @@ from .processor import (
     victim_temp_target_c,
 )
 from .scanner import scan
-from .sha256sim import HmacContext
 
 # Slices the undervolt stays applied before and after a victim's
 # fault-prone window; campaigns pay crash exposure for both margins.
@@ -555,10 +554,14 @@ def run_poc_victim(env: PlatformState, tries: int, *, runs: int = 5) -> Campaign
 HMAC_KEY = bytes.fromhex(
     "6b2602361a8a3b8017f1b0f4ea4ad18f79b5bc63e3a1fbd6e8c29ad46b2fa723"
 )
-# Each payload the validator checks: its calibration scenario and message.
+# Each payload the validator checks: its calibration scenario, its message
+# and its exposed compression stores (14 per SHA-256 block), written out so
+# that a campaign hashes nothing; a test holds them to `HmacContext`.
 PAYLOADS = {
-    name: (scenario, bytes((7 * i + 13) & 0xFF for i in range(size)))
-    for name, scenario, size in (("hmac32", "hmac_32b", 32), ("hmac1k", "hmac_1kb", 1024))
+    name: (scenario, bytes((7 * i + 13) & 0xFF for i in range(size)), events)
+    for name, scenario, size, events in (
+        ("hmac32", "hmac_32b", 32, 56), ("hmac1k", "hmac_1kb", 1024, 280),
+    )
 }
 
 
@@ -622,26 +625,25 @@ def run_hmac_victim(
     HMAC validator on the pinned core of `env`, checking `payload`, a key
     of PAYLOADS; any other value raises InvariantError.
 
-    The exposure is the validator's compression stores
-    (`HmacContext.total_events`).  A try succeeds when at least one of them
-    faults: the victim always validates the same MAC, and every nonempty
-    fault set changes it.  A single faulted store always changes its
-    block's output, and past that block only a SHA-256 collision could undo
-    the change (see `sha256sim`).  A set of two or more stores could in
+    The exposure is the validator's compression stores, as many as PAYLOADS
+    counts; no `HmacContext` is built.  A try succeeds when at least one of
+    them faults: the victim always validates the same MAC, and every
+    nonempty fault set changes it.  A single faulted store always changes
+    its block's output, and past that block only a SHA-256 collision could
+    undo the change (see `sha256sim`).  A set of two or more stores could in
     principle cancel, as a SHA-256 local collision; for those the premise
     rests on a grid test that recomputes the faulted MACs, not on a proof.
-    So the verdict is closed form, and no fault set or MAC is computed:
-    each run is one `run_poc_enclave`, keyed ("hmac", payload, core, run).
+    So the verdict is closed form, and no fault set or MAC is computed: each
+    run is one `run_poc_enclave`, keyed ("hmac", payload, core, run).
 
     Raises AbortedByCrash carrying the partial CampaignResult if any run
     crashes; runs after the first crashed one are not started, because the
     simulated machine is gone.
     """
     try:
-        scenario, message = PAYLOADS[payload]
+        scenario, _, events = PAYLOADS[payload]
     except (KeyError, TypeError):
         raise InvariantError(f"payload is one of {sorted(PAYLOADS)}, not {payload!r}") from None
-    events = HmacContext(HMAC_KEY, message).total_events
     return _campaign(env, events, scenario, ("hmac", payload), tries, runs)
 
 

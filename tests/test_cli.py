@@ -585,6 +585,26 @@ def test_lookup_errors_print_without_quotes(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["campaign", "--victim", "poc", "--core", "1"],
+        ["probe"],
+        ["report", "heatmap"],
+        ["report", "multiplicity"],
+    ],
+    ids=" ".join,
+)
+def test_empty_pstate_is_refused_by_every_command(capsys, argv):
+    # An empty --pstate is a bad ratio, not a request for the default.
+    rc, out, err = run_cli(
+        capsys, *argv, "--profile", "i7-7700k", "--pstate", "", "--tries", "10"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "voltlab: pstate '' is not a hex ratio\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["decode-msr", "zz"],
         ["probe", "--profile", "i7-7700k", "--pstate", "zz", "--tries", "10"],
         ["probe", "--profile", "{latin1.json}", "--tries", "10"],
@@ -684,6 +704,26 @@ def test_poc_campaign_does_not_load_mca():
     assert "voltlab.orchestrator" in loaded
     assert "voltlab.mca" not in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("campaign", "--victim", victim, *_CELL) for victim in ("poc", "hmac32", "hmac1k")),
+        ("probe", "--profile", "i7-7700k", "--tries", "100"),
+    ],
+    ids=["campaign-poc", "campaign-hmac32", "campaign-hmac1k", "probe"],
+)
+def test_campaign_and_probe_do_not_load_sha256sim(argv):
+    # An HMAC campaign reads its store count from `victims.PAYLOADS`.
+    loaded = _cli_modules(*argv)
+    assert "voltlab.victims" in loaded
+    assert "voltlab.sha256sim" not in loaded
+
+
+def test_public_hmac_context_loads_sha256sim():
+    loaded = _fresh_modules("import voltlab", "assert voltlab.HmacContext.mac_with_faults")
+    assert "voltlab.sha256sim" in loaded
 
 
 @pytest.mark.parametrize(

@@ -441,8 +441,15 @@ def test_hmac_campaign_draws_no_fault_set(kaby, monkeypatch):
 
 
 _HMAC_CONTEXTS = {
-    payload: HmacContext(HMAC_KEY, message) for payload, (_, message) in PAYLOADS.items()
+    payload: HmacContext(HMAC_KEY, message) for payload, (_, message, _) in PAYLOADS.items()
 }
+
+
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+def test_payload_store_count_matches_the_hmac_context(payload):
+    # A campaign reads the count from PAYLOADS and never builds the context.
+    _, message, events = PAYLOADS[payload]
+    assert events == HmacContext(HMAC_KEY, message).total_events
 
 
 # -- the premise of the closed-form verdict: every nonempty set changes the MAC
