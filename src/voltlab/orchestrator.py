@@ -58,6 +58,9 @@ from .victims import (
 )
 
 STEP_MV = 5
+# The deepest level of the search grid that the mailbox can encode; stage
+# two settles there on a core that never crashes above it.
+_DEEPEST_MV = -(-OFFSET_MIN_MV // STEP_MV) * STEP_MV
 # How far above an edge a noise band must stay for phase 1 to jump past
 # its level: far above float rounding at millivolt scale, far below a step.
 _EDGE_MARGIN_MV = 1e-3
@@ -242,7 +245,8 @@ def phase1_find_window(
     Stage one, per core: run the comparison loop at each level until the
     first Mismatch; that level is the core's window top.  Stage two keeps
     descending with a store-free scratch loop until the machine dies; the
-    level one step above the first crash becomes the core's attack offset.
+    level one step above the first crash becomes the core's attack offset,
+    or the deepest encodable level if none crashes.
     Crashing costs a simulated reboot and a retry from the last safe
     level; a level that keeps crashing before any fault was seen means
     there is no usable window above the instability boundary.
@@ -326,7 +330,7 @@ def phase1_find_window(
                 found = offset + STEP_MV
                 break
             offset -= STEP_MV
-        chosen_offset[core] = found if found is not None else OFFSET_MIN_MV
+        chosen_offset[core] = found if found is not None else _DEEPEST_MV
 
     missing = [c for c, w in enumerate(window_top_mv) if w is None]
     if missing:

@@ -41,6 +41,11 @@ from .rng import Stream
 
 SCHEMA_VERSION = 1
 
+# The calibration scenarios the runners read: phase 1 and the phase-2 probe
+# ("probe"), the guarded branch ("poc") and the two HMAC payloads.  A
+# profile that lacks one is refused at load.
+SCENARIOS = ("probe", "poc", "hmac_32b", "hmac_1kb")
+
 # Fault manifestation ramp: zero at the window top, saturated from halfway
 # down.  Calibration targets assume the saturated regime.
 RAMP_SATURATION_DEPTH = 0.5
@@ -264,7 +269,7 @@ class ProcessorProfile:
             raise InvariantError(f"{origin}: multiplicity rows must sum to 1")
         calibration: dict[str, CalibrationEntry] = {}
         scenarios = read.get(raw, "calibration")
-        for scenario in scenarios:
+        for scenario in dict.fromkeys((*SCENARIOS, *scenarios)):  # each of SCENARIOS, then the rest
             entry, at = read.get(scenarios, scenario, "calibration"), _path("calibration", scenario)
             calibration[scenario] = CalibrationEntry(
                 read.get(entry, "pstate_gated", at, bool),

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InterpreterError, InvariantError, UnknownStressor
-from .isa import DEFAULT_MAX_SLICES, WORD_MASK, MiniProgram, bundled_program, interpret
+from .isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
 from .msr import Record
 from .processor import (
     BitFlipPattern,
@@ -139,58 +139,30 @@ class RunStatus(Enum):
 
 
 class RunOutcome(Record):
-    """Terminal state of one test-loop run."""
+    """Terminal state of one test-loop run: Match, Mismatch (a faulted
+    iteration's output differs from the fault-free one) or a crash, which
+    names its kind."""
 
-    __slots__ = ("status", "iterations_executed", "diff", "crash")
+    __slots__ = ("status", "iterations_executed", "crash")
 
     def __init__(
-        self, status: RunStatus, iterations_executed: int,
-        diff: tuple[BitFlipPattern, ...] = (), crash: CrashKind | None = None,
+        self, status: RunStatus, iterations_executed: int, crash: CrashKind | None = None,
     ):
-        if not diff and status is RunStatus.MISMATCH:
-            raise InvariantError("a mismatch carries a nonzero diff")
         if crash is None and status is RunStatus.CRASH:
             raise InvariantError("a crash outcome names its kind")
-        self._set(status, iterations_executed, diff, crash)
+        self._set(status, iterations_executed, crash)
 
     @classmethod
     def match(cls, iterations: int) -> "RunOutcome":
         return cls(RunStatus.MATCH, iterations)
 
     @classmethod
-    def mismatch(cls, diff, iterations: int) -> "RunOutcome":
-        return cls(RunStatus.MISMATCH, iterations, tuple(diff))
+    def mismatch(cls, iterations: int) -> "RunOutcome":
+        return cls(RunStatus.MISMATCH, iterations)
 
     @classmethod
     def crashed(cls, kind: CrashKind, iterations: int) -> "RunOutcome":
-        return cls(RunStatus.CRASH, iterations, (), kind)
-
-
-def memory_diff(before, after) -> tuple[BitFlipPattern, ...]:
-    """Differences between two equal-sized memories, one pattern per
-    differing 128-bit word (word index = byte offset // 16); bytes past the
-    last whole word are not compared.  Slice compares skip equal stretches
-    first, so the big-int work spans only the stretch holding the first
-    difference, and the rest of the memory only if that differs too."""
-    if len(before) != len(after):
-        raise InvariantError("memories must be the same size to diff")
-    view = memoryview(after)  # `before.startswith(view[a:b], a)`: a memcmp, no copy
-    end = len(before) // 16 * 16
-    # Gallop up from address 0, where the victims keep their outputs, past
-    # equal stretches of 64, 64, 128, 256, ... bytes.
-    lo, hi = 0, min(64, end)
-    while hi < end and before.startswith(view[lo:hi], lo):
-        lo, hi = hi, min(2 * hi, end)
-    if not before.startswith(view[hi:end], hi):
-        hi = end
-    delta = int.from_bytes(before[lo:hi], "little") ^ int.from_bytes(view[lo:hi], "little")
-    out = []
-    while delta:
-        word = ((delta & -delta).bit_length() - 1) // 128  # lowest word still differing
-        flips = delta >> (128 * word) & WORD_MASK
-        delta ^= flips << (128 * word)
-        out.append(BitFlipPattern(lo // 16 + word, flips))
-    return tuple(out)
+        return cls(RunStatus.CRASH, iterations, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +327,11 @@ def run_test_loop(
     and `pstate` is read only for the crash kind.
 
     Returns on the first iteration whose output differs from the victim's
-    fault-free reference (Mismatch with the bit-level diff) or on a
-    platform crash; Match after `max_iters` clean laps, or at once, without
-    a draw, when `rates` is quiet.  All failure modes are RunOutcome
-    values, never exceptions.
+    fault-free reference (Mismatch: the faulted re-execution's memory is
+    not the reference memory) or on a platform crash; Match after
+    `max_iters` clean laps, or at once, without a draw, when `rates` is
+    quiet.  All failure modes are RunOutcome values, never exceptions; a
+    negative `max_iters` raises InvariantError before any draw.
 
     Draw order per run: first-crash slice, first-fault iteration, then the
     winner's detail draws.  A fault draws one uniform for the first
@@ -367,6 +340,8 @@ def run_test_loop(
     First-occurrence times use the noise-averaged marginals, which is
     distribution-exact.
     """
+    if max_iters < 0:
+        raise InvariantError("max_iters is nonnegative")
     if rates.quiet:
         return RunOutcome.match(max_iters)
     spi = victim.slices_per_iteration
@@ -403,9 +378,8 @@ def run_test_loop(
         ordinals = _faulted_ordinals(rates, events, rng)
         masks = draw_flip_masks(profile, core, len(ordinals), rng)
         faulted = _run_with_flips(victim, dict(zip(ordinals, masks)))
-        diff = memory_diff(victim.memory, faulted.memory)
-        if diff:
-            return RunOutcome.mismatch(diff, fault_iter + 1)
+        if faulted.memory != victim.memory:
+            return RunOutcome.mismatch(fault_iter + 1)
         # Corruption never reached the output buffer; the loop keeps going.
         iter_base = fault_iter + 1
 

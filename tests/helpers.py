@@ -126,19 +126,6 @@ def goodness_of_fit_p(observed, weights):
     return float(chisquare(observed, expected).pvalue)
 
 
-def reference_memory_diff(before, after):
-    """`victims.memory_diff` as a loop over every 128-bit word."""
-    if len(before) != len(after):
-        raise InvariantError("memories must be the same size to diff")
-    out = []
-    for word in range(len(before) // 16):
-        a = int.from_bytes(before[16 * word : 16 * word + 16], "little")
-        b = int.from_bytes(after[16 * word : 16 * word + 16], "little")
-        if a ^ b:
-            out.append(BitFlipPattern(word, a ^ b))
-    return tuple(out)
-
-
 def fresh_cache(monkeypatch, module, name):
     """Give the `functools.cache` function `module.name` an empty cache
     for the rest of the test; `monkeypatch` puts back the warm one, so
@@ -229,7 +216,8 @@ def reference_phase1(
                 found = offset + STEP_MV
                 break
             offset -= STEP_MV
-        chosen_offset[core] = found if found is not None else OFFSET_MIN_MV
+        # No crash: the last level walked, or the window top if none was.
+        chosen_offset[core] = found if found is not None else offset + STEP_MV
 
     missing = [c for c, w in enumerate(window_top_mv) if w is None]
     if missing:

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from helpers import reference_memory_diff
 from voltlab.isa import MiniProgram, interpret
 from voltlab.processor import (
     BitFlipPattern,
@@ -244,23 +243,22 @@ def probe_run(state: PlatformState, ref: Reference, tries: int, rng):
 
 
 def loop_run(state: PlatformState, ref: Reference, max_iters: int, rng):
-    """(status, iterations executed, diff) of one test-loop run: each
-    iteration runs the victim, with a mask on each store that faulted, and
-    compares its output with the fault-free one at the end.  A crash
-    anywhere in an iteration comes before that comparison."""
+    """(status, iterations executed) of one test-loop run: each iteration
+    runs the victim, with a mask on each store that faulted, and compares
+    its output with the fault-free one at the end.  A crash anywhere in an
+    iteration comes before that comparison."""
     crashed = crash_slices(state, (max_iters, ref.slices), rng).any(axis=1)
     faults = fault_slices(state, "probe", (max_iters, ref.events), rng)
     for i in range(max_iters):
         if crashed[i]:
-            return RunStatus.CRASH, i, ()
+            return RunStatus.CRASH, i
         ordinals = np.flatnonzero(faults[i]).tolist()
         if ordinals:
             masks = draw_flip_masks(state.profile, state.core, len(ordinals), rng)
             run = faulted_run(ref, dict(zip(ordinals, masks)))
-            diff = reference_memory_diff(ref.output, run.memory)
-            if diff:
-                return RunStatus.MISMATCH, i + 1, diff
-    return RunStatus.MATCH, max_iters, ()
+            if run.memory != ref.output:
+                return RunStatus.MISMATCH, i + 1
+    return RunStatus.MATCH, max_iters
 
 
 # ---------------------------------------------------------------------------

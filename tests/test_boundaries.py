@@ -62,3 +62,39 @@ def test_every_public_module_name_is_used_or_exported():
             and node.name not in (referenced if node.name.startswith("_") else kept)
         ]
     assert unused == []
+
+
+def _unused_imports(path: Path) -> list[tuple[str, bool]]:
+    """(name, marked) for each name `path` imports, at any nesting level,
+    and never reads; `marked` when its line carries `# noqa: F401`, the
+    mark of a name bound only so that another module can reach it."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                found.append((f"{path.stem}.{name}", "# noqa: F401" in lines[alias.lineno - 1]))
+    return found
+
+
+def test_every_imported_name_is_read():
+    # An import a submodule never reads is a leftover.  The only ones kept
+    # are the `draw_flip_pattern` bindings `bench/spans.py` patches, each
+    # marked `# noqa: F401`.
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+             for hit in _unused_imports(path)]
+    assert [name for name, marked in found if not marked] == []
+    assert sorted(name for name, marked in found if marked) == [
+        "orchestrator.draw_flip_pattern", "victims.draw_flip_pattern",
+    ]

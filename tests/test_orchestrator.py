@@ -66,6 +66,13 @@ def _kaby_with(origin: str, **fields) -> ProcessorProfile:
     return ProcessorProfile(raw, origin=origin)
 
 
+def _crash_free_profile() -> ProcessorProfile:
+    """Faults as bundled, but no level of any pstate can crash."""
+    raw = _kaby_raw()
+    raw["crash"]["rate_per_slice"] = 0.0
+    return ProcessorProfile(raw, origin="crash-free")
+
+
 def _quiet_profile() -> ProcessorProfile:
     """No level of any pstate can fault or crash."""
     raw = _kaby_raw()
@@ -216,11 +223,21 @@ def test_phase1_equals_the_every_level_walk_on_bundled_profiles(name):
         # reference: its window top sits 12-16 mV above the profile's.
         (_kaby_with("hot", ambient_temp_c=110.0), {}),
         (_width_zero_profile(), {}),
+        (_crash_free_profile(), {}),
     ],
-    ids=["start+50", "start-200", "noiseless", "hot", "width-zero"],
+    ids=["start+50", "start-200", "noiseless", "hot", "width-zero", "crash-free"],
 )
 def test_phase1_equals_the_every_level_walk_off_the_bundled_cells(profile, kwargs):
     _assert_same_as_every_level_walk(profile, seeds=(3,), **kwargs)
+
+
+def test_phase1_plans_the_deepest_encodable_level_when_nothing_crashes():
+    # Stage two finds no instability boundary down to the mailbox's limit,
+    # so the attack offset is the lowest 5 mV level the mailbox encodes.
+    for pstate in KABY.pstates:
+        plan = phase1_find_window(_crash_free_profile(), pstate=pstate, seed=3)
+        assert plan.chosen_offset_mv == (-1020,) * KABY.physical_cores, pstate
+        assert plan.crashes_during_search == 0
 
 
 def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch):

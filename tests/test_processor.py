@@ -19,10 +19,17 @@ from helpers import goodness_of_fit_p, numpy_stream, reference_flip_pattern, two
 from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
-from voltlab.errors import InvariantError, SchemaError, UnknownCoreOrPState, VoltlabError
+from voltlab.errors import (
+    AbortedByCrash,
+    InvariantError,
+    NoWindowFound,
+    SchemaError,
+    UnknownCoreOrPState,
+)
 from voltlab.msr import Record
 from voltlab.orchestrator import run_campaign
 from voltlab.processor import (
+    SCENARIOS,
     BitFlipPattern,
     CrashKind,
     ProcessorProfile,
@@ -44,7 +51,9 @@ from voltlab.victims import (
     STRESSORS,
     PlatformState,
     StressorSpec,
+    loop_victim,
     poc_victim,
+    run_probe_victim,
 )
 
 pytestmark = [
@@ -186,6 +195,33 @@ def test_missing_field_is_schema_error():
         ProcessorProfile(raw)
 
 
+@pytest.mark.parametrize("scenario", ["probe", "poc", "hmac_32b", "hmac_1kb"])
+def test_a_profile_without_a_read_scenario_is_refused_at_load(scenario):
+    raw = _raw_profile()
+    del raw["calibration"][scenario]
+    with pytest.raises(SchemaError, match=f"missing field calibration.{scenario}$"):
+        ProcessorProfile(raw, "edited")
+
+
+def test_the_runners_read_exactly_the_required_scenarios(monkeypatch):
+    # Phase 1 and the probe read "probe", and each campaign its victim's
+    # scenario; the loader requires just those.
+    read = set()
+    entry = ProcessorProfile.calibration_entry
+
+    def recording(profile, scenario):
+        read.add(scenario)
+        return entry(profile, scenario)
+
+    monkeypatch.setattr(ProcessorProfile, "calibration_entry", recording)
+    profile = load_profile("i7-7700k")
+    for victim in ("poc", *PAYLOADS):
+        run_campaign(profile, victim, 1, "listing2", seed=7, runs=1, tries_per_run=10)
+    run_probe_victim(loop_victim("vp1_xor_kernel"), PlatformState(profile, "0x1b", 1, -240), 10)
+    payloads = {scenario for scenario, _, _ in PAYLOADS.values()}
+    assert read == set(SCENARIOS) == {"probe", "poc"} | payloads
+
+
 def test_multiplicity_must_sum_to_one():
     raw = _raw_profile()
     raw["multiplicity"][1][0] += 0.25
@@ -297,7 +333,7 @@ def test_non_utf8_profile_file_is_a_schema_error(tmp_path):
 # Leaves and containers of a bundled profile are deleted, replaced with a
 # value of any JSON type, or (numbers) scaled.  A profile either is refused
 # at load with a SchemaError or InvariantError, or runs: a short campaign
-# for each victim completes or raises a VoltlabError, never anything else.
+# for each victim completes, finds no window or crashes, and nothing else.
 _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -335,6 +371,12 @@ class _Scripted:
 @example("i7-8700k", _Scripted(
     1, ("calibration", "probe", "p_event_max", 0), "scale", 2.225073858507203e-309
 ))
+# A scenario a campaign reads is missing: this once loaded, then failed
+# the campaign with UnknownCoreOrPState.
+@example("i7-7700k", _Scripted(1, ("calibration", "poc"), "delete"))
+# A machine that never crashes: phase 1 once planned the mailbox's -1024 mV
+# limit, off its 5 mV grid, and raised InvariantError.
+@example("i7-7700", _Scripted(1, ("crash", "rate_per_slice"), "scale", 0.0))
 def test_fuzzed_profiles_are_refused_at_load_or_run(name, data):
     raw = _raw_profile(name)
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
@@ -360,7 +402,7 @@ def test_fuzzed_profiles_are_refused_at_load_or_run(name, data):
     for victim in ("poc", "hmac32"):
         try:
             run_campaign(profile, victim, 1, "listing2", seed=7, runs=1, tries_per_run=100)
-        except VoltlabError:
+        except (NoWindowFound, AbortedByCrash):
             pass
 
 

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from voltlab import cli, processor
 from voltlab import rng as vrng
@@ -33,7 +31,6 @@ from voltlab.victims import (
     RunOutcome,
     RunStatus,
     loop_victim,
-    memory_diff,
     pinned_rates,
     poc_victim,
     run_hmac_victim,
@@ -46,7 +43,6 @@ from voltlab.victims import (
 from helpers import (
     fresh_cache,
     numpy_stream,
-    reference_memory_diff,
     run_campaigns_out_of_order,
     run_loop_under,
     run_poc_under,
@@ -99,76 +95,15 @@ def test_unknown_stressor():
 
 
 # ---------------------------------------------------------------------------
-# Outcomes and diffs
+# Outcomes
 
 
 def test_outcome_validation():
-    with pytest.raises(InvariantError):
-        RunOutcome(RunStatus.MISMATCH, 3)
     with pytest.raises(InvariantError):
         RunOutcome(RunStatus.CRASH, 3)
     out = RunOutcome.crashed(CrashKind.FREEZE, 12)
     assert out.crash is CrashKind.FREEZE and out.iterations_executed == 12
 
-
-def test_memory_diff():
-    before = bytearray(64)
-    after = bytearray(64)
-    assert memory_diff(before, after) == ()
-    after[35] ^= 0x01  # word 2, byte 3 within the word
-    (pat,) = memory_diff(before, after)
-    assert pat.word_index == 2
-    assert pat.flipped_bits == frozenset({24})
-    with pytest.raises(InvariantError):
-        memory_diff(b"\x00" * 16, b"\x00" * 32)
-
-
-
-@st.composite
-def _memory_pairs(draw):
-    """A memory of 0-4096 bytes and a copy with 0-5 bytes corrupted, the
-    bytes past the last whole word included."""
-    before = draw(st.binary(max_size=4096))
-    after = bytearray(before)
-    for _ in range(draw(st.integers(0, 5)) if before else 0):
-        at = draw(st.integers(0, len(after) - 1))
-        after[at] ^= draw(st.integers(1, 255))
-    return before, bytes(after)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_memory_pairs(), st.integers(1, 64))
-def test_memory_diff_matches_the_word_loop(pair, extra):
-    before, after = pair
-    assert memory_diff(before, after) == reference_memory_diff(before, after)
-    assert memory_diff(bytearray(before), after) == memory_diff(before, after)
-    with pytest.raises(InvariantError):
-        memory_diff(before, after + bytes(extra))
-
-
-def test_memory_diff_ignores_the_bytes_past_the_last_whole_word():
-    for size in range(40):
-        tail = size % 16
-        for at in range(size - tail, size):
-            after = bytearray(size)
-            after[at] = 0x80
-            assert memory_diff(bytes(size), after) == (), (size, at)
-
-
-@pytest.mark.parametrize("size", [4096, 4100])
-def test_memory_diff_finds_flips_on_both_sides_of_every_stretch_edge(size):
-    # The search gallops up from address 0 past equal stretches of 64, 64,
-    # 128, ... bytes; a flip on either side of any stretch edge, alone or
-    # with a second one further up, is found once and in word order.
-    edges = sorted({0, 15, 16, 63, 64, 127, 128, 255, 256, 1023, 1024, 2047, 2048, 4079, 4095})
-    before = bytes(range(256)) * (size // 256) + bytes(size % 256)
-    for first in edges:
-        for second in [None, *(e for e in edges if e > first)]:
-            after = bytearray(before)
-            for at in (first, second):
-                if at is not None:
-                    after[at] ^= 0x11
-            assert memory_diff(before, after) == reference_memory_diff(before, after)
 
 # ---------------------------------------------------------------------------
 # Test loop
@@ -187,11 +122,17 @@ def test_loop_mismatches_inside_the_window(kaby):
     out = run_loop_under(env, "vp1_xor_kernel", 20_000, vrng.stream(2, "b"))
     assert out.status is RunStatus.MISMATCH
     assert 1 <= out.iterations_executed <= 20_000
-    assert out.diff
-    support = {i for i, w in enumerate(kaby.byte_affinity[1]) if w > 0}
-    for pat in out.diff:
-        assert pat.word_index == 2  # the kernel publishes to 0x20
-        assert pat.byte_positions <= support
+
+
+@pytest.mark.parametrize("offset_mv", [0, -240, -260])
+def test_loop_refuses_a_negative_budget(kaby, offset_mv):
+    # At nominal voltage (quiet rates), inside the window and below the
+    # floor alike, before any draw.
+    env = pinned_state(kaby, 1, offset_mv)
+    gen = vrng.stream(4, "d")
+    with pytest.raises(InvariantError, match="max_iters is nonnegative"):
+        run_loop_under(env, "vp1_xor_kernel", -5, gen)
+    assert gen.random() == vrng.stream(4, "d").random()
 
 
 def test_loop_crashes_below_the_floor(kaby):
@@ -637,19 +578,18 @@ def test_probe_matches_the_slice_loop(kaby, program, cell):
 
 @pytest.mark.parametrize("cell", ["top", "mid", "deep"])
 def test_test_loop_matches_the_slice_loop(kaby, cell):
-    # The status a run ends in, the iteration it stops at, and which
-    # output words a mismatch flipped.
+    # The status a run ends in and the iteration it stops at.
     victim, ref = loop_victim(THREE_STORES), reference_run(THREE_STORES)
     env = _in_cell(kaby, cell)
     statuses = list(RunStatus)
 
-    def outcome(status, iterations, diff):
-        return statuses.index(status), iterations, sum(1 << p.word_index for p in diff)
+    def outcome(status, iterations):
+        return statuses.index(status), iterations
 
     ours, theirs = [], []
     for r in range(RUNS):
         out = run_loop_under(env, victim, 20, vrng.stream(r, "loop-vs-slices", cell))
-        ours.append(outcome(out.status, out.iterations_executed, out.diff))
+        ours.append(outcome(out.status, out.iterations_executed))
         theirs.append(outcome(*loop_run(env, ref, 20, numpy_stream(r, "slice-loop", cell))))
     _assert_same_distribution(ours, theirs)
 
