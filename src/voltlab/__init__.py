@@ -41,9 +41,8 @@ _EXPORTS = {
     "sha256sim": ("HmacContext", "hmac_sha256", "sha256"),
     "victims": (
         "CampaignResult", "FaultStats", "PlatformState", "RunOutcome", "RunStatus",
-        "loop_rates", "loop_victim", "pinned_rates", "poc_victim", "run_hmac_victim",
-        "run_poc_enclave", "run_poc_victim", "run_probe_victim", "run_test_loop",
-        "stressor_profile",
+        "loop_rates", "loop_victim", "pinned_rates", "run_hmac_victim", "run_poc_enclave",
+        "run_poc_victim", "run_probe_victim", "run_test_loop", "stressor_profile",
     ),
     "orchestrator": (
         "ProbeReport", "SystemConfig", "VoltagePlan",

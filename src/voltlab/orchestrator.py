@@ -7,7 +7,8 @@ for the most fault-prone one.  Phase 3 pins the victim at the planned
 offset and hands the campaign to its runner (`victims.run_poc_victim` or
 `victims.run_hmac_victim`), which undervolts only around the victim's
 fault-prone window and fans out the runs.  This module holds the search
-policy, the pinning and the dispatch; every run belongs to `victims`.
+policy, the pinning and the dispatch; every run belongs to `victims`, but
+for phase 1's store-free stage, whose level is one draw of its first crash.
 
 Everything here is deterministic given a seed: each (phase, pstate, core,
 level) gets its own keyed RNG substream, so campaigns reproduce exactly
@@ -16,11 +17,8 @@ whatever order their runs execute in.
 
 from __future__ import annotations
 
-from functools import cache
-
 from . import rng as rngmod
 from .errors import AbortedByCrash, InvariantError, NoWindowFound
-from .isa import parse_program
 from .msr import (
     IA32_MISC_ENABLE,
     IA32_THERM_INTERRUPT,
@@ -38,6 +36,7 @@ from .msr import (
 from .processor import (
     ProcessorProfile,
     load_profile,
+    mean_crash_probability,
     region_boundaries_mv,
     normalize_pstate,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
@@ -45,7 +44,6 @@ from .processor import (
 from .victims import (
     CampaignResult,
     FaultStats,
-    LoopVictim,
     PlatformState,
     RunStatus,
     loop_rates,
@@ -65,26 +63,15 @@ _DEEPEST_MV = -(-OFFSET_MIN_MV // STEP_MV) * STEP_MV
 # its level: far above float rounding at millivolt scale, far below a step.
 _EDGE_MARGIN_MV = 1e-3
 # Phase-1 loop lengths: comparison-loop iterations per stage-one level,
-# scratch-loop iterations per stage-two level, and how many crashes at
-# one stage-one level mean there is no window above instability.
+# and how many crashes at one stage-one level mean there is no window above
+# instability.
 ITERS_PER_LEVEL = 20_000
-STABILITY_ITERS = 100
 CRASH_RETRIES = 3
-
-# Switching work with no vector stores: nothing to mismatch, so a level
-# survives it only if the platform itself does.  Phase 1 uses it to find
-# the instability boundary after the fault window is known.
-_STABILITY_SOURCE = "\n".join(
-    ["# scratch loop, scalar traffic only"]
-    + ["push %r10", "pop %r10", "push %r11", "pop %r11"] * 3
-    + ["push %r12", "pop %r12", "halt"]
-)
-
-
-@cache
-def _stability_victim() -> LoopVictim:
-    """The stability loop, parsed and prepared on first use and kept."""
-    return loop_victim(parse_program(_STABILITY_SOURCE, "stability_check"))
+# Slices of store-free switching work per stage-two level: 100 laps of a
+# 15-slice scratch loop of scalar pushes and pops.  With nothing to
+# mismatch, a level survives it only if the platform itself does, so
+# stage two reads only the crash chance; a test holds the count to the loop.
+STABILITY_SLICES = 1_500
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +220,7 @@ def _landing_offset(start_mv: int, edge_mv: float, base_mv: float, noise_mv: flo
 
 
 def phase1_find_window(
-    profile_clone: ProcessorProfile | str,
+    profile: ProcessorProfile | str,
     victim_program="vp1_xor_kernel",
     pstate=None,
     start_offset_mv: int = 0,
@@ -244,21 +231,25 @@ def phase1_find_window(
 
     Stage one, per core: run the comparison loop at each level until the
     first Mismatch; that level is the core's window top.  Stage two keeps
-    descending with a store-free scratch loop until the machine dies; the
-    level one step above the first crash becomes the core's attack offset,
-    or the deepest encodable level if none crashes.
+    descending with store-free work, `STABILITY_SLICES` slices per level,
+    until the machine dies; the level one step above the first crash
+    becomes the core's attack offset, or the deepest encodable level if
+    none crashes.  Store-free work cannot mismatch, so a stage-two level is
+    one geometric draw of its first-crash slice.
     Crashing costs a simulated reboot and a retry from the last safe
     level; a level that keeps crashing before any fault was seen means
     there is no usable window above the instability boundary.
 
-    Both programs are prepared once per process (a MiniProgram
+    The comparison loop is prepared once per process (a MiniProgram
     `victim_program` once per call), the core temperature once per call (no
     stressor is pinned, so it depends on neither core nor offset), each
     core's window top and instability line once per core, and each level's
-    rates once, by `loop_rates`, and handed to `run_test_loop`, which runs
-    only at levels where it can draw.  A level whose fault and crash
-    chances are both zero is exactly one where `run_test_loop` would return
-    Match without touching its stream, so it is stepped over.
+    chances once: a stage-one level's rates by `loop_rates`, handed to
+    `run_test_loop`, and a stage-two level's crash chance by
+    `mean_crash_probability`.  A level that can draw nothing (fault and
+    crash chances both zero in stage one, crash chance zero in stage two)
+    is stepped over, as `run_test_loop` would return Match there without
+    touching its stream.
     Each stage first jumps to the highest level whose noise band reaches
     below its edge (the window top in stage one, the instability boundary
     in stage two); the jump is conservative, so it can only land on or
@@ -269,9 +260,8 @@ def phase1_find_window(
     ("phase1-stability", pstate, core, offset) in stage two, so a level
     draws the same whatever ran before it; a stepped-over level opens none.
     """
-    if isinstance(profile_clone, str):
-        profile_clone = load_profile(profile_clone)
-    profile = profile_clone
+    if isinstance(profile, str):
+        profile = load_profile(profile)
     if pstate is None:
         pstate = profile.default_attack_pstate
     pstate = normalize_pstate(pstate)
@@ -281,7 +271,6 @@ def phase1_find_window(
     # Prepared before any level, so a bad victim raises even if every
     # level is then stepped over.
     victim = loop_victim(victim_program)
-    stability = _stability_victim()
 
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
@@ -314,18 +303,17 @@ def phase1_find_window(
         if window_top_mv[core] is None:
             continue
 
-        # Stage 2: keep descending with scalar-only work until it crashes.
+        # Stage 2: keep descending with store-free work until it crashes.
         offset = int(window_top_mv[core] - base) - STEP_MV
         offset = _landing_offset(offset, floor, base, profile.noise_mv)
         found = None
         while offset >= OFFSET_MIN_MV:
-            rates = loop_rates(profile, core, pstate, base + offset, temp, stability.events)
-            if rates.quiet:
+            g_slice = mean_crash_probability(profile, core, pstate, base + offset, temp)
+            if g_slice <= 0.0:
                 offset -= STEP_MV
                 continue
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
-            out = run_test_loop(stability, rates, profile, core, pstate, STABILITY_ITERS, gen)
-            if out.status is RunStatus.CRASH:
+            if gen.geometric(g_slice) <= STABILITY_SLICES:  # the 1-based first-crash slice
                 crashes += 1
                 found = offset + STEP_MV
                 break
@@ -429,7 +417,7 @@ def run_campaign(
     state, config, writes = setup_system(
         profile, pstate, target_core, stressor, seed=seed
     )
-    plan = phase1_find_window(profile, "vp1_xor_kernel", pstate, seed=seed)
+    plan = phase1_find_window(profile, pstate=pstate, seed=seed)
     result = phase3_attack(state, plan, victim, runs, tries_per_run)
     offset = plan.offset_for(state.core)
     base = profile.pstate_point(pstate).base_voltage_mv

@@ -10,7 +10,9 @@ and its appetite for faults.
 Every run of the three phases lives here (`run_test_loop`,
 `run_probe_victim`, `run_poc_victim`, `run_hmac_victim`), with its rates,
 exposure, crash cut-off and draws, and so does the pinned victim the
-campaign runners read (`PlatformState`).  No runner iterates slice by slice:
+campaign runners read (`PlatformState`).  Only the test loop and the probe
+take a prepared victim (`loop_victim`); a campaign reads its exposed-store
+count from `POC_EVENTS` or `PAYLOADS`.  No runner iterates slice by slice:
 the per-event and per-slice probabilities averaged over supply noise are
 piecewise exact (see processor.mean_event_fault_probability), so
 first-occurrence times come from geometric draws and a run's count of
@@ -170,25 +172,31 @@ class RunOutcome(Record):
 
 
 class LoopVictim(NamedTuple):
-    """A victim program and its fault-free run, prepared by `loop_victim`
-    (a comparison loop) or `poc_victim` (the guarded branch).  Every field
-    but the program is immutable, and nothing writes the program, whose
-    one mutable part is its `labels` dict; so a bundled victim, like the
-    bundled program it holds, is prepared once per process and shared by
-    every caller."""
+    """A comparison loop and its fault-free run, prepared by `loop_victim`.
+    Every field but the program is immutable, and nothing writes the
+    program, whose one mutable part is its `labels` dict; so a bundled
+    victim, like the bundled program it holds, is prepared once per process
+    and shared by every caller."""
 
     program: MiniProgram
     memory: bytes  # the reference output
-    halt_index: int  # the instruction that stopped the reference run
     store_insns: frozenset[int]  # eligible stores the reference executes
     events: int  # eligible store executions in the reference
     slices_per_iteration: int
 
 
-def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> LoopVictim:
-    eligible = {hit.store_index for hit in hits}
+def loop_victim(program) -> LoopVictim:
+    """Scan `program` (a MiniProgram or a bundled name) and run it once
+    fault-free on zeroed memory; raises InterpreterError if it does not
+    halt.
+
+    A bundled name is prepared once per process, and later calls return
+    the same victim; a MiniProgram is prepared on every call."""
+    if not isinstance(program, MiniProgram):
+        return _bundled_victim(program)
+    eligible = {hit.store_index for hit in scan(program)}
     stores = []  # the hook sees every vector store, and eligible stores are vector stores
-    reference = interpret(program, memory, scalar=scalar, store_hook=stores.append)
+    reference = interpret(program, store_hook=stores.append)
     if not reference.halted:
         raise InterpreterError(
             f"{program.source_name}: does not halt within {DEFAULT_MAX_SLICES} slices; "
@@ -196,20 +204,8 @@ def _geometry(program: MiniProgram, hits, memory=None, scalar=None) -> LoopVicti
         )
     executed = [store.insn_index for store in stores if store.insn_index in eligible]
     return LoopVictim(
-        program, bytes(reference.memory), reference.halt_index, frozenset(executed),
-        len(executed), reference.slices,
+        program, bytes(reference.memory), frozenset(executed), len(executed), reference.slices
     )
-
-
-def loop_victim(program) -> LoopVictim:
-    """Scan `program` (a MiniProgram or a bundled name) and run it once
-    fault-free; raises InterpreterError if it does not halt.
-
-    A bundled name is prepared once per process, and later calls return
-    the same victim; a MiniProgram is prepared on every call."""
-    if not isinstance(program, MiniProgram):
-        return _bundled_victim(program)
-    return _geometry(program, scan(program))
 
 
 @cache
@@ -460,34 +456,11 @@ def run_probe_victim(victim: LoopVictim, env: PlatformState, tries: int) -> Faul
 # Branch-diversion victim
 
 
-# The guarded-branch victim checks its published conjunction against the
-# all-ones pattern, so both input words and the comparison register are
-# seeded with ones inside an otherwise standard 4 KiB memory.
-POC_MEMORY = b"\xff" * 32 + b"\x00" * (4096 - 32)
-POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
-
-
-@cache
-def poc_victim() -> LoopVictim:
-    """Scan `poc_and_branch` and run it once fault-free; raises
-    InvariantError unless it has one pattern hit, executed once, and the
-    run stays off `_recovery`.  The store is checked against all-ones in two
-    64-bit halves, so any nonzero mask XORed into it diverts to `_recovery`:
-    runs count on that, and tests prove it by real execution.
-
-    Prepared once per process; later calls return the same victim."""
-    program = bundled_program("poc_and_branch")
-    hits = scan(program)
-    if len(hits) != 1:
-        raise InvariantError("the guarded-branch victim carries one pattern hit")
-    victim = _geometry(program, hits, POC_MEMORY, POC_SCALARS)
-    if victim.events != 1:
-        raise InvariantError(
-            f"{program.source_name}: expected exactly one guarded store, found {victim.events}"
-        )
-    if victim.halt_index == program.labels["_recovery"]:
-        raise InvariantError(f"{program.source_name}: the fault-free run diverts")
-    return victim
+# The guarded branch's exposure: `poc_and_branch` executes one eligible
+# store, checked against all-ones in two 64-bit halves, so any nonzero mask
+# XORed into it diverts to `_recovery`.  Written out so that a campaign
+# prepares no program; tests hold it to a reference run of the program.
+POC_EVENTS = 1
 
 
 def run_poc_enclave(q: float, c_try: float, tries: int, rng: rngmod.Stream) -> int:
@@ -515,9 +488,10 @@ def run_poc_enclave(q: float, c_try: float, tries: int, rng: rngmod.Stream) -> i
 
 def run_poc_victim(env: PlatformState, tries: int, *, runs: int = 5) -> CampaignResult:
     """`run_hmac_victim` for the guarded-branch victim on the pinned core of
-    `env`, whose exposure is its one guarded store: every nonzero mask
-    diverts (see `poc_victim`).  Runs are keyed ("phase3", "poc", core, run)."""
-    return _campaign(env, poc_victim().events, "poc", ("phase3", "poc"), tries, runs)
+    `env`, whose exposure is its one guarded store (`POC_EVENTS`): every
+    nonzero mask diverts, so a try succeeds when that store faults.  No
+    program is prepared.  Runs are keyed ("phase3", "poc", core, run)."""
+    return _campaign(env, POC_EVENTS, "poc", ("phase3", "poc"), tries, runs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,8 @@ import voltlab.victims as victims
 from voltlab import rng as rngmod
 from voltlab.errors import AbortedByCrash, InvariantError, NoWindowFound
 from voltlab.msr import OFFSET_MIN_MV
-from voltlab.orchestrator import (
-    STEP_MV,
-    VoltagePlan,
-    _stability_victim,
-)
+from voltlab.isa import parse_program
+from voltlab.orchestrator import STEP_MV, VoltagePlan
 from voltlab.processor import BitFlipPattern, normalize_pstate
 from voltlab.victims import (
     LoopVictim,
@@ -22,12 +19,28 @@ from voltlab.victims import (
     RunStatus,
     loop_victim,
     pinned_rates,
-    poc_victim,
     run_poc_enclave,
     run_test_loop,
 )
 
+from slice_reference import poc_reference
+
 VREGS = [f"%xmm{i}" for i in range(16)]
+
+# Switching work with no vector stores: nothing to mismatch, so a level
+# survives it only if the platform itself does.  Phase 1's stage two is its
+# closed form, `orchestrator.STABILITY_SLICES` slices of it per level.
+STABILITY_SOURCE = "\n".join(
+    ["# scratch loop, scalar traffic only"]
+    + ["push %r10", "pop %r10", "push %r11", "pop %r11"] * 3
+    + ["push %r12", "pop %r12", "halt"]
+)
+
+
+@functools.cache
+def stability_victim() -> LoopVictim:
+    """The scratch loop, prepared once per process."""
+    return loop_victim(parse_program(STABILITY_SOURCE, "stability_check"))
 
 
 def numpy_stream(seed, *path) -> np.random.Generator:
@@ -144,12 +157,12 @@ def run_loop_under(env, victim, max_iters, rng):
 
 
 def run_poc_under(env, tries, rng):
-    """`run_poc_enclave` for a fresh `poc_victim` on the pinned core of the
-    `PlatformState` `env`, with the rates `pinned_rates` gives for it and
-    the whole program undervolted on every try."""
-    victim = poc_victim()
-    _, q, g = pinned_rates(env, victim.events, "poc")
-    c_try = victims._any_of(g, victim.slices_per_iteration)
+    """`run_poc_enclave` for the guarded branch (`poc_reference`) on the
+    pinned core of the `PlatformState` `env`, with the rates `pinned_rates`
+    gives for it and the whole program undervolted on every try."""
+    ref = poc_reference()
+    _, q, g = pinned_rates(env, ref.events, "poc")
+    c_try = victims._any_of(g, ref.slices)
     return run_poc_enclave(q, c_try, tries, rng)
 
 
@@ -167,8 +180,10 @@ def reference_phase1(
     """`orchestrator.phase1_find_window` as a walk that runs every level.
 
     The production search steps over the levels where the loop cannot
-    draw; this one runs `run_test_loop` at each of them, so the two must
-    return the same plan or raise the same error.  It also builds a
+    draw, and reads a stage-two level as one geometric draw of its
+    first-crash slice; this one runs `run_test_loop` at each level of both
+    stages, stage two on the scratch loop (`stability_victim`), so the two
+    must return the same plan or raise the same error.  It also builds a
     `PlatformState` at every level and derives the level's rates from it
     (`run_loop_under`), instead of from phase 1's per-core temperature.
     """
@@ -179,7 +194,7 @@ def reference_phase1(
         raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
     victim = loop_victim(victim_program)
-    stability = _stability_victim()
+    stability = stability_victim()
 
     window_top_mv = [None] * profile.physical_cores
     chosen_offset = [0] * profile.physical_cores

@@ -14,6 +14,7 @@ closed-form runner in `victims` to it.
 `scan_brute` is the quadratic definition `scanner.scan` is held to.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from voltlab.isa import MiniProgram, interpret
+from voltlab.isa import MiniProgram, bundled_program, interpret
 from voltlab.processor import (
     BitFlipPattern,
     CrashKind,
@@ -198,6 +199,20 @@ def reference_run(program: MiniProgram, inputs=None, scalar=None) -> Reference:
     return Reference(
         program, inputs, scalar, eligible, bytes(run.memory), run.halt_index, events, run.slices
     )
+
+
+# The guarded-branch victim checks its published conjunction against the
+# all-ones pattern, so both input words and the comparison register are
+# seeded with ones inside an otherwise standard 4 KiB memory.
+POC_MEMORY = b"\xff" * 32 + b"\x00" * (4096 - 32)
+POC_SCALARS = {"rax": 0xFFFF_FFFF_FFFF_FFFF}
+
+
+@functools.cache
+def poc_reference() -> Reference:
+    """The fault-free run of `poc_and_branch` on its seeded inputs, made
+    once per process; `victims.POC_EVENTS` is held to its `events`."""
+    return reference_run(bundled_program("poc_and_branch"), POC_MEMORY, POC_SCALARS)
 
 
 def faulted_run(ref: Reference, flips: dict):

@@ -12,7 +12,6 @@ import sys
 from time import perf_counter
 
 import numpy as np
-import pytest
 from scipy.stats import chi2
 
 from voltlab import rng as vrng

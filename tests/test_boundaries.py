@@ -7,6 +7,7 @@ from pathlib import Path
 import voltlab
 
 SRC = Path(voltlab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -89,11 +90,13 @@ def _unused_imports(path: Path) -> list[tuple[str, bool]]:
 
 
 def test_every_imported_name_is_read():
-    # An import a submodule never reads is a leftover.  The only ones kept
-    # are the `draw_flip_pattern` bindings `bench/spans.py` patches, each
-    # marked `# noqa: F401`.
-    found = [hit for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
-             for hit in _unused_imports(path)]
+    # An import a submodule or a test file never reads is a leftover.  The
+    # only ones kept are the `draw_flip_pattern` bindings `bench/spans.py`
+    # patches, each marked `# noqa: F401`.
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    paths += sorted(TESTS.glob("*.py"))
+    assert len(paths) > 25
+    found = [hit for path in paths for hit in _unused_imports(path)]
     assert [name for name, marked in found if not marked] == []
     assert sorted(name for name, marked in found if marked) == [
         "orchestrator.draw_flip_pattern", "victims.draw_flip_pattern",

@@ -748,7 +748,6 @@ def test_import_prepares_nothing():
     caches = [
         "voltlab.processor._bundled_profile", "voltlab.processor._crash_kind_cdf",
         "voltlab.isa.bundled_program", "voltlab.victims._bundled_victim",
-        "voltlab.victims.poc_victim", "voltlab.orchestrator._stability_victim",
         "voltlab.cli._build_parser",
     ]
     script = "\n".join([
@@ -759,6 +758,31 @@ def test_import_prepares_nothing():
         "    assert info.currsize == info.hits == info.misses == 0, (path, info)",
     ])
     loaded = _fresh_modules(script)
+    assert "voltlab.orchestrator" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("campaign", "--victim", victim, *_CELL) for victim in ("poc", "hmac32", "hmac1k")),
+        ("probe", "--profile", "i7-7700k", "--tries", "100"),
+    ],
+    ids=["campaign-poc", "campaign-hmac32", "campaign-hmac1k", "probe"],
+)
+def test_campaign_and_probe_parse_only_the_comparison_loop(argv):
+    # Phase 1's stage two and the poc campaign read counts, so a command
+    # parses one program, the bundled comparison loop, and nothing else.
+    loaded = _fresh_modules(
+        "import voltlab.isa as isa",
+        "parsed, real = [], isa.parse_program",
+        "def parse(text, source_name):",
+        "    parsed.append(source_name)",
+        "    return real(text, source_name)",
+        "isa.parse_program = parse",
+        *_cli_lines(*argv),
+        "assert parsed == ['vp1_xor_kernel'], parsed",
+        "assert isa.bundled_program.cache_info().currsize == 1",
+    )
     assert "voltlab.orchestrator" in loaded
 
 

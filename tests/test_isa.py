@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from voltlab.errors import InterpreterError, ParseError, VoltlabError
 from voltlab.isa import (
     DEFAULT_MEMORY_BYTES,
-    ExecutionResult,
     Mem,
     MiniProgram,
     Opcode,
     PROGRAM_ALIASES,
-    Reg,
     StoreExecution,
     bundled_program,
     bundled_program_names,

@@ -18,7 +18,6 @@ from voltlab.errors import (
     ParseError,
     UnknownCoreOrPState,
 )
-from voltlab.msr import OFFSET_MIN_MV
 from voltlab.orchestrator import (
     FaultStats,
     ProbeReport,
@@ -36,9 +35,10 @@ from voltlab.processor import (
     load_profile,
     victim_temp_target_c,
 )
+from voltlab.scanner import scan
 from voltlab.victims import STRESSORS
 
-from helpers import fresh_cache, reference_phase1, run_campaigns_out_of_order
+from helpers import fresh_cache, reference_phase1, run_campaigns_out_of_order, stability_victim
 
 KABY = load_profile("i7-7700k")
 COFFEE = load_profile("i7-8700k")
@@ -243,17 +243,24 @@ def test_phase1_plans_the_deepest_encodable_level_when_nothing_crashes():
 def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch):
     quiet = Counter()
     loop_rates = orchestrator.loop_rates
+    mean_crash_probability = orchestrator.mean_crash_probability
 
-    def counting(profile, core, pstate, v_nom, temp, events, *rest):
+    def stage_one(profile, core, pstate, v_nom, temp, events, *rest):
         rates = loop_rates(profile, core, pstate, v_nom, temp, events, *rest)
-        stage = 1 if events else 2  # the stage-2 scratch loop stores nothing
-        quiet[pstate, core, stage] += rates.quiet
+        quiet[pstate, core, 1] += rates.quiet
         return rates
 
-    monkeypatch.setattr(orchestrator, "loop_rates", counting)
+    def stage_two(profile, core, pstate, v_nom, temp):
+        g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
+        quiet[pstate, core, 2] += g_slice <= 0.0
+        return g_slice
+
+    monkeypatch.setattr(orchestrator, "loop_rates", stage_one)
+    monkeypatch.setattr(orchestrator, "mean_crash_probability", stage_two)
     for pstate in KABY.pstates:
         phase1_find_window(KABY, pstate=pstate, start_offset_mv=100, seed=3)
-    assert quiet and max(quiet.values()) <= 1, quiet
+    assert {stage for _, _, stage in quiet} == {1, 2}, quiet
+    assert max(quiet.values()) <= 1, quiet
 
 
 @pytest.mark.parametrize(
@@ -263,9 +270,11 @@ def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch)
 )
 def test_phase1_opens_one_stream_per_running_level(monkeypatch, profile, quiet):
     # Each running level opens its own `rng.stream`, and a stepped-over
-    # level opens none.
+    # level opens none.  A stage-one level runs `run_test_loop`; a
+    # stage-two level runs when its crash chance is positive.
     counts = Counter()
     stream, run_test_loop = rngmod.stream, orchestrator.run_test_loop
+    mean_crash_probability = orchestrator.mean_crash_probability
 
     def opening(*args):
         counts["streams"] += 1
@@ -275,31 +284,76 @@ def test_phase1_opens_one_stream_per_running_level(monkeypatch, profile, quiet):
         counts["levels"] += 1
         return run_test_loop(*args)
 
+    def stage_two(*args):
+        g_slice = mean_crash_probability(*args)
+        counts["levels"] += g_slice > 0.0
+        counts["stage two"] += g_slice > 0.0
+        return g_slice
+
     monkeypatch.setattr(rngmod, "stream", opening)
     monkeypatch.setattr(orchestrator, "run_test_loop", running)
+    monkeypatch.setattr(orchestrator, "mean_crash_probability", stage_two)
     for pstate in profile.pstates:
         counts.clear()
         _plan_or_error(phase1_find_window, profile, pstate=pstate, seed=7)
         assert counts["streams"] == counts["levels"], (profile.name, pstate, counts)
-        # Bundled cells run several levels; the quiet profile runs none.
-        assert counts["levels"] == 0 if quiet else counts["levels"] > 1, (pstate, counts)
+        # Bundled cells run several levels in each stage; the quiet profile
+        # runs none.
+        if quiet:
+            assert counts["levels"] == 0, (pstate, counts)
+        else:
+            assert counts["levels"] > counts["stage two"] > 0, (pstate, counts)
 
 
-def _count_geometry_builds(monkeypatch) -> Counter:
-    """Count `_geometry` builds per program, starting from empty victim
-    caches, so a victim prepared by an earlier test still counts once."""
-    for module, name in (
-        (victims, "_bundled_victim"), (victims, "poc_victim"), (orchestrator, "_stability_victim"),
-    ):
-        fresh_cache(monkeypatch, module, name)
+def test_stability_slices_are_100_laps_of_a_store_free_loop():
+    # Stage two's closed form stands for 100 laps of the scratch loop: no
+    # eligible store, so nothing to mismatch, and only the crash chance
+    # is read.
+    loop = stability_victim()
+    assert scan(loop.program) == []
+    assert loop.events == 0 and loop.store_insns == frozenset()
+    assert orchestrator.STABILITY_SLICES == 100 * loop.slices_per_iteration
+
+
+@pytest.mark.parametrize("first_crash", [1, 1_500, 1_501])
+def test_phase1_stage_two_crashes_within_its_last_slice_like_the_scratch_loop(
+    monkeypatch, first_crash
+):
+    # Every stage-two level draws its first crash at slice `first_crash`
+    # (1-based): a crash on the budget's last slice still counts, one
+    # slice later is none.  The every-level walk runs the scratch loop.
+    class Pinned:
+        def geometric(self, p):
+            return first_crash
+
+        def random(self):  # the crash kind the scratch loop draws
+            return 0.5
+
+    stream = rngmod.stream
+
+    def opening(seed, *path):
+        return Pinned() if path[0] == "phase1-stability" else stream(seed, *path)
+
+    monkeypatch.setattr(rngmod, "stream", opening)
+    plan = phase1_find_window(KABY, pstate="0x1b", seed=3)
+    assert plan == reference_phase1(KABY, pstate="0x1b", seed=3)
+    crashed = first_crash <= orchestrator.STABILITY_SLICES
+    assert (plan.chosen_offset_mv == (-1020,) * KABY.physical_cores) != crashed, plan
+
+
+def _count_victim_builds(monkeypatch) -> Counter:
+    """Count victim preparations per program, by the one `scan` each makes,
+    starting from an empty victim cache, so a victim prepared by an earlier
+    test still counts once."""
+    fresh_cache(monkeypatch, victims, "_bundled_victim")
     built = Counter()
-    geometry = victims._geometry
+    scan = victims.scan
 
-    def counting(program, *rest):
+    def counting(program):
         built[program.source_name] += 1
-        return geometry(program, *rest)
+        return scan(program)
 
-    monkeypatch.setattr(victims, "_geometry", counting)
+    monkeypatch.setattr(victims, "scan", counting)
     return built
 
 
@@ -327,6 +381,7 @@ def test_phase1_keeps_no_marginal_between_calls(monkeypatch):
     counts = Counter()
     for module, name in (
         (victims, "mean_event_fault_probability"), (victims, "mean_crash_probability"),
+        (orchestrator, "mean_crash_probability"),
         (processor, "_event_curve"), (processor, "manifestation"),
         (processor, "crash_probability_per_slice"),
     ):
@@ -346,14 +401,14 @@ def test_phase1_keeps_no_marginal_between_calls(monkeypatch):
 
 
 def test_phase1_prepares_each_program_once_and_rates_each_level_once(monkeypatch):
-    built = _count_geometry_builds(monkeypatch)
+    built = _count_victim_builds(monkeypatch)
     levels, returned, handed = [], [], []
     crash_marginals = Counter()
     loop_rates, run_test_loop = orchestrator.loop_rates, orchestrator.run_test_loop
     mean_crash_probability = victims.mean_crash_probability
 
     def rating(profile, core, pstate, v_nom, temp, events, *rest):
-        levels.append((core, events, v_nom))
+        levels.append((1, core, v_nom))
         returned.append(loop_rates(profile, core, pstate, v_nom, temp, events, *rest))
         return returned[-1]
 
@@ -361,24 +416,32 @@ def test_phase1_prepares_each_program_once_and_rates_each_level_once(monkeypatch
         handed.append(rates)
         return run_test_loop(victim, rates, *rest)
 
+    def stage_two_rating(profile, core, pstate, v_nom, temp):
+        levels.append((2, core, v_nom))
+        return mean_crash_probability(profile, core, pstate, v_nom, temp)
+
     def crash_marginal(*args):
         crash_marginals["calls"] += 1
         return mean_crash_probability(*args)
 
     monkeypatch.setattr(orchestrator, "loop_rates", rating)
     monkeypatch.setattr(orchestrator, "run_test_loop", running)
+    monkeypatch.setattr(orchestrator, "mean_crash_probability", stage_two_rating)
     monkeypatch.setattr(victims, "mean_crash_probability", crash_marginal)
     for pstate in KABY.pstates:
         levels.clear()
         crash_marginals.clear()
         plan = phase1_find_window(KABY, pstate=pstate, seed=7)
-        # Once per process: the first search prepares both, later ones reuse them.
-        assert built == {"vp1_xor_kernel": 1, "stability_check": 1}, pstate
+        # Once per process: the first search prepares the comparison loop,
+        # later ones reuse it.  Stage two prepares no program.
+        assert built == {"vp1_xor_kernel": 1}, pstate
         # A stage-one crash retries its level; nothing else rates a level twice.
-        stage2_crashes = sum(off > OFFSET_MIN_MV for off in plan.chosen_offset_mv)
+        stage2_crashes = sum(off != orchestrator._DEEPEST_MV for off in plan.chosen_offset_mv)
         retries = plan.crashes_during_search - stage2_crashes
         assert len(levels) - len(set(levels)) == retries, pstate
-        assert crash_marginals["calls"] == len(levels), pstate
+        assert {stage for stage, _, _ in levels} == {1, 2}, pstate
+        # `loop_rates` reads the crash marginal once per stage-one level.
+        assert crash_marginals["calls"] == sum(stage == 1 for stage, _, _ in levels), pstate
     # Every level that runs is handed the rates its quiet check computed.
     assert handed and all(any(h is r for r in returned) for h in handed)
 
@@ -462,7 +525,7 @@ def test_phase2_refuses_a_negative_try_count():
 
 def test_phase2_prepares_the_probe_victim_once(monkeypatch):
     state, plan = _kaby_attack_setup()
-    built = _count_geometry_builds(monkeypatch)
+    built = _count_victim_builds(monkeypatch)
     phase2_probe_cores(state, plan, tries_per_core=500)
     phase2_probe_cores(state, plan, tries_per_core=500)
     assert built == {"vp1_xor_kernel": 1}
@@ -520,15 +583,15 @@ def test_phase3_does_not_depend_on_run_order(monkeypatch):
     assert [_phase3_outcome(*cell) for cell in cells] == serial
 
 
-def test_phase3_poc_prepares_once_and_executes_no_faulted_run(monkeypatch):
+def test_phase3_poc_prepares_no_program_and_executes_no_run(monkeypatch):
     state, plan = _kaby_attack_setup()
-    built = _count_geometry_builds(monkeypatch)
+    built = _count_victim_builds(monkeypatch)
     called = []
-    for name in ("_run_with_flips", "draw_flip_masks"):
+    for name in ("_run_with_flips", "draw_flip_masks", "interpret"):
         monkeypatch.setattr(victims, name, lambda *args, name=name: called.append(name))
     result = phase3_attack(state, plan, "poc", runs=4, tries_per_run=1500)
     assert phase3_attack(state, plan, "poc", runs=4, tries_per_run=1500) == result
-    assert built == {"poc_and_branch": 1}
+    assert built == {}
     assert called == []
     assert result.successes > 0
 

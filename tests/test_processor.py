@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from helpers import goodness_of_fit_p, numpy_stream, reference_flip_pattern, two_sample_p
-from slice_reference import EligibleStoreEvent, sample_crash, sample_fault
+from slice_reference import EligibleStoreEvent, poc_reference, sample_crash, sample_fault
 from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import (
@@ -52,7 +52,6 @@ from voltlab.victims import (
     PlatformState,
     StressorSpec,
     loop_victim,
-    poc_victim,
     run_probe_victim,
 )
 
@@ -418,7 +417,7 @@ def test_bundled_profiles_match_the_build_script():
     # The script restates simulator values; they must agree with it.
     assert module.SHIFT_LOOP_MULT == STRESSORS["shift_loop"].fault_multiplier
     events = {scenario: count for scenario, _, count in PAYLOADS.values()}
-    assert module.EVENTS == {"poc": poc_victim().events, **events}
+    assert module.EVENTS == {"poc": poc_reference().events, **events}
     res = __import__("importlib.resources", fromlist=["files"]).files("voltlab")
     for stem, profile in module.PROFILES.items():
         text = json.dumps(profile, indent=2, sort_keys=True) + "\n"

@@ -16,15 +16,14 @@ from voltlab.errors import (
     UnknownCoreOrPState,
     UnknownStressor,
 )
-from voltlab.isa import bundled_program, interpret, parse_program
-from voltlab.orchestrator import _stability_victim, phase1_find_window
+from voltlab.isa import parse_program
+from voltlab.orchestrator import phase1_find_window
 from voltlab.processor import BitFlipPattern, CrashKind, load_profile
 from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
     HMAC_KEY,
     PAYLOADS,
-    POC_MEMORY,
-    POC_SCALARS,
+    POC_EVENTS,
     STRESSORS,
     CampaignResult,
     PlatformState,
@@ -32,7 +31,6 @@ from voltlab.victims import (
     RunStatus,
     loop_victim,
     pinned_rates,
-    poc_victim,
     run_hmac_victim,
     run_poc_enclave,
     run_poc_victim,
@@ -41,7 +39,6 @@ from voltlab.victims import (
 )
 
 from helpers import (
-    fresh_cache,
     numpy_stream,
     run_campaigns_out_of_order,
     run_loop_under,
@@ -49,7 +46,14 @@ from helpers import (
     two_sample_p,
 )
 from hmac_reference import macs_with_keys, store_events
-from slice_reference import campaign_runs, faulted_run, loop_run, probe_run, reference_run
+from slice_reference import (
+    campaign_runs,
+    faulted_run,
+    loop_run,
+    poc_reference,
+    probe_run,
+    reference_run,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,13 +178,24 @@ def test_loop_mean_iterations_tracks_fault_rate(kaby):
 # Branch-diversion PoC
 
 
+POC = poc_reference()
+
+
+def test_poc_store_count_matches_the_reference_run():
+    # `run_poc_victim` prepares no program: it reads its exposure from
+    # `POC_EVENTS`.  The guarded branch executes one eligible store, and its
+    # fault-free run halts off `_recovery`, so only a fault diverts it.
+    assert len(POC.eligible) == 1
+    assert POC_EVENTS == POC.events == 1
+    assert POC.halt_index is not None
+    assert POC.halt_index != POC.program.labels["_recovery"]
+
+
 def test_poc_every_drawn_mask_diverts_by_real_execution():
     # `run_poc_enclave` counts every faulted try as a diversion.  Prove it
     # by running the program with each mask XORed into the guarded store:
     # every 1- and 2-bit mask, and every distinct mask the bundled flip
     # tables draw in 5 000 tries on each core.
-    victim = poc_victim()
-    program, eligible = victim.program, victim.store_insns
     masks = {1 << b for b in range(128)}
     masks |= {1 << a | 1 << b for a in range(128) for b in range(a)}
     for name in processor.bundled_profile_names():
@@ -188,40 +203,18 @@ def test_poc_every_drawn_mask_diverts_by_real_execution():
         for core in range(profile.physical_cores):
             gen = vrng.stream(11, "poc-masks", name, core)
             masks |= set(processor.draw_flip_masks(profile, core, 5_000, gen))
-    recovery = program.labels["_recovery"]
+    recovery = POC.program.labels["_recovery"]
     assert len(masks) > 128 + 128 * 127 // 2
     for mask in masks:
         assert mask != 0
-
-        def hook(store, mask=mask):
-            return store.value ^ mask if store.insn_index in eligible else None
-
-        run = interpret(program, POC_MEMORY, scalar=POC_SCALARS, store_hook=hook)
-        assert run.halt_index == recovery, hex(mask)
-
-
-def test_poc_victim_refuses_a_fault_free_run_that_diverts(monkeypatch):
-    # With zeroed inputs the conjunction fails the all-ones check unfaulted,
-    # so the closed form "every flip diverts" would not hold.  An empty
-    # cache, so a victim prepared earlier cannot hide the patch; the warm
-    # one comes back with the patch undone.
-    fresh_cache(monkeypatch, victims, "poc_victim")
-    monkeypatch.setattr(victims, "POC_MEMORY", bytes(4096))
-    with pytest.raises(InvariantError, match="diverts"):
-        victims.poc_victim()
-    with pytest.raises(InvariantError, match="diverts"):
-        victims.poc_victim()
+        assert faulted_run(POC, {0: mask}).halt_index == recovery, hex(mask)
 
 
 def test_bundled_victims_are_prepared_once_and_immutable():
-    xor, poc, stability = loop_victim("vp1_xor_kernel"), poc_victim(), _stability_victim()
+    xor = loop_victim("vp1_xor_kernel")
     assert loop_victim("vp1_xor_kernel") is xor
-    assert poc_victim() is poc
-    assert _stability_victim() is stability
-    for victim in (xor, poc, stability):
-        assert type(victim.memory) is bytes
-        assert type(victim.store_insns) is frozenset
-    assert poc.memory == interpret(poc.program, POC_MEMORY, scalar=POC_SCALARS).memory
+    assert type(xor.memory) is bytes
+    assert type(xor.store_insns) is frozenset
     # A program a caller passes in is prepared on every call.
     program = parse_program("vmovdqu %xmm1, 0x20\nhalt", "caller")
     assert loop_victim(program) is not loop_victim(program)
@@ -479,7 +472,6 @@ THREE_STORES = parse_program(
     "halt\n",
     "three_stores",
 )
-POC = reference_run(bundled_program("poc_and_branch"), POC_MEMORY, POC_SCALARS)
 
 
 def _in_cell(profile, cell, seed=0):
