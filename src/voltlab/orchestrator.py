@@ -42,6 +42,7 @@ from .processor import (
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
 from .victims import (
+    LOOP_EVENTS,
     CampaignResult,
     FaultStats,
     PlatformState,
@@ -220,17 +221,15 @@ def _landing_offset(start_mv: int, edge_mv: float, base_mv: float, noise_mv: flo
 
 
 def phase1_find_window(
-    profile: ProcessorProfile | str,
-    victim_program="vp1_xor_kernel",
-    pstate=None,
-    start_offset_mv: int = 0,
-    *,
-    seed: int = 0,
+    profile: ProcessorProfile | str, pstate=None, *, seed: int = 0
 ) -> VoltagePlan:
-    """Descend in 5 mV steps on an expendable machine until faults appear.
+    """Descend in 5 mV steps from the nominal voltage on an expendable
+    machine until faults appear.
 
-    Stage one, per core: run the comparison loop at each level until the
-    first Mismatch; that level is the core's window top.  Stage two keeps
+    Stage one, per core: run the comparison loop (`run_test_loop`) at each
+    level until the first Mismatch; that level is the core's window top.
+    Every fault of that loop is a Mismatch, so a level is a race of two
+    geometric draws, its first crash and its first fault.  Stage two keeps
     descending with store-free work, `STABILITY_SLICES` slices per level,
     until the machine dies; the level one step above the first crash
     becomes the core's attack offset, or the deepest encodable level if
@@ -240,8 +239,8 @@ def phase1_find_window(
     level; a level that keeps crashing before any fault was seen means
     there is no usable window above the instability boundary.
 
-    The comparison loop is prepared once per process (a MiniProgram
-    `victim_program` once per call), the core temperature once per call (no
+    No program is prepared: the comparison loop's store count is
+    `LOOP_EVENTS`.  The core temperature is read once per call (no
     stressor is pinned, so it depends on neither core nor offset), each
     core's window top and instability line once per core, and each level's
     chances once: a stage-one level's rates by `loop_rates`, handed to
@@ -265,12 +264,7 @@ def phase1_find_window(
     if pstate is None:
         pstate = profile.default_attack_pstate
     pstate = normalize_pstate(pstate)
-    if start_offset_mv % STEP_MV:
-        raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
-    # Prepared before any level, so a bad victim raises even if every
-    # level is then stepped over.
-    victim = loop_victim(victim_program)
 
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
@@ -281,15 +275,15 @@ def phase1_find_window(
         _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
 
         # Stage 1: walk down until the comparison loop reports corruption.
-        offset = _landing_offset(start_offset_mv, top, base, profile.noise_mv)
+        offset = _landing_offset(0, top, base, profile.noise_mv)
         retries = 0
         while offset >= OFFSET_MIN_MV:
-            rates = loop_rates(profile, core, pstate, base + offset, temp, victim.events)
+            rates = loop_rates(profile, core, pstate, base + offset, temp, LOOP_EVENTS)
             if rates.quiet:
                 offset -= STEP_MV
                 continue
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_test_loop(victim, rates, profile, core, pstate, ITERS_PER_LEVEL, gen)
+            out = run_test_loop(rates, profile, pstate, ITERS_PER_LEVEL, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break

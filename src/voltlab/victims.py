@@ -10,9 +10,11 @@ and its appetite for faults.
 Every run of the three phases lives here (`run_test_loop`,
 `run_probe_victim`, `run_poc_victim`, `run_hmac_victim`), with its rates,
 exposure, crash cut-off and draws, and so does the pinned victim the
-campaign runners read (`PlatformState`).  Only the test loop and the probe
-take a prepared victim (`loop_victim`); a campaign reads its exposed-store
-count from `POC_EVENTS` or `PAYLOADS`.  No runner iterates slice by slice:
+campaign runners read (`PlatformState`).  Only the probe takes a prepared
+victim (`loop_victim`), so `isa` and `scanner` load only when one is
+prepared; the test loop reads its store and slice counts from
+`LOOP_EVENTS` and `LOOP_SLICES`, a campaign from `POC_EVENTS` or
+`PAYLOADS`.  No runner iterates slice by slice:
 the per-event and per-slice probabilities averaged over supply noise are
 piecewise exact (see processor.mean_event_fault_probability), so
 first-occurrence times come from geometric draws and a run's count of
@@ -23,7 +25,6 @@ and `test_test_loop_matches_the_slice_loop` check; the draw order differs."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from enum import Enum
@@ -32,7 +33,6 @@ from typing import NamedTuple
 
 from . import rng as rngmod
 from .errors import AbortedByCrash, InterpreterError, InvariantError, UnknownStressor
-from .isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
 from .msr import Record
 from .processor import (
     BitFlipPattern,
@@ -46,7 +46,6 @@ from .processor import (
     normalize_pstate,
     victim_temp_target_c,
 )
-from .scanner import scan
 
 # Slices the undervolt stays applied before and after a victim's
 # fault-prone window; campaigns pay crash exposure for both margins.
@@ -172,7 +171,7 @@ class RunOutcome(Record):
 
 
 class LoopVictim(NamedTuple):
-    """A comparison loop and its fault-free run, prepared by `loop_victim`.
+    """A victim program and its fault-free run, prepared by `loop_victim`.
     Every field but the program is immutable, and nothing writes the
     program, whose one mutable part is its `labels` dict; so a bundled
     victim, like the bundled program it holds, is prepared once per process
@@ -192,6 +191,9 @@ def loop_victim(program) -> LoopVictim:
 
     A bundled name is prepared once per process, and later calls return
     the same victim; a MiniProgram is prepared on every call."""
+    from .isa import DEFAULT_MAX_SLICES, MiniProgram, interpret
+    from .scanner import scan
+
     if not isinstance(program, MiniProgram):
         return _bundled_victim(program)
     eligible = {hit.store_index for hit in scan(program)}
@@ -210,6 +212,8 @@ def loop_victim(program) -> LoopVictim:
 
 @cache
 def _bundled_victim(name: str) -> LoopVictim:
+    from .isa import bundled_program
+
     return loop_victim(bundled_program(name))
 
 
@@ -255,22 +259,16 @@ def _faulted_ordinals(rates: LoopRates, events: int, rng: rngmod.Stream) -> list
     return ordinals
 
 
-def _run_with_flips(victim, flips):
-    """Re-execute `victim`, XORing `flips[ordinal]` into the eligible store
-    execution with that ordinal."""
-    eligible = victim.store_insns
-    ordinals = itertools.count()
-
-    def hook(store):
-        if store.insn_index in eligible:
-            return store.value ^ flips.get(next(ordinals), 0)
-        return None
-
-    return interpret(victim.program, store_hook=hook)
-
-
 # ---------------------------------------------------------------------------
 # The probing test loop
+
+# The comparison loop is `vp1_xor_kernel`, the xor kernel of the paper's
+# Listing 1: one eligible store an iteration, which writes the compared
+# output itself, so any nonzero mask XORed into it is a Mismatch; five
+# slices an iteration.  Written out so that phase 1 prepares no program;
+# tests hold both to a reference run of the program.
+LOOP_EVENTS = 1
+LOOP_SLICES = 5
 
 
 class LoopRates(NamedTuple):
@@ -315,71 +313,49 @@ def pinned_rates(env: PlatformState, events: int, scenario: str) -> LoopRates:
 
 
 def run_test_loop(
-    victim: LoopVictim, rates: LoopRates, profile: ProcessorProfile, core: int,
-    pstate: str, max_iters: int, rng: rngmod.Stream,
+    rates: LoopRates, profile: ProcessorProfile, pstate: str, max_iters: int,
+    rng: rngmod.Stream,
 ) -> RunOutcome:
-    """Iterate the prepared `victim` on physical `core` at one level whose
-    chances the caller computed with `loop_rates`; nothing is rebuilt here,
-    and `pstate` is read only for the crash kind.
+    """Iterate the comparison loop, `LOOP_SLICES` slices per iteration, at
+    one level whose chances the caller computed with `loop_rates` for
+    `LOOP_EVENTS` stores; `profile` and `pstate` are read only for the
+    crash kind.
 
-    Returns on the first iteration whose output differs from the victim's
-    fault-free reference (Mismatch: the faulted re-execution's memory is
-    not the reference memory) or on a platform crash; Match after
-    `max_iters` clean laps, or at once, without a draw, when `rates` is
-    quiet.  All failure modes are RunOutcome values, never exceptions; a
-    negative `max_iters` raises InvariantError before any draw.
+    Returns Mismatch at the first faulted iteration, or a crash if the
+    platform dies first; Match after `max_iters` clean laps, or at once,
+    without a draw, when `rates` is quiet.  All failure modes are
+    RunOutcome values, never exceptions; a negative `max_iters` raises
+    InvariantError before any draw.
 
-    Draw order per run: first-crash slice, first-fault iteration, then the
-    winner's detail draws.  A fault draws one uniform for the first
-    faulted store, one uniform block for the later stores' chances and one
-    `draw_flip_masks` block for their patterns; a crash draws its kind.
-    First-occurrence times use the noise-averaged marginals, which is
-    distribution-exact.
+    Draw order per run: the first-crash slice, the first-fault iteration,
+    then, if the crash comes first, its kind.  First-occurrence times use
+    the noise-averaged marginals, which is distribution-exact.
     """
     if max_iters < 0:
         raise InvariantError("max_iters is nonnegative")
     if rates.quiet:
         return RunOutcome.match(max_iters)
-    spi = victim.slices_per_iteration
-    events = victim.events
     _, q_iter, g_slice = rates
 
     crash_it = None  # the iteration the platform dies in, if within the budget
     if g_slice > 0.0:
         crash_slice = int(rng.geometric(g_slice)) - 1
-        if crash_slice < max_iters * spi:
-            crash_it = crash_slice // spi
+        if crash_slice < max_iters * LOOP_SLICES:
+            crash_it = crash_slice // LOOP_SLICES
+    fault_iter = None  # the first faulted iteration, if within the budget
+    if q_iter > 0.0:
+        draw = int(rng.geometric(q_iter))  # 1-based
+        if draw <= max_iters:
+            fault_iter = draw - 1
 
-    iter_base = 0  # iterations already survived
-    while True:
-        budget = max_iters - iter_base
-        if budget <= 0:
-            break
-        fault_iter = None
-        if q_iter > 0.0:
-            draw = int(rng.geometric(q_iter))  # 1-based within remaining budget
-            if draw <= budget:
-                fault_iter = iter_base + draw - 1  # 0-based iteration index
-
-        # A crash during the faulting iteration preempts the output
-        # comparison that happens at its end.  A fault wins only before
-        # the crash's iteration, so `iter_base` never passes it.
-        if crash_it is not None and (fault_iter is None or crash_it <= fault_iter):
-            kind = draw_crash_kind(profile.pstate_point(pstate).ratio, rng)
-            return RunOutcome.crashed(kind, crash_it)
-        if fault_iter is None:
-            break
-
-        # Fault wins: the stores that faulted in that iteration, a mask each.
-        ordinals = _faulted_ordinals(rates, events, rng)
-        masks = draw_flip_masks(profile, core, len(ordinals), rng)
-        faulted = _run_with_flips(victim, dict(zip(ordinals, masks)))
-        if faulted.memory != victim.memory:
-            return RunOutcome.mismatch(fault_iter + 1)
-        # Corruption never reached the output buffer; the loop keeps going.
-        iter_base = fault_iter + 1
-
-    return RunOutcome.match(max_iters)
+    # A crash during the faulting iteration preempts the output comparison
+    # that happens at its end.
+    if crash_it is not None and (fault_iter is None or crash_it <= fault_iter):
+        kind = draw_crash_kind(profile.pstate_point(pstate).ratio, rng)
+        return RunOutcome.crashed(kind, crash_it)
+    if fault_iter is None:
+        return RunOutcome.match(max_iters)
+    return RunOutcome.mismatch(fault_iter + 1)
 
 
 # ---------------------------------------------------------------------------

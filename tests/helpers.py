@@ -8,7 +8,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 import voltlab.victims as victims
 from voltlab import rng as rngmod
-from voltlab.errors import AbortedByCrash, InvariantError, NoWindowFound
+from voltlab.errors import AbortedByCrash, NoWindowFound
 from voltlab.msr import OFFSET_MIN_MV
 from voltlab.isa import parse_program
 from voltlab.orchestrator import STEP_MV, VoltagePlan
@@ -146,14 +146,12 @@ def fresh_cache(monkeypatch, module, name):
     monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
 
 
-def run_loop_under(env, victim, max_iters, rng):
-    """`run_test_loop` for `victim` (prepared, a MiniProgram or a bundled
-    name) on the pinned core of the `PlatformState` `env`, with the rates
-    `pinned_rates` gives for it."""
-    if not isinstance(victim, LoopVictim):
-        victim = loop_victim(victim)
-    rates = pinned_rates(env, victim.events, "probe")
-    return run_test_loop(victim, rates, env.profile, env.core, env.pstate, max_iters, rng)
+def run_loop_under(env, max_iters, rng):
+    """`run_test_loop` on the pinned core of the `PlatformState` `env`,
+    with the rates `pinned_rates` gives for the eligible stores of the
+    prepared `vp1_xor_kernel`."""
+    rates = pinned_rates(env, loop_victim("vp1_xor_kernel").events, "probe")
+    return run_test_loop(rates, env.profile, env.pstate, max_iters, rng)
 
 
 def run_poc_under(env, tries, rng):
@@ -168,9 +166,7 @@ def run_poc_under(env, tries, rng):
 
 def reference_phase1(
     profile,
-    victim_program="vp1_xor_kernel",
     pstate=None,
-    start_offset_mv=0,
     *,
     seed=0,
     iters_per_level=20_000,
@@ -179,34 +175,34 @@ def reference_phase1(
 ):
     """`orchestrator.phase1_find_window` as a walk that runs every level.
 
-    The production search steps over the levels where the loop cannot
-    draw, and reads a stage-two level as one geometric draw of its
-    first-crash slice; this one runs `run_test_loop` at each level of both
-    stages, stage two on the scratch loop (`stability_victim`), so the two
-    must return the same plan or raise the same error.  It also builds a
-    `PlatformState` at every level and derives the level's rates from it
-    (`run_loop_under`), instead of from phase 1's per-core temperature.
+    The production search jumps past the levels where nothing can draw,
+    steps over the rest of them, and reads its loop counts from constants;
+    this one walks every level from offset 0.  Stage one runs
+    `run_test_loop` with the rates of the prepared `vp1_xor_kernel`'s
+    stores (`run_loop_under`); stage two draws each level's first-crash
+    slice against `stability_iters` laps of the scratch loop
+    (`stability_victim`).  So the two must return the same plan or raise
+    the same error.  It also builds a `PlatformState` at every level and
+    derives the level's rates from it, instead of from phase 1's per-core
+    temperature.
     """
     if pstate is None:
         pstate = profile.default_attack_pstate
     pstate = normalize_pstate(pstate)
-    if start_offset_mv % STEP_MV:
-        raise InvariantError("the search grid moves in 5 mV steps")
     base = profile.pstate_point(pstate).base_voltage_mv
-    victim = loop_victim(victim_program)
-    stability = stability_victim()
+    stability_slices = stability_iters * stability_victim().slices_per_iteration
 
     window_top_mv = [None] * profile.physical_cores
     chosen_offset = [0] * profile.physical_cores
     crashes = 0
 
     for core in range(profile.physical_cores):
-        offset = start_offset_mv
+        offset = 0
         retries = 0
         while offset >= OFFSET_MIN_MV:
             env = PlatformState(profile, pstate, core, offset, seed=seed)
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_loop_under(env, victim, iters_per_level, gen)
+            out = run_loop_under(env, iters_per_level, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break
@@ -225,8 +221,8 @@ def reference_phase1(
         while offset >= OFFSET_MIN_MV:
             env = PlatformState(profile, pstate, core, offset, seed=seed)
             gen = rngmod.stream(seed, "phase1-stability", pstate, core, offset)
-            out = run_loop_under(env, stability, stability_iters, gen)
-            if out.status is RunStatus.CRASH:
+            g_slice = pinned_rates(env, 0, "probe").g_slice
+            if g_slice > 0.0 and gen.geometric(g_slice) <= stability_slices:
                 crashes += 1
                 found = offset + STEP_MV
                 break

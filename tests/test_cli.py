@@ -751,7 +751,7 @@ def test_import_prepares_nothing():
         "voltlab.cli._build_parser",
     ]
     script = "\n".join([
-        "import voltlab.cli, voltlab.orchestrator",
+        "import voltlab.cli, voltlab.isa, voltlab.orchestrator",
         f"for path in {caches!r}:",
         "    module, name = path.rsplit('.', 1)",
         "    info = getattr(sys.modules[module], name).cache_info()",
@@ -762,16 +762,18 @@ def test_import_prepares_nothing():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, parsed",
     [
-        *(("campaign", "--victim", victim, *_CELL) for victim in ("poc", "hmac32", "hmac1k")),
-        ("probe", "--profile", "i7-7700k", "--tries", "100"),
+        *((("campaign", "--victim", victim, *_CELL), [])
+          for victim in ("poc", "hmac32", "hmac1k")),
+        (("probe", "--profile", "i7-7700k", "--tries", "100"), ["vp1_xor_kernel"]),
     ],
     ids=["campaign-poc", "campaign-hmac32", "campaign-hmac1k", "probe"],
 )
-def test_campaign_and_probe_parse_only_the_comparison_loop(argv):
-    # Phase 1's stage two and the poc campaign read counts, so a command
-    # parses one program, the bundled comparison loop, and nothing else.
+def test_campaign_and_probe_parse_only_the_comparison_loop(argv, parsed):
+    # Phase 1 and both campaign victims read counts, so a campaign parses
+    # no program; the probe parses the bundled comparison loop and nothing
+    # else.
     loaded = _fresh_modules(
         "import voltlab.isa as isa",
         "parsed, real = [], isa.parse_program",
@@ -780,10 +782,28 @@ def test_campaign_and_probe_parse_only_the_comparison_loop(argv):
         "    return real(text, source_name)",
         "isa.parse_program = parse",
         *_cli_lines(*argv),
-        "assert parsed == ['vp1_xor_kernel'], parsed",
-        "assert isa.bundled_program.cache_info().currsize == 1",
+        f"assert parsed == {parsed!r}, parsed",
+        f"assert isa.bundled_program.cache_info().currsize == {len(parsed)}",
     )
     assert "voltlab.orchestrator" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, runs_a_program",
+    [
+        *((("campaign", "--victim", victim, *_CELL), False)
+          for victim in ("poc", "hmac32", "hmac1k")),
+        (("probe", "--profile", "i7-7700k", "--tries", "100"), True),
+        (("scan", "vp1_xor_kernel"), True),
+    ],
+    ids=["campaign-poc", "campaign-hmac32", "campaign-hmac1k", "probe", "scan"],
+)
+def test_only_commands_that_run_a_program_load_isa_and_scanner(argv, runs_a_program):
+    # `victims` imports both only when it prepares a victim, which only
+    # the probe does; a campaign reads every count it needs.
+    loaded = _cli_modules(*argv)
+    assert ("voltlab.isa" in loaded) is runs_a_program
+    assert ("voltlab.scanner" in loaded) is runs_a_program
 
 
 def test_package_import_loads_no_submodule_until_a_name_is_touched():

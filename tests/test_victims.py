@@ -16,12 +16,14 @@ from voltlab.errors import (
     UnknownCoreOrPState,
     UnknownStressor,
 )
-from voltlab.isa import parse_program
+from voltlab.isa import bundled_program, parse_program
 from voltlab.orchestrator import phase1_find_window
 from voltlab.processor import BitFlipPattern, CrashKind, load_profile
 from voltlab.sha256sim import HmacContext
 from voltlab.victims import (
     HMAC_KEY,
+    LOOP_EVENTS,
+    LOOP_SLICES,
     PAYLOADS,
     POC_EVENTS,
     STRESSORS,
@@ -115,7 +117,7 @@ def test_outcome_validation():
 
 def test_loop_matches_at_nominal_voltage(kaby):
     env = pinned_state(kaby, 1, 0)
-    out = run_loop_under(env, "vp1_xor_kernel", 500, vrng.stream(1, "a"))
+    out = run_loop_under(env, 500, vrng.stream(1, "a"))
     assert out.status is RunStatus.MATCH
     assert out.iterations_executed == 500
 
@@ -123,7 +125,7 @@ def test_loop_matches_at_nominal_voltage(kaby):
 def test_loop_mismatches_inside_the_window(kaby):
     # 710 mV on core 1 sits right at its window top.
     env = pinned_state(kaby, 1, -240)
-    out = run_loop_under(env, "vp1_xor_kernel", 20_000, vrng.stream(2, "b"))
+    out = run_loop_under(env, 20_000, vrng.stream(2, "b"))
     assert out.status is RunStatus.MISMATCH
     assert 1 <= out.iterations_executed <= 20_000
 
@@ -135,22 +137,51 @@ def test_loop_refuses_a_negative_budget(kaby, offset_mv):
     env = pinned_state(kaby, 1, offset_mv)
     gen = vrng.stream(4, "d")
     with pytest.raises(InvariantError, match="max_iters is nonnegative"):
-        run_loop_under(env, "vp1_xor_kernel", -5, gen)
+        run_loop_under(env, -5, gen)
     assert gen.random() == vrng.stream(4, "d").random()
 
 
 def test_loop_crashes_below_the_floor(kaby):
     env = pinned_state(kaby, 1, -260)  # 690 mV < 695 floor
-    out = run_loop_under(env, "vp1_xor_kernel", 20_000, vrng.stream(3, "c"))
+    out = run_loop_under(env, 20_000, vrng.stream(3, "c"))
     assert out.status is RunStatus.CRASH
     assert out.crash in set(CrashKind)
     assert out.iterations_executed < 20_000
 
 
+@pytest.mark.parametrize(
+    "crash_slice, fault_iter, expect",
+    [
+        (5, 1, (RunStatus.CRASH, 0)),  # the fault's own iteration: the crash wins
+        (6, 1, (RunStatus.MISMATCH, 1)),
+        (6, 2, (RunStatus.CRASH, 1)),
+        (100, 21, (RunStatus.CRASH, 19)),  # the budget's last slice
+        (101, 20, (RunStatus.MISMATCH, 20)),
+        (101, 21, (RunStatus.MATCH, 20)),
+    ],
+)
+def test_loop_races_the_first_crash_and_the_first_fault(kaby, crash_slice, fault_iter, expect):
+    # Pinned 1-based draws, 20 iterations of `LOOP_SLICES` slices each: a
+    # crash anywhere in an iteration comes before that iteration's
+    # comparison, and a fault in iteration k stops the loop after k.
+    class Pinned:
+        draws = [crash_slice, fault_iter]
+
+        def geometric(self, p):
+            return self.draws.pop(0)
+
+        def random(self):  # the crash kind
+            return 0.5
+
+    rates = victims.LoopRates(0.01, 0.01, 0.001)
+    out = victims.run_test_loop(rates, kaby, "0x1b", 20, Pinned())
+    assert (out.status, out.iterations_executed) == expect
+
+
 def test_loop_deterministic(kaby):
     env = pinned_state(kaby, 1, -240)
-    a = run_loop_under(env, "vp1_xor_kernel", 5000, vrng.stream(9, "d"))
-    b = run_loop_under(env, "vp1_xor_kernel", 5000, vrng.stream(9, "d"))
+    a = run_loop_under(env, 5000, vrng.stream(9, "d"))
+    b = run_loop_under(env, 5000, vrng.stream(9, "d"))
     assert a == b
 
 
@@ -163,15 +194,39 @@ def test_loop_mean_iterations_tracks_fault_rate(kaby):
     # At full saturation with no stressor the xor kernel faults at the
     # probe ceiling, 1.8% per iteration on core 1.
     env = pinned_state(kaby, 1, -250)
-    victim = loop_victim("vp1_xor_kernel")
     lengths = []
     for i in range(120):
-        out = run_loop_under(env, victim, 10_000, vrng.stream(i, "g"))
+        out = run_loop_under(env, 10_000, vrng.stream(i, "g"))
         assert out.status is RunStatus.MISMATCH
         lengths.append(out.iterations_executed)
     mean = np.mean(lengths)
     # Geometric with p=0.018 has mean ~55.6 and sem ~5 over 120 samples.
     assert 40 < mean < 72
+
+
+LOOP = reference_run(bundled_program("vp1_xor_kernel"))
+
+
+def test_loop_counts_match_the_reference_run():
+    # `run_test_loop` runs no program: it reads the comparison loop's
+    # exposure and length from `LOOP_EVENTS` and `LOOP_SLICES`.
+    assert len(LOOP.eligible) == 1
+    assert LOOP_EVENTS == LOOP.events == 1
+    assert LOOP_SLICES == LOOP.slices == 5
+
+
+def test_loop_every_mask_on_its_store_changes_the_output():
+    # `run_test_loop` reports every faulted iteration as a Mismatch.
+    # Prove it by re-executing the loop with each mask XORed into its one
+    # eligible store: every single-bit mask and 200 seeded multi-bit ones.
+    gen = numpy_stream(3, "loop-masks")
+    masks = [1 << b for b in range(128)]
+    for _ in range(200):
+        bits = gen.choice(128, size=int(gen.integers(2, 129)), replace=False)
+        masks.append(sum(1 << int(b) for b in bits))
+    assert len(set(masks)) == 328
+    for mask in masks:
+        assert faulted_run(LOOP, {0: mask}).memory != LOOP.output, hex(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +452,7 @@ def _premise_cells():
     for name in processor.bundled_profile_names():
         profile = load_profile(name)
         pstate = profile.default_attack_pstate
-        plan = phase1_find_window(profile, "vp1_xor_kernel", pstate, seed=0)
+        plan = phase1_find_window(profile, pstate, seed=0)
         for core in range(profile.physical_cores):
             env = PlatformState(
                 profile, pstate, core, plan.offset_for(core), stressor_profile("listing2")
@@ -570,8 +625,9 @@ def test_probe_matches_the_slice_loop(kaby, program, cell):
 
 @pytest.mark.parametrize("cell", ["top", "mid", "deep"])
 def test_test_loop_matches_the_slice_loop(kaby, cell):
-    # The status a run ends in and the iteration it stops at.
-    victim, ref = loop_victim(THREE_STORES), reference_run(THREE_STORES)
+    # The status a run ends in and the iteration it stops at.  The slice
+    # loop re-executes the comparison loop with each faulted store's mask.
+    ref = reference_run(bundled_program("vp1_xor_kernel"))
     env = _in_cell(kaby, cell)
     statuses = list(RunStatus)
 
@@ -580,7 +636,7 @@ def test_test_loop_matches_the_slice_loop(kaby, cell):
 
     ours, theirs = [], []
     for r in range(RUNS):
-        out = run_loop_under(env, victim, 20, vrng.stream(r, "loop-vs-slices", cell))
+        out = run_loop_under(env, 20, vrng.stream(r, "loop-vs-slices", cell))
         ours.append(outcome(out.status, out.iterations_executed))
         theirs.append(outcome(*loop_run(env, ref, 20, numpy_stream(r, "slice-loop", cell))))
     _assert_same_distribution(ours, theirs)
