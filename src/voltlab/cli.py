@@ -307,9 +307,12 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand with its help line; arguments for `command` only,
-    or for all of them when `command` is None.
+def _build_parser(
+    command: str | None,
+) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser | None]:
+    """(the top-level parser, the parser of `command`): every subcommand
+    with its help line, and arguments for `command` only, or for all of
+    them when `command` is None, which has no parser of its own (None).
 
     Built once per process for each `command`: a parser keeps no state
     from one `parse_args` to the next, and help is wrapped to the terminal
@@ -323,17 +326,24 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_line)
         if command in (None, name):
             add_arguments(sub)
-    return parser
+    return parser, subs.choices.get(command)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A leading command name sends every later word to that command's
-    # parser alone, so the others need no arguments; any other first word
-    # (none, `--help`, an unknown name) gets the full parser.
+    # A leading command name hands every later word straight to that
+    # command's parser, and what it leaves is refused by the top-level
+    # parser, as the full tree refuses it; any other first word (none,
+    # `--help`, an unknown name) gets the full parser.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    parser, sub = _build_parser(command)
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.run(args)
     except AbortedByCrash as abort:

@@ -39,16 +39,17 @@ from .processor import (
     mean_crash_probability,
     region_boundaries_mv,
     normalize_pstate,
+    victim_temp_target_c,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
 )
 from .victims import (
     LOOP_EVENTS,
+    LOOP_SLICES,
     CampaignResult,
     FaultStats,
     PlatformState,
     RunStatus,
     loop_rates,
-    loop_victim,
     run_hmac_victim,
     run_poc_victim,
     run_probe_victim,
@@ -270,7 +271,7 @@ def phase1_find_window(
     chosen_offset: list[int] = [0] * profile.physical_cores
     crashes = 0
 
-    temp = PlatformState(profile, pstate, 0).temp_c  # any core's, with no stressor
+    temp = victim_temp_target_c(profile, pstate, 0.0)  # any core's, with no stressor
     for core in range(profile.physical_cores):
         _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
 
@@ -337,23 +338,23 @@ def phase2_probe_cores(
     plan: VoltagePlan,
     tries_per_core: int = 10_000,
 ) -> ProbeReport:
-    """Pin the `vp1_xor_kernel` victim to each core in turn, at the core's
-    planned offset with the stressor of `state`, and tally its faults there
-    with `victims.run_probe_victim`.
+    """Pin the comparison loop (`vp1_xor_kernel`) to each core in turn, at
+    the core's planned offset with the stressor of `state`, and tally its
+    faults there with `victims.run_probe_victim`.
 
-    The victim is prepared once per process.  Raises InvariantError for a
-    plan made for another core count, and AbortedByCrash carrying the
-    partial per-core stats if a probe kills the platform.
+    No program is prepared: the loop's store and slice counts are
+    `LOOP_EVENTS` and `LOOP_SLICES`.  Raises InvariantError for a plan made
+    for another core count, and AbortedByCrash carrying the partial
+    per-core stats if a probe kills the platform.
     """
     plan.check_cores(state.profile)
-    victim = loop_victim("vp1_xor_kernel")
 
     stats: list[FaultStats] = []
     for core in range(state.profile.physical_cores):
         env = PlatformState(
             state.profile, plan.pstate, core, plan.offset_for(core), state.stressor, state.seed
         )
-        stats.append(run_probe_victim(victim, env, tries_per_core))
+        stats.append(run_probe_victim(LOOP_EVENTS, LOOP_SLICES, env, tries_per_core))
         if stats[-1].tries < tries_per_core:
             raise AbortedByCrash(
                 f"probe crashed the platform on core {core}",

@@ -410,10 +410,18 @@ def region_boundaries_mv(
     temperature, so cooler cores fault slightly later.  The instability
     boundary lies the pstate's window width below it.
     """
-    point = profile.pstate_point(pstate)
+    top, floor = _window_mv(profile, profile.pstate_point(pstate), core, temp_c)
+    return top + profile.corrected_band_mv, top, floor
+
+
+def _window_mv(
+    profile: ProcessorProfile, point: PStatePoint, core: int, temp_c: float
+) -> tuple[float, float]:
+    """(window top, instability boundary) of `core` at the pstate `point`;
+    see `region_boundaries_mv`."""
     top = point.fault_voltage_mv[profile.check_core(core)]
     top += profile.temp_coeff_mv_per_c * (temp_c - point.reference_temp_c)
-    return top + profile.corrected_band_mv, top, top - point.exploit_window_mv
+    return top, top - point.exploit_window_mv
 
 
 def classify_voltage(
@@ -445,51 +453,29 @@ def event_fault_probability(
     ceiling is scaled by the stressor multiplier, the pstate's exploit
     factor (for gated scenarios), and the depth ramp, then clamped.
     """
-    return _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)[0](v_eff_mv)
+    curve = _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
+    return _event_chance(v_eff_mv, *curve)
 
 
 def _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
-    """`event_fault_probability` at one (core, pstate, scenario, multiplier,
-    temperature) as a function of the effective voltage alone, and the
-    voltages where it bends (the window edges, the ramp's end, the clamp)."""
+    """What `_event_chance` reads at one (core, pstate, scenario,
+    multiplier, temperature): the window top and floor, the window width,
+    and the ceiling at full manifestation, unclamped."""
     point = profile.pstate_point(pstate)
-    _, top, floor = region_boundaries_mv(profile, core, pstate, temp_c)
-    width = point.exploit_window_mv
+    top, floor = _window_mv(profile, point, core, temp_c)
     entry = profile.calibration_entry(scenario)
-    ceiling = entry.p_event_max[core] * stressor_multiplier  # at full manifestation, unclamped
+    ceiling = entry.p_event_max[core] * stressor_multiplier
     if entry.pstate_gated:
         ceiling *= point.exploit_factor
-
-    def p_at(v_eff_mv: float) -> float:
-        if width <= 0.0 or v_eff_mv > top or v_eff_mv <= floor:
-            return 0.0
-        return min(ceiling * manifestation((top - v_eff_mv) / width), 1.0)
-
-    breaks = [top, floor]
-    if width > 0.0:
-        breaks.append(top - width * RAMP_SATURATION_DEPTH)
-        if ceiling > 1.0:
-            breaks.append(top - width * RAMP_SATURATION_DEPTH / ceiling)
-    return p_at, breaks
+    return top, floor, point.exploit_window_mv, ceiling
 
 
-def _integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
-    """Exact integral of a function that is linear between breakpoints.
-
-    Midpoint rule per piece: exact on linear segments, and indifferent to
-    which side of a jump the breakpoint itself belongs to.
-    """
-    if hi <= lo:
+def _event_chance(v_eff_mv: float, top: float, floor: float, width: float, ceiling: float) -> float:
+    """`event_fault_probability` at `v_eff_mv`, on the curve `_event_curve`
+    read: the one pointwise definition of the fault chance."""
+    if width <= 0.0 or v_eff_mv > top or v_eff_mv <= floor:
         return 0.0
-    points = [lo]  # then the distinct breakpoints strictly inside, ascending, then hi
-    for b in sorted(breakpoints):
-        if lo < b < hi and b != points[-1]:
-            points.append(b)
-    points.append(hi)
-    total = 0.0
-    for a, b in zip(points, points[1:]):
-        total += fn(0.5 * (a + b)) * (b - a)
-    return total
+    return min(ceiling * manifestation((top - v_eff_mv) / width), 1.0)
 
 
 def mean_event_fault_probability(
@@ -499,44 +485,73 @@ def mean_event_fault_probability(
     """Per-event fault probability averaged over the supply-noise band.
 
     The pointwise probability is piecewise linear in the effective voltage
-    (ramp, plateau, cap, and the window edges), so averaging over uniform
-    noise reduces to exact trapezoids between the breakpoints.  This is
-    the marginal that lets a campaign draw one binomial per try instead of
-    one uniform per store without changing the distribution.  The window
-    and ceiling are read once per call, not once per trapezoid.
+    between its bends (the window floor, the ramp's end, the clamp's
+    corner, the window top), so averaging over uniform noise is exact by
+    the midpoint rule on each piece of the band between them.  This is the
+    marginal that lets a campaign draw one binomial per try instead of one
+    uniform per store without changing the distribution.
+
+    The curve is read once per call.  A band that misses the window is 0
+    at once; any other band is integrated in one pass over its pieces in
+    ascending order, one `_event_chance` per piece.
     """
     n = profile.noise_mv
     if n <= 0.0:
         return event_fault_probability(
             profile, core, pstate, scenario, stressor_multiplier, v_nominal_mv, temp_c
         )
-    p_at, breaks = _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
-    return _integrate_piecewise(p_at, v_nominal_mv - n, v_nominal_mv + n, breaks) / (2.0 * n)
+    top, floor, width, ceiling = _event_curve(
+        profile, core, pstate, scenario, stressor_multiplier, temp_c
+    )
+    lo, hi = v_nominal_mv - n, v_nominal_mv + n
+    if width <= 0.0 or lo >= top or hi <= floor:
+        return 0.0  # every piece's midpoint lies outside the window
+    half = top - width * RAMP_SATURATION_DEPTH  # the ramp's end
+    bends = (floor, half, top)  # ascending
+    if ceiling > 1.0:  # the clamp's corner, between the ramp's end and the top
+        bends = (floor, half, top - width * RAMP_SATURATION_DEPTH / ceiling, top)
+    total, a = 0.0, lo
+    for b in bends:
+        if a < b < hi:
+            total += _event_chance(0.5 * (a + b), top, floor, width, ceiling) * (b - a)
+            a = b
+    total += _event_chance(0.5 * (a + hi), top, floor, width, ceiling) * (hi - a)
+    return total / (2.0 * n)
 
 
 def mean_crash_probability(
     profile: ProcessorProfile, core: int, pstate: str | int, v_nominal_mv: float, temp_c: float
 ) -> float:
-    """Per-slice crash probability averaged over the supply-noise band."""
+    """Per-slice crash probability averaged over the supply-noise band.
+
+    The pointwise chance (`crash_probability_per_slice`) is 0 above the
+    instability boundary, linear in depth below it, and clamped at 1 from
+    the cap's depth on, so the band is averaged like the fault chance's:
+    0 at once when the band lies above the boundary, otherwise one pass
+    over its pieces in ascending order, one pointwise call per piece.
+    """
     point = profile.pstate_point(pstate)
-    _, _, floor = region_boundaries_mv(profile, core, pstate, temp_c)
+    _, floor = _window_mv(profile, point, core, temp_c)
+    ratio = point.ratio
     n = profile.noise_mv
     if n <= 0.0:
-        return crash_probability_per_slice(profile, point.ratio, floor - v_nominal_mv)
+        return crash_probability_per_slice(profile, ratio, floor - v_nominal_mv)
     lo, hi = v_nominal_mv - n, v_nominal_mv + n
     if lo > floor:
-        return 0.0  # every trapezoid's midpoint lies above the floor, where the chance is 0
-    breaks = [floor]
+        return 0.0  # every piece's midpoint lies above the floor, where the chance is 0
+    bends = (floor,)  # ascending
     rate, slope = profile.crash
     if slope > 0 and rate > 0:
-        cap_depth = (1.0 / (rate * _crash_freq_factor(point.ratio)) - 1.0) / slope
+        cap_depth = (1.0 / (rate * _crash_freq_factor(ratio)) - 1.0) / slope
         if cap_depth > 0:
-            breaks.append(floor - cap_depth)
-
-    def g_at(v):
-        return crash_probability_per_slice(profile, point.ratio, floor - v)
-
-    return _integrate_piecewise(g_at, lo, hi, breaks) / (2.0 * n)
+            bends = (floor - cap_depth, floor)
+    total, a = 0.0, lo
+    for b in bends:
+        if a < b < hi:
+            total += crash_probability_per_slice(profile, ratio, floor - 0.5 * (a + b)) * (b - a)
+            a = b
+    total += crash_probability_per_slice(profile, ratio, floor - 0.5 * (a + hi)) * (hi - a)
+    return total / (2.0 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ key path such as (campaign_seed, "phase3", core, run_index).  The path is
 hashed into a 16-byte key, and block `c` of the stream is
 `shake_128(key || c)` (FIPS 202, `c` as 8 little-endian bytes), read as
 little-endian 64-bit words whose top 53 bits make one double in [0, 1).
-Block `c` holds `min(8 << c, 1024)` doubles, so a stream that draws a few
-variates hashes once.  Any stream is rebuilt from its key path alone
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
+Block `c` holds `min(8 << c, 1024)` words, so a stream that draws a few
+variates hashes once.  A word becomes its double only when it is drawn, so
+a stream pays for the doubles it hands out, not for its whole block.  Any
+stream is rebuilt from its key path alone (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011):
 runs can execute in any order and draw what they would draw serially, and
 opening a stream costs one hash, so every run and search level opens its own.
 
@@ -26,7 +28,9 @@ import math
 import struct
 
 _SCALE = 2.0**-53  # one unit in the last place of a 53-bit double in [0, 1)
-_FIRST_BLOCK, _DOUBLINGS = 8, 7  # block c holds 8 << min(c, 7) doubles
+_FIRST_BLOCK, _DOUBLINGS = 8, 7  # block c holds 8 << min(c, 7) words
+# The unpacker of block c, by min(c, _DOUBLINGS): little-endian 64-bit words.
+_BLOCKS = tuple(struct.Struct(f"<{_FIRST_BLOCK << c}Q") for c in range(_DOUBLINGS + 1))
 _NEVER = 1 << 1024  # past every finite inversion, so past every budget
 
 
@@ -39,7 +43,7 @@ def derive_key(seed: int, *path) -> bytes:
     for part in path:
         if not isinstance(part, (int, str)):
             raise TypeError(f"stream path element {part!r} must be int or str")
-    text = repr((int(seed),) + tuple(path))
+    text = repr((int(seed), *path))
     return hashlib.sha256(text.encode("utf-8")).digest()[:16]
 
 
@@ -75,39 +79,40 @@ def _log_pmf_ratio(n: int, k: int, m: int, r: float) -> float:
 
 
 class Stream:
-    """The doubles of one key, drawn in order; see the module docstring."""
+    """The doubles of one key, drawn in order; see the module docstring.
+    The current block is kept as its words, and each word drawn becomes
+    one double, `(word >> 11) * 2**-53`."""
 
-    __slots__ = ("_key", "_block", "_buf", "_pos")
+    __slots__ = ("_key", "_block", "_words", "_pos")
 
     def __init__(self, key: bytes):
         self._key = key
         self._block = 0
-        self._buf: list[float] = []
+        self._words: tuple[int, ...] = ()
         self._pos = 0
 
     def _refill(self) -> None:
-        n = _FIRST_BLOCK << min(self._block, _DOUBLINGS)
-        data = hashlib.shake_128(self._key + self._block.to_bytes(8, "little")).digest(8 * n)
-        self._buf = [(w >> 11) * _SCALE for w in struct.unpack(f"<{n}Q", data)]
+        unpack = _BLOCKS[min(self._block, _DOUBLINGS)]
+        data = hashlib.shake_128(self._key + self._block.to_bytes(8, "little")).digest(unpack.size)
+        self._words = unpack.unpack(data)
         self._block += 1
         self._pos = 0
 
     def random(self, size: int | None = None):
         """The next double in [0, 1), or a list of the next `size`."""
         if size is None:
-            if self._pos == len(self._buf):
+            if self._pos == len(self._words):
                 self._refill()
             self._pos += 1
-            return self._buf[self._pos - 1]
+            return (self._words[self._pos - 1] >> 11) * _SCALE
         if size < 0:
             raise ValueError(f"negative size {size}")
-        out = self._buf[self._pos:self._pos + size]
+        out = [(w >> 11) * _SCALE for w in self._words[self._pos:self._pos + size]]
         self._pos += len(out)
         while len(out) < size:
             self._refill()
-            more = self._buf[:size - len(out)]
-            self._pos = len(more)
-            out += more
+            self._pos = min(size - len(out), len(self._words))
+            out += [(w >> 11) * _SCALE for w in self._words[:self._pos]]
         return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):

@@ -10,11 +10,11 @@ and its appetite for faults.
 Every run of the three phases lives here (`run_test_loop`,
 `run_probe_victim`, `run_poc_victim`, `run_hmac_victim`), with its rates,
 exposure, crash cut-off and draws, and so does the pinned victim the
-campaign runners read (`PlatformState`).  Only the probe takes a prepared
-victim (`loop_victim`), so `isa` and `scanner` load only when one is
-prepared; the test loop reads its store and slice counts from
-`LOOP_EVENTS` and `LOOP_SLICES`, a campaign from `POC_EVENTS` or
-`PAYLOADS`.  No runner iterates slice by slice:
+campaign runners read (`PlatformState`).  No runner takes a prepared
+victim: the test loop and the probe read their store and slice counts
+from `LOOP_EVENTS` and `LOOP_SLICES`, a campaign from `POC_EVENTS` or
+`PAYLOADS`.  `isa` and `scanner` load only when `loop_victim` prepares
+a victim.  No runner iterates slice by slice:
 the per-event and per-slice probabilities averaged over supply noise are
 piecewise exact (see processor.mean_event_fault_probability), so
 first-occurrence times come from geometric draws and a run's count of
@@ -265,8 +265,8 @@ def _faulted_ordinals(rates: LoopRates, events: int, rng: rngmod.Stream) -> list
 # The comparison loop is `vp1_xor_kernel`, the xor kernel of the paper's
 # Listing 1: one eligible store an iteration, which writes the compared
 # output itself, so any nonzero mask XORed into it is a Mismatch; five
-# slices an iteration.  Written out so that phase 1 prepares no program;
-# tests hold both to a reference run of the program.
+# slices an iteration.  Written out so that neither phase 1 nor the probe
+# prepares a program; tests hold both to a reference run of the program.
 LOOP_EVENTS = 1
 LOOP_SLICES = 5
 
@@ -398,21 +398,22 @@ class FaultStats(Record):
         }
 
 
-def run_probe_victim(victim: LoopVictim, env: PlatformState, tries: int) -> FaultStats:
-    """Run the prepared comparison loop `tries` times on the pinned core of
-    `env`, the whole program undervolted; tally its faults.
+def run_probe_victim(events: int, slices: int, env: PlatformState, tries: int) -> FaultStats:
+    """Run a comparison loop of `events` eligible stores and `slices`
+    slices a try `tries` times on the pinned core of `env`, the whole loop
+    undervolted; tally its faults.  No program is prepared: the phase-2
+    probe passes `LOOP_EVENTS` and `LOOP_SLICES`.
 
     Draw order: `_hits_before_crash`'s crash geometric and binomial count
-    of faulty tries; for a victim with more than one eligible store, then
+    of faulty tries; for a loop with more than one eligible store, then
     `_faulted_ordinals` per faulty try, in try order; then one
     `draw_flip_masks` block, one pattern per faulted store.  A crash shows
     as fewer `tries` than asked; nothing is raised.
     """
     core = env.core
-    events = victim.events
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
     rates = pinned_rates(env, events, "probe")
-    c_try = _any_of(rates.g_slice, victim.slices_per_iteration)
+    c_try = _any_of(rates.g_slice, slices)
 
     faults, completed = _hits_before_crash(gen, rates.q_iter, c_try, tries)
     stores = faults  # a faulty try of a one-store victim faults that store

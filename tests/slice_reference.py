@@ -11,6 +11,10 @@ definitions of either chance).  They take an `rng.Stream` or a numpy
 `Generator`.  The slice-level loop walks whole runs of the real victims
 that way, drawing numpy blocks from a `Generator`, and tests hold every
 closed-form runner in `victims` to it.
+`reference_mean_event_fault_probability` and
+`reference_mean_crash_probability` average the pointwise chances by the
+general piecewise integral (`integrate_piecewise`), the formulation the
+marginals are held to bit for bit.
 `scan_brute` is the quadratic definition `scanner.scan` is held to.
 """
 
@@ -24,13 +28,16 @@ import numpy as np
 
 from voltlab.isa import MiniProgram, bundled_program, interpret
 from voltlab.processor import (
+    RAMP_SATURATION_DEPTH,
     BitFlipPattern,
     CrashKind,
+    _crash_freq_factor,
     crash_probability_per_slice,
     draw_crash_kind,
     draw_flip_masks,
     draw_flip_pattern,
     event_fault_probability,
+    manifestation,
     region_boundaries_mv,
 )
 from voltlab.scanner import (
@@ -111,6 +118,97 @@ def sample_crash(state: PlatformState, rng, v_eff_mv: float | None = None) -> Cr
     if p <= 0.0 or rng.uniform() >= p:
         return None
     return draw_crash_kind(state.profile.pstate_point(state.pstate).ratio, rng)
+
+
+# ---------------------------------------------------------------------------
+# The noise-averaged marginals, by the general piecewise integral
+
+
+def integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
+    """Exact integral of a function that is linear between breakpoints.
+
+    Midpoint rule per piece: exact on linear segments, and indifferent to
+    which side of a jump the breakpoint itself belongs to.  The pieces are
+    summed in ascending order.
+    """
+    if hi <= lo:
+        return 0.0
+    points = [lo]  # then the distinct breakpoints strictly inside, ascending, then hi
+    for b in sorted(breakpoints):
+        if lo < b < hi and b != points[-1]:
+            points.append(b)
+    points.append(hi)
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        total += fn(0.5 * (a + b)) * (b - a)
+    return total
+
+
+def event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
+    """The fault chance at one (core, pstate, scenario, multiplier,
+    temperature) as a function of the effective voltage alone, and the
+    voltages where it bends (the window edges, the ramp's end, the clamp)."""
+    point = profile.pstate_point(pstate)
+    _, top, floor = region_boundaries_mv(profile, core, pstate, temp_c)
+    width = point.exploit_window_mv
+    entry = profile.calibration_entry(scenario)
+    ceiling = entry.p_event_max[core] * stressor_multiplier  # at full manifestation, unclamped
+    if entry.pstate_gated:
+        ceiling *= point.exploit_factor
+
+    def p_at(v_eff_mv: float) -> float:
+        if width <= 0.0 or v_eff_mv > top or v_eff_mv <= floor:
+            return 0.0
+        return min(ceiling * manifestation((top - v_eff_mv) / width), 1.0)
+
+    breaks = [top, floor]
+    if width > 0.0:
+        breaks.append(top - width * RAMP_SATURATION_DEPTH)
+        if ceiling > 1.0:
+            breaks.append(top - width * RAMP_SATURATION_DEPTH / ceiling)
+    return p_at, breaks
+
+
+def reference_mean_event_fault_probability(
+    profile, core, pstate, scenario, stressor_multiplier, v_nominal_mv, temp_c
+) -> float:
+    """`processor.mean_event_fault_probability` by `integrate_piecewise`."""
+    n = profile.noise_mv
+    p_at, breaks = event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
+    if n <= 0.0:
+        return p_at(v_nominal_mv)
+    return integrate_piecewise(p_at, v_nominal_mv - n, v_nominal_mv + n, breaks) / (2.0 * n)
+
+
+def crash_breaks(profile, core, pstate, temp_c) -> list[float]:
+    """Where the crash chance bends: the instability boundary and, if the
+    chance reaches 1, the depth where it does."""
+    ratio = profile.pstate_point(pstate).ratio
+    _, _, floor = region_boundaries_mv(profile, core, pstate, temp_c)
+    breaks = [floor]
+    rate, slope = profile.crash
+    if slope > 0 and rate > 0:
+        cap_depth = (1.0 / (rate * _crash_freq_factor(ratio)) - 1.0) / slope
+        if cap_depth > 0:
+            breaks.append(floor - cap_depth)
+    return breaks
+
+
+def reference_mean_crash_probability(profile, core, pstate, v_nominal_mv, temp_c) -> float:
+    """`processor.mean_crash_probability` by `integrate_piecewise`."""
+    ratio = profile.pstate_point(pstate).ratio
+    _, _, floor = region_boundaries_mv(profile, core, pstate, temp_c)
+    n = profile.noise_mv
+    if n <= 0.0:
+        return crash_probability_per_slice(profile, ratio, floor - v_nominal_mv)
+    lo, hi = v_nominal_mv - n, v_nominal_mv + n
+    if lo > floor:
+        return 0.0
+
+    def g_at(v):
+        return crash_probability_per_slice(profile, ratio, floor - v)
+
+    return integrate_piecewise(g_at, lo, hi, crash_breaks(profile, core, pstate, temp_c)) / (2.0 * n)
 
 
 # ---------------------------------------------------------------------------

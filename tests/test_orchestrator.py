@@ -367,7 +367,7 @@ def test_phase1_computes_the_temperature_once_per_search(monkeypatch):
         temps.append(victim_temp_target_c(*args))
         return temps[-1]
 
-    monkeypatch.setattr(victims, "victim_temp_target_c", counting)
+    monkeypatch.setattr(orchestrator, "victim_temp_target_c", counting)
     for profile in (KABY, COFFEE):
         for pstate in profile.pstates:
             temps.clear()
@@ -377,13 +377,14 @@ def test_phase1_computes_the_temperature_once_per_search(monkeypatch):
 
 def test_phase1_keeps_no_marginal_between_calls(monkeypatch):
     # Each marginal is computed afresh from the profile: a second identical
-    # search calls each marginal, builds the fault curve and evaluates the
-    # pointwise models (the ramp, the crash chance) as often as the first.
+    # search calls each marginal and evaluates the pointwise models they
+    # integrate (the fault chance and its ramp, the crash chance) as often
+    # as the first.
     counts = Counter()
     for module, name in (
         (victims, "mean_event_fault_probability"), (victims, "mean_crash_probability"),
         (orchestrator, "mean_crash_probability"),
-        (processor, "_event_curve"), (processor, "manifestation"),
+        (processor, "_event_chance"), (processor, "manifestation"),
         (processor, "crash_probability_per_slice"),
     ):
         def counting(*args, real=getattr(module, name), name=name):
@@ -514,12 +515,14 @@ def test_phase2_refuses_a_negative_try_count():
         phase2_probe_cores(state, idle, tries_per_core=-3)
 
 
-def test_phase2_prepares_the_probe_victim_once(monkeypatch):
+def test_phase2_prepares_no_program(monkeypatch):
+    # The probe reads the comparison loop's counts, `LOOP_EVENTS` and
+    # `LOOP_SLICES`, so no call prepares a victim.
     state, plan = _kaby_attack_setup()
     built = _count_victim_builds(monkeypatch)
     phase2_probe_cores(state, plan, tries_per_core=500)
     phase2_probe_cores(state, plan, tries_per_core=500)
-    assert built == {"vp1_xor_kernel": 1}
+    assert built == {}
 
 
 def test_fault_stats_bucketing():

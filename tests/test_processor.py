@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import itertools
 import json
 import pathlib
 import pickle
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from helpers import goodness_of_fit_p, numpy_stream, reference_flip_pattern, two_sample_p
-from slice_reference import EligibleStoreEvent, poc_reference, sample_crash, sample_fault
+from slice_reference import (
+    EligibleStoreEvent,
+    crash_breaks,
+    event_curve,
+    poc_reference,
+    reference_mean_crash_probability,
+    reference_mean_event_fault_probability,
+    sample_crash,
+    sample_fault,
+)
 from voltlab import processor
 from voltlab import rng as vrng
 from voltlab.errors import (
@@ -47,11 +57,12 @@ from voltlab.processor import (
     region_boundaries_mv,
 )
 from voltlab.victims import (
+    LOOP_EVENTS,
+    LOOP_SLICES,
     PAYLOADS,
     STRESSORS,
     PlatformState,
     StressorSpec,
-    loop_victim,
     run_probe_victim,
 )
 
@@ -216,7 +227,7 @@ def test_the_runners_read_exactly_the_required_scenarios(monkeypatch):
     profile = load_profile("i7-7700k")
     for victim in ("poc", *PAYLOADS):
         run_campaign(profile, victim, 1, "listing2", seed=7, runs=1, tries_per_run=10)
-    run_probe_victim(loop_victim("vp1_xor_kernel"), PlatformState(profile, "0x1b", 1, -240), 10)
+    run_probe_victim(LOOP_EVENTS, LOOP_SLICES, PlatformState(profile, "0x1b", 1, -240), 10)
     payloads = {scenario for scenario, _, _ in PAYLOADS.values()}
     assert read == set(SCENARIOS) == {"probe", "poc"} | payloads
 
@@ -672,6 +683,57 @@ def test_mean_crash_probability_matches_dense_grid(kaby):
             kaby.noise_mv,
         )
         assert closed == pytest.approx(dense, abs=2e-5), v
+
+
+def _bands(breaks, n: float, meets) -> list[tuple[float, int]]:
+    """(nominal voltage, pieces) of noise bands of half-width `n` that meet
+    the region `meets(lo, hi)` names, weighted toward bands holding several
+    breakpoints: for each run of distinct breakpoints that one band can
+    hold, points across the voltages whose band holds them all, more the
+    longer the run."""
+    bends = sorted(set(breaks))
+    out = []
+    for i, first in enumerate(bends):
+        for j in range(i, len(bends)):
+            if bends[j] - first >= 2.0 * n:
+                break
+            lo, hi = bends[j] - n, first + n
+            m = (3, 8, 24)[min(j - i, 2)]
+            for v in (lo + (hi - lo) * (k + 0.5) / m for k in range(m)):
+                if meets(v - n, v + n):
+                    out.append((v, 1 + sum(v - n < b < v + n for b in bends)))
+    return out
+
+
+def test_marginals_match_the_piecewise_oracle_bit_for_bit():
+    # Each marginal is the general piecewise integral of its pointwise
+    # model, summed in the same order, to the last bit: a reordered sum can
+    # round differently and so move a draw.  Summed in reverse, about one
+    # four-piece band in nine and one three-piece band in a thousand change
+    # their bits, and no band of fewer pieces, so the grid leans on bands
+    # of several pieces.
+    pieces = Counter()
+    for name in bundled_profile_names():
+        profile = load_profile(name)
+        n = profile.noise_mv
+        for pstate, core, temp in itertools.product(
+            profile.pstates, range(profile.physical_cores), (30.0, 45.5)
+        ):
+            _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
+            for v, _ in _bands(crash_breaks(profile, core, pstate, temp), n,
+                               lambda lo, hi: lo <= floor):
+                got = processor.mean_crash_probability(profile, core, pstate, v, temp)
+                want = reference_mean_crash_probability(profile, core, pstate, v, temp)
+                assert got.hex() == want.hex(), (name, pstate, core, temp, v)
+            for scenario, multiplier in itertools.product(SCENARIOS, (1.0, 2.0, 24.75, 1000.0)):
+                args = (profile, core, pstate, scenario, multiplier)
+                _, breaks = event_curve(*args, temp)
+                for v, k in _bands(breaks, n, lambda lo, hi: lo < top and hi > floor):
+                    got = processor.mean_event_fault_probability(*args, v, temp)
+                    want = reference_mean_event_fault_probability(*args, v, temp)
+                    assert got.hex() == want.hex(), (name, pstate, core, scenario, multiplier, v)
+                    pieces[k] += 1
+    assert pieces[4] > 1000 and pieces[3] > 1000, pieces
 
 
 def test_mean_crash_probability_zero_above_floor(kaby):

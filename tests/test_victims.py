@@ -593,22 +593,28 @@ def test_campaign_runs_match_the_slice_loop(kaby, victim, cell):
     _assert_same_distribution(ours, reference)
 
 
-# The phase-2 victim, with one eligible store, and THREE_STORES, each of
-# whose faulted stores is tallied with its own mask.  In the mid and edge
-# cells about half of THREE_STORES' faulty tries fault two or more stores.
-PROBE_CASES = [pytest.param("vp1_xor_kernel", cell, id=cell) for cell in ("top", "mid", "deep")]
+# The phase-2 loop, with the counts the probe passes for it, and
+# THREE_STORES with those of its prepared victim, each of whose faulted
+# stores is tallied with its own mask.  In the mid and edge cells about
+# half of THREE_STORES' faulty tries fault two or more stores.
+PROBE_CASES = [
+    pytest.param(bundled_program("vp1_xor_kernel"), LOOP_EVENTS, LOOP_SLICES, cell, id=cell)
+    for cell in ("top", "mid", "deep")
+]
+_THREE = loop_victim(THREE_STORES)
 PROBE_CASES += [
-    pytest.param(THREE_STORES, cell, id=f"three_stores-{cell}") for cell in ("mid", "edge")
+    pytest.param(THREE_STORES, _THREE.events, _THREE.slices_per_iteration, cell,
+                 id=f"three_stores-{cell}")
+    for cell in ("mid", "edge")
 ]
 
 
-@pytest.mark.parametrize("program, cell", PROBE_CASES)
-def test_probe_matches_the_slice_loop(kaby, program, cell):
-    victim = loop_victim(program)
-    ref = reference_run(victim.program)
+@pytest.mark.parametrize("program, events, slices, cell", PROBE_CASES)
+def test_probe_matches_the_slice_loop(kaby, program, events, slices, cell):
+    ref = reference_run(program)
     ours, theirs, masks = [], [], []
     for r in range(RUNS):
-        ours.append(run_probe_victim(victim, _in_cell(kaby, cell, seed=r), 100))
+        ours.append(run_probe_victim(events, slices, _in_cell(kaby, cell, seed=r), 100))
         faults, completed, run_masks = probe_run(
             _in_cell(kaby, cell), ref, 100, numpy_stream(r, "slice-probe", cell)
         )
