@@ -30,7 +30,8 @@ _EXPORTS = {
     ),
     "processor": (
         "ProcessorProfile", "VoltageRegion", "bundled_profile_names", "classify_voltage",
-        "load_profile", "region_boundaries_mv",
+        "event_fault_probability", "load_profile", "mean_crash_probability",
+        "mean_event_fault_probability", "region_boundaries_mv",
     ),
     "isa": (
         "MiniProgram", "bundled_program", "bundled_program_names", "interpret",
@@ -41,7 +42,7 @@ _EXPORTS = {
     "sha256sim": ("HmacContext", "hmac_sha256", "sha256"),
     "victims": (
         "CampaignResult", "FaultStats", "PlatformState", "RunOutcome", "RunStatus",
-        "loop_rates", "loop_victim", "pinned_rates", "run_hmac_victim", "run_poc_enclave",
+        "loop_rates", "pinned_rates", "run_hmac_victim", "run_poc_enclave",
         "run_poc_victim", "run_probe_victim", "run_test_loop", "stressor_profile",
     ),
     "orchestrator": (

@@ -35,9 +35,10 @@ from .msr import (
 )
 from .processor import (
     ProcessorProfile,
+    crash_band_mean,
+    crash_curve,
+    event_curve,
     load_profile,
-    mean_crash_probability,
-    region_boundaries_mv,
     normalize_pstate,
     victim_temp_target_c,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
@@ -241,14 +242,17 @@ def phase1_find_window(
     there is no usable window above the instability boundary.
 
     No program is prepared: the comparison loop's store count is
-    `LOOP_EVENTS`.  The core temperature is read once per call (no
-    stressor is pinned, so it depends on neither core nor offset), each
-    core's window top and instability line once per core, and each level's
-    chances once: a stage-one level's rates by `loop_rates`, handed to
-    `run_test_loop`, and a stage-two level's crash chance by
-    `mean_crash_probability`.  A level that can draw nothing (fault and
-    crash chances both zero in stage one, crash chance zero in stage two)
-    is stepped over, as `run_test_loop` would return Match there without
+    `LOOP_EVENTS`.  The core temperature and the pstate are read once per
+    call (no stressor is pinned, so the temperature depends on neither
+    core nor offset), and each core's curves once per core: its fault
+    curve under the "probe" calibration, whose top and floor are the window
+    top and the instability boundary, and its crash curve below that
+    floor.  Each level's chances are computed once, from those curves: a
+    stage-one level's rates by `loop_rates` (one band mean of each curve),
+    handed to `run_test_loop`, and a stage-two level's crash chance by one
+    `crash_band_mean`.  A level that can draw nothing (fault and crash
+    chances both zero in stage one, crash chance zero in stage two) is
+    stepped over, as `run_test_loop` would return Match there without
     touching its stream.
     Each stage first jumps to the highest level whose noise band reaches
     below its edge (the window top in stage one, the instability boundary
@@ -265,7 +269,8 @@ def phase1_find_window(
     if pstate is None:
         pstate = profile.default_attack_pstate
     pstate = normalize_pstate(pstate)
-    base = profile.pstate_point(pstate).base_voltage_mv
+    point = profile.pstate_point(pstate)
+    base, noise = point.base_voltage_mv, profile.noise_mv
 
     window_top_mv: list[float | None] = [None] * profile.physical_cores
     chosen_offset: list[int] = [0] * profile.physical_cores
@@ -273,13 +278,15 @@ def phase1_find_window(
 
     temp = victim_temp_target_c(profile, pstate, 0.0)  # any core's, with no stressor
     for core in range(profile.physical_cores):
-        _, top, floor = region_boundaries_mv(profile, core, pstate, temp)
+        event = event_curve(profile, core, pstate, "probe", 1.0, temp)
+        top, floor = event[0], event[1]
+        crash = crash_curve(profile, point.ratio, floor)
 
         # Stage 1: walk down until the comparison loop reports corruption.
-        offset = _landing_offset(0, top, base, profile.noise_mv)
+        offset = _landing_offset(0, top, base, noise)
         retries = 0
         while offset >= OFFSET_MIN_MV:
-            rates = loop_rates(profile, core, pstate, base + offset, temp, LOOP_EVENTS)
+            rates = loop_rates(event, crash, base + offset, noise, LOOP_EVENTS)
             if rates.quiet:
                 offset -= STEP_MV
                 continue
@@ -300,10 +307,10 @@ def phase1_find_window(
 
         # Stage 2: keep descending with store-free work until it crashes.
         offset = int(window_top_mv[core] - base) - STEP_MV
-        offset = _landing_offset(offset, floor, base, profile.noise_mv)
+        offset = _landing_offset(offset, floor, base, noise)
         found = None
         while offset >= OFFSET_MIN_MV:
-            g_slice = mean_crash_probability(profile, core, pstate, base + offset, temp)
+            g_slice = crash_band_mean(base + offset, noise, crash)
             if g_slice <= 0.0:
                 offset -= STEP_MV
                 continue

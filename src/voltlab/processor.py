@@ -453,14 +453,18 @@ def event_fault_probability(
     ceiling is scaled by the stressor multiplier, the pstate's exploit
     factor (for gated scenarios), and the depth ramp, then clamped.
     """
-    curve = _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
+    curve = event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
     return _event_chance(v_eff_mv, *curve)
 
 
-def _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
-    """What `_event_chance` reads at one (core, pstate, scenario,
-    multiplier, temperature): the window top and floor, the window width,
-    and the ceiling at full manifestation, unclamped."""
+def event_curve(
+    profile: ProcessorProfile, core: int, pstate: str | int, scenario: str,
+    stressor_multiplier: float, temp_c: float,
+) -> tuple[float, float, float, float]:
+    """The fault chance of one (core, pstate, scenario, multiplier,
+    temperature), read once for any number of voltages: the window top and
+    floor (the instability boundary), the window width, and the ceiling at
+    full manifestation, unclamped."""
     point = profile.pstate_point(pstate)
     top, floor = _window_mv(profile, point, core, temp_c)
     entry = profile.calibration_entry(scenario)
@@ -471,7 +475,7 @@ def _event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
 
 
 def _event_chance(v_eff_mv: float, top: float, floor: float, width: float, ceiling: float) -> float:
-    """`event_fault_probability` at `v_eff_mv`, on the curve `_event_curve`
+    """`event_fault_probability` at `v_eff_mv`, on the curve `event_curve`
     read: the one pointwise definition of the fault chance."""
     if width <= 0.0 or v_eff_mv > top or v_eff_mv <= floor:
         return 0.0
@@ -482,28 +486,30 @@ def mean_event_fault_probability(
     profile: ProcessorProfile, core: int, pstate: str | int, scenario: str,
     stressor_multiplier: float, v_nominal_mv: float, temp_c: float,
 ) -> float:
-    """Per-event fault probability averaged over the supply-noise band.
+    """Per-event fault probability averaged over the supply-noise band: one
+    `event_curve` read, then its `event_band_mean`.  This is the marginal
+    that lets a campaign draw one binomial per try instead of one uniform
+    per store without changing the distribution."""
+    curve = event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
+    return event_band_mean(v_nominal_mv, profile.noise_mv, curve)
 
-    The pointwise probability is piecewise linear in the effective voltage
+
+def event_band_mean(v_nominal_mv: float, noise_mv: float, curve: tuple) -> float:
+    """The fault chance of `curve` averaged over the uniform noise band
+    `v_nominal_mv` ± `noise_mv` (at `v_nominal_mv` itself when `noise_mv`
+    is not positive): the one definition of that integral.
+
+    The pointwise chance is piecewise linear in the effective voltage
     between its bends (the window floor, the ramp's end, the clamp's
     corner, the window top), so averaging over uniform noise is exact by
-    the midpoint rule on each piece of the band between them.  This is the
-    marginal that lets a campaign draw one binomial per try instead of one
-    uniform per store without changing the distribution.
-
-    The curve is read once per call.  A band that misses the window is 0
-    at once; any other band is integrated in one pass over its pieces in
-    ascending order, one `_event_chance` per piece.
+    the midpoint rule on each piece of the band between them.  A band that
+    misses the window is 0 at once; any other band is integrated in one
+    pass over its pieces in ascending order, one `_event_chance` per piece.
     """
-    n = profile.noise_mv
-    if n <= 0.0:
-        return event_fault_probability(
-            profile, core, pstate, scenario, stressor_multiplier, v_nominal_mv, temp_c
-        )
-    top, floor, width, ceiling = _event_curve(
-        profile, core, pstate, scenario, stressor_multiplier, temp_c
-    )
-    lo, hi = v_nominal_mv - n, v_nominal_mv + n
+    top, floor, width, ceiling = curve
+    if noise_mv <= 0.0:
+        return _event_chance(v_nominal_mv, top, floor, width, ceiling)
+    lo, hi = v_nominal_mv - noise_mv, v_nominal_mv + noise_mv
     if width <= 0.0 or lo >= top or hi <= floor:
         return 0.0  # every piece's midpoint lies outside the window
     half = top - width * RAMP_SATURATION_DEPTH  # the ramp's end
@@ -516,42 +522,62 @@ def mean_event_fault_probability(
             total += _event_chance(0.5 * (a + b), top, floor, width, ceiling) * (b - a)
             a = b
     total += _event_chance(0.5 * (a + hi), top, floor, width, ceiling) * (hi - a)
-    return total / (2.0 * n)
+    return total / (2.0 * noise_mv)
+
+
+def crash_curve(profile: ProcessorProfile, ratio: int, floor_mv: float) -> tuple:
+    """The crash chance below the instability boundary `floor_mv` at the
+    clock ratio `ratio`, read once for any number of voltages: the
+    boundary, the crash rate and depth slope, the clock's factor
+    (`_crash_freq_factor`), and the bends of the band integral in ascending
+    order (the depth from which the chance is clamped at 1, if it is, then
+    the boundary).  The boundary is the floor of the core's `event_curve`,
+    so a caller that holds that curve reads no window again."""
+    rate, slope = profile.crash
+    factor = _crash_freq_factor(ratio)
+    bends = (floor_mv,)
+    if slope > 0 and rate > 0:
+        cap_depth = (1.0 / (rate * factor) - 1.0) / slope
+        if cap_depth > 0:
+            bends = (floor_mv - cap_depth, floor_mv)
+    return floor_mv, rate, slope, factor, bends
 
 
 def mean_crash_probability(
     profile: ProcessorProfile, core: int, pstate: str | int, v_nominal_mv: float, temp_c: float
 ) -> float:
-    """Per-slice crash probability averaged over the supply-noise band.
-
-    The pointwise chance (`crash_probability_per_slice`) is 0 above the
-    instability boundary, linear in depth below it, and clamped at 1 from
-    the cap's depth on, so the band is averaged like the fault chance's:
-    0 at once when the band lies above the boundary, otherwise one pass
-    over its pieces in ascending order, one pointwise call per piece.
-    """
+    """Per-slice crash probability averaged over the supply-noise band: the
+    core's instability boundary, its `crash_curve`, then its
+    `crash_band_mean`."""
     point = profile.pstate_point(pstate)
     _, floor = _window_mv(profile, point, core, temp_c)
-    ratio = point.ratio
-    n = profile.noise_mv
-    if n <= 0.0:
-        return crash_probability_per_slice(profile, ratio, floor - v_nominal_mv)
-    lo, hi = v_nominal_mv - n, v_nominal_mv + n
+    return crash_band_mean(v_nominal_mv, profile.noise_mv, crash_curve(profile, point.ratio, floor))
+
+
+def crash_band_mean(v_nominal_mv: float, noise_mv: float, curve: tuple) -> float:
+    """The crash chance of `curve` averaged over the uniform noise band
+    `v_nominal_mv` ± `noise_mv` (at `v_nominal_mv` itself when `noise_mv`
+    is not positive): the one definition of that integral.
+
+    The pointwise chance (`_crash_chance`) is 0 above the instability
+    boundary, linear in depth below it, and clamped at 1 from the cap's
+    depth on, so the band is averaged like the fault chance's: 0 at once
+    when the band lies above the boundary, otherwise one pass over its
+    pieces in ascending order, one pointwise call per piece.
+    """
+    floor, rate, slope, factor, bends = curve
+    if noise_mv <= 0.0:
+        return _crash_chance(floor - v_nominal_mv, rate, slope, factor)
+    lo, hi = v_nominal_mv - noise_mv, v_nominal_mv + noise_mv
     if lo > floor:
         return 0.0  # every piece's midpoint lies above the floor, where the chance is 0
-    bends = (floor,)  # ascending
-    rate, slope = profile.crash
-    if slope > 0 and rate > 0:
-        cap_depth = (1.0 / (rate * _crash_freq_factor(ratio)) - 1.0) / slope
-        if cap_depth > 0:
-            bends = (floor - cap_depth, floor)
     total, a = 0.0, lo
     for b in bends:
         if a < b < hi:
-            total += crash_probability_per_slice(profile, ratio, floor - 0.5 * (a + b)) * (b - a)
+            total += _crash_chance(floor - 0.5 * (a + b), rate, slope, factor) * (b - a)
             a = b
-    total += crash_probability_per_slice(profile, ratio, floor - 0.5 * (a + hi)) * (hi - a)
-    return total / (2.0 * n)
+    total += _crash_chance(floor - 0.5 * (a + hi), rate, slope, factor) * (hi - a)
+    return total / (2.0 * noise_mv)
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +686,15 @@ def draw_crash_kind(ratio: int, rng: Stream) -> CrashKind:
     return _CRASH_KINDS[bisect_right(_crash_kind_cdf(ratio), rng.random())]
 
 
-def crash_probability_per_slice(
-    profile: ProcessorProfile, ratio: int, depth_below_window_mv: float
-) -> float:
-    """Per-slice crash chance at a given depth below the instability line."""
-    if depth_below_window_mv < 0.0:
+def _crash_chance(depth_mv: float, rate: float, slope: float, factor: float) -> float:
+    """The per-slice crash chance `depth_mv` below the instability
+    boundary, on the crash rate, depth slope and clock factor a
+    `crash_curve` read: the one pointwise definition of the crash chance."""
+    if depth_mv < 0.0:
         return 0.0
-    p = profile.crash.rate_per_slice
-    p *= 1.0 + profile.crash.depth_slope_per_mv * depth_below_window_mv
-    p *= _crash_freq_factor(ratio)
+    p = rate
+    p *= 1.0 + slope * depth_mv
+    p *= factor
     return min(p, 1.0)
 
 

@@ -6,12 +6,12 @@ hashed into a 16-byte key, and block `c` of the stream is
 `shake_128(key || c)` (FIPS 202, `c` as 8 little-endian bytes), read as
 little-endian 64-bit words whose top 53 bits make one double in [0, 1).
 Block `c` holds `min(8 << c, 1024)` words, so a stream that draws a few
-variates hashes once.  A word becomes its double only when it is drawn, so
-a stream pays for the doubles it hands out, not for its whole block.  Any
-stream is rebuilt from its key path alone (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011):
-runs can execute in any order and draw what they would draw serially, and
-opening a stream costs one hash, so every run and search level opens its own.
+variates hashes once, when it is opened.  A word becomes its double only
+when it is drawn, so a stream pays for the doubles it hands out, not for
+its whole block.  Any stream is rebuilt from its key path alone (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): runs can
+execute in any order and draw what they would draw serially, and opening a
+stream costs one hash, so every run and search level opens its own.
 
 A `Stream` offers the part of numpy's `Generator` interface the simulator
 calls (`random`, `uniform`, `geometric`, `binomial`), so a numpy Generator
@@ -25,25 +25,33 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 
 _SCALE = 2.0**-53  # one unit in the last place of a 53-bit double in [0, 1)
 _FIRST_BLOCK, _DOUBLINGS = 8, 7  # block c holds 8 << min(c, 7) words
 # The unpacker of block c, by min(c, _DOUBLINGS): little-endian 64-bit words.
 _BLOCKS = tuple(struct.Struct(f"<{_FIRST_BLOCK << c}Q") for c in range(_DOUBLINGS + 1))
+_KEY_PARTS = (int, str)  # the types a path element may have
 _NEVER = 1 << 1024  # past every finite inversion, so past every budget
 
 
 def derive_key(seed: int, *path) -> bytes:
     """Hash (seed, *path) into a 16-byte stream key.
 
-    Path elements must be ints or strings; floats are refused because their
-    repr is a portability hazard in a key.
+    The seed must be an integer (an `int` or anything with `__index__`,
+    such as a numpy integer) and path elements ints or strings; a float is
+    refused in either place, since a fraction would otherwise be dropped
+    and a float's repr is a portability hazard in a key.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"stream seed {seed!r} must be an integer") from None
     for part in path:
-        if not isinstance(part, (int, str)):
+        if not isinstance(part, _KEY_PARTS):
             raise TypeError(f"stream path element {part!r} must be int or str")
-    text = repr((int(seed), *path))
+    text = repr((seed, *path))
     return hashlib.sha256(text.encode("utf-8")).digest()[:16]
 
 
@@ -80,16 +88,15 @@ def _log_pmf_ratio(n: int, k: int, m: int, r: float) -> float:
 
 class Stream:
     """The doubles of one key, drawn in order; see the module docstring.
-    The current block is kept as its words, and each word drawn becomes
-    one double, `(word >> 11) * 2**-53`."""
+    The current block is kept as its words, block 0 from the start, and
+    each word drawn becomes one double, `(word >> 11) * 2**-53`."""
 
     __slots__ = ("_key", "_block", "_words", "_pos")
 
     def __init__(self, key: bytes):
         self._key = key
         self._block = 0
-        self._words: tuple[int, ...] = ()
-        self._pos = 0
+        self._refill()
 
     def _refill(self) -> None:
         unpack = _BLOCKS[min(self._block, _DOUBLINGS)]

@@ -13,12 +13,14 @@ exposure, crash cut-off and draws, and so does the pinned victim the
 campaign runners read (`PlatformState`).  No runner takes a prepared
 victim: the test loop and the probe read their store and slice counts
 from `LOOP_EVENTS` and `LOOP_SLICES`, a campaign from `POC_EVENTS` or
-`PAYLOADS`.  `isa` and `scanner` load only when `loop_victim` prepares
-a victim.  No runner iterates slice by slice:
-the per-event and per-slice probabilities averaged over supply noise are
-piecewise exact (see processor.mean_event_fault_probability), so
-first-occurrence times come from geometric draws and a run's count of
-faulted tries from one binomial.  Observable outcomes follow the
+`PAYLOADS`, so this module loads neither `isa` nor `scanner`.  No runner
+iterates slice by slice: the per-event and per-slice probabilities
+averaged over supply noise are piecewise exact (see
+processor.event_band_mean), so first-occurrence times come from geometric
+draws and a run's count of faulted tries from one binomial.  A level's
+rates are two band means over fault and crash curves read once
+(`loop_rates`): once per campaign or probe core by `pinned_rates`, once
+per core for a whole phase-1 search.  Observable outcomes follow the
 distribution of the slice-level loop in tests/slice_reference.py, which
 `test_campaign_runs_match_the_slice_loop`, `test_probe_matches_the_slice_loop`
 and `test_test_loop_matches_the_slice_loop` check; the draw order differs."""
@@ -28,21 +30,22 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import cache
 from typing import NamedTuple
 
 from . import rng as rngmod
-from .errors import AbortedByCrash, InterpreterError, InvariantError, UnknownStressor
+from .errors import AbortedByCrash, InvariantError, UnknownStressor
 from .msr import Record
 from .processor import (
     BitFlipPattern,
     CrashKind,
     ProcessorProfile,
+    crash_band_mean,
+    crash_curve,
     draw_crash_kind,
     draw_flip_masks,
     draw_flip_pattern,  # noqa: F401 -- bound here so `bench/spans.py` can patch it
-    mean_crash_probability,
-    mean_event_fault_probability,
+    event_band_mean,
+    event_curve,
     normalize_pstate,
     victim_temp_target_c,
 )
@@ -166,57 +169,6 @@ class RunOutcome(Record):
         return cls(RunStatus.CRASH, iterations, kind)
 
 
-# ---------------------------------------------------------------------------
-# Prepared victims
-
-
-class LoopVictim(NamedTuple):
-    """A victim program and its fault-free run, prepared by `loop_victim`.
-    Every field but the program is immutable, and nothing writes the
-    program, whose one mutable part is its `labels` dict; so a bundled
-    victim, like the bundled program it holds, is prepared once per process
-    and shared by every caller."""
-
-    program: MiniProgram
-    memory: bytes  # the reference output
-    store_insns: frozenset[int]  # eligible stores the reference executes
-    events: int  # eligible store executions in the reference
-    slices_per_iteration: int
-
-
-def loop_victim(program) -> LoopVictim:
-    """Scan `program` (a MiniProgram or a bundled name) and run it once
-    fault-free on zeroed memory; raises InterpreterError if it does not
-    halt.
-
-    A bundled name is prepared once per process, and later calls return
-    the same victim; a MiniProgram is prepared on every call."""
-    from .isa import DEFAULT_MAX_SLICES, MiniProgram, interpret
-    from .scanner import scan
-
-    if not isinstance(program, MiniProgram):
-        return _bundled_victim(program)
-    eligible = {hit.store_index for hit in scan(program)}
-    stores = []  # the hook sees every vector store, and eligible stores are vector stores
-    reference = interpret(program, store_hook=stores.append)
-    if not reference.halted:
-        raise InterpreterError(
-            f"{program.source_name}: does not halt within {DEFAULT_MAX_SLICES} slices; "
-            "a comparison loop needs a finishing victim"
-        )
-    executed = [store.insn_index for store in stores if store.insn_index in eligible]
-    return LoopVictim(
-        program, bytes(reference.memory), frozenset(executed), len(executed), reference.slices
-    )
-
-
-@cache
-def _bundled_victim(name: str) -> LoopVictim:
-    from .isa import bundled_program
-
-    return loop_victim(bundled_program(name))
-
-
 def _any_of(p: float, n: float) -> float:
     # 1 - (1-p)^n, stable for tiny p and saturating at certainty.
     if p <= 0.0:
@@ -285,31 +237,28 @@ class LoopRates(NamedTuple):
         return self.q_iter <= 0.0 and self.g_slice <= 0.0
 
 
-def loop_rates(
-    profile: ProcessorProfile, core: int, pstate: str, v_nom: float, temp: float, events: int,
-    stressor_multiplier: float = 1.0, scenario: str = "probe",
-) -> LoopRates:
-    """The rates of a loop with `events` eligible stores per iteration, at
-    nominal voltage `v_nom` and core temperature `temp`, under the
-    calibration of `scenario`: one call of each marginal (none of the fault
-    marginal when `events` is 0), each reading the window and calibration
-    once per call, so nothing is kept from one level to the next."""
-    p_event = 0.0
-    if events:
-        p_event = mean_event_fault_probability(
-            profile, core, pstate, scenario, stressor_multiplier, v_nom, temp
-        )
-    g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
-    return LoopRates(p_event, _any_of(p_event, events), g_slice)
+def loop_rates(event: tuple, crash: tuple, v_nom: float, noise_mv: float, events: int) -> LoopRates:
+    """The rates of a loop with `events` eligible stores per iteration at
+    nominal voltage `v_nom`, on one core's fault and crash curves
+    (`processor.event_curve`, `processor.crash_curve`) under supply noise
+    `noise_mv`: one band mean of each curve (none of the fault curve when
+    `events` is 0).  The curves are read by the caller, once for as many
+    levels as it rates; each band mean is computed afresh on every call."""
+    p_event = event_band_mean(v_nom, noise_mv, event) if events else 0.0
+    return LoopRates(p_event, _any_of(p_event, events), crash_band_mean(v_nom, noise_mv, crash))
 
 
 def pinned_rates(env: PlatformState, events: int, scenario: str) -> LoopRates:
-    """`loop_rates` on the pinned core of `env`: at its nominal voltage, its
-    temperature and its stressor's multiplier."""
-    return loop_rates(
-        env.profile, env.core, env.pstate, env.nominal_voltage_mv(), env.temp_c,
-        events, env.stressor.fault_multiplier, scenario,
+    """`loop_rates` on the pinned core of `env`, under the calibration of
+    `scenario`: its fault curve read at its temperature and its stressor's
+    multiplier, its crash curve below that curve's floor, rated at its
+    nominal voltage."""
+    profile = env.profile
+    event = event_curve(
+        profile, env.core, env.pstate, scenario, env.stressor.fault_multiplier, env.temp_c
     )
+    crash = crash_curve(profile, profile.pstate_point(env.pstate).ratio, event[1])
+    return loop_rates(event, crash, env.nominal_voltage_mv(), profile.noise_mv, events)
 
 
 def run_test_loop(

@@ -14,16 +14,14 @@ from voltlab.isa import parse_program
 from voltlab.orchestrator import STEP_MV, VoltagePlan
 from voltlab.processor import BitFlipPattern, normalize_pstate
 from voltlab.victims import (
-    LoopVictim,
     PlatformState,
     RunStatus,
-    loop_victim,
     pinned_rates,
     run_poc_enclave,
     run_test_loop,
 )
 
-from slice_reference import poc_reference
+from slice_reference import LoopVictim, loop_victim, poc_reference
 
 VREGS = [f"%xmm{i}" for i in range(16)]
 

@@ -2,13 +2,15 @@
 test oracles.
 
 Production draws first-occurrence times and per-run counts from the
-noise-averaged marginals (`processor.mean_event_fault_probability`,
-`mean_crash_probability`).  The samplers here are the model those
+noise-averaged marginals (`processor.event_band_mean` and
+`crash_band_mean`, which `mean_event_fault_probability` and
+`mean_crash_probability` wrap).  The samplers here are the model those
 marginals integrate, one store or one slice at a time: a fresh supply
 noise draw, then a Bernoulli at the pointwise probability
-(`event_fault_probability`, `crash_probability_per_slice`, the only
-definitions of either chance).  They take an `rng.Stream` or a numpy
-`Generator`.  The slice-level loop walks whole runs of the real victims
+(`processor.event_fault_probability`, a call of the one pointwise
+definition of the fault chance, and `crash_probability_per_slice` here,
+the crash chance written out apart from `processor`'s).  They take an
+`rng.Stream` or a numpy `Generator`.  The slice-level loop walks whole runs of the real victims
 that way, drawing numpy blocks from a `Generator`, and tests hold every
 closed-form runner in `victims` to it.
 `reference_mean_event_fault_probability` and
@@ -16,6 +18,9 @@ closed-form runner in `victims` to it.
 general piecewise integral (`integrate_piecewise`), the formulation the
 marginals are held to bit for bit.
 `scan_brute` is the quadratic definition `scanner.scan` is held to.
+`reference_run` and `loop_victim` run a victim program once fault-free
+and count the eligible stores it executes; the runners read those counts
+as constants, which tests hold to these runs.
 """
 
 import functools
@@ -26,13 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from voltlab.isa import MiniProgram, bundled_program, interpret
+from voltlab.errors import InterpreterError
+from voltlab.isa import DEFAULT_MAX_SLICES, MiniProgram, bundled_program, interpret
 from voltlab.processor import (
     RAMP_SATURATION_DEPTH,
     BitFlipPattern,
     CrashKind,
     _crash_freq_factor,
-    crash_probability_per_slice,
     draw_crash_kind,
     draw_flip_masks,
     draw_flip_pattern,
@@ -46,6 +51,7 @@ from voltlab.scanner import (
     VP2_OPS,
     PatternHit,
     PatternKind,
+    scan,
     stored_vreg,
     written_vreg,
 )
@@ -76,6 +82,19 @@ def fault_chance(state: PlatformState, scenario: str):
     return lambda v_eff_mv: event_fault_probability(
         profile, core, pstate, scenario, multiplier, v_eff_mv, temp
     )
+
+
+def crash_probability_per_slice(profile, ratio: int, depth_below_window_mv: float) -> float:
+    """Per-slice crash chance at a given depth below the instability line:
+    the crash rate, raised linearly with depth and scaled by the clock,
+    clamped at 1.  The float operations are `processor._crash_chance`'s, in
+    its order, so the marginals are held to this bit for bit."""
+    if depth_below_window_mv < 0.0:
+        return 0.0
+    p = profile.crash.rate_per_slice
+    p *= 1.0 + profile.crash.depth_slope_per_mv * depth_below_window_mv
+    p *= _crash_freq_factor(ratio)
+    return min(p, 1.0)
 
 
 def crash_chance(state: PlatformState):
@@ -144,7 +163,7 @@ def integrate_piecewise(fn, lo: float, hi: float, breakpoints) -> float:
     return total
 
 
-def event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c):
+def event_breaks(profile, core, pstate, scenario, stressor_multiplier, temp_c):
     """The fault chance at one (core, pstate, scenario, multiplier,
     temperature) as a function of the effective voltage alone, and the
     voltages where it bends (the window edges, the ramp's end, the clamp)."""
@@ -174,7 +193,7 @@ def reference_mean_event_fault_probability(
 ) -> float:
     """`processor.mean_event_fault_probability` by `integrate_piecewise`."""
     n = profile.noise_mv
-    p_at, breaks = event_curve(profile, core, pstate, scenario, stressor_multiplier, temp_c)
+    p_at, breaks = event_breaks(profile, core, pstate, scenario, stressor_multiplier, temp_c)
     if n <= 0.0:
         return p_at(v_nominal_mv)
     return integrate_piecewise(p_at, v_nominal_mv - n, v_nominal_mv + n, breaks) / (2.0 * n)
@@ -311,6 +330,49 @@ def poc_reference() -> Reference:
     """The fault-free run of `poc_and_branch` on its seeded inputs, made
     once per process; `victims.POC_EVENTS` is held to its `events`."""
     return reference_run(bundled_program("poc_and_branch"), POC_MEMORY, POC_SCALARS)
+
+
+class LoopVictim(NamedTuple):
+    """A victim program and its fault-free run, prepared by `loop_victim`.
+    Every field but the program is immutable, and nothing writes the
+    program, whose one mutable part is its `labels` dict; so a bundled
+    victim, like the bundled program it holds, is prepared once per process
+    and shared by every caller."""
+
+    program: MiniProgram
+    memory: bytes  # the reference output
+    store_insns: frozenset[int]  # eligible stores the reference executes
+    events: int  # eligible store executions in the reference
+    slices_per_iteration: int
+
+
+def loop_victim(program) -> LoopVictim:
+    """Scan `program` (a MiniProgram or a bundled name) with `scanner.scan`
+    and run it once fault-free on zeroed memory; raises InterpreterError
+    if it does not halt.  No runner takes one: tests read the store and
+    slice counts of victims the runners write out as constants.
+
+    A bundled name is prepared once per process, and later calls return
+    the same victim; a MiniProgram is prepared on every call."""
+    if not isinstance(program, MiniProgram):
+        return _bundled_victim(program)
+    eligible = {hit.store_index for hit in scan(program)}
+    stores = []  # the hook sees every vector store, and eligible stores are vector stores
+    reference = interpret(program, store_hook=stores.append)
+    if not reference.halted:
+        raise InterpreterError(
+            f"{program.source_name}: does not halt within {DEFAULT_MAX_SLICES} slices; "
+            "a comparison loop needs a finishing victim"
+        )
+    executed = [store.insn_index for store in stores if store.insn_index in eligible]
+    return LoopVictim(
+        program, bytes(reference.memory), frozenset(executed), len(executed), reference.slices
+    )
+
+
+@functools.cache
+def _bundled_victim(name: str) -> LoopVictim:
+    return loop_victim(bundled_program(name))
 
 
 def faulted_run(ref: Reference, flips: dict):

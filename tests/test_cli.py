@@ -751,13 +751,12 @@ def test_hmac_campaign_and_probe_start_without_dataclasses(argv):
 
 
 def test_import_prepares_nothing():
-    # Profiles, victims and command parsers are read, prepared and built
+    # Profiles, programs and command parsers are read, parsed and built
     # on first use, never at import, so a fresh interpreter pays for only
     # what its command runs.
     caches = [
         "voltlab.processor._bundled_profile", "voltlab.processor._crash_kind_cdf",
-        "voltlab.isa.bundled_program", "voltlab.victims._bundled_victim",
-        "voltlab.cli._build_parser",
+        "voltlab.isa.bundled_program", "voltlab.cli._build_parser",
     ]
     script = "\n".join([
         "import voltlab.cli, voltlab.isa, voltlab.orchestrator",

@@ -4,12 +4,14 @@ Each `CASES` file under tests/golden/ is the exact stdout of one CLI
 invocation.  The bundled profiles' planned offsets never crash, so
 crash_aborts.json pins the crash paths through the library instead, and
 phase1_sweep.json pins the phase-1 plan of every bundled profile and
-pstate at two seeds, which the CLI shows for one cell only.  A
+pstate at two seeds, which the CLI shows for one cell only, and
+`PHASE1_PLANS_SHA256` pins the same plans at 58 seeds by one digest.  A
 change that alters any random-number stream, draw order or float
 evaluation order shows up here as a diff; such a change must regenerate
 the files and say so.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -82,6 +84,26 @@ def test_crash_aborts_match_golden_file():
     out = json.dumps(cells, indent=2, sort_keys=True) + "\n"
     assert out == (GOLDEN / "crash_aborts.json").read_text(encoding="utf-8")
 
+
+
+# SHA-256 over every phase-1 plan of every bundled profile and pstate at
+# seeds 0-57, each plan the repr of (seed, profile, pstate, window tops,
+# offsets, crashes) with its floats unrounded.
+PHASE1_PLANS_SHA256 = "4eda425e2e36894f28590a57b09f4ff6b92cf7fcd0c09367bac2d036fce1db50"
+
+
+def test_phase1_plans_over_many_seeds_match_their_digest():
+    digest = hashlib.sha256()
+    for seed in range(58):
+        for name in bundled_profile_names():
+            profile = load_profile(name)
+            for pstate in profile.pstates:
+                plan = phase1_find_window(profile, pstate=pstate, seed=seed)
+                digest.update(repr((
+                    seed, name, plan.pstate, plan.window_top_v, plan.chosen_offset_mv,
+                    plan.crashes_during_search,
+                )).encode())
+    assert digest.hexdigest() == PHASE1_PLANS_SHA256
 
 
 def test_phase1_sweep_matches_golden_file():

@@ -38,7 +38,7 @@ from voltlab.processor import (
 from voltlab.scanner import scan
 from voltlab.victims import STRESSORS
 
-from helpers import fresh_cache, reference_phase1, run_campaigns_out_of_order, stability_victim
+from helpers import reference_phase1, run_campaigns_out_of_order, stability_victim
 
 KABY = load_profile("i7-7700k")
 COFFEE = load_profile("i7-8700k")
@@ -244,26 +244,57 @@ def test_phase1_plans_the_deepest_encodable_level_when_nothing_crashes():
         assert plan.crashes_during_search == 0
 
 
+def _watch_curve_reads(monkeypatch) -> list:
+    """Record each fault or crash curve read, as (function name, core), in
+    order, at every name that binds the reading function, so a read through
+    any module counts.  A crash curve is read below a fault curve's floor;
+    it names the core of the last fault curve read if it is read below that
+    curve's floor, and None otherwise.  Phase 1 reads both curves of a core
+    before its first level, so the last read names the core a level
+    belongs to."""
+    reads, last = [], {}
+    real_event, real_crash = processor.event_curve, processor.crash_curve
+
+    def reading_event(profile, core, *rest):
+        reads.append(("event_curve", core))
+        curve = real_event(profile, core, *rest)
+        last.update(core=core, floor=curve[1])
+        return curve
+
+    def reading_crash(profile, ratio, floor_mv):
+        reads.append(("crash_curve", last.get("core") if floor_mv == last.get("floor") else None))
+        return real_crash(profile, ratio, floor_mv)
+
+    for name, real, reading in (
+        ("event_curve", real_event, reading_event), ("crash_curve", real_crash, reading_crash),
+    ):
+        for module in (processor, victims, orchestrator):
+            if getattr(module, name) is real:
+                monkeypatch.setattr(module, name, reading)
+    return reads
+
+
 def test_phase1_checks_at_most_one_level_per_stage_that_cannot_draw(monkeypatch):
     quiet = Counter()
-    loop_rates = orchestrator.loop_rates
-    mean_crash_probability = orchestrator.mean_crash_probability
+    reads = _watch_curve_reads(monkeypatch)
+    loop_rates, crash_band_mean = orchestrator.loop_rates, orchestrator.crash_band_mean
 
-    def stage_one(profile, core, pstate, v_nom, temp, events, *rest):
-        rates = loop_rates(profile, core, pstate, v_nom, temp, events, *rest)
-        quiet[pstate, core, 1] += rates.quiet
+    def stage_one(*args):
+        rates = loop_rates(*args)
+        quiet[pstate, reads[-1][1], 1] += rates.quiet
         return rates
 
-    def stage_two(profile, core, pstate, v_nom, temp):
-        g_slice = mean_crash_probability(profile, core, pstate, v_nom, temp)
-        quiet[pstate, core, 2] += g_slice <= 0.0
+    def stage_two(*args):
+        g_slice = crash_band_mean(*args)
+        quiet[pstate, reads[-1][1], 2] += g_slice <= 0.0
         return g_slice
 
     monkeypatch.setattr(orchestrator, "loop_rates", stage_one)
-    monkeypatch.setattr(orchestrator, "mean_crash_probability", stage_two)
+    monkeypatch.setattr(orchestrator, "crash_band_mean", stage_two)
     for pstate in KABY.pstates:
         phase1_find_window(_kaby_shifted("start+100", 100), pstate=pstate, seed=3)
     assert {stage for _, _, stage in quiet} == {1, 2}, quiet
+    assert {core for _, core, _ in quiet} == set(range(KABY.physical_cores)), quiet
     assert max(quiet.values()) <= 1, quiet
 
 
@@ -278,7 +309,7 @@ def test_phase1_opens_one_stream_per_running_level(monkeypatch, profile, quiet):
     # stage-two level runs when its crash chance is positive.
     counts = Counter()
     stream, run_test_loop = rngmod.stream, orchestrator.run_test_loop
-    mean_crash_probability = orchestrator.mean_crash_probability
+    crash_band_mean = orchestrator.crash_band_mean
 
     def opening(*args):
         counts["streams"] += 1
@@ -289,14 +320,14 @@ def test_phase1_opens_one_stream_per_running_level(monkeypatch, profile, quiet):
         return run_test_loop(*args)
 
     def stage_two(*args):
-        g_slice = mean_crash_probability(*args)
+        g_slice = crash_band_mean(*args)
         counts["levels"] += g_slice > 0.0
         counts["stage two"] += g_slice > 0.0
         return g_slice
 
     monkeypatch.setattr(rngmod, "stream", opening)
     monkeypatch.setattr(orchestrator, "run_test_loop", running)
-    monkeypatch.setattr(orchestrator, "mean_crash_probability", stage_two)
+    monkeypatch.setattr(orchestrator, "crash_band_mean", stage_two)
     for pstate in profile.pstates:
         counts.clear()
         _plan_or_error(phase1_find_window, profile, pstate=pstate, seed=7)
@@ -343,10 +374,9 @@ def test_phase1_stage_two_crashes_within_its_last_slice_like_the_scratch_loop(
 
 
 def _count_victim_builds(monkeypatch) -> Counter:
-    """Count victim preparations per program, by the one `scan` each makes,
-    starting from an empty victim cache, so a victim prepared by an earlier
-    test still counts once."""
-    fresh_cache(monkeypatch, victims, "_bundled_victim")
+    """Count victim preparations per program, by the one `scanner.scan`
+    each makes.  Only tests prepare victims (`slice_reference.loop_victim`),
+    so no cache in the package can hide a preparation from the count."""
     built = Counter()
     scan = scanner.scan
 
@@ -376,16 +406,17 @@ def test_phase1_computes_the_temperature_once_per_search(monkeypatch):
 
 
 def test_phase1_keeps_no_marginal_between_calls(monkeypatch):
-    # Each marginal is computed afresh from the profile: a second identical
-    # search calls each marginal and evaluates the pointwise models they
-    # integrate (the fault chance and its ramp, the crash chance) as often
-    # as the first.
+    # Each band mean is computed afresh from its curves: a second identical
+    # search reads the curves, takes each band mean and evaluates the
+    # pointwise models they integrate (the fault chance and its ramp, the
+    # crash chance) as often as the first.
     counts = Counter()
+    reads = _watch_curve_reads(monkeypatch)
     for module, name in (
-        (victims, "mean_event_fault_probability"), (victims, "mean_crash_probability"),
-        (orchestrator, "mean_crash_probability"),
+        (victims, "event_band_mean"), (victims, "crash_band_mean"),
+        (orchestrator, "crash_band_mean"),
         (processor, "_event_chance"), (processor, "manifestation"),
-        (processor, "crash_probability_per_slice"),
+        (processor, "_crash_chance"),
     ):
         def counting(*args, real=getattr(module, name), name=name):
             counts[name] += 1
@@ -396,54 +427,67 @@ def test_phase1_keeps_no_marginal_between_calls(monkeypatch):
         plans, seen = [], []
         for _ in range(2):
             counts.clear()
+            reads.clear()
             plans.append(phase1_find_window(KABY, pstate=pstate, seed=7))
-            seen.append(dict(counts))
+            seen.append((dict(counts), list(reads)))
         assert plans[0] == plans[1]
-        assert seen[0] == seen[1] and len(seen[0]) == 5, (pstate, seen)
+        assert seen[0] == seen[1] and len(seen[0][0]) == 5, (pstate, seen)
 
 
 def test_phase1_prepares_each_program_once_and_rates_each_level_once(monkeypatch):
+    # Each core's two curves are read once per search, before its first
+    # level; each level is then rated once from them: a stage-one level by
+    # one band mean of each curve, a stage-two level by one crash band mean.
     built = _count_victim_builds(monkeypatch)
+    reads = _watch_curve_reads(monkeypatch)
     levels, returned, handed = [], [], []
-    crash_marginals = Counter()
+    band_means = Counter()
     loop_rates, run_test_loop = orchestrator.loop_rates, orchestrator.run_test_loop
-    mean_crash_probability = victims.mean_crash_probability
+    crash_band_mean = orchestrator.crash_band_mean
 
-    def rating(profile, core, pstate, v_nom, temp, events, *rest):
-        levels.append((1, core, v_nom))
-        returned.append(loop_rates(profile, core, pstate, v_nom, temp, events, *rest))
+    def rating(event, crash, v_nom, *rest):
+        levels.append((1, reads[-1][1], v_nom))
+        returned.append(loop_rates(event, crash, v_nom, *rest))
         return returned[-1]
 
     def running(rates, *rest):
         handed.append(rates)
         return run_test_loop(rates, *rest)
 
-    def stage_two_rating(profile, core, pstate, v_nom, temp):
-        levels.append((2, core, v_nom))
-        return mean_crash_probability(profile, core, pstate, v_nom, temp)
+    def stage_two_rating(v_nom, *rest):
+        levels.append((2, reads[-1][1], v_nom))
+        return crash_band_mean(v_nom, *rest)
 
-    def crash_marginal(*args):
-        crash_marginals["calls"] += 1
-        return mean_crash_probability(*args)
+    for name in ("event_band_mean", "crash_band_mean"):
+        def counting(*args, real=getattr(victims, name), name=name):
+            band_means[name] += 1
+            return real(*args)
 
+        monkeypatch.setattr(victims, name, counting)
     monkeypatch.setattr(orchestrator, "loop_rates", rating)
     monkeypatch.setattr(orchestrator, "run_test_loop", running)
-    monkeypatch.setattr(orchestrator, "mean_crash_probability", stage_two_rating)
-    monkeypatch.setattr(victims, "mean_crash_probability", crash_marginal)
+    monkeypatch.setattr(orchestrator, "crash_band_mean", stage_two_rating)
     for pstate in KABY.pstates:
         levels.clear()
-        crash_marginals.clear()
+        reads.clear()
+        band_means.clear()
         plan = phase1_find_window(KABY, pstate=pstate, seed=7)
         # Neither stage prepares a program: stage one reads its store count
         # from `LOOP_EVENTS`, stage two its slices from `STABILITY_SLICES`.
         assert built == {}, pstate
+        # Both curves of each core, once per search.
+        assert Counter(reads) == {
+            (name, core): 1 for core in range(KABY.physical_cores)
+            for name in ("event_curve", "crash_curve")
+        }, pstate
         # A stage-one crash retries its level; nothing else rates a level twice.
         stage2_crashes = sum(off != orchestrator._DEEPEST_MV for off in plan.chosen_offset_mv)
         retries = plan.crashes_during_search - stage2_crashes
         assert len(levels) - len(set(levels)) == retries, pstate
         assert {stage for stage, _, _ in levels} == {1, 2}, pstate
-        # `loop_rates` reads the crash marginal once per stage-one level.
-        assert crash_marginals["calls"] == sum(stage == 1 for stage, _, _ in levels), pstate
+        # `loop_rates` takes one band mean of each curve per stage-one level.
+        stage_one = sum(stage == 1 for stage, _, _ in levels)
+        assert band_means == {"event_band_mean": stage_one, "crash_band_mean": stage_one}, pstate
     # Every level that runs is handed the rates its quiet check computed.
     assert handed and all(any(h is r for r in returned) for h in handed)
 
@@ -592,13 +636,13 @@ def test_phase3_poc_prepares_no_program_and_executes_no_run(monkeypatch):
 
 def test_poc_campaign_reads_its_rates_once_like_hmac(monkeypatch):
     calls = []
-    real = victims.mean_event_fault_probability
+    real = victims.event_band_mean
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(victims, "mean_event_fault_probability", counting)
+    monkeypatch.setattr(victims, "event_band_mean", counting)
     counts = {}
     for victim in ("poc", "hmac32"):
         calls.clear()

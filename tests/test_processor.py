@@ -20,7 +20,8 @@ from helpers import goodness_of_fit_p, numpy_stream, reference_flip_pattern, two
 from slice_reference import (
     EligibleStoreEvent,
     crash_breaks,
-    event_curve,
+    crash_probability_per_slice,
+    event_breaks,
     poc_reference,
     reference_mean_crash_probability,
     reference_mean_event_fault_probability,
@@ -47,7 +48,6 @@ from voltlab.processor import (
     bundled_profile_names,
     classify_voltage,
     crash_kind_weights,
-    crash_probability_per_slice,
     draw_crash_kind,
     draw_flip_masks,
     draw_flip_pattern,
@@ -727,7 +727,7 @@ def test_marginals_match_the_piecewise_oracle_bit_for_bit():
                 assert got.hex() == want.hex(), (name, pstate, core, temp, v)
             for scenario, multiplier in itertools.product(SCENARIOS, (1.0, 2.0, 24.75, 1000.0)):
                 args = (profile, core, pstate, scenario, multiplier)
-                _, breaks = event_curve(*args, temp)
+                _, breaks = event_breaks(*args, temp)
                 for v, k in _bands(breaks, n, lambda lo, hi: lo < top and hi > floor):
                     got = processor.mean_event_fault_probability(*args, v, temp)
                     want = reference_mean_event_fault_probability(*args, v, temp)

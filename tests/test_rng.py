@@ -10,6 +10,7 @@ from scipy.stats import binom, geom
 
 from helpers import goodness_of_fit_p
 from voltlab import rng as vrng
+from voltlab.orchestrator import phase1_find_window
 
 # Each sampler test below passes at this level.  The seeds are fixed, so a
 # verdict is reproducible; a change to the stream or a sampler redraws
@@ -28,10 +29,35 @@ def test_derive_key_refuses_a_float_path_element():
         vrng.stream(0, "phase1", -120.0)
 
 
+@pytest.mark.parametrize(
+    "seed", [7.5, 7.0, "7", float("nan"), None],
+    ids=["fraction", "whole-float", "str", "nan", "none"],
+)
+def test_derive_key_refuses_a_seed_that_is_not_an_integer(seed):
+    # A fraction would be dropped (7.5 would key as 7), a string coerced
+    # and a nan refused with a bare ValueError; each is a TypeError instead.
+    with pytest.raises(TypeError, match="must be an integer"):
+        vrng.derive_key(seed, "phase1")
+    with pytest.raises(TypeError, match="must be an integer"):
+        vrng.stream(seed, "phase1")
+
+
+def test_a_search_refuses_a_fractional_seed():
+    with pytest.raises(TypeError, match="must be an integer"):
+        phase1_find_window("i7-7700k", "0x1b", seed=7.9)
+
+
+def test_derive_key_takes_a_numpy_integer_as_its_int():
+    assert vrng.derive_key(np.int64(7), "phase1", 3) == vrng.derive_key(7, "phase1", 3)
+    assert vrng.derive_key(np.uint8(7), "phase1", 3) == vrng.derive_key(7, "phase1", 3)
+
+
 def test_a_stream_is_shake128_in_counter_mode():
-    # Block c is shake_128(key || c), 8 << c doubles up to 1024, each the
-    # top 53 bits of a little-endian word.
-    key = vrng.derive_key(5, "phase1", "0x1b", 2, -120, 1)
+    # The key is the first 16 bytes of SHA-256 over the repr of (seed,
+    # *path).  Block c is shake_128(key || c), 8 << c doubles up to 1024,
+    # each the top 53 bits of a little-endian word.
+    key = hashlib.sha256(repr((5, "phase1", "0x1b", 2, -120, 1)).encode()).digest()[:16]
+    assert vrng.derive_key(5, "phase1", "0x1b", 2, -120, 1) == key
     sizes = [min(8 << c, 1024) for c in range(9)]
     words = []
     for c, n in enumerate(sizes):
@@ -55,6 +81,24 @@ def test_a_stream_is_rebuilt_from_its_key_path_alone():
     assert all(0.0 <= u < 1.0 for u in singles)
     assert vrng.stream(3, "path", 2).random(8) != singles[:8]
     assert vrng.stream(4, "path", 1).random(8) != singles[:8]
+
+
+def test_a_stream_opened_either_way_draws_its_blocks_across_their_edges():
+    # A stream hashes block 0 when it is opened, by `stream` or by `Stream`
+    # on the key `derive_key` gives.  Both hand out the doubles of the
+    # counter-mode blocks, hashed here, across the edges of blocks 0-4,
+    # single and sized draws mixed.
+    sizes = (None, 7, None, 3, 20, None, None, 40, 1, None, 60)
+    for path in (("phase1", "0x1b", 2, -120, 1), ("phase1-stability", "0x08", 0, -300)):
+        key = hashlib.sha256(repr((11, *path)).encode()).digest()[:16]
+        blocks = [hashlib.shake_128(key + struct.pack("<Q", c)).digest(64 << c) for c in range(5)]
+        words = struct.unpack("<248Q", b"".join(blocks))
+        want = [(w >> 11) * 2.0**-53 for w in words]
+        for gen in (vrng.stream(11, *path), vrng.Stream(vrng.derive_key(11, *path))):
+            drawn = []
+            for size in sizes:
+                drawn += [gen.random()] if size is None else gen.random(size)
+            assert drawn == want[:len(drawn)] and len(drawn) > 120, path
 
 
 def test_uniform_scales_the_stream():

@@ -4,9 +4,8 @@ import pytest
 
 from voltlab.isa import bundled_program, parse_program
 from voltlab.scanner import ADJACENCY_LIMIT, PatternHit, PatternKind, hits_to_json, scan
-from voltlab.victims import loop_victim
 from helpers import numpy_stream, random_program_text
-from slice_reference import scan_brute
+from slice_reference import loop_victim, scan_brute
 
 
 def hits(text):

@@ -31,7 +31,6 @@ from voltlab.victims import (
     PlatformState,
     RunOutcome,
     RunStatus,
-    loop_victim,
     pinned_rates,
     run_hmac_victim,
     run_poc_enclave,
@@ -52,6 +51,7 @@ from slice_reference import (
     campaign_runs,
     faulted_run,
     loop_run,
+    loop_victim,
     poc_reference,
     probe_run,
     reference_run,
