@@ -45,7 +45,6 @@ from .processor import (
 )
 from .victims import (
     LOOP_EVENTS,
-    LOOP_SLICES,
     CampaignResult,
     FaultStats,
     PlatformState,
@@ -291,7 +290,7 @@ def phase1_find_window(
                 offset -= STEP_MV
                 continue
             gen = rngmod.stream(seed, "phase1", pstate, core, offset, retries)
-            out = run_test_loop(rates, profile, pstate, ITERS_PER_LEVEL, gen)
+            out = run_test_loop(rates, point.ratio, ITERS_PER_LEVEL, gen)
             if out.status is RunStatus.MISMATCH:
                 window_top_mv[core] = base + offset
                 break
@@ -345,14 +344,12 @@ def phase2_probe_cores(
     plan: VoltagePlan,
     tries_per_core: int = 10_000,
 ) -> ProbeReport:
-    """Pin the comparison loop (`vp1_xor_kernel`) to each core in turn, at
-    the core's planned offset with the stressor of `state`, and tally its
-    faults there with `victims.run_probe_victim`.
-
-    No program is prepared: the loop's store and slice counts are
-    `LOOP_EVENTS` and `LOOP_SLICES`.  Raises InvariantError for a plan made
-    for another core count, and AbortedByCrash carrying the partial
-    per-core stats if a probe kills the platform.
+    """Rerun phase 1's comparison loop (`vp1_xor_kernel`) on each core in
+    turn, at the core's planned offset with the stressor of `state`, and
+    tally its faults there with `victims.run_probe_victim`, which prepares
+    no program.  Raises InvariantError for a plan made for another core
+    count, and AbortedByCrash carrying the partial per-core stats if a
+    probe kills the platform.
     """
     plan.check_cores(state.profile)
 
@@ -361,7 +358,7 @@ def phase2_probe_cores(
         env = PlatformState(
             state.profile, plan.pstate, core, plan.offset_for(core), state.stressor, state.seed
         )
-        stats.append(run_probe_victim(LOOP_EVENTS, LOOP_SLICES, env, tries_per_core))
+        stats.append(run_probe_victim(env, tries_per_core))
         if stats[-1].tries < tries_per_core:
             raise AbortedByCrash(
                 f"probe crashed the platform on core {core}",

@@ -11,19 +11,20 @@ Every run of the three phases lives here (`run_test_loop`,
 `run_probe_victim`, `run_poc_victim`, `run_hmac_victim`), with its rates,
 exposure, crash cut-off and draws, and so does the pinned victim the
 campaign runners read (`PlatformState`).  No runner takes a prepared
-victim: the test loop and the probe read their store and slice counts
-from `LOOP_EVENTS` and `LOOP_SLICES`, a campaign from `POC_EVENTS` or
-`PAYLOADS`, so this module loads neither `isa` nor `scanner`.  No runner
-iterates slice by slice: the per-event and per-slice probabilities
-averaged over supply noise are piecewise exact (see
-processor.event_band_mean), so first-occurrence times come from geometric
-draws and a run's count of faulted tries from one binomial.  A level's
-rates are two band means over fault and crash curves read once
-(`loop_rates`): once per campaign or probe core by `pinned_rates`, once
-per core for a whole phase-1 search.  Observable outcomes follow the
-distribution of the slice-level loop in tests/slice_reference.py, which
-`test_campaign_runs_match_the_slice_loop`, `test_probe_matches_the_slice_loop`
-and `test_test_loop_matches_the_slice_loop` check; the draw order differs."""
+victim: the test loop and the probe, which is that loop rerun on each
+core, read its store and slice counts from `LOOP_EVENTS` and
+`LOOP_SLICES`, a campaign from `POC_EVENTS` or `PAYLOADS`, so this module
+loads neither `isa` nor `scanner`.  No runner iterates slice by slice:
+the per-event and per-slice probabilities averaged over supply noise are
+piecewise exact (see processor.event_band_mean), so a run's first crash
+or first fault within its budget is one `_first` draw and its count of
+faulted tries one binomial.  A level's rates are two band means over
+fault and crash curves read once (`loop_rates`): once per campaign or
+probe core by `pinned_rates`, once per core for a whole phase-1 search.
+Observable outcomes follow the distribution of the slice-level loop in
+tests/slice_reference.py, which `test_campaign_runs_match_the_slice_loop`,
+`test_probe_matches_the_slice_loop` and
+`test_test_loop_matches_the_slice_loop` check; the draw order differs."""
 
 from __future__ import annotations
 
@@ -178,37 +179,22 @@ def _any_of(p: float, n: float) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
-def _truncated_geometric(u: float, p: float, n: int, q: float) -> int:
-    # First-success index in 0..n-1 conditioned on at least one success
-    # among n independent Bernoulli(p) trials, whose chance `q` is
-    # `_any_of(p, n)`.
-    if p >= 1.0:
-        return 0
-    j = int(math.log1p(-u * q) / math.log1p(-p))
-    return min(j, n - 1)
+def _first(rng, p: float, n: int) -> int:
+    """The 0-based index of the first success among `n` trials, each a
+    success with chance `p`, or `n` if none succeeds: one geometric draw,
+    none when `p` is 0."""
+    return n if p <= 0.0 else min(int(rng.geometric(p)) - 1, n)
 
 
 def _hits_before_crash(rng, q: float, c_try: float, tries: int) -> tuple[int, int]:
     """(hits, tries completed) of `tries` tries, each a hit with chance `q`
-    and a crash with chance `c_try`.  Draw order: one geometric of the
-    1-based crash try (none when `c_try` is 0), then one binomial count of
-    hits among the tries completed (none when `q` is 0)."""
+    and a crash with chance `c_try`.  Draw order: the `_first` crash try,
+    then one binomial count of hits among the tries completed before it
+    (none when `q` is 0)."""
     if tries < 0:
         raise InvariantError("tries is nonnegative")
-    completed = tries if c_try <= 0.0 else min(int(rng.geometric(c_try)) - 1, tries)
+    completed = _first(rng, c_try, tries)
     return (int(rng.binomial(completed, q)) if q > 0.0 else 0), completed
-
-
-def _faulted_ordinals(rates: LoopRates, events: int, rng: rngmod.Stream) -> list[int]:
-    """Which of the `events` eligible stores of a try or iteration known to
-    fault do fault: the first by `_truncated_geometric` on one uniform, then
-    each later store with its independent chance, from one uniform block."""
-    j = _truncated_geometric(rng.random(), rates.p_event, events, rates.q_iter)
-    ordinals = [j]
-    if j + 1 < events:
-        extra = rng.uniform(size=events - j - 1)
-        ordinals.extend(j + 1 + k for k, u in enumerate(extra) if u < rates.p_event)
-    return ordinals
 
 
 # ---------------------------------------------------------------------------
@@ -261,50 +247,33 @@ def pinned_rates(env: PlatformState, events: int, scenario: str) -> LoopRates:
     return loop_rates(event, crash, env.nominal_voltage_mv(), profile.noise_mv, events)
 
 
-def run_test_loop(
-    rates: LoopRates, profile: ProcessorProfile, pstate: str, max_iters: int,
-    rng: rngmod.Stream,
-) -> RunOutcome:
+def run_test_loop(rates: LoopRates, ratio: int, max_iters: int, rng: rngmod.Stream) -> RunOutcome:
     """Iterate the comparison loop, `LOOP_SLICES` slices per iteration, at
     one level whose chances the caller computed with `loop_rates` for
-    `LOOP_EVENTS` stores; `profile` and `pstate` are read only for the
-    crash kind.
+    `LOOP_EVENTS` stores, at clock ratio `ratio`, which only the crash kind
+    reads.
 
     Returns Mismatch at the first faulted iteration, or a crash if the
-    platform dies first; Match after `max_iters` clean laps, or at once,
-    without a draw, when `rates` is quiet.  All failure modes are
-    RunOutcome values, never exceptions; a negative `max_iters` raises
-    InvariantError before any draw.
+    platform dies first; Match after `max_iters` clean laps.  All failure
+    modes are RunOutcome values, never exceptions; a negative `max_iters`
+    raises InvariantError before any draw.
 
-    Draw order per run: the first-crash slice, the first-fault iteration,
-    then, if the crash comes first, its kind.  First-occurrence times use
-    the noise-averaged marginals, which is distribution-exact.
+    Draw order per run: the `_first` crash slice, the `_first` faulted
+    iteration, then, if the crash comes first, its kind; quiet rates draw
+    nothing.  First-occurrence times use the noise-averaged marginals,
+    which is distribution-exact.
     """
     if max_iters < 0:
         raise InvariantError("max_iters is nonnegative")
-    if rates.quiet:
-        return RunOutcome.match(max_iters)
-    _, q_iter, g_slice = rates
-
-    crash_it = None  # the iteration the platform dies in, if within the budget
-    if g_slice > 0.0:
-        crash_slice = int(rng.geometric(g_slice)) - 1
-        if crash_slice < max_iters * LOOP_SLICES:
-            crash_it = crash_slice // LOOP_SLICES
-    fault_iter = None  # the first faulted iteration, if within the budget
-    if q_iter > 0.0:
-        draw = int(rng.geometric(q_iter))  # 1-based
-        if draw <= max_iters:
-            fault_iter = draw - 1
-
+    crash_it = _first(rng, rates.g_slice, max_iters * LOOP_SLICES) // LOOP_SLICES
+    fault_it = _first(rng, rates.q_iter, max_iters)
     # A crash during the faulting iteration preempts the output comparison
     # that happens at its end.
-    if crash_it is not None and (fault_iter is None or crash_it <= fault_iter):
-        kind = draw_crash_kind(profile.pstate_point(pstate).ratio, rng)
-        return RunOutcome.crashed(kind, crash_it)
-    if fault_iter is None:
+    if crash_it < max_iters and crash_it <= fault_it:
+        return RunOutcome.crashed(draw_crash_kind(ratio, rng), crash_it)
+    if fault_it == max_iters:
         return RunOutcome.match(max_iters)
-    return RunOutcome.mismatch(fault_iter + 1)
+    return RunOutcome.mismatch(fault_it + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +316,25 @@ class FaultStats(Record):
         }
 
 
-def run_probe_victim(events: int, slices: int, env: PlatformState, tries: int) -> FaultStats:
-    """Run a comparison loop of `events` eligible stores and `slices`
-    slices a try `tries` times on the pinned core of `env`, the whole loop
-    undervolted; tally its faults.  No program is prepared: the phase-2
-    probe passes `LOOP_EVENTS` and `LOOP_SLICES`.
+def run_probe_victim(env: PlatformState, tries: int) -> FaultStats:
+    """Run the comparison loop, `LOOP_EVENTS` store and `LOOP_SLICES`
+    slices a try, `tries` times on the pinned core of `env`, the whole loop
+    undervolted; tally its faults.  No program is prepared.
 
-    Draw order: `_hits_before_crash`'s crash geometric and binomial count
-    of faulty tries; for a loop with more than one eligible store, then
-    `_faulted_ordinals` per faulty try, in try order; then one
-    `draw_flip_masks` block, one pattern per faulted store.  A crash shows
-    as fewer `tries` than asked; nothing is raised.
+    Draw order: `_hits_before_crash`'s crash try and binomial count of
+    faulty tries, then one `draw_flip_masks` block, one mask per faulty
+    try, whose one store it faults.  A crash shows as fewer `tries` than
+    asked; nothing is raised.
     """
     core = env.core
     gen = rngmod.stream(env.seed, "phase2", env.pstate, core)
-    rates = pinned_rates(env, events, "probe")
-    c_try = _any_of(rates.g_slice, slices)
+    rates = pinned_rates(env, LOOP_EVENTS, "probe")
+    c_try = _any_of(rates.g_slice, LOOP_SLICES)
 
     faults, completed = _hits_before_crash(gen, rates.q_iter, c_try, tries)
-    stores = faults  # a faulty try of a one-store victim faults that store
-    if events > 1:
-        stores = sum(len(_faulted_ordinals(rates, events, gen)) for _ in range(faults))
     byte_hist = [0] * 16
     mult_hist: dict[int, int] = {}
-    for mask, n in Counter(draw_flip_masks(env.profile, core, stores, gen)).items():
+    for mask, n in Counter(draw_flip_masks(env.profile, core, faults, gen)).items():
         for b in BitFlipPattern(0, mask).byte_positions:
             byte_hist[b] += n
         bits = mask.bit_count()

@@ -149,7 +149,7 @@ def run_loop_under(env, max_iters, rng):
     with the rates `pinned_rates` gives for the eligible stores of the
     prepared `vp1_xor_kernel`."""
     rates = pinned_rates(env, loop_victim("vp1_xor_kernel").events, "probe")
-    return run_test_loop(rates, env.profile, env.pstate, max_iters, rng)
+    return run_test_loop(rates, env.profile.pstate_point(env.pstate).ratio, max_iters, rng)
 
 
 def run_poc_under(env, tries, rng):

@@ -57,8 +57,6 @@ from voltlab.processor import (
     region_boundaries_mv,
 )
 from voltlab.victims import (
-    LOOP_EVENTS,
-    LOOP_SLICES,
     PAYLOADS,
     STRESSORS,
     PlatformState,
@@ -227,7 +225,7 @@ def test_the_runners_read_exactly_the_required_scenarios(monkeypatch):
     profile = load_profile("i7-7700k")
     for victim in ("poc", *PAYLOADS):
         run_campaign(profile, victim, 1, "listing2", seed=7, runs=1, tries_per_run=10)
-    run_probe_victim(LOOP_EVENTS, LOOP_SLICES, PlatformState(profile, "0x1b", 1, -240), 10)
+    run_probe_victim(PlatformState(profile, "0x1b", 1, -240), 10)
     payloads = {scenario for scenario, _, _ in PAYLOADS.values()}
     assert read == set(SCENARIOS) == {"probe", "poc"} | payloads
 

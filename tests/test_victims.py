@@ -174,8 +174,16 @@ def test_loop_races_the_first_crash_and_the_first_fault(kaby, crash_slice, fault
             return 0.5
 
     rates = victims.LoopRates(0.01, 0.01, 0.001)
-    out = victims.run_test_loop(rates, kaby, "0x1b", 20, Pinned())
+    out = victims.run_test_loop(rates, kaby.pstate_point("0x1b").ratio, 20, Pinned())
     assert (out.status, out.iterations_executed) == expect
+
+
+def test_loop_at_quiet_rates_matches_without_a_draw(kaby):
+    gen = vrng.stream(5, "quiet-loop")
+    rates = victims.LoopRates(0.0, 0.0, 0.0)
+    out = victims.run_test_loop(rates, kaby.pstate_point("0x1b").ratio, 20_000, gen)
+    assert (out.status, out.iterations_executed) == (RunStatus.MATCH, 20_000)
+    assert gen.random() == vrng.stream(5, "quiet-loop").random()
 
 
 def test_loop_deterministic(kaby):
@@ -514,21 +522,6 @@ CELLS = {
     "deep": (-256, "listing2"),
 }
 
-# Three eligible stores an iteration, the first to a scratch word that a
-# plain store then overwrites, so a fault there never reaches the output.
-THREE_STORES = parse_program(
-    "vpxor %xmm1, %xmm2, %xmm3\n"
-    "vmovdqu %xmm3, 0x40\n"
-    "vpaddq %xmm1, %xmm2, %xmm4\n"
-    "vmovdqu %xmm4, 0x20\n"
-    "vpand %xmm1, %xmm2, %xmm5\n"
-    "vmovdqu %xmm5, 0x30\n"
-    "vmovdqu %xmm0, 0x40\n"
-    "halt\n",
-    "three_stores",
-)
-
-
 def _in_cell(profile, cell, seed=0):
     offset, stressor = CELLS[cell]
     return pinned_state(profile, 1, offset, stressor, seed)
@@ -593,30 +586,28 @@ def test_campaign_runs_match_the_slice_loop(kaby, victim, cell):
     _assert_same_distribution(ours, reference)
 
 
-# The phase-2 loop, with the counts the probe passes for it, and
-# THREE_STORES with those of its prepared victim, each of whose faulted
-# stores is tallied with its own mask.  In the mid and edge cells about
-# half of THREE_STORES' faulty tries fault two or more stores.
-PROBE_CASES = [
-    pytest.param(bundled_program("vp1_xor_kernel"), LOOP_EVENTS, LOOP_SLICES, cell, id=cell)
-    for cell in ("top", "mid", "deep")
-]
-_THREE = loop_victim(THREE_STORES)
-PROBE_CASES += [
-    pytest.param(THREE_STORES, _THREE.events, _THREE.slices_per_iteration, cell,
-                 id=f"three_stores-{cell}")
-    for cell in ("mid", "edge")
-]
+# The probe in three of the cells above, and mid-window under shift_loop
+# on two i7-8700k cores with other flip tables: on core 1 (`mult_cdf[0]`
+# 0.002) nearly every mask is multi-bit, on core 2 (0.589) about 41% are.
+PROBE_CELLS = {
+    "top": ("i7-7700k", 1, *CELLS["top"]),
+    "mid": ("i7-7700k", 1, *CELLS["mid"]),
+    "deep": ("i7-7700k", 1, *CELLS["deep"]),
+    "i7-8700k-core1": ("i7-8700k", 1, -235, "shift_loop"),  # 770 mV; window 775.6..760.6
+    "i7-8700k-core2": ("i7-8700k", 2, -245, "shift_loop"),  # 760 mV; window 765.6..750.6
+}
 
 
-@pytest.mark.parametrize("program, events, slices, cell", PROBE_CASES)
-def test_probe_matches_the_slice_loop(kaby, program, events, slices, cell):
-    ref = reference_run(program)
+@pytest.mark.parametrize("cell", PROBE_CELLS)
+def test_probe_matches_the_slice_loop(cell):
+    name, core, offset, stressor = PROBE_CELLS[cell]
+    profile = load_profile(name)
     ours, theirs, masks = [], [], []
     for r in range(RUNS):
-        ours.append(run_probe_victim(events, slices, _in_cell(kaby, cell, seed=r), 100))
+        ours.append(run_probe_victim(pinned_state(profile, core, offset, stressor, seed=r), 100))
         faults, completed, run_masks = probe_run(
-            _in_cell(kaby, cell), ref, 100, numpy_stream(r, "slice-probe", cell)
+            pinned_state(profile, core, offset, stressor, seed=0), LOOP, 100,
+            numpy_stream(r, "slice-probe", cell),
         )
         theirs.append((faults, completed, len(run_masks)))
         masks += run_masks
@@ -629,7 +620,25 @@ def test_probe_matches_the_slice_loop(kaby, program, events, slices, cell):
     assert two_sample_p(np.sum([s.bucketed() for s in ours], axis=0), bits) > ALPHA
 
 
-@pytest.mark.parametrize("cell", ["top", "mid", "deep"])
+@pytest.mark.parametrize("name", processor.bundled_profile_names())
+def test_probe_tallies_one_mask_per_faulty_try(name):
+    # At the default pstate and the phase-1 plan's offsets, on every core:
+    # each faulty try faults the loop's one store, so the multiplicity
+    # histogram counts exactly `faults` masks, and each mask flips at
+    # least one byte lane.
+    profile = load_profile(name)
+    plan = phase1_find_window(profile, seed=3)
+    for core in range(profile.physical_cores):
+        env = PlatformState(
+            profile, plan.pstate, core, plan.offset_for(core), STRESSORS["shift_loop"], 3
+        )
+        stats = run_probe_victim(env, 2_000)
+        assert 0 < stats.faults <= stats.tries <= 2_000, (name, core)
+        assert sum(stats.multiplicity_histogram.values()) == stats.faults, (name, core)
+        assert sum(stats.byte_histogram) >= stats.faults, (name, core)
+
+
+@pytest.mark.parametrize("cell", ["top", "mid", "edge", "deep"])
 def test_test_loop_matches_the_slice_loop(kaby, cell):
     # The status a run ends in and the iteration it stops at.  The slice
     # loop re-executes the comparison loop with each faulted store's mask.
